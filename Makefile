@@ -8,7 +8,7 @@ COVER_BASELINE ?= 69.0
 
 .PHONY: all build vet unreachable fmt test race fuzz shuffle cover chaos ci \
 	search-check trace-check obs-check bench bench-snapshot bench-check \
-	bench-diff
+	bench-diff loc
 
 all: build
 
@@ -93,6 +93,13 @@ obs-check:
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check
+
+# Non-test Go lines per package directory and in total, outside benchmark/:
+# the number ROADMAP item 3's "fewer non-test lines" target is read from.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; total += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

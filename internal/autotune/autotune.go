@@ -755,16 +755,8 @@ func runSequential(ctx context.Context, op Operator, opts Options,
 }
 
 func runTimed(prog *ir.Program, inj *faults.Injector, reg *metrics.Registry, obs *obsrv.Observer) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	r, err := exec.Run(prog, binds, exec.Options{
-		Functional: false, FastLoops: true,
-		Faults: inj, Metrics: reg, Observer: obs,
+	r, err := exec.RunVirtual(prog, exec.Options{
+		FastLoops: true, Faults: inj, Metrics: reg, Observer: obs,
 	})
-	if err != nil {
-		return 0, err
-	}
-	return r.Seconds, nil
+	return r.Seconds, err
 }

@@ -382,13 +382,7 @@ func (l *Library) loadWithReport(path string) (LoadReport, error) {
 	}
 	var f libraryFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		// Pre-versioned libraries were a bare entry array; read them as
-		// version 1 before giving up.
-		var list []Entry
-		if legacyErr := json.Unmarshal(data, &list); legacyErr != nil {
-			return rep, fmt.Errorf("cache: load %s: %w", path, err)
-		}
-		f = libraryFile{Version: SchemaVersion, Entries: list}
+		return rep, fmt.Errorf("cache: load %s: %w", path, err)
 	}
 	if f.Version != SchemaVersion {
 		// A future (or garbage) schema: the entries may mean anything, so

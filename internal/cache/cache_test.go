@@ -120,7 +120,7 @@ func TestLibraryLoadErrors(t *testing.T) {
 	// An entry without a signature is quarantined, not a load failure: one
 	// bad entry must not force the caller to discard the whole library.
 	noSig := filepath.Join(dir, "nosig.json")
-	if err := os.WriteFile(noSig, []byte(`[{"factors":{"m":64},"simulated_seconds":1}]`), 0o644); err != nil {
+	if err := os.WriteFile(noSig, []byte(`{"version":1,"entries":[{"factors":{"m":64},"simulated_seconds":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := l.LoadWithReport(noSig)
@@ -202,6 +202,8 @@ func TestLoadUnknownVersionQuarantinesAll(t *testing.T) {
 	}
 }
 
+// TestLoadLegacyBareArray: the pre-versioned bare entry array is no longer
+// a library format — loading one is an error that merges nothing.
 func TestLoadLegacyBareArray(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "legacy.json")
@@ -210,11 +212,12 @@ func TestLoadLegacyBareArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLibrary()
-	if err := l.Load(path); err != nil {
-		t.Fatal(err)
+	rep, err := l.LoadWithReport(path)
+	if err == nil {
+		t.Fatal("a bare entry array must be a load error")
 	}
-	if _, ok := l.Get("old"); !ok {
-		t.Fatal("legacy bare-array library not readable")
+	if rep.Loaded != 0 || l.Len() != 0 {
+		t.Fatalf("bare array merged entries: %+v, library holds %d", rep, l.Len())
 	}
 }
 

@@ -5,7 +5,7 @@
 // clock, SPM and counters, so per-group timelines stay deterministic no
 // matter how the host schedules the groups' goroutines. The package also
 // carries the analytic cost models for what the single-group simulator
-// cannot see: cross-group communication (gathers, all-reduces, pipeline
+// cannot see: cross-group communication (gathers, all-gathers, pipeline
 // stage hand-offs) through the node's shared main memory, and the pipeline
 // schedule that turns per-stage micro-batch durations into an aggregate
 // fleet timeline.
@@ -132,19 +132,6 @@ func AllGatherSeconds(totalBytes int64, n int) float64 {
 		return float64(n-1) * GroupSyncSeconds
 	}
 	return float64(totalBytes)/InterGroupBandwidth + float64(n-1)*GroupSyncSeconds
-}
-
-// AllReduceSeconds models a flat all-reduce of `bytes` per group across n
-// groups through shared memory (the swCaffe gradient pattern): each group
-// writes its contribution, reads the n-1 others and reduces locally —
-// 2·(n-1)·bytes moved per group at the cross-group bandwidth, overlapping
-// across groups only in the sync step. Inference only needs gathers; this
-// is here for the training-style workloads a serving daemon may grow into.
-func AllReduceSeconds(bytes int64, n int) float64 {
-	if n <= 1 || bytes <= 0 {
-		return 0
-	}
-	return 2 * float64(n-1) * (float64(bytes)/InterGroupBandwidth + GroupSyncSeconds)
 }
 
 // StageTransferSeconds models handing one micro-batch's boundary

@@ -103,12 +103,6 @@ func TestCommCostModels(t *testing.T) {
 	if AllGatherSeconds(0, 4) != 3*GroupSyncSeconds {
 		t.Fatal("empty all-gather must still synchronize")
 	}
-	if AllReduceSeconds(1<<20, 1) != 0 {
-		t.Fatal("single group all-reduce must be free")
-	}
-	if AllReduceSeconds(1<<20, 4) <= GatherSeconds(1<<20, 4) {
-		t.Fatal("all-reduce must cost more than a gather of the same bytes")
-	}
 	if StageTransferSeconds(0) != 0 {
 		t.Fatal("empty stage transfer must be free")
 	}

@@ -251,6 +251,17 @@ func BindVirtual(p *ir.Program) (map[string]*tensor.Tensor, error) {
 	return binds, nil
 }
 
+// RunVirtual executes a program on data-less bindings (BindVirtual + Run):
+// the one way every timed-only measurement — tuning candidates, re-timed
+// winners, baselines, experiment sweeps — runs a program.
+func RunVirtual(p *ir.Program, opt Options) (Result, error) {
+	binds, err := BindVirtual(p)
+	if err != nil {
+		return Result{}, err
+	}
+	return Run(p, binds, opt)
+}
+
 func (st *state) run(body []ir.Stmt) error {
 	for _, s := range body {
 		if err := st.stmt(s); err != nil {

@@ -83,15 +83,8 @@ func NewRunner() (*Runner, error) {
 
 // RunProgram measures a program on the simulator (timed-only, fast loops).
 func RunProgram(prog *ir.Program) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	res, err := exec.Run(prog, binds, exec.Options{FastLoops: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
+	res, err := exec.RunVirtual(prog, exec.Options{FastLoops: true})
+	return res.Seconds, err
 }
 
 // TuneConv runs swATOP's model-based tuner on one convolution method and

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"swatop/internal/cluster"
 	"swatop/internal/gemm"
 	"swatop/internal/graph"
-	"swatop/internal/reqtrace"
 	"swatop/internal/sw26010"
 	"swatop/internal/tensor"
 	"swatop/internal/trace"
@@ -54,13 +52,13 @@ func buildShard(g *graph.Graph, opts Options, batch int) (*graph.Graph, error) {
 	return sg, nil
 }
 
-// batchDim returns the tensor's batch extent, checking the repo-wide
-// batch-last convention the fleet's shard/merge copies rely on.
-func batchDim(dims []int, batch int) (int, error) {
+// checkBatchLast checks the repo-wide batch-last convention the fleet's
+// shard/merge copies rely on.
+func checkBatchLast(dims []int, batch int) error {
 	if len(dims) == 0 || dims[len(dims)-1] != batch {
-		return 0, fmt.Errorf("tensor dims %v do not end in the batch extent %d", dims, batch)
+		return fmt.Errorf("tensor dims %v do not end in the batch extent %d", dims, batch)
 	}
-	return dims[len(dims)-1], nil
+	return nil
 }
 
 // copyBatchSlice copies src's batch columns [off, off+n) into dst's batch
@@ -76,25 +74,31 @@ func copyBatchSlice(dst *tensor.Tensor, dstB, dstOff int, src *tensor.Tensor, sr
 	}
 }
 
+// copyRows copies n rows of width cols from src (starting at srcRow) into
+// dst (starting at dstRow) through the logical flat order — an fc column
+// shard's rows of the full [M,K] weight on the way in, its [w,B] output
+// into the full [M,B] activation on the way out.
+func copyRows(dst *tensor.Tensor, dstRow int, src *tensor.Tensor, srcRow, n, cols int) {
+	copyBatchSlice(dst, dst.Len(), dstRow*cols, src, src.Len(), srcRow*cols, n*cols)
+}
+
+// offsets returns where each of the consecutive shards starts: the running
+// sum of the sizes before it.
+func offsets(sizes []int) []int {
+	offs := make([]int, len(sizes))
+	for i := 1; i < len(sizes); i++ {
+		offs[i] = offs[i-1] + sizes[i-1]
+	}
+	return offs
+}
+
 // fullInput builds the whole-batch input tensor a functional data-parallel
 // run shards from, filled exactly like fillInputs fills the single-machine
 // input.
 func fullInput(g *graph.Graph) *tensor.Tensor {
-	gt, _ := g.Tensor(g.Input)
-	in := tensor.New(g.Input, gt.Dims...)
-	in.FillPattern()
-	for i := range in.Data {
-		in.Data[i] = (in.Data[i] + 4) / 8
-	}
+	in := tensor.New(g.Input, mustDims(g, g.Input)...)
+	fillActivation(in)
 	return in
-}
-
-// shardPlan is one distinct shard batch size's rebuilt graph, resolved
-// schedules and buffer plan.
-type shardPlan struct {
-	g        *graph.Graph
-	resolved map[string]*resolvedOp
-	plan     Plan
 }
 
 // runGroups executes fn(0..G-1), concurrently unless the serial
@@ -117,15 +121,96 @@ func runGroups(G int, serial bool, fn func(int)) {
 	wg.Wait()
 }
 
-// runDataParallel shards the batch across the groups and runs the net
-// concurrently. Networks whose graph ends in a fully-connected tail take
-// the hybrid path (swCaffe's split: batch-sharded convolutions, then
-// column-sharded fc layers so each group loads only 1/G of the fc weights);
-// everything else runs the full net on every group's shard, fleet time =
-// slowest group plus the modeled gather of the shard outputs.
+// runStep executes tasks[i] on core group i — nil tasks sit the step out,
+// their machine clocks untouched — and joins the groups. Every group runs
+// on its own machine with a scoped registry (cluster.GroupPrefix), so
+// concurrent groups touch disjoint metric names; the first error in group
+// order wins.
+func (e *Engine) runStep(ctx context.Context, opts Options, fleet *cluster.Fleet, tasks []*task) ([]*taskResult, error) {
+	outs := make([]*taskResult, len(tasks))
+	errs := make([]error, len(tasks))
+	runGroups(len(tasks), opts.serialFleet, func(i int) {
+		if tasks[i] == nil {
+			return
+		}
+		outs[i], errs[i] = e.runTask(ctx, *tasks[i], execEnv{
+			m:            fleet.Machine(i),
+			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
+			obs:          opts.Observer,
+			spans:        opts.Spans,
+			group:        i,
+			functional:   opts.Functional,
+			tolerance:    opts.Tolerance,
+			skipBaseline: true,
+		})
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
+// lockstep is the fleet clock of a data-parallel run: every step starts at
+// a barrier and the clock advances by the slowest group, then by each
+// modeled collective. It is computed after the groups join, in fixed group
+// order, from per-machine simulated quantities — bit-identical across
+// worker counts and goroutine interleavings.
+type lockstep struct {
+	clock, comm float64
+	timeline    *trace.Log
+	res         *Result // accumulates resolution counts
+}
+
+// join places a finished step at the barrier: each group's segment is
+// rebased from its machine clock to the step's start, the clock moves to
+// the slowest group's finish, and the step's start is returned.
+func (c *lockstep) join(outs []*taskResult) float64 {
+	start := c.clock
+	for i, o := range outs {
+		if o == nil {
+			continue
+		}
+		seg := o.segs[0]
+		c.clock = max(c.clock, start+seg.dur)
+		c.timeline.MergeGroup(i, start-seg.start, seg.log)
+		c.res.TunedOps += o.res.TunedOps
+		c.res.CachedOps += o.res.CachedOps
+		c.res.DegradedOps += o.res.DegradedOps
+	}
+	return start
+}
+
+// collective charges one modeled cross-group transfer to the clock and
+// stamps it on every group's timeline row, each event labeled with its own
+// group as the source and the collective's destination ("all groups" for an
+// all-gather, a specific group for a gather) so overlapping collectives
+// stay distinguishable in the Gantt legend.
+func (c *lockstep) collective(groups int, name, dst string, secs float64) {
+	for i := 0; i < groups && secs > 0; i++ {
+		c.timeline.AddGroupArgs(i, trace.KindComm, name, c.clock, secs,
+			map[string]string{"src": fmt.Sprintf("group%d", i), "dst": dst})
+	}
+	c.charge(secs)
+}
+
+func (c *lockstep) charge(secs float64) {
+	c.clock += secs
+	c.comm += secs
+}
+
+// runDataParallel shards the batch across the groups as a sequence of
+// lockstep steps. The head — everything before the fully-connected tail —
+// runs batch-sharded, each group on its slice of the batch. Networks whose
+// graph ends in an fc tail (hybridTail) then all-gather the activations and
+// run the tail column-sharded at the full batch, one step per layer, each
+// group loading only 1/G of the fc weights (swCaffe's split); everything
+// else is the same run with an empty tail, closed by the modeled gather of
+// the shard outputs.
 func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	G := opts.Groups
-	shards, err := cluster.ShardBatch(g.Batch, G)
+	G, B := opts.Groups, g.Batch
+	shards, err := cluster.ShardBatch(B, G)
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
@@ -134,13 +219,23 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
 	topo := g.Topo()
-	tailStart, hybrid := hybridTail(g, topo)
+	tailStart := hybridTail(g, topo)
+	hybrid := tailStart < len(topo)
+	// headOut is what the head hands on: the graph output when there is no
+	// tail, else the activations feeding it.
+	headOut, spanFmt, detail := g.Output, "exec shard b%d", ""
+	if hybrid {
+		headOut, spanFmt, detail = g.Input, "exec conv head b%d", " (hybrid fc tail)"
+		if tailStart > 0 {
+			headOut = topo[tailStart-1].Out
+		}
+	}
 
 	// Resolve schedules once per distinct shard size, sequentially — the
-	// library and tuner are never touched while groups execute. The hybrid
-	// path resolves only the convolution head at shard batch; its fc tail
-	// executes as full-batch column shards resolved separately below. A
-	// zero shard (batch < groups) has no graph to build: that group idles.
+	// library and tuner are never touched while groups execute. Only the
+	// head resolves at shard batch; the tail executes as full-batch column
+	// shards planned separately. A zero shard (batch < groups) has no graph
+	// to build: that group sits the head out.
 	plans := map[int]*shardPlan{}
 	for _, b := range shards {
 		if b == 0 || plans[b] != nil {
@@ -155,171 +250,160 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 			return nil, fmt.Errorf("infer %s: batch-%d shard has %d nodes, the full graph %d",
 				g.Name, b, len(st), len(topo))
 		}
-		nodes := st
-		if hybrid {
-			nodes = st[:tailStart]
-		}
-		resolved, err := e.resolveNodes(ctx, sg, nodes, opts)
-		if err != nil {
+		if plans[b], err = e.planShard(ctx, sg, st[:tailStart], opts); err != nil {
 			return nil, err
 		}
-		plans[b] = &shardPlan{g: sg, resolved: resolved, plan: planBuffers(sg)}
 	}
-	if hybrid {
-		return e.runHybridDP(ctx, g, opts, fleet, shards, plans, tailStart)
+	tails, err := e.planTail(ctx, g, opts, topo[tailStart:])
+	if err != nil {
+		return nil, err
 	}
-	opts.job.SetDetail(fmt.Sprintf("executing on %d groups", G))
+	opts.job.SetDetail(fmt.Sprintf("executing on %d groups%s", G, detail))
 
 	var fullIn *tensor.Tensor
 	if opts.Functional {
-		if _, err := batchDim(mustDims(g, g.Input), g.Batch); err != nil {
-			return nil, fmt.Errorf("infer %s: input: %w", g.Name, err)
-		}
-		if _, err := batchDim(mustDims(g, g.Output), g.Batch); err != nil {
-			return nil, fmt.Errorf("infer %s: output: %w", g.Name, err)
+		for _, name := range []string{g.Input, headOut} {
+			if err := checkBatchLast(mustDims(g, name), B); err != nil {
+				return nil, fmt.Errorf("infer %s: tensor %s: %w", g.Name, name, err)
+			}
 		}
 		fullIn = fullInput(g)
 	}
-	offs := make([]int, G)
-	for i := 1; i < G; i++ {
-		offs[i] = offs[i-1] + shards[i-1]
-	}
+	offs := offsets(shards)
 
-	groups := make([]*Result, G)
-	errs := make([]error, G)
-	run := func(i int) {
-		if shards[i] == 0 {
-			// Empty shard: skipped, not executed — the group contributes
-			// nothing and its machine clock stays at zero.
-			return
-		}
-		sp := plans[shards[i]]
-		ts, err := allocTensors(sp.g, sp.resolved, sp.plan, opts.Functional)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if opts.Functional {
-			// Every shard sees its true slice of the whole-batch input, so
-			// the gathered output is the whole-batch answer.
-			fillInputs(sp.g, ts)
-			copyBatchSlice(ts[sp.g.Input], shards[i], 0, fullIn, g.Batch, offs[i], shards[i])
-		}
-		env := execEnv{
-			m:            fleet.Machine(i),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
-			obs:          opts.Observer,
-			group:        i,
-			functional:   opts.Functional,
-			tolerance:    opts.Tolerance,
-			skipBaseline: true,
-		}
-		res := &Result{Net: sp.g.Name, Batch: shards[i], FLOPs: sp.g.FLOPs(), Plan: sp.plan}
-		timeline := &trace.Log{}
-		execT0 := time.Now()
-		if err := e.execNodes(ctx, sp.g, sp.g.Topo(), sp.resolved, ts, res, timeline, env); err != nil {
-			errs[i] = err
-			return
-		}
-		res.Seconds = env.m.Elapsed()
-		if opts.Spans != nil {
-			opts.Spans.AddGroup(reqtrace.PhaseExec, fmt.Sprintf("exec shard b%d", shards[i]), i,
-				execT0, time.Since(execT0),
-				map[string]string{"machine_ms": reqtrace.MsArg(res.Seconds * 1e3)})
-		}
-		res.Timeline = timeline
-		if opts.Functional {
-			res.Output = ts[sp.g.Output]
-		}
-		groups[i] = res
-	}
-	runGroups(G, opts.serialFleet, run)
-	for i := 0; i < G; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-
-	// Aggregate in fixed group order — the join point where the fleet
-	// becomes deterministic regardless of goroutine interleaving.
 	res := &Result{
-		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(),
+		Net: g.Name, Batch: B, FLOPs: g.FLOPs(),
 		Plan: plans[shards[0]].plan, Mode: ModeDataParallel,
-		Layers: groups[0].Layers,
 	}
-	maxSecs := 0.0
-	active := 0
-	timeline := &trace.Log{}
-	var agg sw26010.Counters
-	for i, gr := range groups {
-		if gr == nil {
-			// Idle group (zero shard): it appears in the report with zero
-			// batch and zero seconds, keeping the scale-out story honest.
-			res.Groups = append(res.Groups, GroupResult{Group: i})
+	clk := &lockstep{timeline: &trace.Log{}, res: res}
+
+	// Head step. Every shard sees its true slice of the whole-batch input,
+	// so the gathered activations are the whole-batch answer.
+	tasks := make([]*task, G)
+	active := make([]string, 0, G)
+	for i, b := range shards {
+		if b == 0 {
 			continue
 		}
-		active++
-		if gr.Seconds > maxSecs {
-			maxSecs = gr.Seconds
+		sp := plans[b]
+		tasks[i] = &task{
+			sp: sp, nodes: sp.g.Topo()[:tailStart], reps: 1, span: fmt.Sprintf(spanFmt, b),
+			prep: func(ts map[string]*tensor.Tensor) {
+				copyBatchSlice(ts[sp.g.Input], b, 0, fullIn, B, offs[i], b)
+			},
 		}
-		timeline.MergeGroup(i, 0, gr.Timeline)
-		agg.Accumulate(fleet.Machine(i).Counters)
-		res.TunedOps += gr.TunedOps
-		res.CachedOps += gr.CachedOps
-		res.DegradedOps += gr.DegradedOps
-		res.Groups = append(res.Groups, GroupResult{
-			Group: i, Batch: shards[i], Seconds: gr.Seconds,
-			Counters: fleet.Machine(i).Counters,
-		})
+		active = append(active, fmt.Sprintf("group%d", i))
 	}
-	outBytes := int64(elemCount(mustDims(g, g.Output))) * 4
-	// Only groups that ran contribute shard outputs to the gather.
-	res.CommSeconds = cluster.GatherSeconds(outBytes, active)
-	gatherSrcs := make([]string, 0, active)
-	for i, gr := range groups {
-		if gr != nil {
-			gatherSrcs = append(gatherSrcs, fmt.Sprintf("group%d", i))
-		}
+	outs, err := e.runStep(ctx, opts, fleet, tasks)
+	if err != nil {
+		return nil, err
 	}
-	timeline.AddGroupArgs(0, trace.KindComm, "gather outputs", maxSecs, res.CommSeconds,
-		map[string]string{"src": strings.Join(gatherSrcs, ","), "dst": "group0"})
-	res.Seconds = maxSecs + res.CommSeconds
-	res.Counters = agg
-	res.Timeline = timeline
-
+	clk.join(outs)
+	res.Layers = outs[0].res.Layers
+	var fullAct *tensor.Tensor
 	if opts.Functional {
-		gt, _ := g.Tensor(g.Output)
-		out := tensor.New(g.Output, gt.Dims...)
-		for i, gr := range groups {
-			if gr == nil {
+		fullAct = tensor.New(headOut, mustDims(g, headOut)...)
+		for i, o := range outs {
+			if o != nil {
+				copyBatchSlice(fullAct, B, offs[i], o.ts[headOut], shards[i], 0, shards[i])
+			}
+		}
+	}
+	headBytes := int64(elemCount(mustDims(g, headOut))) * 4
+	switch {
+	case !hybrid:
+		// The closing gather of a tail-less run is one event on the lead
+		// group's row, fed only by the groups that ran.
+		secs := cluster.GatherSeconds(headBytes, len(active))
+		clk.timeline.AddGroupArgs(0, trace.KindComm, "gather outputs", clk.clock, secs,
+			map[string]string{"src": strings.Join(active, ","), "dst": "group0"})
+		clk.charge(secs)
+	case tailStart > 0:
+		clk.collective(G, "allgather "+headOut, "all groups", cluster.AllGatherSeconds(headBytes, G))
+	}
+
+	// Tail steps: shard gemms (or the redundant full elementwise op),
+	// barrier, then the modeled collective — all-gather between layers, a
+	// plain gather onto the lead group for the final output.
+	for ti, tp := range tails {
+		n := tp.node
+		in := fullAct
+		for i := range tasks {
+			mp := tp.minis[tp.widths[i]]
+			if mp == nil {
+				tasks[i] = nil // a gemm shard with zero columns sits the step out
 				continue
 			}
-			copyBatchSlice(out, g.Batch, offs[i], gr.Output, shards[i], 0, shards[i])
+			tasks[i] = &task{
+				sp: mp, nodes: mp.g.Topo(), reps: 1, span: "exec fc " + n.Name,
+				prep: func(ts map[string]*tensor.Tensor) {
+					copyFlat(ts["input"], in)
+					if tp.fullW != nil {
+						copyRows(ts["weight"], 0, tp.fullW, tp.offs[i], tp.widths[i], n.Gemm.K)
+					}
+				},
+			}
 		}
-		res.Output = out
+		if outs, err = e.runStep(ctx, opts, fleet, tasks); err != nil {
+			return nil, err
+		}
+		// One report line per net layer: the lead group's shard run,
+		// restamped onto the fleet clock, carrying the whole layer's FLOPs.
+		layer := outs[0].res.Layers[0]
+		layer.Start = clk.join(outs)
+		if opts.Functional {
+			fullAct = outs[0].ts["out"]
+		}
+		if n.Kind == graph.Gemm {
+			layer.FLOPs = n.Gemm.FLOPs()
+			bytes := int64(elemCount(mustDims(g, n.Out))) * 4
+			if ti == len(tails)-1 {
+				clk.collective(G, "gather "+n.Name, "group0", cluster.GatherSeconds(bytes, G))
+			} else {
+				clk.collective(G, "allgather "+n.Name, "all groups", cluster.AllGatherSeconds(bytes, G))
+			}
+			if opts.Functional {
+				fullAct = tensor.New(n.Out, mustDims(g, n.Out)...)
+				for i, o := range outs {
+					if o != nil {
+						copyRows(fullAct, tp.offs[i], o.ts["out"], 0, tp.widths[i], B)
+					}
+				}
+			}
+		}
+		res.Layers = append(res.Layers, layer)
 	}
+
+	res.Seconds = clk.clock
+	res.CommSeconds = clk.comm
+	for i := 0; i < G; i++ {
+		// A group that never ran (zero shard, no tail) still appears, with
+		// zero batch and zero seconds, keeping the scale-out story honest.
+		c := fleet.Machine(i).Counters
+		res.Counters.Accumulate(c)
+		res.Groups = append(res.Groups, GroupResult{
+			Group: i, Batch: shards[i], Seconds: fleet.Machine(i).Elapsed(), Counters: c,
+		})
+	}
+	res.Timeline = clk.timeline
+	res.Output = fullAct
 	publishFleet(opts, fleet, res)
 	return res, nil
 }
 
-// hybridTail locates the fully-connected tail of a graph and reports
-// whether the hybrid data-parallel split applies: a suffix of the topo
+// hybridTail returns the topo index where the fully-connected tail of a
+// graph starts, or len(topo) — an empty tail — when the hybrid
+// data-parallel split does not apply. The tail is a suffix of the topo
 // order, starting at the first Gemm node, forming a single chain of Gemm
 // and ReLU nodes whose output features vectorize. This is swCaffe's hybrid
 // parallelism: convolutions are compute-bound and shard well by batch, but
 // fully-connected layers are weight-DMA-bound — running them whole on
 // every group would reload the full weight matrices G times and cap the
 // fleet speedup, so they shard by output columns instead.
-func hybridTail(g *graph.Graph, topo []*graph.Node) (int, bool) {
-	start := -1
-	for i, n := range topo {
-		if n.Kind == graph.Gemm {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return 0, false
+func hybridTail(g *graph.Graph, topo []*graph.Node) int {
+	start := 0
+	for start < len(topo) && topo[start].Kind != graph.Gemm {
+		start++
 	}
 	cur := g.Input
 	if start > 0 {
@@ -329,18 +413,18 @@ func hybridTail(g *graph.Graph, topo []*graph.Node) (int, bool) {
 		switch n.Kind {
 		case graph.Gemm:
 			if len(n.In) != 2 || n.In[0] != cur || n.Gemm.M%sw26010.VectorWidth != 0 {
-				return 0, false
+				return len(topo)
 			}
 		case graph.ReLU:
 			if len(n.In) != 1 || n.In[0] != cur {
-				return 0, false
+				return len(topo)
 			}
 		default:
-			return 0, false
+			return len(topo)
 		}
 		cur = n.Out
 	}
-	return start, true
+	return start
 }
 
 // shardCols splits m output features across G groups in whole vector
@@ -358,25 +442,6 @@ func shardCols(m, G int) []int {
 		}
 	}
 	return w
-}
-
-// miniPlan is one resolved single-node graph of the hybrid fc tail.
-type miniPlan struct {
-	g        *graph.Graph
-	resolved map[string]*resolvedOp
-	plan     Plan
-}
-
-// tailPlan is one fc-tail node's sharding: per-group column widths and the
-// resolved mini graph per distinct width (key 0 for the unsharded
-// elementwise ops). fullW carries the functional-mode full weight values
-// the shards slice their rows from.
-type tailPlan struct {
-	node   *graph.Node
-	widths []int
-	offs   []int
-	minis  map[int]*miniPlan
-	fullW  *tensor.Tensor
 }
 
 // buildGemmShard builds the single-node graph of one group's column shard
@@ -424,353 +489,65 @@ func buildEltwiseShard(net string, n *graph.Node, feats, batch int) (*graph.Grap
 	return sg, sg.Validate()
 }
 
-// sliceRows copies rows [off, off+w) of the full [M,K] weight into a
-// shard's [w,K] weight through the logical flat order, so the shard
-// computes exactly its slice of the single-machine layer.
-func sliceRows(dst, src *tensor.Tensor, off, w, k int) {
-	for m := 0; m < w; m++ {
-		for j := 0; j < k; j++ {
-			setFlat(dst, atFlat(src, (off+m)*k+j), m*k+j)
-		}
-	}
+// tailPlan is one fc-tail node's sharding: per-group column widths and row
+// offsets, and the planned single-node graph per distinct width. An
+// elementwise op has all-zero widths and its one full-activation graph
+// under key 0, so minis[widths[i]] is group i's work either way — nil when
+// a gemm shard has no columns. fullW carries the functional-mode full
+// weight values the gemm shards slice their rows from.
+type tailPlan struct {
+	node   *graph.Node
+	widths []int
+	offs   []int
+	minis  map[int]*shardPlan
+	fullW  *tensor.Tensor
 }
 
-// gatherRows copies a shard's [w,B] output into rows [off, off+w) of the
-// full [M,B] activation.
-func gatherRows(dst, src *tensor.Tensor, off, w, b int) {
-	for m := 0; m < w; m++ {
-		for j := 0; j < b; j++ {
-			setFlat(dst, atFlat(src, m*b+j), (off+m)*b+j)
-		}
-	}
-}
-
-// addCommEvents stamps one cross-group collective on every group's
-// timeline row, each event labeled with its own group as the source and
-// the collective's destination ("all groups" for an all-gather, a specific
-// group for a gather) so overlapping collectives stay distinguishable in
-// the Gantt legend.
-func addCommEvents(l *trace.Log, G int, name, dst string, start, dur float64) {
-	if dur <= 0 {
-		return
-	}
-	for i := 0; i < G; i++ {
-		l.AddGroupArgs(i, trace.KindComm, name, start, dur,
-			map[string]string{"src": fmt.Sprintf("group%d", i), "dst": dst})
-	}
-}
-
-// runHybridDP executes the hybrid data-parallel split: the convolution
-// head runs batch-sharded (each group its slice of the batch), the
-// activations are all-gathered, and the fully-connected tail runs
-// column-sharded at the full batch — each group loads 1/G of the fc
-// weights, which is what lets a weight-DMA-bound tail scale with the
-// fleet. Every tail layer is a lockstep phase joined by a barrier, so the
-// fleet clock and all aggregates are computed in fixed group order from
-// per-machine simulated quantities: bit-identical across worker counts
-// and goroutine interleavings.
-func (e *Engine) runHybridDP(ctx context.Context, g *graph.Graph, opts Options,
-	fleet *cluster.Fleet, shards []int, plans map[int]*shardPlan, tailStart int) (*Result, error) {
-	G := opts.Groups
-	topo := g.Topo()
-	B := g.Batch
-
-	// Column shards and resolved mini graphs for every tail node —
-	// sequential, like all schedule resolution.
-	tails := make([]*tailPlan, 0, len(topo)-tailStart)
-	for _, n := range topo[tailStart:] {
-		tp := &tailPlan{node: n, minis: map[int]*miniPlan{}}
-		if n.Kind == graph.Gemm {
-			tp.widths = shardCols(n.Gemm.M, G)
-			tp.offs = make([]int, G)
-			for i := 1; i < G; i++ {
-				tp.offs[i] = tp.offs[i-1] + tp.widths[i-1]
-			}
-			for _, w := range tp.widths {
-				if w == 0 || tp.minis[w] != nil {
-					continue
-				}
-				mg, err := buildGemmShard(g.Name, n, w, B)
-				if err != nil {
-					return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
-				}
-				resolved, err := e.resolveNodes(ctx, mg, mg.Topo(), opts)
-				if err != nil {
-					return nil, err
-				}
-				tp.minis[w] = &miniPlan{g: mg, resolved: resolved, plan: planBuffers(mg)}
-			}
-			if opts.Functional {
-				fw := tensor.New(n.In[1], mustDims(g, n.In[1])...)
-				fw.FillPattern()
-				scale := 1 / (4 * float32(n.Gemm.K))
-				for i := range fw.Data {
-					fw.Data[i] *= scale
-				}
-				tp.fullW = fw
-			}
-		} else {
-			feats := elemCount(mustDims(g, n.Out)) / B
-			mg, err := buildEltwiseShard(g.Name, n, feats, B)
+// planTail shards every node of the fully-connected tail across the groups
+// and resolves the shard graphs — sequentially, like all schedule
+// resolution.
+func (e *Engine) planTail(ctx context.Context, g *graph.Graph, opts Options, tail []*graph.Node) ([]*tailPlan, error) {
+	G, B := opts.Groups, g.Batch
+	tails := make([]*tailPlan, 0, len(tail))
+	for _, n := range tail {
+		tp := &tailPlan{node: n, widths: make([]int, G), minis: map[int]*shardPlan{}}
+		tails = append(tails, tp)
+		if n.Kind != graph.Gemm {
+			mg, err := buildEltwiseShard(g.Name, n, elemCount(mustDims(g, n.Out))/B, B)
 			if err != nil {
 				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
 			}
-			tp.minis[0] = &miniPlan{g: mg, resolved: map[string]*resolvedOp{}, plan: planBuffers(mg)}
-		}
-		tails = append(tails, tp)
-	}
-	opts.job.SetDetail(fmt.Sprintf("executing on %d groups (hybrid fc tail)", G))
-
-	var fullIn *tensor.Tensor
-	if opts.Functional {
-		if _, err := batchDim(mustDims(g, g.Input), B); err != nil {
-			return nil, fmt.Errorf("infer %s: input: %w", g.Name, err)
-		}
-		fullIn = fullInput(g)
-	}
-	offs := make([]int, G)
-	for i := 1; i < G; i++ {
-		offs[i] = offs[i-1] + shards[i-1]
-	}
-	envs := make([]execEnv, G)
-	for i := 0; i < G; i++ {
-		envs[i] = execEnv{
-			m:            fleet.Machine(i),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
-			obs:          opts.Observer,
-			group:        i,
-			functional:   opts.Functional,
-			tolerance:    opts.Tolerance,
-			skipBaseline: true,
-		}
-	}
-
-	res := &Result{
-		Net: g.Name, Batch: B, FLOPs: g.FLOPs(),
-		Plan: plans[shards[0]].plan, Mode: ModeDataParallel,
-	}
-	timeline := &trace.Log{}
-	errs := make([]error, G)
-
-	// Phase 1: the convolution head, batch-sharded exactly like the pure
-	// data-parallel path.
-	headOut := g.Input
-	if tailStart > 0 {
-		headOut = topo[tailStart-1].Out
-	}
-	headRes := make([]*Result, G)
-	headFeat := make([]*tensor.Tensor, G)
-	runGroups(G, opts.serialFleet, func(i int) {
-		if shards[i] == 0 {
-			// Empty shard: no head work. The group still joins the
-			// column-sharded fc tail after the all-gather.
-			return
-		}
-		sp := plans[shards[i]]
-		ts, err := allocTensors(sp.g, sp.resolved, sp.plan, opts.Functional)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if opts.Functional {
-			fillInputs(sp.g, ts)
-			copyBatchSlice(ts[sp.g.Input], shards[i], 0, fullIn, B, offs[i], shards[i])
-		}
-		r := &Result{}
-		log := &trace.Log{}
-		execT0 := time.Now()
-		if err := e.execNodes(ctx, sp.g, sp.g.Topo()[:tailStart], sp.resolved, ts, r, log, envs[i]); err != nil {
-			errs[i] = err
-			return
-		}
-		if opts.Spans != nil {
-			opts.Spans.AddGroup(reqtrace.PhaseExec, fmt.Sprintf("exec conv head b%d", shards[i]), i,
-				execT0, time.Since(execT0),
-				map[string]string{"machine_ms": reqtrace.MsArg(envs[i].m.Elapsed() * 1e3)})
-		}
-		r.Timeline = log
-		headRes[i] = r
-		if opts.Functional {
-			headFeat[i] = ts[headOut]
-		}
-	})
-	for i := 0; i < G; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-	}
-	clock := 0.0
-	for i := 0; i < G; i++ {
-		if headRes[i] == nil {
+			tp.minis[0] = &shardPlan{g: mg, resolved: map[string]*resolvedOp{}, plan: planBuffers(mg)}
 			continue
 		}
-		if now := fleet.Machine(i).Now(); now > clock {
-			clock = now
-		}
-		timeline.MergeGroup(i, 0, headRes[i].Timeline)
-		res.TunedOps += headRes[i].TunedOps
-		res.CachedOps += headRes[i].CachedOps
-		res.DegradedOps += headRes[i].DegradedOps
-	}
-	res.Layers = append(res.Layers, headRes[0].Layers...)
-
-	var fullAct *tensor.Tensor
-	if opts.Functional {
-		if tailStart == 0 {
-			fullAct = fullIn
-		} else {
-			fullAct = tensor.New(headOut, mustDims(g, headOut)...)
-			for i := 0; i < G; i++ {
-				if headFeat[i] == nil {
-					continue
-				}
-				copyBatchSlice(fullAct, B, offs[i], headFeat[i], shards[i], 0, shards[i])
-			}
-		}
-	}
-	var comm float64
-	if tailStart > 0 {
-		step := cluster.AllGatherSeconds(int64(elemCount(mustDims(g, headOut)))*4, G)
-		addCommEvents(timeline, G, "allgather "+headOut, "all groups", clock, step)
-		clock += step
-		comm += step
-	}
-
-	// Phase 2: the fc tail. Each layer is one lockstep phase — shard gemms
-	// (or the redundant full elementwise op), barrier, then the modeled
-	// collective: all-gather between layers, a plain gather onto the lead
-	// group for the final output.
-	for ti, tp := range tails {
-		n := tp.node
-		phaseStart := clock
-		durs := make([]float64, G)
-		t0s := make([]float64, G)
-		logs := make([]*trace.Log, G)
-		rs := make([]*Result, G)
-		outs := make([]*tensor.Tensor, G)
-		runGroups(G, opts.serialFleet, func(i int) {
-			key := 0
-			if n.Kind == graph.Gemm {
-				if tp.widths[i] == 0 {
-					return
-				}
-				key = tp.widths[i]
-			}
-			mp := tp.minis[key]
-			ts, err := allocTensors(mp.g, mp.resolved, mp.plan, opts.Functional)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if opts.Functional {
-				copyFlat(ts[mp.g.Input], fullAct)
-				if n.Kind == graph.Gemm {
-					sliceRows(ts["weight"], tp.fullW, tp.offs[i], tp.widths[i], n.Gemm.K)
-				}
-			}
-			t0 := envs[i].m.Now()
-			r := &Result{}
-			log := &trace.Log{}
-			execT0 := time.Now()
-			if err := e.execNodes(ctx, mp.g, mp.g.Topo(), mp.resolved, ts, r, log, envs[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			t0s[i] = t0
-			durs[i] = envs[i].m.Now() - t0
-			if opts.Spans != nil {
-				opts.Spans.AddGroup(reqtrace.PhaseExec, "exec fc "+n.Name, i, execT0, time.Since(execT0),
-					map[string]string{"machine_ms": reqtrace.MsArg(durs[i] * 1e3)})
-			}
-			logs[i] = log
-			rs[i] = r
-			if opts.Functional {
-				outs[i] = ts[mp.g.Output]
-			}
-		})
-		for i := 0; i < G; i++ {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-		dmax := 0.0
-		for i := 0; i < G; i++ {
-			if rs[i] == nil {
+		tp.widths = shardCols(n.Gemm.M, G)
+		tp.offs = offsets(tp.widths)
+		for _, w := range tp.widths {
+			if w == 0 || tp.minis[w] != nil {
 				continue
 			}
-			if durs[i] > dmax {
-				dmax = durs[i]
+			mg, err := buildGemmShard(g.Name, n, w, B)
+			if err != nil {
+				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
 			}
-			timeline.MergeGroup(i, phaseStart-t0s[i], logs[i])
-			res.TunedOps += rs[i].TunedOps
-			res.CachedOps += rs[i].CachedOps
-			res.DegradedOps += rs[i].DegradedOps
-		}
-		// One report line per net layer: the lead group's shard run,
-		// restamped onto the fleet clock, carrying the whole layer's FLOPs.
-		layer := rs[0].Layers[0]
-		layer.Start = phaseStart
-		if n.Kind == graph.Gemm {
-			layer.FLOPs = n.Gemm.FLOPs()
-		}
-		res.Layers = append(res.Layers, layer)
-		clock = phaseStart + dmax
-		if n.Kind == graph.Gemm {
-			bytes := int64(elemCount(mustDims(g, n.Out))) * 4
-			var step float64
-			var what, dst string
-			if ti == len(tails)-1 {
-				step = cluster.GatherSeconds(bytes, G)
-				what = "gather " + n.Name
-				dst = "group0"
-			} else {
-				step = cluster.AllGatherSeconds(bytes, G)
-				what = "allgather " + n.Name
-				dst = "all groups"
+			if tp.minis[w], err = e.planShard(ctx, mg, mg.Topo(), opts); err != nil {
+				return nil, err
 			}
-			addCommEvents(timeline, G, what, dst, clock, step)
-			clock += step
-			comm += step
 		}
 		if opts.Functional {
-			if n.Kind == graph.Gemm {
-				act := tensor.New(n.Out, mustDims(g, n.Out)...)
-				for i := 0; i < G; i++ {
-					if outs[i] == nil {
-						continue
-					}
-					gatherRows(act, outs[i], tp.offs[i], tp.widths[i], B)
-				}
-				fullAct = act
-			} else {
-				fullAct = outs[0]
-			}
+			tp.fullW = tensor.New(n.In[1], mustDims(g, n.In[1])...)
+			fillWeight(tp.fullW, n.Gemm.K)
 		}
 	}
-
-	res.Seconds = clock
-	res.CommSeconds = comm
-	var agg sw26010.Counters
-	for i := 0; i < G; i++ {
-		agg.Accumulate(fleet.Machine(i).Counters)
-		res.Groups = append(res.Groups, GroupResult{
-			Group: i, Batch: shards[i], Seconds: fleet.Machine(i).Elapsed(),
-			Counters: fleet.Machine(i).Counters,
-		})
-	}
-	res.Counters = agg
-	res.Timeline = timeline
-	if opts.Functional {
-		res.Output = fullAct
-	}
-	publishFleet(opts, fleet, res)
-	return res, nil
+	return tails, nil
 }
 
 // runPipeline partitions the net into Groups balanced stages by per-layer
-// tuned cost and streams Batch micro-batches of size 1 through them. The
-// fleet time comes from the pipeline schedule over measured per-stage
-// micro-batch durations and modeled stage hand-offs. Timed-only.
+// tuned cost and streams Batch micro-batches of size 1 through them: a
+// placement (probe, partition, one task per stage with reps = micro-batch
+// count) executed as a single step, then rebased from the stages' machine
+// clocks onto the pipeline schedule over measured per-stage micro-batch
+// durations and modeled stage hand-offs. Timed-only.
 func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Functional {
 		return nil, fmt.Errorf("infer %s: pipeline mode is timed-only (activations stream between groups; use data parallelism for functional runs)", g.Name)
@@ -785,27 +562,22 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 	if len(topo) < G {
 		return nil, fmt.Errorf("infer %s: %d nodes cannot fill %d pipeline stages", g.Name, len(topo), G)
 	}
-	resolved, err := e.resolveAll(ctx, mg, opts)
+	sp, err := e.planShard(ctx, mg, topo, opts)
 	if err != nil {
 		return nil, err
 	}
-	plan := planBuffers(mg)
 
 	// Probe pass: one sequential micro-batch on a scratch machine yields
 	// the per-layer tuned costs the partitioner balances. Purely simulated
 	// quantities, so the partition is deterministic.
 	opts.job.SetDetail("partitioning pipeline stages")
-	probeTs, err := allocTensors(mg, resolved, plan, false)
+	probe, err := e.runTask(ctx, task{sp: sp, nodes: topo, reps: 1},
+		execEnv{m: sw26010.NewMachine(), group: -1, skipBaseline: true})
 	if err != nil {
 		return nil, err
 	}
-	probe := &Result{}
-	probeEnv := execEnv{m: sw26010.NewMachine(), group: -1, skipBaseline: true}
-	if err := e.execNodes(ctx, mg, topo, resolved, probeTs, probe, &trace.Log{}, probeEnv); err != nil {
-		return nil, err
-	}
-	costs := make([]float64, len(probe.Layers))
-	for i, l := range probe.Layers {
+	costs := make([]float64, len(probe.res.Layers))
+	for i, l := range probe.res.Layers {
 		costs[i] = l.Seconds
 	}
 	stages, err := cluster.PartitionBalanced(costs, G)
@@ -825,81 +597,47 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
+	tasks := make([]*task, G)
+	for s := range tasks {
+		tasks[s] = &task{sp: sp, nodes: topo[stages[s][0]:stages[s][1]], reps: M,
+			span: fmt.Sprintf("exec stage %d x%d", s, M)}
+	}
+	outs, err := e.runStep(ctx, opts, fleet, tasks)
+	if err != nil {
+		return nil, err
+	}
 	d := make([][]float64, G)
-	segStart := make([][]float64, G)
-	segLogs := make([][]*trace.Log, G)
-	stageLayers := make([][]Layer, G)
-	errs := make([]error, G)
-	run := func(s int) {
-		ts, err := allocTensors(mg, resolved, plan, false)
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		env := execEnv{
-			m:            fleet.Machine(s),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(s)),
-			obs:          opts.Observer,
-			group:        s,
-			skipBaseline: true,
-		}
-		nodes := topo[stages[s][0]:stages[s][1]]
-		d[s] = make([]float64, M)
-		segStart[s] = make([]float64, M)
-		segLogs[s] = make([]*trace.Log, M)
-		execT0 := time.Now()
-		for mi := 0; mi < M; mi++ {
-			t0 := env.m.Now()
-			log := &trace.Log{}
-			r := &Result{}
-			if err := e.execNodes(ctx, mg, nodes, resolved, ts, r, log, env); err != nil {
-				errs[s] = err
-				return
-			}
-			d[s][mi] = env.m.Now() - t0
-			segStart[s][mi] = t0
-			segLogs[s][mi] = log
-			if mi == 0 {
-				stageLayers[s] = r.Layers
-			}
-		}
-		if opts.Spans != nil {
-			opts.Spans.AddGroup(reqtrace.PhaseExec,
-				fmt.Sprintf("exec stage %d x%d", s, M), s, execT0, time.Since(execT0),
-				map[string]string{"machine_ms": reqtrace.MsArg(env.m.Elapsed() * 1e3)})
+	for s, o := range outs {
+		for _, seg := range o.segs {
+			d[s] = append(d[s], seg.dur)
 		}
 	}
-	runGroups(G, opts.serialFleet, run)
-	for s := 0; s < G; s++ {
-		if errs[s] != nil {
-			return nil, errs[s]
-		}
-	}
-
 	sched, err := cluster.SchedulePipeline(d, xfer)
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
 
+	// Resolution counts describe the net once, not once per micro-batch:
+	// they come from the probe pass.
 	res := &Result{
-		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: plan,
+		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: sp.plan,
 		Mode:        ModePipeline,
 		Seconds:     sched.TotalSeconds,
 		CommSeconds: sched.CommSeconds,
+		TunedOps:    probe.res.TunedOps, CachedOps: probe.res.CachedOps, DegradedOps: probe.res.DegradedOps,
+		Timeline: &trace.Log{},
 		Pipeline: &PipelineReport{
 			MicroBatches:   M,
 			BubbleFraction: sched.BubbleFraction,
 		},
 	}
-	timeline := &trace.Log{}
-	var agg sw26010.Counters
-	for s := 0; s < G; s++ {
+	for s, o := range outs {
 		// Rebase each micro-run from its machine-local clock onto the
 		// fleet-schedule clock; intra-run structure shifts rigidly.
-		for mi := 0; mi < M; mi++ {
-			timeline.MergeGroup(s, sched.Start[s][mi]-segStart[s][mi], segLogs[s][mi])
+		for mi, seg := range o.segs {
+			res.Timeline.MergeGroup(s, sched.Start[s][mi]-seg.start, seg.log)
 			if s < G-1 && xfer[s] > 0 {
-				timeline.AddGroupArgs(s, trace.KindComm,
+				res.Timeline.AddGroupArgs(s, trace.KindComm,
 					fmt.Sprintf("stage %d->%d", s, s+1), sched.Finish[s][mi], xfer[s],
 					map[string]string{
 						"src": fmt.Sprintf("group%d", s),
@@ -907,9 +645,9 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 					})
 			}
 		}
-		agg.Accumulate(fleet.Machine(s).Counters)
+		res.Counters.Accumulate(fleet.Machine(s).Counters)
 		stage := StageReport{Group: s, Seconds: d[s][0]}
-		for _, n := range topo[stages[s][0]:stages[s][1]] {
+		for _, n := range tasks[s].nodes {
 			stage.Nodes = append(stage.Nodes, n.Name)
 		}
 		if s < G-1 {
@@ -921,18 +659,11 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 			Counters: fleet.Machine(s).Counters,
 		})
 		// Fleet-clock layer views for micro-batch 0.
-		for _, l := range stageLayers[s] {
-			l.Start += sched.Start[s][0] - segStart[s][0]
+		for _, l := range o.res.Layers {
+			l.Start += sched.Start[s][0] - o.segs[0].start
 			res.Layers = append(res.Layers, l)
 		}
 	}
-	// Resolution counts describe the net once, not once per micro-batch:
-	// take them from the probe pass.
-	res.TunedOps = probe.TunedOps
-	res.CachedOps = probe.CachedOps
-	res.DegradedOps = probe.DegradedOps
-	res.Counters = agg
-	res.Timeline = timeline
 	publishFleet(opts, fleet, res)
 	return res, nil
 }
@@ -970,20 +701,14 @@ func mustDims(g *graph.Graph, name string) []int {
 
 // publishFleet writes a fleet run's instrumentation: per-group and
 // aggregate machine counters (cluster.Fleet.Publish), the aggregate run
-// gauges, and the fleet's DMA-hidden ratio measured over the merged
-// timeline. Called after the groups join, sequentially — metric values are
-// pure simulated-machine quantities, so snapshots stay bit-identical across
-// worker counts and interleavings.
+// gauges and the modeled communication time. Called after the groups join,
+// sequentially — metric values are pure simulated-machine quantities, so
+// snapshots stay bit-identical across worker counts and interleavings.
 func publishFleet(opts Options, fleet *cluster.Fleet, res *Result) {
 	if opts.Metrics == nil {
 		return
 	}
 	fleet.Publish(opts.Metrics)
-	opts.Metrics.Gauge("infer_arena_peak_bytes").Set(float64(res.Plan.PeakActivationBytes()))
-	opts.Metrics.Gauge("infer_machine_seconds").Add(res.Seconds)
+	publishRun(opts.Metrics, res)
 	opts.Metrics.Gauge("infer_comm_seconds").Set(res.CommSeconds)
-	if dma := res.Timeline.BusyTime(trace.KindDMA); dma > 0 {
-		opts.Metrics.Gauge("infer_dma_hidden_ratio").
-			Set(res.Timeline.Overlap(trace.KindGemm, trace.KindDMA) / dma)
-	}
 }

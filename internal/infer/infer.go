@@ -155,7 +155,7 @@ type Options struct {
 	// concurrent runs against.
 	serialFleet bool
 
-	// job is the live job Run registers; internal so resolveAll can update
+	// job is the live job Run registers; internal so resolveNodes can update
 	// progress without re-deriving state.
 	job *obsrv.Job
 }
@@ -303,7 +303,7 @@ type resolvedOp struct {
 // a single serialized timeline, deterministic across worker counts and
 // across cached vs freshly-tuned runs (the engine re-executes the compiled
 // program either way; it never trusts cached seconds).
-func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (res *Result, err error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -320,82 +320,73 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (*Result
 	opts.Observer.Emit(obsrv.LevelInfo, "net.start",
 		obsrv.F("net", g.Name), obsrv.F("batch", g.Batch),
 		obsrv.F("nodes", len(g.Topo())))
-	okDone := false
+	// Every way out of a started run ends in exactly one terminal event:
+	// net.finish with a result, net.fail without one — whether resolution,
+	// validation, execution or the fleet failed.
 	defer func() {
-		if !okDone {
-			opts.job.Finish(obsrv.JobFailed)
+		if res != nil {
+			finishRun(opts, g, res)
+			return
 		}
+		opts.Observer.Emit(obsrv.LevelError, "net.fail",
+			obsrv.F("net", g.Name), obsrv.F("error", err))
+		opts.job.Finish(obsrv.JobFailed)
 	}()
 	if opts.Pipeline && opts.Groups <= 1 {
 		return nil, fmt.Errorf("infer %s: pipeline mode needs at least 2 groups", g.Name)
 	}
 	if opts.Groups > 1 {
-		res, err := e.runFleet(ctx, g, opts)
-		if err != nil {
-			opts.Observer.Emit(obsrv.LevelError, "net.fail",
-				obsrv.F("net", g.Name), obsrv.F("error", err))
-			return nil, err
-		}
-		finishRun(opts, g, res)
-		okDone = true
-		return res, nil
+		return e.runFleet(ctx, g, opts)
 	}
-	resolved, err := e.resolveAll(ctx, g, opts)
+	sp, err := e.planShard(ctx, g, g.Topo(), opts)
 	if err != nil {
-		opts.Observer.Emit(obsrv.LevelError, "net.fail",
-			obsrv.F("net", g.Name), obsrv.F("error", err))
 		return nil, err
 	}
 	opts.job.SetDetail("executing")
-	plan := planBuffers(g)
-	ts, err := allocTensors(g, resolved, plan, opts.Functional)
-	if err != nil {
-		return nil, err
-	}
-
 	m := sw26010.NewMachine()
-	timeline := &trace.Log{}
-	res := &Result{Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: plan, Mode: ModeSingle}
-	env := execEnv{
+	out, err := e.runTask(ctx, task{sp: sp, nodes: g.Topo(), reps: 1, span: "exec " + g.Name}, execEnv{
 		m:            m,
 		reg:          opts.Metrics,
 		obs:          opts.Observer,
+		spans:        opts.Spans,
 		group:        -1,
 		functional:   opts.Functional,
 		tolerance:    opts.Tolerance,
 		skipBaseline: opts.SkipBaseline,
 		baseMemo:     map[string]float64{},
-	}
-	execT0 := time.Now()
-	if err := e.execNodes(ctx, g, g.Topo(), resolved, ts, res, timeline, env); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	res.Seconds = m.Elapsed()
-	if opts.Spans != nil {
-		opts.Spans.AddGroup(reqtrace.PhaseExec, "exec "+g.Name, 0, execT0, time.Since(execT0),
-			map[string]string{"machine_ms": reqtrace.MsArg(res.Seconds * 1e3)})
-	}
-	res.Counters = m.Counters
-	res.Timeline = timeline
-	if !opts.SkipBaseline && res.Seconds > 0 {
-		res.Speedup = res.BaselineSeconds / res.Seconds
+	r := out.res
+	r.Net, r.Batch, r.FLOPs, r.Plan, r.Mode = g.Name, g.Batch, g.FLOPs(), sp.plan, ModeSingle
+	r.Seconds = m.Elapsed()
+	r.Counters = m.Counters
+	r.Timeline = out.segs[0].log
+	if !opts.SkipBaseline && r.Seconds > 0 {
+		r.Speedup = r.BaselineSeconds / r.Seconds
 	}
 	if opts.Metrics != nil {
-		res.Counters.Publish(opts.Metrics)
-		opts.Metrics.Gauge("infer_arena_peak_bytes").Set(float64(plan.PeakActivationBytes()))
-		opts.Metrics.Gauge("infer_machine_seconds").Add(res.Seconds)
-		if dma := timeline.BusyTime(trace.KindDMA); dma > 0 {
-			opts.Metrics.Gauge("infer_dma_hidden_ratio").
-				Set(timeline.Overlap(trace.KindGemm, trace.KindDMA) / dma)
-		}
+		r.Counters.Publish(opts.Metrics)
+		publishRun(opts.Metrics, r)
 	}
 	if opts.Functional {
-		res.Output = ts[g.Output]
+		r.Output = out.ts[g.Output]
 	}
-	finishRun(opts, g, res)
-	okDone = true
-	return res, nil
+	return r, nil
+}
+
+// publishRun writes a finished run's aggregate gauges: the arena peak, the
+// network's machine seconds and the DMA-hidden ratio measured over its
+// merged timeline.
+func publishRun(reg *metrics.Registry, res *Result) {
+	reg.Gauge("infer_arena_peak_bytes").Set(float64(res.Plan.PeakActivationBytes()))
+	reg.Gauge("infer_machine_seconds").Add(res.Seconds)
+	if dma := res.Timeline.BusyTime(trace.KindDMA); dma > 0 {
+		reg.Gauge("infer_dma_hidden_ratio").
+			Set(res.Timeline.Overlap(trace.KindGemm, trace.KindDMA) / dma)
+	}
 }
 
 // finishRun emits the net.finish event and closes the run's live job.
@@ -423,7 +414,8 @@ type execEnv struct {
 	m            *sw26010.Machine
 	reg          *metrics.Registry
 	obs          *obsrv.Observer
-	group        int // >= 0 tags events with the core group; -1 on the single path
+	spans        *reqtrace.Spans // receives the task's exec span; nil records none
+	group        int             // >= 0 tags events with the core group; -1 on the single path
 	functional   bool
 	tolerance    float64
 	skipBaseline bool
@@ -439,15 +431,94 @@ func (env execEnv) label() string {
 	return fmt.Sprintf("group%d", env.group)
 }
 
-// execNodes executes nodes (a topo-order slice of g) on env's machine,
-// appending per-layer results and resolution counts into res and merging
-// node timelines (machine-clock times) into timeline. It is the shared
-// execution core of the single-machine path, each data-parallel group and
-// each pipeline stage.
-func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node,
-	resolved map[string]*resolvedOp, ts map[string]*tensor.Tensor,
-	res *Result, timeline *trace.Log, env execEnv) error {
-	m := env.m
+// shardPlan is everything needed to bind one network to a machine: the
+// graph (the caller's, a batch shard, a pipeline micro-batch or a
+// single-node column shard of the fc tail), its resolved schedules and its
+// buffer plan.
+type shardPlan struct {
+	g        *graph.Graph
+	resolved map[string]*resolvedOp
+	plan     Plan
+}
+
+// planShard resolves schedules for nodes (a topo-order slice of g) and
+// plans g's buffers.
+func (e *Engine) planShard(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (*shardPlan, error) {
+	resolved, err := e.resolveNodes(ctx, g, nodes, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &shardPlan{g: g, resolved: resolved, plan: planBuffers(g)}, nil
+}
+
+// task is one unit of execution: a topo-order node slice of a planned
+// network, run reps times back to back on one machine (a pipeline stage
+// streams its micro-batches; everything else runs once).
+type task struct {
+	sp    *shardPlan
+	nodes []*graph.Node
+	reps  int
+	// prep, when set, overwrites functional-mode inputs after the default
+	// fill — a batch shard's true slice of the whole-batch input, an fc
+	// column shard's rows of the full weight.
+	prep func(ts map[string]*tensor.Tensor)
+	span string // exec span name
+}
+
+// segment is one repetition of a task on its machine's own clock; the
+// caller's fleet clock decides where it lands on the network timeline.
+type segment struct {
+	start, dur float64
+	log        *trace.Log
+}
+
+// taskResult is a finished task: the first repetition's layers, resolution
+// counts and baseline sum, every repetition's segment, and the tensor table
+// (holding data after a functional run).
+type taskResult struct {
+	res  *Result
+	segs []segment
+	ts   map[string]*tensor.Tensor
+}
+
+// runTask is the only place a network is bound to a machine: the single
+// path, every data-parallel phase, the pipeline probe and every pipeline
+// stage allocate their tensor table, execute and record their exec span
+// here.
+func (e *Engine) runTask(ctx context.Context, t task, env execEnv) (*taskResult, error) {
+	ts, err := allocTensors(t.sp, env.functional)
+	if err != nil {
+		return nil, err
+	}
+	if env.functional && t.prep != nil {
+		t.prep(ts)
+	}
+	out := &taskResult{ts: ts, segs: make([]segment, 0, t.reps)}
+	execT0 := time.Now()
+	for rep := 0; rep < t.reps; rep++ {
+		res, log := &Result{}, &trace.Log{}
+		start := env.m.Now()
+		if err := e.execNodes(ctx, t.sp, t.nodes, ts, res, log, env); err != nil {
+			return nil, err
+		}
+		out.segs = append(out.segs, segment{start: start, dur: env.m.Now() - start, log: log})
+		if rep == 0 {
+			out.res = res
+		}
+	}
+	if env.spans != nil {
+		env.spans.AddGroup(reqtrace.PhaseExec, t.span, max(env.group, 0), execT0, time.Since(execT0),
+			map[string]string{"machine_ms": reqtrace.MsArg((env.m.Elapsed() - out.segs[0].start) * 1e3)})
+	}
+	return out, nil
+}
+
+// execNodes executes nodes (a topo-order slice of sp's graph) on env's
+// machine, appending per-layer results and resolution counts into res and
+// merging node timelines (machine-clock times) into timeline.
+func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.Node,
+	ts map[string]*tensor.Tensor, res *Result, timeline *trace.Log, env execEnv) error {
+	g, m := sp.g, env.m
 	for _, n := range nodes {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -458,7 +529,7 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 
 		switch n.Kind {
 		case graph.Conv, graph.Gemm:
-			r := resolved[n.Name]
+			r := sp.resolved[n.Name]
 			binds, err := opBinds(n, r.prog, ts)
 			if err != nil {
 				return fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
@@ -560,17 +631,11 @@ func (e *Engine) execNodes(ctx context.Context, g *graph.Graph, nodes []*graph.N
 	return nil
 }
 
-// resolveAll resolves a schedule for every operator node. Repeated shapes
-// (VGG16's conv3_2/conv3_3, …) share one resolution per run even without a
-// library attached.
-func (e *Engine) resolveAll(ctx context.Context, g *graph.Graph, opts Options) (map[string]*resolvedOp, error) {
-	return e.resolveNodes(ctx, g, g.Topo(), opts)
-}
-
 // resolveNodes resolves schedules for the operator nodes in a topo-order
-// subset of the graph — the hybrid data-parallel path resolves a shard
-// graph's convolution head without tuning the fully-connected tail it
-// never executes at the shard batch.
+// subset of the graph — a data-parallel run resolves a shard graph's
+// convolution head without tuning the fully-connected tail it never
+// executes at the shard batch. Repeated shapes (VGG16's conv3_2/conv3_3, …)
+// share one resolution per call even without a library attached.
 func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (map[string]*resolvedOp, error) {
 	total := 0
 	for _, n := range nodes {
@@ -839,7 +904,8 @@ func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor) (map
 // others stay identity. In functional mode, arena-assigned activations
 // share the two ping-pong buffers; everything else gets dedicated storage.
 // Timed-only runs allocate no data at all.
-func allocTensors(g *graph.Graph, resolved map[string]*resolvedOp, plan Plan, functional bool) (map[string]*tensor.Tensor, error) {
+func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, error) {
+	g, resolved, plan := sp.g, sp.resolved, sp.plan
 	type spec struct {
 		dims   []int
 		layout []int
@@ -916,11 +982,7 @@ func allocTensors(g *graph.Graph, resolved map[string]*resolvedOp, plan Plan, fu
 // activation magnitudes stay bounded through arbitrarily deep networks and
 // per-layer oracle comparisons keep meaningful absolute tolerances.
 func fillInputs(g *graph.Graph, ts map[string]*tensor.Tensor) {
-	in := ts[g.Input]
-	in.FillPattern()
-	for i := range in.Data {
-		in.Data[i] = (in.Data[i] + 4) / 8
-	}
+	fillActivation(ts[g.Input])
 	for _, n := range g.Topo() {
 		var fanIn int
 		switch n.Kind {
@@ -931,12 +993,24 @@ func fillInputs(g *graph.Graph, ts map[string]*tensor.Tensor) {
 		default:
 			continue
 		}
-		w := ts[n.In[1]]
-		w.FillPattern()
-		scale := 1 / (4 * float32(fanIn))
-		for i := range w.Data {
-			w.Data[i] *= scale
-		}
+		fillWeight(ts[n.In[1]], fanIn)
+	}
+}
+
+// fillActivation is the input fill rule: the pattern mapped into [0,1).
+func fillActivation(t *tensor.Tensor) {
+	t.FillPattern()
+	for i := range t.Data {
+		t.Data[i] = (t.Data[i] + 4) / 8
+	}
+}
+
+// fillWeight is the parameter fill rule: the pattern scaled by 1/(4·fanIn).
+func fillWeight(t *tensor.Tensor, fanIn int) {
+	t.FillPattern()
+	scale := 1 / (4 * float32(fanIn))
+	for i := range t.Data {
+		t.Data[i] *= scale
 	}
 }
 
@@ -1033,13 +1107,6 @@ func baselineSeconds(n *graph.Node, tuned float64, memo map[string]float64) floa
 }
 
 func timeProgram(prog *ir.Program) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	res, err := exec.Run(prog, binds, exec.Options{FastLoops: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
+	res, err := exec.RunVirtual(prog, exec.Options{FastLoops: true})
+	return res.Seconds, err
 }

@@ -8,6 +8,7 @@ import (
 	"swatop/internal/cache"
 	"swatop/internal/faults"
 	"swatop/internal/graph"
+	"swatop/internal/obsrv"
 	"swatop/internal/workloads"
 )
 
@@ -259,5 +260,57 @@ func TestPlanPingPong(t *testing.T) {
 	// sum is over 5× larger.
 	if p.NaiveBytes < 4*p.ArenaBytes() {
 		t.Fatalf("expected a big reuse win, got arenas %d B vs naive %d B", p.ArenaBytes(), p.NaiveBytes)
+	}
+}
+
+// TestNetFailTerminalEvent: every started run ends in exactly one terminal
+// event. A run that fails during execution (a layer's oracle error above
+// the tolerance), one that fails during resolution (a library miss with
+// tuning disabled) and a failed fleet run each emit one net.fail and no
+// net.finish.
+func TestNetFailTerminalEvent(t *testing.T) {
+	e := newEngine(t)
+	lib := cache.NewLibrary()
+	ctx := context.Background()
+	ok, err := e.Run(ctx, tinyChain(t, 2), Options{Workers: 2, Library: lib, Functional: true, SkipBaseline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for _, l := range ok.Layers {
+		worst = max(worst, l.MaxAbsErr)
+	}
+	if worst <= 0 {
+		t.Fatal("no layer reports an oracle error to set the tolerance below")
+	}
+
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"execution", Options{Library: lib, Functional: true, SkipBaseline: true, Tolerance: worst / 2}},
+		{"resolution", Options{NoTune: true, SkipBaseline: true}},
+		{"fleet", Options{Library: lib, Groups: 2, Builder: tinyBuilder, Functional: true, Tolerance: worst / 2}},
+		{"fleet validation", Options{Library: lib, Groups: 2}},
+	}
+	for _, c := range cases {
+		obs := obsrv.New()
+		c.opts.Observer = obs
+		if _, err := e.Run(ctx, tinyChain(t, 2), c.opts); err == nil {
+			t.Fatalf("%s: run should fail", c.name)
+		}
+		kinds := map[string]int{}
+		for _, ev := range obs.Flight().Snapshot() {
+			kinds[ev.Kind]++
+		}
+		if kinds["net.start"] != 1 || kinds["net.fail"] != 1 || kinds["net.finish"] != 0 {
+			t.Errorf("%s failure: %d net.start, %d net.fail, %d net.finish; want 1, 1, 0",
+				c.name, kinds["net.start"], kinds["net.fail"], kinds["net.finish"])
+		}
+		for _, j := range obs.Jobs().Snapshot() {
+			if j.Kind == "infer" && j.State != "failed" {
+				t.Errorf("%s failure: infer job state %q", c.name, j.State)
+			}
+		}
 	}
 }

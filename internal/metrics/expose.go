@@ -81,13 +81,16 @@ func (r *Registry) Snapshot() Snapshot {
 				continue
 			}
 			hs := HistogramSnapshot{
-				Count:  h.Count(),
 				Sum:    h.Sum(),
 				Bounds: append([]float64(nil), h.bounds...),
 				Counts: make([]int64, len(h.counts)),
 			}
+			// Count is the sum of the bucket reads, not h.Count(): an
+			// Observe landing between the two would leave a snapshot whose
+			// buckets disagree with its count.
 			for i := range h.counts {
 				hs.Counts[i] = h.counts[i].Load()
+				hs.Count += hs.Counts[i]
 			}
 			hs.Exemplars = h.Exemplars()
 			s.Histograms[name] = hs

@@ -202,20 +202,9 @@ func (t *Tuner) SetMetrics(reg *MetricsRegistry) {
 // time.
 func (t *Tuner) SetWorkers(n int) { t.workers = n }
 
-// SetProgress installs a tuning progress callback, invoked from a single
-// goroutine after each candidate with the processed and valid counts. It is
-// the compatibility form of SetProgressBest; the best-score argument is
-// dropped.
-func (t *Tuner) SetProgress(fn func(done, valid int)) {
-	if fn == nil {
-		t.progress = nil
-		return
-	}
-	t.progress = func(done, valid int, _ float64) { fn(done, valid) }
-}
-
-// SetProgressBest installs a tuning progress callback that also receives
-// the best score seen so far (predicted seconds during the search, 0 while
+// SetProgressBest installs a tuning progress callback, invoked from a
+// single goroutine after each candidate with the processed and valid counts
+// and the best score seen so far (predicted seconds during the search, 0 while
 // no valid candidate exists), for live best-score progress lines.
 func (t *Tuner) SetProgressBest(fn func(done, valid int, best float64)) { t.progress = fn }
 
@@ -481,12 +470,8 @@ func (t *Tuned) WriteChromeTrace(w io.Writer) error {
 }
 
 func (t *Tuned) timeline() (*trace.Log, exec.Result, error) {
-	binds, err := exec.BindVirtual(t.program)
-	if err != nil {
-		return nil, exec.Result{}, err
-	}
 	var log trace.Log
-	res, err := exec.Run(t.program, binds, exec.Options{Trace: &log})
+	res, err := exec.RunVirtual(t.program, exec.Options{Trace: &log})
 	if err != nil {
 		return nil, exec.Result{}, err
 	}
@@ -547,13 +532,6 @@ func BaselineConvSeconds(method string, s ConvShape) (float64, error) {
 }
 
 func runTimed(prog *ir.Program) (float64, error) {
-	binds, err := exec.BindVirtual(prog)
-	if err != nil {
-		return 0, err
-	}
-	res, err := exec.Run(prog, binds, exec.Options{FastLoops: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Seconds, nil
+	res, err := exec.RunVirtual(prog, exec.Options{FastLoops: true})
+	return res.Seconds, err
 }

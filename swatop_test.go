@@ -180,10 +180,10 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 	}
 	tn.SetWorkers(8)
 	lastDone := 0
-	tn.SetProgress(func(done, valid int) { lastDone = done })
+	tn.SetProgressBest(func(done, valid int, _ float64) { lastDone = done })
 	defer func() {
 		tn.SetWorkers(0)
-		tn.SetProgress(nil)
+		tn.SetProgressBest(nil)
 	}()
 	par, err := tn.TuneGemm(p)
 	if err != nil {
