@@ -7,8 +7,8 @@ GO ?= go
 COVER_BASELINE ?= 69.0
 
 .PHONY: all build vet unreachable fmt test race fuzz shuffle cover chaos ci \
-	search-check trace-check obs-check bench bench-snapshot bench-check \
-	bench-diff loc
+	search-check trace-check obs-check alloc-check bench bench-snapshot \
+	bench-check bench-diff bench-e2e loc
 
 all: build
 
@@ -39,11 +39,14 @@ race:
 # Fuzz smoke: the schedule-library loader must quarantine arbitrary corrupt
 # input, the event encoder must emit valid JSON/SSE frames for any input,
 # and the search feature extractor must return a fixed-length finite vector
-# for any candidate — none may ever crash.
+# for any candidate — none may ever crash. The flattening visitor must
+# agree with its reference (descriptors, order, exact pre-sizing) on any
+# rank ≤ 5 tensor, layout and in-bounds region.
 fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzLibraryLoad -fuzztime 10s
 	$(GO) test ./internal/obsrv -run '^$$' -fuzz FuzzEventEncoder -fuzztime 10s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzFeatureVector -fuzztime 10s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzFlattenEach -fuzztime 10s
 
 # Order-independence: tests must pass in any execution order (catches
 # hidden coupling through shared caches, libraries or package state).
@@ -91,8 +94,15 @@ obs-check:
 	$(GO) test -run 'TestAttributeIdenticalZero' -count=1 -v ./internal/bench/
 	$(GO) run ./cmd/swbench -bench-diff BENCH_baseline.json BENCH_baseline.json
 
+# Allocation budgets of candidate scoring: FlattenMulti allocates its result
+# slice and nothing else, the visitor nothing, and EstimateProgram's
+# allocations (count and bytes) do not grow with the DMA descriptor count.
+alloc-check:
+	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
+	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
+
 # The tier-1 loop: what every change must keep green.
-ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check
+ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check
 
 # Non-test Go lines per package directory and in total, outside benchmark/:
 # the number ROADMAP item 3's "fewer non-test lines" target is read from.
@@ -113,6 +123,16 @@ bench-snapshot:
 
 bench-check:
 	$(GO) run ./cmd/swbench -bench-against BENCH_baseline.json
+
+# One end-to-end run of one benchmark workload, as BENCHMARK.json's command
+# runs it (last stdout line is the JSON result):
+#   make bench-e2e W=tune-cold SEED=3
+# For an A/B, run the same line in a clone of the parent commit and
+# alternate the two (recipe in .claude/skills/verify/SKILL.md).
+W ?= tune-cold
+SEED ?= 1
+bench-e2e:
+	bash benchmark/run.sh --workload $(W) --seed $(SEED) --seconds 10 --trace 0
 
 # Differential attribution between two snapshot files:
 #   make bench-diff OLD=old.json NEW=new.json

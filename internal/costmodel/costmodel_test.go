@@ -2,8 +2,11 @@ package costmodel
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
+	"swatop/internal/conv"
 	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/exec"
@@ -95,18 +98,161 @@ func TestGemmModelMispredictsRemainders(t *testing.T) {
 }
 
 func TestDMATimeTransactionModel(t *testing.T) {
+	tally := func(blocks ...tensor.Blocks) dmaTally {
+		var a dmaTally
+		for _, b := range blocks {
+			a.add(b)
+		}
+		return a
+	}
 	// One aligned 128-byte block: exactly one transaction.
-	one := DMATime([]tensor.Blocks{{Offset: 0, Block: 32, Stride: 32, Count: 1}})
+	one := tally(tensor.Blocks{Offset: 0, Block: 32, Stride: 32, Count: 1})
+	if one.transactions != 1 || one.payload != 128 {
+		t.Fatalf("aligned block: %+v, want 1 transaction / 128 payload bytes", one)
+	}
 	// Misaligned 32-float block spanning two transactions.
-	two := DMATime([]tensor.Blocks{{Offset: 16, Block: 32, Stride: 32, Count: 1}})
-	if two <= one {
-		t.Fatal("misaligned block must touch more transactions")
+	two := tally(tensor.Blocks{Offset: 16, Block: 32, Stride: 32, Count: 1})
+	if two.transactions != 2 || two.payload != 128 || two.seconds() <= one.seconds() {
+		t.Fatalf("misaligned block must touch more transactions for the same payload: %+v", two)
 	}
 	// Bandwidth term scales with count (the single-block time is
 	// startup-dominated, so compare against a generous multiple).
-	many := DMATime([]tensor.Blocks{{Offset: 0, Block: 32, Stride: 64, Count: 1000}})
-	if many <= 5*one {
+	many := tally(tensor.Blocks{Offset: 0, Block: 32, Stride: 64, Count: 1000})
+	if many.seconds() <= 5*one.seconds() {
 		t.Fatal("many blocks must cost much more than one")
+	}
+	// Start-up latency is charged per operation, not per descriptor: two
+	// descriptors in one tally cost one start-up plus both bandwidth terms.
+	pair := tally(
+		tensor.Blocks{Offset: 0, Block: 32, Stride: 64, Count: 500},
+		tensor.Blocks{Offset: 32000, Block: 32, Stride: 64, Count: 500})
+	if pair != many {
+		t.Fatalf("split pattern tallies %+v, whole pattern %+v", pair, many)
+	}
+}
+
+func TestEstimateRankMismatchIsError(t *testing.T) {
+	// A malformed move must fail the candidate with an error, the way
+	// exec.dma does, not panic the estimator on an index out of range.
+	prog := &ir.Program{
+		Name:    "bad",
+		Tensors: []ir.TensorDecl{{Name: "A", Dims: []int{8, 8}}},
+	}
+	for _, mv := range []*ir.RegionMove{
+		{Tensor: "A", Start: []ir.Expr{ir.Const(0)}, Extent: []ir.Expr{ir.Const(1), ir.Const(1)}},
+		{Tensor: "A", Start: []ir.Expr{ir.Const(0), ir.Const(0)}, Extent: []ir.Expr{ir.Const(1)}},
+		{Tensor: "A"},
+	} {
+		prog.Body = []ir.Stmt{&ir.DMAOp{Move: *mv, Reply: "rw0"}}
+		_, err := EstimateProgram(model(t), prog)
+		if err == nil || !strings.Contains(err.Error(), "region rank") {
+			t.Fatalf("start %d extent %d on a rank-2 tensor: err = %v, want a region rank error",
+				len(mv.Start), len(mv.Extent), err)
+		}
+	}
+}
+
+// firstPassDescriptors counts the DMA descriptors the estimator streams on
+// its first-iteration walk of a statement list (every loop at iteration 0).
+func firstPassDescriptors(t *testing.T, e *Estimator, body []ir.Stmt) int {
+	t.Helper()
+	n := 0
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.Assign:
+			e.env[x.Var] = x.Val.Eval(e.env)
+		case *ir.If:
+			if x.Cond.Eval(e.env) {
+				n += firstPassDescriptors(t, e, x.Then)
+			} else {
+				n += firstPassDescriptors(t, e, x.Else)
+			}
+		case *ir.For:
+			e.env[x.Iter] = 0
+			n += firstPassDescriptors(t, e, x.Body)
+		case *ir.DMAOp:
+			var r tensor.Region
+			for d := range x.Move.Start {
+				r.Start = append(r.Start, int(x.Move.Start[d].Eval(e.env)))
+				r.Extent = append(r.Extent, int(x.Move.Extent[d].Eval(e.env)))
+			}
+			descs, err := r.FlattenMulti(e.tensors[x.Move.Tensor])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(descs)
+		}
+	}
+	return n
+}
+
+func TestEstimateAllocBudget(t *testing.T) {
+	// Scoring a candidate must cost what it computes: EstimateProgram's
+	// allocation count is a property of the program's statement structure,
+	// not of how many DMA descriptors its regions flatten into. One VGG16
+	// implicit-conv schedule, compiled with channel tiles of 8 and of 128,
+	// gives the same statement list moving regions with >10× the
+	// descriptors (half-row regions need one descriptor per channel).
+	m := model(t)
+	compile := func(tile int) (*ir.Program, int) {
+		s := conv.Shape{B: 1, Ni: 512, No: 512, Ro: 28, Co: 28, Kr: 3, Kc: 3} // VGG16 conv4_x
+		op, err := conv.NewImplicitOp(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := op.Compile(dsl.Strategy{
+			Factors: map[string]int{"no": tile, "ni": tile, "co": 14, "b": 1},
+			Order:   []string{"ro", "co", "no", "kr", "kc", "ni"},
+			Layouts: map[string][]int{
+				"weight": {2, 3, 0, 1}, "in": {0, 1, 2, 3}, "out": {0, 1, 2, 3},
+			},
+			Vec:          ir.VecM,
+			DoubleBuffer: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := NewEstimator(m, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog, firstPassDescriptors(t, est, prog.Body)
+	}
+	small, smallDescs := compile(8)
+	large, largeDescs := compile(128)
+	stmts := func(p *ir.Program) int { return ir.CountKind(p.Body, func(ir.Stmt) bool { return true }) }
+	if a, b := stmts(small), stmts(large); a != b {
+		t.Fatalf("tiles compile to different statement lists: %d vs %d statements", a, b)
+	}
+	if largeDescs < 10*smallDescs {
+		t.Fatalf("large tile streams %d descriptors per pass, small %d: want ≥10×", largeDescs, smallDescs)
+	}
+	// Allocation count and allocated bytes per call (a slice of descriptors
+	// is one allocation however long it is, so the count alone would not
+	// see one being built).
+	measure := func(p *ir.Program) (allocs float64, bytes uint64) {
+		run := func() {
+			if _, err := EstimateProgram(m, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	sa, sb := measure(small)
+	la, lb := measure(large)
+	t.Logf("EstimateProgram: %v allocations / %d B at %d descriptors per pass, %v / %d B at %d",
+		sa, sb, smallDescs, la, lb, largeDescs)
+	if sa != la || lb > sb+sb/20 {
+		t.Fatalf("EstimateProgram allocations grow with descriptors: %v / %d B at %d, %v / %d B at %d",
+			sa, sb, smallDescs, la, lb, largeDescs)
 	}
 }
 

@@ -44,6 +44,8 @@ type Estimator struct {
 
 	tensors map[string]*tensor.Tensor // virtual: shapes and strides only
 	env     ir.Env
+	// start/extent are dma's scratch for the evaluated region.
+	start, extent []int
 }
 
 // NewEstimator prepares an estimator for a program's operand shapes.
@@ -156,28 +158,34 @@ func (e *Estimator) loop(f *ir.For) (Estimate, error) {
 	}, nil
 }
 
+// dma scores one transfer: the region is evaluated into the estimator's
+// scratch, validated, and its descriptors are streamed into the Eq. (1)
+// tally without being materialised.
 func (e *Estimator) dma(mv *ir.RegionMove) (Estimate, error) {
 	t, ok := e.tensors[mv.Tensor]
 	if !ok {
 		return Estimate{}, fmt.Errorf("estimator: unknown tensor %q", mv.Tensor)
 	}
-	nd := t.Rank()
-	start := make([]int, nd)
-	extent := make([]int, nd)
-	for d := 0; d < nd; d++ {
-		start[d] = int(mv.Start[d].Eval(e.env))
-		extent[d] = int(mv.Extent[d].Eval(e.env))
+	e.start, e.extent = e.start[:0], e.extent[:0]
+	for _, x := range mv.Start {
+		e.start = append(e.start, int(x.Eval(e.env)))
 	}
-	region, err := tensor.NewRegion(t, start, extent)
-	if err != nil {
+	for _, x := range mv.Extent {
+		e.extent = append(e.extent, int(x.Eval(e.env)))
+	}
+	// Also rejects a move whose rank does not match the tensor's.
+	if err := tensor.CheckRegion(t, e.start, e.extent); err != nil {
 		return Estimate{}, fmt.Errorf("estimator: %s: %w", mv.Tensor, err)
 	}
-	blocks, err := region.FlattenMulti(t)
-	if err != nil {
+	var tally dmaTally
+	if err := (tensor.Region{Start: e.start, Extent: e.extent}).FlattenEach(t, tally.add); err != nil {
 		return Estimate{}, err
 	}
-	bytes, txns := DMAStats(blocks)
-	return Estimate{DMA: DMATime(blocks), DMABytes: float64(bytes), DMATransactions: float64(txns)}, nil
+	return Estimate{
+		DMA:             tally.seconds(),
+		DMABytes:        float64(tally.payload),
+		DMATransactions: float64(tally.transactions),
+	}, nil
 }
 
 func (e *Estimator) transform(x *ir.Transform) (Estimate, error) {
@@ -187,10 +195,7 @@ func (e *Estimator) transform(x *ir.Transform) (Estimate, error) {
 	case ir.CopySPM:
 		return Estimate{Compute: primitives.CopySPMTime(int(x.Args[0].Eval(e.env)))}, nil
 	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
-		phase := map[ir.TransformKind]string{
-			ir.WinoInputTile: "input", ir.WinoFilterTile: "filter", ir.WinoOutputTile: "output",
-		}[x.Kind]
-		t, err := primitives.WinoTransformTime(phase, int(x.Args[0].Eval(e.env)))
+		t, err := primitives.WinoTransformTime(x.Kind.Phase(), int(x.Args[0].Eval(e.env)))
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -198,14 +203,12 @@ func (e *Estimator) transform(x *ir.Transform) (Estimate, error) {
 	case ir.WinoInputSlab, ir.WinoOutputSlab:
 		nslabs := int(x.Args[0].Eval(e.env))
 		tilesC := int(x.Args[1].Eval(e.env))
-		phase := "input"
 		bIdx := 3
 		if x.Kind == ir.WinoOutputSlab {
-			phase = "output"
 			bIdx = 2
 		}
 		b := int(x.Args[bIdx].Eval(e.env))
-		t, err := primitives.WinoSlabTime(phase, nslabs*tilesC*b)
+		t, err := primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
 		if err != nil {
 			return Estimate{}, err
 		}

@@ -19,35 +19,30 @@ import (
 	"swatop/internal/tensor"
 )
 
-// DMATime is Eq. (1): start-up latency plus touched transactions over the
-// peak DMA bandwidth. PEAK_BW is calibrated to the measured stream
-// bandwidth of [24] (22.6 GB/s), the same source the paper cites for its
-// machine characterization. blocks describes the core-group-level strided
-// pattern.
-func DMATime(blocks []tensor.Blocks) float64 {
-	var touched int64
-	for _, b := range blocks {
-		misalign := (b.Offset * 4) % sw26010.TransactionBytes
-		bytes := b.Block * 4
-		per := int64((misalign + bytes + sw26010.TransactionBytes - 1) /
-			sw26010.TransactionBytes * sw26010.TransactionBytes)
-		touched += per * int64(b.Count)
-	}
-	return sw26010.DMAStartupSeconds + float64(touched)/sw26010.DMAEffBandwidth
+// dmaTally is Eq. (1) in integers: the memory transactions and payload
+// bytes of the core-group-level strided descriptors added to it. Nothing is
+// converted to seconds until every descriptor of a transfer is in, so an
+// estimate does not depend on how the descriptors were produced or grouped.
+type dmaTally struct {
+	transactions int64 // including misalignment and rounding waste per block
+	payload      int64 // bytes, untouched by transaction rounding
 }
 
-// DMAStats predicts the payload bytes and memory-transaction count of a
-// strided pattern under the same Eq. (1) rounding DMATime charges —
-// per-candidate features for the learned search model.
-func DMAStats(blocks []tensor.Blocks) (payloadBytes, transactions int64) {
-	for _, b := range blocks {
-		misalign := (b.Offset * 4) % sw26010.TransactionBytes
-		bytes := b.Block * 4
-		per := int64((misalign + bytes + sw26010.TransactionBytes - 1) / sw26010.TransactionBytes)
-		payloadBytes += int64(bytes) * int64(b.Count)
-		transactions += per * int64(b.Count)
-	}
-	return payloadBytes, transactions
+func (a *dmaTally) add(b tensor.Blocks) {
+	misalign := (b.Offset * 4) % sw26010.TransactionBytes
+	bytes := b.Block * 4
+	per := int64((misalign + bytes + sw26010.TransactionBytes - 1) / sw26010.TransactionBytes)
+	a.transactions += per * int64(b.Count)
+	a.payload += int64(bytes) * int64(b.Count)
+}
+
+// seconds is the time of one DMA operation over the tallied descriptors:
+// start-up latency plus touched bytes over the peak DMA bandwidth. PEAK_BW
+// is calibrated to the measured stream bandwidth of [24] (22.6 GB/s), the
+// same source the paper cites for its machine characterization.
+func (a dmaTally) seconds() float64 {
+	touched := a.transactions * sw26010.TransactionBytes
+	return sw26010.DMAStartupSeconds + float64(touched)/sw26010.DMAEffBandwidth
 }
 
 // variantIndex maps a GEMM variant to its coefficient row.

@@ -619,10 +619,6 @@ func (st *state) transform(x *ir.Transform) error {
 	case ir.WinoInputSlab, ir.WinoOutputSlab:
 		nslabs := int(x.Args[0].Eval(st.env))
 		tilesC := int(x.Args[1].Eval(st.env))
-		phase := "input"
-		if x.Kind == ir.WinoOutputSlab {
-			phase = "output"
-		}
 		var b, ci int
 		if x.Kind == ir.WinoInputSlab {
 			ci = int(x.Args[2].Eval(st.env))
@@ -630,7 +626,7 @@ func (st *state) transform(x *ir.Transform) error {
 		} else {
 			b = int(x.Args[2].Eval(st.env))
 		}
-		secs, err := primitives.WinoSlabTime(phase, nslabs*tilesC*b)
+		secs, err := primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
 		if err != nil {
 			return err
 		}
@@ -654,10 +650,7 @@ func (st *state) transform(x *ir.Transform) error {
 		return primitives.WinoOutputSlab(src.Data[so:], dst.Data[do:], nslabs, tilesC, b)
 	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
 		cnt := int(x.Args[0].Eval(st.env))
-		phase := map[ir.TransformKind]string{
-			ir.WinoInputTile: "input", ir.WinoFilterTile: "filter", ir.WinoOutputTile: "output",
-		}[x.Kind]
-		secs, err := primitives.WinoTransformTime(phase, cnt)
+		secs, err := primitives.WinoTransformTime(x.Kind.Phase(), cnt)
 		if err != nil {
 			return err
 		}

@@ -116,23 +116,41 @@ type RegionMove struct {
 
 // DMAOp is an inferred asynchronous DMA operation (§4.1's swDMA): the
 // functional payload is the embedded RegionMove; Reply names the reply word
-// a DMAWait synchronizes on. PerCPE carries the derived per-CPE descriptor
-// attributes for the code generator (offset/block/stride as formulas over
-// rid/cid — they do not affect simulation, which re-derives exact geometry
-// from the region at run time).
+// a DMAWait synchronizes on.
 type DMAOp struct {
 	Move  RegionMove
 	Reply string
-	// PerCPE holds codegen-facing attribute formulas (informational).
-	PerCPE DMAAttrs
 }
 
-// DMAAttrs are the printed per-CPE descriptor attributes of Fig. 4 (right).
+// DMAAttrs are the printed per-CPE descriptor attributes of Fig. 4 (right):
+// offset/block/stride as formulas over the CPE's rid/cid. They do not affect
+// simulation or estimation, which derive exact geometry from the region, so
+// they are derived only when code is printed.
 type DMAAttrs struct {
 	Offset string
 	Block  string
 	Stride string
 	Size   string
+}
+
+// Attrs derives the move's printed descriptor attributes: the core-group
+// transfer is divided across the 8×8 CPE grid; each CPE's offset depends on
+// its row/column id.
+func (mv *RegionMove) Attrs() DMAAttrs {
+	total := Expr(Const(1))
+	for _, e := range mv.Extent {
+		total = Mul(total, e)
+	}
+	// The innermost region dimension forms the contiguous block; outer
+	// dimensions stride. The per-CPE share is total/64, distributed
+	// block-wise over (rid, cid).
+	inner := mv.Extent[len(mv.Extent)-1]
+	return DMAAttrs{
+		Offset: fmt.Sprintf("((rid*8+cid) * (%s))/64", total),
+		Block:  inner.String(),
+		Stride: fmt.Sprintf("stride(%s)", mv.Tensor),
+		Size:   fmt.Sprintf("(%s)/64", total),
+	}
 }
 
 // DMAWait blocks until Times transfers under Reply have completed
@@ -223,6 +241,21 @@ func (k TransformKind) String() string {
 		return "wino_output_slab"
 	}
 	return "?"
+}
+
+// Phase names the Winograd phase ("input", "filter", "output") whose
+// primitives cost model a transform kind is charged under; "" for the
+// non-Winograd kinds.
+func (k TransformKind) Phase() string {
+	switch k {
+	case WinoInputTile, WinoInputSlab:
+		return "input"
+	case WinoFilterTile:
+		return "filter"
+	case WinoOutputTile, WinoOutputSlab:
+		return "output"
+	}
+	return ""
 }
 
 // Transform invokes an auxiliary kernel. Operand meaning depends on Kind;

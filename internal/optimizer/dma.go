@@ -1,8 +1,7 @@
 // Package optimizer implements swATOP's IR optimizations (§4.5):
 //
 //   - DMA inference: abstract RegionMove nodes become concrete
-//     DMAOp/DMAWait pairs with derived per-CPE descriptor attributes
-//     (offset/block/stride as formulas over the CPE's rid/cid).
+//     DMAOp/DMAWait pairs.
 //   - Hiding memory access latency: automatic software prefetching (double
 //     buffering) with next-iteration index inference over the enclosing
 //     loop variables, generated as the nested if-then-else structure the
@@ -13,15 +12,16 @@
 package optimizer
 
 import (
-	"fmt"
+	"strconv"
 
 	"swatop/internal/ir"
 )
 
 // InferDMA replaces every remaining RegionMove by an asynchronous DMAOp
 // followed immediately by its DMAWait (the synchronous pattern; the
-// prefetch pass produces split pairs itself). It also fills in the per-CPE
-// descriptor attributes used by the code generator.
+// prefetch pass produces split pairs itself). The printed per-CPE
+// descriptor attributes are not stored: the code generator derives them
+// from the move (ir.RegionMove.Attrs) for the one program it prints.
 func InferDMA(p *ir.Program) {
 	n := 0
 	p.Body = ir.Rewrite(p.Body, func(s ir.Stmt) []ir.Stmt {
@@ -29,36 +29,8 @@ func InferDMA(p *ir.Program) {
 		if !ok {
 			return nil
 		}
-		reply := fmt.Sprintf("rw%d", n)
+		reply := "rw" + strconv.Itoa(n)
 		n++
-		op := &ir.DMAOp{Move: *mv, Reply: reply, PerCPE: InferAttrs(mv)}
-		return []ir.Stmt{op, &ir.DMAWait{Reply: reply, Times: ir.Const(1)}}
+		return []ir.Stmt{&ir.DMAOp{Move: *mv, Reply: reply}, &ir.DMAWait{Reply: reply, Times: ir.Const(1)}}
 	})
-	// Prefetch-produced DMAOps may still lack attributes.
-	ir.Walk(p.Body, func(s ir.Stmt) bool {
-		if op, ok := s.(*ir.DMAOp); ok && op.PerCPE == (ir.DMAAttrs{}) {
-			op.PerCPE = InferAttrs(&op.Move)
-		}
-		return true
-	})
-}
-
-// InferAttrs derives the printed per-CPE DMA descriptor attributes of
-// Fig. 4 (right): the core-group transfer is divided across the 8×8 CPE
-// grid; each CPE's offset depends on its row/column id.
-func InferAttrs(mv *ir.RegionMove) ir.DMAAttrs {
-	total := ir.Expr(ir.Const(1))
-	for _, e := range mv.Extent {
-		total = ir.Mul(total, e)
-	}
-	// The innermost region dimension forms the contiguous block; outer
-	// dimensions stride. The per-CPE share is total/64, distributed
-	// block-wise over (rid, cid).
-	inner := mv.Extent[len(mv.Extent)-1]
-	return ir.DMAAttrs{
-		Offset: fmt.Sprintf("((rid*8+cid) * (%s))/64", total),
-		Block:  inner.String(),
-		Stride: fmt.Sprintf("stride(%s)", mv.Tensor),
-		Size:   fmt.Sprintf("(%s)/64", total),
-	}
 }

@@ -54,30 +54,49 @@ func compileAndRun(t *testing.T, p gemm.Params, st dsl.Strategy) exec.Result {
 }
 
 func TestInferDMAProducesPairs(t *testing.T) {
-	seed, _ := gemm.Seed(gemm.Params{M: 64, N: 64, K: 64})
-	prog, err := lower.Lower(seed, strategy(32, 32, 32, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	optimizer.InferDMA(prog)
-	moves := ir.CountKind(prog.Body, func(s ir.Stmt) bool { _, ok := s.(*ir.RegionMove); return ok })
-	if moves != 0 {
-		t.Fatalf("%d RegionMoves survived DMA inference", moves)
-	}
-	ops := ir.CountKind(prog.Body, func(s ir.Stmt) bool { _, ok := s.(*ir.DMAOp); return ok })
-	waits := ir.CountKind(prog.Body, func(s ir.Stmt) bool { _, ok := s.(*ir.DMAWait); return ok })
-	if ops == 0 || ops != waits {
-		t.Fatalf("ops=%d waits=%d", ops, waits)
-	}
-	// Attributes are derived for codegen.
-	ir.Walk(prog.Body, func(s ir.Stmt) bool {
-		if op, ok := s.(*ir.DMAOp); ok {
-			if op.PerCPE.Offset == "" || op.PerCPE.Size == "" {
-				t.Fatalf("DMAOp without inferred attributes: %+v", op)
+	isMove := func(s ir.Stmt) bool { _, ok := s.(*ir.RegionMove); return ok }
+	isOp := func(s ir.Stmt) bool { _, ok := s.(*ir.DMAOp); return ok }
+	isWait := func(s ir.Stmt) bool { _, ok := s.(*ir.DMAWait); return ok }
+	for _, db := range []bool{false, true} {
+		seed, _ := gemm.Seed(gemm.Params{M: 64, N: 64, K: 64})
+		prog, err := lower.Lower(seed, strategy(32, 32, 32, db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db {
+			if err := optimizer.InjectPrefetch(prog); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return true
-	})
+		// Whatever the prefetch pass already paired stays; every move still
+		// abstract becomes exactly one op and one wait.
+		moves := ir.CountKind(prog.Body, isMove)
+		ops, waits := ir.CountKind(prog.Body, isOp), ir.CountKind(prog.Body, isWait)
+		optimizer.InferDMA(prog)
+		if n := ir.CountKind(prog.Body, isMove); n != 0 {
+			t.Fatalf("db=%v: %d RegionMoves survived DMA inference", db, n)
+		}
+		gotOps, gotWaits := ir.CountKind(prog.Body, isOp), ir.CountKind(prog.Body, isWait)
+		if gotOps == 0 || gotOps != ops+moves || gotWaits != waits+moves {
+			t.Fatalf("db=%v: %d moves, ops %d→%d, waits %d→%d: want one op and one wait per move",
+				db, moves, ops, gotOps, waits, gotWaits)
+		}
+		// Inferred ops name distinct reply words; the attributes codegen
+		// prints are derivable from every op's move.
+		replies := map[string]bool{}
+		ir.Walk(prog.Body, func(s ir.Stmt) bool {
+			if op, ok := s.(*ir.DMAOp); ok {
+				replies[op.Reply] = true
+				if at := op.Move.Attrs(); at.Offset == "" || at.Block == "" || at.Stride == "" || at.Size == "" {
+					t.Fatalf("db=%v: DMAOp %s without derivable attributes: %+v", db, op.Reply, at)
+				}
+			}
+			return true
+		})
+		if !db && len(replies) != gotOps {
+			t.Fatalf("%d synchronous ops share %d reply words", gotOps, len(replies))
+		}
+	}
 }
 
 func TestPrefetchFunctionalCorrectness(t *testing.T) {

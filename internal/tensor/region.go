@@ -11,17 +11,27 @@ type Region struct {
 	Extent []int
 }
 
-// NewRegion builds a region and validates it against the tensor.
-func NewRegion(t *Tensor, start, extent []int) (Region, error) {
+// CheckRegion validates a start/extent pair against the tensor: matching
+// rank, positive extents, every dimension inside the tensor's bounds.
+func CheckRegion(t *Tensor, start, extent []int) error {
 	if len(start) != t.Rank() || len(extent) != t.Rank() {
-		return Region{}, fmt.Errorf("region rank mismatch for %s: start %d extent %d rank %d",
+		return fmt.Errorf("region rank mismatch for %s: start %d extent %d rank %d",
 			t.Name, len(start), len(extent), t.Rank())
 	}
 	for d := range start {
 		if start[d] < 0 || extent[d] <= 0 || start[d]+extent[d] > t.Dims[d] {
-			return Region{}, fmt.Errorf("region [%d:%d+%d) out of bounds for %s dim %d (extent %d)",
+			return fmt.Errorf("region [%d:%d+%d) out of bounds for %s dim %d (extent %d)",
 				start[d], start[d], extent[d], t.Name, d, t.Dims[d])
 		}
+	}
+	return nil
+}
+
+// NewRegion builds a region (copying start and extent) and validates it
+// against the tensor.
+func NewRegion(t *Tensor, start, extent []int) (Region, error) {
+	if err := CheckRegion(t, start, extent); err != nil {
+		return Region{}, err
 	}
 	return Region{Start: append([]int(nil), start...), Extent: append([]int(nil), extent...)}, nil
 }
@@ -48,38 +58,32 @@ type Blocks struct {
 // Total returns the number of elements transferred.
 func (b Blocks) Total() int { return b.Block * b.Count }
 
-// Flatten converts a region into a strided block pattern against the
-// tensor's layout. It returns an error when the region cannot be expressed
-// as a single (block, stride, count) pattern — in that case callers fall
-// back to FlattenMulti.
-func (r Region) Flatten(t *Tensor) (Blocks, error) {
-	all, err := r.FlattenMulti(t)
-	if err != nil {
-		return Blocks{}, err
-	}
-	if len(all) != 1 {
-		return Blocks{}, fmt.Errorf("region of %s needs %d strided descriptors, not 1", t.Name, len(all))
-	}
-	return all[0], nil
-}
+// stackRank is the tensor rank up to which flattening keeps its dimension
+// order and odometer on the stack; higher ranks spill to the heap.
+const stackRank = 4
 
-// FlattenMulti converts a region into one or more strided block patterns.
-// Dimensions are visited from fastest-varying to slowest. A maximal run of
-// dimensions that are (a) fully covered and (b) memory-adjacent fuses into
-// the contiguous block; the next partially-covered dimension becomes the
-// stride loop; remaining outer dimensions multiply into separate
-// descriptors (one per outer index combination is avoided by emitting a
-// descriptor per distinct outer "slab").
-func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
-	if len(r.Start) != t.Rank() {
-		return nil, fmt.Errorf("region rank %d vs tensor rank %d", len(r.Start), t.Rank())
+// flatten is the one flattening routine: it derives the pattern geometry,
+// reports the exact descriptor count through size (when non-nil) and then
+// visits the descriptors. Dimensions are taken from fastest-varying to
+// slowest: a maximal run of dimensions that are (a) fully covered and (b)
+// memory-adjacent fuses into the contiguous block; the next
+// partially-covered dimension becomes the stride loop; the remaining outer
+// dimensions with extent != 1 multiply into separate descriptors that share
+// Block/Stride/Count and differ only in Offset.
+func (r Region) flatten(t *Tensor, size func(n int), visit func(Blocks)) error {
+	rank := t.Rank()
+	if len(r.Start) != rank || len(r.Extent) != rank {
+		return fmt.Errorf("region rank %d/%d vs tensor rank %d", len(r.Start), len(r.Extent), rank)
 	}
+	var stack [2 * stackRank]int
+	scratch := stack[:]
+	if rank > stackRank {
+		scratch = make([]int, 2*rank)
+	}
+	order, idx := scratch[:0:rank], scratch[rank:2*rank]
 	// Order dimensions by increasing stride (fastest first).
-	order := make([]int, t.Rank())
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
+	for i := 0; i < rank; i++ {
+		order = append(order, i)
 		for j := i; j > 0 && t.Strides[order[j]] < t.Strides[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
@@ -93,7 +97,7 @@ func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
 	// Grow the contiguous block through fully-covered adjacent dims.
 	block := 1
 	k := 0
-	for ; k < len(order); k++ {
+	for ; k < rank; k++ {
 		d := order[k]
 		if t.Strides[d] != block {
 			break
@@ -109,31 +113,62 @@ func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
 	}
 
 	// The next dimension (if any) is the strided loop.
-	if k >= len(order) {
-		return []Blocks{{Offset: base, Block: block, Stride: block, Count: 1}}, nil
+	b := Blocks{Offset: base, Block: block, Stride: block, Count: 1}
+	if k < rank {
+		sd := order[k]
+		b.Stride, b.Count = t.Strides[sd], r.Extent[sd]
+		k++
 	}
-	sd := order[k]
-	blocks := Blocks{Offset: base, Block: block, Stride: t.Strides[sd], Count: r.Extent[sd]}
-	k++
 
-	// Any remaining dimensions with extent > 1 produce separate descriptors.
-	out := []Blocks{blocks}
-	for ; k < len(order); k++ {
-		d := order[k]
-		if r.Extent[d] == 1 {
-			continue
+	// Any remaining dimensions with extent != 1 produce separate
+	// descriptors; compact them to the front of order.
+	outer, n := order[:0], 1
+	for ; k < rank; k++ {
+		if d := order[k]; r.Extent[d] != 1 {
+			outer = append(outer, d)
+			n *= r.Extent[d]
 		}
-		next := make([]Blocks, 0, len(out)*r.Extent[d])
-		for _, b := range out {
-			for i := 0; i < r.Extent[d]; i++ {
-				nb := b
-				nb.Offset += i * t.Strides[d]
-				next = append(next, nb)
-			}
-		}
-		out = next
 	}
-	return out, nil
+	if size != nil {
+		size(n)
+	}
+	if n <= 0 {
+		return nil
+	}
+	// Odometer over the outer dimensions: the first varies slowest, the
+	// last fastest.
+	for {
+		visit(b)
+		j := len(outer) - 1
+		for ; j >= 0; j-- {
+			d := outer[j]
+			idx[j]++
+			b.Offset += t.Strides[d]
+			if idx[j] < r.Extent[d] {
+				break
+			}
+			b.Offset -= idx[j] * t.Strides[d]
+			idx[j] = 0
+		}
+		if j < 0 {
+			return nil
+		}
+	}
+}
+
+// FlattenEach converts a region into one or more strided block patterns
+// against the tensor's layout and calls visit on each in turn, without
+// materialising them.
+func (r Region) FlattenEach(t *Tensor, visit func(Blocks)) error {
+	return r.flatten(t, nil, visit)
+}
+
+// FlattenMulti collects the descriptors FlattenEach visits, in the same
+// order, into an exactly-sized slice.
+func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
+	var out []Blocks
+	err := r.flatten(t, func(n int) { out = make([]Blocks, 0, n) }, func(b Blocks) { out = append(out, b) })
+	return out, err
 }
 
 // CopyRegionOut gathers a region of src into dst (a flat buffer) in the
@@ -144,7 +179,6 @@ func CopyRegionOut(src *Tensor, r Region, dst []float32) (int, error) {
 	if len(dst) < n {
 		return 0, fmt.Errorf("dst too small: %d < %d", len(dst), n)
 	}
-	idx := make([]int, src.Rank())
 	pos := 0
 	var rec func(d int, off int)
 	rec = func(d int, off int) {
@@ -159,7 +193,6 @@ func CopyRegionOut(src *Tensor, r Region, dst []float32) (int, error) {
 			o += src.Strides[d]
 		}
 	}
-	_ = idx
 	rec(0, 0)
 	return n, nil
 }
