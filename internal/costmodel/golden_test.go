@@ -12,19 +12,13 @@ import (
 	"testing"
 
 	"swatop/internal/codegen"
-	"swatop/internal/conv"
 	"swatop/internal/dsl"
-	"swatop/internal/gemm"
-	"swatop/internal/ir"
-	"swatop/internal/schedule"
+	"swatop/internal/goldenpoints"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/estimate_golden.json from the current code")
 
 const goldenPath = "testdata/estimate_golden.json"
-
-// goldenPointsPerOp schedule points are sampled from every operator's space.
-const goldenPointsPerOp = 24
 
 // goldenRow pins one (operator, schedule index) point: the bit patterns of
 // all four Estimate fields and the SHA-256 of the emitted C. Err holds the
@@ -40,33 +34,6 @@ type goldenRow struct {
 	Err             string `json:"err,omitempty"`
 }
 
-type goldenOp interface {
-	Name() string
-	Seed() *dsl.Seed
-	Space() *dsl.Space
-	Compile(dsl.Strategy) (*ir.Program, error)
-}
-
-func goldenOps(t *testing.T) []goldenOp {
-	t.Helper()
-	vgg := conv.Shape{B: 1, Ni: 128, No: 128, Ro: 56, Co: 56, Kr: 3, Kc: 3}
-	batched := conv.Shape{B: 8, Ni: 64, No: 96, Ro: 14, Co: 14, Kr: 3, Kc: 3}
-	var ops []goldenOp
-	add := func(op goldenOp, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops = append(ops, op)
-	}
-	add(gemm.NewOp(gemm.Params{M: 200, N: 200, K: 200}))
-	add(gemm.NewOp(gemm.Params{M: 512, N: 128, K: 256}))
-	add(conv.NewImplicitOp(vgg))
-	add(conv.NewImplicitOp(batched))
-	add(conv.NewExplicitOp(batched))
-	add(conv.NewWinogradOp(batched))
-	return ops
-}
-
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
 // goldenRows evaluates the fixed point list with the current code and
@@ -75,49 +42,41 @@ func goldenRows(t *testing.T) (rows []goldenRow, covered map[string]bool) {
 	t.Helper()
 	m := model(t)
 	covered = map[string]bool{}
-	for _, op := range goldenOps(t) {
-		// The operators' own spaces fix prefetch on and lightweight padding;
-		// widen both so the list reaches the other arms of the pipeline.
-		sp := *op.Space()
-		sp.DoubleBuffer = []bool{true, false}
-		sp.Padding = []dsl.PaddingMode{dsl.PadLightweight, dsl.PadTraditional}
-		dims, err := schedule.Describe(op.Seed(), &sp)
+	points, err := goldenpoints.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range points {
+		row := goldenRow{Op: pt.Op.Name(), Index: pt.Index}
+		st := pt.Strategy
+		prog, err := pt.Op.Compile(st)
 		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < goldenPointsPerOp; i++ {
-			idx := (i*7919 + 13) % dims.Size()
-			row := goldenRow{Op: op.Name(), Index: idx}
-			st := dims.At(idx)
-			prog, err := op.Compile(st)
-			if err != nil {
-				row.Err = err.Error()
-				rows = append(rows, row)
-				continue
-			}
-			est, err := EstimateProgram(m, prog)
-			if err != nil {
-				row.Err = err.Error()
-				rows = append(rows, row)
-				continue
-			}
-			src, err := codegen.EmitC(prog)
-			if err != nil {
-				t.Fatalf("%s[%d]: emit: %v", op.Name(), idx, err)
-			}
-			sum := sha256.Sum256([]byte(src))
-			row.DMA, row.Compute = bits(est.DMA), bits(est.Compute)
-			row.DMABytes, row.DMATransactions = bits(est.DMABytes), bits(est.DMATransactions)
-			row.CSHA256 = hex.EncodeToString(sum[:])
+			row.Err = err.Error()
 			rows = append(rows, row)
+			continue
+		}
+		est, err := EstimateProgram(m, prog)
+		if err != nil {
+			row.Err = err.Error()
+			rows = append(rows, row)
+			continue
+		}
+		src, err := codegen.EmitC(prog)
+		if err != nil {
+			t.Fatalf("%s[%d]: emit: %v", row.Op, row.Index, err)
+		}
+		sum := sha256.Sum256([]byte(src))
+		row.DMA, row.Compute = bits(est.DMA), bits(est.Compute)
+		row.DMABytes, row.DMATransactions = bits(est.DMABytes), bits(est.DMATransactions)
+		row.CSHA256 = hex.EncodeToString(sum[:])
+		rows = append(rows, row)
 
-			covered[fmt.Sprintf("prefetch=%v", st.DoubleBuffer)] = true
-			covered[fmt.Sprintf("padding=%d", st.Padding)] = true
-			for _, l := range st.Layouts {
-				for d, p := range l {
-					if d != p {
-						covered["layout=permuted"] = true
-					}
+		covered[fmt.Sprintf("prefetch=%v", st.DoubleBuffer)] = true
+		covered[fmt.Sprintf("padding=%d", st.Padding)] = true
+		for _, l := range st.Layouts {
+			for d, p := range l {
+				if d != p {
+					covered["layout=permuted"] = true
 				}
 			}
 		}
