@@ -94,12 +94,16 @@ obs-check:
 	$(GO) test -run 'TestAttributeIdenticalZero' -count=1 -v ./internal/bench/
 	$(GO) run ./cmd/swbench -bench-diff BENCH_baseline.json BENCH_baseline.json
 
-# Allocation budgets of candidate scoring: FlattenMulti allocates its result
-# slice and nothing else, the visitor nothing, and EstimateProgram's
-# allocations (count and bytes) do not grow with the DMA descriptor count.
+# Allocation budgets of candidate scoring and timed execution: FlattenMulti
+# allocates its result slice and nothing else, the visitor nothing;
+# EstimateProgram's and a timed exec run's allocations (count and bytes) do
+# not grow with the DMA descriptor count, nor a run's with the transfers it
+# issues; issue+wait on a warmed reply word allocates nothing.
 alloc-check:
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
+	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
+	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check

@@ -97,6 +97,8 @@ type state struct {
 	tensors map[string]*tensor.Tensor
 	spm     map[string]*sw26010.SPMBuffer
 	replies map[string]int // outstanding issue counts per reply word
+	// start/extent are dma's scratch for the evaluated region.
+	start, extent []int
 }
 
 // Run executes a program. binds maps non-scratch tensor names to concrete
@@ -337,15 +339,14 @@ func (st *state) stmt(s ir.Stmt) error {
 		return st.m.SPM().Free(x.Buf)
 	case *ir.RegionMove:
 		// Un-inferred moves execute as a synchronous DMA (issue + wait).
-		op := &ir.DMAOp{Move: *x, Reply: "__sync"}
-		if err := st.dma(op); err != nil {
+		if err := st.dma(x, "__sync"); err != nil {
 			return err
 		}
-		return st.wait(&ir.DMAWait{Reply: "__sync", Times: ir.Const(1)})
+		return st.wait("__sync", 1)
 	case *ir.DMAOp:
-		return st.dma(x)
+		return st.dma(&x.Move, x.Reply)
 	case *ir.DMAWait:
-		return st.wait(x)
+		return st.wait(x.Reply, int(x.Times.Eval(st.env)))
 	case *ir.Gemm:
 		return st.gemm(x)
 	case *ir.Transform:
@@ -354,22 +355,20 @@ func (st *state) stmt(s ir.Stmt) error {
 	return fmt.Errorf("unknown statement %T", s)
 }
 
-func (st *state) wait(x *ir.DMAWait) error {
-	times := int(x.Times.Eval(st.env))
-	if st.replies[x.Reply] < times {
-		return fmt.Errorf("dma_wait %s x%d: only %d outstanding", x.Reply, times, st.replies[x.Reply])
+func (st *state) wait(reply string, times int) error {
+	if times <= 0 {
+		return fmt.Errorf("dma_wait %s x%d: count must be positive", reply, times)
 	}
-	st.replies[x.Reply] -= times
-	if st.opt.Trace == nil {
-		return st.m.WaitDMA(x.Reply, times)
+	if st.replies[reply] < times {
+		return fmt.Errorf("dma_wait %s x%d: only %d outstanding", reply, times, st.replies[reply])
 	}
-	// Record exposed (non-hidden) wait time as a stall interval: the part
-	// of the timeline where the compute channel sat blocked on the engine.
-	t0 := st.m.Now()
-	stall0 := st.m.Counters.StallSeconds
-	err := st.m.WaitDMA(x.Reply, times)
-	if d := st.m.Counters.StallSeconds - stall0; err == nil && d > 0 {
-		st.opt.Trace.Add(trace.KindWait, x.Reply, t0, d)
+	st.replies[reply] -= times
+	// Tracing records exposed (non-hidden) wait time as a stall interval: the
+	// part of the timeline where the compute channel sat blocked on the engine.
+	t0, stall0 := st.m.Now(), st.m.Counters.StallSeconds
+	err := st.m.WaitDMA(reply, times)
+	if d := st.m.Counters.StallSeconds - stall0; st.opt.Trace != nil && err == nil && d > 0 {
+		st.opt.Trace.Add(trace.KindWait, reply, t0, d)
 	}
 	return err
 }
@@ -382,11 +381,10 @@ func (st *state) buffer(name string) (*sw26010.SPMBuffer, error) {
 	return b, nil
 }
 
-// dma executes one inferred DMA operation: the functional scatter/gather
-// plus the transaction-level timing derived from the region's flattened
-// main-memory access pattern.
-func (st *state) dma(x *ir.DMAOp) error {
-	mv := &x.Move
+// dma executes one DMA operation: the functional scatter/gather plus the
+// transaction-level timing derived from the region's flattened main-memory
+// access pattern, streamed into a tally (the timed path allocates nothing).
+func (st *state) dma(mv *ir.RegionMove, reply string) error {
 	t, ok := st.tensors[mv.Tensor]
 	if !ok {
 		return fmt.Errorf("dma: unknown tensor %q", mv.Tensor)
@@ -399,66 +397,61 @@ func (st *state) dma(x *ir.DMAOp) error {
 	if len(mv.Start) != nd || len(mv.Extent) != nd {
 		return fmt.Errorf("dma: region rank %d/%d vs tensor %s rank %d", len(mv.Start), len(mv.Extent), t.Name, nd)
 	}
-	start := make([]int, nd)
-	extent := make([]int, nd)
+	st.start, st.extent = st.start[:0], st.extent[:0]
 	for d := 0; d < nd; d++ {
-		start[d] = int(mv.Start[d].Eval(st.env))
-		extent[d] = int(mv.Extent[d].Eval(st.env))
+		st.start = append(st.start, int(mv.Start[d].Eval(st.env)))
+		st.extent = append(st.extent, int(mv.Extent[d].Eval(st.env)))
 	}
-	region, err := tensor.NewRegion(t, start, extent)
-	if err != nil {
+	if err := tensor.CheckRegion(t, st.start, st.extent); err != nil {
 		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
 	}
-	bufOff := int(mv.BufOff.Eval(st.env))
-	var frame []int
-	if mv.FrameStride != nil {
-		frame = make([]int, nd)
-		for d := 0; d < nd; d++ {
-			frame[d] = int(mv.FrameStride[d].Eval(st.env))
-		}
-	} else {
-		frame = packedStrides(extent)
-	}
-
+	region := tensor.Region{Start: st.start, Extent: st.extent}
 	if st.opt.Functional {
-		if err := st.moveData(t, region, buf, bufOff, frame, mv.Dir); err != nil {
+		if err := st.moveData(t, region, buf, mv); err != nil {
 			return err
 		}
 	}
-
-	// Timing: flatten the main-memory side into strided blocks and issue
-	// one engine request covering them (uniform geometry).
-	descs, err := region.FlattenMulti(t)
-	if err != nil {
+	// One engine request covers the region's blocks (uniform geometry).
+	var tally dmaTally
+	if err := region.FlattenEach(t, tally.add); err != nil {
 		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
 	}
-	req := requestFromBlocks(descs, mv.Dir != ir.Get)
-	if err := st.m.IssueDMA(x.Reply, req); err != nil {
+	if err := st.m.IssueDMA(reply, tally.request(mv.Dir != ir.Get)); err != nil {
 		return err
 	}
 	if st.opt.Trace != nil {
 		start, done := st.m.LastDMA()
 		st.opt.Trace.Add(trace.KindDMA, fmt.Sprintf("%s %s", mv.Dir, mv.Tensor), start, done-start)
 	}
-	st.replies[x.Reply]++
+	st.replies[reply]++
 	return nil
 }
 
-// requestFromBlocks converts the CG-level flattened pattern into a DMA
-// request, modelling the 64-way distribution: when there are fewer blocks
-// than CPEs, each block is subdivided so all CPEs participate (smaller
-// per-CPE blocks, more transaction edges).
-func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
-	total := 0
-	for _, d := range descs {
-		total += d.Count
+// dmaTally is what a transfer's timing needs of its flattened pattern: the
+// first descriptor (the others differ only in Offset) and the block total.
+type dmaTally struct {
+	first tensor.Blocks
+	total int
+}
+
+func (a *dmaTally) add(b tensor.Blocks) {
+	if a.total == 0 {
+		a.first = b
 	}
-	first := descs[0]
-	blockBytes := first.Block * 4
-	strideBytes := first.Stride * 4
+	a.total += b.Count
+}
+
+// request converts the CG-level flattened pattern into a DMA request,
+// modelling the 64-way distribution: when there are fewer blocks than CPEs,
+// each block is subdivided so all CPEs participate (smaller per-CPE blocks,
+// more transaction edges).
+func (a dmaTally) request(write bool) sw26010.DMARequest {
+	total := a.total
+	blockBytes := a.first.Block * 4
+	strideBytes := a.first.Stride * 4
 	if total < sw26010.NumCPE && blockBytes > sw26010.TransactionBytes {
 		split := (sw26010.NumCPE + total - 1) / total
-		sub := (first.Block + split - 1) / split
+		sub := (a.first.Block + split - 1) / split
 		blockBytes = sub * 4
 		strideBytes = blockBytes
 		total *= split
@@ -470,16 +463,23 @@ func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
 		BlockBytes:  blockBytes,
 		BlockCount:  total,
 		StrideBytes: strideBytes,
-		OffsetBytes: first.Offset * 4,
+		OffsetBytes: a.first.Offset * 4,
 		Write:       write,
 		CPEs:        1, // BlockCount is already the CG aggregate
 	}
 }
 
 // moveData performs the functional scatter/gather between a tensor region
-// and an SPM frame.
-func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, bufOff int, frame []int, dir ir.MoveDir) error {
+// and an SPM frame (packed to the region unless the move gives strides).
+func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, mv *ir.RegionMove) error {
 	nd := t.Rank()
+	bufOff := int(mv.BufOff.Eval(st.env))
+	frame := packedStrides(r.Extent)
+	if mv.FrameStride != nil {
+		for d := range frame {
+			frame[d] = int(mv.FrameStride[d].Eval(st.env))
+		}
+	}
 	// Bounds check the frame footprint.
 	maxOff := bufOff
 	for d := 0; d < nd; d++ {
@@ -491,7 +491,7 @@ func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuf
 	var rec func(d, memOff, spmOff int)
 	rec = func(d, memOff, spmOff int) {
 		if d == nd {
-			switch dir {
+			switch mv.Dir {
 			case ir.Get:
 				buf.Data[spmOff] = t.Data[memOff]
 			case ir.Put:

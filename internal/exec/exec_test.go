@@ -2,8 +2,13 @@ package exec
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
+	"swatop/internal/conv"
+	"swatop/internal/dsl"
 	"swatop/internal/ir"
 	"swatop/internal/metrics"
 	"swatop/internal/sw26010"
@@ -342,5 +347,251 @@ func TestWaitTraceEvents(t *testing.T) {
 		if ev.Kind == trace.KindWait && ev.Dur <= 0 {
 			t.Fatalf("wait event with non-positive duration: %+v", ev)
 		}
+	}
+}
+
+// TestWaitNonPositiveCount: a dma_wait whose count evaluates to zero or less
+// is a program error naming the reply word and the count, not a panic inside
+// the machine's reply queue.
+func TestWaitNonPositiveCount(t *testing.T) {
+	for _, times := range []int64{0, -1} {
+		p := &ir.Program{
+			Name:    "wait0",
+			Tensors: []ir.TensorDecl{{Name: "A", Dims: []int{4}}},
+			Body: []ir.Stmt{
+				&ir.AllocSPM{Buf: "a", Elems: ir.Const(4)},
+				&ir.DMAOp{Move: ir.RegionMove{
+					Tensor: "A", Dir: ir.Get,
+					Start: []ir.Expr{ir.Const(0)}, Extent: []ir.Expr{ir.Const(4)},
+					Buf: "a", BufOff: ir.Const(0),
+				}, Reply: "r7"},
+				&ir.DMAWait{Reply: "r7", Times: ir.Const(times)},
+			},
+		}
+		_, err := Run(p, map[string]*tensor.Tensor{"A": tensor.New("A", 4)}, Options{})
+		if err == nil || !strings.Contains(err.Error(), "r7 x"+ir.Const(times).String()) {
+			t.Fatalf("dma_wait x%d: err = %v, want an error naming r7 and the count", times, err)
+		}
+	}
+}
+
+// requestFromBlocks is the request arithmetic as it was when exec.dma
+// materialised its descriptors, kept verbatim as the oracle for
+// dmaTally.request.
+func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
+	total := 0
+	for _, d := range descs {
+		total += d.Count
+	}
+	first := descs[0]
+	blockBytes := first.Block * 4
+	strideBytes := first.Stride * 4
+	if total < sw26010.NumCPE && blockBytes > sw26010.TransactionBytes {
+		split := (sw26010.NumCPE + total - 1) / total
+		sub := (first.Block + split - 1) / split
+		blockBytes = sub * 4
+		strideBytes = blockBytes
+		total *= split
+	}
+	if strideBytes < blockBytes {
+		strideBytes = blockBytes
+	}
+	return sw26010.DMARequest{
+		BlockBytes:  blockBytes,
+		BlockCount:  total,
+		StrideBytes: strideBytes,
+		OffsetBytes: first.Offset * 4,
+		Write:       write,
+		CPEs:        1, // BlockCount is already the CG aggregate
+	}
+}
+
+// TestTallyRequestMatchesReference: the streamed tally builds the request
+// the descriptor slice did, over seeded tensors of rank 1..4 in permuted
+// layouts, in-bounds regions and both directions, reaching both sides of
+// the fewer-blocks-than-CPEs split with blocks above and below one
+// transaction, and multi-descriptor regions.
+func TestTallyRequestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20190805))
+	seen := map[string]int{}
+	for i := 0; i < 4000; i++ {
+		rank := rng.Intn(4) + 1
+		dims, start, extent := make([]int, rank), make([]int, rank), make([]int, rank)
+		for d := range dims {
+			dims[d] = rng.Intn(48) + 1
+			start[d] = rng.Intn(dims[d])
+			extent[d] = rng.Intn(dims[d]-start[d]) + 1
+			if rng.Intn(3) == 0 { // full coverage, so blocks fuse across dims
+				start[d], extent[d] = 0, dims[d]
+			}
+		}
+		x, err := tensor.NewVirtual("x", dims, rng.Perm(rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tensor.Region{Start: start, Extent: extent}
+		descs, err := r.FlattenMulti(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tally dmaTally
+		if err := r.FlattenEach(x, tally.add); err != nil {
+			t.Fatal(err)
+		}
+		write := i%2 == 1
+		if got, want := tally.request(write), requestFromBlocks(descs, write); got != want {
+			t.Fatalf("dims %v strides %v region %+v write=%v:\n got %+v\nwant %+v", x.Dims, x.Strides, r, write, got, want)
+		}
+		class := "total>=NumCPE"
+		if tally.total < sw26010.NumCPE {
+			class = "total<NumCPE"
+		}
+		if descs[0].Block*4 > sw26010.TransactionBytes {
+			class += ",block>128B"
+		} else {
+			class += ",block<=128B"
+		}
+		seen[class]++
+		if len(descs) > 1 {
+			seen["multi-descriptor"]++
+		}
+	}
+	for _, class := range []string{
+		"total<NumCPE,block>128B", "total<NumCPE,block<=128B",
+		"total>=NumCPE,block>128B", "total>=NumCPE,block<=128B", "multi-descriptor",
+	} {
+		if seen[class] < 50 {
+			t.Errorf("only %d generated cases in class %s", seen[class], class)
+		}
+	}
+}
+
+// allocsOf measures one timed run of p: allocation count and allocated bytes
+// (a descriptor slice is one allocation however long it is, so the count
+// alone would not see one being built). Bytes are the minimum over several
+// runs: the runtime's own goroutines occasionally allocate in between.
+func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs float64, bytes uint64) {
+	t.Helper()
+	run := func() {
+		if _, err := RunVirtual(p, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(5, run)
+	bytes = math.MaxUint64
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
+}
+
+func TestTimedDMAAllocBudget(t *testing.T) {
+	// Running a transfer must cost what it times. First: what a timed run
+	// allocates does not depend on how many descriptors its regions flatten
+	// into. One VGG16 implicit-conv schedule compiled with channel tiles of 8
+	// and of 128 is the same statement list (and, fast-forwarded, the same
+	// executed statements: 64-trip loops run four iterations, 4-trip loops
+	// all four) moving regions with >10× the descriptors.
+	compile := func(tile int) (prog *ir.Program, descs int) {
+		s := conv.Shape{B: 1, Ni: 512, No: 512, Ro: 28, Co: 28, Kr: 3, Kc: 3} // VGG16 conv4_x
+		op, err := conv.NewImplicitOp(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err = op.Compile(dsl.Strategy{
+			Factors: map[string]int{"no": tile, "ni": tile, "co": 14, "b": 1},
+			Order:   []string{"ro", "co", "no", "kr", "kc", "ni"},
+			Layouts: map[string][]int{
+				"weight": {2, 3, 0, 1}, "in": {0, 1, 2, 3}, "out": {0, 1, 2, 3},
+			},
+			Vec:          ir.VecM,
+			DoubleBuffer: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binds, err := BindVirtual(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Descriptors of the prologue transfers (constant regions; the loop
+		// body prefetches the same shapes).
+		for _, s := range prog.Body {
+			op, ok := s.(*ir.DMAOp)
+			if !ok {
+				continue
+			}
+			var r tensor.Region
+			for d := range op.Move.Start {
+				r.Start = append(r.Start, int(op.Move.Start[d].Eval(nil)))
+				r.Extent = append(r.Extent, int(op.Move.Extent[d].Eval(nil)))
+			}
+			ds, err := r.FlattenMulti(binds[op.Move.Tensor])
+			if err != nil {
+				t.Fatal(err)
+			}
+			descs += len(ds)
+		}
+		return prog, descs
+	}
+	// SPM buffer storage is sized by the tile; measure it on the program's
+	// alloc/free skeleton and compare what the rest of the run allocates.
+	skeleton := func(p *ir.Program) *ir.Program {
+		s := &ir.Program{Name: p.Name, Tensors: p.Tensors}
+		for _, st := range p.Body {
+			switch st.(type) {
+			case *ir.AllocSPM, *ir.FreeSPM:
+				s.Body = append(s.Body, st)
+			}
+		}
+		return s
+	}
+	opt := Options{FastLoops: true}
+	small, smallDescs := compile(8)
+	large, largeDescs := compile(128)
+	if largeDescs < 10*smallDescs {
+		t.Fatalf("large tile prologue moves %d descriptors, small %d: want ≥10×", largeDescs, smallDescs)
+	}
+	sa, sb := allocsOf(t, small, opt)
+	la, lb := allocsOf(t, large, opt)
+	_, ssk := allocsOf(t, skeleton(small), opt)
+	_, lsk := allocsOf(t, skeleton(large), opt)
+	t.Logf("timed run: %v allocations / %d B (%d B SPM skeleton) at %d prologue descriptors, %v / %d B (%d B) at %d",
+		sa, sb, ssk, smallDescs, la, lb, lsk, largeDescs)
+	if sa != la || lb-lsk != sb-ssk {
+		t.Fatalf("timed-run allocations grow with descriptors: %v / %d B beyond SPM storage at %d, %v / %d B at %d",
+			sa, sb-ssk, smallDescs, la, lb-lsk, largeDescs)
+	}
+
+	// Second: nor on how many transfers it issues and waits for. Two
+	// transfers in flight per iteration, so waits consume from the front of
+	// a non-empty reply queue.
+	loop := func(n int64) *ir.Program {
+		get := &ir.DMAOp{Move: ir.RegionMove{
+			Tensor: "X", Dir: ir.Get,
+			Start:  []ir.Expr{ir.Const(0), ir.Const(0)},
+			Extent: []ir.Expr{ir.Const(8), ir.Const(24)},
+			Buf:    "b", BufOff: ir.Const(0)}, Reply: "r"}
+		wait := &ir.DMAWait{Reply: "r", Times: ir.Const(1)}
+		return &ir.Program{
+			Name:    "loop",
+			Tensors: []ir.TensorDecl{{Name: "X", Dims: []int{8, 32}}},
+			Body: []ir.Stmt{
+				&ir.AllocSPM{Buf: "b", Elems: ir.Const(8 * 24)},
+				&ir.For{Iter: "i", Extent: ir.Const(n), Body: []ir.Stmt{get, get, wait, wait}},
+				&ir.FreeSPM{Buf: "b"},
+			},
+		}
+	}
+	fewA, fewB := allocsOf(t, loop(10), Options{})
+	manyA, manyB := allocsOf(t, loop(1000), Options{})
+	t.Logf("issue+wait loop: %v allocations / %d B at 10 iterations, %v / %d B at 1000", fewA, fewB, manyA, manyB)
+	if fewA != manyA || fewB != manyB {
+		t.Fatalf("timed-run allocations grow with transfers: %v / %d B at 10 iterations, %v / %d B at 1000",
+			fewA, fewB, manyA, manyB)
 	}
 }

@@ -291,6 +291,9 @@ func (m *Machine) IssueDMA(reply string, req DMARequest) error {
 // under the reply word have landed (the swDMAWait primitive). Completions
 // are consumed oldest-first.
 func (m *Machine) WaitDMA(reply string, times int) error {
+	if times <= 0 {
+		return fmt.Errorf("dma wait on %q for %d replies: count must be positive", reply, times)
+	}
 	rw := m.replies[reply]
 	if rw == nil || len(rw.completions) < times {
 		have := 0
@@ -301,7 +304,9 @@ func (m *Machine) WaitDMA(reply string, times int) error {
 	}
 	sort.Float64s(rw.completions)
 	last := rw.completions[times-1]
-	rw.completions = rw.completions[times:]
+	// Compact in place: reslicing from the front would give up the consumed
+	// capacity and make nearly every later IssueDMA append reallocate.
+	rw.completions = rw.completions[:copy(rw.completions, rw.completions[times:])]
 	if last > m.clock {
 		m.Counters.StallSeconds += last - m.clock
 		m.clock = last

@@ -1,7 +1,9 @@
 package sw26010
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +130,46 @@ func TestWaitWithoutIssueFails(t *testing.T) {
 	}
 	if m.OutstandingDMA() != 0 {
 		t.Fatal("reply leak")
+	}
+}
+
+// TestWaitNonPositiveCount: waiting for zero or fewer replies is an error
+// naming the reply word and the count, and consumes nothing.
+func TestWaitNonPositiveCount(t *testing.T) {
+	for _, times := range []int{0, -1} {
+		m := NewMachine()
+		if err := m.IssueDMA("r7", DMARequest{BlockBytes: 4, BlockCount: 1, StrideBytes: 4, CPEs: 1}); err != nil {
+			t.Fatal(err)
+		}
+		err := m.WaitDMA("r7", times)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`"r7" for %d replies`, times)) {
+			t.Fatalf("WaitDMA(r7, %d): err = %v, want an error naming the reply word and the count", times, err)
+		}
+		if m.OutstandingDMA() != 1 {
+			t.Fatalf("WaitDMA(r7, %d) consumed a completion", times)
+		}
+	}
+}
+
+// TestIssueWaitSteadyStateNoAlloc: a reply word's completion queue is
+// allocated once — issue and wait on a warmed reply word allocate nothing,
+// with the queue drained completely and with a transfer left in flight.
+func TestIssueWaitSteadyStateNoAlloc(t *testing.T) {
+	m := NewMachine()
+	req := DMARequest{BlockBytes: 256, BlockCount: 8, StrideBytes: 512, CPEs: NumCPE}
+	step := func() {
+		for _, err := range []error{
+			m.IssueDMA("r", req), m.IssueDMA("r", req), m.WaitDMA("r", 1), // one left in flight
+			m.IssueDMA("r", req), m.WaitDMA("r", 2), // drained
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("issue+wait on a warmed reply word allocates %v times per round", n)
 	}
 }
 

@@ -27,15 +27,6 @@ func CheckRegion(t *Tensor, start, extent []int) error {
 	return nil
 }
 
-// NewRegion builds a region (copying start and extent) and validates it
-// against the tensor.
-func NewRegion(t *Tensor, start, extent []int) (Region, error) {
-	if err := CheckRegion(t, start, extent); err != nil {
-		return Region{}, err
-	}
-	return Region{Start: append([]int(nil), start...), Extent: append([]int(nil), extent...)}, nil
-}
-
 // Len returns the number of elements in the region.
 func (r Region) Len() int {
 	n := 1

@@ -106,10 +106,15 @@ func flattenOne(t *testing.T, r Region, x *Tensor) Blocks {
 	return all[0]
 }
 
+// newRegion is a validated region literal.
+func newRegion(t *Tensor, start, extent []int) (Region, error) {
+	return Region{Start: start, Extent: extent}, CheckRegion(t, start, extent)
+}
+
 func TestRegionFlattenRowMajorTail(t *testing.T) {
 	// Full coverage of the fastest dims fuses into one block.
 	x := New("x", 4, 8, 16)
-	r, err := NewRegion(x, []int{1, 0, 0}, []int{2, 8, 16})
+	r, err := newRegion(x, []int{1, 0, 0}, []int{2, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestRegionFlattenRowMajorTail(t *testing.T) {
 
 func TestRegionFlattenStrided(t *testing.T) {
 	x := New("x", 8, 16)
-	r, err := NewRegion(x, []int{2, 4}, []int{3, 8})
+	r, err := newRegion(x, []int{2, 4}, []int{3, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +143,7 @@ func TestRegionFlattenStrided(t *testing.T) {
 
 func TestRegionFlattenMultiOuterDims(t *testing.T) {
 	x := New("x", 3, 4, 8)
-	r, err := NewRegion(x, []int{0, 1, 2}, []int{2, 2, 4})
+	r, err := newRegion(x, []int{0, 1, 2}, []int{2, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +166,10 @@ func TestRegionFlattenMultiOuterDims(t *testing.T) {
 
 func TestRegionBounds(t *testing.T) {
 	x := New("x", 4, 4)
-	if _, err := NewRegion(x, []int{0, 2}, []int{4, 3}); err == nil {
+	if _, err := newRegion(x, []int{0, 2}, []int{4, 3}); err == nil {
 		t.Fatal("out-of-bounds region should be rejected")
 	}
-	if _, err := NewRegion(x, []int{0}, []int{4}); err == nil {
+	if _, err := newRegion(x, []int{0}, []int{4}); err == nil {
 		t.Fatal("rank mismatch should be rejected")
 	}
 }
@@ -172,7 +177,7 @@ func TestRegionBounds(t *testing.T) {
 func TestCopyRegionRoundTrip(t *testing.T) {
 	x := New("x", 5, 7)
 	x.FillPattern()
-	r, err := NewRegion(x, []int{1, 2}, []int{3, 4})
+	r, err := newRegion(x, []int{1, 2}, []int{3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +205,7 @@ func TestCopyRegionRoundTrip(t *testing.T) {
 func TestAccumulateRegionIn(t *testing.T) {
 	x := New("x", 2, 2)
 	x.Fill(1)
-	r, _ := NewRegion(x, []int{0, 0}, []int{2, 2})
+	r, _ := newRegion(x, []int{0, 0}, []int{2, 2})
 	if _, err := AccumulateRegionIn(x, r, []float32{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +219,7 @@ func TestAccumulateRegionIn(t *testing.T) {
 
 func TestCopyRegionBufferTooSmall(t *testing.T) {
 	x := New("x", 2, 2)
-	r, _ := NewRegion(x, []int{0, 0}, []int{2, 2})
+	r, _ := newRegion(x, []int{0, 0}, []int{2, 2})
 	if _, err := CopyRegionOut(x, r, make([]float32, 3)); err == nil {
 		t.Fatal("short dst must error")
 	}
@@ -235,7 +240,7 @@ func TestFlattenMatchesCopyQuick(t *testing.T) {
 		x.FillPattern()
 		start := []int{int(s0) % dims[0], int(s1) % dims[1]}
 		ext := []int{int(e0)%(dims[0]-start[0]) + 1, int(e1)%(dims[1]-start[1]) + 1}
-		r, err := NewRegion(x, start, ext)
+		r, err := newRegion(x, start, ext)
 		if err != nil {
 			return false
 		}
