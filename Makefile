@@ -8,7 +8,7 @@ COVER_BASELINE ?= 69.0
 
 .PHONY: all build vet unreachable fmt test race fuzz shuffle cover chaos ci \
 	search-check trace-check obs-check alloc-check bench bench-snapshot \
-	bench-check bench-diff bench-e2e loc
+	bench-check bench-diff bench-e2e bench-ab loc
 
 all: build
 
@@ -41,12 +41,14 @@ race:
 # and the search feature extractor must return a fixed-length finite vector
 # for any candidate — none may ever crash. The flattening visitor must
 # agree with its reference (descriptors, order, exact pre-sizing) on any
-# rank ≤ 5 tensor, layout and in-bounds region.
+# rank ≤ 5 tensor, layout and in-bounds region, and the bound evaluator with
+# Expr.Eval (value or panic) on any expression tree and environment.
 fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzLibraryLoad -fuzztime 10s
 	$(GO) test ./internal/obsrv -run '^$$' -fuzz FuzzEventEncoder -fuzztime 10s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzFeatureVector -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzFlattenEach -fuzztime 10s
+	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzBoundEval -fuzztime 10s
 
 # Order-independence: tests must pass in any execution order (catches
 # hidden coupling through shared caches, libraries or package state).
@@ -98,11 +100,13 @@ obs-check:
 # allocates its result slice and nothing else, the visitor nothing;
 # EstimateProgram's and a timed exec run's allocations (count and bytes) do
 # not grow with the DMA descriptor count, nor a run's with the transfers it
-# issues; issue+wait on a warmed reply word allocates nothing.
+# issues; binding a program is eight arenas whose bytes follow the statement
+# count and never the trip counts; issue+wait on a warmed reply word
+# allocates nothing.
 alloc-check:
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
-	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
+	$(GO) test -run 'TestTimedDMAAllocBudget|TestBindAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
 
 # The tier-1 loop: what every change must keep green.
@@ -131,12 +135,19 @@ bench-check:
 # One end-to-end run of one benchmark workload, as BENCHMARK.json's command
 # runs it (last stdout line is the JSON result):
 #   make bench-e2e W=tune-cold SEED=3
-# For an A/B, run the same line in a clone of the parent commit and
-# alternate the two (recipe in .claude/skills/verify/SKILL.md).
 W ?= tune-cold
 SEED ?= 1
 bench-e2e:
 	bash benchmark/run.sh --workload $(W) --seed $(SEED) --seconds 10 --trace 0
+
+# The same run as an A/B against a parent commit, N alternating pairs:
+#   make bench-ab PARENT=5c73472 W=blackbox-conv N=10
+# prints both sides' median and quartiles of every end-to-end metric, pairs
+# won, failed operations and the driver's spread rule (scripts/bench-ab.sh;
+# clones and copies under /root/scratch, or $$SCRATCH).
+N ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(PARENT) $(W) $(N)
 
 # Differential attribution between two snapshot files:
 #   make bench-diff OLD=old.json NEW=new.json

@@ -91,12 +91,16 @@ const (
 )
 
 type state struct {
-	m       *sw26010.Machine
-	opt     Options
-	env     ir.Env
-	tensors map[string]*tensor.Tensor
-	spm     map[string]*sw26010.SPMBuffer
-	replies map[string]int // outstanding issue counts per reply word
+	m   *sw26010.Machine
+	opt Options
+	// The bound program (bind.go): built once per run, private to it.
+	scope   ir.Scope
+	frame   ir.Frame
+	nodes   []node
+	codes   []ir.Code
+	labels  []string         // when tracing: the DMA statements' labels, by node
+	tensors []*tensor.Tensor // by index into the program's declarations
+	names   []named          // SPM buffers and reply words
 	// start/extent are dma's scratch for the evaluated region.
 	start, extent []int
 }
@@ -138,16 +142,9 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 			obsrv.F("error", err))
 		return Result{}, fmt.Errorf("exec %s: measurement failed: %w", p.Name, err)
 	}
-	st := &state{
-		m:       newMachine(opt),
-		opt:     opt,
-		env:     ir.Env{},
-		tensors: map[string]*tensor.Tensor{},
-		spm:     map[string]*sw26010.SPMBuffer{},
-		replies: map[string]int{},
-	}
+	st := &state{m: newMachine(opt), opt: opt, tensors: make([]*tensor.Tensor, len(p.Tensors))}
 	base := st.m.Now()
-	for _, decl := range p.Tensors {
+	for i, decl := range p.Tensors {
 		if decl.Scratch {
 			layout := decl.Layout
 			if layout == nil {
@@ -165,7 +162,7 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 			if err != nil {
 				return Result{}, fmt.Errorf("exec: scratch %s: %w", decl.Name, err)
 			}
-			st.tensors[decl.Name] = t
+			st.tensors[i] = t
 			continue
 		}
 		t, ok := binds[decl.Name]
@@ -180,29 +177,26 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 				return Result{}, fmt.Errorf("exec: tensor %q dims %v, declared %v", decl.Name, t.Dims, decl.Dims)
 			}
 		}
-		if decl.Layout != nil {
+		if decl.Layout != nil && !hasLayout(t, decl.Dims, decl.Layout) {
 			// The schedule chose a storage layout; the bound tensor must
 			// actually have it, or the DMA timing would be fiction.
 			want, err := tensor.NewVirtual(decl.Name, decl.Dims, decl.Layout)
 			if err != nil {
 				return Result{}, fmt.Errorf("exec: tensor %q: %w", decl.Name, err)
 			}
-			for d := range want.Strides {
-				if want.Strides[d] != t.Strides[d] {
-					return Result{}, fmt.Errorf("exec: tensor %q bound with strides %v, schedule chose layout %v (strides %v)",
-						decl.Name, t.Strides, decl.Layout, want.Strides)
-				}
-			}
+			return Result{}, fmt.Errorf("exec: tensor %q bound with strides %v, schedule chose layout %v (strides %v)",
+				decl.Name, t.Strides, decl.Layout, want.Strides)
 		}
 		if decl.Output && opt.Functional {
 			t.Zero()
 		}
-		st.tensors[decl.Name] = t
+		st.tensors[i] = t
 	}
+	st.bind(p)
 	if p.DispatchOverheadSeconds > 0 {
 		st.m.AdvanceCompute(p.DispatchOverheadSeconds)
 	}
-	if err := st.run(p.Body); err != nil {
+	if err := st.run(0, int32(len(p.Body))); err != nil {
 		return Result{}, fmt.Errorf("exec %s: %w", p.Name, err)
 	}
 	if n := st.m.OutstandingDMA(); n != 0 {
@@ -264,33 +258,38 @@ func RunVirtual(p *ir.Program, opt Options) (Result, error) {
 	return Run(p, binds, opt)
 }
 
-func (st *state) run(body []ir.Stmt) error {
-	for _, s := range body {
-		if err := st.stmt(s); err != nil {
+func (st *state) run(lo, hi int32) error {
+	for i := lo; i < hi; i++ {
+		if err := st.stmt(i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (st *state) stmt(s ir.Stmt) error {
-	switch x := s.(type) {
+// eval computes the i-th code of the bound program.
+func (st *state) eval(i int32) int64 { return st.frame.Eval(st.codes[i]) }
+
+func (st *state) stmt(i int32) error {
+	n := &st.nodes[i]
+	switch x := n.s.(type) {
 	case *ir.Comment:
 		return nil
 	case *ir.Assign:
-		st.env[x.Var] = x.Val.Eval(st.env)
+		*st.frame.Var(int(n.c)) = ir.Var{Val: st.eval(n.code), Bound: true}
 		st.m.AdvanceCompute(sw26010.Seconds(assignCycles))
 		return nil
 	case *ir.For:
-		extent := x.Extent.Eval(st.env)
+		extent := st.eval(n.code)
 		if extent < 0 {
 			return fmt.Errorf("loop %s: negative extent %d", x.Iter, extent)
 		}
-		saved, had := st.env[x.Iter]
+		v := st.frame.Var(int(n.c))
+		saved := *v // the loop shadows an outer variable of the same name
 		iter := func(i int64) error {
-			st.env[x.Iter] = i
+			*v = ir.Var{Val: i, Bound: true}
 			st.m.AdvanceCompute(sw26010.Seconds(loopIterCycles))
-			return st.run(x.Body)
+			return st.run(n.a, n.b)
 		}
 		if st.opt.FastLoops && !st.opt.Functional && extent >= fastLoopThreshold {
 			for i := int64(0); i < 2; i++ {
@@ -313,83 +312,81 @@ func (st *state) stmt(s ir.Stmt) error {
 				}
 			}
 		}
-		if had {
-			st.env[x.Iter] = saved
-		} else {
-			delete(st.env, x.Iter)
-		}
+		*v = saved
 		return nil
 	case *ir.If:
 		st.m.AdvanceCompute(sw26010.Seconds(branchCycles))
-		if x.Cond.Eval(st.env) {
-			return st.run(x.Then)
+		if x.Cond.Op.Holds(st.eval(n.code), st.eval(n.code+1)) {
+			return st.run(n.a, n.b)
 		}
-		return st.run(x.Else)
+		return st.run(n.b, n.c)
 	case *ir.AllocSPM:
-		elems := x.Elems.Eval(st.env)
+		elems := st.eval(n.code)
 		buf, err := st.m.SPM().Alloc(x.Buf, int(elems))
 		if err != nil {
 			return err
 		}
-		st.spm[x.Buf] = buf
+		st.names[n.a].buf = buf
 		st.m.NoteSPMUsage()
 		return nil
 	case *ir.FreeSPM:
-		delete(st.spm, x.Buf)
+		st.names[n.a].buf = nil
 		return st.m.SPM().Free(x.Buf)
 	case *ir.RegionMove:
 		// Un-inferred moves execute as a synchronous DMA (issue + wait).
-		if err := st.dma(x, "__sync"); err != nil {
+		if err := st.dma(i, x); err != nil {
 			return err
 		}
-		return st.wait("__sync", 1)
+		return st.wait(n.c, 1)
 	case *ir.DMAOp:
-		return st.dma(&x.Move, x.Reply)
+		return st.dma(i, &x.Move)
 	case *ir.DMAWait:
-		return st.wait(x.Reply, int(x.Times.Eval(st.env)))
+		return st.wait(n.c, int(st.eval(n.code)))
 	case *ir.Gemm:
-		return st.gemm(x)
+		return st.gemm(n, x)
 	case *ir.Transform:
-		return st.transform(x)
+		return st.transform(n, x)
 	}
-	return fmt.Errorf("unknown statement %T", s)
+	return fmt.Errorf("unknown statement %T", n.s)
 }
 
-func (st *state) wait(reply string, times int) error {
+func (st *state) wait(slot int32, times int) error {
+	r := &st.names[slot]
 	if times <= 0 {
-		return fmt.Errorf("dma_wait %s x%d: count must be positive", reply, times)
+		return fmt.Errorf("dma_wait %s x%d: count must be positive", r.name, times)
 	}
-	if st.replies[reply] < times {
-		return fmt.Errorf("dma_wait %s x%d: only %d outstanding", reply, times, st.replies[reply])
+	if r.issued < times {
+		return fmt.Errorf("dma_wait %s x%d: only %d outstanding", r.name, times, r.issued)
 	}
-	st.replies[reply] -= times
+	r.issued -= times
 	// Tracing records exposed (non-hidden) wait time as a stall interval: the
 	// part of the timeline where the compute channel sat blocked on the engine.
 	t0, stall0 := st.m.Now(), st.m.Counters.StallSeconds
-	err := st.m.WaitDMA(reply, times)
+	err := st.m.WaitDMA(r.name, times)
 	if d := st.m.Counters.StallSeconds - stall0; st.opt.Trace != nil && err == nil && d > 0 {
-		st.opt.Trace.Add(trace.KindWait, reply, t0, d)
+		st.opt.Trace.Add(trace.KindWait, r.name, t0, d)
 	}
 	return err
 }
 
-func (st *state) buffer(name string) (*sw26010.SPMBuffer, error) {
-	b, ok := st.spm[name]
-	if !ok {
-		return nil, fmt.Errorf("SPM buffer %q not allocated", name)
+func (st *state) buffer(slot int32) (*sw26010.SPMBuffer, error) {
+	b := st.names[slot]
+	if b.buf == nil {
+		return nil, fmt.Errorf("SPM buffer %q not allocated", b.name)
 	}
-	return b, nil
+	return b.buf, nil
 }
 
 // dma executes one DMA operation: the functional scatter/gather plus the
-// transaction-level timing derived from the region's flattened main-memory
-// access pattern, streamed into a tally (the timed path allocates nothing).
-func (st *state) dma(mv *ir.RegionMove, reply string) error {
-	t, ok := st.tensors[mv.Tensor]
-	if !ok {
+// transaction-level timing derived from the geometry of the region's
+// flattened main-memory access pattern (the timed path allocates nothing).
+func (st *state) dma(i int32, mv *ir.RegionMove) error {
+	n := &st.nodes[i]
+	if n.a < 0 {
 		return fmt.Errorf("dma: unknown tensor %q", mv.Tensor)
 	}
-	buf, err := st.buffer(mv.Buf)
+	t := st.tensors[n.a]
+	buf, err := st.buffer(n.b)
 	if err != nil {
 		return fmt.Errorf("dma: %w", err)
 	}
@@ -398,60 +395,47 @@ func (st *state) dma(mv *ir.RegionMove, reply string) error {
 		return fmt.Errorf("dma: region rank %d/%d vs tensor %s rank %d", len(mv.Start), len(mv.Extent), t.Name, nd)
 	}
 	st.start, st.extent = st.start[:0], st.extent[:0]
-	for d := 0; d < nd; d++ {
-		st.start = append(st.start, int(mv.Start[d].Eval(st.env)))
-		st.extent = append(st.extent, int(mv.Extent[d].Eval(st.env)))
+	for d := int32(0); d < int32(nd); d++ {
+		st.start = append(st.start, int(st.eval(n.code+d)))
+		st.extent = append(st.extent, int(st.eval(n.code+int32(nd)+d)))
 	}
 	if err := tensor.CheckRegion(t, st.start, st.extent); err != nil {
 		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
 	}
 	region := tensor.Region{Start: st.start, Extent: st.extent}
 	if st.opt.Functional {
-		if err := st.moveData(t, region, buf, mv); err != nil {
+		if err := st.moveData(t, region, buf, n, mv); err != nil {
 			return err
 		}
 	}
 	// One engine request covers the region's blocks (uniform geometry).
-	var tally dmaTally
-	if err := region.FlattenEach(t, tally.add); err != nil {
+	first, descs, err := region.Geometry(t)
+	if err != nil {
 		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
 	}
-	if err := st.m.IssueDMA(reply, tally.request(mv.Dir != ir.Get)); err != nil {
+	reply := &st.names[n.c]
+	if err := st.m.IssueDMA(reply.name, dmaRequest(first, descs*first.Count, mv.Dir != ir.Get)); err != nil {
 		return err
 	}
 	if st.opt.Trace != nil {
 		start, done := st.m.LastDMA()
-		st.opt.Trace.Add(trace.KindDMA, fmt.Sprintf("%s %s", mv.Dir, mv.Tensor), start, done-start)
+		st.opt.Trace.Add(trace.KindDMA, st.labels[i], start, done-start)
 	}
-	st.replies[reply]++
+	reply.issued++
 	return nil
 }
 
-// dmaTally is what a transfer's timing needs of its flattened pattern: the
-// first descriptor (the others differ only in Offset) and the block total.
-type dmaTally struct {
-	first tensor.Blocks
-	total int
-}
-
-func (a *dmaTally) add(b tensor.Blocks) {
-	if a.total == 0 {
-		a.first = b
-	}
-	a.total += b.Count
-}
-
-// request converts the CG-level flattened pattern into a DMA request,
-// modelling the 64-way distribution: when there are fewer blocks than CPEs,
-// each block is subdivided so all CPEs participate (smaller per-CPE blocks,
-// more transaction edges).
-func (a dmaTally) request(write bool) sw26010.DMARequest {
-	total := a.total
-	blockBytes := a.first.Block * 4
-	strideBytes := a.first.Stride * 4
+// dmaRequest converts the CG-level flattened pattern — its first descriptor
+// (the others differ only in Offset) and its block total — into a DMA
+// request, modelling the 64-way distribution: when there are fewer blocks
+// than CPEs, each block is subdivided so all CPEs participate (smaller
+// per-CPE blocks, more transaction edges).
+func dmaRequest(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
+	blockBytes := first.Block * 4
+	strideBytes := first.Stride * 4
 	if total < sw26010.NumCPE && blockBytes > sw26010.TransactionBytes {
 		split := (sw26010.NumCPE + total - 1) / total
-		sub := (a.first.Block + split - 1) / split
+		sub := (first.Block + split - 1) / split
 		blockBytes = sub * 4
 		strideBytes = blockBytes
 		total *= split
@@ -463,7 +447,7 @@ func (a dmaTally) request(write bool) sw26010.DMARequest {
 		BlockBytes:  blockBytes,
 		BlockCount:  total,
 		StrideBytes: strideBytes,
-		OffsetBytes: a.first.Offset * 4,
+		OffsetBytes: first.Offset * 4,
 		Write:       write,
 		CPEs:        1, // BlockCount is already the CG aggregate
 	}
@@ -471,13 +455,15 @@ func (a dmaTally) request(write bool) sw26010.DMARequest {
 
 // moveData performs the functional scatter/gather between a tensor region
 // and an SPM frame (packed to the region unless the move gives strides).
-func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, mv *ir.RegionMove) error {
+func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, n *node, mv *ir.RegionMove) error {
 	nd := t.Rank()
-	bufOff := int(mv.BufOff.Eval(st.env))
+	// The move's codes: start and extent per dimension, BufOff, FrameStride.
+	bufOff := int(st.eval(n.code + 2*int32(nd)))
 	frame := packedStrides(r.Extent)
 	if mv.FrameStride != nil {
+		strides := st.codes[n.code+2*int32(nd)+1:][:len(mv.FrameStride)]
 		for d := range frame {
-			frame[d] = int(mv.FrameStride[d].Eval(st.env))
+			frame[d] = int(st.frame.Eval(strides[d]))
 		}
 	}
 	// Bounds check the frame footprint.
@@ -523,14 +509,16 @@ func packedStrides(extent []int) []int {
 	return out
 }
 
-func (st *state) gemm(x *ir.Gemm) error {
+// gemm runs a bound Gemm; its codes are M, N, K, LDA, LDB, LDC, AOff, BOff,
+// COff and its buffer slots A, B, C.
+func (st *state) gemm(n *node, x *ir.Gemm) error {
 	spec := primitives.GemmSpec{
-		M:      int(x.M.Eval(st.env)),
-		N:      int(x.N.Eval(st.env)),
-		K:      int(x.K.Eval(st.env)),
-		LDA:    int(x.LDA.Eval(st.env)),
-		LDB:    int(x.LDB.Eval(st.env)),
-		LDC:    int(x.LDC.Eval(st.env)),
+		M:      int(st.eval(n.code)),
+		N:      int(st.eval(n.code + 1)),
+		K:      int(st.eval(n.code + 2)),
+		LDA:    int(st.eval(n.code + 3)),
+		LDB:    int(st.eval(n.code + 4)),
+		LDC:    int(st.eval(n.code + 5)),
 		ATrans: x.ATrans, BTrans: x.BTrans,
 		Vec: x.Vec, Accumulate: x.Accumulate, Specialized: x.Specialized,
 	}
@@ -547,32 +535,36 @@ func (st *state) gemm(x *ir.Gemm) error {
 	st.m.Counters.Flops += spec.FLOPs()
 
 	if st.opt.Functional {
-		a, err := st.buffer(x.A)
-		if err != nil {
-			return err
+		var abc [3][]float32
+		for k, slot := range [3]int32{n.a, n.b, n.c} {
+			if abc[k], err = st.operand("gemm", slot, n.code+6+int32(k), 0); err != nil {
+				return err
+			}
 		}
-		b, err := st.buffer(x.B)
-		if err != nil {
-			return err
-		}
-		c, err := st.buffer(x.C)
-		if err != nil {
-			return err
-		}
-		ao := int(x.AOff.Eval(st.env))
-		bo := int(x.BOff.Eval(st.env))
-		co := int(x.COff.Eval(st.env))
-		if ao < 0 || bo < 0 || co < 0 || ao > len(a.Data) || bo > len(b.Data) || co > len(c.Data) {
-			return fmt.Errorf("gemm: operand offset out of range (%d, %d, %d)", ao, bo, co)
-		}
-		if err := primitives.Gemm(spec, a.Data[ao:], b.Data[bo:], c.Data[co:]); err != nil {
+		if err := primitives.Gemm(spec, abc[0], abc[1], abc[2]); err != nil {
 			return fmt.Errorf("gemm: %w", err)
 		}
 	}
 	return nil
 }
 
-func (st *state) transform(x *ir.Transform) error {
+// operand resolves a functional primitive's operand: the SPM buffer from the
+// offset its code gives, which must leave span elements inside the buffer.
+func (st *state) operand(what string, slot, code int32, span int) ([]float32, error) {
+	buf, err := st.buffer(slot)
+	if err != nil {
+		return nil, err
+	}
+	off := int(st.eval(code))
+	if off < 0 || off > len(buf.Data) || off+span > len(buf.Data) {
+		return nil, fmt.Errorf("%s: [%d,%d) out of SPM buffer %s (%d elems)", what, off, off+span, buf.Name, len(buf.Data))
+	}
+	return buf.Data[off:], nil
+}
+
+// transform runs a bound Transform; its codes are SrcOff, DstOff and then
+// Args, its buffer slots Src and Dst.
+func (st *state) transform(n *node, x *ir.Transform) error {
 	st.m.Counters.TransformOps++
 	if st.opt.Trace != nil {
 		t0 := st.m.Now()
@@ -580,102 +572,64 @@ func (st *state) transform(x *ir.Transform) error {
 			st.opt.Trace.Add(trace.KindTransform, x.Kind.String(), t0, st.m.Now()-t0)
 		}()
 	}
+	args := st.codes[n.code+2:][:len(x.Args)]
+	arg := func(i int) int { return int(st.frame.Eval(args[i])) }
+	// Per kind: the kernel's cost, the kernel itself, and how many elements
+	// it touches from each operand's offset (the Winograd kernels check
+	// their own spans).
+	var (
+		secs   float64
+		err    error
+		span   int
+		kernel func(src, dst []float32) error
+	)
 	switch x.Kind {
 	case ir.ZeroFill:
-		n := int(x.Args[0].Eval(st.env))
-		st.m.AdvanceCompute(primitives.ZeroFillTime(n))
-		if st.opt.Functional {
-			buf, err := st.buffer(x.Dst)
-			if err != nil {
-				return err
-			}
-			off := int(x.DstOff.Eval(st.env))
-			if off < 0 || off+n > len(buf.Data) {
-				return fmt.Errorf("zerofill: [%d,%d) out of %s", off, off+n, x.Dst)
-			}
-			return primitives.ZeroFill(buf.Data[off:], n)
-		}
-		return nil
+		cnt := arg(0)
+		secs, span = primitives.ZeroFillTime(cnt), cnt
+		kernel = func(_, dst []float32) error { return primitives.ZeroFill(dst, cnt) }
 	case ir.CopySPM:
-		n := int(x.Args[0].Eval(st.env))
-		st.m.AdvanceCompute(primitives.CopySPMTime(n))
-		if st.opt.Functional {
-			src, err := st.buffer(x.Src)
-			if err != nil {
-				return err
-			}
-			dst, err := st.buffer(x.Dst)
-			if err != nil {
-				return err
-			}
-			so := int(x.SrcOff.Eval(st.env))
-			do := int(x.DstOff.Eval(st.env))
-			if so < 0 || do < 0 || so+n > len(src.Data) || do+n > len(dst.Data) {
-				return fmt.Errorf("copy_spm: ranges out of bounds")
-			}
-			return primitives.CopySPM(src.Data[so:], dst.Data[do:], n)
-		}
-		return nil
-	case ir.WinoInputSlab, ir.WinoOutputSlab:
-		nslabs := int(x.Args[0].Eval(st.env))
-		tilesC := int(x.Args[1].Eval(st.env))
-		var b, ci int
-		if x.Kind == ir.WinoInputSlab {
-			ci = int(x.Args[2].Eval(st.env))
-			b = int(x.Args[3].Eval(st.env))
-		} else {
-			b = int(x.Args[2].Eval(st.env))
-		}
-		secs, err := primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
-		if err != nil {
-			return err
-		}
-		st.m.AdvanceCompute(secs)
-		if !st.opt.Functional {
-			return nil
-		}
-		src, err := st.buffer(x.Src)
-		if err != nil {
-			return err
-		}
-		dst, err := st.buffer(x.Dst)
-		if err != nil {
-			return err
-		}
-		so := int(x.SrcOff.Eval(st.env))
-		do := int(x.DstOff.Eval(st.env))
-		if x.Kind == ir.WinoInputSlab {
-			return primitives.WinoInputSlab(src.Data[so:], dst.Data[do:], nslabs, tilesC, ci, b)
-		}
-		return primitives.WinoOutputSlab(src.Data[so:], dst.Data[do:], nslabs, tilesC, b)
+		cnt := arg(0)
+		secs, span = primitives.CopySPMTime(cnt), cnt
+		kernel = func(src, dst []float32) error { return primitives.CopySPM(src, dst, cnt) }
+	case ir.WinoInputSlab:
+		nslabs, tilesC, ci, b := arg(0), arg(1), arg(2), arg(3)
+		secs, err = primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
+		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, tilesC, ci, b) }
+	case ir.WinoOutputSlab:
+		nslabs, tilesC, b := arg(0), arg(1), arg(2)
+		secs, err = primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
+		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, tilesC, b) }
 	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
-		cnt := int(x.Args[0].Eval(st.env))
-		secs, err := primitives.WinoTransformTime(x.Kind.Phase(), cnt)
-		if err != nil {
-			return err
-		}
-		st.m.AdvanceCompute(secs)
-		if !st.opt.Functional {
-			return nil
-		}
-		src, err := st.buffer(x.Src)
-		if err != nil {
-			return err
-		}
-		dst, err := st.buffer(x.Dst)
-		if err != nil {
-			return err
-		}
-		so := int(x.SrcOff.Eval(st.env))
-		do := int(x.DstOff.Eval(st.env))
+		cnt := arg(0)
+		secs, err = primitives.WinoTransformTime(x.Kind.Phase(), cnt)
+		tile := primitives.WinoOutputTransform
 		switch x.Kind {
 		case ir.WinoInputTile:
-			return primitives.WinoInputTransform(src.Data[so:], dst.Data[do:], cnt)
+			tile = primitives.WinoInputTransform
 		case ir.WinoFilterTile:
-			return primitives.WinoFilterTransform(src.Data[so:], dst.Data[do:], cnt)
-		default:
-			return primitives.WinoOutputTransform(src.Data[so:], dst.Data[do:], cnt)
+			tile = primitives.WinoFilterTransform
+		}
+		kernel = func(src, dst []float32) error { return tile(src, dst, cnt) }
+	default:
+		return fmt.Errorf("unknown transform %v", x.Kind)
+	}
+	if err != nil {
+		return err
+	}
+	st.m.AdvanceCompute(secs)
+	if !st.opt.Functional {
+		return nil
+	}
+	var src []float32
+	if x.Kind != ir.ZeroFill { // which has no source
+		if src, err = st.operand(x.Kind.String(), n.a, n.code, span); err != nil {
+			return err
 		}
 	}
-	return fmt.Errorf("unknown transform %v", x.Kind)
+	dst, err := st.operand(x.Kind.String(), n.b, n.code+1, span)
+	if err != nil {
+		return err
+	}
+	return kernel(src, dst)
 }

@@ -3,8 +3,10 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"swatop/internal/conv"
@@ -377,7 +379,7 @@ func TestWaitNonPositiveCount(t *testing.T) {
 
 // requestFromBlocks is the request arithmetic as it was when exec.dma
 // materialised its descriptors, kept verbatim as the oracle for
-// dmaTally.request.
+// dmaRequest.
 func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
 	total := 0
 	for _, d := range descs {
@@ -406,7 +408,7 @@ func requestFromBlocks(descs []tensor.Blocks, write bool) sw26010.DMARequest {
 	}
 }
 
-// TestTallyRequestMatchesReference: the streamed tally builds the request
+// TestTallyRequestMatchesReference: the region's geometry builds the request
 // the descriptor slice did, over seeded tensors of rank 1..4 in permuted
 // layouts, in-bounds regions and both directions, reaching both sides of
 // the fewer-blocks-than-CPEs split with blocks above and below one
@@ -434,16 +436,16 @@ func TestTallyRequestMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tally dmaTally
-		if err := r.FlattenEach(x, tally.add); err != nil {
+		first, n, err := r.Geometry(x)
+		if err != nil {
 			t.Fatal(err)
 		}
 		write := i%2 == 1
-		if got, want := tally.request(write), requestFromBlocks(descs, write); got != want {
+		if got, want := dmaRequest(first, n*first.Count, write), requestFromBlocks(descs, write); got != want {
 			t.Fatalf("dims %v strides %v region %+v write=%v:\n got %+v\nwant %+v", x.Dims, x.Strides, r, write, got, want)
 		}
 		class := "total>=NumCPE"
-		if tally.total < sw26010.NumCPE {
+		if n*first.Count < sw26010.NumCPE {
 			class = "total<NumCPE"
 		}
 		if descs[0].Block*4 > sw26010.TransactionBytes {
@@ -466,17 +468,11 @@ func TestTallyRequestMatchesReference(t *testing.T) {
 	}
 }
 
-// allocsOf measures one timed run of p: allocation count and allocated bytes
+// allocCost measures one call of run: allocation count and allocated bytes
 // (a descriptor slice is one allocation however long it is, so the count
 // alone would not see one being built). Bytes are the minimum over several
-// runs: the runtime's own goroutines occasionally allocate in between.
-func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs float64, bytes uint64) {
-	t.Helper()
-	run := func() {
-		if _, err := RunVirtual(p, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
+// calls: the runtime's own goroutines occasionally allocate in between.
+func allocCost(run func()) (allocs float64, bytes uint64) {
 	allocs = testing.AllocsPerRun(5, run)
 	bytes = math.MaxUint64
 	for i := 0; i < 8; i++ {
@@ -487,6 +483,16 @@ func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs float64, bytes u
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	return allocs, bytes
+}
+
+// allocsOf is the allocCost of one timed run of p.
+func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs float64, bytes uint64) {
+	t.Helper()
+	return allocCost(func() {
+		if _, err := RunVirtual(p, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestTimedDMAAllocBudget(t *testing.T) {
@@ -593,5 +599,180 @@ func TestTimedDMAAllocBudget(t *testing.T) {
 	if fewA != manyA || fewB != manyB {
 		t.Fatalf("timed-run allocations grow with transfers: %v / %d B at 10 iterations, %v / %d B at 1000",
 			fewA, fewB, manyA, manyB)
+	}
+}
+
+// TestWinoTransformOffsetIsError: a Winograd transform whose source or
+// destination offset lies outside its buffer is a program error in
+// functional mode, like ZeroFill's and CopySPM's, not a slice-bounds panic.
+func TestWinoTransformOffsetIsError(t *testing.T) {
+	for _, kind := range []ir.TransformKind{ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile, ir.WinoInputSlab, ir.WinoOutputSlab} {
+		for _, off := range [][2]int64{{-1, 0}, {0, -1}, {65, 0}, {0, 65}} {
+			p := &ir.Program{
+				Name: "wino",
+				Body: []ir.Stmt{
+					&ir.AllocSPM{Buf: "s", Elems: ir.Const(64)},
+					&ir.AllocSPM{Buf: "d", Elems: ir.Const(64)},
+					&ir.Transform{Kind: kind, Src: "s", Dst: "d",
+						SrcOff: ir.Const(off[0]), DstOff: ir.Const(off[1]),
+						Args: []ir.Expr{ir.Const(1), ir.Const(1), ir.Const(4), ir.Const(1)}},
+				},
+			}
+			if _, err := Run(p, nil, Options{Functional: true}); err == nil || !strings.Contains(err.Error(), "out of SPM buffer") {
+				t.Errorf("%v at offsets %v: err = %v, want an out-of-buffer error", kind, off, err)
+			}
+			// Timed-only runs never touch the buffers: same program, no error.
+			if _, err := Run(p, nil, Options{}); err != nil {
+				t.Errorf("%v at offsets %v, timed: %v", kind, off, err)
+			}
+		}
+	}
+}
+
+// TestLoopShadowingRestored: a loop that reuses an outer variable's name
+// shadows it for its iterations only, and an iterator nothing else defined
+// is unbound again once its loop is over.
+func TestLoopShadowingRestored(t *testing.T) {
+	loop := &ir.For{Iter: "i", Extent: ir.Const(3), Body: []ir.Stmt{
+		&ir.Assign{Var: "seen", Val: ir.V("i")},
+	}}
+	after := &ir.AllocSPM{Buf: "b", Elems: ir.Add(ir.Mul(ir.V("i"), ir.Const(10)), ir.V("seen"))}
+	m := sw26010.NewMachine()
+	p := &ir.Program{Name: "shadow", Body: []ir.Stmt{&ir.Assign{Var: "i", Val: ir.Const(7)}, loop, after}}
+	if _, err := Run(p, nil, Options{Machine: m}); err != nil {
+		t.Fatal(err)
+	}
+	if buf, err := m.SPM().Get("b"); err != nil || buf.Elems != 7*10+2 {
+		t.Fatalf("after the loop i*10+seen sized the buffer %+v (%v), want 72 elements: outer i = 7 restored, last iteration saw 2", buf, err)
+	}
+	defer func() {
+		if r := recover(); r != `ir: unbound variable "i"` {
+			t.Fatalf("reading the iterator after its loop: recovered %v, want the unbound-variable panic", r)
+		}
+	}()
+	Run(&ir.Program{Name: "unbound", Body: []ir.Stmt{loop, after}}, nil, Options{})
+}
+
+// TestConcurrentRunsShareProgram: a compiled program is only read by a run,
+// so goroutines may time one program at once (run under -race): identical
+// results, and the program unchanged.
+func TestConcurrentRunsShareProgram(t *testing.T) {
+	op, err := conv.NewImplicitOp(conv.Shape{B: 1, Ni: 64, No: 64, Ro: 28, Co: 28, Kr: 3, Kc: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := op.Compile(dsl.Strategy{
+		Factors:      map[string]int{"no": 32, "ni": 32, "co": 14, "b": 1},
+		Order:        []string{"ro", "co", "no", "kr", "kc", "ni"},
+		Layouts:      map[string][]int{"weight": {2, 3, 0, 1}, "in": {0, 1, 2, 3}, "out": {0, 1, 2, 3}},
+		Vec:          ir.VecM,
+		DoubleBuffer: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, printed := prog.Clone(), ir.Print(prog)
+	before.DispatchOverheadSeconds = prog.DispatchOverheadSeconds
+	want, err := RunVirtual(prog, Options{FastLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runners = 8
+	results := make([]Result, runners)
+	errs := make([]error, runners)
+	var wg sync.WaitGroup
+	for g := 0; g < runners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				var log trace.Log // a private trace: labels are bound per run too
+				results[g], errs[g] = RunVirtual(prog, Options{FastLoops: true, Trace: &log})
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range results {
+		if errs[g] != nil || results[g] != want {
+			t.Fatalf("runner %d: %+v (%v), want %+v", g, results[g], errs[g], want)
+		}
+	}
+	if !reflect.DeepEqual(prog, before) || ir.Print(prog) != printed {
+		t.Fatal("running a program changed it")
+	}
+}
+
+// TestBindAllocBudget: binding is a fixed number of arenas. It makes the same
+// number of allocations however many statements the program has (when
+// tracing, the label arena and one string per DMA statement more), their
+// bytes grow in proportion to the statements, and a run allocates nothing
+// that grows with trip counts.
+func TestBindAllocBudget(t *testing.T) {
+	// nodes, codes, postfix ops, variable names, variable values, evaluation
+	// stack, buffer and reply-word names, region scratch. With the
+	// by-declaration tensor table runProgram allocates beside its state, a
+	// timed run makes 9 allocations beyond its machine, its tensors and SPM
+	// storage.
+	const arenas = 8
+	prog := func(copies int, trips int64) *ir.Program {
+		p := &ir.Program{Name: "budget", Tensors: []ir.TensorDecl{{Name: "X", Dims: []int{8, 32}}}}
+		p.Body = append(p.Body,
+			&ir.Assign{Var: "base0", Val: ir.Const(1)},
+			&ir.AllocSPM{Buf: "a", Elems: ir.Const(64 * 64)},
+			&ir.AllocSPM{Buf: "b", Elems: ir.Const(64 * 64)},
+			&ir.AllocSPM{Buf: "c", Elems: ir.Const(64 * 64)})
+		for c := 0; c < copies; c++ {
+			get := ir.RegionMove{Tensor: "X", Dir: ir.Get,
+				Start:  []ir.Expr{ir.Const(0), ir.Mod(ir.V("i"), ir.Const(8))},
+				Extent: []ir.Expr{ir.Const(8), ir.Const(24)},
+				Buf:    "a", BufOff: ir.Const(0)}
+			p.Body = append(p.Body,
+				&ir.Assign{Var: "base", Val: ir.Mul(ir.V("base0"), ir.Const(3))},
+				&ir.For{Iter: "i", Extent: ir.Const(trips), Body: []ir.Stmt{
+					&ir.DMAOp{Move: get, Reply: "r"},
+					&ir.If{Cond: ir.Cond{Op: ir.LT, L: ir.V("i"), R: ir.Const(2)},
+						Then: []ir.Stmt{&ir.Assign{Var: "next_i", Val: ir.Add(ir.V("i"), ir.V("base"))}},
+						Else: []ir.Stmt{&ir.Assign{Var: "next_i", Val: ir.Min(ir.V("i"), ir.Const(1<<40))}}},
+					&ir.Gemm{A: "a", B: "b", C: "c",
+						M: ir.Const(64), N: ir.Min(ir.Add(ir.V("next_i"), ir.Const(64)), ir.Const(64)), K: ir.Const(64),
+						LDA: ir.Const(64), LDB: ir.Const(64), LDC: ir.Const(64)},
+					&ir.DMAWait{Reply: "r", Times: ir.Const(1)},
+					&get, // an un-inferred move: issue + wait on the sync word
+				}})
+		}
+		p.Body = append(p.Body, &ir.FreeSPM{Buf: "a"}, &ir.FreeSPM{Buf: "b"}, &ir.FreeSPM{Buf: "c"})
+		return p
+	}
+	// bindCost measures bind alone, on a state that is not part of the cost.
+	bindCost := func(p *ir.Program, opt Options) (allocs float64, bytes uint64) {
+		st := &state{opt: opt}
+		return allocCost(func() { st.bind(p) })
+	}
+	var bytes [5]uint64
+	for copies := 1; copies <= 4; copies++ {
+		p := prog(copies, 12)
+		a, b := bindCost(p, Options{})
+		if a != arenas {
+			t.Fatalf("%d copies: bind made %v allocations, want %d arenas", copies, a, arenas)
+		}
+		bytes[copies] = b
+		if a, _ := bindCost(p, Options{Trace: new(trace.Log)}); a != float64(arenas+1+2*copies) {
+			t.Fatalf("%d copies, tracing: bind made %v allocations, want %d arenas, the labels and %d label strings",
+				copies, a, arenas, 2*copies)
+		}
+		ra, rb := allocsOf(t, p, Options{})
+		la, lb := allocsOf(t, prog(copies, 1200), Options{})
+		if la != ra || lb != rb {
+			t.Fatalf("%d copies: a run allocates %v times / %d B at 12 trips, %v / %d B at 1200", copies, ra, rb, la, lb)
+		}
+	}
+	t.Logf("bound program: %d arenas of %d / %d / %d / %d B at 1..4 copies of 9 statements and 26 expressions",
+		arenas, bytes[1], bytes[2], bytes[3], bytes[4])
+	// In proportion, up to the allocator's size classes: each copy adds no
+	// more than the first cost, and under 1 KB.
+	for copies := 2; copies <= 4; copies++ {
+		if step := bytes[copies] - bytes[copies-1]; bytes[copies] <= bytes[copies-1] || step > bytes[1] || step > 1024 {
+			t.Fatalf("bound bytes at 1..4 copies: %v", bytes[1:])
+		}
 	}
 }

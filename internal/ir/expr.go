@@ -56,7 +56,7 @@ func (v VarExpr) Eval(env Env) int64 {
 func (v VarExpr) String() string           { return string(v) }
 func (v VarExpr) free(set map[string]bool) { set[string(v)] = true }
 
-type binOp int
+type binOp int32
 
 const (
 	opAdd binOp = iota
@@ -80,8 +80,13 @@ type BinExpr struct {
 
 // Eval implements Expr.
 func (b *BinExpr) Eval(env Env) int64 {
-	l, r := b.L.Eval(env), b.R.Eval(env)
-	switch b.Op {
+	return b.Op.apply(b.L.Eval(env), b.R.Eval(env))
+}
+
+// apply is the one implementation of the arithmetic, shared by Eval and the
+// bound evaluator (Frame.Eval).
+func (op binOp) apply(l, r int64) int64 {
+	switch op {
 	case opAdd:
 		return l + r
 	case opSub:
@@ -269,9 +274,12 @@ type Cond struct {
 }
 
 // Eval evaluates the condition.
-func (c Cond) Eval(env Env) bool {
-	l, r := c.L.Eval(env), c.R.Eval(env)
-	switch c.Op {
+func (c Cond) Eval(env Env) bool { return c.Op.Holds(c.L.Eval(env), c.R.Eval(env)) }
+
+// Holds reports whether l op r: the one implementation of the comparison,
+// for Cond.Eval and for callers that evaluated both sides in bound form.
+func (op CmpOp) Holds(l, r int64) bool {
+	switch op {
 	case LT:
 		return l < r
 	case LE:

@@ -216,7 +216,7 @@ func TestRewriteDeletesAndReplaces(t *testing.T) {
 	// Replace gemm by two comments.
 	p.Body = Rewrite(p.Body, func(s Stmt) []Stmt {
 		if _, ok := s.(*Gemm); ok {
-			return []Stmt{&Comment{"a"}, &Comment{"b"}}
+			return []Stmt{&Comment{Text: "a"}, &Comment{Text: "b"}}
 		}
 		return nil
 	})
@@ -262,7 +262,7 @@ func TestPrintAllNodeKinds(t *testing.T) {
 		&Assign{Var: "next_i", Val: Add(V("i"), Const(1))},
 		&If{Cond: Cond{EQ, V("next_i"), Const(4)},
 			Then: []Stmt{&Assign{Var: "next_i", Val: Const(0)}},
-			Else: []Stmt{&Comment{"steady"}}},
+			Else: []Stmt{&Comment{Text: "steady"}}},
 		&DMAOp{Move: RegionMove{Tensor: "A", Dir: Get,
 			Start: []Expr{Const(0)}, Extent: []Expr{Const(8)}, Buf: "a", BufOff: Const(0)},
 			Reply: "r0"},
@@ -288,8 +288,8 @@ func TestCloneAllKinds(t *testing.T) {
 		&DMAWait{Reply: "r", Times: Const(1)},
 		&Gemm{A: "a", B: "b", C: "c", AOff: Const(0), BOff: Const(0), COff: Const(0), M: Const(4), N: Const(4), K: Const(4), LDA: Const(4), LDB: Const(4), LDC: Const(4)},
 		&Transform{Kind: CopySPM, Src: "a", Dst: "b", SrcOff: Const(0), DstOff: Const(0), Args: []Expr{Const(4)}},
-		&Comment{"hi"},
-		&If{Cond: Cond{LT, Const(0), Const(1)}, Then: []Stmt{&Comment{"t"}}},
+		&Comment{Text: "hi"},
+		&If{Cond: Cond{LT, Const(0), Const(1)}, Then: []Stmt{&Comment{Text: "t"}}},
 	}
 	cl := CloneStmts(body)
 	if len(cl) != len(body) {

@@ -77,7 +77,7 @@ func printStmts(b *strings.Builder, body []Stmt, depth int) {
 			}
 			fmt.Fprintf(b, "%s%s src=%s+%s dst=%s+%s (%s)\n", ind, x.Kind, x.Src, x.SrcOff, x.Dst, x.DstOff, strings.Join(args, ", "))
 		case *Comment:
-			fmt.Fprintf(b, "%s// %s\n", ind, x.Text)
+			fmt.Fprintf(b, "%s// %s\n", ind, x)
 		default:
 			fmt.Fprintf(b, "%s<unknown %T>\n", ind, s)
 		}

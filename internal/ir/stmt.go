@@ -268,8 +268,20 @@ type Transform struct {
 	Args           []Expr
 }
 
-// Comment is a no-op annotation kept through to generated code.
-type Comment struct{ Text string }
+// Comment is a no-op annotation kept through to generated code: Text, then
+// Note when there is one. Note is formatted only where the comment is
+// printed, so annotating every candidate of a tuning run costs no string.
+type Comment struct {
+	Text string
+	Note fmt.Stringer
+}
+
+func (c *Comment) String() string {
+	if c.Note == nil {
+		return c.Text
+	}
+	return c.Text + c.Note.String()
+}
 
 func (*For) isStmt()        {}
 func (*If) isStmt()         {}

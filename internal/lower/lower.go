@@ -500,7 +500,7 @@ func (p *Plan) BuildNest() ([]ir.Stmt, error) {
 	}
 
 	var out []ir.Stmt
-	out = append(out, &ir.Comment{Text: "strategy: " + p.Strategy.String()})
+	out = append(out, &ir.Comment{Text: "strategy: ", Note: p.Strategy})
 	for _, op := range []*operandPlan{a, b, c} {
 		out = append(out, &ir.AllocSPM{Buf: op.buf, Elems: ir.Const(int64(op.frameElems))})
 	}

@@ -210,6 +210,21 @@ func TestLowerFrameAllocationsAndFrees(t *testing.T) {
 	}
 }
 
+// TestLowerStrategyComment: the nest opens with the strategy as a comment;
+// the text is produced where it is printed, and survives cloning.
+func TestLowerStrategyComment(t *testing.T) {
+	seed, _ := gemm.Seed(gemm.Params{M: 64, N: 64, K: 64})
+	st := gemmStrategy(32, 32, 32, ir.VecM)
+	prog, err := lower.Lower(seed, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "  // strategy: " + st.String() + "\n"
+	if !strings.Contains(ir.Print(prog), want) || !strings.Contains(ir.Print(prog.Clone()), want) {
+		t.Fatalf("printed program lacks %q:\n%s", want, ir.Print(prog))
+	}
+}
+
 func TestPlanExposesEstimates(t *testing.T) {
 	seed, _ := gemm.Seed(gemm.Params{M: 64, N: 64, K: 64})
 	plan, err := lower.NewPlan(seed, gemmStrategy(32, 32, 32, ir.VecM))

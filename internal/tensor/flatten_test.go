@@ -141,6 +141,53 @@ func TestFlattenEachMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGeometryMatchesFlattenEach: the geometry half alone reports the first
+// descriptor the visitor is handed and how many it is handed, on the same
+// seeded rank 1..5 permuted-layout regions, without allocating while the
+// rank fits the stack scratch.
+func TestGeometryMatchesFlattenEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(20190805))
+	raw := make([]byte, 21)
+	multi := 0
+	for i := 0; i < 5000; i++ {
+		rng.Read(raw)
+		x, r := flattenCase(raw)
+		var first Blocks
+		visited := 0
+		if err := r.FlattenEach(x, func(b Blocks) {
+			if visited == 0 {
+				first = b
+			}
+			visited++
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := r.Geometry(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != first || n != visited {
+			t.Fatalf("dims %v strides %v region %+v: geometry %+v x%d, visitor %+v x%d",
+				x.Dims, x.Strides, r, got, n, first, visited)
+		}
+		if n > 1 {
+			multi++
+		}
+		if x.Rank() <= stackRank {
+			if a := testing.AllocsPerRun(1, func() { r.Geometry(x) }); a != 0 {
+				t.Fatalf("Geometry allocates %v times at rank %d", a, x.Rank())
+			}
+		}
+	}
+	if multi < 500 {
+		t.Errorf("only %d multi-descriptor regions generated", multi)
+	}
+	x := New("x", 4, 4)
+	if _, _, err := (Region{Start: []int{0}, Extent: []int{1, 1}}).Geometry(x); err == nil {
+		t.Fatal("rank mismatch must be an error")
+	}
+}
+
 func FuzzFlattenEach(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 0, 1, 2, 7, 1, 0, 3, 5, 0, 2, 1})

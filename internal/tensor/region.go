@@ -54,14 +54,15 @@ func (b Blocks) Total() int { return b.Block * b.Count }
 const stackRank = 4
 
 // flatten is the one flattening routine: it derives the pattern geometry,
-// reports the exact descriptor count through size (when non-nil) and then
-// visits the descriptors. Dimensions are taken from fastest-varying to
+// reports the first descriptor and the exact descriptor count through size
+// (when non-nil) and then visits the descriptors (when visit is non-nil).
+// Dimensions are taken from fastest-varying to
 // slowest: a maximal run of dimensions that are (a) fully covered and (b)
 // memory-adjacent fuses into the contiguous block; the next
 // partially-covered dimension becomes the stride loop; the remaining outer
 // dimensions with extent != 1 multiply into separate descriptors that share
 // Block/Stride/Count and differ only in Offset.
-func (r Region) flatten(t *Tensor, size func(n int), visit func(Blocks)) error {
+func (r Region) flatten(t *Tensor, size func(first Blocks, n int), visit func(Blocks)) error {
 	rank := t.Rank()
 	if len(r.Start) != rank || len(r.Extent) != rank {
 		return fmt.Errorf("region rank %d/%d vs tensor rank %d", len(r.Start), len(r.Extent), rank)
@@ -121,9 +122,9 @@ func (r Region) flatten(t *Tensor, size func(n int), visit func(Blocks)) error {
 		}
 	}
 	if size != nil {
-		size(n)
+		size(b, n)
 	}
-	if n <= 0 {
+	if n <= 0 || visit == nil {
 		return nil
 	}
 	// Odometer over the outer dimensions: the first varies slowest, the
@@ -158,8 +159,16 @@ func (r Region) FlattenEach(t *Tensor, visit func(Blocks)) error {
 // order, into an exactly-sized slice.
 func (r Region) FlattenMulti(t *Tensor) ([]Blocks, error) {
 	var out []Blocks
-	err := r.flatten(t, func(n int) { out = make([]Blocks, 0, n) }, func(b Blocks) { out = append(out, b) })
+	err := r.flatten(t, func(_ Blocks, n int) { out = make([]Blocks, 0, n) }, func(b Blocks) { out = append(out, b) })
 	return out, err
+}
+
+// Geometry is the geometry half of the routine alone: the first descriptor
+// FlattenEach would visit and how many it would visit (≥ 1 for a region
+// CheckRegion accepts) — all a transfer's timing needs of the pattern.
+func (r Region) Geometry(t *Tensor) (first Blocks, n int, err error) {
+	err = r.flatten(t, func(b Blocks, cnt int) { first, n = b, cnt }, nil)
+	return first, n, err
 }
 
 // CopyRegionOut gathers a region of src into dst (a flat buffer) in the
