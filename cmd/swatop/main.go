@@ -39,8 +39,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  swatop gemm -m M -n N -k K [-searcher evo|anneal] [-budget F] [-fallback] [-retries N] [-deadline D] [-c out.c] [-ir] [-metrics -|file] [-trace-out t.json] [-listen addr]
-  swatop conv -method implicit|explicit|winograd -b B -ni Ni -no No -r R [-kernel K] [-searcher evo|anneal] [-budget F] [-fallback] [-retries N] [-deadline D] [-c out.c] [-ir] [-metrics -|file] [-trace-out t.json] [-listen addr]`)
+  swatop gemm -m M -n N -k K [-searcher evo] [-budget F] [-fallback] [-retries N] [-deadline D] [-c out.c] [-ir] [-metrics -|file] [-trace-out t.json] [-listen addr]
+  swatop conv -method implicit|explicit|winograd -b B -ni Ni -no No -r R [-kernel K] [-searcher evo] [-budget F] [-fallback] [-retries N] [-deadline D] [-c out.c] [-ir] [-metrics -|file] [-trace-out t.json] [-listen addr]`)
 	os.Exit(2)
 }
 
@@ -136,7 +136,7 @@ func convCmd(args []string) {
 // to earlier releases.
 func searchFlags(fs *flag.FlagSet) (name *string, budget *float64, seed *uint64) {
 	name = fs.String("searcher", "",
-		"search strategy: evo (evolutionary) or anneal (simulated annealing); empty = exhaustive walk")
+		"search strategy: evo (evolutionary); empty = exhaustive walk")
 	budget = fs.Float64("budget", 0,
 		"fraction of the schedule space a -searcher may measure (0 = default 0.10)")
 	seed = fs.Uint64("search-seed", 0,

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	swbench [-full] [-csv] [-json] [-workers N] [-searcher evo|anneal]
+//	swbench [-full] [-csv] [-json] [-workers N] [-searcher evo]
 //	        [-budget F] [-metrics -|file] [-trace-out trace.json]
 //	        [-listen addr] [experiment ...]
 //	swbench -bench-out BENCH.json
@@ -31,8 +31,7 @@
 // change on that layer.
 //
 // -searcher replaces the exhaustive schedule walk with a sample-efficient
-// search (evolutionary or simulated annealing) that measures at most
-// -budget of each space; -search-check is the quality gate that holds the
+// evolutionary search that measures at most -budget of each space; -search-check is the quality gate that holds the
 // evolutionary searcher to within 5% of the exhaustive result on the VGG16
 // conv set.
 package main
@@ -70,7 +69,7 @@ func main() {
 	benchDiff := flag.Bool("bench-diff", false,
 		"attribute the machine-seconds difference between two snapshot files (swbench -bench-diff old.json new.json); runs nothing, exit 1 on regression")
 	searcherName := flag.String("searcher", "",
-		"search strategy: evo or anneal; empty = exhaustive walk (results stay worker-count independent)")
+		"search strategy: evo; empty = exhaustive walk (results stay worker-count independent)")
 	budget := flag.Float64("budget", 0,
 		"fraction of each schedule space a -searcher may measure (0 = default 0.10)")
 	searchCheck := flag.Bool("search-check", false,

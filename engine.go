@@ -19,23 +19,10 @@ import (
 // facade over internal/graph + internal/infer, playing the role swCaffe
 // integration plays in the paper.
 type Engine struct {
-	eng         *infer.Engine
-	lib         *Library
-	workers     int
-	fallback    FallbackPolicy
-	faults      *FaultInjector
-	retry       autotune.Retry
-	maxFailures int
-	verify      bool
-	tolerance   float64
-	progress    func(node string, done, total int)
-	metrics     *MetricsRegistry
-	observer    *Observer
-	groups      int
-	pipeline    bool
-	searcher    Searcher
-	budget      float64
-	searchSeed  uint64
+	eng *infer.Engine
+	// opts is what the setters below write into; every run passes it to the
+	// runtime with only the network's Builder added.
+	opts infer.Options
 }
 
 // NewEngine fits the cost model (the per-machine offline calibration) and
@@ -50,42 +37,38 @@ func NewEngine() (*Engine, error) {
 
 // UseLibrary attaches a schedule cache: layer tuning consults it first and
 // records fresh results, so a network tunes once and replays afterwards.
-func (e *Engine) UseLibrary(l *Library) { e.lib = l }
+func (e *Engine) UseLibrary(l *Library) { e.opts.Library = l }
 
 // SetWorkers sets the tuning concurrency. The resolved schedules — and the
 // network's machine seconds — are identical for every worker count.
-func (e *Engine) SetWorkers(n int) { e.workers = n }
+func (e *Engine) SetWorkers(n int) { e.opts.Workers = n }
 
 // SetFallback selects the degradation policy when a layer's tuning fails.
-func (e *Engine) SetFallback(p FallbackPolicy) { e.fallback = p }
+func (e *Engine) SetFallback(p FallbackPolicy) { e.opts.Fallback = p == FallbackBaseline }
 
 // SetFaults attaches a fault injector to tuning measurements (nil
 // detaches); the network's own execution stays clean.
-func (e *Engine) SetFaults(in *FaultInjector) { e.faults = in }
+func (e *Engine) SetFaults(in *FaultInjector) { e.opts.Faults = in }
 
 // SetRetry configures retrying of transient tuning-measurement errors,
 // exactly as Tuner.SetRetry does.
 func (e *Engine) SetRetry(attempts int, base, max time.Duration) {
-	e.retry = autotune.Retry{Attempts: attempts, BaseDelay: base, MaxDelay: max}
+	e.opts.Retry = autotune.Retry{Attempts: attempts, BaseDelay: base, MaxDelay: max}
 }
-
-// SetMaxCandidateFailures aborts a layer's tuning once more than n
-// candidates have failed (0 = unlimited).
-func (e *Engine) SetMaxCandidateFailures(n int) { e.maxFailures = n }
 
 // SetSearcher switches layer tuning to sample-efficient search, exactly as
 // Tuner.SetSearcher does (nil restores the exhaustive walk). The attached
 // Library doubles as the transfer source: later layers seed their search
 // from earlier layers' cached winners.
-func (e *Engine) SetSearcher(s Searcher) { e.searcher = s }
+func (e *Engine) SetSearcher(s Searcher) { e.opts.Searcher = s }
 
 // SetSearchBudget caps the fraction of each layer's candidate space a
 // searcher may measure (0 restores the 0.10 default).
-func (e *Engine) SetSearchBudget(frac float64) { e.budget = frac }
+func (e *Engine) SetSearchBudget(frac float64) { e.opts.SearchBudget = frac }
 
 // SetSearchSeed pins the searcher's RNG seed (0 derives a stable
 // per-operator seed).
-func (e *Engine) SetSearchSeed(seed uint64) { e.searchSeed = seed }
+func (e *Engine) SetSearchSeed(seed uint64) { e.opts.SearchSeed = seed }
 
 // SetVerify enables functional execution: every tuned layer's output is
 // checked against the single-operator reference oracle with the given
@@ -94,12 +77,9 @@ func (e *Engine) SetSearchSeed(seed uint64) { e.searchSeed = seed }
 // deterministic but differ slightly from timed-only runs, which
 // fast-forward long loops (a near-exact extrapolation).
 func (e *Engine) SetVerify(tolerance float64) {
-	e.verify = true
-	e.tolerance = tolerance
+	e.opts.Functional = true
+	e.opts.Tolerance = tolerance
 }
-
-// SetProgress installs a per-layer schedule-resolution callback.
-func (e *Engine) SetProgress(fn func(node string, done, total int)) { e.progress = fn }
 
 // SetGroups scales inference out across a fleet of n simulated core groups
 // (1..4 — one SW26010 node, the swCaffe scale-out unit). 0 or 1 keeps the
@@ -112,14 +92,14 @@ func (e *Engine) SetProgress(fn func(node string, done, total int)) { e.progress
 // Schedules still resolve sequentially up front; per-group and aggregate
 // machine seconds stay bit-identical across worker counts and goroutine
 // interleavings. Fleet runs skip the per-layer baseline comparison.
-func (e *Engine) SetGroups(n int) { e.groups = n }
+func (e *Engine) SetGroups(n int) { e.opts.Groups = n }
 
 // SetPipeline switches a fleet run (SetGroups >= 2) to layer pipelining:
 // the net is partitioned into balanced stages by per-layer tuned cost and
 // micro-batches of size 1 stream through them. The report carries the
 // stage partition and the pipeline's bubble fraction. Timed-only —
 // incompatible with SetVerify.
-func (e *Engine) SetPipeline(on bool) { e.pipeline = on }
+func (e *Engine) SetPipeline(on bool) { e.opts.Pipeline = on }
 
 // SetMetrics attaches a metrics registry: every run records machine
 // counters (DMA traffic, transactions, alignment waste, SPM peak, the
@@ -128,7 +108,7 @@ func (e *Engine) SetPipeline(on bool) { e.pipeline = on }
 // nil detaches. During a fully cached replay every recorded value is a
 // simulated-machine quantity, so snapshots are bit-identical across worker
 // counts.
-func (e *Engine) SetMetrics(reg *MetricsRegistry) { e.metrics = reg }
+func (e *Engine) SetMetrics(reg *MetricsRegistry) { e.opts.Metrics = reg }
 
 // SetObserver attaches a structured-event observer: every run emits its
 // event log (net/layer/tuning events) into it and registers as a live
@@ -137,7 +117,7 @@ func (e *Engine) SetMetrics(reg *MetricsRegistry) { e.metrics = reg }
 // its configured sink. Passing nil detaches. Purely observational: the
 // resolved schedules and every metric are identical with and without an
 // observer.
-func (e *Engine) SetObserver(o *Observer) { e.observer = o }
+func (e *Engine) SetObserver(o *Observer) { e.opts.Observer = o }
 
 // LayerReport is one executed layer of a network run.
 type LayerReport struct {
@@ -259,31 +239,15 @@ func (e *Engine) InferCtx(ctx context.Context, net string, batch int) (*NetRepor
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.eng.Run(ctx, g, infer.Options{
-		Workers:              e.workers,
-		Library:              e.lib,
-		Fallback:             e.fallback == FallbackBaseline,
-		Faults:               e.faults,
-		Retry:                e.retry,
-		MaxCandidateFailures: e.maxFailures,
-		Functional:           e.verify,
-		Tolerance:            e.tolerance,
-		Progress:             e.progress,
-		Metrics:              e.metrics,
-		Observer:             e.observer,
-		Searcher:             e.searcher,
-		SearchBudget:         e.budget,
-		SearchSeed:           e.searchSeed,
-		Groups:               e.groups,
-		Pipeline:             e.pipeline,
-		Builder:              func(b int) (*graph.Graph, error) { return graph.ByName(net, b) },
-	})
+	opts := e.opts
+	opts.Builder = func(b int) (*graph.Graph, error) { return graph.ByName(net, b) }
+	res, err := e.eng.Run(ctx, g, opts)
 	if err != nil {
-		e.observer.AutoDump("infer failed: " + net)
+		opts.Observer.AutoDump("infer failed: " + net)
 		return nil, err
 	}
 	if res.DegradedOps > 0 {
-		e.observer.AutoDump("infer degraded: " + net)
+		opts.Observer.AutoDump("infer degraded: " + net)
 	}
 	rep := &NetReport{
 		Net:                  res.Net,
@@ -328,7 +292,7 @@ func (e *Engine) InferCtx(ctx context.Context, net string, batch int) (*NetRepor
 		}
 		rep.Pipeline = p
 	}
-	rep.Metrics = e.metrics.Snapshot()
+	rep.Metrics = opts.Metrics.Snapshot()
 	for _, l := range res.Layers {
 		rep.Layers = append(rep.Layers, LayerReport{
 			Name:            l.Name,

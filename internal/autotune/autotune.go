@@ -10,22 +10,21 @@
 // SW26010 batch system imposes, which is where "from days to minutes"
 // comes from.
 //
-// Candidates are streamed from schedule.Stream and evaluated on a worker
-// pool: compile+estimate (and compile+run) are independent per candidate,
-// so host wall time scales down with Options.Workers. The selection is
-// deterministic for any worker count — candidates are merged by
-// (predicted, index), so the chosen schedule, Valid count and
-// MachineSeconds are bit-identical to the sequential walk. MachineSeconds
-// is *simulated hardware* time and never changes with host parallelism;
-// only WallSeconds shrinks.
+// There is one candidate loop (pool.go): a source yields (index, strategy)
+// pairs — schedule.Stream for the two walks, a measure batch for a searcher
+// — workers compile and evaluate them, and a sink receives the outcomes in
+// index order whatever Options.Workers is. The failure policy lives there
+// and nowhere else, so the chosen schedule, the counts, MachineSeconds
+// (*simulated hardware* time) and the error are the sequential walk's for
+// any worker count; only WallSeconds shrinks. The tuners differ in who
+// scores a candidate and what happens to the best; a session carries what
+// they share, and Resolve puts the schedule library in front of them.
 package autotune
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"swatop/internal/cache"
@@ -45,17 +44,9 @@ import (
 // sw5cc invocation; ~40 s matches Table 3's hours-per-~400-candidates).
 const CompileLaunchOverheadSeconds = 40.0
 
-// Operator is anything tunable: it exposes its schedule seed and space and
-// compiles one strategy into an executable program. Single-nest operators
-// use core.Compile; multi-phase operators (Winograd, explicit convolution)
-// compose their own programs. Compile must be safe for concurrent calls:
-// the worker pool compiles many strategies of one operator at once.
-type Operator interface {
-	Name() string
-	Seed() *dsl.Seed
-	Space() *dsl.Space
-	Compile(st dsl.Strategy) (*ir.Program, error)
-}
+// Operator is anything tunable (dsl.Operator): GEMM, the three convolution
+// methods, a user's own seed and space.
+type Operator = dsl.Operator
 
 // Candidate is one compiled schedule.
 type Candidate struct {
@@ -111,9 +102,6 @@ type Options struct {
 	// values below 2 run sequentially. The selected schedule and the
 	// machine-time ledger are identical for every worker count.
 	Workers int
-	// TopK overrides the number of finalists the model-based tuner
-	// actually runs (default: the package TopK constant).
-	TopK int
 	// Progress, when non-nil, is called after each candidate is processed
 	// with the number of processed and valid candidates so far and the best
 	// score seen so far: the lowest predicted seconds for the model-based
@@ -169,150 +157,143 @@ type Options struct {
 	// operator family (cache.Library.Nearest) are mapped into this space
 	// and start the population.
 	Transfer *cache.Library
-
-	// job is the live job the public entry points register; internal so
-	// runPool's collector — the only place that knows the failed count —
-	// can update it without re-deriving state.
-	job *obsrv.Job
 }
 
-func (o Options) topK() int {
-	if o.TopK > 0 {
-		return o.TopK
-	}
-	return TopK
+// session is what the three tuners share: the live job, the tune.* events,
+// the wall, machine and best gauges, and the tallies the loop's sinks keep.
+// Every exit goes through fail or finish, which close the job.
+type session struct {
+	ctx  context.Context
+	op   Operator
+	opts Options
+	job  *obsrv.Job
+	t0   time.Time
+	head []obsrv.Field // of tune.start and tune.finish: op and, if any, mode
+	// tFinal is when the model-based finalist runs began (zero otherwise):
+	// the wall clock splits there into search and finalist time.
+	tFinal time.Time
+	// failed counts contained candidate failures across every run of the
+	// loop in this session: what MaxCandidateFailures bounds.
+	done, valid, space, failed int
+	// machine is the simulated-machine ledger, charged in index order (float
+	// addition is not associative).
+	machine float64
 }
 
-// Retry is a capped exponential backoff policy for transient measurement
-// errors: attempt i (1-based) sleeps BaseDelay·2^(i-1), capped at MaxDelay,
-// with deterministic ±25 % jitter derived from the candidate index — so
-// retry timing never introduces run-to-run nondeterminism.
-type Retry struct {
-	// Attempts is the total number of tries per measurement; values <= 1
-	// mean a single try (no retry).
-	Attempts int
-	// BaseDelay is the first retry's sleep (default 1ms when retrying).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (default 250ms).
-	MaxDelay time.Duration
+func begin(ctx context.Context, op Operator, opts Options, mode, detail string) *session {
+	s := &session{ctx: ctx, op: op, opts: opts, t0: time.Now(),
+		job:  opts.Observer.Jobs().Start("tune", op.Name()),
+		head: []obsrv.Field{obsrv.F("op", op.Name())}}
+	if mode != "" {
+		s.job.SetDetail(detail)
+		s.head = append(s.head, obsrv.F("mode", mode))
+	}
+	opts.Observer.Emit(obsrv.LevelInfo, "tune.start", s.head...)
+	return s
 }
 
-func (r Retry) attempts() int {
-	if r.Attempts < 1 {
-		return 1
-	}
-	return r.Attempts
+func (s *session) fail(err error) (Result, error) {
+	s.opts.Observer.Emit(obsrv.LevelError, "tune.fail",
+		obsrv.F("op", s.op.Name()), obsrv.F("error", err))
+	s.job.Finish(obsrv.JobFailed)
+	return Result{}, err
 }
 
-// delay computes the backoff before retry number `attempt` (1-based count
-// of failures so far) of candidate idx.
-func (r Retry) delay(attempt, idx int) time.Duration {
-	base := r.BaseDelay
-	if base <= 0 {
-		base = time.Millisecond
+// finish completes res from the session's tallies and publishes it; extra
+// fields go into tune.finish between the counts and the chosen strategy.
+func (s *session) finish(res Result, extra ...obsrv.Field) (Result, error) {
+	res.SpaceSize, res.Valid, res.FailedCandidates, res.MachineSeconds = s.space, s.valid, s.failed, s.machine
+	res.WallSeconds = time.Since(s.t0).Seconds()
+	search := res.WallSeconds
+	if !s.tFinal.IsZero() {
+		final := time.Since(s.tFinal).Seconds()
+		s.opts.Metrics.Gauge("autotune_finalist_wall_seconds").Add(final)
+		search -= final
 	}
-	max := r.MaxDelay
-	if max <= 0 {
-		max = 250 * time.Millisecond
+	s.opts.Metrics.Gauge("autotune_search_wall_seconds").Add(search)
+	s.opts.Metrics.Gauge("autotune_best_measured_seconds").Set(res.Best.Measured)
+	s.opts.Metrics.Gauge("autotune_machine_seconds").Add(res.MachineSeconds)
+	if s.opts.Observer.Enabled() {
+		fs := append(s.head, obsrv.F("valid", res.Valid), obsrv.F("failed", res.FailedCandidates))
+		fs = append(fs, extra...)
+		s.opts.Observer.Emit(obsrv.LevelInfo, "tune.finish", append(fs,
+			obsrv.F("strategy", res.Best.Strategy.String()),
+			obsrv.Ms("best_ms", res.Best.Measured),
+			obsrv.F("machine_seconds", res.MachineSeconds))...)
 	}
-	d := base << uint(attempt-1)
-	if d > max || d <= 0 { // d <= 0 guards shift overflow
-		d = max
-	}
-	// Full determinism: jitter is a hash of (idx, attempt), not a random
-	// draw. Spread over [0.75d, 1.25d].
-	h := uint64(idx)*0x9e3779b97f4a7c15 + uint64(attempt)*0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	frac := float64(h%1024) / 1024 // [0,1)
-	return time.Duration(float64(d) * (0.75 + 0.5*frac))
+	s.job.Progress(s.done, res.Valid, res.FailedCandidates, res.Best.Measured*1e3)
+	s.job.Finish(obsrv.JobDone)
+	return res, nil
 }
 
-// CandidateError is one candidate's contained evaluation failure: a panic
-// during compile/estimate/run, or a transient measurement error that
-// survived every retry. The tuner records it, skips the candidate and
-// keeps searching; it never aborts the pool.
-type CandidateError struct {
-	// Index is the candidate's stable enumeration index.
-	Index int
-	// Strategy is the schedule that failed.
-	Strategy dsl.Strategy
-	// Panicked distinguishes a recovered panic from an exhausted retry.
-	Panicked bool
-	// Err is the underlying error (for a panic, the recovered value).
-	Err error
+// measure runs a compiled candidate on the simulated machine.
+func (s *session) measure(c *Candidate) error {
+	r, err := exec.RunVirtual(c.Program, exec.Options{
+		FastLoops: true, Faults: s.opts.Faults, Metrics: s.opts.Metrics, Observer: s.opts.Observer,
+	})
+	c.Measured = r.Seconds
+	return err
 }
 
-func (e *CandidateError) Error() string {
-	kind := "failed"
-	if e.Panicked {
-		kind = "panicked"
-	}
-	return fmt.Sprintf("candidate %d (%s) %s: %v", e.Index, e.Strategy, kind, e.Err)
+// ranked is a candidate with its enumeration index and the walk's score.
+type ranked struct {
+	c     *Candidate
+	idx   int
+	score float64
 }
 
-func (e *CandidateError) Unwrap() error { return e.Err }
-
-// evalOnce compiles and evaluates one schedule point with panic isolation:
-// any panic reachable from lowering, simulation or estimation (ir division
-// by zero, tensor index violations, machine invariants, ...) is converted
-// into an error instead of unwinding through the worker pool.
-func evalOnce(op Operator, st dsl.Strategy, eval func(*Candidate) error) (c *Candidate, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, panicked = nil, true
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	prog, cerr := op.Compile(st)
-	if cerr != nil {
-		return nil, nil, false // invalid point (capacity, layout rules, ...)
+// walk sends the whole schedule space through the candidate loop, scores
+// every valid point with eval (on the workers) and keeps the k best; in
+// index order, so equal scores keep the lower index. A measured walk ranks
+// by the run and charges each one its compile+launch overhead.
+func (s *session) walk(k int, measured bool, eval func(*Candidate) error) ([]ranked, error) {
+	gauge, key := "autotune_best_predicted_seconds", "predicted_ms"
+	if measured {
+		gauge, key = "autotune_best_measured_seconds", "measured_ms"
 	}
-	cand := &Candidate{Strategy: st, Program: prog}
-	if everr := eval(cand); everr != nil {
-		return nil, everr, false
+	var top []ranked // ascending by score, at most k
+	best := 0.0      // top[0].score, 0 while no candidate is valid
+	stream := func(yield func(int, dsl.Strategy) bool) error {
+		return schedule.Stream(s.op.Seed(), s.op.Space(), yield)
 	}
-	return cand, nil, false
-}
-
-// evalCandidate is evalOnce plus the failure policy: panics become
-// per-candidate errors immediately; transient errors are retried under the
-// backoff policy and become per-candidate errors when exhausted; anything
-// else stays fatal (the seed behaviour for e.g. cost-model failures).
-func evalCandidate(op Operator, idx int, st dsl.Strategy,
-	eval func(*Candidate) error, opts Options) (*Candidate, error) {
-	if opts.Observer.Enabled() {
-		opts.Observer.Emit(obsrv.LevelDebug, "candidate.start",
-			obsrv.F("index", idx), obsrv.F("strategy", st.String()))
-	}
-	for attempt := 1; ; attempt++ {
-		c, err, panicked := evalOnce(op, st, eval)
-		switch {
-		case err == nil:
-			return c, nil // c may be nil: invalid point
-		case panicked:
-			opts.Metrics.Counter("autotune_candidates_failed_total").Inc()
-			opts.Observer.Emit(obsrv.LevelError, "candidate.panic",
-				obsrv.F("index", idx), obsrv.F("strategy", st.String()), obsrv.F("error", err))
-			return nil, &CandidateError{Index: idx, Strategy: st, Panicked: true, Err: err}
-		case faults.IsTransient(err):
-			if attempt < opts.Retry.attempts() {
-				d := opts.Retry.delay(attempt, idx)
-				opts.Metrics.Counter("autotune_retries_total").Inc()
-				opts.Metrics.Gauge("autotune_backoff_seconds").Add(d.Seconds())
-				opts.Observer.Emit(obsrv.LevelWarn, "candidate.retry",
-					obsrv.F("index", idx), obsrv.F("attempt", attempt),
-					obsrv.Ms("backoff_ms", d.Seconds()), obsrv.F("error", err))
-				time.Sleep(d)
-				continue
+	var err error
+	s.space, err = s.runPool(stream, eval, func(idx int, c *Candidate) {
+		s.done++
+		s.opts.Metrics.Counter("autotune_candidates_total").Inc()
+		if c != nil {
+			s.valid++
+			s.opts.Metrics.Counter("autotune_candidates_valid_total").Inc()
+			r := ranked{c: c, idx: idx, score: c.Predicted}
+			if measured {
+				r.score = c.Measured
+				s.machine += CompileLaunchOverheadSeconds + c.Measured
 			}
-			opts.Metrics.Counter("autotune_candidates_failed_total").Inc()
-			opts.Observer.Emit(obsrv.LevelWarn, "candidate.failed",
-				obsrv.F("index", idx), obsrv.F("strategy", st.String()), obsrv.F("error", err))
-			return nil, &CandidateError{Index: idx, Strategy: st, Err: err}
-		default:
-			return nil, err
+			pos := len(top)
+			for pos > 0 && top[pos-1].score > r.score {
+				pos--
+			}
+			if pos < k {
+				if len(top) < k {
+					top = append(top, ranked{})
+				}
+				copy(top[pos+1:], top[pos:])
+				top[pos] = r
+			}
+			best = top[0].score
+			s.opts.Metrics.Gauge(gauge).Set(best)
+			if s.opts.Observer.Enabled() {
+				s.opts.Observer.Emit(obsrv.LevelDebug, "candidate.finish",
+					obsrv.F("index", idx), obsrv.F("strategy", c.Strategy.String()),
+					obsrv.Ms(key, r.score))
+			}
 		}
-	}
+		s.job.Progress(s.done, s.valid, s.failed, best*1e3)
+		if s.opts.Progress != nil {
+			s.opts.Progress(s.done, s.valid, best)
+		}
+	})
+	s.opts.Metrics.Counter("autotune_space_points_total").Add(int64(s.space))
+	return top, err
 }
 
 // ModelBased runs swATOP's performance-model autotuner sequentially:
@@ -322,113 +303,53 @@ func ModelBased(op Operator, model *costmodel.GemmModel) (Result, error) {
 	return ModelBasedCtx(context.Background(), op, model, Options{})
 }
 
-// ModelBasedCtx is ModelBased with cancellation and a worker pool: workers
-// pull (index, strategy) pairs off the streaming enumerator, compile and
-// estimate independently, and a deterministic merge keeps the k best
-// predictions ordered by (predicted, index) — so the tuned schedule is
-// identical for any Workers value.
+// ModelBasedCtx is ModelBased with cancellation and a worker pool. The
+// scorer is the static performance model; the finish step runs the TopK
+// predictions and keeps the measured best. With Options.Searcher set it
+// delegates to sample-efficient search instead.
 func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel, opts Options) (Result, error) {
 	if opts.Searcher != nil {
 		return searchBased(ctx, op, model, opts)
 	}
-	t0 := time.Now()
-	opts.job = opts.Observer.Jobs().Start("tune", op.Name())
-	opts.Observer.Emit(obsrv.LevelInfo, "tune.start", obsrv.F("op", op.Name()))
-	ok := false
-	defer func() {
-		if !ok {
-			opts.job.Finish(obsrv.JobFailed)
-		}
-	}()
-	k := opts.topK()
-	var top []ranked // ascending by (Predicted, idx), at most k
-	done, valid := 0, 0
-	sink := func(idx int, c *Candidate, failed int) {
-		done++
-		opts.Metrics.Counter("autotune_candidates_total").Inc()
-		best := 0.0
-		if c != nil {
-			valid++
-			opts.Metrics.Counter("autotune_candidates_valid_total").Inc()
-			top = insertRanked(top, ranked{c: c, idx: idx}, k)
-			opts.Metrics.Gauge("autotune_best_predicted_seconds").Set(top[0].c.Predicted)
-		}
-		if len(top) > 0 {
-			best = top[0].c.Predicted
-		}
-		if c != nil && opts.Observer.Enabled() {
-			opts.Observer.Emit(obsrv.LevelDebug, "candidate.finish",
-				obsrv.F("index", idx), obsrv.F("strategy", c.Strategy.String()),
-				obsrv.Ms("predicted_ms", c.Predicted))
-		}
-		opts.job.Progress(done, valid, failed, best*1e3)
-		if opts.Progress != nil {
-			opts.Progress(done, valid, best)
-		}
-	}
-	eval := func(c *Candidate) error {
+	s := begin(ctx, op, opts, "", "")
+	top, err := s.walk(TopK, false, func(c *Candidate) error {
 		est, err := costmodel.EstimateProgram(model, c.Program)
 		if err != nil {
 			return fmt.Errorf("estimate %s: %w", c.Strategy, err)
 		}
 		c.Predicted = est.Total()
 		return nil
-	}
-	spaceSize, failed, err := runPool(ctx, op, opts, eval, sink)
-	opts.Metrics.Counter("autotune_space_points_total").Add(int64(spaceSize))
-	searchWall := time.Since(t0).Seconds()
-	opts.Metrics.Gauge("autotune_search_wall_seconds").Add(searchWall)
+	})
 	if err != nil {
-		opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-			obsrv.F("op", op.Name()), obsrv.F("error", err))
-		return Result{}, err
+		return s.fail(err)
 	}
-	res := Result{SpaceSize: spaceSize, Valid: valid, FailedCandidates: failed}
 	if len(top) == 0 {
-		err := fmt.Errorf("autotune %s: no valid schedule in space of %d (%d candidates failed)",
-			op.Name(), spaceSize, failed)
-		opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-			obsrv.F("op", op.Name()), obsrv.F("error", err))
-		return Result{}, err
+		return s.fail(fmt.Errorf("autotune %s: no valid schedule in space of %d (%d candidates failed)",
+			op.Name(), s.space, s.failed))
 	}
-	tFinal := time.Now()
-	opts.job.SetDetail("finalists")
+	s.tFinal = time.Now()
+	s.job.SetDetail("finalists")
 	// The k finalists are emitted into one binary and measured in a single
 	// batch job: one compile+launch, k short runs. Each run goes through
 	// the same panic-isolation + retry policy as the search: a finalist
 	// that cannot be measured is skipped, and only measuring *no* finalist
 	// is an error.
-	res.MachineSeconds = CompileLaunchOverheadSeconds
-	runEval := func(c *Candidate) error {
-		secs, err := runTimed(c.Program, opts.Faults, opts.Metrics, opts.Observer)
-		if err != nil {
-			return err
-		}
-		c.Measured = secs
-		return nil
-	}
+	s.machine = CompileLaunchOverheadSeconds
 	var best *Candidate
 	for _, r := range top {
-		c, err := evalCandidate(op, r.idx, r.c.Strategy, runEval, opts)
-		if err != nil {
-			var ce *CandidateError
-			if errors.As(err, &ce) {
-				res.FailedCandidates++
-				continue
-			}
-			err = fmt.Errorf("autotune %s: candidate failed to run: %w", op.Name(), err)
-			opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-				obsrv.F("op", op.Name()), obsrv.F("error", err))
-			return Result{}, err
-		}
-		if c == nil {
-			// Compiled during the search but not for the final run — a
-			// nondeterministic operator; contain it like any failure.
-			res.FailedCandidates++
+		c, err := s.evalCandidate(r.idx, r.c.Strategy, s.measure)
+		var ce *CandidateError
+		if errors.As(err, &ce) || (err == nil && c == nil) {
+			// c == nil: compiled during the search but not for the final
+			// run — a nondeterministic operator; contain it like a failure.
+			s.failed++
 			continue
 		}
+		if err != nil {
+			return s.fail(fmt.Errorf("autotune %s: candidate failed to run: %w", op.Name(), err))
+		}
 		c.Predicted = r.c.Predicted
-		res.MachineSeconds += c.Measured
+		s.machine += c.Measured
 		if opts.Observer.Enabled() {
 			opts.Observer.Emit(obsrv.LevelInfo, "finalist.run",
 				obsrv.F("index", r.idx), obsrv.F("strategy", c.Strategy.String()),
@@ -439,28 +360,9 @@ func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel,
 		}
 	}
 	if best == nil {
-		err := fmt.Errorf("autotune %s: all %d finalists failed to run", op.Name(), len(top))
-		opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-			obsrv.F("op", op.Name()), obsrv.F("error", err))
-		return Result{}, err
+		return s.fail(fmt.Errorf("autotune %s: all %d finalists failed to run", op.Name(), len(top)))
 	}
-	res.Best = *best
-	res.WallSeconds = time.Since(t0).Seconds()
-	opts.Metrics.Gauge("autotune_finalist_wall_seconds").Add(time.Since(tFinal).Seconds())
-	opts.Metrics.Gauge("autotune_best_measured_seconds").Set(best.Measured)
-	opts.Metrics.Gauge("autotune_machine_seconds").Add(res.MachineSeconds)
-	if opts.Observer.Enabled() {
-		opts.Observer.Emit(obsrv.LevelInfo, "tune.finish",
-			obsrv.F("op", op.Name()), obsrv.F("valid", res.Valid),
-			obsrv.F("failed", res.FailedCandidates),
-			obsrv.F("strategy", best.Strategy.String()),
-			obsrv.Ms("best_ms", best.Measured),
-			obsrv.F("machine_seconds", res.MachineSeconds))
-	}
-	opts.job.Progress(done, valid, res.FailedCandidates, best.Measured*1e3)
-	opts.job.Finish(obsrv.JobDone)
-	ok = true
-	return res, nil
+	return s.finish(Result{Best: *best})
 }
 
 // BlackBox runs every valid candidate on the simulator and picks the
@@ -469,294 +371,22 @@ func BlackBox(op Operator) (Result, error) {
 	return BlackBoxCtx(context.Background(), op, Options{})
 }
 
-// BlackBoxCtx is BlackBox with cancellation and a worker pool. The winner
-// is merged by (measured, index) and the machine-time ledger is summed in
-// index order, so both are identical for any Workers value.
+// BlackBoxCtx is BlackBox with cancellation and a worker pool. The scorer
+// is a run on the simulated machine and the walk's single best the result.
 func BlackBoxCtx(ctx context.Context, op Operator, opts Options) (Result, error) {
-	t0 := time.Now()
-	opts.job = opts.Observer.Jobs().Start("tune", op.Name())
-	opts.job.SetDetail("blackbox")
-	opts.Observer.Emit(obsrv.LevelInfo, "tune.start",
-		obsrv.F("op", op.Name()), obsrv.F("mode", "blackbox"))
-	okDone := false
-	defer func() {
-		if !okDone {
-			opts.job.Finish(obsrv.JobFailed)
-		}
-	}()
-	type run struct {
-		idx  int
-		secs float64
-	}
-	var runs []run
-	var best ranked
-	done := 0
-	sink := func(idx int, c *Candidate, failed int) {
-		done++
-		opts.Metrics.Counter("autotune_candidates_total").Inc()
-		if c != nil {
-			runs = append(runs, run{idx: idx, secs: c.Measured})
-			opts.Metrics.Counter("autotune_candidates_valid_total").Inc()
-			if best.c == nil || c.Measured < best.c.Measured ||
-				(c.Measured == best.c.Measured && idx < best.idx) {
-				best = ranked{c: c, idx: idx}
-			}
-			opts.Metrics.Gauge("autotune_best_measured_seconds").Set(best.c.Measured)
-		}
-		b := 0.0
-		if best.c != nil {
-			b = best.c.Measured
-		}
-		if c != nil && opts.Observer.Enabled() {
-			opts.Observer.Emit(obsrv.LevelDebug, "candidate.finish",
-				obsrv.F("index", idx), obsrv.F("strategy", c.Strategy.String()),
-				obsrv.Ms("measured_ms", c.Measured))
-		}
-		opts.job.Progress(done, len(runs), failed, b*1e3)
-		if opts.Progress != nil {
-			opts.Progress(done, len(runs), b)
-		}
-	}
-	eval := func(c *Candidate) error {
-		secs, err := runTimed(c.Program, opts.Faults, opts.Metrics, opts.Observer)
-		if err != nil {
+	s := begin(ctx, op, opts, "blackbox", "blackbox")
+	top, err := s.walk(1, true, func(c *Candidate) error {
+		if err := s.measure(c); err != nil {
 			// %w keeps the transient mark visible to the retry policy.
 			return fmt.Errorf("%s: %w", c.Strategy, err)
 		}
-		c.Measured = secs
 		return nil
-	}
-	spaceSize, failed, err := runPool(ctx, op, opts, eval, sink)
-	opts.Metrics.Counter("autotune_space_points_total").Add(int64(spaceSize))
-	if err != nil {
-		err = fmt.Errorf("blackbox %s: %w", op.Name(), err)
-		opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-			obsrv.F("op", op.Name()), obsrv.F("error", err))
-		return Result{}, err
-	}
-	if best.c == nil {
-		err := fmt.Errorf("blackbox %s: no valid schedule (%d candidates failed)", op.Name(), failed)
-		opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-			obsrv.F("op", op.Name()), obsrv.F("error", err))
-		return Result{}, err
-	}
-	res := Result{SpaceSize: spaceSize, Valid: len(runs), FailedCandidates: failed}
-	// Sum the ledger in enumeration order: float addition is not
-	// associative, and MachineSeconds must not depend on worker timing.
-	sort.Slice(runs, func(i, j int) bool { return runs[i].idx < runs[j].idx })
-	for _, r := range runs {
-		res.MachineSeconds += CompileLaunchOverheadSeconds + r.secs
-	}
-	res.Best = *best.c
-	res.WallSeconds = time.Since(t0).Seconds()
-	opts.Metrics.Gauge("autotune_search_wall_seconds").Add(res.WallSeconds)
-	opts.Metrics.Gauge("autotune_machine_seconds").Add(res.MachineSeconds)
-	if opts.Observer.Enabled() {
-		opts.Observer.Emit(obsrv.LevelInfo, "tune.finish",
-			obsrv.F("op", op.Name()), obsrv.F("mode", "blackbox"),
-			obsrv.F("valid", res.Valid), obsrv.F("failed", res.FailedCandidates),
-			obsrv.F("strategy", res.Best.Strategy.String()),
-			obsrv.Ms("best_ms", res.Best.Measured),
-			obsrv.F("machine_seconds", res.MachineSeconds))
-	}
-	opts.job.Progress(done, res.Valid, res.FailedCandidates, res.Best.Measured*1e3)
-	opts.job.Finish(obsrv.JobDone)
-	okDone = true
-	return res, nil
-}
-
-// ranked is a candidate with its stable enumeration index — the merge key
-// that makes parallel selection reproduce the sequential walk exactly.
-type ranked struct {
-	c   *Candidate
-	idx int
-}
-
-// insertRanked inserts r into the ascending (Predicted, idx) order of top,
-// keeping at most k entries. Processing candidates in any arrival order
-// yields the same final top-k as the sequential stable insertion.
-func insertRanked(top []ranked, r ranked, k int) []ranked {
-	pos := len(top)
-	for pos > 0 && (top[pos-1].c.Predicted > r.c.Predicted ||
-		(top[pos-1].c.Predicted == r.c.Predicted && top[pos-1].idx > r.idx)) {
-		pos--
-	}
-	if pos >= k {
-		return top
-	}
-	top = append(top, ranked{})
-	copy(top[pos+1:], top[pos:])
-	top[pos] = r
-	if len(top) > k {
-		top = top[:k]
-	}
-	return top
-}
-
-// poolResult is one candidate's outcome crossing from a worker back to the
-// collector. cand is nil when the point failed to compile (invalid).
-type poolResult struct {
-	idx  int
-	cand *Candidate
-	err  error
-}
-
-// runPool streams the operator's schedule space through Options.Workers
-// goroutines. Each point is compiled; valid candidates are passed to eval
-// on the worker, and every processed point is delivered to sink on the
-// collector goroutine (so sink needs no locking). Per-candidate failures
-// (recovered panics, exhausted transient retries — see evalCandidate) are
-// recorded and skipped; any other evaluation error is fatal. Returns the
-// number of enumerated points, the number of failed candidates, and the
-// first (lowest-index) fatal error, if any.
-func runPool(ctx context.Context, op Operator, opts Options,
-	eval func(c *Candidate) error, sink func(idx int, c *Candidate, failed int)) (int, int, error) {
-	if opts.Workers < 2 {
-		return runSequential(ctx, op, opts, eval, sink)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type job struct {
-		idx int
-		st  dsl.Strategy
-	}
-	jobs := make(chan job, opts.Workers)
-	results := make(chan poolResult, opts.Workers)
-
-	total := 0
-	var streamErr error
-	prodDone := make(chan struct{})
-	go func() {
-		defer close(prodDone)
-		defer close(jobs)
-		streamErr = schedule.Stream(op.Seed(), op.Space(), func(idx int, st dsl.Strategy) bool {
-			select {
-			case jobs <- job{idx: idx, st: st}:
-				total = idx + 1
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // drain after cancellation
-				}
-				c, err := evalCandidate(op, j.idx, j.st, eval, opts)
-				select {
-				case results <- poolResult{idx: j.idx, cand: c, err: err}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var firstErr error
-	firstErrIdx := -1
-	failed := 0
-	fatal := func(idx int, err error) {
-		// Keep the lowest-index error so failures are reported
-		// deterministically, then stop feeding the pool.
-		if firstErr == nil || idx < firstErrIdx {
-			firstErr, firstErrIdx = err, idx
-		}
-		cancel()
-	}
-	for r := range results {
-		if r.err != nil {
-			var ce *CandidateError
-			if errors.As(r.err, &ce) {
-				failed++
-				if exceeded := opts.MaxCandidateFailures > 0 &&
-					failed > opts.MaxCandidateFailures; exceeded {
-					fatal(r.idx, fmt.Errorf("%d candidate failures exceed limit %d, last: %w",
-						failed, opts.MaxCandidateFailures, r.err))
-					continue
-				}
-				if firstErr == nil {
-					sink(r.idx, nil, failed)
-				}
-				continue
-			}
-			fatal(r.idx, r.err)
-			continue
-		}
-		if firstErr == nil {
-			sink(r.idx, r.cand, failed)
-		}
-	}
-	<-prodDone
-	if firstErr != nil {
-		return 0, failed, firstErr
-	}
-	if streamErr != nil {
-		return 0, failed, streamErr
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, failed, err
-	}
-	return total, failed, nil
-}
-
-// runSequential is the single-goroutine pool: one pass over the stream,
-// evaluating in place. The reference behaviour every worker count must
-// reproduce, including the failure policy.
-func runSequential(ctx context.Context, op Operator, opts Options,
-	eval func(c *Candidate) error, sink func(idx int, c *Candidate, failed int)) (int, int, error) {
-	total, failed := 0, 0
-	var fatalErr error
-	err := schedule.Stream(op.Seed(), op.Space(), func(idx int, st dsl.Strategy) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		total = idx + 1
-		c, err := evalCandidate(op, idx, st, eval, opts)
-		if err != nil {
-			var ce *CandidateError
-			if errors.As(err, &ce) {
-				failed++
-				if opts.MaxCandidateFailures > 0 && failed > opts.MaxCandidateFailures {
-					fatalErr = fmt.Errorf("%d candidate failures exceed limit %d, last: %w",
-						failed, opts.MaxCandidateFailures, err)
-					return false
-				}
-				sink(idx, nil, failed)
-				return true
-			}
-			fatalErr = err
-			return false
-		}
-		sink(idx, c, failed) // c is nil for an invalid point (capacity, layout rules, ...)
-		return true
 	})
 	if err != nil {
-		return 0, failed, err
+		return s.fail(fmt.Errorf("blackbox %s: %w", op.Name(), err))
 	}
-	if fatalErr != nil {
-		return 0, failed, fatalErr
+	if len(top) == 0 {
+		return s.fail(fmt.Errorf("blackbox %s: no valid schedule (%d candidates failed)", op.Name(), s.failed))
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, failed, err
-	}
-	return total, failed, nil
-}
-
-func runTimed(prog *ir.Program, inj *faults.Injector, reg *metrics.Registry, obs *obsrv.Observer) (float64, error) {
-	r, err := exec.RunVirtual(prog, exec.Options{
-		FastLoops: true, Faults: inj, Metrics: reg, Observer: obs,
-	})
-	return r.Seconds, err
+	return s.finish(Result{Best: *top[0].c})
 }

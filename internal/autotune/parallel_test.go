@@ -139,20 +139,3 @@ func TestProgressReportsEveryCandidate(t *testing.T) {
 		t.Fatalf("final best %g, result predicted %g", lastBest, res.Best.Predicted)
 	}
 }
-
-func TestOptionsTopKOverride(t *testing.T) {
-	op := smallOp(t, gemm.Params{M: 256, N: 256, K: 256})
-	one, err := ModelBasedCtx(context.Background(), op, model(t), Options{TopK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := ModelBased(op, model(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// k=1 pays one launch plus a single run; the default pays TopK runs.
-	if one.MachineSeconds >= def.MachineSeconds {
-		t.Fatalf("TopK=1 machine time %v not below default %v",
-			one.MachineSeconds, def.MachineSeconds)
-	}
-}

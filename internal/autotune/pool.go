@@ -1,0 +1,287 @@
+package autotune
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"swatop/internal/dsl"
+	"swatop/internal/faults"
+	"swatop/internal/obsrv"
+)
+
+// Retry is a capped exponential backoff policy for transient measurement
+// errors: attempt i (1-based) sleeps BaseDelay·2^(i-1), capped at MaxDelay,
+// with deterministic ±25 % jitter derived from the candidate index — so
+// retry timing never introduces run-to-run nondeterminism.
+type Retry struct {
+	// Attempts is the total number of tries per measurement; values <= 1
+	// mean a single try (no retry).
+	Attempts int
+	// BaseDelay is the first retry's sleep (default 1ms when retrying).
+	BaseDelay time.Duration
+	// MaxDelay caps the exponential growth (default 250ms).
+	MaxDelay time.Duration
+}
+
+// delay computes the backoff before retry number `attempt` (1-based count
+// of failures so far) of candidate idx.
+func (r Retry) delay(attempt, idx int) time.Duration {
+	base := r.BaseDelay
+	if base <= 0 {
+		base = time.Millisecond
+	}
+	max := r.MaxDelay
+	if max <= 0 {
+		max = 250 * time.Millisecond
+	}
+	d := base << uint(attempt-1)
+	if d > max || d <= 0 { // d <= 0 guards shift overflow
+		d = max
+	}
+	// Full determinism: jitter is a hash of (idx, attempt), not a random
+	// draw. Spread over [0.75d, 1.25d].
+	h := uint64(idx)*0x9e3779b97f4a7c15 + uint64(attempt)*0xbf58476d1ce4e5b9
+	h ^= h >> 29
+	frac := float64(h%1024) / 1024 // [0,1)
+	return time.Duration(float64(d) * (0.75 + 0.5*frac))
+}
+
+// CandidateError is one candidate's contained evaluation failure: a panic
+// during compile/estimate/run, or a transient measurement error that
+// survived every retry. The tuner records it, skips the candidate and
+// keeps searching; only Options.MaxCandidateFailures of them abort it.
+type CandidateError struct {
+	// Index is the candidate's stable enumeration index.
+	Index int
+	// Strategy is the schedule that failed.
+	Strategy dsl.Strategy
+	// Panicked distinguishes a recovered panic from an exhausted retry.
+	Panicked bool
+	// Err is the underlying error (for a panic, the recovered value).
+	Err error
+}
+
+func (e *CandidateError) Error() string {
+	kind := "failed"
+	if e.Panicked {
+		kind = "panicked"
+	}
+	return fmt.Sprintf("candidate %d (%s) %s: %v", e.Index, e.Strategy, kind, e.Err)
+}
+
+func (e *CandidateError) Unwrap() error { return e.Err }
+
+// evalOnce compiles and evaluates one schedule point with panic isolation:
+// any panic reachable from lowering, simulation or estimation (ir division
+// by zero, tensor index violations, machine invariants, ...) is converted
+// into an error instead of unwinding through the worker pool.
+func evalOnce(op Operator, st dsl.Strategy, eval func(*Candidate) error) (c *Candidate, err error, panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			c, panicked = nil, true
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	prog, cerr := op.Compile(st)
+	if cerr != nil {
+		return nil, nil, false // invalid point (capacity, layout rules, ...)
+	}
+	cand := &Candidate{Strategy: st, Program: prog}
+	if everr := eval(cand); everr != nil {
+		return nil, everr, false
+	}
+	return cand, nil, false
+}
+
+// evalCandidate is evalOnce plus the failure policy: panics become
+// per-candidate errors immediately; transient errors are retried under the
+// backoff policy and become per-candidate errors when exhausted; anything
+// else stays fatal (the seed behaviour for e.g. cost-model failures).
+func (s *session) evalCandidate(idx int, st dsl.Strategy, eval func(*Candidate) error) (*Candidate, error) {
+	op, opts := s.op, s.opts
+	if opts.Observer.Enabled() {
+		opts.Observer.Emit(obsrv.LevelDebug, "candidate.start",
+			obsrv.F("index", idx), obsrv.F("strategy", st.String()))
+	}
+	for attempt := 1; ; attempt++ {
+		c, err, panicked := evalOnce(op, st, eval)
+		switch {
+		case err == nil:
+			return c, nil // c may be nil: invalid point
+		case !panicked && !faults.IsTransient(err):
+			return nil, err
+		case !panicked && attempt < opts.Retry.Attempts:
+			d := opts.Retry.delay(attempt, idx)
+			opts.Metrics.Counter("autotune_retries_total").Inc()
+			opts.Metrics.Gauge("autotune_backoff_seconds").Add(d.Seconds())
+			opts.Observer.Emit(obsrv.LevelWarn, "candidate.retry",
+				obsrv.F("index", idx), obsrv.F("attempt", attempt),
+				obsrv.Ms("backoff_ms", d.Seconds()), obsrv.F("error", err))
+			time.Sleep(d)
+			continue
+		}
+		kind, level := "candidate.failed", obsrv.LevelWarn
+		if panicked {
+			kind, level = "candidate.panic", obsrv.LevelError
+		}
+		opts.Metrics.Counter("autotune_candidates_failed_total").Inc()
+		opts.Observer.Emit(level, kind,
+			obsrv.F("index", idx), obsrv.F("strategy", st.String()), obsrv.F("error", err))
+		return nil, &CandidateError{Index: idx, Strategy: st, Panicked: panicked, Err: err}
+	}
+}
+
+// source feeds one run of the candidate loop: it calls yield with each
+// (index, strategy) pair in ascending index order until yield returns
+// false. The two walks stream the whole schedule space; a searcher's
+// measure batch yields its chosen indices.
+type source func(yield func(idx int, st dsl.Strategy) bool) error
+
+// runPool sends src's candidates through the loop: each is compiled and,
+// when valid, passed to eval — on Options.Workers goroutines, or in place
+// by runSequential below two. Either way the outcomes reach take in index
+// order on the caller's goroutine (sink needs no locking). take is the
+// failure policy: a CandidateError (see evalCandidate) is counted against
+// MaxCandidateFailures and the point skipped, any other evaluation error is
+// fatal, and the first of either stops the run and is what it reports. sink
+// sees every processed point, a nil candidate for an invalid or failed one.
+// Returns how many points were processed.
+func (s *session) runPool(src source, eval func(*Candidate) error, sink func(idx int, c *Candidate)) (int, error) {
+	total := 0
+	var fatal error
+	take := func(idx int, c *Candidate, err error) bool {
+		var ce *CandidateError
+		if errors.As(err, &ce) {
+			s.failed++
+			if limit := s.opts.MaxCandidateFailures; limit > 0 && s.failed > limit {
+				fatal = fmt.Errorf("%d candidate failures exceed limit %d, last: %w", s.failed, limit, err)
+				return false
+			}
+			c = nil
+		} else if err != nil {
+			fatal = err
+			return false
+		}
+		total++
+		sink(idx, c)
+		return true
+	}
+	run := s.runWorkers
+	if s.opts.Workers < 2 {
+		run = s.runSequential
+	}
+	// What stopped the run: the candidate error, else the source's own
+	// error, else the caller's cancellation.
+	err := run(src, eval, take)
+	if fatal != nil {
+		err = fatal
+	} else if err == nil {
+		err = s.ctx.Err()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return total, nil
+}
+
+// runSequential is the single-goroutine loop: one pass over the source,
+// evaluating in place. It is the reference every worker count must
+// reproduce, and what the worker-invariance tests compare runWorkers with.
+func (s *session) runSequential(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) error {
+	return src(func(idx int, st dsl.Strategy) bool {
+		if s.ctx.Err() != nil {
+			return false
+		}
+		c, err := s.evalCandidate(idx, st, eval)
+		return take(idx, c, err)
+	})
+}
+
+// poolItem is one candidate's trip through the workers: dispatched with its
+// position in the source's order, index and strategy, returned with the
+// outcome (cand is nil when the point did not compile).
+type poolItem struct {
+	seq, idx int
+	st       dsl.Strategy
+	cand     *Candidate
+	err      error
+}
+
+// runWorkers is runSequential on Options.Workers goroutines. The collector
+// — the caller's goroutine — puts the outcomes back into source order
+// before take sees them: the failure limit trips on the same candidate and
+// the run stops at the same error, whatever the workers' timing.
+func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) error {
+	workers := s.opts.Workers
+	ctx, cancel := context.WithCancel(s.ctx)
+	defer cancel()
+
+	jobs := make(chan poolItem, workers)
+	results := make(chan poolItem, workers)
+	// window bounds how far the workers run ahead of the oldest unfinished
+	// candidate, and so how many outcomes the collector holds back: a token
+	// per dispatch, returned per outcome taken. Sixteen per worker keeps one
+	// slow candidate from idling the rest.
+	window := make(chan struct{}, 16*workers)
+	var srcErr error
+	var wg sync.WaitGroup // the producer and the workers
+	wg.Add(1 + workers)
+	go func() {
+		defer wg.Done()
+		defer close(jobs)
+		seq := 0
+		srcErr = src(func(idx int, st dsl.Strategy) bool {
+			select {
+			case window <- struct{}{}:
+			case <-ctx.Done():
+				return false
+			}
+			select {
+			case jobs <- poolItem{seq: seq, idx: idx, st: st}:
+				seq++
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
+	}()
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				if ctx.Err() != nil {
+					continue // drain after cancellation
+				}
+				j.cand, j.err = s.evalCandidate(j.idx, j.st, eval)
+				select {
+				case results <- j:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+
+	held := map[int]poolItem{} // outcomes that arrived ahead of their turn
+	next, stopped := 0, false
+	for r := range results {
+		held[r.seq] = r
+		for r, ok := held[next]; ok && !stopped; r, ok = held[next] {
+			delete(held, next)
+			next++
+			<-window
+			if !take(r.idx, r.cand, r.err) {
+				stopped = true
+				cancel() // everything before r is done; nothing after it counts
+			}
+		}
+	}
+	return srcErr
+}

@@ -1,22 +1,19 @@
 // search.go is the sample-efficient tuning path: ModelBasedCtx with
 // Options.Searcher set delegates here instead of walking the whole space.
 // This file owns everything the searcher must not know about — schedule
-// compilation, the analytic cost model, the measurement worker pool with
-// its panic isolation and retry policy, transfer seeding from the cache
-// library, and the metrics/obsrv instrumentation — and hands the searcher a
-// pure search.Problem over the mixed-radix index space.
+// compilation, the analytic cost model, measuring a batch through the
+// candidate loop, transfer seeding from the cache library, and the
+// metrics/obsrv instrumentation — and hands the searcher a pure
+// search.Problem over the mixed-radix index space.
 package autotune
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"sync"
-	"time"
 
 	"swatop/internal/costmodel"
+	"swatop/internal/dsl"
 	"swatop/internal/obsrv"
 	"swatop/internal/schedule"
 	"swatop/internal/search"
@@ -34,24 +31,14 @@ const TransferSeeds = 3
 // searchBased tunes op with the configured Searcher. The determinism
 // contract of the exhaustive walk carries over: given (SearchSeed, budget)
 // the chosen schedule and the measured-candidate ledger are bit-identical
-// for every Workers value, because measurement batches are merged in index
-// order before the searcher sees them.
+// for every Workers value, because a measure batch is one run of the
+// candidate loop and its sink sees the batch in index order.
 func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, opts Options) (Result, error) {
-	t0 := time.Now()
-	opts.job = opts.Observer.Jobs().Start("tune", op.Name())
-	opts.job.SetDetail("search:" + opts.Searcher.Name())
-	opts.Observer.Emit(obsrv.LevelInfo, "tune.start",
-		obsrv.F("op", op.Name()), obsrv.F("mode", opts.Searcher.Name()))
-	ok := false
-	defer func() {
-		if !ok {
-			opts.job.Finish(obsrv.JobFailed)
-		}
-	}()
-
+	name := opts.Searcher.Name()
+	s := begin(ctx, op, opts, name, "search:"+name)
 	dims, err := schedule.Describe(op.Seed(), op.Space())
 	if err != nil {
-		return Result{}, fmt.Errorf("autotune %s: %w", op.Name(), err)
+		return s.fail(fmt.Errorf("autotune %s: %w", op.Name(), err))
 	}
 	size := dims.Size()
 	frac := opts.SearchBudget
@@ -83,100 +70,54 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		}
 	}
 
-	// Eval: compile + analytic estimate + featurize, never run. Panics and
-	// estimator errors make the point infeasible — the searcher routes
-	// around it, same as a failed compile.
-	evalPoint := func(idx int) (search.Point, bool) {
+	// evaluate: compile + analytic estimate + featurize, never run. Panics
+	// and estimator errors make the point infeasible (nil) — the searcher
+	// routes around it, same as a failed compile.
+	evaluate := func(idx int) (c *Candidate, feat []float64) {
 		st := dims.At(idx)
-		var feat []float64
-		var total float64
-		c, everr, _ := evalOnce(op, st, func(c *Candidate) error {
-			est, eerr := costmodel.EstimateProgram(model, c.Program)
-			if eerr != nil {
-				return eerr
+		c, err, _ := evalOnce(op, st, func(c *Candidate) error {
+			est, err := costmodel.EstimateProgram(model, c.Program)
+			if err != nil {
+				return err
 			}
-			total = est.Total()
+			c.Predicted = est.Total()
 			feat = search.Features(op.Seed(), st, c.Program, est)
 			return nil
 		})
-		if everr != nil || c == nil {
-			return search.Point{}, false
+		if err != nil {
+			return nil, nil
 		}
-		return search.Point{Index: idx, Features: feat, Estimate: total}, true
+		return c, feat
 	}
 
 	// Measure: one batch = one compile+launch overhead charge plus the
-	// measured runs, parallel across Workers, merged in index order so the
-	// ledger (and every downstream model fit) is worker-count-invariant.
-	var (
-		machine  = 0.0
-		failed   = 0
-		fatalErr error
-		mu       sync.Mutex
-	)
+	// measured runs, as one run of the candidate loop over the batch's
+	// (ascending) indices. A batch that stops — on a fatal error, the
+	// failure limit, which counts across batches, or cancellation — ends the
+	// search: later batches measure nothing.
+	var fatal error
 	measureBatch := func(indices []int) []search.Measured {
-		if fatalErr != nil || ctx.Err() != nil || len(indices) == 0 {
+		if fatal != nil || len(indices) == 0 {
 			return nil
 		}
-		machine += CompileLaunchOverheadSeconds
+		s.machine += CompileLaunchOverheadSeconds
 		out := make([]search.Measured, 0, len(indices))
-		workers := opts.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > len(indices) {
-			workers = len(indices)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range jobs {
-					c, cerr := evalCandidate(op, idx, dims.At(idx), func(c *Candidate) error {
-						secs, rerr := runTimed(c.Program, opts.Faults, opts.Metrics, opts.Observer)
-						if rerr != nil {
-							return rerr
-						}
-						c.Measured = secs
-						return nil
-					}, opts)
-					mu.Lock()
-					switch {
-					case cerr != nil:
-						var ce *CandidateError
-						if errors.As(cerr, &ce) {
-							failed++
-							if opts.MaxCandidateFailures > 0 && failed > opts.MaxCandidateFailures {
-								fatalErr = fmt.Errorf("%d candidate failures exceed limit %d, last: %w",
-									failed, opts.MaxCandidateFailures, cerr)
-							}
-						} else if fatalErr == nil {
-							fatalErr = cerr
-						}
-					case c != nil:
-						opts.Metrics.Counter("autotune_candidates_total").Inc()
-						opts.Metrics.Counter("autotune_candidates_valid_total").Inc()
-						out = append(out, search.Measured{Index: idx, Seconds: c.Measured})
-					default:
-						// Evaluated as feasible but no longer compiles — a
-						// nondeterministic operator; contain like a failure.
-						failed++
-					}
-					mu.Unlock()
+		batch := func(yield func(int, dsl.Strategy) bool) error {
+			for _, idx := range indices {
+				if !yield(idx, dims.At(idx)) {
+					break
 				}
-			}()
+			}
+			return nil
 		}
-		for _, idx := range indices {
-			jobs <- idx
-		}
-		close(jobs)
-		wg.Wait()
-		sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-		for _, m := range out {
-			machine += m.Seconds
-		}
+		_, fatal = s.runPool(batch, s.measure, func(idx int, c *Candidate) {
+			if c != nil {
+				opts.Metrics.Counter("autotune_candidates_total").Inc()
+				opts.Metrics.Counter("autotune_candidates_valid_total").Inc()
+				out = append(out, search.Measured{Index: idx, Seconds: c.Measured})
+				s.machine += c.Measured
+			}
+		})
 		return out
 	}
 
@@ -193,10 +134,7 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		if ri.BestIndex >= 0 {
 			opts.Metrics.Gauge("autotune_best_measured_seconds").Set(ri.BestSeconds)
 		}
-		mu.Lock()
-		f := failed
-		mu.Unlock()
-		opts.job.Progress(ri.Proposed, ri.MeasuredN, f, ri.BestSeconds*1e3)
+		s.job.Progress(ri.Proposed, ri.MeasuredN, s.failed, ri.BestSeconds*1e3)
 		if opts.Progress != nil {
 			opts.Progress(ri.Proposed, ri.MeasuredN, ri.BestSeconds)
 		}
@@ -220,55 +158,37 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		Budget:  budget,
 		Seed:    seed,
 		Seeds:   seeds,
-		Eval:    evalPoint,
+		Eval: func(idx int) (search.Point, bool) {
+			c, feat := evaluate(idx)
+			if c == nil {
+				return search.Point{}, false
+			}
+			return search.Point{Index: idx, Features: feat, Estimate: c.Predicted}, true
+		},
 		Measure: measureBatch,
 		Report:  report,
 	})
-	if fatalErr != nil {
-		serr = fatalErr
+	if fatal != nil {
+		serr = fatal
 	} else if serr == nil {
 		serr = ctx.Err()
 	}
 	if serr != nil {
-		serr = fmt.Errorf("autotune %s (%s): %w", op.Name(), opts.Searcher.Name(), serr)
-		opts.Observer.Emit(obsrv.LevelError, "tune.fail",
-			obsrv.F("op", op.Name()), obsrv.F("error", serr))
-		return Result{}, serr
+		return s.fail(fmt.Errorf("autotune %s (%s): %w", op.Name(), name, serr))
 	}
 
 	// Rebuild the winning candidate (the searcher only tracks indices).
-	st := dims.At(sres.BestIndex)
-	pt, _ := evalPoint(sres.BestIndex)
-	prog, cerr := op.Compile(st)
-	if cerr != nil {
-		return Result{}, fmt.Errorf("autotune %s: recompile winner %s: %w", op.Name(), st, cerr)
+	best, _ := evaluate(sres.BestIndex)
+	if best == nil {
+		return s.fail(fmt.Errorf("autotune %s: recompile winner %s failed", op.Name(), dims.At(sres.BestIndex)))
 	}
-	res := Result{
-		Best:             Candidate{Strategy: st, Program: prog, Predicted: pt.Estimate, Measured: sres.BestSeconds},
-		SpaceSize:        size,
-		Valid:            len(sres.Ledger),
-		FailedCandidates: failed,
-		MachineSeconds:   machine,
-		Proposed:         sres.Proposed,
-		Measured:         len(sres.Ledger),
-		Rounds:           sres.Rounds,
-		Converged:        sres.Converged,
-		WallSeconds:      time.Since(t0).Seconds(),
-	}
-	opts.Metrics.Gauge("autotune_search_wall_seconds").Add(res.WallSeconds)
-	opts.Metrics.Gauge("autotune_best_measured_seconds").Set(res.Best.Measured)
-	opts.Metrics.Gauge("autotune_machine_seconds").Add(res.MachineSeconds)
-	if opts.Observer.Enabled() {
-		opts.Observer.Emit(obsrv.LevelInfo, "tune.finish",
-			obsrv.F("op", op.Name()), obsrv.F("mode", opts.Searcher.Name()),
-			obsrv.F("valid", res.Valid), obsrv.F("failed", res.FailedCandidates),
-			obsrv.F("proposed", res.Proposed), obsrv.F("rounds", res.Rounds),
-			obsrv.F("space", size), obsrv.F("strategy", st.String()),
-			obsrv.Ms("best_ms", res.Best.Measured),
-			obsrv.F("machine_seconds", res.MachineSeconds))
-	}
-	opts.job.Progress(res.Proposed, res.Valid, res.FailedCandidates, res.Best.Measured*1e3)
-	opts.job.Finish(obsrv.JobDone)
-	ok = true
-	return res, nil
+	best.Measured = sres.BestSeconds
+	s.done, s.valid, s.space = sres.Proposed, len(sres.Ledger), size
+	return s.finish(Result{
+		Best:      *best,
+		Proposed:  sres.Proposed,
+		Measured:  len(sres.Ledger),
+		Rounds:    sres.Rounds,
+		Converged: sres.Converged,
+	}, obsrv.F("proposed", sres.Proposed), obsrv.F("rounds", sres.Rounds), obsrv.F("space", size))
 }

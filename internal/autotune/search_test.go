@@ -57,14 +57,6 @@ func TestEvoSearcherWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestAnnealSearcherWorkerCountInvariance(t *testing.T) {
-	_, seq := tuneWithSearcher(t, &search.Annealing{}, 1, 7)
-	_, par := tuneWithSearcher(t, &search.Annealing{}, 4, 7)
-	if seq != par {
-		t.Fatalf("diverged:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
 // TestSearcherRespectsBudget: the searcher must measure at most the budget
 // fraction of the space (plus nothing — the floor only applies to tiny
 // spaces) and still land within 5% of the exhaustive walk's machine-second

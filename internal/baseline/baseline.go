@@ -332,24 +332,32 @@ func FallbackGemm(p gemm.Params) (*ir.Program, error) {
 	return XMathGemm(p)
 }
 
+// ManualConv builds the manual-library convolution of a method (swDNN for
+// implicit, xMath-based manual code otherwise): the one place the method
+// name → baseline table is written. An error for implicit at unsupported
+// batch sizes mirrors swDNN's real limitation.
+func ManualConv(method string, s conv.Shape) (*ir.Program, error) {
+	switch method {
+	case conv.Implicit:
+		return SwDNNImplicit(s)
+	case conv.Explicit:
+		return ManualExplicit(s)
+	case conv.Winograd:
+		return ManualWinograd(s)
+	}
+	return nil, fmt.Errorf("baseline: unknown conv method %q", method)
+}
+
 // FallbackConv returns the manual-library convolution for a method — the
 // degraded-mode answer when autotuning cannot complete. Where the
 // method-matched manual code has a hard restriction (swDNN's batch
 // multiple), it degrades one step further to the manual explicit-GEMM
 // path, which accepts any shape, rather than failing.
 func FallbackConv(method string, s conv.Shape) (*ir.Program, error) {
-	switch method {
-	case "implicit":
-		if s.B%SwDNNBatchMultiple == 0 {
-			return SwDNNImplicit(s)
-		}
-		return ManualExplicit(s)
-	case "explicit":
-		return ManualExplicit(s)
-	case "winograd":
-		return ManualWinograd(s)
+	if method == conv.Implicit && s.B%SwDNNBatchMultiple != 0 {
+		method = conv.Explicit
 	}
-	return nil, fmt.Errorf("baseline: unknown conv method %q", method)
+	return ManualConv(method, s)
 }
 
 // MarkSpecialized flags every GEMM call in a program as eligible for the

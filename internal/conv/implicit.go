@@ -141,14 +141,7 @@ func Bind(prog *ir.Program) (map[string]*tensor.Tensor, error) {
 		if decl.Scratch {
 			continue
 		}
-		layout := decl.Layout
-		if layout == nil {
-			layout = make([]int, len(decl.Dims))
-			for i := range layout {
-				layout[i] = i
-			}
-		}
-		t, err := tensor.NewWithLayout(decl.Name, decl.Dims, layout)
+		t, err := tensor.NewWithLayout(decl.Name, decl.Dims, decl.Layout)
 		if err != nil {
 			return nil, err
 		}

@@ -52,14 +52,7 @@ type Estimator struct {
 func NewEstimator(model *GemmModel, p *ir.Program) (*Estimator, error) {
 	est := &Estimator{Model: model, tensors: map[string]*tensor.Tensor{}, env: ir.Env{}}
 	for _, d := range p.Tensors {
-		layout := d.Layout
-		if layout == nil {
-			layout = make([]int, len(d.Dims))
-			for i := range layout {
-				layout[i] = i
-			}
-		}
-		t, err := tensor.NewVirtual(d.Name, d.Dims, layout)
+		t, err := tensor.NewVirtual(d.Name, d.Dims, d.Layout)
 		if err != nil {
 			return nil, err
 		}
@@ -189,30 +182,9 @@ func (e *Estimator) dma(mv *ir.RegionMove) (Estimate, error) {
 }
 
 func (e *Estimator) transform(x *ir.Transform) (Estimate, error) {
-	switch x.Kind {
-	case ir.ZeroFill:
-		return Estimate{Compute: primitives.ZeroFillTime(int(x.Args[0].Eval(e.env)))}, nil
-	case ir.CopySPM:
-		return Estimate{Compute: primitives.CopySPMTime(int(x.Args[0].Eval(e.env)))}, nil
-	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
-		t, err := primitives.WinoTransformTime(x.Kind.Phase(), int(x.Args[0].Eval(e.env)))
-		if err != nil {
-			return Estimate{}, err
-		}
-		return Estimate{Compute: t}, nil
-	case ir.WinoInputSlab, ir.WinoOutputSlab:
-		nslabs := int(x.Args[0].Eval(e.env))
-		tilesC := int(x.Args[1].Eval(e.env))
-		bIdx := 3
-		if x.Kind == ir.WinoOutputSlab {
-			bIdx = 2
-		}
-		b := int(x.Args[bIdx].Eval(e.env))
-		t, err := primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return Estimate{Compute: t}, nil
+	t, err := primitives.TransformTime(x, func(i int) int { return int(x.Args[i].Eval(e.env)) })
+	if err != nil {
+		return Estimate{}, fmt.Errorf("estimator: %w", err)
 	}
-	return Estimate{}, fmt.Errorf("estimator: unknown transform %v", x.Kind)
+	return Estimate{Compute: t}, nil
 }

@@ -351,3 +351,15 @@ func (st Strategy) String() string {
 	s += fmt.Sprintf(" %s db=%v pad=%s", st.Vec, st.DoubleBuffer, st.Padding)
 	return s
 }
+
+// Operator is anything tunable: it exposes its schedule seed and space and
+// compiles one strategy into an executable program. Single-nest operators
+// use core.Compile; multi-phase operators (Winograd, explicit convolution)
+// compose their own programs. Compile must be safe for concurrent calls:
+// the tuner's worker pool compiles many strategies of one operator at once.
+type Operator interface {
+	Name() string
+	Seed() *Seed
+	Space() *Space
+	Compile(st Strategy) (*ir.Program, error)
+}

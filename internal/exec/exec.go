@@ -146,18 +146,14 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 	base := st.m.Now()
 	for i, decl := range p.Tensors {
 		if decl.Scratch {
-			layout := decl.Layout
-			if layout == nil {
-				layout = identityPerm(len(decl.Dims))
-			}
 			var t *tensor.Tensor
 			var err error
 			if opt.Functional {
-				t, err = tensor.NewWithLayout(decl.Name, decl.Dims, layout)
+				t, err = tensor.NewWithLayout(decl.Name, decl.Dims, decl.Layout)
 			} else {
 				// Timed-only runs never touch data; keep big workspaces
 				// (im2col matrices, Winograd planes) virtual.
-				t, err = tensor.NewVirtual(decl.Name, decl.Dims, layout)
+				t, err = tensor.NewVirtual(decl.Name, decl.Dims, decl.Layout)
 			}
 			if err != nil {
 				return Result{}, fmt.Errorf("exec: scratch %s: %w", decl.Name, err)
@@ -217,14 +213,6 @@ func newMachine(opt Options) *sw26010.Machine {
 	return m
 }
 
-func identityPerm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
 // BindVirtual builds data-less operand bindings matching a program's
 // declarations and chosen layouts. Timed-only runs (autotuning, large
 // benchmarks) never touch tensor data, so no storage is allocated.
@@ -234,11 +222,7 @@ func BindVirtual(p *ir.Program) (map[string]*tensor.Tensor, error) {
 		if decl.Scratch {
 			continue
 		}
-		layout := decl.Layout
-		if layout == nil {
-			layout = identityPerm(len(decl.Dims))
-		}
-		t, err := tensor.NewVirtual(decl.Name, decl.Dims, layout)
+		t, err := tensor.NewVirtual(decl.Name, decl.Dims, decl.Layout)
 		if err != nil {
 			return nil, err
 		}
@@ -574,35 +558,35 @@ func (st *state) transform(n *node, x *ir.Transform) error {
 	}
 	args := st.codes[n.code+2:][:len(x.Args)]
 	arg := func(i int) int { return int(st.frame.Eval(args[i])) }
-	// Per kind: the kernel's cost, the kernel itself, and how many elements
-	// it touches from each operand's offset (the Winograd kernels check
-	// their own spans).
+	secs, err := primitives.TransformTime(x, arg)
+	if err != nil {
+		return err
+	}
+	st.m.AdvanceCompute(secs)
+	if !st.opt.Functional {
+		return nil
+	}
+	// Per kind: the kernel and how many elements it touches from each
+	// operand's offset (the Winograd kernels check their own spans).
 	var (
-		secs   float64
-		err    error
 		span   int
 		kernel func(src, dst []float32) error
 	)
 	switch x.Kind {
 	case ir.ZeroFill:
-		cnt := arg(0)
-		secs, span = primitives.ZeroFillTime(cnt), cnt
-		kernel = func(_, dst []float32) error { return primitives.ZeroFill(dst, cnt) }
+		span = arg(0)
+		kernel = func(_, dst []float32) error { return primitives.ZeroFill(dst, span) }
 	case ir.CopySPM:
-		cnt := arg(0)
-		secs, span = primitives.CopySPMTime(cnt), cnt
-		kernel = func(src, dst []float32) error { return primitives.CopySPM(src, dst, cnt) }
+		span = arg(0)
+		kernel = func(src, dst []float32) error { return primitives.CopySPM(src, dst, span) }
 	case ir.WinoInputSlab:
 		nslabs, tilesC, ci, b := arg(0), arg(1), arg(2), arg(3)
-		secs, err = primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
 		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, tilesC, ci, b) }
 	case ir.WinoOutputSlab:
 		nslabs, tilesC, b := arg(0), arg(1), arg(2)
-		secs, err = primitives.WinoSlabTime(x.Kind.Phase(), nslabs*tilesC*b)
 		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, tilesC, b) }
-	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
+	default: // a Winograd tile kind: TransformTime knew it
 		cnt := arg(0)
-		secs, err = primitives.WinoTransformTime(x.Kind.Phase(), cnt)
 		tile := primitives.WinoOutputTransform
 		switch x.Kind {
 		case ir.WinoInputTile:
@@ -611,15 +595,6 @@ func (st *state) transform(n *node, x *ir.Transform) error {
 			tile = primitives.WinoFilterTransform
 		}
 		kernel = func(src, dst []float32) error { return tile(src, dst, cnt) }
-	default:
-		return fmt.Errorf("unknown transform %v", x.Kind)
-	}
-	if err != nil {
-		return err
-	}
-	st.m.AdvanceCompute(secs)
-	if !st.opt.Functional {
-		return nil
 	}
 	var src []float32
 	if x.Kind != ir.ZeroFill { // which has no source

@@ -69,11 +69,7 @@ func noteRequestArms(t *testing.T, p *ir.Program, covered map[string]bool) {
 	t.Helper()
 	tensors := map[string]*tensor.Tensor{}
 	for _, d := range p.Tensors {
-		layout := d.Layout
-		if layout == nil {
-			layout = identityPerm(len(d.Dims))
-		}
-		x, err := tensor.NewVirtual(d.Name, d.Dims, layout)
+		x, err := tensor.NewVirtual(d.Name, d.Dims, d.Layout)
 		if err != nil {
 			t.Fatal(err)
 		}

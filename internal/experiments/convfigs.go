@@ -32,41 +32,13 @@ type LayerRow struct {
 }
 
 // manualFor builds the best manual implementation for a method, or reports
-// that none exists.
+// that none exists (swDNN's implicit convolution at batch 1, for one).
 func manualFor(method string, s conv.Shape) (*ir.Program, bool, error) {
-	switch method {
-	case "implicit":
-		prog, err := baseline.SwDNNImplicit(s)
-		if err != nil {
-			return nil, true, nil // no manual version (e.g. batch 1)
-		}
-		return prog, false, nil
-	case "winograd":
-		prog, err := baseline.ManualWinograd(s)
-		if err != nil {
-			return nil, false, err
-		}
-		return prog, false, nil
-	case "explicit":
-		prog, err := baseline.ManualExplicit(s)
-		if err != nil {
-			return nil, false, err
-		}
-		return prog, false, nil
+	prog, err := baseline.ManualConv(method, s)
+	if err != nil && method == conv.Implicit {
+		return nil, true, nil
 	}
-	return nil, false, fmt.Errorf("unknown method %q", method)
-}
-
-// methodApplies mirrors the paper's applicability rules.
-func methodApplies(method string, s conv.Shape) bool {
-	switch method {
-	case "implicit":
-		return s.Ni >= conv.MinNiImplicit
-	case "winograd":
-		return conv.WinogradApplies(s)
-	default:
-		return true
-	}
+	return prog, false, err
 }
 
 // convFig runs one of Figs. 5–7: tune every applicable layer of the three
@@ -88,7 +60,7 @@ func (r *Runner) convFig(method string, batches []int) ([]LayerRow, error) {
 			}
 			for _, b := range batches {
 				s := l.Shape(b)
-				if !methodApplies(method, s) {
+				if !conv.Applies(method, s) {
 					continue
 				}
 				jobs = append(jobs, job{layer: l, batch: b, shape: s})

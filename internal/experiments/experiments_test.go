@@ -59,14 +59,14 @@ func TestEfficiencyAccounting(t *testing.T) {
 
 func TestMethodApplies(t *testing.T) {
 	small := conv.Shape{B: 1, Ni: 3, No: 8, Ro: 8, Co: 8, Kr: 3, Kc: 3}
-	if methodApplies("implicit", small) {
+	if conv.Applies("implicit", small) {
 		t.Fatal("implicit must exclude tiny Ni")
 	}
-	if !methodApplies("explicit", small) {
+	if !conv.Applies("explicit", small) {
 		t.Fatal("explicit applies everywhere")
 	}
 	odd := conv.Shape{B: 1, Ni: 64, No: 64, Ro: 7, Co: 7, Kr: 3, Kc: 3}
-	if methodApplies("winograd", odd) {
+	if conv.Applies("winograd", odd) {
 		t.Fatal("winograd must exclude odd extents")
 	}
 }
@@ -83,7 +83,7 @@ func TestRunProgramAndTuners(t *testing.T) {
 	if res.Best.Measured <= 0 {
 		t.Fatal("non-positive measured time")
 	}
-	if _, err := r.ConvOp("bogus", conv.Shape{}); err == nil {
+	if _, err := conv.NewOp("bogus", conv.Shape{}); err == nil {
 		t.Fatal("unknown method must error")
 	}
 	cres, err := r.TuneConv("implicit", conv.Shape{B: 32, Ni: 32, No: 32, Ro: 8, Co: 8, Kr: 3, Kc: 3})

@@ -5,7 +5,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -98,7 +97,7 @@ func (r *Runner) TuneConv(method string, s conv.Shape) (autotune.Result, error) 
 // sweeps can keep each inner tuning sequential instead of oversubscribing
 // the host.
 func (r *Runner) tuneConv(ctx context.Context, method string, s conv.Shape, workers int) (autotune.Result, error) {
-	op, err := r.ConvOp(method, s)
+	op, err := conv.NewOp(method, s)
 	if err != nil {
 		return autotune.Result{}, err
 	}
@@ -120,19 +119,6 @@ func (r *Runner) tuneOptions(workers int) autotune.Options {
 		Workers: workers, Retry: r.Retry, Metrics: r.Metrics, Observer: r.Observer,
 		Searcher: r.Searcher, SearchBudget: r.SearchBudget, SearchSeed: r.SearchSeed,
 	}
-}
-
-// ConvOp builds the tunable operator for a method name.
-func (r *Runner) ConvOp(method string, s conv.Shape) (autotune.Operator, error) {
-	switch method {
-	case "implicit":
-		return conv.NewImplicitOp(s)
-	case "explicit":
-		return conv.NewExplicitOp(s)
-	case "winograd":
-		return conv.NewWinogradOp(s)
-	}
-	return nil, fmt.Errorf("unknown conv method %q", method)
 }
 
 // TuneGemm runs the model-based tuner on a GEMM shape. The candidate pool

@@ -64,7 +64,7 @@ func (r *Runner) sweep() ([]SweepRow, error) {
 				continue // quick: a stratified 11 of 75 (stride coprime to the grid)
 			}
 			for _, method := range []string{"implicit", "explicit", "winograd"} {
-				if !methodApplies(method, s) {
+				if !conv.Applies(method, s) {
 					continue
 				}
 				jobs = append(jobs, job{batch: batch, shape: s, method: method})

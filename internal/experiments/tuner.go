@@ -45,7 +45,7 @@ func (r *Runner) Table3() ([]Table3Row, error) {
 			if r.Quick && li >= 5 {
 				break
 			}
-			if !methodApplies("implicit", l.Shape(32)) {
+			if !conv.Applies("implicit", l.Shape(32)) {
 				continue
 			}
 			jobs = append(jobs, job{net: net, layer: l})

@@ -34,13 +34,6 @@ import (
 	"swatop/internal/trace"
 )
 
-// Conv method names (matching baseline.FallbackConv).
-const (
-	methodImplicit = "implicit"
-	methodExplicit = "explicit"
-	methodWinograd = "winograd"
-)
-
 // Engine runs networks. Construct once (fitting the cost model is the
 // per-machine offline calibration) and reuse across runs.
 type Engine struct {
@@ -712,27 +705,17 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 // is kept. The method sweep is a fixed order with strict improvement, so
 // the choice is deterministic and identical between cached and fresh runs.
 func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*resolvedOp, error) {
-	type method struct {
-		name string
-		mk   func() (autotune.Operator, error)
-	}
-	var methods []method
-	if s.Ni >= conv.MinNiImplicit {
-		methods = append(methods, method{methodImplicit, func() (autotune.Operator, error) { return conv.NewImplicitOp(s) }})
-	}
-	methods = append(methods, method{methodExplicit, func() (autotune.Operator, error) { return conv.NewExplicitOp(s) }})
-	if conv.WinogradApplies(s) {
-		methods = append(methods, method{methodWinograd, func() (autotune.Operator, error) { return conv.NewWinogradOp(s) }})
-	}
-
 	var best *resolvedOp
 	var bestSecs float64
 	var firstErr error
-	for _, m := range methods {
+	for _, m := range conv.Methods {
+		if !conv.Applies(m, s) {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		op, err := m.mk()
+		op, err := conv.NewOp(m, s)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -756,8 +739,8 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 			}
 			continue
 		}
-		r.strategy = m.name + " " + r.strategy
-		r.method = m.name
+		r.strategy = m + " " + r.strategy
+		r.method = m
 		if best == nil || secs < bestSecs {
 			best, bestSecs = r, secs
 		}
@@ -769,9 +752,9 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 		firstErr = fmt.Errorf("no applicable conv method for %s", s.String())
 	}
 	if opts.Fallback {
-		preferred := methodExplicit
-		if s.Ni >= conv.MinNiImplicit {
-			preferred = methodImplicit
+		preferred := conv.Explicit
+		if conv.Applies(conv.Implicit, s) {
+			preferred = conv.Implicit
 		}
 		return degrade(firstErr, func() (*ir.Program, error) { return baseline.FallbackConv(preferred, s) })
 	}
@@ -809,33 +792,10 @@ func degrade(tuneErr error, fallback func() (*ir.Program, error)) (*resolvedOp, 
 	}, nil
 }
 
-// errNoTune marks a library miss while tuning is disabled (Options.NoTune):
-// the caller either degrades to the baseline or surfaces the miss.
-var errNoTune = errors.New("tuning disabled (schedule not in library)")
-
-// resolveOp mirrors the facade tuner's cache-then-tune flow for one
-// operator: a library hit recompiles the cached strategy (stale entries are
-// dropped and retuned), a miss runs the model-based search and records the
-// result.
+// resolveOp resolves one operator through the shared cache-then-tune path
+// (autotune.Resolve) and keeps what the runtime needs of the result.
 func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Options) (*resolvedOp, error) {
-	if opts.Library != nil {
-		if ent, ok := opts.Library.Get(op.Name()); ok {
-			prog, err := op.Compile(ent.Strategy())
-			if err == nil {
-				return &resolvedOp{
-					prog:      prog,
-					strategy:  ent.Strategy().String(),
-					spaceSize: ent.SpaceSize,
-					cached:    true,
-				}, nil
-			}
-			opts.Library.Delete(op.Name())
-		}
-	}
-	if opts.NoTune {
-		return nil, fmt.Errorf("%s: %w", op.Name(), errNoTune)
-	}
-	res, err := autotune.ModelBasedCtx(ctx, op, e.model, autotune.Options{
+	res, cached, err := autotune.Resolve(ctx, op, e.model, opts.Library, opts.NoTune, autotune.Options{
 		Workers:              opts.Workers,
 		Faults:               opts.Faults,
 		Retry:                opts.Retry,
@@ -845,18 +805,15 @@ func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Optio
 		Searcher:             opts.Searcher,
 		SearchBudget:         opts.SearchBudget,
 		SearchSeed:           opts.SearchSeed,
-		Transfer:             opts.Library,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.Library != nil {
-		opts.Library.Put(cache.FromStrategy(op.Name(), res.Best.Strategy, res.Best.Measured, res.Valid))
 	}
 	return &resolvedOp{
 		prog:      res.Best.Program,
 		strategy:  res.Best.Strategy.String(),
 		spaceSize: res.Valid,
+		cached:    cached,
 	}, nil
 }
 
@@ -944,26 +901,19 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 	ts := map[string]*tensor.Tensor{}
 	for _, gt := range g.Tensors() {
 		sp := specs[gt.Name]
-		layout := sp.layout
-		if layout == nil {
-			layout = make([]int, len(sp.dims))
-			for i := range layout {
-				layout[i] = i
-			}
-		}
 		slot, inArena := plan.Slot[gt.Name]
 		var t *tensor.Tensor
 		var err error
 		switch {
 		case !functional:
-			t, err = tensor.NewVirtual(gt.Name, sp.dims, layout)
+			t, err = tensor.NewVirtual(gt.Name, sp.dims, sp.layout)
 		case inArena && slot >= 0:
-			t, err = tensor.NewVirtual(gt.Name, sp.dims, layout)
+			t, err = tensor.NewVirtual(gt.Name, sp.dims, sp.layout)
 			if err == nil {
 				t.Data = arenas[slot][:t.Len()]
 			}
 		default:
-			t, err = tensor.NewWithLayout(gt.Name, sp.dims, layout)
+			t, err = tensor.NewWithLayout(gt.Name, sp.dims, sp.layout)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tensor %s: %w", gt.Name, err)

@@ -8,7 +8,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Env maps loop iterators and scalar locals to values during evaluation.
@@ -200,27 +199,6 @@ func Min(l, r Expr) Expr { return newBin(opMin, l, r) }
 
 // Max returns max(l, r).
 func Max(l, r Expr) Expr { return newBin(opMax, l, r) }
-
-// AddN sums a list of expressions.
-func AddN(xs ...Expr) Expr {
-	acc := Expr(Const(0))
-	for _, x := range xs {
-		acc = Add(acc, x)
-	}
-	return acc
-}
-
-// FreeVars returns the sorted free variables of an expression.
-func FreeVars(e Expr) []string {
-	set := make(map[string]bool)
-	e.free(set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // IsConst reports whether e evaluates without an environment, returning the
 // value when it does.

@@ -23,7 +23,6 @@ func TestExprEval(t *testing.T) {
 		{Mod(Const(-7), Const(3)), 2}, // non-negative
 		{Min(V("i"), V("j")), 3},
 		{Max(V("i"), V("j")), 7},
-		{AddN(Const(1), V("j"), Const(2)), 6},
 	}
 	for i, c := range cases {
 		if got := c.e.Eval(env); got != c.want {
@@ -74,10 +73,6 @@ func TestDivModByZeroPanics(t *testing.T) {
 
 func TestFreeVarsAndIsConst(t *testing.T) {
 	e := Add(Mul(V("b"), Const(2)), Min(V("a"), V("b")))
-	fv := FreeVars(e)
-	if len(fv) != 2 || fv[0] != "a" || fv[1] != "b" {
-		t.Fatalf("free vars = %v", fv)
-	}
 	if _, ok := IsConst(e); ok {
 		t.Fatal("expr with vars is not const")
 	}
@@ -270,7 +265,7 @@ func TestPrintAllNodeKinds(t *testing.T) {
 		&Transform{Kind: ZeroFill, Dst: "a", DstOff: Const(0), SrcOff: Const(0), Args: []Expr{Const(16)}},
 		&FreeSPM{Buf: "a"},
 	}
-	out := PrintStmts(body)
+	out := Print(&Program{Name: "fragment", Body: body})
 	for _, want := range []string{"next_i = (i + 1)", "if next_i == 4:", "else:", "dma_get", "dma_wait r0 x1", "zerofill", "free_spm a"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("printed fragment missing %q:\n%s", want, out)

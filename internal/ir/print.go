@@ -22,13 +22,6 @@ func Print(p *Program) string {
 	return b.String()
 }
 
-// PrintStmts renders a statement list (for tests on fragments).
-func PrintStmts(body []Stmt) string {
-	var b strings.Builder
-	printStmts(&b, body, 0)
-	return b.String()
-}
-
 func printStmts(b *strings.Builder, body []Stmt, depth int) {
 	ind := strings.Repeat("  ", depth)
 	for _, s := range body {

@@ -408,7 +408,6 @@ func (p *Plan) checkMatrixConsistency() error {
 
 func (p *Plan) mAxes() []string { return p.Seed.RoleAxes(dsl.RoleM) }
 func (p *Plan) nAxes() []string { return p.Seed.RoleAxes(dsl.RoleN) }
-func (p *Plan) kAxes() []string { return p.Seed.RoleAxes(dsl.RoleK) }
 
 func sameAxes(x, y []string) bool {
 	if len(x) != len(y) {
@@ -438,15 +437,6 @@ func (p *Plan) checkCapacity() error {
 		return fmt.Errorf("lower: SPM frames exceed capacity: %v floats", sizes)
 	}
 	return nil
-}
-
-// SpaceEstimate reports the frame sizes (diagnostics for reports).
-func (p *Plan) SpaceEstimate() map[string]int {
-	out := map[string]int{}
-	for _, op := range p.ops {
-		out[op.buf] = op.frameElems
-	}
-	return out
 }
 
 // BuildNest emits the loop nest with RegionMoves and the GEMM call.

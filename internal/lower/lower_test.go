@@ -231,7 +231,17 @@ func TestPlanExposesEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := plan.SpaceEstimate()
+	nest, err := plan.BuildNest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := map[string]int64{}
+	ir.Walk(nest, func(s ir.Stmt) bool {
+		if a, ok := s.(*ir.AllocSPM); ok {
+			est[a.Buf] = a.Elems.Eval(nil)
+		}
+		return true
+	})
 	if est["spm_A"] != 32*32 || est["spm_B"] != 32*32 || est["spm_C"] != 32*32 {
 		t.Fatalf("frame estimates wrong: %v", est)
 	}

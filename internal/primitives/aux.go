@@ -3,6 +3,7 @@ package primitives
 import (
 	"fmt"
 
+	"swatop/internal/ir"
 	"swatop/internal/sw26010"
 )
 
@@ -42,4 +43,23 @@ func CopySPMTime(n int) float64 {
 	vecs := float64(ceilDiv(n, sw26010.VectorWidth))
 	cycles := 40.0 + 2*vecs/float64(sw26010.NumCPE)
 	return sw26010.Seconds(cycles)
+}
+
+// TransformTime is the simulated time of one Transform statement: which of
+// its Args is an element or tile count is a property of the kind, written
+// here once for the estimator and the executor. arg evaluates Args[i].
+func TransformTime(x *ir.Transform, arg func(i int) int) (float64, error) {
+	switch x.Kind {
+	case ir.ZeroFill:
+		return ZeroFillTime(arg(0)), nil
+	case ir.CopySPM:
+		return CopySPMTime(arg(0)), nil
+	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
+		return WinoTransformTime(x.Kind.Phase(), arg(0))
+	case ir.WinoInputSlab: // nslabs, tilesC, ci, b
+		return WinoSlabTime(x.Kind.Phase(), arg(0)*arg(1)*arg(3))
+	case ir.WinoOutputSlab: // nslabs, tilesC, b
+		return WinoSlabTime(x.Kind.Phase(), arg(0)*arg(1)*arg(2))
+	}
+	return 0, fmt.Errorf("unknown transform %v", x.Kind)
 }

@@ -9,8 +9,8 @@
 // The package has three parts: feature extraction (this file) turns a
 // compiled schedule candidate into a fixed-length numeric vector without
 // running it; Model (model.go) is a dependency-free online ridge regressor
-// over those vectors; Evolutionary and Annealing (evo.go, anneal.go) are
-// the searchers driving the loop. Everything is deterministic given a seed:
+// over those vectors; Evolutionary (evo.go) is the searcher driving the
+// loop. Everything is deterministic given a seed:
 // the same (seed, budget) always proposes, measures and selects the same
 // candidates, independent of the host worker count.
 package search

@@ -94,7 +94,7 @@ type Result struct {
 
 // Searcher explores a Problem under its budget.
 type Searcher interface {
-	// Name is the stable CLI identifier ("evo", "anneal").
+	// Name is the stable CLI identifier ("evo").
 	Name() string
 	// Search runs the loop. It must be deterministic: the same Problem
 	// (radices, budget, seed, seeds, and Eval/Measure behavior) yields the
@@ -165,7 +165,7 @@ func BudgetFor(frac float64, size int) int {
 	return b
 }
 
-// tracker is the shared bookkeeping of both searchers: the evaluated-point
+// tracker is the searcher's bookkeeping: the evaluated-point
 // memo, the learned model, the measured ledger and the running best.
 type tracker struct {
 	p        *Problem

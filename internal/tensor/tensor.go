@@ -27,7 +27,7 @@ type Tensor struct {
 // New creates a contiguous tensor whose memory order equals the logical
 // dimension order (row-major: last dimension fastest).
 func New(name string, dims ...int) *Tensor {
-	t, err := NewWithLayout(name, dims, identityPerm(len(dims)))
+	t, err := NewWithLayout(name, dims, nil)
 	if err != nil {
 		panic(err) // identity permutation is always valid
 	}
@@ -36,7 +36,8 @@ func New(name string, dims ...int) *Tensor {
 
 // NewWithLayout creates a contiguous tensor with a permuted memory order.
 // perm lists logical dimension indices from slowest-varying to
-// fastest-varying. perm = [0 1 ... n-1] is row-major.
+// fastest-varying. perm = [0 1 ... n-1] is row-major, and so is a nil perm:
+// a program's tensor declaration leaves Layout nil for it.
 func NewWithLayout(name string, dims []int, perm []int) (*Tensor, error) {
 	t, err := newDesc(name, dims, perm)
 	if err != nil {
@@ -47,6 +48,9 @@ func NewWithLayout(name string, dims []int, perm []int) (*Tensor, error) {
 }
 
 func newDesc(name string, dims []int, perm []int) (*Tensor, error) {
+	if perm == nil {
+		perm = identityPerm(len(dims))
+	}
 	if len(perm) != len(dims) {
 		return nil, fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), len(dims))
 	}
@@ -225,10 +229,4 @@ func MaxAbsDiff(a, b *Tensor) (float64, error) {
 		}
 	}
 	return max, nil
-}
-
-// AllClose reports whether two tensors agree element-wise within tol.
-func AllClose(a, b *Tensor, tol float64) bool {
-	d, err := MaxAbsDiff(a, b)
-	return err == nil && d <= tol
 }

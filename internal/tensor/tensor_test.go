@@ -66,7 +66,7 @@ func TestFillPatternLayoutIndependent(t *testing.T) {
 	}
 	a.FillPattern()
 	b.FillPattern()
-	if !AllClose(a, b, 0) {
+	if d, err := MaxAbsDiff(a, b); err != nil || d != 0 {
 		t.Fatal("FillPattern must be layout independent")
 	}
 }

@@ -8,7 +8,7 @@ import (
 // MetricsRegistry is the concurrency-safe metrics registry of
 // internal/metrics: named counters, gauges and fixed-bucket histograms with
 // JSON and Prometheus-style exposition. Attach one to a Tuner or Engine
-// with SetMetrics, or use the process-wide default from Metrics().
+// with SetMetrics.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is a point-in-time copy of a registry's values; see
@@ -17,10 +17,6 @@ type MetricsSnapshot = metrics.Snapshot
 
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// Metrics returns the process-wide default registry — the one facade
-// components record into when no explicit registry was attached.
-func Metrics() *MetricsRegistry { return metrics.Default() }
 
 // Observer is the structured event hub of internal/obsrv: every
 // instrumented layer (tuning, execution, cache, inference) emits leveled
@@ -32,10 +28,6 @@ func Metrics() *MetricsRegistry { return metrics.Default() }
 // snapshots of an observed run are bit-identical to an unobserved one.
 type Observer = obsrv.Observer
 
-// ObserverEvent is one structured event (sequence number, time, level,
-// kind, fields).
-type ObserverEvent = obsrv.Event
-
 // JobStatus is the frozen view of one tracked tuning or inference job, as
 // served on the introspection server's /statusz endpoint.
 type JobStatus = obsrv.JobStatus
@@ -43,17 +35,3 @@ type JobStatus = obsrv.JobStatus
 // NewObserver creates an observer with the default flight-recorder
 // capacity.
 func NewObserver() *Observer { return obsrv.New() }
-
-// IntrospectionServer is the embedded HTTP server of internal/obsrv: it
-// serves /metrics (Prometheus text), /metrics.json, /healthz, /statusz,
-// /events (server-sent events), /flightz and /debug/pprof/ from an
-// observer and a metrics registry. Start it with Start(addr); addr ":0"
-// picks an ephemeral port and Start returns the bound address.
-type IntrospectionServer = obsrv.Server
-
-// NewIntrospectionServer builds an introspection server. component names
-// the process in /statusz; obs and reg may each be nil (endpoints degrade
-// to empty documents).
-func NewIntrospectionServer(component string, obs *Observer, reg *MetricsRegistry) *IntrospectionServer {
-	return obsrv.NewServer(component, obs, reg)
-}

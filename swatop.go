@@ -55,19 +55,10 @@ type FaultInjector = faults.Injector
 // random stream of probability-triggered rules.
 func NewFaultInjector(seed uint64) *FaultInjector { return faults.New(seed) }
 
-// Fault-injection point names, re-exported so facade users can arm rules
-// without importing internal packages.
-const (
-	// FaultDMATransfer fails simulated DMA transfers (sw26010.Machine).
-	FaultDMATransfer = faults.DMATransfer
-	// FaultComputeStall stretches simulated compute phases.
-	FaultComputeStall = faults.ComputeStall
-	// FaultMeasure fails candidate measurements (exec.Run).
-	FaultMeasure = faults.Measure
-	// FaultCacheCommit crashes a Library.Save between temp-write and
-	// rename.
-	FaultCacheCommit = faults.CacheCommit
-)
+// FaultMeasure is the injection point that fails candidate measurements
+// (exec.Run), re-exported so facade users can arm rules on it without
+// importing internal packages.
+const FaultMeasure = faults.Measure
 
 // TransientError marks err as retryable: the tuner's retry policy (see
 // SetRetry) retries transient measurement failures instead of failing the
@@ -100,18 +91,18 @@ type GemmParams = gemm.Params
 // Conv methods.
 const (
 	// Implicit is the implicit-GEMM direct convolution (Alg. 2).
-	Implicit = "implicit"
+	Implicit = conv.Implicit
 	// Explicit is the im2col + GEMM convolution.
-	Explicit = "explicit"
+	Explicit = conv.Explicit
 	// Winograd is the F(2×2,3×3) fast convolution.
-	Winograd = "winograd"
+	Winograd = conv.Winograd
 )
 
 // Searcher is a sample-efficient search strategy: instead of estimating
 // every schedule in the space, it proposes candidates, predicts them with
 // an online-learned cost model and measures only the most promising. Build
-// one with NewEvoSearcher/NewAnnealSearcher (or SearcherByName) and attach
-// it with Tuner.SetSearcher.
+// one with NewEvoSearcher (or SearcherByName) and attach it with
+// Tuner.SetSearcher.
 type Searcher = search.Searcher
 
 // NewEvoSearcher returns the evolutionary searcher (mutation + crossover
@@ -119,51 +110,38 @@ type Searcher = search.Searcher
 // ε-greedy measurement batches) with default parameters.
 func NewEvoSearcher() Searcher { return &search.Evolutionary{} }
 
-// NewAnnealSearcher returns the simulated-annealing searcher (parallel
-// Metropolis chains over predicted seconds) with default parameters.
-func NewAnnealSearcher() Searcher { return &search.Annealing{} }
-
-// SearcherByName maps the CLI names to searchers: "evo", "anneal", or ""
-// (nil — the exhaustive walk). Unknown names are an error.
+// SearcherByName maps the CLI names to searchers: "evo", or "" (nil — the
+// exhaustive walk). Unknown names are an error.
 func SearcherByName(name string) (Searcher, error) {
 	switch name {
 	case "":
 		return nil, nil
 	case "evo":
 		return NewEvoSearcher(), nil
-	case "anneal":
-		return NewAnnealSearcher(), nil
 	}
-	return nil, fmt.Errorf("swatop: unknown searcher %q (want evo, anneal or empty)", name)
+	return nil, fmt.Errorf("swatop: unknown searcher %q (want evo or empty)", name)
 }
 
 // Tuner is swATOP's performance-model-based autotuner with its fitted
 // Eq. (2) cost model (calibrated once against the simulated machine).
 type Tuner struct {
-	model        *costmodel.GemmModel
-	lib          *Library
-	workers      int
-	progress     func(done, valid int, best float64)
-	fallback     FallbackPolicy
-	faults       *faults.Injector
-	retry        autotune.Retry
-	maxFailures  int
-	metrics      *MetricsRegistry
-	observer     *Observer
-	searcher     Searcher
-	searchBudget float64
-	searchSeed   uint64
+	model    *costmodel.GemmModel
+	lib      *Library
+	fallback FallbackPolicy
+	// opts is what the setters below write into and every tuning run passes
+	// to the autotuner as it is.
+	opts autotune.Options
 }
 
 // UseLibrary attaches a schedule cache: tuning consults it first and
 // records new results into it.
 func (t *Tuner) UseLibrary(l *Library) {
 	t.lib = l
-	if l != nil && t.metrics != nil {
-		l.SetMetrics(t.metrics)
+	if l != nil && t.opts.Metrics != nil {
+		l.SetMetrics(t.opts.Metrics)
 	}
-	if l != nil && t.observer != nil {
-		l.SetObserver(t.observer)
+	if l != nil && t.opts.Observer != nil {
+		l.SetObserver(t.opts.Observer)
 	}
 }
 
@@ -176,7 +154,7 @@ func (t *Tuner) UseLibrary(l *Library) {
 // attaching an observer changes neither the selected schedule nor any
 // metric.
 func (t *Tuner) SetObserver(o *Observer) {
-	t.observer = o
+	t.opts.Observer = o
 	if t.lib != nil {
 		t.lib.SetObserver(o)
 	}
@@ -188,7 +166,7 @@ func (t *Tuner) SetObserver(o *Observer) {
 // attached Library, if any, reports its hit/miss/commit activity to the
 // same registry. Passing nil detaches.
 func (t *Tuner) SetMetrics(reg *MetricsRegistry) {
-	t.metrics = reg
+	t.opts.Metrics = reg
 	if t.lib != nil {
 		t.lib.SetMetrics(reg)
 	}
@@ -200,13 +178,13 @@ func (t *Tuner) SetMetrics(reg *MetricsRegistry) {
 // identical for every worker count — candidates are merged by
 // (prediction, enumeration index) — so parallelism only shrinks host wall
 // time.
-func (t *Tuner) SetWorkers(n int) { t.workers = n }
+func (t *Tuner) SetWorkers(n int) { t.opts.Workers = n }
 
 // SetProgressBest installs a tuning progress callback, invoked from a
 // single goroutine after each candidate with the processed and valid counts
 // and the best score seen so far (predicted seconds during the search, 0 while
 // no valid candidate exists), for live best-score progress lines.
-func (t *Tuner) SetProgressBest(fn func(done, valid int, best float64)) { t.progress = fn }
+func (t *Tuner) SetProgressBest(fn func(done, valid int, best float64)) { t.opts.Progress = fn }
 
 // SetFallback selects the degradation policy for failed or deadline-
 // expired tuning runs.
@@ -215,7 +193,7 @@ func (t *Tuner) SetFallback(p FallbackPolicy) { t.fallback = p }
 // SetFaults attaches a fault injector to every measurement this tuner
 // performs (nil detaches). Production tuners never need this; it exists so
 // integrations can rehearse their failure handling deterministically.
-func (t *Tuner) SetFaults(in *FaultInjector) { t.faults = in }
+func (t *Tuner) SetFaults(in *FaultInjector) { t.opts.Faults = in }
 
 // SetRetry configures capped exponential backoff with jitter for
 // transient measurement errors: attempts is the total number of tries per
@@ -223,13 +201,8 @@ func (t *Tuner) SetFaults(in *FaultInjector) { t.faults = in }
 // delay, max the cap. Retries never change the selected schedule or the
 // simulated-time ledger — only host wall time.
 func (t *Tuner) SetRetry(attempts int, base, max time.Duration) {
-	t.retry = autotune.Retry{Attempts: attempts, BaseDelay: base, MaxDelay: max}
+	t.opts.Retry = autotune.Retry{Attempts: attempts, BaseDelay: base, MaxDelay: max}
 }
-
-// SetMaxCandidateFailures aborts a tuning run once more than n candidates
-// have failed (panicked or exhausted retries) — a circuit breaker against
-// a systematically broken environment. 0 (the default) means unlimited.
-func (t *Tuner) SetMaxCandidateFailures(n int) { t.maxFailures = n }
 
 // SetSearcher switches tuning from the exhaustive estimate-everything walk
 // to sample-efficient search (nil switches back — the default, which stays
@@ -237,16 +210,16 @@ func (t *Tuner) SetMaxCandidateFailures(n int) { t.maxFailures = n }
 // measures at most the budget fraction of each space (SetSearchBudget) and,
 // when a Library is attached, seeds the search from the nearest
 // already-tuned shapes of the same operator family.
-func (t *Tuner) SetSearcher(s Searcher) { t.searcher = s }
+func (t *Tuner) SetSearcher(s Searcher) { t.opts.Searcher = s }
 
 // SetSearchBudget caps the fraction of the candidate space a searcher may
 // measure (0 restores the 0.10 default). No effect without a searcher.
-func (t *Tuner) SetSearchBudget(frac float64) { t.searchBudget = frac }
+func (t *Tuner) SetSearchBudget(frac float64) { t.opts.SearchBudget = frac }
 
 // SetSearchSeed pins the searcher's RNG seed. 0 (the default) derives a
 // stable per-operator seed, so repeated runs already reproduce; set an
 // explicit seed to decorrelate or correlate runs on purpose.
-func (t *Tuner) SetSearchSeed(seed uint64) { t.searchSeed = seed }
+func (t *Tuner) SetSearchSeed(seed uint64) { t.opts.SearchSeed = seed }
 
 // NewTuner fits the cost model (the per-machine offline calibration).
 func NewTuner() (*Tuner, error) {
@@ -298,18 +271,7 @@ func (t *Tuner) TuneConv(method string, s ConvShape) (*Tuned, error) {
 // TuneConvCtx is TuneConv with cancellation: the candidate search stops
 // promptly when ctx is canceled and returns ctx's error.
 func (t *Tuner) TuneConvCtx(ctx context.Context, method string, s ConvShape) (*Tuned, error) {
-	var op autotune.Operator
-	var err error
-	switch method {
-	case Implicit:
-		op, err = conv.NewImplicitOp(s)
-	case Explicit:
-		op, err = conv.NewExplicitOp(s)
-	case Winograd:
-		op, err = conv.NewWinogradOp(s)
-	default:
-		return nil, fmt.Errorf("swatop: unknown conv method %q", method)
-	}
+	op, err := conv.NewOp(method, s)
 	if err != nil {
 		return nil, err
 	}
@@ -320,53 +282,23 @@ func (t *Tuner) TuneConvCtx(ctx context.Context, method string, s ConvShape) (*T
 
 func (t *Tuner) tune(ctx context.Context, op autotune.Operator, flops int64,
 	fallback func() (*ir.Program, error)) (*Tuned, error) {
-	if t.lib != nil {
-		if e, ok := t.lib.Get(op.Name()); ok {
-			prog, err := op.Compile(e.Strategy())
-			if err == nil {
-				t.metrics.Counter("tuner_cache_hits_total").Inc()
-				return &Tuned{
-					program:   prog,
-					strategy:  e.Strategy().String(),
-					seconds:   e.SimulatedSeconds,
-					spaceSize: e.SpaceSize,
-					flops:     flops,
-				}, nil
-			}
-			// The entry no longer compiles (stale schema, changed menus):
-			// drop it so it cannot shadow the fresh result below, then
-			// fall through to a full tuning.
-			t.lib.Delete(op.Name())
-		}
+	res, cached, err := autotune.Resolve(ctx, op, t.model, t.lib, false, t.opts)
+	if cached {
+		t.opts.Metrics.Counter("tuner_cache_hits_total").Inc()
+	} else if t.lib != nil {
+		t.opts.Metrics.Counter("tuner_cache_misses_total").Inc()
 	}
-	if t.lib != nil {
-		t.metrics.Counter("tuner_cache_misses_total").Inc()
-	}
-	res, err := autotune.ModelBasedCtx(ctx, op, t.model, autotune.Options{
-		Workers:              t.workers,
-		Progress:             t.progress,
-		Faults:               t.faults,
-		Retry:                t.retry,
-		MaxCandidateFailures: t.maxFailures,
-		Metrics:              t.metrics,
-		Observer:             t.observer,
-		Searcher:             t.searcher,
-		SearchBudget:         t.searchBudget,
-		SearchSeed:           t.searchSeed,
-		Transfer:             t.lib,
-	})
 	if err != nil {
 		if t.fallback == FallbackBaseline && !errors.Is(err, context.Canceled) {
-			t.metrics.Counter("tuner_degraded_total").Inc()
-			t.observer.AutoDump("baseline fallback: " + op.Name())
+			t.opts.Metrics.Counter("tuner_degraded_total").Inc()
+			t.opts.Observer.AutoDump("baseline fallback: " + op.Name())
 			return t.degrade(op.Name(), fallback, flops, err)
 		}
-		t.observer.AutoDump("tune failed: " + op.Name())
+		t.opts.Observer.AutoDump("tune failed: " + op.Name())
 		return nil, err
 	}
-	if t.lib != nil {
-		t.lib.Put(cache.FromStrategy(op.Name(), res.Best.Strategy, res.Best.Measured, res.Valid))
-	}
+	// A library hit carries the cached strategy, seconds and valid count and
+	// zeroes for what only a fresh search knows.
 	return &Tuned{
 		program:     res.Best.Program,
 		strategy:    res.Best.Strategy.String(),
@@ -387,7 +319,7 @@ func (t *Tuner) tune(ctx context.Context, op autotune.Operator, flops int64,
 // emergency answer.
 func (t *Tuner) degrade(name string, fallback func() (*ir.Program, error),
 	flops int64, cause error) (*Tuned, error) {
-	t.observer.Emit(obsrv.LevelWarn, "tuner.degraded",
+	t.opts.Observer.Emit(obsrv.LevelWarn, "tuner.degraded",
 		obsrv.F("op", name), obsrv.F("cause", cause))
 	prog, err := fallback()
 	if err != nil {
@@ -513,18 +445,7 @@ func BaselineGemmSeconds(p GemmParams) (float64, error) {
 // implicit, xMath-based manual code otherwise). An error for Implicit at
 // unsupported batch sizes mirrors swDNN's real limitation.
 func BaselineConvSeconds(method string, s ConvShape) (float64, error) {
-	var prog *ir.Program
-	var err error
-	switch method {
-	case Implicit:
-		prog, err = baseline.SwDNNImplicit(s)
-	case Explicit:
-		prog, err = baseline.ManualExplicit(s)
-	case Winograd:
-		prog, err = baseline.ManualWinograd(s)
-	default:
-		return 0, fmt.Errorf("swatop: unknown conv method %q", method)
-	}
+	prog, err := baseline.ManualConv(method, s)
 	if err != nil {
 		return 0, err
 	}
