@@ -8,7 +8,7 @@ COVER_BASELINE ?= 69.0
 
 .PHONY: all build vet unreachable fmt test race fuzz shuffle cover chaos ci \
 	search-check trace-check obs-check alloc-check bench bench-snapshot \
-	bench-check bench-diff bench-e2e bench-ab loc
+	bench-check bench-diff bench-e2e bench-ab loc loc-check
 
 all: build
 
@@ -110,7 +110,7 @@ alloc-check:
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
 
 # The tier-1 loop: what every change must keep green.
-ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check
+ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check loc-check
 
 # Non-test Go lines per package directory and in total, outside benchmark/:
 # the number ROADMAP item 3's "fewer non-test lines" target is read from.
@@ -118,6 +118,17 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; total += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+
+# The tree may not grow by accident: `make loc`'s total must stay at or
+# under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
+# commit, one line a reviewer sees next to the reason; a change that
+# removes lines lowers it.
+LOC_MAX ?= 24353
+loc-check:
+	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
+	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \
+	[ "$$total" -le "$(LOC_MAX)" ] || \
+		{ echo "make loc total $$total exceeds LOC_MAX $(LOC_MAX): delete code or raise LOC_MAX with the reason"; exit 1; }
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -36,9 +36,7 @@ var updateFingerprint = flag.Bool("update-fingerprint", false,
 type boomOp struct{ Operator }
 
 func (o boomOp) Compile(st dsl.Strategy) (*ir.Program, error) {
-	h := fnv.New32a()
-	h.Write([]byte(st.String()))
-	if h.Sum32()%2 == 1 {
+	if hash32(st.String())%2 == 1 {
 		panic("boom: " + st.String())
 	}
 	return o.Operator.Compile(st)

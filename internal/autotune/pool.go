@@ -210,10 +210,11 @@ type poolItem struct {
 	err      error
 }
 
-// runWorkers is runSequential on Options.Workers goroutines. The collector
-// — the caller's goroutine — puts the outcomes back into source order
-// before take sees them: the failure limit trips on the same candidate and
-// the run stops at the same error, whatever the workers' timing.
+// runWorkers is runSequential on Options.Workers goroutines. The caller's
+// goroutine both feeds them from the source and collects: it puts the
+// outcomes back into source order before take sees them, so the failure
+// limit trips on the same candidate and the run stops at the same error,
+// whatever the workers' timing.
 func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) error {
 	workers := s.opts.Workers
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -221,33 +222,8 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 
 	jobs := make(chan poolItem, workers)
 	results := make(chan poolItem, workers)
-	// window bounds how far the workers run ahead of the oldest unfinished
-	// candidate, and so how many outcomes the collector holds back: a token
-	// per dispatch, returned per outcome taken. Sixteen per worker keeps one
-	// slow candidate from idling the rest.
-	window := make(chan struct{}, 16*workers)
-	var srcErr error
-	var wg sync.WaitGroup // the producer and the workers
-	wg.Add(1 + workers)
-	go func() {
-		defer wg.Done()
-		defer close(jobs)
-		seq := 0
-		srcErr = src(func(idx int, st dsl.Strategy) bool {
-			select {
-			case window <- struct{}{}:
-			case <-ctx.Done():
-				return false
-			}
-			select {
-			case jobs <- poolItem{seq: seq, idx: idx, st: st}:
-				seq++
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		})
-	}()
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
@@ -256,11 +232,7 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 					continue // drain after cancellation
 				}
 				j.cand, j.err = s.evalCandidate(j.idx, j.st, eval)
-				select {
-				case results <- j:
-				case <-ctx.Done():
-					return
-				}
+				results <- j // received until results is closed, below
 			}
 		}()
 	}
@@ -270,18 +242,41 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 	}()
 
 	held := map[int]poolItem{} // outcomes that arrived ahead of their turn
-	next, stopped := 0, false
-	for r := range results {
+	sent, next, stopped := 0, 0, false
+	collect := func(r poolItem) {
 		held[r.seq] = r
 		for r, ok := held[next]; ok && !stopped; r, ok = held[next] {
 			delete(held, next)
 			next++
-			<-window
 			if !take(r.idx, r.cand, r.err) {
 				stopped = true
 				cancel() // everything before r is done; nothing after it counts
 			}
 		}
 	}
-	return srcErr
+	err := src(func(idx int, st dsl.Strategy) bool {
+		for {
+			// No more than sixteen candidates per worker run ahead of the
+			// oldest unfinished one: that bounds held, and still keeps one slow
+			// candidate from idling the rest.
+			out := jobs
+			if sent-next >= 16*workers {
+				out = nil
+			}
+			select {
+			case out <- poolItem{seq: sent, idx: idx, st: st}:
+				sent++
+				return true
+			case r := <-results:
+				collect(r)
+			case <-ctx.Done():
+				return false
+			}
+		}
+	})
+	close(jobs)
+	for r := range results {
+		collect(r)
+	}
+	return err
 }
