@@ -89,10 +89,12 @@ trace-check:
 
 # Telemetry acceptance: the history scraper storming the registry leaves
 # selected schedules and every deterministic metric bit-identical to a
-# history-disabled run, scrape-while-write is race-clean, and bench-diff
-# on identical snapshots attributes to zero everywhere.
+# history-disabled run, scrape-while-write is race-clean, every number /varz
+# derives from a scraped registry matches testdata/varz_fingerprint.json bit
+# for bit, and bench-diff on identical snapshots attributes to zero
+# everywhere.
 obs-check:
-	$(GO) test -race -run 'TestHistoryMachineSecondsInvariant|TestConcurrentScrapeWhileWrite|TestConcurrentRegistrySnapshot' -count=1 -v ./internal/tshist/
+	$(GO) test -race -run 'TestHistoryMachineSecondsInvariant|TestConcurrentScrapeWhileWrite|TestConcurrentRegistrySnapshot|TestVarzFingerprint' -count=1 -v ./internal/tshist/
 	$(GO) test -run 'TestAttributeIdenticalZero' -count=1 -v ./internal/bench/
 	$(GO) run ./cmd/swbench -bench-diff BENCH_baseline.json BENCH_baseline.json
 
