@@ -229,6 +229,30 @@ func TestStoreEvictsSampledBeforeImportant(t *testing.T) {
 	}
 }
 
+// TestStoreCollisionKeepsImportantClass: a retried request reuses its
+// traceparent, so a trace first kept as an ordinary sampled 200 can be
+// replaced by a shed one with the same ID. The replacement is an
+// always-keep trace and must be evicted as one — after the sampled traces,
+// not with the class its first occurrence happened to have.
+func TestStoreCollisionKeepsImportantClass(t *testing.T) {
+	st := NewStore(StoreOptions{Capacity: 4, SlowMs: 50, SampleRate: 1})
+	if got := st.Add(finished("x", 200, false, 1)); got != "sampled" {
+		t.Fatalf("first occurrence kept as %q, want sampled", got)
+	}
+	if got := st.Add(finished("x", 429, false, 0.1)); got != "shed" {
+		t.Fatalf("retry kept as %q, want shed", got)
+	}
+	for i := 0; i < 8; i++ { // fill to capacity and evict five times
+		st.Add(finished(fmt.Sprintf("s%d", i), 200, false, 1))
+	}
+	if tr := st.Get("x"); tr == nil || tr.Keep != "shed" {
+		t.Fatalf("shed trace x evicted ahead of sampled 200s (got %+v)", tr)
+	}
+	if stats := st.Stats(); stats.Retained != 4 || stats.Evicted != 5 {
+		t.Fatalf("stats = %+v, want 4 retained after 5 evictions", stats)
+	}
+}
+
 func TestTracezHandler(t *testing.T) {
 	st := NewStore(StoreOptions{Capacity: 10, SlowMs: 50, SampleRate: 1})
 	rec := Start("")

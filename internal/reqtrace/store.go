@@ -118,23 +118,37 @@ func (st *Store) Add(tr Trace) string {
 		return ""
 	}
 	tr.Keep = reason
-	if _, ok := st.traces[tr.ID]; ok {
+	if old, ok := st.traces[tr.ID]; ok {
 		// Trace ID collision (client reused a traceparent): keep the
-		// newest occurrence.
+		// newest occurrence, queued for eviction with its own class — a
+		// sampled 200 replaced by its shed retry is an always-keep trace.
 		st.traces[tr.ID] = &tr
+		if from, to := st.classList(old.Keep), st.classList(reason); from != to {
+			for i, id := range *from {
+				if id == tr.ID {
+					*from = append((*from)[:i], (*from)[i+1:]...)
+					break
+				}
+			}
+			*to = append(*to, tr.ID)
+		}
 		return reason
 	}
 	for len(st.traces) >= st.capacity {
 		st.evictLocked()
 	}
 	st.traces[tr.ID] = &tr
-	if reason == "sampled" {
-		st.sampled = append(st.sampled, tr.ID)
-	} else {
-		st.important = append(st.important, tr.ID)
-	}
+	*st.classList(reason) = append(*st.classList(reason), tr.ID)
 	st.added++
 	return reason
+}
+
+// classList is the eviction list a keep reason queues in.
+func (st *Store) classList(reason string) *[]string {
+	if reason == "sampled" {
+		return &st.sampled
+	}
+	return &st.important
 }
 
 // evictLocked removes one trace: the oldest probabilistically sampled one
