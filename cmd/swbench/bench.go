@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"time"
@@ -16,7 +14,6 @@ import (
 	"swatop/internal/graph"
 	"swatop/internal/metrics"
 	"swatop/internal/serve"
-	"swatop/internal/serve/loadtest"
 )
 
 // benchCmd implements -bench-out / -bench-against: it runs the canonical
@@ -258,10 +255,10 @@ func collectSnapshot(sess *cliobs.Session, workers int) (*bench.Snapshot, error)
 }
 
 // collectServeWorkload runs the serving-path row, vgg16-serve-b8: warm the
-// daemon's batch-8 bucket (its deterministic machine seconds gate the row,
+// daemon's batch-8 bucket. Its deterministic machine seconds are the row,
 // exactly like the offline vgg16-b8-g1 point — same network, same tuner,
-// same single group), then drive a sustained closed-loop load-test through
-// the real HTTP stack for the informational throughput and p99 numbers.
+// same single group. Host-clock serving numbers (latency percentiles,
+// sustained rate) are benchmark/'s serve-open workload, not this ledger's.
 func collectServeWorkload(sess *cliobs.Session, workers int) (*bench.Workload, error) {
 	reg := metrics.NewRegistry()
 	lib := cache.NewLibrary()
@@ -287,25 +284,10 @@ func collectServeWorkload(sess *cliobs.Session, workers int) (*bench.Workload, e
 	}
 	wall := time.Since(start).Seconds()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("bench vgg16-serve-b8: %w", err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	rep, err := loadtest.Run("http://"+ln.Addr().String(), loadtest.Options{
-		Clients:  16,
-		Requests: 256,
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	srv.Drain(ctx)
-	httpSrv.Close()
-	if err != nil {
-		return nil, fmt.Errorf("bench vgg16-serve-b8: load: %w", err)
-	}
-	if rep.OK == 0 {
-		return nil, fmt.Errorf("bench vgg16-serve-b8: load-test served nothing: %s", rep)
+	if err := srv.Drain(ctx); err != nil {
+		return nil, fmt.Errorf("bench vgg16-serve-b8: %w", err)
 	}
 	sec := secs[8]
 	g, err := graph.ByName("vgg16", 8)
@@ -313,21 +295,12 @@ func collectServeWorkload(sess *cliobs.Session, workers int) (*bench.Workload, e
 		return nil, fmt.Errorf("bench vgg16-serve-b8: %w", err)
 	}
 	return &bench.Workload{
-		Name:           "vgg16-serve-b8",
-		MachineSeconds: sec,
-		WallSeconds:    wall,
-		Candidates:     reg.Counter("autotune_candidates_total").Value(),
-		GFLOPS:         float64(g.FLOPs()) / sec / 1e9,
-		ExecSeconds:    sec,
-		// Sustained numbers from the closed-loop HTTP run (wall-clock,
-		// host-dependent, never gated).
-		InferencesPerSec: rep.ThroughputRPS,
-		P99Ms:            rep.P99Ms,
-		Phases: &bench.PhaseAttribution{
-			QueueP99Ms: rep.Phases.Queue.P99Ms,
-			BatchP99Ms: rep.Phases.Batch.P99Ms,
-			ExecP99Ms:  rep.Phases.Exec.P99Ms,
-			CommP99Ms:  rep.Phases.Comm.P99Ms,
-		},
+		Name:             "vgg16-serve-b8",
+		MachineSeconds:   sec,
+		WallSeconds:      wall,
+		Candidates:       reg.Counter("autotune_candidates_total").Value(),
+		GFLOPS:           float64(g.FLOPs()) / sec / 1e9,
+		ExecSeconds:      sec,
+		InferencesPerSec: 8 / sec, // batch over machine seconds, like the fleet rows
 	}, nil
 }

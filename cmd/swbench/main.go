@@ -26,7 +26,7 @@
 // groups), writing or gating on a machine-seconds snapshot — the repo's
 // performance trajectory record. -bench-diff runs nothing: it compares
 // two snapshot files and attributes every delta per workload, per phase
-// (exec vs comm machine seconds, serving p99 phases), and per layer —
+// (exec vs comm machine seconds), and per layer —
 // naming the conv and the phase a regression lives in, and any schedule
 // change on that layer.
 //

@@ -50,12 +50,6 @@ type Workload struct {
 	// gate compares machine seconds, which for a fixed batch is the same
 	// quantity inverted.
 	InferencesPerSec float64 `json:"inferences_per_sec,omitempty"`
-	// P99Ms is the 99th-percentile request latency of serving workloads
-	// (wall milliseconds under the canonical load-test). Informational
-	// only: it depends on the host machine, so like WallSeconds it never
-	// gates the comparison — the serving row's machine seconds (the
-	// warmed bucket's simulated batch time) carry the gate.
-	P99Ms float64 `json:"p99_ms,omitempty"`
 	// SpacePoints is the total size of the schedule spaces walked, when
 	// recorded; with Candidates it makes budgeted-search rows legible
 	// (candidates/space = coverage). Zero on rows from exhaustive runs
@@ -64,11 +58,6 @@ type Workload struct {
 	// CoveragePct is 100*Candidates/SpacePoints, recorded for budgeted
 	// search rows. Informational: machine seconds carry the gate.
 	CoveragePct float64 `json:"coverage_pct,omitempty"`
-	// Phases attributes the serving row's p99 latency across the request
-	// lifecycle (queue wait, batch formation, execution, inter-group
-	// communication), in wall milliseconds from the canonical load-test.
-	// Informational like P99Ms — host-dependent, never gated.
-	Phases *PhaseAttribution `json:"phases,omitempty"`
 	// ExecSeconds and CommSeconds split the deterministic machine seconds
 	// into layer execution vs cross-group communication; bench-diff uses
 	// them to name the phase a regression lives in. Zero on rows from
@@ -80,14 +69,6 @@ type Workload struct {
 	// and to a schedule change on it. Absent on kernel-only snapshots
 	// predating the field.
 	Layers []LayerCost `json:"layers,omitempty"`
-}
-
-// PhaseAttribution is the per-phase p99 breakdown of a serving workload.
-type PhaseAttribution struct {
-	QueueP99Ms float64 `json:"queue_p99_ms"`
-	BatchP99Ms float64 `json:"batch_p99_ms"`
-	ExecP99Ms  float64 `json:"exec_p99_ms"`
-	CommP99Ms  float64 `json:"comm_p99_ms"`
 }
 
 // Snapshot is the full document written by -bench-out.

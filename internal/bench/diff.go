@@ -36,16 +36,13 @@ type LayerDelta struct {
 	Added, Removed bool
 }
 
-// PhaseDelta is one lifecycle phase's contribution to a workload delta.
-// Machine-second phases (exec, comm) are deterministic and rankable; the
-// wall-millisecond serving phases (queue, batch p99) are informational.
+// PhaseDelta is one lifecycle phase's contribution to a workload delta, in
+// deterministic machine seconds (exec, comm).
 type PhaseDelta struct {
 	Phase string
 	Old   float64
 	New   float64
 	Delta float64
-	// Unit is "s" for deterministic machine seconds, "ms" for wall p99.
-	Unit string
 }
 
 // WorkloadAttribution explains one workload's delta between snapshots:
@@ -56,8 +53,7 @@ type WorkloadAttribution struct {
 	NewSeconds float64
 	Delta      float64
 	DeltaPct   float64
-	// Phases is sorted by |Delta| descending within the deterministic
-	// ("s") phases first; wall phases follow.
+	// Phases is sorted by |Delta| descending.
 	Phases []PhaseDelta
 	// Layers is sorted by |Delta| descending.
 	Layers []LayerDelta
@@ -65,15 +61,13 @@ type WorkloadAttribution struct {
 	MissingOld, MissingNew bool
 }
 
-// TopPhase returns the deterministic phase with the largest absolute
-// delta, or "" when none moved.
+// TopPhase returns the phase with the largest absolute delta, or "" when
+// none moved.
 func (w *WorkloadAttribution) TopPhase() string {
-	for _, p := range w.Phases {
-		if p.Unit == "s" && p.Delta != 0 {
-			return p.Phase
-		}
+	if len(w.Phases) == 0 || w.Phases[0].Delta == 0 {
+		return ""
 	}
-	return ""
+	return w.Phases[0].Phase
 }
 
 // TopLayer returns the layer with the largest absolute delta, or nil.
@@ -95,8 +89,8 @@ type Attribution struct {
 
 // Attribute explains where the time went between two snapshots: for every
 // workload in either snapshot, the machine-seconds delta, its split across
-// lifecycle phases (exec vs comm machine seconds; queue/batch wall p99 on
-// serving rows), and its split across layers including schedule changes.
+// lifecycle phases (exec vs comm machine seconds), and its split across
+// layers including schedule changes.
 // Identical snapshots attribute to zero everywhere — the obs-check gate.
 func Attribute(old, cur *Snapshot) *Attribution {
 	a := &Attribution{OldName: old.Name, NewName: cur.Name}
@@ -153,32 +147,13 @@ func attributePhases(o, c Workload) []PhaseDelta {
 		return w.MachineSeconds - w.CommSeconds
 	}
 	phases := []PhaseDelta{
-		{Phase: "exec", Old: execOf(o), New: execOf(c), Unit: "s"},
-		{Phase: "comm", Old: o.CommSeconds, New: c.CommSeconds, Unit: "s"},
-	}
-	if o.Phases != nil || c.Phases != nil {
-		op, cp := o.Phases, c.Phases
-		if op == nil {
-			op = &PhaseAttribution{}
-		}
-		if cp == nil {
-			cp = &PhaseAttribution{}
-		}
-		phases = append(phases,
-			PhaseDelta{Phase: "queue-p99", Old: op.QueueP99Ms, New: cp.QueueP99Ms, Unit: "ms"},
-			PhaseDelta{Phase: "batch-p99", Old: op.BatchP99Ms, New: cp.BatchP99Ms, Unit: "ms"},
-			PhaseDelta{Phase: "exec-p99", Old: op.ExecP99Ms, New: cp.ExecP99Ms, Unit: "ms"},
-			PhaseDelta{Phase: "comm-p99", Old: op.CommP99Ms, New: cp.CommP99Ms, Unit: "ms"},
-		)
+		{Phase: "exec", Old: execOf(o), New: execOf(c)},
+		{Phase: "comm", Old: o.CommSeconds, New: c.CommSeconds},
 	}
 	for i := range phases {
 		phases[i].Delta = phases[i].New - phases[i].Old
 	}
-	// Deterministic phases first, then by |delta| descending.
 	sort.SliceStable(phases, func(i, j int) bool {
-		if (phases[i].Unit == "s") != (phases[j].Unit == "s") {
-			return phases[i].Unit == "s"
-		}
 		return math.Abs(phases[i].Delta) > math.Abs(phases[j].Delta)
 	})
 	return phases
@@ -297,8 +272,8 @@ func (a *Attribution) String() string {
 			if p.Delta == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  phase %-9s %12.6f -> %12.6f %s (%+.6f)\n",
-				p.Phase, p.Old, p.New, p.Unit, p.Delta)
+			fmt.Fprintf(&b, "  phase %-9s %12.6f -> %12.6f s (%+.6f)\n",
+				p.Phase, p.Old, p.New, p.Delta)
 		}
 		shown := 0
 		for _, l := range w.Layers {

@@ -33,7 +33,6 @@ func sampleSnapshot() *Snapshot {
 				Name:           "vgg16-serve-b8",
 				MachineSeconds: 0.050,
 				ExecSeconds:    0.050,
-				Phases:         &PhaseAttribution{QueueP99Ms: 1, BatchP99Ms: 2, ExecP99Ms: 30, CommP99Ms: 0},
 			},
 		},
 	}
