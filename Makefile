@@ -81,8 +81,8 @@ search-check:
 
 # Tracing acceptance: the 2000-request load run with tracing and SLO
 # guardrails attached (phase sums match latency, /tracez serves complete
-# span trees, a forced breach captures flight dump + CPU profile), plus
-# the invariant that tracing leaves simulated machine seconds
+# span trees, a forced breach captures the flight dump), plus the
+# invariant that tracing leaves simulated machine seconds
 # bit-identical to a tracing-disabled server.
 trace-check:
 	$(GO) test -run 'TestTraceMachineSecondsInvariant|TestTraceAcceptanceLoad' -count=1 -v ./internal/serve/...
@@ -125,7 +125,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 24353
+LOC_MAX ?= 23589
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -13,7 +13,7 @@
 //	        [-deadline D] [-groups N] [-pipeline] [-workers N]
 //	        [-lib schedules.json] [-warm] [-breaker-threshold 3] [-breaker-cooldown 8]
 //	        [-trace] [-trace-sample 0.1] [-trace-slow 100]
-//	        [-slo-p99 MS] [-slo-availability 0.999] [-slo-profile-dir DIR]
+//	        [-slo-p99 MS] [-slo-availability 0.999] [-history] [-scrape-interval 1s]
 //	        [-metrics -|file] [-listen addr] [-flight-out f.json]
 //
 // Endpoints (on -addr):
@@ -23,7 +23,10 @@
 //	GET  /serverz  queue / breaker / shed / degraded / SLO counters
 //	GET  /tracez   tail-sampled request traces (with -trace);
 //	               /tracez/<id> one trace, ?format=chrome for Perfetto
+//	GET  /varz     time-series history (with -history); /varz/<metric>?window=60s
+//	               is one series' windowed rate or percentiles
 //	GET  /healthz, /metrics, /statusz, /events, /flightz, /debug/pprof/
+//	               (an SLO breach writes a flight dump; /debug/pprof/profile is the CPU profile)
 //
 // Example:
 //
@@ -88,8 +91,6 @@ func main() {
 		"latency SLO: at most 1%% of responses may exceed this many ms (0 = no latency SLO)")
 	sloAvail := flag.Float64("slo-availability", 0,
 		"availability SLO, e.g. 0.999 (0 = no availability SLO)")
-	sloProfileDir := flag.String("slo-profile-dir", "",
-		"where SLO-breach CPU profiles are written (empty = skip profiles)")
 	obsFlags := cliobs.Register(flag.CommandLine,
 		"(swserve exports no trace timeline; use /events and /flightz instead)")
 	flag.Parse()
@@ -133,7 +134,6 @@ func main() {
 		slo = &serve.SLO{
 			P99TargetMs:  *sloP99,
 			Availability: *sloAvail,
-			ProfileDir:   *sloProfileDir,
 		}
 	}
 

@@ -2,7 +2,7 @@
 // (swatop, swbench, swinfer, swsim, swserve): one place registering the
 // -metrics, -trace-out, -listen, -flight-out, -history and
 // -scrape-interval flags, starting the embedded introspection server
-// (with /varz + /dashz when history is on), arming the signal handlers
+// (with /varz when history is on), arming the signal handlers
 // (SIGQUIT flight dump; SIGTERM/SIGINT graceful drain) and rendering live
 // progress lines from the observer's job tracker. Adding a new
 // observability surface means touching this package once, not five main
@@ -40,9 +40,11 @@ type Flags struct {
 	FlightOut string
 	// History enables the in-process time-series store: a scraper snapshots
 	// the registry every ScrapeInterval, and -listen additionally serves
-	// /varz (windowed rates/percentiles, JSON) and /dashz (HTML dashboard).
+	// /varz (windowed rates/percentiles, JSON).
 	History bool
-	// ScrapeInterval is how often -history snapshots the registry.
+	// ScrapeInterval is how often -history snapshots the registry; the
+	// store retains the newest 360 snapshots, so it also sets how far back
+	// /varz can look (6 minutes at 1s, 6 hours at 60s).
 	ScrapeInterval time.Duration
 }
 
@@ -59,9 +61,9 @@ func Register(fs *flag.FlagSet, traceHelp string) *Flags {
 	fs.StringVar(&f.FlightOut, "flight-out", "",
 		"write automatic flight-recorder dumps (tune failure, fallback, SIGQUIT) to this file instead of stderr")
 	fs.BoolVar(&f.History, "history", false,
-		"keep a bounded in-process time-series history of the metrics registry; with -listen it serves /varz (JSON) and /dashz (HTML)")
+		"keep a bounded in-process time-series history of the metrics registry; with -listen it serves /varz (JSON)")
 	fs.DurationVar(&f.ScrapeInterval, "scrape-interval", tshist.DefaultScrapeInterval,
-		"how often -history snapshots the metrics registry")
+		"how often -history snapshots the metrics registry; the newest 360 snapshots are kept (6 minutes at 1s, 6 hours at 60s)")
 	return f
 }
 
@@ -73,7 +75,7 @@ type Session struct {
 	Registry *metrics.Registry
 	// History is the time-series store behind -history (nil without the
 	// flag). Daemons hand it to their own HTTP surface (swserve mounts
-	// /varz and /dashz on the serving port too).
+	// /varz on the serving port too).
 	History *tshist.Store
 
 	component string
@@ -124,10 +126,7 @@ func (f *Flags) Start(component string, reg *metrics.Registry) (*Session, error)
 		s.server = obsrv.NewServer(component, s.Observer, reg)
 		if s.History != nil {
 			// Mounts must precede Start: the server freezes its mux there.
-			s.server.Mount("/varz", s.History.Handler(),
-				"time-series history: windowed counter rates, histogram percentiles, fleet utilization (JSON)")
-			s.server.Mount("/dashz", s.History.DashHandler(),
-				"time-series dashboard: utilization stack and per-series sparklines (HTML)")
+			s.server.Mount("/varz", s.History.Handler(), tshist.VarzHelp)
 		}
 		addr, err := s.server.Start(f.Listen)
 		if err != nil {

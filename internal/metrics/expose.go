@@ -17,10 +17,6 @@ type HistogramSnapshot struct {
 	Sum    float64   `json:"sum"`
 	Bounds []float64 `json:"bounds,omitempty"`
 	Counts []int64   `json:"counts,omitempty"`
-	// Exemplars carries the per-bucket exemplar trace IDs ("" where none),
-	// aligned with Counts. Omitted when the histogram never saw one. JSON
-	// only — the Prometheus text writer stays plain 0.0.4 format.
-	Exemplars []string `json:"exemplars,omitempty"`
 }
 
 // Snapshot is a point-in-time copy of a registry, ready for JSON encoding
@@ -92,7 +88,6 @@ func (r *Registry) Snapshot() Snapshot {
 				hs.Counts[i] = h.counts[i].Load()
 				hs.Count += hs.Counts[i]
 			}
-			hs.Exemplars = h.Exemplars()
 			s.Histograms[name] = hs
 		}
 	}
@@ -202,7 +197,6 @@ var defaultHelp = map[string]string{
 	"serve_breaker_trips":              "Times the circuit breaker tripped open.",
 	"serve_slo_burn_rate":              "Error-budget burn rate at the last SLO check (1.0 = on target).",
 	"serve_slo_breaches_total":         "SLO burn-rate breach episodes detected.",
-	"serve_slo_profiles_total":         "CPU profiles captured by SLO breach auto-dump.",
 }
 
 // helpPrefixes describes dynamically named metric families.

@@ -105,35 +105,21 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed buckets (ascending upper
 // bounds, with an implicit +Inf overflow bucket) and tracks count and sum.
-// Each bucket can additionally carry an exemplar — an opaque reference
-// (in practice a trace ID) to the most recent observation that landed in
-// it, linking latency buckets back to concrete sampled requests.
 type Histogram struct {
-	bounds    []float64
-	counts    []atomic.Int64 // len(bounds)+1; last is the overflow bucket
-	count     atomic.Int64
-	sumBits   atomic.Uint64
-	exemplars []atomic.Pointer[string] // len(bounds)+1, lazily populated
+	bounds  []float64
+	counts  []atomic.Int64 // len(bounds)+1; last is the overflow bucket
+	count   atomic.Int64
+	sumBits atomic.Uint64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.ObserveExemplar(v, "")
-}
-
-// ObserveExemplar records one value and, when exemplar is non-empty,
-// attaches it to the bucket the value landed in (last writer wins).
-// Nil-safe like Observe.
-func (h *Histogram) ObserveExemplar(v float64, exemplar string) {
 	if h == nil {
 		return
 	}
 	idx := sort.SearchFloat64s(h.bounds, v) // first bound >= v, i.e. v <= bounds[idx]
 	h.counts[idx].Add(1)
 	h.count.Add(1)
-	if exemplar != "" {
-		h.exemplars[idx].Store(&exemplar)
-	}
 	for {
 		old := h.sumBits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
@@ -141,31 +127,6 @@ func (h *Histogram) ObserveExemplar(v float64, exemplar string) {
 			return
 		}
 	}
-}
-
-// Exemplars returns the per-bucket exemplar strings ("" where none was
-// recorded), or nil when the histogram has never seen one. Index i matches
-// bucket i of Counts in the snapshot (the last entry is the overflow
-// bucket).
-func (h *Histogram) Exemplars() []string {
-	if h == nil {
-		return nil
-	}
-	var out []string
-	any := false
-	for i := range h.exemplars {
-		if p := h.exemplars[i].Load(); p != nil {
-			if out == nil {
-				out = make([]string, len(h.exemplars))
-			}
-			out[i] = *p
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return out
 }
 
 // Count is the total number of observations (0 on a nil histogram).
@@ -339,11 +300,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 		}
 		bb := append([]float64(nil), bounds...)
 		sort.Float64s(bb)
-		h = &Histogram{
-			bounds:    bb,
-			counts:    make([]atomic.Int64, len(bb)+1),
-			exemplars: make([]atomic.Pointer[string], len(bb)+1),
-		}
+		h = &Histogram{bounds: bb, counts: make([]atomic.Int64, len(bb)+1)}
 		b.hists[name] = h
 	}
 	return h

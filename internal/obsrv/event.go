@@ -2,10 +2,10 @@
 // internal/metrics makes a finished run inspectable, obsrv makes a
 // *running* one inspectable. It provides
 //
-//   - a structured, leveled event logger (Observer) built on log/slog,
-//     nil-receiver inert like internal/metrics, that every layer — the
-//     autotuner, the executor, the schedule cache, the inference runtime —
-//     emits candidate/measurement/cache/layer events into;
+//   - a structured, leveled event hub (Observer), nil-receiver inert like
+//     internal/metrics, that every layer — the autotuner, the executor,
+//     the schedule cache, the inference runtime — emits
+//     candidate/measurement/cache/layer events into;
 //   - a fixed-capacity ring buffer (Ring) that retains the most recent
 //     events as a flight recorder, dumped as JSON when a tune fails, falls
 //     back to baseline, or the process receives SIGQUIT;
@@ -30,8 +30,9 @@ import (
 	"time"
 )
 
-// Level mirrors log/slog's levels; events below an Observer's log level
-// still reach the ring and subscribers — the level only gates slog output.
+// Level is an event's severity, with log/slog's numeric values. It labels
+// the event in the flight dump and the /events stream; the ring and the
+// subscribers receive every level.
 type Level int
 
 // Event severity levels (slog-compatible values).

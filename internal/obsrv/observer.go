@@ -1,26 +1,21 @@
 package obsrv
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Observer is the structured event hub: every layer emits events into it,
-// and it fans them out to the flight-recorder ring, to live subscribers
-// (the /events SSE endpoint) and — above the configured level — to a
-// log/slog logger. A nil *Observer is inert, mirroring internal/metrics:
-// instrumented code calls obs.Emit(...) unconditionally and pays one nil
-// check when observability is detached.
+// and it fans them out to the flight-recorder ring and to live subscribers
+// (the /events SSE endpoint). A nil *Observer is inert, mirroring
+// internal/metrics: instrumented code calls obs.Emit(...) unconditionally
+// and pays one nil check when observability is detached.
 //
 // Emission is bounded work and never blocks: the ring append is O(1) under
-// a short mutex, subscriber sends are non-blocking (a slow subscriber
-// loses events and its drop count grows), and slog handling is the
-// caller-provided handler's cost. Observers never touch a metrics
+// a short mutex and subscriber sends are non-blocking (a slow subscriber
+// loses events and its drop count grows). Observers never touch a metrics
 // registry, which is how the "attaching observability changes no result"
 // invariant holds by construction.
 type Observer struct {
@@ -29,8 +24,6 @@ type Observer struct {
 	jobs   *JobTracker
 
 	mu      sync.Mutex
-	logger  *slog.Logger
-	level   Level
 	subs    map[int]*subscriber
 	nextSub int
 	flightW io.Writer // auto-dump destination (nil: auto dumps are skipped)
@@ -43,8 +36,7 @@ type subscriber struct {
 	dropped atomic.Uint64
 }
 
-// New creates an observer with a DefaultFlightCapacity flight recorder, an
-// Info log level and no logger attached.
+// New creates an observer with a DefaultFlightCapacity flight recorder.
 func New() *Observer {
 	return NewWithCapacity(DefaultFlightCapacity)
 }
@@ -56,36 +48,12 @@ func NewWithCapacity(capacity int) *Observer {
 		flight: NewRing(capacity),
 		jobs:   NewJobTracker(),
 		subs:   map[int]*subscriber{},
-		level:  LevelInfo,
 	}
 }
 
 // Enabled reports whether events are being observed at all — the guard
 // call sites use before formatting expensive fields.
 func (o *Observer) Enabled() bool { return o != nil }
-
-// SetLogger attaches a slog logger that receives every event at or above
-// the observer's level (nil detaches).
-func (o *Observer) SetLogger(l *slog.Logger) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.logger = l
-	o.mu.Unlock()
-}
-
-// SetLevel sets the minimum level forwarded to the slog logger. The ring
-// and subscribers always receive every event — the flight recorder's whole
-// point is having the Debug-level candidate tail when something fails.
-func (o *Observer) SetLevel(l Level) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.level = l
-	o.mu.Unlock()
-}
 
 // SetFlightSink sets where automatic flight-recorder dumps go (tune
 // failure, baseline fallback, SIGQUIT). Nil disables auto dumps;
@@ -117,8 +85,7 @@ func (o *Observer) Flight() *Ring {
 }
 
 // Emit records one structured event: sequence-stamped, appended to the
-// flight recorder, fanned out to subscribers, and logged through slog when
-// at or above the observer's level. Nil-safe and non-blocking.
+// flight recorder and fanned out to subscribers. Nil-safe and non-blocking.
 func (o *Observer) Emit(level Level, kind string, fields ...Field) {
 	if o == nil {
 		return
@@ -133,8 +100,6 @@ func (o *Observer) Emit(level Level, kind string, fields ...Field) {
 	o.flight.Append(e)
 
 	o.mu.Lock()
-	logger := o.logger
-	lvl := o.level
 	for _, s := range o.subs {
 		select {
 		case s.ch <- e:
@@ -144,42 +109,6 @@ func (o *Observer) Emit(level Level, kind string, fields ...Field) {
 		}
 	}
 	o.mu.Unlock()
-
-	if logger != nil && level >= lvl {
-		attrs := make([]any, 0, 2*len(fields))
-		for _, f := range fields {
-			attrs = append(attrs, f.Key, f.Value)
-		}
-		logger.Log(context.Background(), slog.Level(level), kind, attrs...)
-	}
-}
-
-// Debugf/Infof/Warnf/Errorf emit a single-field printf-style event — the
-// escape hatch for one-off messages that don't warrant structured fields.
-func (o *Observer) Debugf(kind, format string, args ...any) {
-	o.printf(LevelDebug, kind, format, args...)
-}
-
-// Infof emits a formatted Info event.
-func (o *Observer) Infof(kind, format string, args ...any) {
-	o.printf(LevelInfo, kind, format, args...)
-}
-
-// Warnf emits a formatted Warn event.
-func (o *Observer) Warnf(kind, format string, args ...any) {
-	o.printf(LevelWarn, kind, format, args...)
-}
-
-// Errorf emits a formatted Error event.
-func (o *Observer) Errorf(kind, format string, args ...any) {
-	o.printf(LevelError, kind, format, args...)
-}
-
-func (o *Observer) printf(level Level, kind, format string, args ...any) {
-	if o == nil {
-		return
-	}
-	o.Emit(level, kind, Field{Key: "msg", Value: fmt.Sprintf(format, args...)})
 }
 
 // Subscribe registers a live event listener with the given channel buffer

@@ -3,7 +3,6 @@ package obsrv
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"strings"
 	"testing"
 )
@@ -14,9 +13,6 @@ func TestNilObserverInert(t *testing.T) {
 		t.Fatal("nil observer claims enabled")
 	}
 	o.Emit(LevelInfo, "x", F("k", "v")) // must not panic
-	o.Infof("y", "hello %d", 1)
-	o.SetLogger(slog.Default())
-	o.SetLevel(LevelDebug)
 	o.SetFlightSink(&bytes.Buffer{})
 	o.AutoDump("nil")
 	if o.Jobs() != nil || o.Flight() != nil || o.Dropped() != 0 || o.Dumps() != 0 {
@@ -82,28 +78,6 @@ func TestObserverSlowSubscriberDrops(t *testing.T) {
 	}
 	if o.Dropped() != 9 {
 		t.Fatalf("Dropped = %d, want 9", o.Dropped())
-	}
-}
-
-// TestObserverLevelGatesSlogOnly: events below the level must be absent
-// from the slog output yet present in the flight recorder — the recorder
-// exists precisely for the debug tail.
-func TestObserverLevelGatesSlogOnly(t *testing.T) {
-	var logBuf bytes.Buffer
-	o := New()
-	o.SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
-	o.SetLevel(LevelWarn)
-	o.Emit(LevelDebug, "candidate.start", F("idx", 1))
-	o.Emit(LevelWarn, "candidate.failed", F("error", "boom"))
-	out := logBuf.String()
-	if strings.Contains(out, "candidate.start") {
-		t.Fatalf("Debug event leaked into slog: %s", out)
-	}
-	if !strings.Contains(out, "candidate.failed") || !strings.Contains(out, "boom") {
-		t.Fatalf("Warn event missing from slog: %s", out)
-	}
-	if got := o.Flight().Len(); got != 2 {
-		t.Fatalf("ring retained %d events, want both", got)
 	}
 }
 

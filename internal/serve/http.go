@@ -10,6 +10,7 @@ import (
 
 	"swatop/internal/obsrv"
 	"swatop/internal/reqtrace"
+	"swatop/internal/tshist"
 )
 
 // Handler returns the daemon's HTTP surface:
@@ -19,7 +20,6 @@ import (
 //	GET  /serverz  serving status: queue, breaker, batch/shed/degraded counts
 //	GET  /tracez   tail-sampled request traces (when Config.Trace is set)
 //	GET  /varz     time-series history queries (when Config.History is set)
-//	GET  /dashz    time-series dashboard HTML (when Config.History is set)
 //	...            every read-only introspection endpoint of internal/obsrv
 //	               (/healthz, /metrics, /statusz, /events, /flightz, pprof)
 //
@@ -34,10 +34,7 @@ func (s *Server) Handler() http.Handler {
 		obs.Mount("/tracez", s.cfg.Trace.Handler(), "tail-sampled request traces")
 	}
 	if s.cfg.History != nil {
-		obs.Mount("/varz", s.cfg.History.Handler(),
-			"time-series history: windowed counter rates, histogram percentiles, fleet utilization (JSON)")
-		obs.Mount("/dashz", s.cfg.History.DashHandler(),
-			"time-series dashboard: utilization stack and per-series sparklines (HTML)")
+		obs.Mount("/varz", s.cfg.History.Handler(), tshist.VarzHelp)
 	}
 	mux.Handle("/", obs.Handler())
 	mux.HandleFunc("/infer", s.handleInfer)
@@ -138,7 +135,6 @@ type SLOStatus struct {
 	BurnRate     float64 `json:"burn_rate"`
 	Threshold    float64 `json:"burn_threshold"`
 	Breaches     uint64  `json:"breaches_total"`
-	Profiles     uint64  `json:"profiles_total"`
 }
 
 // Status freezes the current serving state.
@@ -156,7 +152,6 @@ func (s *Server) Status() ServerStatus {
 			BurnRate:     s.SLOBurnRate(),
 			Threshold:    s.cfg.SLO.burnThreshold(),
 			Breaches:     s.SLOBreaches(),
-			Profiles:     s.SLOProfiles(),
 		}
 	}
 	return ServerStatus{

@@ -117,14 +117,14 @@ type Config struct {
 	// bit-identical with tracing on or off.
 	Trace *reqtrace.Store
 	// History, when non-nil, is the time-series store the daemon's HTTP
-	// surface serves as /varz and /dashz (the cliobs -history scraper owns
+	// surface serves as /varz (the cliobs -history scraper owns
 	// populating it). Read-only here like Trace: schedules and machine
 	// seconds are bit-identical with or without it.
 	History *tshist.Store
 	// SLO, when non-nil, runs the error-budget guardrail: a background
 	// checker computes burn rate from the latency histogram and the
-	// shed/expired counters, and a breach auto-dumps the flight recorder
-	// plus a CPU profile. See SLO.
+	// shed/expired counters, and a breach auto-dumps the flight recorder.
+	// See SLO.
 	SLO *SLO
 }
 
@@ -642,10 +642,9 @@ func (s *Server) runBatch(batch []*pending) {
 		if degraded {
 			s.reg.Counter("serve_degraded_total").Inc()
 		}
-		hist := s.reg.Histogram("serve_latency_ms",
-			0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
+		s.reg.Histogram("serve_latency_ms",
+			0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000).Observe(resp.LatencyMs)
 		if p.rec != nil {
-			hist.ObserveExemplar(resp.LatencyMs, p.rec.ID())
 			p.rec.Span(reqtrace.PhaseQueue, "queue wait", p.enq, queueDur, nil)
 			p.rec.Span(reqtrace.PhaseBatch, "batch form", p.deq, batchDur,
 				map[string]string{
@@ -655,8 +654,6 @@ func (s *Server) runBatch(batch []*pending) {
 			p.rec.Import(spans)
 			p.rec.Span(reqtrace.PhaseComm, "inter-group comm share", done.Add(-commDur), commDur,
 				map[string]string{"machine_comm_ms": reqtrace.MsArg(res.CommSeconds * 1e3)})
-		} else {
-			hist.Observe(resp.LatencyMs)
 		}
 		s.deliver(p, outcome{resp: resp})
 		if p.rec != nil {

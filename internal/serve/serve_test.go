@@ -475,7 +475,6 @@ func TestServeSlowSubscriberDeterminism(t *testing.T) {
 	quiet := warm(nil)
 
 	obs := obsrv.New()
-	obs.SetLevel(obsrv.LevelDebug)
 	_, cancel := obs.Subscribe(1) // never read: wedged consumer
 	defer cancel()
 	noisy := warm(obs)

@@ -1,11 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +15,9 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 // SLO is the serving path's service-level objective and the guardrail that
 // watches it: a background checker computes the error-budget burn rate
 // from the metrics registry, and a breach auto-captures the evidence a
-// postmortem needs — a flight-recorder dump and a CPU profile — at the
-// moment the budget is burning, not hours later when someone reads a
-// dashboard.
+// postmortem needs — a flight-recorder dump — at the moment the budget is
+// burning, not hours later when someone reads a dashboard. (A CPU profile
+// of a burning daemon is one GET of /debug/pprof/profile on the same port.)
 //
 // Two budgets are watched, and the burn rate is the worse of them:
 //
@@ -50,11 +46,6 @@ type SLO struct {
 	BurnThreshold float64
 	// CheckInterval is the background check cadence (default 5s).
 	CheckInterval time.Duration
-	// ProfileDir, when non-empty, is where breach-triggered CPU profiles
-	// are written (slo-cpu-<n>.pprof). Empty skips profile capture.
-	ProfileDir string
-	// ProfileSeconds is how long a breach CPU profile records (default 1s).
-	ProfileSeconds time.Duration
 }
 
 func (o *SLO) burnThreshold() float64 {
@@ -71,22 +62,13 @@ func (o *SLO) checkInterval() time.Duration {
 	return 5 * time.Second
 }
 
-func (o *SLO) profileSeconds() time.Duration {
-	if o.ProfileSeconds > 0 {
-		return o.ProfileSeconds
-	}
-	return time.Second
-}
-
 // sloState is the guardrail's mutable half, hanging off the Server.
 type sloState struct {
 	mu       sync.Mutex
 	breached bool // inside a breach episode (hysteresis)
 
-	burn      atomic.Uint64 // last burn rate, float bits
-	breaches  atomic.Uint64
-	profiling atomic.Bool
-	profiles  atomic.Uint64
+	burn     atomic.Uint64 // last burn rate, float bits
+	breaches atomic.Uint64
 }
 
 // sloChecker is the background loop; it stops when the batcher exits
@@ -105,8 +87,7 @@ func (s *Server) sloChecker() {
 }
 
 // CheckSLO computes the current burn rate, publishes it, and fires the
-// breach actions (flight dump + CPU profile) when it crosses the
-// threshold. Exported so tests and operators can force a check instead of
+// breach action (a flight dump) when it crosses the threshold. Exported so tests and operators can force a check instead of
 // waiting out the interval. Returns the burn rate (0 when no SLO is
 // configured or nothing has been served).
 func (s *Server) CheckSLO() float64 {
@@ -166,7 +147,6 @@ func (s *Server) CheckSLO() float64 {
 			obsrv.F("p99_target_ms", slo.P99TargetMs),
 			obsrv.F("availability", slo.Availability))
 		s.obs.AutoDump("slo-breach")
-		s.captureProfile()
 	}
 	return burn
 }
@@ -176,44 +156,3 @@ func (s *Server) SLOBurnRate() float64 { return floatFromBits(s.slo.burn.Load())
 
 // SLOBreaches reports how many breach episodes have fired.
 func (s *Server) SLOBreaches() uint64 { return s.slo.breaches.Load() }
-
-// SLOProfiles reports how many breach CPU profiles were captured.
-func (s *Server) SLOProfiles() uint64 { return s.slo.profiles.Load() }
-
-// captureProfile records one CPU profile into ProfileDir. At most one
-// capture runs at a time; failures (another profiler active, unwritable
-// dir) are logged, never fatal — the guardrail must not hurt serving.
-func (s *Server) captureProfile() {
-	slo := s.cfg.SLO
-	if slo.ProfileDir == "" {
-		return
-	}
-	if !s.slo.profiling.CompareAndSwap(false, true) {
-		return
-	}
-	// Named by breach episode (captureProfile runs after the episode
-	// counter increments), so successive breaches never overwrite.
-	path := filepath.Join(slo.ProfileDir, fmt.Sprintf("slo-cpu-%d.pprof", s.slo.breaches.Load()))
-	f, err := os.Create(path)
-	if err != nil {
-		s.slo.profiling.Store(false)
-		s.obs.Emit(obsrv.LevelWarn, "slo.profile_fail", obsrv.F("error", err))
-		return
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		s.slo.profiling.Store(false)
-		s.obs.Emit(obsrv.LevelWarn, "slo.profile_fail", obsrv.F("error", err))
-		return
-	}
-	go func() {
-		time.Sleep(slo.profileSeconds())
-		pprof.StopCPUProfile()
-		f.Close()
-		s.slo.profiles.Add(1)
-		s.reg.Counter("serve_slo_profiles_total").Inc()
-		s.obs.Emit(obsrv.LevelInfo, "slo.profile", obsrv.F("path", path))
-		s.slo.profiling.Store(false)
-	}()
-}

@@ -52,7 +52,7 @@ type windowFP struct {
 func fingerprintWindow(s *Store, names []string, window time.Duration) windowFP {
 	fp := windowFP{Series: map[string]seriesFP{}}
 	for _, name := range names {
-		q, ok := s.Query(name, window, 0)
+		q, ok := s.Query(name, window)
 		if !ok {
 			continue
 		}
@@ -63,7 +63,7 @@ func fingerprintWindow(s *Store, names []string, window time.Duration) windowFP 
 			P50: bits(q.P50), P90: bits(q.P90), P99: bits(q.P99),
 		}
 	}
-	_, fp.Unknown = s.Query("no_such_series", window, 0)
+	_, fp.Unknown = s.Query("no_such_series", window)
 	for _, u := range s.FleetUtilization(window) {
 		fp.Utilization = append(fp.Utilization, utilFP{
 			Group: u.Group, Compute: bits(u.ComputeSeconds), Stall: bits(u.StallSeconds),

@@ -3,7 +3,6 @@ package tshist
 import (
 	"encoding/json"
 	"fmt"
-	"html"
 	"net/http"
 	"strings"
 	"time"
@@ -13,11 +12,14 @@ import (
 // carry one.
 const DefaultWindow = 60 * time.Second
 
+// VarzHelp is the one-line description the servers mounting Handler list
+// beside /varz.
+const VarzHelp = "time-series history: windowed counter rates, histogram percentiles, fleet utilization (JSON)"
+
 // varzIndex is the GET /varz document.
 type varzIndex struct {
 	LastScrape  string       `json:"last_scrape,omitempty"`
 	Ingests     int64        `json:"ingests"`
-	Resolutions []string     `json:"resolutions"`
 	Capacity    int          `json:"capacity"`
 	Series      []SeriesInfo `json:"series"`
 	Utilization []GroupUtil  `json:"utilization,omitempty"`
@@ -25,29 +27,34 @@ type varzIndex struct {
 
 // Handler serves the time-series history as JSON:
 //
-//	GET /varz                           index: series list + fleet utilization
-//	GET /varz/<metric>?window=60s&res=1s  windowed points + derived rate /
-//	                                      percentiles for one series
+//	GET /varz                      index: series list + fleet utilization
+//	GET /varz/<metric>?window=60s  windowed samples + derived rate /
+//	                               percentiles for one series
 //
 // Read-only by construction (it only queries the store), so mounting it on
 // the introspection server preserves the no-result-changes invariant.
 func (s *Store) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		name := strings.Trim(strings.TrimPrefix(r.URL.Path, "/varz"), "/")
-		if name == "" {
-			s.serveIndex(w, r)
+		window, err := ParseWindow(r.URL.Query().Get("window"), DefaultWindow)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		s.serveSeries(w, r, name)
+		name := strings.Trim(strings.TrimPrefix(r.URL.Path, "/varz"), "/")
+		if name == "" {
+			s.serveIndex(w, window)
+			return
+		}
+		result, ok := s.Query(name, window)
+		if !ok {
+			http.Error(w, fmt.Sprintf("unknown series %q", name), http.StatusNotFound)
+			return
+		}
+		writeJSON(w, result)
 	})
 }
 
-func (s *Store) serveIndex(w http.ResponseWriter, r *http.Request) {
-	window, err := ParseWindow(r.URL.Query().Get("window"), DefaultWindow)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Store) serveIndex(w http.ResponseWriter, window time.Duration) {
 	last, ingests := s.LastIngest()
 	doc := varzIndex{
 		Ingests:     ingests,
@@ -58,33 +65,10 @@ func (s *Store) serveIndex(w http.ResponseWriter, r *http.Request) {
 	if !last.IsZero() {
 		doc.LastScrape = last.UTC().Format(time.RFC3339Nano)
 	}
-	for _, res := range s.Resolutions() {
-		doc.Resolutions = append(doc.Resolutions, res.String())
-	}
 	if doc.Series == nil {
 		doc.Series = []SeriesInfo{}
 	}
 	writeJSON(w, doc)
-}
-
-func (s *Store) serveSeries(w http.ResponseWriter, r *http.Request, name string) {
-	q := r.URL.Query()
-	window, err := ParseWindow(q.Get("window"), DefaultWindow)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	res, err := ParseWindow(q.Get("res"), 0)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	result, ok := s.Query(name, window, res)
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown series %q", name), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, result)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -94,191 +78,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// DashHandler serves /dashz: a dependency-free HTML page rendering the
-// retained history — fleet utilization (compute vs stall vs comm) and a
-// table of every series with an inline SVG sparkline, its windowed rate
-// (counters) or percentiles (histograms). Rendered server-side on each
-// request; the page itself carries no scripts beyond a meta refresh.
-func (s *Store) DashHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		window, err := ParseWindow(r.URL.Query().Get("window"), DefaultWindow)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		s.renderDash(w, window)
-	})
-}
-
-// renderDash writes the dashboard HTML. Visual rules follow the repo's
-// observability pages: text in ink tokens, one accent hue per series
-// sparkline, a colorblind-validated triple (blue/orange/aqua) for the
-// compute/stall/comm utilization stack, light and dark mode from the same
-// roles.
-func (s *Store) renderDash(w http.ResponseWriter, window time.Duration) {
-	fmt.Fprintf(w, `<!doctype html>
-<html><head><meta charset="utf-8"><title>dashz</title>
-<meta http-equiv="refresh" content="5">
-<style>
-  :root {
-    color-scheme: light;
-    --surface: #fcfcfb; --ink: #0b0b0b; --ink-2: #52514e;
-    --grid: #e4e3df; --compute: #2a78d6; --stall: #eb6834; --comm: #1baf7a;
-  }
-  @media (prefers-color-scheme: dark) {
-    :root { color-scheme: dark;
-      --surface: #1a1a19; --ink: #ffffff; --ink-2: #c3c2b7;
-      --grid: #3a3936; --compute: #3987e5; --stall: #d95926; --comm: #199e70; }
-  }
-  body { background: var(--surface); color: var(--ink);
-         font: 13px/1.5 ui-monospace, SFMono-Regular, Menlo, monospace;
-         margin: 1.5rem; }
-  h1 { font-size: 15px; } h2 { font-size: 13px; color: var(--ink-2); }
-  table { border-collapse: collapse; width: 100%%; }
-  th, td { text-align: left; padding: 2px 12px 2px 0; border-bottom: 1px solid var(--grid); }
-  th { color: var(--ink-2); font-weight: normal; }
-  td.num { text-align: right; font-variant-numeric: tabular-nums; }
-  .bar { display: inline-block; height: 10px; vertical-align: middle; }
-  .legend span { margin-right: 1em; color: var(--ink-2); }
-  .swatch { display: inline-block; width: 10px; height: 10px; margin-right: 4px;
-            vertical-align: baseline; }
-  svg polyline { fill: none; stroke-width: 2; }
-</style></head><body>
-<h1>dashz &mdash; time-series history (window %s)</h1>
-`, html.EscapeString(window.String()))
-
-	s.renderUtilization(w, window)
-	s.renderSeriesTable(w, window)
-	fmt.Fprint(w, "</body></html>\n")
-}
-
-// renderUtilization writes the fleet utilization section: one row per
-// group with a stacked compute/stall/comm bar (2px gaps between segments)
-// and the numbers beside it.
-func (s *Store) renderUtilization(w http.ResponseWriter, window time.Duration) {
-	util := s.FleetUtilization(window)
-	if len(util) == 0 {
-		return
+// ParseWindow parses a /varz window parameter: a Go duration string
+// ("60s", "5m"); empty yields the fallback.
+func ParseWindow(s string, fallback time.Duration) (time.Duration, error) {
+	if s == "" {
+		return fallback, nil
 	}
-	fmt.Fprint(w, `<h2>fleet utilization (windowed machine seconds)</h2>
-<p class="legend"><span><span class="swatch" style="background:var(--compute)"></span>compute</span>`+
-		`<span><span class="swatch" style="background:var(--stall)"></span>stall</span>`+
-		`<span><span class="swatch" style="background:var(--comm)"></span>comm</span></p>
-<table><tr><th>group</th><th>share</th><th class="num">compute s</th><th class="num">stall s</th><th class="num">comm s</th><th class="num">utilization</th></tr>
-`)
-	for _, u := range util {
-		total := u.ComputeSeconds + u.StallSeconds + u.CommSeconds
-		bar := ""
-		if total > 0 {
-			px := func(v float64) int { return int(200 * v / total) }
-			bar = fmt.Sprintf(
-				`<span class="bar" style="width:%dpx;background:var(--compute)"></span>`+
-					`<span class="bar" style="width:%dpx;background:var(--stall);margin-left:2px"></span>`+
-					`<span class="bar" style="width:%dpx;background:var(--comm);margin-left:2px"></span>`,
-				px(u.ComputeSeconds), px(u.StallSeconds), px(u.CommSeconds))
-		}
-		fmt.Fprintf(w,
-			"<tr><td>%s</td><td>%s</td><td class=\"num\">%.6f</td><td class=\"num\">%.6f</td><td class=\"num\">%.6f</td><td class=\"num\">%.1f%%</td></tr>\n",
-			html.EscapeString(u.Group), bar,
-			u.ComputeSeconds, u.StallSeconds, u.CommSeconds, 100*u.Utilization)
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("tshist: bad duration %q: %w", s, err)
 	}
-	fmt.Fprint(w, "</table>\n")
-}
-
-// renderSeriesTable writes one row per series: name, kind, sparkline of
-// the windowed points, and the windowed summary (rate for counters,
-// last/min/max for gauges, count + p50/p99 for histograms).
-func (s *Store) renderSeriesTable(w http.ResponseWriter, window time.Duration) {
-	series := s.Series()
-	fmt.Fprint(w, `<h2>series</h2>
-<table><tr><th>name</th><th>kind</th><th>history</th><th class="num">windowed</th></tr>
-`)
-	const maxRows = 250
-	for i, info := range series {
-		if i >= maxRows {
-			fmt.Fprintf(w, "<tr><td colspan=\"4\">&hellip; %d more series (see /varz)</td></tr>\n",
-				len(series)-maxRows)
-			break
-		}
-		q, ok := s.Query(info.Name, window, 0)
-		if !ok {
-			continue
-		}
-		var spark, summary string
-		switch q.Kind {
-		case KindHistogram:
-			vals := make([]float64, 0, len(q.HistPoints))
-			prev := int64(0)
-			for j, p := range q.HistPoints {
-				if j > 0 {
-					vals = append(vals, float64(p.Count-prev))
-				}
-				prev = p.Count
-			}
-			spark = sparkline(vals)
-			summary = fmt.Sprintf("n %d &middot; p50 %.4g &middot; p99 %.4g", q.Count, q.P50, q.P99)
-		case KindCounter:
-			vals := make([]float64, 0, len(q.Points))
-			for j, p := range q.Points {
-				if j > 0 {
-					d := p.Last - q.Points[j-1].Last
-					if d < 0 {
-						d = 0
-					}
-					vals = append(vals, d)
-				}
-			}
-			spark = sparkline(vals)
-			summary = fmt.Sprintf("&Delta; %.4g &middot; %.4g/s", q.Delta, q.Rate)
-		default:
-			vals := make([]float64, 0, len(q.Points))
-			for _, p := range q.Points {
-				vals = append(vals, p.Last)
-			}
-			spark = sparkline(vals)
-			summary = fmt.Sprintf("last %.6g &middot; min %.4g &middot; max %.4g", q.Last, q.Min, q.Max)
-		}
-		fmt.Fprintf(w, "<tr><td><a href=\"/varz/%s?window=%s\" style=\"color:inherit\">%s</a></td><td>%s</td><td>%s</td><td class=\"num\">%s</td></tr>\n",
-			html.EscapeString(info.Name), html.EscapeString(window.String()),
-			html.EscapeString(info.Name), q.Kind, spark, summary)
+	if d < 0 {
+		return 0, fmt.Errorf("tshist: negative duration %q", s)
 	}
-	fmt.Fprint(w, "</table>\n")
-}
-
-// sparkline renders a 120x24 inline SVG polyline over the values, scaled
-// to their own min/max (a flat series draws a midline). Empty input
-// renders an empty placeholder.
-func sparkline(vals []float64) string {
-	const w, h, pad = 120, 24, 2.0
-	if len(vals) == 0 {
-		return `<svg width="120" height="24" role="img" aria-label="no data"></svg>`
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	span := hi - lo
-	var pts []string
-	for i, v := range vals {
-		x := pad
-		if len(vals) > 1 {
-			x = pad + (w-2*pad)*float64(i)/float64(len(vals)-1)
-		}
-		y := h / 2.0
-		if span > 0 {
-			y = (h - pad) - (h-2*pad)*(v-lo)/span
-		}
-		pts = append(pts, fmt.Sprintf("%.1f,%.1f", x, y))
-	}
-	title := fmt.Sprintf("%d points, min %.4g, max %.4g", len(vals), lo, hi)
-	return fmt.Sprintf(
-		`<svg width="%d" height="%d" role="img" aria-label=%q><title>%s</title>`+
-			`<polyline points="%s" style="stroke:var(--compute)"/></svg>`,
-		w, h, title, html.EscapeString(title), strings.Join(pts, " "))
+	return d, nil
 }

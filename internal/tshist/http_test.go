@@ -1,12 +1,11 @@
 package tshist
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"swatop/internal/metrics"
 )
 
 // fixture builds a store with a counter growing 5/s and a histogram whose
@@ -17,15 +16,14 @@ func fixture(t *testing.T) *Store {
 	s := New(Options{})
 	bounds := []float64{1, 10, 100}
 	for sec := 0; sec <= 120; sec += 60 {
-		snap := metrics.Snapshot{
-			Counters: map[string]int64{"reqs_total": int64(5 * sec)},
-			Gauges:   map[string]float64{"queue_depth": float64(sec)},
+		snap := histSnap("lat", bounds, []int64{0, 0, 0, 0}, 0)
+		if sec == 120 {
+			snap = histSnap("lat", bounds, []int64{98, 1, 1, 0}, 100)
 		}
+		snap.Counters = map[string]int64{"reqs_total": int64(5 * sec)}
+		snap.Gauges = map[string]float64{"queue_depth": float64(sec)}
 		s.Ingest(at(float64(sec)), snap)
 	}
-	s.Ingest(at(0), histSnap("lat", bounds, []int64{0, 0, 0, 0}, 0))
-	s.Ingest(at(60), histSnap("lat", bounds, []int64{0, 0, 0, 0}, 0))
-	s.Ingest(at(120), histSnap("lat", bounds, []int64{98, 1, 1, 0}, 100))
 	return s
 }
 
@@ -40,22 +38,18 @@ func TestVarzIndex(t *testing.T) {
 		t.Fatalf("content-type = %q", ct)
 	}
 	var doc struct {
-		Ingests     int64        `json:"ingests"`
-		Resolutions []string     `json:"resolutions"`
-		Capacity    int          `json:"capacity"`
-		Series      []SeriesInfo `json:"series"`
+		Ingests  int64        `json:"ingests"`
+		Capacity int          `json:"capacity"`
+		Series   []SeriesInfo `json:"series"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if doc.Ingests != 6 {
-		t.Fatalf("ingests = %d, want 6", doc.Ingests)
+	if doc.Ingests != 3 {
+		t.Fatalf("ingests = %d, want 3", doc.Ingests)
 	}
 	if doc.Capacity != DefaultCapacity {
 		t.Fatalf("capacity = %d, want %d", doc.Capacity, DefaultCapacity)
-	}
-	if len(doc.Resolutions) != len(DefaultResolutions) {
-		t.Fatalf("resolutions = %v", doc.Resolutions)
 	}
 	names := map[string]bool{}
 	for _, info := range doc.Series {
@@ -122,7 +116,6 @@ func TestVarzBadWindow(t *testing.T) {
 	for _, url := range []string{
 		"/varz?window=banana",
 		"/varz/reqs_total?window=banana",
-		"/varz/reqs_total?res=banana",
 	} {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
@@ -132,66 +125,23 @@ func TestVarzBadWindow(t *testing.T) {
 	}
 }
 
-func TestDashHandler(t *testing.T) {
+// TestVarzIgnoresRes: the store has one resolution, so the retired res=
+// parameter is answered like any unknown one — ignored, whatever it holds.
+func TestVarzIgnoresRes(t *testing.T) {
 	s := fixture(t)
-	s.Ingest(at(121), metrics.Snapshot{Gauges: map[string]float64{
-		"machine_compute_seconds":        8,
-		"machine_stall_seconds":          2,
-		"group0_machine_compute_seconds": 4,
-		"group0_machine_stall_seconds":   1,
-	}})
-	rec := httptest.NewRecorder()
-	s.DashHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/dashz", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	body := rec.Body.String()
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/html") {
-		t.Fatalf("content-type = %q", ct)
-	}
-	for _, want := range []string{
-		"<!doctype html>",
-		"fleet utilization",
-		"reqs_total",
-		"lat",
-		"<svg",           // sparklines rendered
-		"var(--compute)", // palette roles, not raw hex in marks
-		"group0",
+	var want, got bytes.Buffer
+	for url, body := range map[string]*bytes.Buffer{
+		"/varz/reqs_total?window=60s":            &want,
+		"/varz/reqs_total?window=60s&res=banana": &got,
 	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("dashz missing %q", want)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status = %d: %s", url, rec.Code, rec.Body)
 		}
+		body.Write(rec.Body.Bytes())
 	}
-	// Bad window propagates as 400 here too.
-	rec = httptest.NewRecorder()
-	s.DashHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/dashz?window=x", nil))
-	if rec.Code != 400 {
-		t.Fatalf("bad window status = %d, want 400", rec.Code)
-	}
-}
-
-func TestDashHandlerEmptyStore(t *testing.T) {
-	s := New(Options{})
-	rec := httptest.NewRecorder()
-	s.DashHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/dashz", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "series") {
-		t.Fatal("empty dash should still render the series section")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if got := sparkline(nil); !strings.Contains(got, "no data") {
-		t.Fatalf("empty sparkline = %q", got)
-	}
-	flat := sparkline([]float64{3, 3, 3})
-	if !strings.Contains(flat, "polyline") {
-		t.Fatalf("flat sparkline = %q", flat)
-	}
-	one := sparkline([]float64{1})
-	if !strings.Contains(one, "polyline") {
-		t.Fatalf("single-point sparkline = %q", one)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("res= changed the answer:\n%s\nvs\n%s", got.Bytes(), want.Bytes())
 	}
 }

@@ -34,7 +34,7 @@ func runTuned(t *testing.T, withHistory bool) (string, float64, []byte) {
 			if sc.Scrapes() < 2 {
 				t.Fatalf("scraper barely ran (%d scrapes); invariant not exercised", sc.Scrapes())
 			}
-			if _, ok := store.Query("autotune_candidates_total", 0, 0); !ok {
+			if _, ok := store.Query("autotune_candidates_total", 0); !ok {
 				t.Fatal("history store empty after tuning")
 			}
 		}()

@@ -1,22 +1,27 @@
 package tshist
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"swatop/internal/metrics"
 )
 
+// Point is one retained sample of a series: the counter or gauge value at
+// unix millisecond T, or a histogram's cumulative observation count.
+type Point struct {
+	T int64   `json:"t"`
+	V float64 `json:"v"`
+}
+
 // QueryResult is the answer to one windowed series query — what
-// /varz/<metric> serves. Points or HistPoints is populated according to
-// the series kind; the derived fields summarize the window.
+// /varz/<metric> serves: the samples inside the window and the fields
+// derived from them according to the series kind.
 type QueryResult struct {
-	Name         string  `json:"name"`
-	Kind         string  `json:"kind"`
-	WindowMs     int64   `json:"window_ms"`
-	ResolutionMs int64   `json:"resolution_ms"`
-	Points       []Point `json:"points,omitempty"`
+	Name     string  `json:"name"`
+	Kind     string  `json:"kind"`
+	WindowMs int64   `json:"window_ms"`
+	Points   []Point `json:"points,omitempty"`
 
 	// Counter derivations: Delta is the increase over the window, Rate is
 	// Delta per second. A counter reset inside the window clamps the delta
@@ -24,7 +29,7 @@ type QueryResult struct {
 	Delta float64 `json:"delta,omitempty"`
 	Rate  float64 `json:"rate,omitempty"`
 
-	// Gauge derivations over the window.
+	// Scalar derivations over the window.
 	Min  float64 `json:"min,omitempty"`
 	Max  float64 `json:"max,omitempty"`
 	Mean float64 `json:"mean,omitempty"`
@@ -35,160 +40,141 @@ type QueryResult struct {
 	// percentile reports the upper bound of the bucket its rank lands in;
 	// ranks in the +Inf overflow bucket clamp to the largest finite
 	// bound).
-	Bounds     []float64   `json:"bounds,omitempty"`
-	HistPoints []HistPoint `json:"hist_points,omitempty"`
-	Count      int64       `json:"count,omitempty"`
-	Sum        float64     `json:"sum,omitempty"`
-	P50        float64     `json:"p50,omitempty"`
-	P90        float64     `json:"p90,omitempty"`
-	P99        float64     `json:"p99,omitempty"`
+	Bounds []float64 `json:"bounds,omitempty"`
+	Count  int64     `json:"count,omitempty"`
+	Sum    float64   `json:"sum,omitempty"`
+	P50    float64   `json:"p50,omitempty"`
+	P90    float64   `json:"p90,omitempty"`
+	P99    float64   `json:"p99,omitempty"`
 }
 
-// pickRes chooses the query resolution: the explicit request when given,
-// otherwise the finest resolution whose retained span (resolution x
-// capacity) covers the window. Returns the ring index.
-func (s *Store) pickRes(window, res time.Duration) int {
-	if res > 0 {
-		// Exact match wins; otherwise the finest resolution >= requested.
-		for i, r := range s.res {
-			if r >= res {
-				return i
-			}
-		}
-		return len(s.res) - 1
-	}
-	for i, r := range s.res {
-		if time.Duration(s.cap)*r >= window {
-			return i
-		}
-	}
-	return len(s.res) - 1
-}
-
-// windowStart computes the inclusive window start in unix millis, anchored
-// at the newest ingest (not the wall clock, so replayed synthetic series
-// query deterministically).
-func (s *Store) windowStart(window time.Duration) int64 {
+// windowFrom is the index of the oldest retained sample inside the window,
+// which is anchored at the newest ingest (not the wall clock, so replayed
+// synthetic series query deterministically). window <= 0, or one longer
+// than what is retained, starts at the oldest sample. Caller holds s.mu
+// with s.n > 0.
+func (s *Store) windowFrom(window time.Duration) int {
 	if window <= 0 {
 		return 0
 	}
-	return s.lastMs - window.Milliseconds()
+	start := s.at(s.n-1).ms - window.Milliseconds()
+	return sort.Search(s.n, func(i int) bool { return s.at(i).ms >= start })
+}
+
+// scalar reads a counter or gauge out of one snapshot.
+func scalar(snap metrics.Snapshot, name string) (v float64, kind string) {
+	if c, ok := snap.Counters[name]; ok {
+		return float64(c), KindCounter
+	}
+	if g, ok := snap.Gauges[name]; ok {
+		return g, KindGauge
+	}
+	return 0, ""
 }
 
 // Query answers a windowed read of one series. window <= 0 means "all
-// retained history"; res <= 0 picks the finest resolution covering the
-// window. ok is false for unknown series.
-func (s *Store) Query(name string, window, res time.Duration) (QueryResult, bool) {
+// retained history". ok is false for a series the newest snapshot does not
+// hold.
+func (s *Store) Query(name string, window time.Duration) (QueryResult, bool) {
 	if s == nil {
 		return QueryResult{}, false
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ri := s.pickRes(window, res)
-	start := s.windowStart(window)
-	q := QueryResult{
-		Name:         name,
-		WindowMs:     window.Milliseconds(),
-		ResolutionMs: s.res[ri].Milliseconds(),
+	if s.n == 0 {
+		return QueryResult{}, false
 	}
-
+	q := QueryResult{Name: name, WindowMs: window.Milliseconds()}
+	from := s.windowFrom(window)
 	// window <= 0 asks for the series' lifetime: deltas are taken from
 	// zero (cumulative series start at zero at process birth), not from
-	// the first retained point.
+	// the first retained sample.
 	lifetime := window <= 0
-	if ser, ok := s.scalars[name]; ok {
-		q.Kind = ser.kind
-		for _, p := range ser.rings[ri].snapshot() {
-			if p.T >= start {
-				q.Points = append(q.Points, p)
-			}
-		}
-		summarizeScalar(&q, lifetime)
-		return q, true
-	}
-	if ser, ok := s.hists[name]; ok {
+	newest := s.at(s.n - 1).snap
+	if h, ok := newest.Histograms[name]; ok {
 		q.Kind = KindHistogram
-		q.Bounds = append([]float64(nil), ser.bounds...)
-		for _, p := range ser.rings[ri].snapshot() {
-			if p.T >= start {
-				q.HistPoints = append(q.HistPoints, p)
-			}
-		}
-		summarizeHist(&q, lifetime)
+		q.Bounds = append([]float64(nil), h.Bounds...)
+		s.summarizeHist(&q, from, lifetime)
 		return q, true
 	}
-	return QueryResult{}, false
+	if _, q.Kind = scalar(newest, name); q.Kind == "" {
+		return QueryResult{}, false
+	}
+	s.summarizeScalar(&q, from, lifetime)
+	return q, true
 }
 
-// summarizeScalar fills the counter/gauge derivations from q.Points.
-// lifetime makes the counter delta cumulative (from zero) instead of
-// windowed (from the first retained point).
-func summarizeScalar(q *QueryResult, lifetime bool) {
-	if len(q.Points) == 0 {
-		return
+// summarizeScalar fills the points and the counter/gauge derivations from
+// the samples at index from onwards that hold the series.
+func (s *Store) summarizeScalar(q *QueryResult, from int, lifetime bool) {
+	var sum float64
+	for i := from; i < s.n; i++ {
+		sm := s.at(i)
+		v, kind := scalar(sm.snap, q.Name)
+		if kind == "" {
+			continue // the series was born later
+		}
+		if len(q.Points) == 0 || v < q.Min {
+			q.Min = v
+		}
+		if len(q.Points) == 0 || v > q.Max {
+			q.Max = v
+		}
+		sum += v
+		q.Points = append(q.Points, Point{T: sm.ms, V: v})
 	}
 	first, last := q.Points[0], q.Points[len(q.Points)-1]
-	q.Last = last.Last
-	q.Min, q.Max = first.Min, first.Max
-	var sum float64
-	var n int64
-	for _, p := range q.Points {
-		if p.Min < q.Min {
-			q.Min = p.Min
-		}
-		if p.Max > q.Max {
-			q.Max = p.Max
-		}
-		sum += p.Last * float64(p.N)
-		n += p.N
-	}
-	if n > 0 {
-		q.Mean = sum / float64(n)
-	}
+	q.Last = last.V
+	q.Mean = sum / float64(len(q.Points))
 	if q.Kind != KindCounter {
 		return
 	}
-	// Rate over window: the increase between the first and last retained
-	// point divided by the time between them. One point yields no rate —
-	// a window needs two observations to witness change.
-	q.Delta = last.Last - first.Last
+	// Rate over window: the increase between the first and last sample
+	// divided by the time between them. One sample yields no rate — a
+	// window needs two observations to witness change.
+	q.Delta = last.V - first.V
 	if lifetime || q.Delta < 0 {
 		// Lifetime view, or a counter reset inside the window: the final
 		// cumulative value is the honest delta.
-		q.Delta = last.Last
+		q.Delta = last.V
 	}
 	if dtMs := last.T - first.T; dtMs > 0 {
 		q.Rate = q.Delta / (float64(dtMs) / 1e3)
 	}
 }
 
-// summarizeHist fills the windowed count/sum deltas and percentiles from
-// q.HistPoints. Because the points are cumulative, the windowed
-// distribution is lastPoint - firstPoint; a single retained point (or a
-// lifetime query) is treated as a delta from zero.
-func summarizeHist(q *QueryResult, lifetime bool) {
-	if len(q.HistPoints) == 0 {
-		return
+// summarizeHist fills the windowed count/sum deltas and percentiles.
+// Because snapshots are cumulative, the windowed distribution is the newest
+// sample minus the first one in the window holding the series; a single
+// sample (or a lifetime query) is a delta from zero.
+func (s *Store) summarizeHist(q *QueryResult, from int, lifetime bool) {
+	var base metrics.HistogramSnapshot
+	for i := from; i < s.n; i++ {
+		sm := s.at(i)
+		h, ok := sm.snap.Histograms[q.Name]
+		if !ok {
+			continue
+		}
+		if len(q.Points) == 0 && i < s.n-1 && !lifetime {
+			base = h
+		}
+		q.Points = append(q.Points, Point{T: sm.ms, V: float64(h.Count)})
 	}
-	last := q.HistPoints[len(q.HistPoints)-1]
-	base := HistPoint{Buckets: make([]int64, len(last.Buckets))}
-	if len(q.HistPoints) > 1 && !lifetime {
-		base = q.HistPoints[0]
-	}
+	last := s.at(s.n - 1).snap.Histograms[q.Name]
 	q.Count = last.Count - base.Count
 	q.Sum = last.Sum - base.Sum
 	if q.Count < 0 { // reset: fall back to the cumulative state
 		q.Count, q.Sum = last.Count, last.Sum
-		base = HistPoint{Buckets: make([]int64, len(last.Buckets))}
+		base = metrics.HistogramSnapshot{}
 	}
-	delta := make([]int64, len(last.Buckets))
+	delta := make([]int64, len(last.Counts))
 	for i := range delta {
-		d := last.Buckets[i]
-		if i < len(base.Buckets) {
-			d -= base.Buckets[i]
+		d := last.Counts[i]
+		if i < len(base.Counts) {
+			d -= base.Counts[i]
 		}
 		if d < 0 {
-			d = last.Buckets[i]
+			d = last.Counts[i]
 		}
 		delta[i] = d
 	}
@@ -233,32 +219,30 @@ type GroupUtil struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// scalarDelta computes the windowed increase of a cumulative scalar
-// series (0 when absent or single-point). Caller holds s.mu (read).
-func (s *Store) scalarDelta(name string, ri int, start int64) float64 {
-	ser, ok := s.scalars[name]
-	if !ok {
-		return 0
-	}
-	var first, last *Point
-	pts := ser.rings[ri].snapshot()
-	for i := range pts {
-		if pts[i].T < start {
+// scalarDelta computes the increase of a cumulative scalar series between
+// the first and the last sample at index from onwards that hold it (0 when
+// fewer than two do). Caller holds s.mu (read).
+func (s *Store) scalarDelta(name string, from int) float64 {
+	var first, last float64
+	held := 0
+	for i := from; i < s.n; i++ {
+		v, kind := scalar(s.at(i).snap, name)
+		if kind == "" {
 			continue
 		}
-		if first == nil {
-			first = &pts[i]
+		if held == 0 {
+			first = v
 		}
-		last = &pts[i]
+		last = v
+		held++
 	}
-	if first == nil || last == nil || first == last {
+	if held < 2 {
 		return 0
 	}
-	d := last.Last - first.Last
-	if d < 0 {
-		d = last.Last
+	if d := last - first; d >= 0 {
+		return d
 	}
-	return d
+	return last
 }
 
 // FleetUtilization reports per-group and aggregate utilization over the
@@ -272,32 +256,29 @@ func (s *Store) FleetUtilization(window time.Duration) []GroupUtil {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ri := s.pickRes(window, 0)
-	start := s.windowStart(window)
-
-	prefixes := map[string]bool{"": true}
-	for name := range s.scalars {
-		if p, rest := splitGroupPrefix(name); p != "" && rest == "machine_compute_seconds" {
-			prefixes[p] = true
+	prefixes := []string{""}
+	from := 0
+	if s.n > 0 {
+		from = s.windowFrom(window)
+		for name := range s.at(s.n - 1).snap.Gauges {
+			if p, rest := splitGroupPrefix(name); p != "" && rest == "machine_compute_seconds" {
+				prefixes = append(prefixes, p)
+			}
 		}
+		sort.Strings(prefixes)
 	}
-	names := make([]string, 0, len(prefixes))
-	for p := range prefixes {
-		names = append(names, p)
-	}
-	sort.Strings(names)
 
-	out := make([]GroupUtil, 0, len(names))
-	for _, p := range names {
+	out := make([]GroupUtil, 0, len(prefixes))
+	for _, p := range prefixes {
 		u := GroupUtil{
 			Group:          "fleet",
-			ComputeSeconds: s.scalarDelta(p+"machine_compute_seconds", ri, start),
-			StallSeconds:   s.scalarDelta(p+"machine_stall_seconds", ri, start),
+			ComputeSeconds: s.scalarDelta(p+"machine_compute_seconds", from),
+			StallSeconds:   s.scalarDelta(p+"machine_stall_seconds", from),
 		}
 		if p == "" {
 			// Modeled cross-group communication is accounted at the fleet
 			// level (it is time on the shared DDR3 path, not one group's).
-			u.CommSeconds = s.scalarDelta("infer_comm_seconds", ri, start)
+			u.CommSeconds = s.scalarDelta("infer_comm_seconds", from)
 		} else {
 			u.Group = p[:len(p)-1] // "group0_" -> "group0"
 		}
@@ -307,105 +288,4 @@ func (s *Store) FleetUtilization(window time.Duration) []GroupUtil {
 		out = append(out, u)
 	}
 	return out
-}
-
-// UtilPoint is one bucket of a utilization timeline: the per-bucket
-// increase of compute/stall/comm seconds.
-type UtilPoint struct {
-	T              int64   `json:"t"`
-	ComputeSeconds float64 `json:"compute_seconds"`
-	StallSeconds   float64 `json:"stall_seconds"`
-	CommSeconds    float64 `json:"comm_seconds"`
-}
-
-// UtilizationTimeline derives a per-bucket utilization series for one
-// group ("" or "fleet" for the aggregate, "group0"... for one group) by
-// differencing the cumulative machine gauges bucket to bucket.
-func (s *Store) UtilizationTimeline(group string, window, res time.Duration) []UtilPoint {
-	if s == nil {
-		return nil
-	}
-	prefix := ""
-	if group != "" && group != "fleet" {
-		prefix = group + "_"
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ri := s.pickRes(window, res)
-	start := s.windowStart(window)
-
-	series := func(name string) map[int64]float64 {
-		ser, ok := s.scalars[name]
-		if !ok {
-			return nil
-		}
-		m := map[int64]float64{}
-		for _, p := range ser.rings[ri].snapshot() {
-			m[p.T] = p.Last
-		}
-		return m
-	}
-	compute := series(prefix + "machine_compute_seconds")
-	stall := series(prefix + "machine_stall_seconds")
-	comm := map[int64]float64{}
-	if prefix == "" {
-		comm = series("infer_comm_seconds")
-	}
-
-	ts := map[int64]bool{}
-	for t := range compute {
-		ts[t] = true
-	}
-	for t := range stall {
-		ts[t] = true
-	}
-	for t := range comm {
-		ts[t] = true
-	}
-	order := make([]int64, 0, len(ts))
-	for t := range ts {
-		order = append(order, t)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	var out []UtilPoint
-	var prevC, prevS, prevM float64
-	havePrev := false
-	for _, t := range order {
-		c, sv, m := compute[t], stall[t], comm[t]
-		if havePrev && t >= start {
-			out = append(out, UtilPoint{
-				T:              t,
-				ComputeSeconds: nonNeg(c - prevC),
-				StallSeconds:   nonNeg(sv - prevS),
-				CommSeconds:    nonNeg(m - prevM),
-			})
-		}
-		prevC, prevS, prevM = c, sv, m
-		havePrev = true
-	}
-	return out
-}
-
-func nonNeg(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// ParseWindow parses a /varz window or resolution parameter: a Go
-// duration string ("60s", "5m"); empty yields the fallback.
-func ParseWindow(s string, fallback time.Duration) (time.Duration, error) {
-	if s == "" {
-		return fallback, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("tshist: bad duration %q: %w", s, err)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("tshist: negative duration %q", s)
-	}
-	return d, nil
 }

@@ -42,17 +42,17 @@ func TestScrapeOnceIngests(t *testing.T) {
 	if got := sc.Scrapes(); got != 2 {
 		t.Fatalf("scrapes = %d, want 2", got)
 	}
-	q, ok := s.Query("requests", 0, 0)
+	q, ok := s.Query("requests", 0)
 	if !ok {
 		t.Fatal("requests series missing after scrape")
 	}
 	if q.Last != 10 {
 		t.Fatalf("requests last = %v, want 10", q.Last)
 	}
-	if _, ok := s.Query("depth", 0, 0); !ok {
+	if _, ok := s.Query("depth", 0); !ok {
 		t.Fatal("depth series missing after scrape")
 	}
-	if q, ok := s.Query("lat", 0, 0); !ok || q.Count != 1 {
+	if q, ok := s.Query("lat", 0); !ok || q.Count != 1 {
 		t.Fatalf("lat count = %d (ok=%v), want 1", q.Count, ok)
 	}
 }
@@ -83,7 +83,7 @@ func TestScraperStartStop(t *testing.T) {
 	if got := sc.Scrapes(); got != after {
 		t.Fatalf("scrapes moved after Stop: %d -> %d", after, got)
 	}
-	if _, ok := s.Query("ticks", 0, 0); !ok {
+	if _, ok := s.Query("ticks", 0); !ok {
 		t.Fatal("ticks series missing")
 	}
 }
@@ -157,8 +157,8 @@ func TestConcurrentScrapeWhileWrite(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters/10; i++ {
 			sc.ScrapeOnce()
-			s.Query("requests_total", time.Minute, 0)
-			s.Query("latency_seconds", time.Minute, 0)
+			s.Query("requests_total", time.Minute)
+			s.Query("latency_seconds", time.Minute)
 			s.FleetUtilization(time.Minute)
 			s.Series()
 		}
@@ -167,13 +167,13 @@ func TestConcurrentScrapeWhileWrite(t *testing.T) {
 	wg.Wait()
 	sc.ScrapeOnce()
 
-	q, ok := s.Query("requests_total", 0, 0)
+	q, ok := s.Query("requests_total", 0)
 	if !ok || q.Last != iters {
 		t.Fatalf("requests_total last = %v (ok=%v), want %d", q.Last, ok, iters)
 	}
 	for g := 0; g < 3; g++ {
 		name := fmt.Sprintf("group%d_layers_total", g)
-		if q, ok := s.Query(name, 0, 0); !ok || q.Last != iters {
+		if q, ok := s.Query(name, 0); !ok || q.Last != iters {
 			t.Fatalf("%s last = %v (ok=%v), want %d", name, q.Last, ok, iters)
 		}
 	}

@@ -1,25 +1,24 @@
-// Package tshist is the in-process time-series history behind /varz and
-// /dashz: a dependency-free, bounded store of metric samples scraped from
-// a metrics.Registry, with multi-resolution downsampling and the derived
-// queries point-in-time snapshots cannot answer — rate-over-window for
-// counters, windowed nearest-rank percentiles for histograms, and
+// Package tshist is the in-process time-series history behind /varz: a
+// dependency-free, bounded store of metrics.Registry snapshots, and the
+// derived queries a point-in-time snapshot cannot answer — rate-over-window
+// for counters, windowed nearest-rank percentiles for histograms, and
 // per-core-group utilization (compute vs stall vs comm seconds) for the
 // fleet.
 //
 // Design rules, inherited from the rest of the observability stack:
 //
-//   - Bounded by construction: every series keeps one fixed-capacity ring
-//     per resolution. Memory is O(series x resolutions x capacity) forever,
-//     no matter how long the daemon runs.
+//   - Bounded by construction: the store is one fixed-capacity ring of
+//     (time, snapshot) pairs, one per scrape. Memory is O(series x capacity)
+//     forever, and retention is capacity x scrape interval: 6 minutes at the
+//     default 1 s, 6 hours at -scrape-interval 60s. A window longer than
+//     what is retained is answered from what is retained.
 //   - Observers never change results: the scraper only calls
 //     Registry.Snapshot (a read), so simulated machine seconds and selected
 //     schedules are bit-identical with history enabled or disabled — the
 //     invariant `make obs-check` gates.
-//   - Multi-resolution, not multi-copy: one Ingest feeds every resolution
-//     ring. Samples landing in the same aligned bucket merge (last value
-//     wins for cumulative series; min/max/count are kept for gauges), so
-//     the 60s ring is a true downsample of the 1s ring, not a second
-//     scrape.
+//   - Every metric is cumulative or instantaneous, so a windowed answer is
+//     a difference between (or a fold over) the snapshots inside the window;
+//     nothing is pre-aggregated per series.
 //
 // Timestamps are supplied by the caller (the Scraper's clock, or a test's
 // synthetic clock) — the store itself never reads the wall clock, which is
@@ -35,92 +34,20 @@ import (
 	"swatop/internal/metrics"
 )
 
-// DefaultResolutions are the downsampling levels a store keeps when the
-// options do not say otherwise: 1s raw-ish scrape buckets, 10s and 60s
-// downsamples. With the default capacity that retains 6 minutes, 1 hour
-// and 6 hours of history respectively.
-var DefaultResolutions = []time.Duration{time.Second, 10 * time.Second, time.Minute}
-
-// DefaultCapacity is the number of points each resolution ring retains.
+// DefaultCapacity is the number of snapshots the ring retains.
 const DefaultCapacity = 360
 
 // Options configure a Store.
 type Options struct {
-	// Resolutions are the bucket widths kept per series, ascending
-	// (DefaultResolutions when empty). Queries pick the finest resolution
-	// whose retained span covers the requested window.
-	Resolutions []time.Duration
-	// Capacity is the number of points per resolution ring
-	// (DefaultCapacity when 0).
+	// Capacity is the number of snapshots retained (DefaultCapacity when
+	// not positive).
 	Capacity int
 }
 
-// Point is one downsampled scalar bucket. For counters and other
-// cumulative series Last is the value at the end of the bucket; for gauges
-// Min/Max bracket every raw sample merged into the bucket.
-type Point struct {
-	// T is the bucket start, unix milliseconds, aligned to the ring's
-	// resolution.
-	T    int64   `json:"t"`
-	Last float64 `json:"last"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-	// N is how many raw scrapes merged into this bucket.
-	N int64 `json:"n"`
-}
-
-// HistPoint is one downsampled histogram bucket: the cumulative count,
-// sum and per-bucket counts at the end of the time bucket. Cumulative
-// points make windowed percentiles a two-point subtraction.
-type HistPoint struct {
-	T     int64   `json:"t"`
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	// Buckets are cumulative observation counts per histogram bucket,
-	// aligned with the series' Bounds; the last entry is the +Inf
-	// overflow bucket.
-	Buckets []int64 `json:"buckets"`
-}
-
-// ring is a fixed-capacity circular buffer of time buckets in
-// chronological order.
-type ring[P any] struct {
-	buf  []P
-	head int // index of the oldest element
-	n    int
-}
-
-func newRing[P any](capacity int) *ring[P] {
-	return &ring[P]{buf: make([]P, capacity)}
-}
-
-// last returns a pointer to the newest element (nil when empty) so the
-// ingest path can merge in place.
-func (r *ring[P]) last() *P {
-	if r.n == 0 {
-		return nil
-	}
-	return &r.buf[(r.head+r.n-1)%len(r.buf)]
-}
-
-// push appends p, evicting the oldest element when full.
-func (r *ring[P]) push(p P) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-		return
-	}
-	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// snapshot copies the ring's contents oldest-first.
-func (r *ring[P]) snapshot() []P {
-	out := make([]P, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
+// sample is one scrape: the registry's state at unix millisecond ms.
+type sample struct {
+	ms   int64
+	snap metrics.Snapshot
 }
 
 // Series kinds, mirroring the registry's metric types.
@@ -130,191 +57,58 @@ const (
 	KindHistogram = "histogram"
 )
 
-// scalarSeries holds one counter or gauge at every resolution.
-type scalarSeries struct {
-	kind  string
-	rings []*ring[Point]
-}
-
-// histSeries holds one histogram at every resolution.
-type histSeries struct {
-	bounds []float64
-	rings  []*ring[HistPoint]
-}
-
 // Store is the bounded time-series history. All methods are safe for
 // concurrent use; Ingest is typically called by one Scraper goroutine
 // while HTTP handlers query.
 type Store struct {
-	res []time.Duration
-	cap int
-
 	mu      sync.RWMutex
-	scalars map[string]*scalarSeries
-	hists   map[string]*histSeries
-	lastMs  int64 // timestamp of the newest ingest, unix milliseconds
+	ring    []sample // circular; the oldest of the n retained is at head
+	head, n int
 	ingests int64
 }
 
-// New creates a store. Invalid options fall back to the defaults.
+// New creates a store.
 func New(opts Options) *Store {
-	res := append([]time.Duration(nil), opts.Resolutions...)
-	if len(res) == 0 {
-		res = append(res, DefaultResolutions...)
-	}
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
-	for i, r := range res {
-		if r <= 0 {
-			res[i] = time.Second
-		}
-	}
 	capacity := opts.Capacity
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Store{
-		res:     res,
-		cap:     capacity,
-		scalars: map[string]*scalarSeries{},
-		hists:   map[string]*histSeries{},
-	}
+	return &Store{ring: make([]sample, capacity)}
 }
 
-// Resolutions reports the store's configured bucket widths, ascending.
-func (s *Store) Resolutions() []time.Duration {
-	return append([]time.Duration(nil), s.res...)
-}
+// Capacity reports how many snapshots the store retains.
+func (s *Store) Capacity() int { return len(s.ring) }
 
-// Capacity reports the per-ring point capacity.
-func (s *Store) Capacity() int { return s.cap }
+// at returns the i-th retained sample, oldest first. Caller holds s.mu.
+func (s *Store) at(i int) *sample { return &s.ring[(s.head+i)%len(s.ring)] }
 
-// Ingest records one registry snapshot taken at time t. Counters and
-// gauges become scalar points, histograms become cumulative histogram
-// points; within each resolution, samples falling into the same aligned
-// bucket merge. Out-of-order timestamps older than the newest bucket of a
-// ring are dropped for that ring (the scraper's clock is monotonic in
-// practice; tests that replay synthetic series use ascending timestamps).
-// Nil-safe on the store.
+// Ingest records one registry snapshot taken at time t, evicting the
+// oldest when the ring is full. The store keeps snap's maps, so the caller
+// must not write to them afterwards (Registry.Snapshot returns fresh ones).
+// A timestamp older than the newest retained one is dropped: the ring stays
+// in time order, which the window search relies on (the scraper's clock is
+// monotonic in practice). Nil-safe on the store.
 func (s *Store) Ingest(t time.Time, snap metrics.Snapshot) {
 	if s == nil {
 		return
 	}
 	ms := t.UnixMilli()
+	snap.Help = nil // descriptive text, not data: not worth a copy per scrape
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ms > s.lastMs {
-		s.lastMs = ms
-	}
 	s.ingests++
-
-	// Deterministic iteration order is not needed for correctness (each
-	// series is independent), but sorted names keep lazily created series
-	// maps allocation-stable under test.
-	for name, v := range snap.Counters {
-		s.observeScalar(name, KindCounter, ms, float64(v))
+	if s.n > 0 && ms < s.at(s.n-1).ms {
+		return
 	}
-	for name, v := range snap.Gauges {
-		s.observeScalar(name, KindGauge, ms, v)
+	if s.n < len(s.ring) {
+		s.n++
+	} else {
+		s.head = (s.head + 1) % len(s.ring)
 	}
-	for name, h := range snap.Histograms {
-		s.observeHist(name, ms, h)
-	}
+	*s.at(s.n - 1) = sample{ms: ms, snap: snap}
 }
 
-// observeScalar merges one raw sample into every resolution ring of the
-// named scalar series, creating the series on first sight. Caller holds
-// s.mu.
-func (s *Store) observeScalar(name, kind string, ms int64, v float64) {
-	ser := s.scalars[name]
-	if ser == nil {
-		ser = &scalarSeries{kind: kind, rings: make([]*ring[Point], len(s.res))}
-		for i := range ser.rings {
-			ser.rings[i] = newRing[Point](s.cap)
-		}
-		s.scalars[name] = ser
-	}
-	for i, res := range s.res {
-		bucket := truncMs(ms, res)
-		r := ser.rings[i]
-		if last := r.last(); last != nil {
-			if bucket < last.T {
-				continue // out-of-order beyond the newest bucket: drop
-			}
-			if bucket == last.T {
-				last.Last = v
-				if v < last.Min {
-					last.Min = v
-				}
-				if v > last.Max {
-					last.Max = v
-				}
-				last.N++
-				continue
-			}
-		}
-		r.push(Point{T: bucket, Last: v, Min: v, Max: v, N: 1})
-	}
-}
-
-// observeHist merges one histogram snapshot into every resolution ring.
-// Caller holds s.mu.
-func (s *Store) observeHist(name string, ms int64, h metrics.HistogramSnapshot) {
-	ser := s.hists[name]
-	if ser == nil {
-		ser = &histSeries{
-			bounds: append([]float64(nil), h.Bounds...),
-			rings:  make([]*ring[HistPoint], len(s.res)),
-		}
-		for i := range ser.rings {
-			ser.rings[i] = newRing[HistPoint](s.cap)
-		}
-		s.hists[name] = ser
-	}
-	for i, res := range s.res {
-		bucket := truncMs(ms, res)
-		r := ser.rings[i]
-		if last := r.last(); last != nil {
-			if bucket < last.T {
-				continue
-			}
-			if bucket == last.T {
-				// Cumulative series: the newest sample supersedes earlier
-				// ones in the same time bucket.
-				last.Count = h.Count
-				last.Sum = h.Sum
-				copy(last.Buckets, h.Counts)
-				continue
-			}
-		}
-		r.push(HistPoint{
-			T:       bucket,
-			Count:   h.Count,
-			Sum:     h.Sum,
-			Buckets: append([]int64(nil), h.Counts...),
-		})
-	}
-}
-
-// truncMs aligns a unix-millisecond timestamp down to a resolution bucket.
-func truncMs(ms int64, res time.Duration) int64 {
-	w := res.Milliseconds()
-	if w <= 0 {
-		return ms
-	}
-	return ms - mod(ms, w)
-}
-
-// mod is a non-negative modulus (unix millis are positive in practice, but
-// synthetic test clocks may start at 0 or below).
-func mod(a, b int64) int64 {
-	m := a % b
-	if m < 0 {
-		m += b
-	}
-	return m
-}
-
-// LastIngest reports the newest ingest timestamp (zero time when empty)
+// LastIngest reports the newest retained timestamp (zero time when empty)
 // and the total number of ingests.
 func (s *Store) LastIngest() (time.Time, int64) {
 	if s == nil {
@@ -322,10 +116,10 @@ func (s *Store) LastIngest() (time.Time, int64) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.lastMs == 0 {
+	if s.n == 0 {
 		return time.Time{}, s.ingests
 	}
-	return time.UnixMilli(s.lastMs), s.ingests
+	return time.UnixMilli(s.at(s.n - 1).ms), s.ingests
 }
 
 // SeriesInfo is the /varz index entry for one series.
@@ -335,37 +129,35 @@ type SeriesInfo struct {
 	// Last is the newest scalar value (counters/gauges); for histograms
 	// it is the cumulative observation count.
 	Last float64 `json:"last"`
-	// Points is the number of retained points at the finest resolution.
-	Points int `json:"points"`
 }
 
-// Series lists every known series, sorted by name.
+// Series lists every series of the newest snapshot, sorted by name (a
+// registry never forgets a metric, so the newest snapshot names them all).
 func (s *Store) Series() []SeriesInfo {
 	if s == nil {
 		return nil
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]SeriesInfo, 0, len(s.scalars)+len(s.hists))
-	for name, ser := range s.scalars {
-		info := SeriesInfo{Name: name, Kind: ser.kind, Points: ser.rings[0].n}
-		if last := ser.rings[0].last(); last != nil {
-			info.Last = last.Last
-		}
-		out = append(out, info)
+	if s.n == 0 {
+		return nil
 	}
-	for name, ser := range s.hists {
-		info := SeriesInfo{Name: name, Kind: KindHistogram, Points: ser.rings[0].n}
-		if last := ser.rings[0].last(); last != nil {
-			info.Last = float64(last.Count)
-		}
-		out = append(out, info)
+	snap := s.at(s.n - 1).snap
+	out := make([]SeriesInfo, 0, len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
+	for name, v := range snap.Counters {
+		out = append(out, SeriesInfo{Name: name, Kind: KindCounter, Last: float64(v)})
+	}
+	for name, v := range snap.Gauges {
+		out = append(out, SeriesInfo{Name: name, Kind: KindGauge, Last: v})
+	}
+	for name, h := range snap.Histograms {
+		out = append(out, SeriesInfo{Name: name, Kind: KindHistogram, Last: float64(h.Count)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// hasGroupPrefix splits "group3_machine_compute_seconds" into its group
+// splitGroupPrefix splits "group3_machine_compute_seconds" into its group
 // prefix ("group3_") and rest; a name with no group prefix returns ("",
 // name).
 func splitGroupPrefix(name string) (prefix, rest string) {

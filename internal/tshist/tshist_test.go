@@ -26,7 +26,7 @@ func TestCounterWindowedRate(t *testing.T) {
 	for sec := 0; sec <= 120; sec++ {
 		s.Ingest(at(float64(sec)), counterSnap("reqs_total", int64(5*sec)))
 	}
-	q, ok := s.Query("reqs_total", 60*time.Second, 0)
+	q, ok := s.Query("reqs_total", 60*time.Second)
 	if !ok {
 		t.Fatal("series not found")
 	}
@@ -51,7 +51,7 @@ func TestCounterReset(t *testing.T) {
 	s.Ingest(at(0), counterSnap("c", 1000))
 	s.Ingest(at(10), counterSnap("c", 0)) // process restart
 	s.Ingest(at(20), counterSnap("c", 40))
-	q, _ := s.Query("c", time.Minute, 0)
+	q, _ := s.Query("c", time.Minute)
 	if q.Delta != 40 {
 		t.Fatalf("delta after reset = %v, want 40", q.Delta)
 	}
@@ -87,7 +87,7 @@ func TestHistogramWindowedP99(t *testing.T) {
 	// Inside the window: +98 obs <=1, +1 obs <=10, +1 obs <=100.
 	s.Ingest(at(120), histSnap("lat", bounds, []int64{1098, 1, 1, 0}, 600))
 
-	q, ok := s.Query("lat", 60*time.Second, 0)
+	q, ok := s.Query("lat", 60*time.Second)
 	if !ok {
 		t.Fatal("series not found")
 	}
@@ -109,7 +109,7 @@ func TestHistogramWindowedP99(t *testing.T) {
 
 	// The full-history view (window = everything) is dominated by the old
 	// observations: p99 collapses back into the lowest bucket.
-	q, _ = s.Query("lat", 0, 0)
+	q, _ = s.Query("lat", 0)
 	if q.Count != 1100 {
 		t.Fatalf("full count = %d, want 1100", q.Count)
 	}
@@ -125,47 +125,20 @@ func TestHistogramOverflowClamp(t *testing.T) {
 	s := New(Options{})
 	s.Ingest(at(0), histSnap("h", bounds, []int64{0, 0, 0}, 0))
 	s.Ingest(at(10), histSnap("h", bounds, []int64{0, 0, 50}, 5000))
-	q, _ := s.Query("h", time.Minute, 0)
+	q, _ := s.Query("h", time.Minute)
 	if q.P99 != 10 {
 		t.Fatalf("overflow p99 = %v, want clamp to 10", q.P99)
 	}
 }
 
-// TestDownsampling: sub-second scrapes merge into one 1s bucket (last
-// value wins, min/max bracket, N counts the raw samples), and the same
-// ingest stream lands downsampled in the 10s ring.
-func TestDownsampling(t *testing.T) {
-	s := New(Options{Resolutions: []time.Duration{time.Second, 10 * time.Second}})
-	for i := 0; i < 40; i++ { // 4 samples/s for 10 seconds
-		v := float64(i)
-		s.Ingest(at(float64(i)*0.25), metrics.Snapshot{Gauges: map[string]float64{"g": v}})
-	}
-	q, _ := s.Query("g", time.Minute, time.Second)
-	if len(q.Points) != 10 {
-		t.Fatalf("1s points = %d, want 10", len(q.Points))
-	}
-	p0 := q.Points[0]
-	if p0.N != 4 || p0.Min != 0 || p0.Max != 3 || p0.Last != 3 {
-		t.Fatalf("first 1s bucket = %+v, want N=4 min=0 max=3 last=3", p0)
-	}
-
-	q10, _ := s.Query("g", time.Minute, 10*time.Second)
-	if len(q10.Points) != 1 {
-		t.Fatalf("10s points = %d, want 1", len(q10.Points))
-	}
-	if p := q10.Points[0]; p.N != 40 || p.Min != 0 || p.Max != 39 || p.Last != 39 {
-		t.Fatalf("10s bucket = %+v, want N=40 min=0 max=39 last=39", p)
-	}
-}
-
 // TestRingWraparound: a capacity-4 store retains only the newest 4
-// buckets, oldest evicted first, order preserved.
+// snapshots, oldest evicted first, order preserved.
 func TestRingWraparound(t *testing.T) {
-	s := New(Options{Resolutions: []time.Duration{time.Second}, Capacity: 4})
+	s := New(Options{Capacity: 4})
 	for sec := 0; sec < 10; sec++ {
 		s.Ingest(at(float64(sec)), counterSnap("c", int64(sec)))
 	}
-	q, _ := s.Query("c", 0, 0)
+	q, _ := s.Query("c", 0)
 	if len(q.Points) != 4 {
 		t.Fatalf("retained %d points, want 4", len(q.Points))
 	}
@@ -175,49 +148,80 @@ func TestRingWraparound(t *testing.T) {
 			t.Fatalf("point %d at T=%d, want %d", i, p.T, want)
 		}
 	}
-	if q.Points[3].Last != 9 {
-		t.Fatalf("newest value = %v, want 9", q.Points[3].Last)
+	if q.Points[3].V != 9 {
+		t.Fatalf("newest value = %v, want 9", q.Points[3].V)
 	}
 }
 
-// TestOutOfOrderDrop: a sample older than the newest bucket is dropped
-// rather than corrupting the ring order.
+// TestOutOfOrderDrop: a snapshot older than the newest retained one is
+// dropped rather than corrupting the ring order.
 func TestOutOfOrderDrop(t *testing.T) {
-	s := New(Options{Resolutions: []time.Duration{time.Second}})
+	s := New(Options{})
 	s.Ingest(at(10), counterSnap("c", 10))
 	s.Ingest(at(5), counterSnap("c", 99)) // stale: dropped
 	s.Ingest(at(11), counterSnap("c", 11))
-	q, _ := s.Query("c", 0, 0)
+	q, _ := s.Query("c", 0)
 	if len(q.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(q.Points))
 	}
-	if q.Points[0].Last != 10 || q.Points[1].Last != 11 {
+	if q.Points[0].V != 10 || q.Points[1].V != 11 {
 		t.Fatalf("points = %+v", q.Points)
 	}
 }
 
-// TestResolutionPick: with no explicit resolution the query uses the
-// finest ring that covers the window.
-func TestResolutionPick(t *testing.T) {
-	s := New(Options{
-		Resolutions: []time.Duration{time.Second, 10 * time.Second, time.Minute},
-		Capacity:    60, // spans: 1m, 10m, 1h
-	})
-	s.Ingest(at(0), counterSnap("c", 1))
-	for _, tc := range []struct {
-		window time.Duration
-		wantMs int64
-	}{
-		{30 * time.Second, 1000},
-		{5 * time.Minute, 10000},
-		{30 * time.Minute, 60000},
-		{24 * time.Hour, 60000}, // beyond every span: coarsest
-	} {
-		q, _ := s.Query("c", tc.window, 0)
-		if q.ResolutionMs != tc.wantMs {
-			t.Fatalf("window %v picked %dms resolution, want %dms",
-				tc.window, q.ResolutionMs, tc.wantMs)
+// TestStoreBounded: ten times the capacity in ingests retains exactly
+// Capacity snapshots — the newest ones — and Series still lists every name.
+func TestStoreBounded(t *testing.T) {
+	s := New(Options{Capacity: 8})
+	for sec := 0; sec < 80; sec++ {
+		s.Ingest(at(float64(sec)), metrics.Snapshot{
+			Counters:   map[string]int64{"c": int64(sec)},
+			Gauges:     map[string]float64{"g": float64(sec)},
+			Histograms: map[string]metrics.HistogramSnapshot{"h": {Count: int64(sec)}},
+		})
+	}
+	if _, n := s.LastIngest(); n != 80 {
+		t.Fatalf("ingests = %d, want 80", n)
+	}
+	for _, name := range []string{"c", "g", "h"} {
+		q, ok := s.Query(name, 0)
+		if !ok || len(q.Points) != 8 || q.Points[0].T != 72_000 || q.Points[7].V != 79 {
+			t.Fatalf("%s: retained %+v (ok=%v), want the 8 newest", name, q.Points, ok)
 		}
+	}
+	series := s.Series()
+	if len(series) != 3 || series[0].Name != "c" || series[1].Name != "g" || series[2].Name != "h" {
+		t.Fatalf("series = %+v, want c, g, h", series)
+	}
+}
+
+// TestQueryWindowBeyondRetentionClamps: a window longer than capacity x
+// scrape interval is answered from what is retained, like the lifetime
+// view but as a windowed delta.
+func TestQueryWindowBeyondRetentionClamps(t *testing.T) {
+	s := New(Options{Capacity: 10})
+	for sec := 0; sec < 100; sec++ {
+		s.Ingest(at(float64(sec)), counterSnap("c", int64(5*sec)))
+	}
+	q, ok := s.Query("c", 24*time.Hour)
+	if !ok || len(q.Points) != 10 {
+		t.Fatalf("points = %d (ok=%v), want the 10 retained", len(q.Points), ok)
+	}
+	if q.Delta != 45 || q.Rate != 5 {
+		t.Fatalf("delta/rate = %v/%v, want 45/5 over the retained 9 s", q.Delta, q.Rate)
+	}
+}
+
+// TestSeriesBornInsideWindow: a series first scraped midway through the
+// window is summarized from its first sample, not from a phantom zero.
+func TestSeriesBornInsideWindow(t *testing.T) {
+	s := New(Options{})
+	s.Ingest(at(0), counterSnap("old", 1))
+	s.Ingest(at(10), metrics.Snapshot{Counters: map[string]int64{"old": 2, "young": 100}})
+	s.Ingest(at(20), metrics.Snapshot{Counters: map[string]int64{"old": 3, "young": 130}})
+	q, ok := s.Query("young", time.Minute)
+	if !ok || len(q.Points) != 2 || q.Delta != 30 || q.Rate != 3 || q.Min != 100 {
+		t.Fatalf("young = %+v (ok=%v), want 2 points, delta 30, rate 3, min 100", q, ok)
 	}
 }
 
@@ -259,27 +263,6 @@ func TestFleetUtilization(t *testing.T) {
 	}
 }
 
-// TestUtilizationTimeline: bucket-to-bucket differencing of the
-// cumulative gauges.
-func TestUtilizationTimeline(t *testing.T) {
-	s := New(Options{Resolutions: []time.Duration{time.Second}})
-	for sec := 0; sec <= 3; sec++ {
-		s.Ingest(at(float64(sec)), metrics.Snapshot{Gauges: map[string]float64{
-			"machine_compute_seconds": float64(sec) * 2,
-			"machine_stall_seconds":   float64(sec),
-		}})
-	}
-	tl := s.UtilizationTimeline("fleet", time.Minute, time.Second)
-	if len(tl) != 3 {
-		t.Fatalf("timeline points = %d, want 3", len(tl))
-	}
-	for _, p := range tl {
-		if p.ComputeSeconds != 2 || p.StallSeconds != 1 {
-			t.Fatalf("timeline point = %+v, want compute 2 stall 1", p)
-		}
-	}
-}
-
 // TestSplitGroupPrefix covers the group-name parser's edges.
 func TestSplitGroupPrefix(t *testing.T) {
 	cases := []struct{ in, prefix, rest string }{
@@ -303,7 +286,7 @@ func TestSplitGroupPrefix(t *testing.T) {
 func TestNilStore(t *testing.T) {
 	var s *Store
 	s.Ingest(at(0), metrics.Snapshot{})
-	if _, ok := s.Query("x", time.Minute, 0); ok {
+	if _, ok := s.Query("x", time.Minute); ok {
 		t.Fatal("nil store answered a query")
 	}
 	if s.Series() != nil || s.FleetUtilization(time.Minute) != nil {

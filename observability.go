@@ -21,9 +21,8 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // Observer is the structured event hub of internal/obsrv: every
 // instrumented layer (tuning, execution, cache, inference) emits leveled
 // events into it, and it fans them out to a fixed-capacity flight
-// recorder, to live subscribers (the introspection server's /events
-// stream) and optionally to a log/slog logger. Attach one with
-// Tuner.SetObserver or Engine.SetObserver. Attaching an observer never
+// recorder and to live subscribers (the introspection server's /events
+// stream). Attach one with Tuner.SetObserver or Engine.SetObserver. Attaching an observer never
 // changes a tuning result: events are observational only, and the metrics
 // snapshots of an observed run are bit-identical to an unobserved one.
 type Observer = obsrv.Observer
