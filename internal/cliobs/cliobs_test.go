@@ -33,7 +33,8 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 
 func TestSessionLifecycleWithServer(t *testing.T) {
 	dir := t.TempDir()
-	f := &Flags{Listen: "127.0.0.1:0", FlightOut: filepath.Join(dir, "flight.json")}
+	f := &Flags{Listen: "127.0.0.1:0", FlightOut: filepath.Join(dir, "flight.json"),
+		History: true, ScrapeInterval: time.Hour}
 	reg := metrics.NewRegistry()
 	reg.Counter("autotune_candidates_total").Add(5)
 
@@ -65,6 +66,17 @@ func TestSessionLifecycleWithServer(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "autotune_candidates_total 5") {
 		t.Fatalf("served metrics wrong:\n%s", body)
+	}
+
+	// -history mounts /varz, filled by the scraper's immediate first scrape.
+	resp, err = http.Get(url + "varz/autotune_candidates_total")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"last": 5`) {
+		t.Fatalf("/varz/autotune_candidates_total = %d:\n%s", resp.StatusCode, body)
 	}
 
 	// The flight sink is the -flight-out file.

@@ -267,18 +267,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			lastID, replay = n, true
 		}
 	}
+	// Subscribe before the banner and before snapshotting the ring so no
+	// event falls in a gap: whatever is emitted once the client can read the
+	// banner, or appended after the snapshot, is already in the channel, and
+	// maxSeq filtering drops the overlap.
+	events, cancel := s.obs.Subscribe(512)
+	defer cancel()
+
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": %s event stream\n\n", s.component)
 	fl.Flush()
-
-	// Subscribe before snapshotting the ring so no event falls in the gap:
-	// anything appended after the snapshot is already in the channel, and
-	// maxSeq filtering drops the overlap.
-	events, cancel := s.obs.Subscribe(512)
-	defer cancel()
 
 	var buf []byte
 	maxSeq := lastID

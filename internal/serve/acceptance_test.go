@@ -20,6 +20,7 @@ import (
 	"swatop/internal/reqtrace"
 	"swatop/internal/serve"
 	"swatop/internal/serve/loadtest"
+	"swatop/internal/tshist"
 	"swatop/internal/workloads"
 )
 
@@ -66,6 +67,7 @@ func TestTraceAcceptanceLoad(t *testing.T) {
 		SlowMs:     1e-9, // everything counts as slow: every kept trace is tail-worthy
 	})
 	reg := metrics.NewRegistry()
+	hist := tshist.New(tshist.Options{})
 	srv, err := serve.New(serve.Config{
 		Net:         "tiny",
 		Builder:     acceptanceNet,
@@ -75,6 +77,7 @@ func TestTraceAcceptanceLoad(t *testing.T) {
 		Metrics:     reg,
 		Observer:    obs,
 		Trace:       store,
+		History:     hist,
 		SLO: &serve.SLO{
 			P99TargetMs:   1e-4, // unmeetable: the forced breach
 			CheckInterval: time.Hour,
@@ -182,6 +185,21 @@ func TestTraceAcceptanceLoad(t *testing.T) {
 	list.Body.Close()
 	if listDoc.Stats.Retained < 1000 {
 		t.Errorf("trace store retained %d traces, want most of the 2000-request run", listDoc.Stats.Retained)
+	}
+
+	// The serving port answers /varz from the history store it was handed.
+	tshist.NewScraper(hist, reg, 0).ScrapeOnce()
+	varz, err := http.Get(ts.URL + "/varz/serve_responses_total")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served tshist.QueryResult
+	if err := json.NewDecoder(varz.Body).Decode(&served); err != nil {
+		t.Fatal(err)
+	}
+	varz.Body.Close()
+	if served.Last != float64(rep.OK+1) {
+		t.Errorf("/varz/serve_responses_total last = %v, want the %d served requests", served.Last, rep.OK+1)
 	}
 
 	// (c) Forced SLO breach: burn is far above threshold, and the breach
