@@ -188,7 +188,7 @@ func TestTraceAcceptanceLoad(t *testing.T) {
 	}
 
 	// The serving port answers /varz from the history store it was handed.
-	tshist.NewScraper(hist, reg, 0).ScrapeOnce()
+	hist.Ingest(time.Now(), reg.Snapshot())
 	varz, err := http.Get(ts.URL + "/varz/serve_responses_total")
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,9 @@ type QueryResult struct {
 // windowFrom is the index of the oldest retained sample inside the window,
 // which is anchored at the newest ingest (not the wall clock, so replayed
 // synthetic series query deterministically). window <= 0, or one longer
-// than what is retained, starts at the oldest sample. Caller holds s.mu
-// with s.n > 0.
+// than what is retained, starts at the oldest sample. Caller holds s.mu.
 func (s *Store) windowFrom(window time.Duration) int {
-	if window <= 0 {
+	if window <= 0 || s.n == 0 {
 		return 0
 	}
 	start := s.at(s.n-1).ms - window.Milliseconds()
@@ -105,7 +104,8 @@ func (s *Store) Query(name string, window time.Duration) (QueryResult, bool) {
 }
 
 // summarizeScalar fills the points and the counter/gauge derivations from
-// the samples at index from onwards that hold the series.
+// the samples at index from onwards that hold the series (nothing when
+// none does).
 func (s *Store) summarizeScalar(q *QueryResult, from int, lifetime bool) {
 	var sum float64
 	for i := from; i < s.n; i++ {
@@ -122,6 +122,9 @@ func (s *Store) summarizeScalar(q *QueryResult, from int, lifetime bool) {
 		}
 		sum += v
 		q.Points = append(q.Points, Point{T: sm.ms, V: v})
+	}
+	if len(q.Points) == 0 {
+		return
 	}
 	first, last := q.Points[0], q.Points[len(q.Points)-1]
 	q.Last = last.V
@@ -219,30 +222,13 @@ type GroupUtil struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// scalarDelta computes the increase of a cumulative scalar series between
-// the first and the last sample at index from onwards that hold it (0 when
-// fewer than two do). Caller holds s.mu (read).
+// scalarDelta is the windowed increase of a cumulative gauge: a counter's
+// delta, reset rule included (0 when fewer than two samples hold the
+// series). Caller holds s.mu (read).
 func (s *Store) scalarDelta(name string, from int) float64 {
-	var first, last float64
-	held := 0
-	for i := from; i < s.n; i++ {
-		v, kind := scalar(s.at(i).snap, name)
-		if kind == "" {
-			continue
-		}
-		if held == 0 {
-			first = v
-		}
-		last = v
-		held++
-	}
-	if held < 2 {
-		return 0
-	}
-	if d := last - first; d >= 0 {
-		return d
-	}
-	return last
+	q := QueryResult{Name: name, Kind: KindCounter}
+	s.summarizeScalar(&q, from, false)
+	return q.Delta
 }
 
 // FleetUtilization reports per-group and aggregate utilization over the
@@ -256,10 +242,9 @@ func (s *Store) FleetUtilization(window time.Duration) []GroupUtil {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	from := s.windowFrom(window)
 	prefixes := []string{""}
-	from := 0
 	if s.n > 0 {
-		from = s.windowFrom(window)
 		for name := range s.at(s.n - 1).snap.Gauges {
 			if p, rest := splitGroupPrefix(name); p != "" && rest == "machine_compute_seconds" {
 				prefixes = append(prefixes, p)
