@@ -104,12 +104,15 @@ obs-check:
 # not grow with the DMA descriptor count, nor a run's with the transfers it
 # issues; binding a program is eight arenas whose bytes follow the statement
 # count and never the trip counts; issue+wait on a warmed reply word
-# allocates nothing.
+# allocates nothing; a second warm network run on one engine re-times no
+# (operator, strategy) the first one timed — same Result bit for bit, the
+# engine's memo unchanged, at most 0.65 of the first run's bytes.
 alloc-check:
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
 	$(GO) test -run 'TestTimedDMAAllocBudget|TestBindAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
+	$(GO) test -run 'TestWarmRunRetimesNothing' -count=1 ./internal/infer
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check loc-check
@@ -125,7 +128,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 23575
+LOC_MAX ?= 23598
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

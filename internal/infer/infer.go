@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"swatop/internal/autotune"
@@ -38,6 +39,11 @@ import (
 // per-machine offline calibration) and reuse across runs.
 type Engine struct {
 	model *costmodel.GemmModel
+
+	// timings remembers the engine's own fresh-machine measurements (see
+	// timed), one float per distinct schedule the process has resolved.
+	mu      sync.Mutex
+	timings map[string]float64
 }
 
 // NewEngine fits the autotuner's cost model.
@@ -46,7 +52,7 @@ func NewEngine() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{model: m}, nil
+	return &Engine{model: m, timings: map[string]float64{}}, nil
 }
 
 // Options configures one network run.
@@ -294,8 +300,12 @@ type resolvedOp struct {
 // hits, then tuning), buffers are planned, and every node then executes in
 // topological order on one shared machine — so the network's total time is
 // a single serialized timeline, deterministic across worker counts and
-// across cached vs freshly-tuned runs (the engine re-executes the compiled
-// program either way; it never trusts cached seconds).
+// across cached vs freshly-tuned runs: the engine re-executes the compiled
+// program either way, and where it compares schedules (the conv method
+// sweep, the baselines) it trusts only its own fault-free fresh-machine
+// measurement of the same (operator, strategy), made in this process (see
+// timed) — never the library's seconds, which are the tuner's measurement
+// under the run's fault injector and may come from disk.
 func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (res *Result, err error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -346,7 +356,6 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, opts Options) (res *Re
 		functional:   opts.Functional,
 		tolerance:    opts.Tolerance,
 		skipBaseline: opts.SkipBaseline,
-		baseMemo:     map[string]float64{},
 	})
 	if err != nil {
 		return nil, err
@@ -399,10 +408,9 @@ func finishRun(opts Options, g *graph.Graph, res *Result) {
 }
 
 // execEnv is one machine's execution context. The single path uses the
-// root registry, no group tag and the run's baseline memo; fleet groups
-// use a scoped registry (cluster.GroupPrefix) and their group index, so
-// concurrent groups touch disjoint metric names and the merged snapshot
-// stays deterministic.
+// root registry and no group tag; fleet groups use a scoped registry
+// (cluster.GroupPrefix) and their group index, so concurrent groups touch
+// disjoint metric names and the merged snapshot stays deterministic.
 type execEnv struct {
 	m            *sw26010.Machine
 	reg          *metrics.Registry
@@ -412,7 +420,6 @@ type execEnv struct {
 	functional   bool
 	tolerance    float64
 	skipBaseline bool
-	baseMemo     map[string]float64
 }
 
 // label is the group tag threaded into exec observer events ("group2");
@@ -608,7 +615,7 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 		layer.Trace = layerLog
 
 		if !env.skipBaseline {
-			layer.BaselineSeconds = baselineSeconds(n, layer.Seconds, env.baseMemo)
+			layer.BaselineSeconds = e.baselineSeconds(n, layer.Seconds)
 			res.BaselineSeconds += layer.BaselineSeconds
 		}
 		if env.obs.Enabled() {
@@ -701,9 +708,10 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 // every applicable lowering method (implicit GEMM when the input-channel
 // count sustains it, explicit im2col, Winograd F(2x2,3x3) when the shape
 // qualifies) is tuned — or fetched from the library — independently, each
-// winner is re-timed on a fresh machine, and the fastest method's program
-// is kept. The method sweep is a fixed order with strict improvement, so
-// the choice is deterministic and identical between cached and fresh runs.
+// winner is timed on a fresh machine (once per engine: see timed), and the
+// fastest method's program is kept. The method sweep is a fixed order with
+// strict improvement, so the choice is deterministic and identical between
+// cached and fresh runs.
 func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*resolvedOp, error) {
 	var best *resolvedOp
 	var bestSecs float64
@@ -732,7 +740,7 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 			}
 			continue
 		}
-		secs, err := timeProgram(r.prog)
+		secs, err := e.timed(op.Name()+" "+r.strategy, func() (*ir.Program, error) { return r.prog, nil })
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -1017,8 +1025,9 @@ func maxAbsErrFlat(want, got *tensor.Tensor) (float64, error) {
 // a fresh machine (swDNN implicit where its batch restriction allows,
 // manual explicit-GEMM otherwise; xMath for the fully-connected layers).
 // Glue stubs cost the same in both runtimes; an operator with no usable
-// baseline conservatively reports the tuned time.
-func baselineSeconds(n *graph.Node, tuned float64, memo map[string]float64) float64 {
+// baseline conservatively reports its own tuned time, which is returned and
+// never remembered.
+func (e *Engine) baselineSeconds(n *graph.Node, tuned float64) float64 {
 	var key string
 	var progs []func() (*ir.Program, error)
 	switch n.Kind {
@@ -1035,28 +1044,42 @@ func baselineSeconds(n *graph.Node, tuned float64, memo map[string]float64) floa
 		progs = []func() (*ir.Program, error){
 			func() (*ir.Program, error) { return baseline.XMathGemm(p) },
 		}
-	default:
-		return tuned
 	}
-	if v, ok := memo[key]; ok {
-		return v
-	}
-	v := tuned
-	for _, mk := range progs {
-		prog, err := mk()
-		if err != nil {
-			continue
-		}
-		if s, err := timeProgram(prog); err == nil {
-			v = s
-			break
+	for i, mk := range progs {
+		if v, err := e.timed(fmt.Sprintf("baseline %d %s", i, key), mk); err == nil {
+			return v
 		}
 	}
-	memo[key] = v
-	return v
+	return tuned
 }
 
-func timeProgram(prog *ir.Program) (float64, error) {
+// timed returns the seconds the program build compiles takes on a fresh,
+// fault-free machine. The first call for a key simulates it and the engine
+// remembers that float; every later run — warm replay, each fleet shard
+// size, each serving batch — compares the remembered bits. key names what
+// determines the program (the operator name the library keys on plus the
+// strategy's rendering, or which baseline of which shape) and the simulator
+// is deterministic, so a hit is bit-identical to a re-run. Timing happens
+// outside the lock and only a successful timing is stored; as the package's
+// only fresh-machine timing it never sees a degraded schedule, a fault
+// injector or the library's SimulatedSeconds.
+func (e *Engine) timed(key string, build func() (*ir.Program, error)) (float64, error) {
+	e.mu.Lock()
+	secs, ok := e.timings[key]
+	e.mu.Unlock()
+	if ok {
+		return secs, nil
+	}
+	prog, err := build()
+	if err != nil {
+		return 0, err
+	}
 	res, err := exec.RunVirtual(prog, exec.Options{FastLoops: true})
-	return res.Seconds, err
+	if err != nil {
+		return 0, err
+	}
+	e.mu.Lock()
+	e.timings[key] = res.Seconds
+	e.mu.Unlock()
+	return res.Seconds, nil
 }

@@ -3,6 +3,7 @@ package infer
 import (
 	"context"
 	"errors"
+	"maps"
 	"testing"
 
 	"swatop/internal/cache"
@@ -207,6 +208,59 @@ func TestInferFallbackUnderFaults(t *testing.T) {
 		SkipBaseline:         true,
 	}); err == nil {
 		t.Fatal("tuning failure without fallback must error")
+	}
+}
+
+// TestMemoHoldsOnlyCleanTunedTimings: "degraded is never cached" extends to
+// the engine's memo of fresh-machine timings, and the tuner's fault injector
+// never reaches it. A run whose every layer degrades remembers nothing and
+// degrades again on every repetition; a run tuned under compute stalls
+// remembers, per (operator, strategy), exactly the seconds a fault-free
+// engine measures for the library that run filled.
+func TestMemoHoldsOnlyCleanTunedTimings(t *testing.T) {
+	ctx := context.Background()
+	stall := faults.New(1)
+	stall.StallEveryNth(faults.ComputeStall, 3, 1e-3)
+	cases := []struct {
+		name     string
+		opts     Options
+		reps     int
+		degraded int
+	}{
+		{"every layer degraded", Options{NoTune: true, Fallback: true}, 3, 5},
+		{"tuned under compute stalls", Options{Workers: 2, Faults: stall}, 1, 0},
+	}
+	for _, c := range cases {
+		e, lib := newEngine(t), cache.NewLibrary()
+		c.opts.Library, c.opts.SkipBaseline = lib, true
+		for rep := 0; rep < c.reps; rep++ {
+			res, err := e.Run(ctx, tinyChain(t, 2), c.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if res.DegradedOps != c.degraded {
+				t.Fatalf("%s, repetition %d: %d degraded operators, want %d", c.name, rep, res.DegradedOps, c.degraded)
+			}
+			for _, l := range res.Layers {
+				if op := l.Kind == graph.Conv || l.Kind == graph.Gemm; op && l.Degraded != (c.degraded > 0) {
+					t.Fatalf("%s, repetition %d: layer %s degraded = %v", c.name, rep, l.Name, l.Degraded)
+				}
+			}
+		}
+		if c.opts.Faults != nil && c.opts.Faults.Fired(faults.ComputeStall) == 0 {
+			t.Fatalf("%s: no stall fired while tuning", c.name)
+		}
+		memo := timingsOf(e)
+		if (len(memo) == 0) != (c.degraded > 0) {
+			t.Fatalf("%s: memo holds %d timings: %v", c.name, len(memo), memo)
+		}
+		clean := newEngine(t)
+		if _, err := clean.Run(ctx, tinyChain(t, 2), Options{Library: lib, NoTune: true, Fallback: true, SkipBaseline: true}); err != nil {
+			t.Fatalf("%s: fault-free reference: %v", c.name, err)
+		}
+		if want := timingsOf(clean); !maps.Equal(memo, want) {
+			t.Fatalf("%s: memo differs from a fault-free engine's:\n got %v\nwant %v", c.name, memo, want)
+		}
 	}
 }
 

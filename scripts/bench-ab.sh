@@ -11,7 +11,10 @@
 # result line is kept in $SCRATCH/ab-<workload>.jsonl and summarised per
 # end-to-end metric: median and quartiles of each side, the change of the
 # medians, pairs won, and the driver's rules — failed operations, and the
-# spread of the change's ops_per_s against 25 % of the parent's median.
+# spread of the change's ops_per_s against 25 % of the parent's median —
+# and, beside it, each side's own spread as a share of its own median, which
+# tells host noise (both shares alike) from a rate that moved (the rule's
+# absolute spread grows with the rate at the same relative noise).
 # Run nothing else meanwhile: the benchmark uses every core of the box.
 set -euo pipefail
 parent=${1:?usage: bench-ab.sh <parent-sha> <workload> [pairs]}
@@ -65,5 +68,7 @@ side("parent") as $p | side("change") as $c |
 "  failed operations: parent \($p | map(.failed) | add), change \($c | map(.failed) | add); incorrect runs: \([.[] | select(.correct != true)] | length)",
 (($c | map(.metrics.ops_per_s.value)) as $cv | ($p | map(.metrics.ops_per_s.value) | cut(2)) as $pm |
 	(($cv | cut(3)) - ($cv | cut(1))) as $iqr |
-	"  spread rule: IQR of the change ops_per_s \($iqr | r) vs 25 % of the parent median \($pm * 0.25 | r): \(if $iqr <= $pm * 0.25 then "pass" else "FAIL" end)")
+	"  spread rule: IQR of the change ops_per_s \($iqr | r) vs 25 % of the parent median \($pm * 0.25 | r): \(if $iqr <= $pm * 0.25 then "pass" else "FAIL" end)"),
+([$p, $c | map(.metrics.ops_per_s.value) | ((cut(3) - cut(1)) / cut(2) * 1000 | round / 10)] as $rel |
+	"  relative spread: IQR of ops_per_s as a share of its own median: parent \($rel[0]) %, change \($rel[1]) % (no rule reads this line)")
 ' "$out"
