@@ -98,8 +98,10 @@ obs-check:
 	$(GO) test -run 'TestAttributeIdenticalZero' -count=1 -v ./internal/bench/
 	$(GO) run ./cmd/swbench -bench-diff BENCH_baseline.json BENCH_baseline.json
 
-# Allocation budgets of candidate scoring and timed execution: FlattenMulti
-# allocates its result slice and nothing else, the visitor nothing;
+# Allocation budgets of candidate scoring and timed execution: a streamed
+# schedule point allocates its two maps and nothing that grows with the
+# digit count; FlattenMulti allocates its result slice and nothing else, the
+# visitor nothing;
 # EstimateProgram's and a timed exec run's allocations (count and bytes) do
 # not grow with the DMA descriptor count, nor a run's with the transfers it
 # issues; binding a program is eight arenas whose bytes follow the statement
@@ -108,6 +110,7 @@ obs-check:
 # (operator, strategy) the first one timed — same Result bit for bit, the
 # engine's memo unchanged, at most 0.65 of the first run's bytes.
 alloc-check:
+	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
 	$(GO) test -run 'TestTimedDMAAllocBudget|TestBindAllocBudget' -count=1 ./internal/exec
@@ -128,7 +131,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 23598
+LOC_MAX ?= 23336
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

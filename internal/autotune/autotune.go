@@ -10,10 +10,12 @@
 // SW26010 batch system imposes, which is where "from days to minutes"
 // comes from.
 //
-// There is one candidate loop (pool.go): a source yields (index, strategy)
-// pairs — schedule.Stream for the two walks, a measure batch for a searcher
-// — workers compile and evaluate them, and a sink receives the outcomes in
-// index order whatever Options.Workers is. The failure policy lives there
+// A candidate is its index into the operator's schedule space, which a
+// session resolves once (schedule.Describe → session.dims). There is one
+// candidate loop (pool.go): a source yields indices — all of them for the
+// two walks, a measure batch for a searcher — workers decode (dims.At),
+// compile and evaluate them, and a sink receives the outcomes in index
+// order whatever Options.Workers is. The failure policy lives there
 // and nowhere else, so the chosen schedule, the counts, MachineSeconds
 // (*simulated hardware* time) and the error are the sequential walk's for
 // any worker count; only WallSeconds shrinks. The tuners differ in who
@@ -102,12 +104,6 @@ type Options struct {
 	// values below 2 run sequentially. The selected schedule and the
 	// machine-time ledger are identical for every worker count.
 	Workers int
-	// Progress, when non-nil, is called after each candidate is processed
-	// with the number of processed and valid candidates so far and the best
-	// score seen so far: the lowest predicted seconds for the model-based
-	// tuner, the lowest measured seconds for the black-box tuner, 0 while no
-	// valid candidate exists. It is always invoked from a single goroutine.
-	Progress func(done, valid int, best float64)
 	// Faults, when non-nil, is threaded into every measurement (exec.Run
 	// and the simulated machine) so fault-injection tests can exercise the
 	// recovery paths below. Nil in production.
@@ -159,13 +155,18 @@ type Options struct {
 	Transfer *cache.Library
 }
 
-// session is what the three tuners share: the live job, the tune.* events,
-// the wall, machine and best gauges, and the tallies the loop's sinks keep.
-// Every exit goes through fail or finish, which close the job.
+// session is what the three tuners share: the resolved schedule space, the
+// live job, the tune.* events, the wall, machine and best gauges, and the
+// tallies the loop's sinks keep. Every exit goes through fail or finish,
+// which close the job.
 type session struct {
 	ctx  context.Context
 	op   Operator
 	opts Options
+	// dims is the operator's schedule space: every index the walks, a
+	// searcher's batches, the finalists and transfer seeding name is one of
+	// its points.
+	dims *schedule.Dims
 	job  *obsrv.Job
 	t0   time.Time
 	head []obsrv.Field // of tune.start and tune.finish: op and, if any, mode
@@ -180,7 +181,9 @@ type session struct {
 	machine float64
 }
 
-func begin(ctx context.Context, op Operator, opts Options, mode, detail string) *session {
+// begin opens a session and resolves the operator's schedule space. The
+// session is returned even with an error, for the caller to fail it.
+func begin(ctx context.Context, op Operator, opts Options, mode, detail string) (*session, error) {
 	s := &session{ctx: ctx, op: op, opts: opts, t0: time.Now(),
 		job:  opts.Observer.Jobs().Start("tune", op.Name()),
 		head: []obsrv.Field{obsrv.F("op", op.Name())}}
@@ -189,7 +192,9 @@ func begin(ctx context.Context, op Operator, opts Options, mode, detail string) 
 		s.head = append(s.head, obsrv.F("mode", mode))
 	}
 	opts.Observer.Emit(obsrv.LevelInfo, "tune.start", s.head...)
-	return s
+	var err error
+	s.dims, err = schedule.Describe(op.Seed(), op.Space())
+	return s, err
 }
 
 func (s *session) fail(err error) (Result, error) {
@@ -253,11 +258,15 @@ func (s *session) walk(k int, measured bool, eval func(*Candidate) error) ([]ran
 	}
 	var top []ranked // ascending by score, at most k
 	best := 0.0      // top[0].score, 0 while no candidate is valid
-	stream := func(yield func(int, dsl.Strategy) bool) error {
-		return schedule.Stream(s.op.Seed(), s.op.Space(), yield)
+	all := func(yield func(int) bool) {
+		for idx := 0; idx < s.dims.Size(); idx++ {
+			if !yield(idx) {
+				return
+			}
+		}
 	}
 	var err error
-	s.space, err = s.runPool(stream, eval, func(idx int, c *Candidate) {
+	s.space, err = s.runPool(all, eval, func(idx int, c *Candidate) {
 		s.done++
 		s.opts.Metrics.Counter("autotune_candidates_total").Inc()
 		if c != nil {
@@ -288,9 +297,6 @@ func (s *session) walk(k int, measured bool, eval func(*Candidate) error) ([]ran
 			}
 		}
 		s.job.Progress(s.done, s.valid, s.failed, best*1e3)
-		if s.opts.Progress != nil {
-			s.opts.Progress(s.done, s.valid, best)
-		}
 	})
 	s.opts.Metrics.Counter("autotune_space_points_total").Add(int64(s.space))
 	return top, err
@@ -311,7 +317,10 @@ func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel,
 	if opts.Searcher != nil {
 		return searchBased(ctx, op, model, opts)
 	}
-	s := begin(ctx, op, opts, "", "")
+	s, err := begin(ctx, op, opts, "", "")
+	if err != nil {
+		return s.fail(err)
+	}
 	top, err := s.walk(TopK, false, func(c *Candidate) error {
 		est, err := costmodel.EstimateProgram(model, c.Program)
 		if err != nil {
@@ -337,7 +346,7 @@ func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel,
 	s.machine = CompileLaunchOverheadSeconds
 	var best *Candidate
 	for _, r := range top {
-		c, err := s.evalCandidate(r.idx, r.c.Strategy, s.measure)
+		c, err := s.evalCandidate(r.idx, s.measure)
 		var ce *CandidateError
 		if errors.As(err, &ce) || (err == nil && c == nil) {
 			// c == nil: compiled during the search but not for the final
@@ -374,7 +383,10 @@ func BlackBox(op Operator) (Result, error) {
 // BlackBoxCtx is BlackBox with cancellation and a worker pool. The scorer
 // is a run on the simulated machine and the walk's single best the result.
 func BlackBoxCtx(ctx context.Context, op Operator, opts Options) (Result, error) {
-	s := begin(ctx, op, opts, "blackbox", "blackbox")
+	s, err := begin(ctx, op, opts, "blackbox", "blackbox")
+	if err != nil {
+		return s.fail(fmt.Errorf("blackbox %s: %w", op.Name(), err))
+	}
 	top, err := s.walk(1, true, func(c *Candidate) error {
 		if err := s.measure(c); err != nil {
 			// %w keeps the transient mark visible to the retry policy.

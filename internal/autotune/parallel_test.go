@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"swatop/internal/conv"
 	"swatop/internal/gemm"
+	"swatop/internal/metrics"
+	"swatop/internal/obsrv"
 	"swatop/internal/tensor"
 )
 
@@ -105,37 +108,45 @@ func TestTuningCancellation(t *testing.T) {
 	}
 }
 
+// TestProgressReportsEveryCandidate: live progress is the observer's job and
+// the candidate counter. Every point is counted once, the candidate.finish
+// events arrive in index order whatever the workers' timing, and the best
+// gauge and the finished job carry the result's tallies.
 func TestProgressReportsEveryCandidate(t *testing.T) {
 	op := smallOp(t, gemm.Params{M: 128, N: 128, K: 128})
-	var dones []int
-	lastValid := 0
-	lastBest := 0.0
-	res, err := ModelBasedCtx(context.Background(), op, model(t), Options{
-		Workers: 4,
-		Progress: func(done, valid int, best float64) {
-			dones = append(dones, done)
-			lastValid = valid
-			if best > 0 && lastBest > 0 && best > lastBest {
-				t.Errorf("best score went up: %g after %g", best, lastBest)
-			}
-			lastBest = best
-		},
-	})
+	obs, reg := obsrv.NewWithCapacity(1<<12), metrics.NewRegistry()
+	res, err := ModelBasedCtx(context.Background(), op, model(t), Options{Workers: 4, Observer: obs, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dones) != res.SpaceSize {
-		t.Fatalf("progress fired %d times for %d points", len(dones), res.SpaceSize)
+	if got := reg.Counter("autotune_candidates_total").Value(); got != int64(res.SpaceSize) {
+		t.Fatalf("%d candidates counted for %d points", got, res.SpaceSize)
 	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("done counter not monotone at call %d: %v", i, dones)
+	finished, lastIdx := 0, -1
+	for _, e := range obs.Flight().Snapshot() {
+		if e.Kind != "candidate.finish" {
+			continue
 		}
+		finished++
+		idx, err := strconv.Atoi(e.Fields[0].Value)
+		if err != nil || e.Fields[0].Key != "index" || idx <= lastIdx {
+			t.Fatalf("candidate.finish out of index order: %v after index %d", e.Fields, lastIdx)
+		}
+		lastIdx = idx
 	}
-	if lastValid != res.Valid {
-		t.Fatalf("final valid count %d, result says %d", lastValid, res.Valid)
+	if finished != res.Valid {
+		t.Fatalf("%d candidate.finish events, result says %d valid", finished, res.Valid)
 	}
-	if lastBest != res.Best.Predicted {
-		t.Fatalf("final best %g, result predicted %g", lastBest, res.Best.Predicted)
+	if best := reg.Gauge("autotune_best_predicted_seconds").Value(); best != res.Best.Predicted {
+		t.Fatalf("final best %g, result predicted %g", best, res.Best.Predicted)
+	}
+	jobs := obs.Jobs().Snapshot()
+	if len(jobs) != 1 {
+		t.Fatalf("want one tune job, got %+v", jobs)
+	}
+	if j := jobs[0]; j.State != obsrv.JobDone || j.Done != res.SpaceSize || j.Valid != res.Valid ||
+		j.Failed != 0 || j.BestMs != res.Best.Measured*1e3 {
+		t.Fatalf("job %+v does not match result (space %d, valid %d, best %g ms)",
+			j, res.SpaceSize, res.Valid, res.Best.Measured*1e3)
 	}
 }

@@ -100,8 +100,8 @@ func evalOnce(op Operator, st dsl.Strategy, eval func(*Candidate) error) (c *Can
 // per-candidate errors immediately; transient errors are retried under the
 // backoff policy and become per-candidate errors when exhausted; anything
 // else stays fatal (the seed behaviour for e.g. cost-model failures).
-func (s *session) evalCandidate(idx int, st dsl.Strategy, eval func(*Candidate) error) (*Candidate, error) {
-	op, opts := s.op, s.opts
+func (s *session) evalCandidate(idx int, eval func(*Candidate) error) (*Candidate, error) {
+	op, opts, st := s.op, s.opts, s.dims.At(idx)
 	if opts.Observer.Enabled() {
 		opts.Observer.Emit(obsrv.LevelDebug, "candidate.start",
 			obsrv.F("index", idx), obsrv.F("strategy", st.String()))
@@ -135,20 +135,21 @@ func (s *session) evalCandidate(idx int, st dsl.Strategy, eval func(*Candidate) 
 }
 
 // source feeds one run of the candidate loop: it calls yield with each
-// (index, strategy) pair in ascending index order until yield returns
-// false. The two walks stream the whole schedule space; a searcher's
-// measure batch yields its chosen indices.
-type source func(yield func(idx int, st dsl.Strategy) bool) error
+// candidate's index into the session's schedule space, in ascending order,
+// until yield returns false. The two walks yield every index; a searcher's
+// measure batch yields its chosen ones.
+type source func(yield func(idx int) bool)
 
-// runPool sends src's candidates through the loop: each is compiled and,
-// when valid, passed to eval — on Options.Workers goroutines, or in place
-// by runSequential below two. Either way the outcomes reach take in index
-// order on the caller's goroutine (sink needs no locking). take is the
-// failure policy: a CandidateError (see evalCandidate) is counted against
-// MaxCandidateFailures and the point skipped, any other evaluation error is
-// fatal, and the first of either stops the run and is what it reports. sink
-// sees every processed point, a nil candidate for an invalid or failed one.
-// Returns how many points were processed.
+// runPool sends src's candidates through the loop: each is decoded from its
+// index (dims.At), compiled and, when valid, passed to eval — on
+// Options.Workers goroutines, or in place by runSequential below two. Either
+// way the outcomes reach take in index order on the caller's goroutine (sink
+// needs no locking). take is the failure policy: a CandidateError (see
+// evalCandidate) is counted against MaxCandidateFailures and the point
+// skipped, any other evaluation error is fatal, and the first of either
+// stops the run and is what it reports. sink sees every processed point, a
+// nil candidate for an invalid or failed one. Returns how many points were
+// processed.
 func (s *session) runPool(src source, eval func(*Candidate) error, sink func(idx int, c *Candidate)) (int, error) {
 	total := 0
 	var fatal error
@@ -173,16 +174,14 @@ func (s *session) runPool(src source, eval func(*Candidate) error, sink func(idx
 	if s.opts.Workers < 2 {
 		run = s.runSequential
 	}
-	// What stopped the run: the candidate error, else the source's own
-	// error, else the caller's cancellation.
-	err := run(src, eval, take)
-	if fatal != nil {
-		err = fatal
-	} else if err == nil {
-		err = s.ctx.Err()
+	// What stopped the run: the candidate error, else the caller's
+	// cancellation.
+	run(src, eval, take)
+	if fatal == nil {
+		fatal = s.ctx.Err()
 	}
-	if err != nil {
-		return 0, err
+	if fatal != nil {
+		return 0, fatal
 	}
 	return total, nil
 }
@@ -190,32 +189,32 @@ func (s *session) runPool(src source, eval func(*Candidate) error, sink func(idx
 // runSequential is the single-goroutine loop: one pass over the source,
 // evaluating in place. It is the reference every worker count must
 // reproduce, and what the worker-invariance tests compare runWorkers with.
-func (s *session) runSequential(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) error {
-	return src(func(idx int, st dsl.Strategy) bool {
+func (s *session) runSequential(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) {
+	src(func(idx int) bool {
 		if s.ctx.Err() != nil {
 			return false
 		}
-		c, err := s.evalCandidate(idx, st, eval)
+		c, err := s.evalCandidate(idx, eval)
 		return take(idx, c, err)
 	})
 }
 
 // poolItem is one candidate's trip through the workers: dispatched with its
-// position in the source's order, index and strategy, returned with the
-// outcome (cand is nil when the point did not compile).
+// position in the source's order and its index, returned with the outcome
+// (cand is nil when the point did not compile).
 type poolItem struct {
 	seq, idx int
-	st       dsl.Strategy
 	cand     *Candidate
 	err      error
 }
 
 // runWorkers is runSequential on Options.Workers goroutines. The caller's
-// goroutine both feeds them from the source and collects: it puts the
-// outcomes back into source order before take sees them, so the failure
+// goroutine both feeds them indices from the source and collects: it puts
+// the outcomes back into source order before take sees them, so the failure
 // limit trips on the same candidate and the run stops at the same error,
-// whatever the workers' timing.
-func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) error {
+// whatever the workers' timing. The worker that compiles a point also
+// decodes it, so the serial feeder hands out integers and builds nothing.
+func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(int, *Candidate, error) bool) {
 	workers := s.opts.Workers
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
@@ -231,7 +230,7 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 				if ctx.Err() != nil {
 					continue // drain after cancellation
 				}
-				j.cand, j.err = s.evalCandidate(j.idx, j.st, eval)
+				j.cand, j.err = s.evalCandidate(j.idx, eval)
 				results <- j // received until results is closed, below
 			}
 		}()
@@ -254,7 +253,7 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 			}
 		}
 	}
-	err := src(func(idx int, st dsl.Strategy) bool {
+	src(func(idx int) bool {
 		for {
 			// No more than sixteen candidates per worker run ahead of the
 			// oldest unfinished one: that bounds held, and still keeps one slow
@@ -264,7 +263,7 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 				out = nil
 			}
 			select {
-			case out <- poolItem{seq: sent, idx: idx, st: st}:
+			case out <- poolItem{seq: sent, idx: idx}:
 				sent++
 				return true
 			case r := <-results:
@@ -278,5 +277,4 @@ func (s *session) runWorkers(src source, eval func(*Candidate) error, take func(
 	for r := range results {
 		collect(r)
 	}
-	return err
 }

@@ -8,6 +8,7 @@ import (
 	"swatop/internal/cache"
 	"swatop/internal/faults"
 	"swatop/internal/gemm"
+	"swatop/internal/metrics"
 )
 
 // TestResolveFailedTuneLeavesLibraryUntouched: a tune that fails records
@@ -73,16 +74,15 @@ func TestResolveStaleEntryRetunes(t *testing.T) {
 func TestResolveNoTuneMiss(t *testing.T) {
 	lib := cache.NewLibrary()
 	op := smallOp(t, gemm.Params{M: 128, N: 128, K: 128})
-	calls := 0
-	opts := Options{Progress: func(int, int, float64) { calls++ }}
+	opts := Options{Metrics: metrics.NewRegistry()}
 	if _, _, err := Resolve(context.Background(), op, model(t), lib, true, opts); !errors.Is(err, errNoTune) {
 		t.Fatalf("want errNoTune, got %v", err)
 	}
 	if _, _, err := Resolve(context.Background(), op, model(t), nil, true, opts); !errors.Is(err, errNoTune) {
 		t.Fatalf("no library: want errNoTune, got %v", err)
 	}
-	if calls != 0 || lib.Len() != 0 {
-		t.Fatalf("NoTune still tuned: %d candidates processed, %d entries", calls, lib.Len())
+	if n := opts.Metrics.Counter("autotune_candidates_total").Value(); n != 0 || lib.Len() != 0 {
+		t.Fatalf("NoTune still tuned: %d candidates processed, %d entries", n, lib.Len())
 	}
 	if _, _, err := Resolve(context.Background(), op, model(t), lib, false, Options{}); err != nil {
 		t.Fatal(err)

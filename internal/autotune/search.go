@@ -13,9 +13,7 @@ import (
 	"hash/fnv"
 
 	"swatop/internal/costmodel"
-	"swatop/internal/dsl"
 	"swatop/internal/obsrv"
-	"swatop/internal/schedule"
 	"swatop/internal/search"
 )
 
@@ -35,12 +33,11 @@ const TransferSeeds = 3
 // candidate loop and its sink sees the batch in index order.
 func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, opts Options) (Result, error) {
 	name := opts.Searcher.Name()
-	s := begin(ctx, op, opts, name, "search:"+name)
-	dims, err := schedule.Describe(op.Seed(), op.Space())
+	s, err := begin(ctx, op, opts, name, "search:"+name)
 	if err != nil {
 		return s.fail(fmt.Errorf("autotune %s: %w", op.Name(), err))
 	}
-	size := dims.Size()
+	size := s.dims.Size()
 	frac := opts.SearchBudget
 	if frac <= 0 {
 		frac = DefaultSearchBudget
@@ -61,7 +58,7 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 	var seeds []int
 	if opts.Transfer != nil {
 		for _, e := range opts.Transfer.Nearest(op.Name(), TransferSeeds) {
-			seeds = append(seeds, dims.NearestIndex(e.Strategy()))
+			seeds = append(seeds, s.dims.NearestIndex(e.Strategy()))
 		}
 		opts.Metrics.Counter("search_transfer_seeds_total").Add(int64(len(seeds)))
 		if len(seeds) > 0 && opts.Observer.Enabled() {
@@ -74,7 +71,7 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 	// and estimator errors make the point infeasible (nil) — the searcher
 	// routes around it, same as a failed compile.
 	evaluate := func(idx int) (c *Candidate, feat []float64) {
-		st := dims.At(idx)
+		st := s.dims.At(idx)
 		c, err, _ := evalOnce(op, st, func(c *Candidate) error {
 			est, err := costmodel.EstimateProgram(model, c.Program)
 			if err != nil {
@@ -102,13 +99,12 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		}
 		s.machine += CompileLaunchOverheadSeconds
 		out := make([]search.Measured, 0, len(indices))
-		batch := func(yield func(int, dsl.Strategy) bool) error {
+		batch := func(yield func(int) bool) {
 			for _, idx := range indices {
-				if !yield(idx, dims.At(idx)) {
-					break
+				if !yield(idx) {
+					return
 				}
 			}
-			return nil
 		}
 		_, fatal = s.runPool(batch, s.measure, func(idx int, c *Candidate) {
 			if c != nil {
@@ -121,8 +117,8 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 		return out
 	}
 
-	// Report: per-round metrics deltas, the live job, the Progress callback
-	// and the search.round / search.converged event stream.
+	// Report: per-round metrics deltas, the live job and the search.round /
+	// search.converged event stream.
 	var lastProposed, lastMeasured, lastPruned int64
 	report := func(ri search.RoundInfo) {
 		opts.Metrics.Counter("search_rounds_total").Inc()
@@ -135,9 +131,6 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 			opts.Metrics.Gauge("autotune_best_measured_seconds").Set(ri.BestSeconds)
 		}
 		s.job.Progress(ri.Proposed, ri.MeasuredN, s.failed, ri.BestSeconds*1e3)
-		if opts.Progress != nil {
-			opts.Progress(ri.Proposed, ri.MeasuredN, ri.BestSeconds)
-		}
 		if opts.Observer.Enabled() {
 			opts.Observer.Emit(obsrv.LevelDebug, "search.round",
 				obsrv.F("op", op.Name()), obsrv.F("round", ri.Round),
@@ -153,7 +146,7 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 	}
 
 	sres, serr := opts.Searcher.Search(&search.Problem{
-		Radices: dims.Radices(),
+		Radices: s.dims.Radices(),
 		Size:    size,
 		Budget:  budget,
 		Seed:    seed,
@@ -180,7 +173,7 @@ func searchBased(ctx context.Context, op Operator, model *costmodel.GemmModel, o
 	// Rebuild the winning candidate (the searcher only tracks indices).
 	best, _ := evaluate(sres.BestIndex)
 	if best == nil {
-		return s.fail(fmt.Errorf("autotune %s: recompile winner %s failed", op.Name(), dims.At(sres.BestIndex)))
+		return s.fail(fmt.Errorf("autotune %s: recompile winner %s failed", op.Name(), s.dims.At(sres.BestIndex)))
 	}
 	best.Measured = sres.BestSeconds
 	s.done, s.valid, s.space = sres.Proposed, len(sres.Ledger), size

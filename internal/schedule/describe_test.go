@@ -20,65 +20,19 @@ func describeSpace() *dsl.Space {
 	return sp
 }
 
-// TestDescribeMatchesStream is the contract Dims exists for: At(i) must be
-// bit-identical to the i-th point Stream yields, for every i.
-func TestDescribeMatchesStream(t *testing.T) {
-	s, sp := seed(), describeSpace()
-	d, err := Describe(s, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Enumerate(s, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Size() != len(want) {
-		t.Fatalf("Size() = %d, want %d", d.Size(), len(want))
-	}
-	for i, st := range want {
-		got := d.At(i)
-		if got.String() != st.String() {
-			t.Fatalf("At(%d) = %s, want %s", i, got, st)
-		}
-	}
-}
-
-func TestDigitsIndexRoundTrip(t *testing.T) {
+// TestNearestIndexSelf: the radices multiply to the size, and a strategy
+// already in the space maps to itself.
+func TestNearestIndexSelf(t *testing.T) {
 	d, err := Describe(seed(), describeSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	prod := 1
 	for _, r := range d.Radices() {
-		if r <= 0 {
-			t.Fatalf("non-positive radix in %v", d.Radices())
-		}
 		prod *= r
 	}
-	if prod != d.Size() {
-		t.Fatalf("radix product %d != size %d", prod, d.Size())
-	}
-	for i := 0; i < d.Size(); i++ {
-		if back := d.Index(d.Digits(i)); back != i {
-			t.Fatalf("Index(Digits(%d)) = %d", i, back)
-		}
-	}
-	// Out-of-radix digits clamp to a legal point instead of corrupting the
-	// encoding — mutated vectors always land in the space.
-	big := make([]int, len(d.Radices()))
-	for i := range big {
-		big[i] = 1 << 20
-	}
-	if idx := d.Index(big); idx != d.Size()-1 {
-		t.Fatalf("clamped index = %d, want %d", idx, d.Size()-1)
-	}
-}
-
-// TestNearestIndexSelf: a strategy already in the space maps to itself.
-func TestNearestIndexSelf(t *testing.T) {
-	d, err := Describe(seed(), describeSpace())
-	if err != nil {
-		t.Fatal(err)
+	if prod != d.Size() || prod <= 0 {
+		t.Fatalf("radices %v multiply to %d, size %d", d.Radices(), prod, d.Size())
 	}
 	for i := 0; i < d.Size(); i++ {
 		if got := d.NearestIndex(d.At(i)); got != i {
@@ -107,19 +61,5 @@ func TestNearestIndexForeign(t *testing.T) {
 	}
 	if st.Vec != ir.VecN {
 		t.Fatalf("vec not preserved: %v", st.Vec)
-	}
-}
-
-func TestFactorMenu(t *testing.T) {
-	d, err := Describe(seed(), describeSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := d.FactorMenu("m")
-	if len(m) != 3 {
-		t.Fatalf("m menu = %v, want 3 entries", m)
-	}
-	if d.FactorMenu("nope") != nil {
-		t.Fatal("unknown axis must return nil")
 	}
 }

@@ -1,226 +1,205 @@
-// Package schedule enumerates swATOP schedule spaces (§4.3): the Cartesian
+// Package schedule resolves swATOP schedule spaces (§4.3): the Cartesian
 // product of tile-factor candidates, loop-order candidates, layout
 // candidates, vectorization choices and optimization toggles. Validity
 // pruning (SPM capacity, vectorization rules, layout separability) happens
 // when candidates are lowered; this package produces the raw points
 // deterministically.
 //
-// Stream is the primary interface: it emits points one at a time, in a
-// fixed deterministic order, with a stable index — so consumers (the
-// worker-pool autotuner in particular) can process candidates concurrently
-// and still merge results reproducibly. Enumerate materializes the same
-// sequence into a slice.
+// A candidate is its index. Describe resolves a space once into a Dims, a
+// mixed-radix number system with one digit per schedule decision, and
+// Dims.At is the only mapping from an index to a strategy. Every consumer —
+// the autotuner's walks and worker pool, the sample-efficient searchers,
+// cross-shape transfer, the golden point lists — names a point by that
+// index, so results merged by (score, index) are reproducible whatever
+// order the points were evaluated in.
 package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
 )
 
-// MaxSpace bounds Enumerate as a guard against accidental combinatorial
-// explosions in operator definitions. It applies only to the materializing
-// path; Stream has no such limit because it holds one point at a time.
-const MaxSpace = 200000
-
-// plan is a schedule space resolved against its seed: validated axis and
-// tensor names, clipped factor menus, and defaulted option axes. It is the
-// shared front half of Stream, Enumerate and Size.
-type plan struct {
-	axes          []string
-	factorChoices [][]int
-	orders        [][]string
-	tensors       []string
-	layoutChoices [][][]int
-	vecs          []ir.VecDim
-	dbs           []bool
-	pads          []dsl.PaddingMode
+// Dims is a schedule space resolved against its seed: validated axis and
+// tensor names, clipped factor menus and defaulted option axes. Digit order,
+// most significant first: the tile factor of each axis (sorted axis names),
+// the layout of each tensor (sorted tensor names), loop order,
+// vectorization, double buffering, padding — so index 0 takes every first
+// choice and the padding mode varies fastest. Immutable after Describe;
+// safe for concurrent use.
+type Dims struct {
+	axes    []string
+	factors [][]int // per axis
+	tensors []string
+	layouts [][][]int // per tensor
+	orders  [][]string
+	vecs    []ir.VecDim
+	dbs     []bool
+	pads    []dsl.PaddingMode
+	size    int
 }
 
-// resolve validates a space against a seed and fixes the enumeration order.
-func resolve(seed *dsl.Seed, sp *dsl.Space) (*plan, error) {
-	p := &plan{}
+// Describe validates a space against a seed and fixes the point order.
+func Describe(seed *dsl.Seed, sp *dsl.Space) (*Dims, error) {
+	d := &Dims{}
 	for name := range sp.Factors {
 		if _, err := seed.Axis(name); err != nil {
 			return nil, fmt.Errorf("schedule: %w", err)
 		}
-		p.axes = append(p.axes, name)
+		d.axes = append(d.axes, name)
 	}
-	sort.Strings(p.axes)
-
-	p.factorChoices = make([][]int, len(p.axes))
-	for i, name := range p.axes {
+	sort.Strings(d.axes)
+	for _, name := range d.axes {
 		ax, _ := seed.Axis(name)
 		var valid []int
-		seen := map[int]bool{}
 		for _, f := range sp.Factors[name] {
-			if f >= 1 && f <= ax.Extent && !seen[f] {
+			if f >= 1 && f <= ax.Extent && !slices.Contains(valid, f) {
 				valid = append(valid, f)
-				seen[f] = true
 			}
 		}
 		if len(valid) == 0 {
 			valid = []int{1}
 		}
-		p.factorChoices[i] = valid
+		d.factors = append(d.factors, valid)
 	}
 
-	p.orders = sp.Orders
-	if len(p.orders) == 0 {
-		p.orders = [][]string{nil} // declaration order
-	}
 	for name := range sp.Layouts {
 		if _, err := seed.Tensor(name); err != nil {
 			return nil, fmt.Errorf("schedule: %w", err)
 		}
-		p.tensors = append(p.tensors, name)
+		d.tensors = append(d.tensors, name)
 	}
-	sort.Strings(p.tensors)
-	p.layoutChoices = make([][][]int, len(p.tensors))
-	for i, name := range p.tensors {
-		p.layoutChoices[i] = sp.Layouts[name]
+	sort.Strings(d.tensors)
+	for _, name := range d.tensors {
+		d.layouts = append(d.layouts, sp.Layouts[name])
 	}
-	p.vecs = sp.Vecs
-	if len(p.vecs) == 0 {
+
+	d.orders = sp.Orders
+	if len(d.orders) == 0 {
+		d.orders = [][]string{nil} // declaration order
+	}
+	d.vecs = sp.Vecs
+	if len(d.vecs) == 0 {
 		return nil, fmt.Errorf("schedule: space has no vectorization candidates")
 	}
-	p.dbs = sp.DoubleBuffer
-	if len(p.dbs) == 0 {
-		p.dbs = []bool{true}
+	d.dbs = sp.DoubleBuffer
+	if len(d.dbs) == 0 {
+		d.dbs = []bool{true}
 	}
-	p.pads = sp.Padding
-	if len(p.pads) == 0 {
-		p.pads = []dsl.PaddingMode{dsl.PadLightweight}
+	d.pads = sp.Padding
+	if len(d.pads) == 0 {
+		d.pads = []dsl.PaddingMode{dsl.PadLightweight}
 	}
-	return p, nil
+	d.size = 1
+	for _, r := range d.Radices() {
+		d.size *= r
+	}
+	return d, nil
 }
 
-// size is the exact number of points the plan will emit.
-func (p *plan) size() int {
-	size := len(p.orders) * len(p.vecs) * len(p.dbs) * len(p.pads)
-	for _, fc := range p.factorChoices {
-		size *= len(fc)
+// Size is the number of points in the space.
+func (d *Dims) Size() int { return d.size }
+
+// Radices returns the per-digit cardinalities, most significant first. The
+// returned slice is a copy; mutate freely.
+func (d *Dims) Radices() []int {
+	r := make([]int, 0, len(d.axes)+len(d.tensors)+4)
+	for _, f := range d.factors {
+		r = append(r, len(f))
 	}
-	for _, lc := range p.layoutChoices {
-		size *= len(lc)
+	for _, l := range d.layouts {
+		r = append(r, len(l))
 	}
-	return size
+	return append(r, len(d.orders), len(d.vecs), len(d.dbs), len(d.pads))
 }
 
-// Size reports the number of points in a schedule space without
-// enumerating it.
-func Size(seed *dsl.Seed, sp *dsl.Space) (int, error) {
-	p, err := resolve(seed, sp)
-	if err != nil {
-		return 0, err
+// At returns the schedule point at an index. It decodes the digits in
+// place, least significant first, and allocates the strategy's two maps and
+// nothing else; the maps are fresh, so a point may be retained, mutated and
+// handed to a concurrent consumer. Panics when idx is out of [0, Size()).
+func (d *Dims) At(idx int) dsl.Strategy {
+	if idx < 0 || idx >= d.size {
+		panic("schedule: index out of range")
 	}
-	return p.size(), nil
+	digit := func(radix int) int {
+		dig := idx % radix
+		idx /= radix
+		return dig
+	}
+	st := dsl.Strategy{
+		Factors: make(map[string]int, len(d.axes)),
+		Layouts: make(map[string][]int, len(d.tensors)),
+	}
+	st.Padding = d.pads[digit(len(d.pads))]
+	st.DoubleBuffer = d.dbs[digit(len(d.dbs))]
+	st.Vec = d.vecs[digit(len(d.vecs))]
+	st.Order = d.orders[digit(len(d.orders))]
+	for i := len(d.tensors) - 1; i >= 0; i-- {
+		st.Layouts[d.tensors[i]] = d.layouts[i][digit(len(d.layouts[i]))]
+	}
+	for i := len(d.axes) - 1; i >= 0; i-- {
+		st.Factors[d.axes[i]] = d.factors[i][digit(len(d.factors[i]))]
+	}
+	return st
 }
 
-// Stream emits every point of a schedule space, in the same deterministic
-// order as Enumerate, with a stable zero-based index. It holds one point at
-// a time (no MaxSpace guard applies). Emitted strategies carry freshly
-// copied maps, so they may be retained and mutated independently — and
-// handed to concurrent consumers. yield returning false stops the
-// enumeration early without error.
+// Stream yields every point of a schedule space in index order until yield
+// returns false: Describe, then At at 0, 1, 2, ...
 func Stream(seed *dsl.Seed, sp *dsl.Space, yield func(idx int, st dsl.Strategy) bool) error {
-	p, err := resolve(seed, sp)
+	d, err := Describe(seed, sp)
 	if err != nil {
 		return err
 	}
-	p.stream(yield)
+	for idx := 0; idx < d.size; idx++ {
+		if !yield(idx, d.At(idx)) {
+			break
+		}
+	}
 	return nil
 }
 
-// stream walks the plan's Cartesian product recursively, emitting points
-// until yield declines. Reports whether the walk ran to completion.
-func (p *plan) stream(yield func(idx int, st dsl.Strategy) bool) bool {
+// NearestIndex maps a strategy — possibly from another shape's schedule
+// space — onto the in-space point closest to it: each digit picks the
+// choice nearest the strategy's value (tile factors by smallest relative
+// distance, discrete choices by exact match or the first candidate). This
+// is how cross-shape transfer seeds a population: a neighbor shape's cached
+// winner lands on a legal point of the new space.
+func (d *Dims) NearestIndex(st dsl.Strategy) int {
 	idx := 0
-	emit := func(st dsl.Strategy) bool {
-		for _, order := range p.orders {
-			for _, vec := range p.vecs {
-				for _, db := range p.dbs {
-					for _, pad := range p.pads {
-						s := st
-						s.Order = order
-						s.Vec = vec
-						s.DoubleBuffer = db
-						s.Padding = pad
-						// Deep-copy maps so strategies are independent.
-						s.Factors = copyIntMap(st.Factors)
-						s.Layouts = copyLayoutMap(st.Layouts)
-						if !yield(idx, s) {
-							return false
-						}
-						idx++
-					}
-				}
-			}
-		}
-		return true
+	digit := func(radix, choice int) { idx = idx*radix + max(choice, 0) } // -1: no match
+	for i, name := range d.axes {
+		digit(len(d.factors[i]), nearestFactor(d.factors[i], st.Factors[name]))
 	}
-	var recLayouts func(d int, st dsl.Strategy) bool
-	recLayouts = func(d int, st dsl.Strategy) bool {
-		if d == len(p.tensors) {
-			return emit(st)
-		}
-		for i := range p.layoutChoices[d] {
-			st.Layouts[p.tensors[d]] = p.layoutChoices[d][i]
-			if !recLayouts(d+1, st) {
-				return false
-			}
-		}
-		return true
+	for i, name := range d.tensors {
+		want := st.Layouts[name]
+		digit(len(d.layouts[i]), slices.IndexFunc(d.layouts[i], func(l []int) bool { return slices.Equal(l, want) }))
 	}
-	var recFactors func(d int, st dsl.Strategy) bool
-	recFactors = func(d int, st dsl.Strategy) bool {
-		if d == len(p.axes) {
-			return recLayouts(0, st)
-		}
-		for i := range p.factorChoices[d] {
-			st.Factors[p.axes[d]] = p.factorChoices[d][i]
-			if !recFactors(d+1, st) {
-				return false
-			}
-		}
-		return true
-	}
-	return recFactors(0, dsl.Strategy{Factors: map[string]int{}, Layouts: map[string][]int{}})
+	digit(len(d.orders), slices.IndexFunc(d.orders, func(o []string) bool { return slices.Equal(o, st.Order) }))
+	digit(len(d.vecs), slices.Index(d.vecs, st.Vec))
+	digit(len(d.dbs), slices.Index(d.dbs, st.DoubleBuffer))
+	digit(len(d.pads), slices.Index(d.pads, st.Padding))
+	return idx
 }
 
-// Enumerate lists every point of a schedule space in a deterministic order
-// — a materializing wrapper over Stream, with the MaxSpace guard.
-func Enumerate(seed *dsl.Seed, sp *dsl.Space) ([]dsl.Strategy, error) {
-	p, err := resolve(seed, sp)
-	if err != nil {
-		return nil, err
+// nearestFactor picks the menu entry with the smallest relative distance to
+// want (log-space distance, so 64→48 beats 64→128 beats 64→1). want <= 0
+// (axis absent from the foreign strategy) picks the first entry.
+func nearestFactor(menu []int, want int) int {
+	if want <= 0 {
+		return 0
 	}
-	size := p.size()
-	if size > MaxSpace {
-		return nil, fmt.Errorf("schedule: space of %d points exceeds the %d guard", size, MaxSpace)
+	best, bestDist := 0, -1.0
+	for i, f := range menu {
+		ratio := float64(f) / float64(want)
+		if ratio < 1 {
+			ratio = 1 / ratio
+		}
+		if bestDist < 0 || ratio < bestDist {
+			best, bestDist = i, ratio
+		}
 	}
-	out := make([]dsl.Strategy, 0, size)
-	p.stream(func(idx int, st dsl.Strategy) bool {
-		out = append(out, st)
-		return true
-	})
-	return out, nil
-}
-
-func copyIntMap(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyLayoutMap(m map[string][]int) map[string][]int {
-	out := make(map[string][]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return best
 }

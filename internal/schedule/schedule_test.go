@@ -18,6 +18,12 @@ func seed() *dsl.Seed {
 	return s
 }
 
+// enumerate collects Stream into a slice.
+func enumerate(seed *dsl.Seed, sp *dsl.Space) (sts []dsl.Strategy, err error) {
+	err = Stream(seed, sp, func(_ int, st dsl.Strategy) bool { sts = append(sts, st); return true })
+	return sts, err
+}
+
 func TestEnumerateProduct(t *testing.T) {
 	sp := dsl.NewSpace()
 	sp.FactorVar("m", 32, 64)
@@ -25,7 +31,7 @@ func TestEnumerateProduct(t *testing.T) {
 	sp.Reorder("m", "n", "k")
 	sp.Reorder("n", "m", "k")
 	sp.Layout("A", 0, 1).Layout("A", 1, 0)
-	sts, err := Enumerate(seed(), sp)
+	sts, err := enumerate(seed(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +52,7 @@ func TestEnumerateProduct(t *testing.T) {
 func TestEnumerateDedupsFactors(t *testing.T) {
 	sp := dsl.NewSpace()
 	sp.FactorVar("m", 32, 32, 32)
-	sts, err := Enumerate(seed(), sp)
+	sts, err := enumerate(seed(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +64,7 @@ func TestEnumerateDedupsFactors(t *testing.T) {
 func TestEnumerateDefaultsWhenSparse(t *testing.T) {
 	sp := dsl.NewSpace()
 	sp.FactorVar("m", 4096) // beyond extent: falls back to 1
-	sts, err := Enumerate(seed(), sp)
+	sts, err := enumerate(seed(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,49 +84,12 @@ func TestEnumerateOptionAxes(t *testing.T) {
 	sp.DoubleBuffer = []bool{false, true}
 	sp.Padding = []dsl.PaddingMode{dsl.PadLightweight, dsl.PadTraditional}
 	sp.Vecs = []ir.VecDim{ir.VecM}
-	sts, err := Enumerate(seed(), sp)
+	sts, err := enumerate(seed(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sts) != 4 {
 		t.Fatalf("want 4 option combos, got %d", len(sts))
-	}
-}
-
-func TestStreamMatchesEnumerate(t *testing.T) {
-	sp := dsl.NewSpace()
-	sp.FactorVar("m", 32, 64)
-	sp.FactorVar("n", 32, 64)
-	sp.Reorder("m", "n", "k")
-	sp.Reorder("n", "m", "k")
-	sp.Layout("A", 0, 1).Layout("A", 1, 0)
-	want, err := Enumerate(seed(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Size(seed(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(want) {
-		t.Fatalf("Size = %d, Enumerate = %d", n, len(want))
-	}
-	i := 0
-	err = Stream(seed(), sp, func(idx int, st dsl.Strategy) bool {
-		if idx != i {
-			t.Fatalf("index %d out of order, want %d", idx, i)
-		}
-		if st.String() != want[idx].String() {
-			t.Fatalf("point %d differs:\nstream    %s\nenumerate %s", idx, st, want[idx])
-		}
-		i++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != len(want) {
-		t.Fatalf("stream emitted %d points, want %d", i, len(want))
 	}
 }
 
@@ -130,6 +99,9 @@ func TestStreamEarlyStop(t *testing.T) {
 	sp.FactorVar("n", 8, 16, 32, 64)
 	count := 0
 	err := Stream(seed(), sp, func(idx int, st dsl.Strategy) bool {
+		if idx != count {
+			t.Fatalf("index %d out of order, want %d", idx, count)
+		}
 		count++
 		return count < 3
 	})
@@ -161,8 +133,9 @@ func TestStreamEmitsIndependentStrategies(t *testing.T) {
 }
 
 func TestStreamBypassesSpaceGuard(t *testing.T) {
-	// A space too large for Enumerate still streams: the guard only protects
-	// the materializing path.
+	// Stream has no size guard and needs none: a space far too large to
+	// materialise (the deleted Enumerate refused anything above 200 000
+	// points) still streams, because a point is decoded from its index.
 	big := dsl.NewSeed("op")
 	big.AddAxis("m", 4096, dsl.RoleM)
 	big.AddAxis("n", 4096, dsl.RoleN)
@@ -177,42 +150,83 @@ func TestStreamBypassesSpaceGuard(t *testing.T) {
 	}
 	sp.FactorVar("m", huge...)
 	sp.FactorVar("n", huge...)
-	n, err := Size(big, sp)
+	d, err := Describe(big, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n <= MaxSpace {
-		t.Fatalf("test space of %d points does not exceed the %d guard", n, MaxSpace)
+	if d.Size() != 600*600*len(sp.Vecs) {
+		t.Fatalf("Size() = %d, want %d", d.Size(), 600*600*len(sp.Vecs))
 	}
-	if _, err := Enumerate(big, sp); err == nil {
-		t.Fatal("Enumerate must trip the guard")
+	if last := d.At(d.Size() - 1); last.Factors["m"] != 600 || last.Factors["n"] != 600 {
+		t.Fatalf("last point = %s", last)
 	}
 	count := 0
 	if err := Stream(big, sp, func(idx int, st dsl.Strategy) bool {
 		count++
 		return count < 5
 	}); err != nil {
-		t.Fatalf("Stream must ignore the guard: %v", err)
+		t.Fatal(err)
 	}
 	if count != 5 {
 		t.Fatalf("stream emitted %d points, want 5", count)
 	}
 }
 
+var allocSink dsl.Strategy // keeps a streamed point's maps from being optimised away
+
+// TestStreamAllocsPerPoint: a streamed point allocates its two maps and
+// nothing that grows with the digit count — a ten-digit space costs what a
+// five-digit one does (same map sizes; only option digits are added).
+func TestStreamAllocsPerPoint(t *testing.T) {
+	s := seed()
+	perPoint := func(sp *dsl.Space) float64 {
+		d, err := Describe(s, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve := testing.AllocsPerRun(20, func() { _, _ = Describe(s, sp) })
+		stream := testing.AllocsPerRun(20, func() {
+			_ = Stream(s, sp, func(_ int, st dsl.Strategy) bool { allocSink = st; return true })
+		})
+		return (stream - resolve) / float64(d.Size())
+	}
+	narrow := dsl.NewSpace()
+	narrow.FactorVar("m", 16, 32, 64)
+	narrow.Layout("A", 0, 1).Layout("A", 1, 0)
+	wide := dsl.NewSpace()
+	wide.FactorVar("m", 16, 32, 64)
+	wide.Layout("A", 0, 1).Layout("A", 1, 0)
+	wide.Reorder("m", "n", "k")
+	wide.Reorder("n", "m", "k")
+	wide.DoubleBuffer = []bool{false, true}
+	wide.Padding = []dsl.PaddingMode{dsl.PadLightweight, dsl.PadTraditional}
+	n, w := perPoint(narrow), perPoint(wide)
+	t.Logf("allocs per streamed point: %.2f (5 digits), %.2f (8 digits)", n, w)
+	if w > n+0.01 {
+		t.Fatalf("allocations grow with the digit count: %.2f → %.2f per point", n, w)
+	}
+	if w > 4.1 {
+		t.Fatalf("a point allocates %.2f objects, want its two maps (at most 4)", w)
+	}
+}
+
 func TestEnumerateErrors(t *testing.T) {
 	sp := dsl.NewSpace()
 	sp.FactorVar("ghost", 2)
-	if _, err := Enumerate(seed(), sp); err == nil {
+	if _, err := Describe(seed(), sp); err == nil {
 		t.Fatal("unknown axis must error")
 	}
 	sp2 := dsl.NewSpace()
 	sp2.Layout("Ghost", 0, 1)
-	if _, err := Enumerate(seed(), sp2); err == nil {
+	if _, err := Describe(seed(), sp2); err == nil {
 		t.Fatal("unknown tensor must error")
 	}
 	sp3 := dsl.NewSpace()
 	sp3.Vecs = nil
-	if _, err := Enumerate(seed(), sp3); err == nil {
+	if _, err := Describe(seed(), sp3); err == nil {
 		t.Fatal("empty vec list must error")
+	}
+	if err := Stream(seed(), sp3, func(int, dsl.Strategy) bool { return true }); err == nil {
+		t.Fatal("Stream must report Describe's error")
 	}
 }

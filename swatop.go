@@ -180,12 +180,6 @@ func (t *Tuner) SetMetrics(reg *MetricsRegistry) {
 // time.
 func (t *Tuner) SetWorkers(n int) { t.opts.Workers = n }
 
-// SetProgressBest installs a tuning progress callback, invoked from a
-// single goroutine after each candidate with the processed and valid counts
-// and the best score seen so far (predicted seconds during the search, 0 while
-// no valid candidate exists), for live best-score progress lines.
-func (t *Tuner) SetProgressBest(fn func(done, valid int, best float64)) { t.opts.Progress = fn }
-
 // SetFallback selects the degradation policy for failed or deadline-
 // expired tuning runs.
 func (t *Tuner) SetFallback(p FallbackPolicy) { t.fallback = p }

@@ -179,11 +179,11 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.SetWorkers(8)
-	lastDone := 0
-	tn.SetProgressBest(func(done, valid int, _ float64) { lastDone = done })
+	obs := NewObserver()
+	tn.SetObserver(obs)
 	defer func() {
 		tn.SetWorkers(0)
-		tn.SetProgressBest(nil)
+		tn.SetObserver(nil)
 	}()
 	par, err := tn.TuneGemm(p)
 	if err != nil {
@@ -195,8 +195,8 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 			seq.Strategy(), seq.Seconds(), seq.SpaceSize(),
 			par.Strategy(), par.Seconds(), par.SpaceSize())
 	}
-	if lastDone == 0 {
-		t.Fatal("progress callback never fired")
+	if jobs := obs.Jobs().Snapshot(); len(jobs) != 1 || jobs[0].Done != par.SpaceSize() {
+		t.Fatalf("live job reports %+v, want one job done with %d candidates", jobs, par.SpaceSize())
 	}
 }
 
