@@ -102,9 +102,6 @@ type Options struct {
 	Tolerance float64
 	// SkipBaseline skips the per-layer manual-library comparison run.
 	SkipBaseline bool
-	// Progress, when non-nil, is called after each operator node's
-	// schedule is resolved.
-	Progress func(node string, done, total int)
 	// Metrics, when non-nil, receives run instrumentation: per-layer
 	// schedule-resolution outcomes (infer_conv_cached_total, ...), conv
 	// method selections (infer_method_winograd_total, ...), the arena peak,
@@ -697,9 +694,6 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 				obsrv.F("method", r.method), obsrv.F("strategy", r.strategy))
 		}
 		opts.job.Progress(done, done-degraded, degraded, 0)
-		if opts.Progress != nil {
-			opts.Progress(n.Name, done, total)
-		}
 	}
 	return out, nil
 }
