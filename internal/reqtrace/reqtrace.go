@@ -18,9 +18,11 @@
 package reqtrace
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -37,12 +39,17 @@ const (
 	PhaseRespond = "respond" // batch done -> outcome delivered
 )
 
-// Span is one interval of a request's life, relative to the trace start.
+// Span is one wall-clock interval of a request's life. Collectors record
+// it at absolute times; Recorder.Finish adds the trace-relative
+// milliseconds, which is what /tracez serves.
 type Span struct {
 	Phase string `json:"phase"`
 	Name  string `json:"name"`
-	// StartMs/DurMs are wall-clock milliseconds relative to the trace
-	// start.
+	// Start and Dur are the interval as recorded.
+	Start time.Time     `json:"-"`
+	Dur   time.Duration `json:"-"`
+	// StartMs/DurMs are the same interval in milliseconds relative to the
+	// trace start (zero until the trace is finished).
 	StartMs float64 `json:"start_ms"`
 	DurMs   float64 `json:"dur_ms"`
 	// Group is the simulated core group for exec/comm spans (-1 when the
@@ -136,15 +143,14 @@ func randomHex(n int) string {
 	return hex.EncodeToString(b)
 }
 
-// Recorder collects one request's spans. It is concurrency-safe (the
-// admitting goroutine and the batcher both record) and nil-inert.
+// Recorder collects one request's spans: a Spans collector (the admitting
+// goroutine and the batcher both record) with the trace's identity and
+// start. Nil-inert.
 type Recorder struct {
-	mu    sync.Mutex
+	Spans
 	id    string
 	paren string
 	start time.Time
-	spans []Span
-	done  bool
 }
 
 // Start begins a trace for one request. traceparent is the incoming
@@ -167,70 +173,41 @@ func (r *Recorder) ID() string {
 	return r.id
 }
 
-// StartTime returns the trace's admission time (zero on nil).
-func (r *Recorder) StartTime() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
-}
-
-// Span records one interval by absolute wall times, converted to
-// trace-relative milliseconds. Nil-safe; spans recorded after Finish are
-// dropped (the trace is already in the store).
+// Span records one non-group interval. Nil-safe; spans recorded after
+// Finish are dropped (the trace is already in the store).
 func (r *Recorder) Span(phase, name string, start time.Time, dur time.Duration, args map[string]string) {
-	r.span(phase, name, -1, start, dur, args)
-}
-
-// GroupSpan records a group-bound interval (exec/comm).
-func (r *Recorder) GroupSpan(phase, name string, group int, start time.Time, dur time.Duration, args map[string]string) {
-	r.span(phase, name, group, start, dur, args)
-}
-
-func (r *Recorder) span(phase, name string, group int, start time.Time, dur time.Duration, args map[string]string) {
-	if r == nil {
-		return
+	if r != nil {
+		r.Add(phase, name, start, dur, args)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return
-	}
-	r.spans = append(r.spans, Span{
-		Phase:   phase,
-		Name:    name,
-		StartMs: start.Sub(r.start).Seconds() * 1e3,
-		DurMs:   dur.Seconds() * 1e3,
-		Group:   group,
-		Args:    args,
-	})
 }
 
 // Import copies a batch-level span set into this request's trace — every
 // member of a coalesced batch shares the resolve/exec/comm spans, at the
 // same absolute wall times.
 func (r *Recorder) Import(s *Spans) {
-	if r == nil || s == nil {
-		return
-	}
-	for _, raw := range s.Snapshot() {
-		r.span(raw.Phase, raw.Name, raw.Group, raw.Start, raw.Dur, raw.Args)
+	if r != nil {
+		r.add(s.Snapshot()...)
 	}
 }
 
-// Finish seals the trace with its terminal status. latency is measured
-// from the trace start. Returns the zero Trace on a nil recorder; calling
-// Finish twice returns an empty second trace.
+// Finish seals the trace with its terminal status and converts its spans
+// to trace-relative milliseconds. latency is measured from the trace start.
+// Returns the zero Trace on a nil recorder; calling Finish twice returns an
+// empty second trace.
 func (r *Recorder) Finish(status int, degraded bool, end time.Time) Trace {
 	if r == nil {
 		return Trace{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.done {
+	if r.sealed {
 		return Trace{}
 	}
-	r.done = true
+	r.sealed = true
+	for i := range r.spans {
+		sp := &r.spans[i]
+		sp.StartMs, sp.DurMs = sp.Start.Sub(r.start).Seconds()*1e3, sp.Dur.Seconds()*1e3
+	}
 	return Trace{
 		ID:        r.id,
 		Parent:    r.paren,
@@ -242,24 +219,14 @@ func (r *Recorder) Finish(status int, degraded bool, end time.Time) Trace {
 	}
 }
 
-// RawSpan is one absolute-time span in a batch-level collector, converted
-// to trace-relative times when imported into a request's Recorder.
-type RawSpan struct {
-	Phase string
-	Name  string
-	Group int
-	Start time.Time
-	Dur   time.Duration
-	Args  map[string]string
-}
-
-// Spans is a concurrency-safe batch-level span collector: the engine's
-// resolve loop and the fleet's concurrent group goroutines all record
-// into it, and the batcher imports the result into every member request's
-// Recorder. Nil-inert like the Recorder.
+// Spans is a concurrency-safe span collector. As a batch-level set the
+// engine's resolve loop and the fleet's concurrent group goroutines all
+// record into it, and the batcher imports the result into every member
+// request's Recorder, which is itself one. Nil-inert.
 type Spans struct {
-	mu    sync.Mutex
-	spans []RawSpan
+	mu     sync.Mutex
+	spans  []Span
+	sealed bool // a finished Recorder's: later spans are dropped
 }
 
 // Add records one non-group span.
@@ -267,66 +234,37 @@ func (s *Spans) Add(phase, name string, start time.Time, dur time.Duration, args
 	s.AddGroup(phase, name, -1, start, dur, args)
 }
 
-// AddGroup records one group-bound span.
+// AddGroup records one group-bound span (exec/comm).
 func (s *Spans) AddGroup(phase, name string, group int, start time.Time, dur time.Duration, args map[string]string) {
-	if s == nil {
-		return
+	if s != nil {
+		s.add(Span{Phase: phase, Name: name, Group: group, Start: start, Dur: dur, Args: args})
 	}
+}
+
+func (s *Spans) add(spans ...Span) {
 	s.mu.Lock()
-	s.spans = append(s.spans, RawSpan{
-		Phase: phase, Name: name, Group: group,
-		Start: start, Dur: dur, Args: args,
-	})
+	if !s.sealed {
+		s.spans = append(s.spans, spans...)
+	}
 	s.mu.Unlock()
 }
 
-// Snapshot copies the collected spans, ordered by start time (concurrent
-// group goroutines append in scheduler order; sorting by wall start keeps
-// the imported view stable and readable).
-func (s *Spans) Snapshot() []RawSpan {
+// Snapshot copies the collected spans, ordered by start time, then group,
+// then phase and name: concurrent group goroutines append in scheduler
+// order, and a total order keeps snapshots of the same spans identical
+// whatever the interleaving.
+func (s *Spans) Snapshot() []Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	out := make([]RawSpan, len(s.spans))
-	copy(out, s.spans)
+	out := slices.Clone(s.spans)
 	s.mu.Unlock()
-	sortRawSpans(out)
+	slices.SortStableFunc(out, func(a, b Span) int {
+		return cmp.Or(a.Start.Compare(b.Start), cmp.Compare(a.Group, b.Group),
+			cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Name, b.Name))
+	})
 	return out
-}
-
-// Len reports the collected span count (0 on nil).
-func (s *Spans) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.spans)
-}
-
-// sortRawSpans orders by start time, then group, then phase/name — a
-// total order, so snapshots of the same spans are identical regardless of
-// append interleaving.
-func sortRawSpans(spans []RawSpan) {
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && rawSpanLess(spans[j], spans[j-1]); j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-}
-
-func rawSpanLess(a, b RawSpan) bool {
-	if !a.Start.Equal(b.Start) {
-		return a.Start.Before(b.Start)
-	}
-	if a.Group != b.Group {
-		return a.Group < b.Group
-	}
-	if a.Phase != b.Phase {
-		return a.Phase < b.Phase
-	}
-	return a.Name < b.Name
 }
 
 // MsArg formats a millisecond value for span Args.

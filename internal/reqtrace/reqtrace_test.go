@@ -54,9 +54,9 @@ func TestRecorderBasics(t *testing.T) {
 	if rec.ID() == "" {
 		t.Fatal("fresh recorder has empty trace id")
 	}
-	t0 := rec.StartTime()
+	t0 := rec.start
 	rec.Span(PhaseQueue, "queue wait", t0, 2*time.Millisecond, nil)
-	rec.GroupSpan(PhaseExec, "exec batch", 1, t0.Add(2*time.Millisecond), 3*time.Millisecond,
+	rec.AddGroup(PhaseExec, "exec batch", 1, t0.Add(2*time.Millisecond), 3*time.Millisecond,
 		map[string]string{"machine_ms": "1.5"})
 	tr := rec.Finish(200, false, t0.Add(6*time.Millisecond))
 	if tr.ID != rec.ID() || tr.Status != 200 {
@@ -88,7 +88,7 @@ func TestRecorderInheritsTraceparent(t *testing.T) {
 	if rec.ID() != tid {
 		t.Fatalf("trace id = %q, want %q", rec.ID(), tid)
 	}
-	tr := rec.Finish(200, false, rec.StartTime())
+	tr := rec.Finish(200, false, rec.start)
 	if tr.Parent != pid {
 		t.Fatalf("parent = %q, want %q", tr.Parent, pid)
 	}
@@ -106,7 +106,7 @@ func TestNilRecorderAndSpansInert(t *testing.T) {
 	}
 	var sp *Spans
 	sp.Add(PhaseExec, "x", time.Now(), 0, nil)
-	if sp.Len() != 0 || sp.Snapshot() != nil {
+	if sp.Snapshot() != nil {
 		t.Fatal("nil Spans not inert")
 	}
 	var st *Store
@@ -117,7 +117,7 @@ func TestNilRecorderAndSpansInert(t *testing.T) {
 
 func TestSpansSnapshotOrderStable(t *testing.T) {
 	base := time.Now()
-	build := func(order []int) []RawSpan {
+	build := func(order []int) []Span {
 		s := &Spans{}
 		for _, i := range order {
 			s.AddGroup(PhaseExec, fmt.Sprintf("exec g%d", i), i,
@@ -139,7 +139,7 @@ func TestSpansSnapshotOrderStable(t *testing.T) {
 
 func TestRecorderImportsBatchSpans(t *testing.T) {
 	rec := Start("")
-	t0 := rec.StartTime()
+	t0 := rec.start
 	batch := &Spans{}
 	batch.AddGroup(PhaseExec, "exec", 0, t0.Add(time.Millisecond), 2*time.Millisecond, nil)
 	batch.Add(PhaseResolve, "resolve conv", t0, 500*time.Microsecond, map[string]string{"cached": "true"})
@@ -256,9 +256,9 @@ func TestStoreCollisionKeepsImportantClass(t *testing.T) {
 func TestTracezHandler(t *testing.T) {
 	st := NewStore(StoreOptions{Capacity: 10, SlowMs: 50, SampleRate: 1})
 	rec := Start("")
-	t0 := rec.StartTime()
+	t0 := rec.start
 	rec.Span(PhaseQueue, "queue wait", t0, time.Millisecond, nil)
-	rec.GroupSpan(PhaseExec, "exec", 0, t0.Add(time.Millisecond), 2*time.Millisecond, nil)
+	rec.AddGroup(PhaseExec, "exec", 0, t0.Add(time.Millisecond), 2*time.Millisecond, nil)
 	tr := rec.Finish(200, false, t0.Add(60*time.Millisecond))
 	tr.LatencyMs = 60
 	if st.Add(tr) != "slow" {

@@ -67,14 +67,6 @@ func NewStore(opts StoreOptions) *Store {
 	}
 }
 
-// SlowMs reports the always-keep latency threshold.
-func (st *Store) SlowMs() float64 {
-	if st == nil {
-		return 0
-	}
-	return st.slowMs
-}
-
 // keepReason classifies a finished trace: a non-empty reason other than
 // "sampled" means always-keep; "" means drop.
 func (st *Store) keepReason(tr *Trace) string {
