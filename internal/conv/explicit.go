@@ -40,9 +40,9 @@ func NewExplicitOp(s Shape) (*ExplicitOp, error) {
 	seed.AddTensor("out2d", []int{s.No, nn}, dsl.OperandC, dsl.Dim("m"), dsl.Dim("n"))
 
 	sp := dsl.NewSpace()
-	sp.Factors["m"] = tileMenu(s.No, []int{32, 64, 128})
-	sp.Factors["n"] = tileMenu(nn, []int{256, 512, 1024})
-	sp.Factors["k"] = tileMenu(kk, []int{64, 128, 256})
+	sp.Factors["m"] = dsl.TileMenu(s.No, []int{32, 64, 128})
+	sp.Factors["n"] = dsl.TileMenu(nn, []int{256, 512, 1024})
+	sp.Factors["k"] = dsl.TileMenu(kk, []int{64, 128, 256})
 	sp.Reorder("m", "n", "k")
 	sp.Reorder("n", "m", "k")
 	sp.Layout("weight2d", 0, 1)
@@ -87,7 +87,7 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	// Phase 1: im2col. For every (ni, kr, kc) and a chunk of output rows,
 	// one Get from the (pre-padded) input and one Put into the column
 	// matrix — the shifted-window copy that defines im2col.
-	chunk := maxInt(1, 128*1024/(s.Co*s.B))
+	chunk := max(1, 128*1024/(s.Co*s.B))
 	if chunk > s.Ro {
 		chunk = s.Ro
 	}
@@ -127,13 +127,6 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	prog.Body = append(im2col, &ir.Comment{Text: "phase 2: tiled GEMM"})
 	prog.Body = append(prog.Body, nest...)
 	return core.Optimize(prog, st)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ExplicitWeight2D flattens a 4-D filter into the (No, Ni·Kr·Kc) matrix

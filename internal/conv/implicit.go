@@ -62,8 +62,8 @@ func NewImplicitOp(s Shape) (*ImplicitOp, error) {
 		dsl.Dim("no"), dsl.Dim("ro"), dsl.Dim("co"), dsl.Dim("b"))
 
 	sp := dsl.NewSpace()
-	sp.Factors["no"] = tileMenu(s.No, []int{32, 64, 128})
-	sp.Factors["ni"] = tileMenu(s.Ni, []int{32, 64, 128})
+	sp.Factors["no"] = dsl.TileMenu(s.No, []int{32, 64, 128})
+	sp.Factors["ni"] = dsl.TileMenu(s.Ni, []int{32, 64, 128})
 	sp.Factors["co"] = fusionMenu(s.Co, s.B)
 	sp.Factors["b"] = []int{s.B} // batch always fully fused into N
 	// Loop-order candidates: Alg. 2's spatial-outer order and an
@@ -95,22 +95,6 @@ func fusionMenu(co, b int) []int {
 	}
 	if len(out) == 0 {
 		out = []int{1}
-	}
-	return out
-}
-
-func tileMenu(extent int, menu []int) []int {
-	var out []int
-	for _, f := range menu {
-		if f < extent {
-			out = append(out, f)
-		}
-	}
-	if extent <= menu[len(menu)-1] {
-		out = append(out, extent)
-	}
-	if len(out) == 0 {
-		out = []int{extent}
 	}
 	return out
 }

@@ -56,9 +56,9 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 		dsl.Dim("xi"), dsl.Dim("no"), dsl.Dim("p"))
 
 	sp := dsl.NewSpace()
-	sp.Factors["no"] = tileMenu(s.No, []int{32, 64, 128})
-	sp.Factors["ni"] = tileMenu(s.Ni, []int{32, 64, 128})
-	sp.Factors["p"] = tileMenu(p, []int{256, 512, 1024})
+	sp.Factors["no"] = dsl.TileMenu(s.No, []int{32, 64, 128})
+	sp.Factors["ni"] = dsl.TileMenu(s.Ni, []int{32, 64, 128})
+	sp.Factors["p"] = dsl.TileMenu(p, []int{256, 512, 1024})
 	sp.Reorder("xi", "no", "p", "ni")
 	sp.Reorder("xi", "p", "no", "ni")
 	sp.Layout("U", 0, 1, 2)
@@ -132,7 +132,7 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 
 	// Phase F: filter transform — 9 source + 16 destination floats per
 	// (no, ni) filter.
-	chF := maxInt(1, phaseBudgetElems/(s.Ni*25))
+	chF := max(1, phaseBudgetElems/(s.Ni*25))
 	if chF > s.No {
 		chF = s.No
 	}
@@ -169,7 +169,7 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 	// several 4-row slabs (amortizing start-up latency); one transform
 	// call produces the GEMM-ready planes for the whole chunk.
 	slabElems := 4 * s.Ci() * s.B
-	chI := maxInt(1, phaseBudgetElems/(slabElems+planes*cnt))
+	chI := max(1, phaseBudgetElems/(slabElems+planes*cnt))
 	if chI > s.Ni {
 		chI = s.Ni
 	}
@@ -210,7 +210,7 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 
 	// Phase O: inverse transform, output channels chunked like phase I.
 	outSlab := 2 * s.Co * s.B
-	chO := maxInt(1, phaseBudgetElems/(outSlab+planes*cnt))
+	chO := max(1, phaseBudgetElems/(outSlab+planes*cnt))
 	if chO > s.No {
 		chO = s.No
 	}

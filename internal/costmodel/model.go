@@ -12,6 +12,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 
 	"swatop/internal/ir"
 	"swatop/internal/primitives"
@@ -158,11 +159,11 @@ func leastSquares4(x [][4]float64, y []float64) ([4]float64, error) {
 	for col := 0; col < 4; col++ {
 		pivot := col
 		for r := col + 1; r < 4; r++ {
-			if abs(a[r][col]) > abs(a[pivot][col]) {
+			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
 				pivot = r
 			}
 		}
-		if abs(a[pivot][col]) < 1e-30 {
+		if math.Abs(a[pivot][col]) < 1e-30 {
 			return [4]float64{}, fmt.Errorf("singular normal matrix at column %d", col)
 		}
 		a[col], a[pivot] = a[pivot], a[col]
@@ -181,11 +182,4 @@ func leastSquares4(x [][4]float64, y []float64) ([4]float64, error) {
 		out[i] = a[i][4] / a[i][i]
 	}
 	return out, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -284,6 +284,26 @@ func (sp *Space) FactorVar(axis string, candidates ...int) *Space {
 	return sp
 }
 
+// TileMenu returns tile-factor candidates for an extent: a fixed ascending
+// menu clipped to the extent, always including the extent itself when small
+// (removing the loop entirely). Factors need not divide the extent —
+// boundary processing handles remainders.
+func TileMenu(extent int, menu []int) []int {
+	var out []int
+	for _, f := range menu {
+		if f < extent {
+			out = append(out, f)
+		}
+	}
+	if extent <= menu[len(menu)-1] {
+		out = append(out, extent)
+	}
+	if len(out) == 0 {
+		out = []int{extent}
+	}
+	return out
+}
+
 // Reorder declares an explicit loop-order candidate.
 func (sp *Space) Reorder(order ...string) *Space {
 	sp.Orders = append(sp.Orders, order)

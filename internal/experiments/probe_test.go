@@ -34,7 +34,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eff, tf := Efficiency(ConvFLOPs(s), tuned.Best.Measured)
+	eff, tf := Efficiency(s.FLOPs(), tuned.Best.Measured)
 	t.Logf("implicit %v: swATOP %.4gms (eff %.0f%%, chip %.2f TF) vs swDNN %.4gms → speedup %.2fx (space %d)",
 		s, tuned.Best.Measured*1e3, eff*100, tf, manual*1e3, manual/tuned.Best.Measured, tuned.Valid)
 	if tuned.Best.Measured > manual {
@@ -54,7 +54,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weff, wtf := Efficiency(ConvFLOPs(s), wt.Best.Measured)
+	weff, wtf := Efficiency(s.FLOPs(), wt.Best.Measured)
 	t.Logf("winograd %v: swATOP %.4gms (dir-eff %.0f%%, chip %.2f TF) vs manual %.4gms → speedup %.2fx (space %d)",
 		s, wt.Best.Measured*1e3, weff*100, wtf, mw*1e3, mw/wt.Best.Measured, wt.Valid)
 	if wt.Best.Measured > mw {
@@ -74,7 +74,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eeff, etf := Efficiency(ConvFLOPs(s), et.Best.Measured)
+	eeff, etf := Efficiency(s.FLOPs(), et.Best.Measured)
 	t.Logf("explicit %v: swATOP %.4gms (eff %.0f%%, chip %.2f TF) vs manual %.4gms → speedup %.2fx (space %d)",
 		s, et.Best.Measured*1e3, eeff*100, etf, me*1e3, me/et.Best.Measured, et.Valid)
 
@@ -84,7 +84,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, tf1 := Efficiency(ConvFLOPs(s1), t1.Best.Measured)
+	e1, tf1 := Efficiency(s1.FLOPs(), t1.Best.Measured)
 	t.Logf("implicit batch1 %v: swATOP %.4gms (eff %.0f%%, chip %.2f TF)", s1, t1.Best.Measured*1e3, e1*100, tf1)
 	if _, err := baseline.SwDNNImplicit(s1); err == nil {
 		t.Error("swDNN should not support batch 1")

@@ -18,7 +18,6 @@ import (
 	"swatop/internal/obsrv"
 	"swatop/internal/search"
 	"swatop/internal/sw26010"
-	"swatop/internal/tensor"
 )
 
 // Runner holds the shared state of an experiment session: the fitted
@@ -246,7 +245,3 @@ func Efficiency(flops int64, seconds float64) (eff float64, chipTFlops float64) 
 	chipTFlops = gflops * sw26010.NumCG / 1e3
 	return eff, chipTFlops
 }
-
-// ConvFLOPs is the direct-convolution FLOP count used for all efficiency
-// reporting.
-func ConvFLOPs(s tensor.ConvShape) int64 { return s.FLOPs() }

@@ -44,32 +44,12 @@ func Seed(p Params) (*dsl.Seed, error) {
 	return s, nil
 }
 
-// tileMenu returns tile-factor candidates for an extent: a fixed menu
-// clipped to the extent, always including the extent itself when small
-// (removing the loop entirely). Factors need not divide the extent —
-// boundary processing handles remainders.
-func tileMenu(extent int, menu []int) []int {
-	var out []int
-	for _, f := range menu {
-		if f < extent {
-			out = append(out, f)
-		}
-	}
-	if extent <= menu[len(menu)-1] {
-		out = append(out, extent)
-	}
-	if len(out) == 0 {
-		out = []int{extent}
-	}
-	return out
-}
-
 // Space builds the schedule space of the GEMM operator.
 func Space(p Params) *dsl.Space {
 	sp := dsl.NewSpace()
-	sp.Factors["m"] = tileMenu(p.M, []int{64, 128, 256, 512})
-	sp.Factors["n"] = tileMenu(p.N, []int{64, 128, 256, 512})
-	sp.Factors["k"] = tileMenu(p.K, []int{128, 256, 512})
+	sp.Factors["m"] = dsl.TileMenu(p.M, []int{64, 128, 256, 512})
+	sp.Factors["n"] = dsl.TileMenu(p.N, []int{64, 128, 256, 512})
+	sp.Factors["k"] = dsl.TileMenu(p.K, []int{128, 256, 512})
 	sp.Reorder("m", "n", "k")
 	sp.Reorder("n", "m", "k")
 	// Layouts: C must keep M leading (column-major). A and B may be stored

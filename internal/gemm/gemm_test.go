@@ -55,10 +55,10 @@ func TestSpaceMenusClip(t *testing.T) {
 }
 
 func TestTileMenuTinyExtent(t *testing.T) {
-	if got := tileMenu(5, []int{64, 128}); len(got) != 1 || got[0] != 5 {
+	if got := dsl.TileMenu(5, []int{64, 128}); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("tiny extent menu = %v", got)
 	}
-	if got := tileMenu(64, []int{64, 128}); got[len(got)-1] != 64 {
+	if got := dsl.TileMenu(64, []int{64, 128}); got[len(got)-1] != 64 {
 		t.Fatalf("exact extent should be included: %v", got)
 	}
 }

@@ -41,7 +41,7 @@ type op struct {
 }
 
 const (
-	opPushConst binOp = opMax + 1 + iota // push arg
+	opPushConst binOp = opMin + 1 + iota // push arg
 	opPushWide                           // top = top<<32 | uint32(arg): the low half of a constant beyond int32
 	opPushVar                            // push variable arg
 )

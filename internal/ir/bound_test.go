@@ -39,7 +39,7 @@ func boundCase(raw []byte) (Expr, Env) {
 		case k%8 == 3:
 			return ConstExpr(int64(int8(next()))<<32 | int64(next())<<24 | int64(next()))
 		}
-		return &BinExpr{binOp(next() % 7), build(depth + 1), build(depth + 1)}
+		return &BinExpr{binOp(next() % 6), build(depth + 1), build(depth + 1)}
 	}
 	return build(0), env
 }

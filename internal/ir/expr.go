@@ -64,7 +64,6 @@ const (
 	opDiv // floor division
 	opMod
 	opMin
-	opMax
 )
 
 var opNames = map[binOp]string{
@@ -115,11 +114,6 @@ func (op binOp) apply(l, r int64) int64 {
 			return l
 		}
 		return r
-	case opMax:
-		if l > r {
-			return l
-		}
-		return r
 	}
 	panic("ir: unknown op")
 }
@@ -128,8 +122,6 @@ func (b *BinExpr) String() string {
 	switch b.Op {
 	case opMin:
 		return fmt.Sprintf("min(%s, %s)", b.L, b.R)
-	case opMax:
-		return fmt.Sprintf("max(%s, %s)", b.L, b.R)
 	case opMod:
 		return fmt.Sprintf("(%s %% %s)", b.L, b.R)
 	default:
@@ -196,9 +188,6 @@ func Mod(l, r Expr) Expr { return newBin(opMod, l, r) }
 
 // Min returns min(l, r) — the boundary-extent idiom min(factor, N - i*factor).
 func Min(l, r Expr) Expr { return newBin(opMin, l, r) }
-
-// Max returns max(l, r).
-func Max(l, r Expr) Expr { return newBin(opMax, l, r) }
 
 // IsConst reports whether e evaluates without an environment, returning the
 // value when it does.

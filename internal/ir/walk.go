@@ -73,19 +73,3 @@ func LoopNest(body []Stmt) []*For {
 		cur = f.Body
 	}
 }
-
-// FindLoop locates the first loop with the given iterator name.
-func FindLoop(body []Stmt, iter string) *For {
-	var found *For
-	Walk(body, func(s Stmt) bool {
-		if found != nil {
-			return false
-		}
-		if f, ok := s.(*For); ok && f.Iter == iter {
-			found = f
-			return false
-		}
-		return true
-	})
-	return found
-}

@@ -207,14 +207,6 @@ func (r *Registry) Scope(prefix string) *Registry {
 	return &Registry{root: r.base(), prefix: r.prefix + prefix}
 }
 
-// Prefix reports the view's accumulated name prefix ("" on a root).
-func (r *Registry) Prefix() string {
-	if r == nil {
-		return ""
-	}
-	return r.prefix
-}
-
 // SetHelp attaches Prometheus exposition help text to a metric name,
 // overriding the built-in description table. Nil-safe.
 func (r *Registry) SetHelp(name, text string) {
@@ -226,12 +218,6 @@ func (r *Registry) SetHelp(name, text string) {
 	b.help[r.prefix+name] = text
 	b.mu.Unlock()
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry the facade publishes into when
-// no explicit registry is attached.
-func Default() *Registry { return defaultRegistry }
 
 // Counter returns the named counter, creating it on first use. Nil-safe.
 func (r *Registry) Counter(name string) *Counter {

@@ -270,34 +270,3 @@ func GemmTime(s GemmSpec) (float64, error) {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// GenericGemmTime models the inner kernel a generic compiler stack (the
-// paper's swTVM discussion, §1) emits for the same SPM-resident tile
-// product: correct C code, but without register communication (each CPE
-// re-reads shared operand strips from its own SPM copy or via remote
-// loads), without the dual-pipeline software pipelining (RAW hazards
-// stall), and with scalar loads feeding the vector unit. The paper's
-// motivation — such code "performs much slower than existing manual
-// versions" — falls out of these three omissions.
-func GenericGemmTime(s GemmSpec) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	mt := ceilDiv(s.M, sw26010.MeshDim)
-	nt := ceilDiv(s.N, sw26010.MeshDim)
-	k := float64(s.K)
-
-	// Without the 4×4 register blocking and pipeline scheduling, every
-	// vmad waits out its RAW latency (~4 cycles), and operand loads are
-	// scalar (no vlddr/vlddc broadcasts): ~4 extra cycles per vector.
-	const rawStallCycles = 4.0
-	const scalarLoadCycles = 4.0
-	vmads := float64(mt*nt) / float64(sw26010.VectorWidth)
-	perK := vmads*(1+rawStallCycles) + vmads*scalarLoadCycles + perKOverheadCycles
-	// No register communication: the A row strip and B column strip reach
-	// each CPE through 8× redundant SPM traffic instead of the mesh
-	// broadcast, serialized with compute.
-	redundant := (float64(s.M)*k + k*float64(s.N)) / float64(sw26010.MeshDim)
-	cycles := gemmCallOverheadCycles + k*perK + redundant/float64(sw26010.VectorWidth)
-	return sw26010.Seconds(cycles), nil
-}

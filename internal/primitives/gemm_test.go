@@ -266,24 +266,3 @@ func TestElems(t *testing.T) {
 		t.Fatalf("transposed elems = %d %d", a, b)
 	}
 }
-
-func TestGenericKernelMuchSlower(t *testing.T) {
-	// The §1 motivation: generic-compiler inner kernels without register
-	// communication and pipeline scheduling lose several-fold to the
-	// hand-written primitive.
-	spec := GemmSpec{M: 256, N: 256, K: 256, LDA: 256, LDB: 256, LDC: 256}
-	tuned, err := GemmTime(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	generic, err := GenericGemmTime(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := generic / tuned; ratio < 3 || ratio > 50 {
-		t.Fatalf("generic/tuned kernel ratio %.1f outside the plausible several-fold band", ratio)
-	}
-	if _, err := GenericGemmTime(GemmSpec{M: -1, N: 1, K: 1, LDA: 1, LDB: 1, LDC: 1}); err == nil {
-		t.Fatal("invalid spec must error")
-	}
-}

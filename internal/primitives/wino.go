@@ -19,9 +19,6 @@ import (
 // WinoTileSize is the Winograd input tile side.
 const WinoTileSize = 4
 
-// WinoOutSize is the output tile side of F(2×2,3×3).
-const WinoOutSize = 2
-
 // WinoPlanes is the number of element-wise product planes (= GEMM calls).
 const WinoPlanes = WinoTileSize * WinoTileSize
 

@@ -105,9 +105,6 @@ func (t *Table) JSON() (string, error) {
 	return string(data), nil
 }
 
-// Pct formats a ratio as a signed percentage.
-func Pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", ratio*100) }
-
 // Ms formats seconds as milliseconds.
 func Ms(seconds float64) string { return fmt.Sprintf("%.3gms", seconds*1e3) }
 

@@ -69,9 +69,6 @@ func TestTableJSON(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if Pct(0.123) != "+12.3%" || Pct(-0.05) != "-5.0%" {
-		t.Fatal("Pct wrong")
-	}
 	if Ms(0.00123) != "1.23ms" {
 		t.Fatalf("Ms = %q", Ms(0.00123))
 	}

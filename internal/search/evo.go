@@ -114,8 +114,8 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 		offspring := make([]candidate, 0, cfg.OffspringPerRound)
 		offSeen := map[int]bool{}
 		for b := 0; b < 4*cfg.OffspringPerRound && len(offspring) < cfg.OffspringPerRound; b++ {
-			pa := parents[minInt(r.intn(len(parents)), r.intn(len(parents)))]
-			pb := parents[minInt(r.intn(len(parents)), r.intn(len(parents)))]
+			pa := parents[min(r.intn(len(parents)), r.intn(len(parents)))]
+			pb := parents[min(r.intn(len(parents)), r.intn(len(parents)))]
 			da := digitsOf(pa.pt.Index, radices)
 			db := digitsOf(pb.pt.Index, radices)
 			child := make([]int, len(da))
@@ -203,8 +203,8 @@ func (t *tracker) alreadyMeasured(idx int) bool {
 }
 
 // digitsOf decodes an index into mixed-radix digits, most significant
-// first — the pure-int twin of schedule.Dims.Digits, duplicated here so the
-// searchers stay decoupled from internal/schedule.
+// first — the digit order of schedule.Dims, on plain ints so the searchers
+// stay decoupled from internal/schedule.
 func digitsOf(idx int, radices []int) []int {
 	digits := make([]int, len(radices))
 	for i := len(radices) - 1; i >= 0; i-- {
@@ -228,11 +228,4 @@ func indexOf(digits []int, radices []int) int {
 		idx = idx*r + d
 	}
 	return idx
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -77,8 +77,8 @@ func Features(seed *dsl.Seed, st dsl.Strategy, prog *ir.Program, est costmodel.E
 	f[11] = math.Log1p(est.DMATransactions)
 	w := walkProgram(prog)
 	f[12] = math.Log1p(float64(w.peakSPMBytes))
-	f[13] = math.Log2(float64(maxInt64(w.gemmM, 1)))
-	f[14] = math.Log2(float64(maxInt64(w.gemmN, 1)))
+	f[13] = math.Log2(float64(max(w.gemmM, 1)))
+	f[14] = math.Log2(float64(max(w.gemmN, 1)))
 	f[15] = math.Log1p(float64(w.dmaOps))
 	for i, v := range f {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -157,11 +157,4 @@ func walkProgram(p *ir.Program) progWalk {
 	}
 	walk(p.Body)
 	return w
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

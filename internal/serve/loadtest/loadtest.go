@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -234,7 +235,7 @@ func merge(results []clientResult, opts Options, wall time.Duration) *Report {
 		comm = append(comm, p.comm)
 		if p.latency > 0 {
 			sum := p.queue + p.batch + p.exec + p.comm
-			if err := abs(sum-p.latency) / p.latency; err > rep.PhaseSumErrMax {
+			if err := math.Abs(sum-p.latency) / p.latency; err > rep.PhaseSumErrMax {
 				rep.PhaseSumErrMax = err
 			}
 		}
@@ -244,13 +245,6 @@ func merge(results []clientResult, opts Options, wall time.Duration) *Report {
 	rep.Phases.Exec = phaseStats(exec)
 	rep.Phases.Comm = phaseStats(comm)
 	return rep
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // phaseStats sorts one phase's samples (in place) and takes percentiles.

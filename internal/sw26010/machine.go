@@ -83,15 +83,6 @@ func NewMachine() *Machine {
 	}
 }
 
-// Reset returns the machine to time zero, frees all SPM and clears counters.
-func (m *Machine) Reset() {
-	m.clock = 0
-	m.dmaFree = 0
-	m.spm = NewSPMAllocator()
-	m.replies = make(map[string]*replyWord)
-	m.Counters = Counters{}
-}
-
 // Now returns the current compute-channel time in seconds.
 func (m *Machine) Now() float64 { return m.clock }
 

@@ -192,26 +192,10 @@ func TestDMARequestValidate(t *testing.T) {
 	}
 }
 
-func TestMachineReset(t *testing.T) {
-	m := NewMachine()
-	_, err := m.SPM().Alloc("a", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = m.IssueDMA("r", DMARequest{BlockBytes: 4, BlockCount: 1, StrideBytes: 4, CPEs: 1})
-	m.Reset()
-	if m.Now() != 0 || m.OutstandingDMA() != 0 || m.SPM().UsedPerCPE() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-	if m.Counters != (Counters{}) {
-		t.Fatal("Reset did not clear counters")
-	}
-}
-
 func TestSPMAllocCapacity(t *testing.T) {
 	a := NewSPMAllocator()
 	// 64 KB/CPE × 64 CPEs = 4 MB = 1M float32 at CG level.
-	if _, err := a.Alloc("big", NumCPE*SPMFloats); err != nil {
+	if _, err := a.Alloc("big", NumCPE*SPMBytes/4); err != nil {
 		t.Fatalf("exactly-full allocation should fit: %v", err)
 	}
 	if _, err := a.Alloc("extra", 64); err == nil {
@@ -263,10 +247,10 @@ func TestSPMDuplicateAndUnknown(t *testing.T) {
 }
 
 func TestFitsSPM(t *testing.T) {
-	if !FitsSPM(NumCPE * SPMFloats) {
+	if !FitsSPM(NumCPE * SPMBytes / 4) {
 		t.Fatal("full SPM should fit")
 	}
-	if FitsSPM(NumCPE*SPMFloats, 64) {
+	if FitsSPM(NumCPE*SPMBytes/4, 64) {
 		t.Fatal("over capacity should not fit")
 	}
 	if FitsSPM(-1) || FitsSPM(0) {

@@ -27,8 +27,6 @@ const (
 
 	// SPMBytes is the scratch pad memory per CPE.
 	SPMBytes = 64 * 1024
-	// SPMFloats is SPM capacity in float32 elements.
-	SPMFloats = SPMBytes / 4
 
 	// VectorWidth is the single-precision SIMD width (256-bit vectors).
 	VectorWidth = 4
@@ -50,10 +48,6 @@ const (
 	// TransactionBytes is the DRAM transaction granularity: even a 1-byte
 	// touch transfers the whole 128 B transaction (paper §4.6).
 	TransactionBytes = 128
-
-	// DMAPeakBandwidth is the per-CG theoretical DMA bandwidth in bytes/s
-	// (136 GB/s chip ÷ 4 CGs).
-	DMAPeakBandwidth = 34.0e9
 
 	// DMAEffBandwidth is the achievable large-block DMA bandwidth
 	// (stream triad measured 22.6 GB/s in [24]); the gap to peak is the

@@ -170,30 +170,6 @@ func (t *Tensor) FillPattern() {
 
 func lcg(x uint32) uint32 { return x*1664525 + 1013904223 }
 
-// IsContiguous reports whether the tensor occupies a dense block in memory
-// (some permutation of dimensions with no gaps).
-func (t *Tensor) IsContiguous() bool {
-	// Sort strides descending and check the telescoping product.
-	type ds struct{ dim, stride int }
-	order := make([]ds, 0, len(t.Dims))
-	for d := range t.Dims {
-		order = append(order, ds{d, t.Strides[d]})
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].stride > order[j-1].stride; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	want := t.Len()
-	for _, o := range order {
-		if o.stride*t.Dims[o.dim] != want {
-			return false
-		}
-		want = o.stride
-	}
-	return want == 1
-}
-
 func (t *Tensor) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s%v strides%v", t.Name, t.Dims, t.Strides)

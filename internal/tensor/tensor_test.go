@@ -13,9 +13,6 @@ func TestNewContiguousRowMajor(t *testing.T) {
 	if got := x.Strides; got[0] != 12 || got[1] != 4 || got[2] != 1 {
 		t.Fatalf("strides = %v, want [12 4 1]", got)
 	}
-	if !x.IsContiguous() {
-		t.Fatal("row-major tensor should be contiguous")
-	}
 }
 
 func TestNewWithLayoutPermutation(t *testing.T) {
@@ -26,9 +23,6 @@ func TestNewWithLayoutPermutation(t *testing.T) {
 	}
 	if x.Strides[0] != 1 || x.Strides[1] != 3 {
 		t.Fatalf("strides = %v, want [1 3]", x.Strides)
-	}
-	if !x.IsContiguous() {
-		t.Fatal("column-major tensor should be contiguous")
 	}
 	x.Set(42, 2, 4)
 	if x.Data[4*3+2] != 42 {
