@@ -131,7 +131,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 23003
+LOC_MAX ?= 23008
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -14,6 +14,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -108,8 +109,12 @@ func Load(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load bench snapshot: %w", err)
 	}
+	// Strict: a field the schema has dropped is an error, not silently
+	// ignored by every comparison made from the file.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("load bench snapshot %s: %w", path, err)
 	}
 	if s.Schema != SchemaVersion {

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -104,5 +106,21 @@ func TestCompare(t *testing.T) {
 	}
 	if !strings.Contains(d.String(), "missing") || !strings.Contains(d.String(), "REGRESSED") {
 		t.Fatalf("report does not show the miss:\n%s", d.String())
+	}
+}
+
+// TestCommittedBaselineLoads: Load refuses a field the Workload schema has
+// dropped, and the committed BENCH_baseline.json carries none.
+func TestCommittedBaselineLoads(t *testing.T) {
+	if _, err := Load("../../BENCH_baseline.json"); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "stale.json")
+	stale := `{"schema": ` + strconv.Itoa(SchemaVersion) + `, "workloads": [{"name": "w", "machine_seconds": 1, "p99_ms": 2}]}`
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "p99_ms") {
+		t.Fatalf("stale field must fail the load, got %v", err)
 	}
 }
