@@ -118,10 +118,10 @@ alloc-check:
 	$(GO) test -run 'TestWarmRunRetimesNothing' -count=1 ./internal/infer
 
 # The tier-1 loop: what every change must keep green.
-ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check loc-check
+ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check bench-check loc-check
 
 # Non-test Go lines per package directory and in total, outside benchmark/:
-# the number ROADMAP item 3's "fewer non-test lines" target is read from.
+# the number ROADMAP item 5's "net-negative lines" target is read from.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; total += $$1 } \
