@@ -104,8 +104,10 @@ obs-check:
 # visitor nothing;
 # EstimateProgram's and a timed exec run's allocations (count and bytes) do
 # not grow with the DMA descriptor count, nor a run's with the transfers it
-# issues; binding a program is eight arenas whose bytes follow the statement
-# count and never the trip counts; issue+wait on a warmed reply word
+# issues, and a steady-state EstimateProgram stays within the unbound
+# estimator's 26 allocations / 1 656 B; a bind on released arenas, and its
+# walk, allocate nothing, and on fresh arenas a bind's bytes follow the
+# statement count and never the trip counts; issue+wait on a warmed reply word
 # allocates nothing; a second warm network run on one engine re-times no
 # (operator, strategy) the first one timed — same Result bit for bit, the
 # engine's memo unchanged, at most 0.65 of the first run's bytes.
@@ -113,7 +115,8 @@ alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
-	$(GO) test -run 'TestTimedDMAAllocBudget|TestBindAllocBudget' -count=1 ./internal/exec
+	$(GO) test -run 'TestBindAllocBudget' -count=1 ./internal/ir
+	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
 	$(GO) test -run 'TestWarmRunRetimesNothing' -count=1 ./internal/infer
 
@@ -131,7 +134,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 23008
+LOC_MAX ?= 22995
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -33,158 +33,114 @@ func (e Estimate) Total() float64 {
 	return e.Compute
 }
 
-// Estimator predicts program run time without executing it. Loops are
-// evaluated at two points — the first and the last iteration — and interior
-// iterations are assumed uniform with the first; this is exact for swATOP's
-// lowered nests (only boundary tiles differ) and makes prediction cost
-// logarithmic in the iteration count instead of linear, which is where the
-// "days to minutes" tuning speedup (Table 3) comes from.
-type Estimator struct {
-	Model *GemmModel
-
-	tensors map[string]*tensor.Tensor // virtual: shapes and strides only
-	env     ir.Env
-	// start/extent are dma's scratch for the evaluated region.
-	start, extent []int
+// add sums o into e field by field.
+func (e *Estimate) add(o Estimate) {
+	e.DMA += o.DMA
+	e.Compute += o.Compute
+	e.DMABytes += o.DMABytes
+	e.DMATransactions += o.DMATransactions
 }
 
-// NewEstimator prepares an estimator for a program's operand shapes.
-func NewEstimator(model *GemmModel, p *ir.Program) (*Estimator, error) {
-	est := &Estimator{Model: model, tensors: map[string]*tensor.Tensor{}, env: ir.Env{}}
-	for _, d := range p.Tensors {
-		t, err := tensor.NewVirtual(d.Name, d.Dims, d.Layout)
-		if err != nil {
-			return nil, err
-		}
-		est.tensors[d.Name] = t
-	}
-	return est, nil
-}
-
-// EstimateProgram predicts a whole program.
+// EstimateProgram predicts a program's run time without executing it: the
+// scorer below walks it with the ir walker. Loops are evaluated at two
+// points — the first and the last iteration — and interior iterations are
+// assumed uniform with the first; this is exact for swATOP's lowered nests
+// (only boundary tiles differ) and visits the innermost body 2^depth times
+// instead of once per iteration, which is where the "days to minutes" tuning
+// speedup (Table 3) comes from.
 func EstimateProgram(model *GemmModel, p *ir.Program) (Estimate, error) {
-	est, err := NewEstimator(model, p)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return est.block(p.Body)
-}
-
-func (e *Estimator) block(body []ir.Stmt) (Estimate, error) {
-	var acc Estimate
-	for _, s := range body {
-		st, err := e.stmt(s)
+	s := scorer{model: model, tensors: make([]*tensor.Tensor, len(p.Tensors))}
+	for i, d := range p.Tensors {
+		t, err := tensor.NewVirtual(d.Name, d.Dims, d.Layout)
 		if err != nil {
 			return Estimate{}, err
 		}
-		acc.DMA += st.DMA
-		acc.Compute += st.Compute
-		acc.DMABytes += st.DMABytes
-		acc.DMATransactions += st.DMATransactions
+		s.tensors[i] = t
 	}
-	return acc, nil
-}
-
-func (e *Estimator) stmt(s ir.Stmt) (Estimate, error) {
-	switch x := s.(type) {
-	case *ir.Comment, *ir.AllocSPM, *ir.FreeSPM, *ir.DMAWait:
-		// Waits are free under the perfect-overlap assumption.
-		return Estimate{}, nil
-	case *ir.Assign:
-		e.env[x.Var] = x.Val.Eval(e.env)
-		return Estimate{}, nil
-	case *ir.If:
-		if x.Cond.Eval(e.env) {
-			return e.block(x.Then)
-		}
-		return e.block(x.Else)
-	case *ir.For:
-		return e.loop(x)
-	case *ir.RegionMove:
-		return e.dma(x)
-	case *ir.DMAOp:
-		return e.dma(&x.Move)
-	case *ir.Gemm:
-		m := int(x.M.Eval(e.env))
-		n := int(x.N.Eval(e.env))
-		k := int(x.K.Eval(e.env))
-		return Estimate{Compute: e.Model.Predict(m, n, k, x.ATrans, x.BTrans, x.Vec)}, nil
-	case *ir.Transform:
-		return e.transform(x)
-	}
-	return Estimate{}, fmt.Errorf("estimator: unknown statement %T", s)
-}
-
-func (e *Estimator) loop(f *ir.For) (Estimate, error) {
-	extent := f.Extent.Eval(e.env)
-	if extent <= 0 {
-		return Estimate{}, nil
-	}
-	saved, had := e.env[f.Iter]
-	defer func() {
-		if had {
-			e.env[f.Iter] = saved
-		} else {
-			delete(e.env, f.Iter)
-		}
-	}()
-
-	e.env[f.Iter] = 0
-	first, err := e.block(f.Body)
-	if err != nil {
+	if err := ir.Bind(p).Run(&s); err != nil {
 		return Estimate{}, err
 	}
-	if extent == 1 {
-		return first, nil
+	return s.acc, nil
+}
+
+// scorer is the Eq. (1)/(2) leaf of the ir walker. acc is the sum of the
+// statement list being walked; a loop pass and a branch arm each sum from
+// zero and are added to their list's sum as one term. Allocation and
+// assignment cost nothing, and waits are free under the perfect-overlap
+// assumption: FirstPass's.
+type scorer struct {
+	ir.FirstPass
+	model   *GemmModel
+	tensors []*tensor.Tensor // virtual, by declaration: shapes and strides only
+	acc     Estimate
+}
+
+// pass runs one loop iteration or branch arm and returns its own sum.
+func (s *scorer) pass(body ir.Body, i int64) (Estimate, error) {
+	outer := s.acc
+	s.acc = Estimate{}
+	err := body.Run(i)
+	sum := s.acc
+	s.acc = outer
+	return sum, err
+}
+
+func (s *scorer) Loop(extent int64, body ir.Body) error {
+	if extent == 0 {
+		return nil
 	}
-	e.env[f.Iter] = extent - 1
-	last, err := e.block(f.Body)
-	if err != nil {
-		return Estimate{}, err
+	first, err := s.pass(body, 0)
+	if err != nil || extent == 1 {
+		s.acc.add(first)
+		return err
 	}
+	last, err := s.pass(body, extent-1)
 	interior := float64(extent - 1)
-	return Estimate{
+	s.acc.add(Estimate{
 		DMA:             first.DMA*interior + last.DMA,
 		Compute:         first.Compute*interior + last.Compute,
 		DMABytes:        first.DMABytes*interior + last.DMABytes,
 		DMATransactions: first.DMATransactions*interior + last.DMATransactions,
-	}, nil
+	})
+	return err
 }
 
-// dma scores one transfer: the region is evaluated into the estimator's
-// scratch, validated, and its descriptors are streamed into the Eq. (1)
-// tally without being materialised.
-func (e *Estimator) dma(mv *ir.RegionMove) (Estimate, error) {
-	t, ok := e.tensors[mv.Tensor]
-	if !ok {
-		return Estimate{}, fmt.Errorf("estimator: unknown tensor %q", mv.Tensor)
-	}
-	e.start, e.extent = e.start[:0], e.extent[:0]
-	for _, x := range mv.Start {
-		e.start = append(e.start, int(x.Eval(e.env)))
-	}
-	for _, x := range mv.Extent {
-		e.extent = append(e.extent, int(x.Eval(e.env)))
-	}
+func (s *scorer) Branch(arm ir.Body) error {
+	sum, err := s.pass(arm, 0)
+	s.acc.add(sum)
+	return err
+}
+
+// Move scores one transfer: the region is validated and its descriptors are
+// streamed into the Eq. (1) tally without being materialised.
+func (s *scorer) Move(x *ir.RegionMove, mv ir.Op) error {
+	t := s.tensors[mv.A]
 	// Also rejects a move whose rank does not match the tensor's.
-	if err := tensor.CheckRegion(t, e.start, e.extent); err != nil {
-		return Estimate{}, fmt.Errorf("estimator: %s: %w", mv.Tensor, err)
+	if err := tensor.CheckRegion(t, mv.Start, mv.Extent); err != nil {
+		return fmt.Errorf("estimator: %s: %w", x.Tensor, err)
 	}
 	var tally dmaTally
-	if err := (tensor.Region{Start: e.start, Extent: e.extent}).FlattenEach(t, tally.add); err != nil {
-		return Estimate{}, err
+	if err := (tensor.Region{Start: mv.Start, Extent: mv.Extent}).FlattenEach(t, tally.add); err != nil {
+		return err
 	}
-	return Estimate{
+	s.acc.add(Estimate{
 		DMA:             tally.seconds(),
 		DMABytes:        float64(tally.payload),
 		DMATransactions: float64(tally.transactions),
-	}, nil
+	})
+	return nil
 }
 
-func (e *Estimator) transform(x *ir.Transform) (Estimate, error) {
-	t, err := primitives.TransformTime(x, func(i int) int { return int(x.Args[i].Eval(e.env)) })
+func (s *scorer) Gemm(x *ir.Gemm, op ir.Op) error {
+	s.acc.Compute += s.model.Predict(int(op.Arg(0)), int(op.Arg(1)), int(op.Arg(2)), x.ATrans, x.BTrans, x.Vec)
+	return nil
+}
+
+func (s *scorer) Transform(x *ir.Transform, op ir.Op) error {
+	t, err := primitives.TransformTime(x, func(i int) int { return int(op.Arg(2 + i)) })
 	if err != nil {
-		return Estimate{}, fmt.Errorf("estimator: %w", err)
+		return fmt.Errorf("estimator: %w", err)
 	}
-	return Estimate{Compute: t}, nil
+	s.acc.Compute += t
+	return nil
 }

@@ -13,6 +13,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"swatop/internal/faults"
 	"swatop/internal/ir"
@@ -90,19 +91,18 @@ const (
 	assignCycles   = 1.0
 )
 
+// state is the timed/functional leaf of the ir walker: one run's machine,
+// operands and per-name state.
 type state struct {
 	m   *sw26010.Machine
 	opt Options
-	// The bound program (bind.go): built once per run, private to it.
-	scope   ir.Scope
-	frame   ir.Frame
-	nodes   []node
-	codes   []ir.Code
-	labels  []string         // when tracing: the DMA statements' labels, by node
-	tensors []*tensor.Tensor // by index into the program's declarations
-	names   []named          // SPM buffers and reply words
-	// start/extent are dma's scratch for the evaluated region.
-	start, extent []int
+	w   *ir.Walker
+	// tensors are by index into the program's declarations; bufs, by the
+	// walker's name slot, hold each SPM buffer while it is allocated (the
+	// machine counts a reply word's outstanding issues).
+	tensors []*tensor.Tensor
+	bufs    []*sw26010.SPMBuffer
+	labels  []string // when tracing: the DMA statements' labels, by statement
 }
 
 // Run executes a program. binds maps non-scratch tensor names to concrete
@@ -188,17 +188,39 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 		}
 		st.tensors[i] = t
 	}
-	st.bind(p)
+	st.w = ir.Bind(p)
+	st.bufs = make([]*sw26010.SPMBuffer, st.w.Names())
+	if opt.Trace != nil {
+		st.labels = make([]string, st.w.Len())
+	}
 	if p.DispatchOverheadSeconds > 0 {
 		st.m.AdvanceCompute(p.DispatchOverheadSeconds)
 	}
-	if err := st.run(0, int32(len(p.Body))); err != nil {
+	if err := st.w.Run(st); err != nil {
 		return Result{}, fmt.Errorf("exec %s: %w", p.Name, err)
 	}
 	if n := st.m.OutstandingDMA(); n != 0 {
 		return Result{}, fmt.Errorf("exec %s: %d DMA transfers never waited for", p.Name, n)
 	}
 	return Result{Seconds: st.m.Elapsed() - base, Counters: st.m.Counters}, nil
+}
+
+// hasLayout reports whether t is stored as dims in perm order (slowest to
+// fastest): whether tensor.NewVirtual(dims, perm) succeeds and has t's
+// strides.
+func hasLayout(t *tensor.Tensor, dims, perm []int) bool {
+	if len(perm) != len(dims) {
+		return false
+	}
+	s := 1
+	for i := len(perm) - 1; i >= 0; i-- {
+		d := perm[i]
+		if d < 0 || d >= len(dims) || dims[d] <= 0 || t.Strides[d] != s || slices.Contains(perm[i+1:], d) {
+			return false
+		}
+		s *= dims[d]
+	}
+	return true
 }
 
 func newMachine(opt Options) *sw26010.Machine {
@@ -242,170 +264,105 @@ func RunVirtual(p *ir.Program, opt Options) (Result, error) {
 	return Run(p, binds, opt)
 }
 
-func (st *state) run(lo, hi int32) error {
-	for i := lo; i < hi; i++ {
-		if err := st.stmt(i); err != nil {
+// Loop charges each iteration's issue cost and runs every iteration; with
+// FastLoops (timed only) it runs iterations 0..2 and the last and
+// fast-forwards the machine over 3..extent-2 by iteration 2's delta.
+func (st *state) Loop(extent int64, body ir.Body) error {
+	fast := st.opt.FastLoops && !st.opt.Functional && extent >= fastLoopThreshold
+	var snap sw26010.Snapshot
+	for i := int64(0); i < extent; i++ {
+		if fast && i == 2 {
+			snap = st.m.Snapshot()
+		}
+		st.m.AdvanceCompute(sw26010.Seconds(loopIterCycles))
+		if err := body.Run(i); err != nil {
 			return err
+		}
+		if fast && i == 2 {
+			st.m.FastForward(snap, extent-4)
+			i = extent - 2
 		}
 	}
 	return nil
 }
 
-// eval computes the i-th code of the bound program.
-func (st *state) eval(i int32) int64 { return st.frame.Eval(st.codes[i]) }
-
-func (st *state) stmt(i int32) error {
-	n := &st.nodes[i]
-	switch x := n.s.(type) {
-	case *ir.Comment:
-		return nil
-	case *ir.Assign:
-		*st.frame.Var(int(n.c)) = ir.Var{Val: st.eval(n.code), Bound: true}
-		st.m.AdvanceCompute(sw26010.Seconds(assignCycles))
-		return nil
-	case *ir.For:
-		extent := st.eval(n.code)
-		if extent < 0 {
-			return fmt.Errorf("loop %s: negative extent %d", x.Iter, extent)
-		}
-		v := st.frame.Var(int(n.c))
-		saved := *v // the loop shadows an outer variable of the same name
-		iter := func(i int64) error {
-			*v = ir.Var{Val: i, Bound: true}
-			st.m.AdvanceCompute(sw26010.Seconds(loopIterCycles))
-			return st.run(n.a, n.b)
-		}
-		if st.opt.FastLoops && !st.opt.Functional && extent >= fastLoopThreshold {
-			for i := int64(0); i < 2; i++ {
-				if err := iter(i); err != nil {
-					return err
-				}
-			}
-			snap := st.m.Snapshot()
-			if err := iter(2); err != nil {
-				return err
-			}
-			st.m.FastForward(snap, extent-4) // skip 3 .. extent-2
-			if err := iter(extent - 1); err != nil {
-				return err
-			}
-		} else {
-			for i := int64(0); i < extent; i++ {
-				if err := iter(i); err != nil {
-					return err
-				}
-			}
-		}
-		*v = saved
-		return nil
-	case *ir.If:
-		st.m.AdvanceCompute(sw26010.Seconds(branchCycles))
-		if x.Cond.Op.Holds(st.eval(n.code), st.eval(n.code+1)) {
-			return st.run(n.a, n.b)
-		}
-		return st.run(n.b, n.c)
-	case *ir.AllocSPM:
-		elems := st.eval(n.code)
-		buf, err := st.m.SPM().Alloc(x.Buf, int(elems))
-		if err != nil {
-			return err
-		}
-		st.names[n.a].buf = buf
-		st.m.NoteSPMUsage()
-		return nil
-	case *ir.FreeSPM:
-		st.names[n.a].buf = nil
-		return st.m.SPM().Free(x.Buf)
-	case *ir.RegionMove:
-		// Un-inferred moves execute as a synchronous DMA (issue + wait).
-		if err := st.dma(i, x); err != nil {
-			return err
-		}
-		return st.wait(n.c, 1)
-	case *ir.DMAOp:
-		return st.dma(i, &x.Move)
-	case *ir.DMAWait:
-		return st.wait(n.c, int(st.eval(n.code)))
-	case *ir.Gemm:
-		return st.gemm(n, x)
-	case *ir.Transform:
-		return st.transform(n, x)
-	}
-	return fmt.Errorf("unknown statement %T", n.s)
+func (st *state) Branch(arm ir.Body) error {
+	st.m.AdvanceCompute(sw26010.Seconds(branchCycles))
+	return arm.Run(0)
 }
 
-func (st *state) wait(slot int32, times int) error {
-	r := &st.names[slot]
-	if times <= 0 {
-		return fmt.Errorf("dma_wait %s x%d: count must be positive", r.name, times)
+func (st *state) Assign() { st.m.AdvanceCompute(sw26010.Seconds(assignCycles)) }
+
+func (st *state) Alloc(buf int, elems int64) error {
+	b, err := st.m.SPM().Alloc(st.w.Name(buf), int(elems))
+	if err != nil {
+		return err
 	}
-	if r.issued < times {
-		return fmt.Errorf("dma_wait %s x%d: only %d outstanding", r.name, times, r.issued)
-	}
-	r.issued -= times
+	st.bufs[buf] = b
+	st.m.NoteSPMUsage()
+	return nil
+}
+
+func (st *state) Free(buf int) error {
+	st.bufs[buf] = nil
+	return st.m.SPM().Free(st.w.Name(buf))
+}
+
+func (st *state) Wait(reply int, times int64) error {
+	name := st.w.Name(reply)
 	// Tracing records exposed (non-hidden) wait time as a stall interval: the
 	// part of the timeline where the compute channel sat blocked on the engine.
 	t0, stall0 := st.m.Now(), st.m.Counters.StallSeconds
-	err := st.m.WaitDMA(r.name, times)
+	err := st.m.WaitDMA(name, int(times))
 	if d := st.m.Counters.StallSeconds - stall0; st.opt.Trace != nil && err == nil && d > 0 {
-		st.opt.Trace.Add(trace.KindWait, r.name, t0, d)
+		st.opt.Trace.Add(trace.KindWait, name, t0, d)
 	}
 	return err
 }
 
-func (st *state) buffer(slot int32) (*sw26010.SPMBuffer, error) {
-	b := st.names[slot]
-	if b.buf == nil {
-		return nil, fmt.Errorf("SPM buffer %q not allocated", b.name)
+func (st *state) buffer(slot int) (*sw26010.SPMBuffer, error) {
+	if b := st.bufs[slot]; b != nil {
+		return b, nil
 	}
-	return b.buf, nil
+	return nil, fmt.Errorf("SPM buffer %q not allocated", st.w.Name(slot))
 }
 
-// dma executes one DMA operation: the functional scatter/gather plus the
+// Move executes one DMA operation: the functional scatter/gather plus the
 // transaction-level timing derived from the geometry of the region's
 // flattened main-memory access pattern (the timed path allocates nothing).
-func (st *state) dma(i int32, mv *ir.RegionMove) error {
-	n := &st.nodes[i]
-	if n.a < 0 {
-		return fmt.Errorf("dma: unknown tensor %q", mv.Tensor)
-	}
-	t := st.tensors[n.a]
-	buf, err := st.buffer(n.b)
+func (st *state) Move(x *ir.RegionMove, mv ir.Op) error {
+	t := st.tensors[mv.A]
+	buf, err := st.buffer(mv.B)
 	if err != nil {
 		return fmt.Errorf("dma: %w", err)
 	}
-	nd := t.Rank()
-	if len(mv.Start) != nd || len(mv.Extent) != nd {
-		return fmt.Errorf("dma: region rank %d/%d vs tensor %s rank %d", len(mv.Start), len(mv.Extent), t.Name, nd)
+	if err := tensor.CheckRegion(t, mv.Start, mv.Extent); err != nil {
+		return fmt.Errorf("dma %s: %w", x.Tensor, err)
 	}
-	st.start, st.extent = st.start[:0], st.extent[:0]
-	for d := int32(0); d < int32(nd); d++ {
-		st.start = append(st.start, int(st.eval(n.code+d)))
-		st.extent = append(st.extent, int(st.eval(n.code+int32(nd)+d)))
-	}
-	if err := tensor.CheckRegion(t, st.start, st.extent); err != nil {
-		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
-	}
-	region := tensor.Region{Start: st.start, Extent: st.extent}
+	region := tensor.Region{Start: mv.Start, Extent: mv.Extent}
 	if st.opt.Functional {
-		if err := st.moveData(t, region, buf, n, mv); err != nil {
+		if err := moveData(t, region, buf, x, mv); err != nil {
 			return err
 		}
 	}
 	// One engine request covers the region's blocks (uniform geometry).
 	first, descs, err := region.Geometry(t)
 	if err != nil {
-		return fmt.Errorf("dma %s: %w", mv.Tensor, err)
+		return fmt.Errorf("dma %s: %w", x.Tensor, err)
 	}
-	reply := &st.names[n.c]
-	if err := st.m.IssueDMA(reply.name, dmaRequest(first, descs*first.Count, mv.Dir != ir.Get)); err != nil {
+	if err := st.m.IssueDMA(st.w.Name(mv.C), dmaRequest(first, descs*first.Count, x.Dir != ir.Get)); err != nil {
 		return err
 	}
-	if st.opt.Trace != nil {
+	if st.labels != nil {
+		// The trace label is the statement's, not the transfer's: format it
+		// once.
+		l := &st.labels[mv.Index]
+		if *l == "" {
+			*l = x.Dir.String() + " " + x.Tensor
+		}
 		start, done := st.m.LastDMA()
-		st.opt.Trace.Add(trace.KindDMA, st.labels[i], start, done-start)
+		st.opt.Trace.Add(trace.KindDMA, *l, start, done-start)
 	}
-	reply.issued++
 	return nil
 }
 
@@ -439,15 +396,15 @@ func dmaRequest(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
 
 // moveData performs the functional scatter/gather between a tensor region
 // and an SPM frame (packed to the region unless the move gives strides).
-func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, n *node, mv *ir.RegionMove) error {
+func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv ir.Op) error {
 	nd := t.Rank()
-	// The move's codes: start and extent per dimension, BufOff, FrameStride.
-	bufOff := int(st.eval(n.code + 2*int32(nd)))
+	// The move's expressions: start and extent per dimension, BufOff,
+	// FrameStride.
+	bufOff := int(mv.Arg(2 * nd))
 	frame := packedStrides(r.Extent)
-	if mv.FrameStride != nil {
-		strides := st.codes[n.code+2*int32(nd)+1:][:len(mv.FrameStride)]
+	if x.FrameStride != nil {
 		for d := range frame {
-			frame[d] = int(st.frame.Eval(strides[d]))
+			frame[d] = int(mv.Arg(2*nd + 1 + d))
 		}
 	}
 	// Bounds check the frame footprint.
@@ -461,7 +418,7 @@ func (st *state) moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuf
 	var rec func(d, memOff, spmOff int)
 	rec = func(d, memOff, spmOff int) {
 		if d == nd {
-			switch mv.Dir {
+			switch x.Dir {
 			case ir.Get:
 				buf.Data[spmOff] = t.Data[memOff]
 			case ir.Put:
@@ -493,16 +450,14 @@ func packedStrides(extent []int) []int {
 	return out
 }
 
-// gemm runs a bound Gemm; its codes are M, N, K, LDA, LDB, LDC, AOff, BOff,
-// COff and its buffer slots A, B, C.
-func (st *state) gemm(n *node, x *ir.Gemm) error {
+func (st *state) Gemm(x *ir.Gemm, op ir.Op) error {
 	spec := primitives.GemmSpec{
-		M:      int(st.eval(n.code)),
-		N:      int(st.eval(n.code + 1)),
-		K:      int(st.eval(n.code + 2)),
-		LDA:    int(st.eval(n.code + 3)),
-		LDB:    int(st.eval(n.code + 4)),
-		LDC:    int(st.eval(n.code + 5)),
+		M:      int(op.Arg(0)),
+		N:      int(op.Arg(1)),
+		K:      int(op.Arg(2)),
+		LDA:    int(op.Arg(3)),
+		LDB:    int(op.Arg(4)),
+		LDC:    int(op.Arg(5)),
 		ATrans: x.ATrans, BTrans: x.BTrans,
 		Vec: x.Vec, Accumulate: x.Accumulate, Specialized: x.Specialized,
 	}
@@ -520,8 +475,8 @@ func (st *state) gemm(n *node, x *ir.Gemm) error {
 
 	if st.opt.Functional {
 		var abc [3][]float32
-		for k, slot := range [3]int32{n.a, n.b, n.c} {
-			if abc[k], err = st.operand("gemm", slot, n.code+6+int32(k), 0); err != nil {
+		for k, slot := range [3]int{op.A, op.B, op.C} {
+			if abc[k], err = st.operand("gemm", slot, int(op.Arg(6+k)), 0); err != nil {
 				return err
 			}
 		}
@@ -532,23 +487,20 @@ func (st *state) gemm(n *node, x *ir.Gemm) error {
 	return nil
 }
 
-// operand resolves a functional primitive's operand: the SPM buffer from the
-// offset its code gives, which must leave span elements inside the buffer.
-func (st *state) operand(what string, slot, code int32, span int) ([]float32, error) {
+// operand resolves a functional primitive's operand: the SPM buffer from
+// offset off, which must leave span elements inside the buffer.
+func (st *state) operand(what string, slot, off, span int) ([]float32, error) {
 	buf, err := st.buffer(slot)
 	if err != nil {
 		return nil, err
 	}
-	off := int(st.eval(code))
 	if off < 0 || off > len(buf.Data) || off+span > len(buf.Data) {
 		return nil, fmt.Errorf("%s: [%d,%d) out of SPM buffer %s (%d elems)", what, off, off+span, buf.Name, len(buf.Data))
 	}
 	return buf.Data[off:], nil
 }
 
-// transform runs a bound Transform; its codes are SrcOff, DstOff and then
-// Args, its buffer slots Src and Dst.
-func (st *state) transform(n *node, x *ir.Transform) error {
+func (st *state) Transform(x *ir.Transform, op ir.Op) error {
 	st.m.Counters.TransformOps++
 	if st.opt.Trace != nil {
 		t0 := st.m.Now()
@@ -556,8 +508,7 @@ func (st *state) transform(n *node, x *ir.Transform) error {
 			st.opt.Trace.Add(trace.KindTransform, x.Kind.String(), t0, st.m.Now()-t0)
 		}()
 	}
-	args := st.codes[n.code+2:][:len(x.Args)]
-	arg := func(i int) int { return int(st.frame.Eval(args[i])) }
+	arg := func(i int) int { return int(op.Arg(2 + i)) }
 	secs, err := primitives.TransformTime(x, arg)
 	if err != nil {
 		return err
@@ -598,11 +549,11 @@ func (st *state) transform(n *node, x *ir.Transform) error {
 	}
 	var src []float32
 	if x.Kind != ir.ZeroFill { // which has no source
-		if src, err = st.operand(x.Kind.String(), n.a, n.code, span); err != nil {
+		if src, err = st.operand(x.Kind.String(), op.A, int(op.Arg(0)), span); err != nil {
 			return err
 		}
 	}
-	dst, err := st.operand(x.Kind.String(), n.b, n.code+1, span)
+	dst, err := st.operand(x.Kind.String(), op.B, int(op.Arg(1)), span)
 	if err != nil {
 		return err
 	}

@@ -371,7 +371,7 @@ func TestWaitNonPositiveCount(t *testing.T) {
 			},
 		}
 		_, err := Run(p, map[string]*tensor.Tensor{"A": tensor.New("A", 4)}, Options{})
-		if err == nil || !strings.Contains(err.Error(), "r7 x"+ir.Const(times).String()) {
+		if err == nil || !strings.Contains(err.Error(), `"r7" for `+ir.Const(times).String()+" replies") {
 			t.Fatalf("dma_wait x%d: err = %v, want an error naming r7 and the count", times, err)
 		}
 	}
@@ -496,6 +496,9 @@ func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs float64, bytes u
 }
 
 func TestTimedDMAAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race: sync.Pool drops items at random")
+	}
 	// Running a transfer must cost what it times. First: what a timed run
 	// allocates does not depend on how many descriptors its regions flatten
 	// into. One VGG16 implicit-conv schedule compiled with channel tiles of 8
@@ -699,80 +702,5 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 	}
 	if !reflect.DeepEqual(prog, before) || ir.Print(prog) != printed {
 		t.Fatal("running a program changed it")
-	}
-}
-
-// TestBindAllocBudget: binding is a fixed number of arenas. It makes the same
-// number of allocations however many statements the program has (when
-// tracing, the label arena and one string per DMA statement more), their
-// bytes grow in proportion to the statements, and a run allocates nothing
-// that grows with trip counts.
-func TestBindAllocBudget(t *testing.T) {
-	// nodes, codes, postfix ops, variable names, variable values, evaluation
-	// stack, buffer and reply-word names, region scratch. With the
-	// by-declaration tensor table runProgram allocates beside its state, a
-	// timed run makes 9 allocations beyond its machine, its tensors and SPM
-	// storage.
-	const arenas = 8
-	prog := func(copies int, trips int64) *ir.Program {
-		p := &ir.Program{Name: "budget", Tensors: []ir.TensorDecl{{Name: "X", Dims: []int{8, 32}}}}
-		p.Body = append(p.Body,
-			&ir.Assign{Var: "base0", Val: ir.Const(1)},
-			&ir.AllocSPM{Buf: "a", Elems: ir.Const(64 * 64)},
-			&ir.AllocSPM{Buf: "b", Elems: ir.Const(64 * 64)},
-			&ir.AllocSPM{Buf: "c", Elems: ir.Const(64 * 64)})
-		for c := 0; c < copies; c++ {
-			get := ir.RegionMove{Tensor: "X", Dir: ir.Get,
-				Start:  []ir.Expr{ir.Const(0), ir.Mod(ir.V("i"), ir.Const(8))},
-				Extent: []ir.Expr{ir.Const(8), ir.Const(24)},
-				Buf:    "a", BufOff: ir.Const(0)}
-			p.Body = append(p.Body,
-				&ir.Assign{Var: "base", Val: ir.Mul(ir.V("base0"), ir.Const(3))},
-				&ir.For{Iter: "i", Extent: ir.Const(trips), Body: []ir.Stmt{
-					&ir.DMAOp{Move: get, Reply: "r"},
-					&ir.If{Cond: ir.Cond{Op: ir.LT, L: ir.V("i"), R: ir.Const(2)},
-						Then: []ir.Stmt{&ir.Assign{Var: "next_i", Val: ir.Add(ir.V("i"), ir.V("base"))}},
-						Else: []ir.Stmt{&ir.Assign{Var: "next_i", Val: ir.Min(ir.V("i"), ir.Const(1<<40))}}},
-					&ir.Gemm{A: "a", B: "b", C: "c",
-						M: ir.Const(64), N: ir.Min(ir.Add(ir.V("next_i"), ir.Const(64)), ir.Const(64)), K: ir.Const(64),
-						LDA: ir.Const(64), LDB: ir.Const(64), LDC: ir.Const(64)},
-					&ir.DMAWait{Reply: "r", Times: ir.Const(1)},
-					&get, // an un-inferred move: issue + wait on the sync word
-				}})
-		}
-		p.Body = append(p.Body, &ir.FreeSPM{Buf: "a"}, &ir.FreeSPM{Buf: "b"}, &ir.FreeSPM{Buf: "c"})
-		return p
-	}
-	// bindCost measures bind alone, on a state that is not part of the cost.
-	bindCost := func(p *ir.Program, opt Options) (allocs float64, bytes uint64) {
-		st := &state{opt: opt}
-		return allocCost(func() { st.bind(p) })
-	}
-	var bytes [5]uint64
-	for copies := 1; copies <= 4; copies++ {
-		p := prog(copies, 12)
-		a, b := bindCost(p, Options{})
-		if a != arenas {
-			t.Fatalf("%d copies: bind made %v allocations, want %d arenas", copies, a, arenas)
-		}
-		bytes[copies] = b
-		if a, _ := bindCost(p, Options{Trace: new(trace.Log)}); a != float64(arenas+1+2*copies) {
-			t.Fatalf("%d copies, tracing: bind made %v allocations, want %d arenas, the labels and %d label strings",
-				copies, a, arenas, 2*copies)
-		}
-		ra, rb := allocsOf(t, p, Options{})
-		la, lb := allocsOf(t, prog(copies, 1200), Options{})
-		if la != ra || lb != rb {
-			t.Fatalf("%d copies: a run allocates %v times / %d B at 12 trips, %v / %d B at 1200", copies, ra, rb, la, lb)
-		}
-	}
-	t.Logf("bound program: %d arenas of %d / %d / %d / %d B at 1..4 copies of 9 statements and 26 expressions",
-		arenas, bytes[1], bytes[2], bytes[3], bytes[4])
-	// In proportion, up to the allocator's size classes: each copy adds no
-	// more than the first cost, and under 1 KB.
-	for copies := 2; copies <= 4; copies++ {
-		if step := bytes[copies] - bytes[copies-1]; bytes[copies] <= bytes[copies-1] || step > bytes[1] || step > 1024 {
-			t.Fatalf("bound bytes at 1..4 copies: %v", bytes[1:])
-		}
 	}
 }

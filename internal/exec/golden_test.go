@@ -61,67 +61,49 @@ func goldenRunOf(p *ir.Program, fast bool) *goldenRun {
 	return run
 }
 
-// noteRequestArms walks the program's first iteration (every loop at 0) and
+// requestArms walks the program's first iteration (every loop at 0) and
 // records which arms of the executor's request arithmetic its transfers
 // reach: the 64-way split of a pattern with fewer blocks than CPEs, the
 // unsplit arm, and regions that flatten into more than one descriptor.
+type requestArms struct {
+	ir.FirstPass
+	tensors []*tensor.Tensor
+	covered map[string]bool
+}
+
+func (r requestArms) Move(_ *ir.RegionMove, mv ir.Op) error {
+	descs, err := tensor.Region{Start: mv.Start, Extent: mv.Extent}.FlattenMulti(r.tensors[mv.A])
+	if err != nil || len(descs) == 0 {
+		return nil // the run's own error is pinned in the row
+	}
+	total := 0
+	for _, d := range descs {
+		total += d.Count
+	}
+	if total < sw26010.NumCPE && descs[0].Block*4 > sw26010.TransactionBytes {
+		r.covered["request=split"] = true
+	} else {
+		r.covered["request=unsplit"] = true
+	}
+	if len(descs) > 1 {
+		r.covered["region=multi-descriptor"] = true
+	}
+	return nil
+}
+
 func noteRequestArms(t *testing.T, p *ir.Program, covered map[string]bool) {
 	t.Helper()
-	tensors := map[string]*tensor.Tensor{}
+	r := requestArms{covered: covered}
 	for _, d := range p.Tensors {
 		x, err := tensor.NewVirtual(d.Name, d.Dims, d.Layout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tensors[d.Name] = x
+		r.tensors = append(r.tensors, x)
 	}
-	env := ir.Env{}
-	move := func(mv *ir.RegionMove) {
-		var r tensor.Region
-		for d := range mv.Start {
-			r.Start = append(r.Start, int(mv.Start[d].Eval(env)))
-			r.Extent = append(r.Extent, int(mv.Extent[d].Eval(env)))
-		}
-		descs, err := r.FlattenMulti(tensors[mv.Tensor])
-		if err != nil || len(descs) == 0 {
-			return // the run's own error is pinned in the row
-		}
-		total := 0
-		for _, d := range descs {
-			total += d.Count
-		}
-		if total < sw26010.NumCPE && descs[0].Block*4 > sw26010.TransactionBytes {
-			covered["request=split"] = true
-		} else {
-			covered["request=unsplit"] = true
-		}
-		if len(descs) > 1 {
-			covered["region=multi-descriptor"] = true
-		}
+	if err := ir.Bind(p).Run(r); err != nil {
+		t.Fatal(err)
 	}
-	var walk func(body []ir.Stmt)
-	walk = func(body []ir.Stmt) {
-		for _, s := range body {
-			switch x := s.(type) {
-			case *ir.Assign:
-				env[x.Var] = x.Val.Eval(env)
-			case *ir.If:
-				if x.Cond.Eval(env) {
-					walk(x.Then)
-				} else {
-					walk(x.Else)
-				}
-			case *ir.For:
-				env[x.Iter] = 0
-				walk(x.Body)
-			case *ir.RegionMove:
-				move(x)
-			case *ir.DMAOp:
-				move(&x.Move)
-			}
-		}
-	}
-	walk(p.Body)
 }
 
 // TestRunGolden is the characterisation of timed execution: simulated

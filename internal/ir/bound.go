@@ -16,8 +16,8 @@ type Scope struct {
 	depth int // deepest evaluation stack a bound expression needs
 }
 
-// NewScope returns a scope with room for vars variables and ops postfix ops
-// (OpCount summed over what will be bound); both grow when exceeded.
+// NewScope returns a scope with room for vars variables and ops postfix ops;
+// both grow when exceeded.
 func NewScope(vars, ops int) Scope {
 	return Scope{names: make([]string, 0, vars), ops: make([]op, 0, ops)}
 }
@@ -59,20 +59,6 @@ const (
 )
 
 func fits32(c ConstExpr) bool { return int64(int32(c)) == int64(c) }
-
-// OpCount returns the number of arena ops Bind appends for e: none for a
-// leaf that fits a Code, one push per leaf below an operator.
-func OpCount(e Expr) int {
-	switch x := e.(type) {
-	case *BinExpr:
-		return max(OpCount(x.L), 1) + max(OpCount(x.R), 1) + 1
-	case ConstExpr:
-		if !fits32(x) {
-			return 2
-		}
-	}
-	return 0
-}
 
 // Bind translates e against the scope's variable numbering.
 func (s *Scope) Bind(e Expr) Code {

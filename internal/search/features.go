@@ -47,7 +47,7 @@ const FeatureLen = 16
 //	9  analytic compute seconds (milliseconds)
 //	10 log1p predicted DMA payload bytes
 //	11 log1p predicted DMA transactions
-//	12 log1p peak SPM footprint bytes
+//	12 log1p cumulative SPM bytes allocated along the iteration-0 path
 //	13 log2 register/tile blocking rows (GEMM primitive M extent)
 //	14 log2 register/tile blocking cols (GEMM primitive N extent)
 //	15 log1p static DMA operation count
@@ -75,8 +75,11 @@ func Features(seed *dsl.Seed, st dsl.Strategy, prog *ir.Program, est costmodel.E
 	f[9] = est.Compute * 1e3
 	f[10] = math.Log1p(est.DMABytes)
 	f[11] = math.Log1p(est.DMATransactions)
-	w := walkProgram(prog)
-	f[12] = math.Log1p(float64(w.peakSPMBytes))
+	var w progWalk
+	// Features is called on programs the estimator accepted; one it would
+	// reject ends the walk early and keeps the features reached so far.
+	_ = ir.Bind(prog).Run(&w)
+	f[12] = math.Log1p(float64(w.spmBytes))
 	f[13] = math.Log2(float64(max(w.gemmM, 1)))
 	f[14] = math.Log2(float64(max(w.gemmN, 1)))
 	f[15] = math.Log1p(float64(w.dmaOps))
@@ -98,63 +101,33 @@ func log2RoleFactors(seed *dsl.Seed, st dsl.Strategy, role dsl.Role) float64 {
 	return math.Log2(prod)
 }
 
-// progWalk summarizes one static pass over a lowered program: peak SPM
-// footprint, the tile/register blocking shape of the first GEMM primitive
-// call, and the static DMA operation count. Loops are entered once at
-// iteration 0 — exact for swATOP's nests, whose allocations and GEMM tile
-// shapes are loop-invariant (only boundary tiles shrink).
+// progWalk is the featurizer's leaf of the ir walker: along the iteration-0
+// path (loops entered once, at iteration 0 — exact for swATOP's nests, whose
+// allocations and GEMM tile shapes are loop-invariant; only boundary tiles
+// shrink) it tallies the SPM bytes allocated, the tile/register blocking
+// shape of the first GEMM primitive call and the DMA operations.
 type progWalk struct {
-	peakSPMBytes int64
+	ir.FirstPass
+	// spmBytes ignores frees on purpose, so nested buffer reuse still
+	// counts toward the feature.
+	spmBytes     int64
 	gemmM, gemmN int64
 	dmaOps       int64
 }
 
-func walkProgram(p *ir.Program) progWalk {
-	w := progWalk{}
-	env := ir.Env{}
-	var cur int64
-	var walk func(body []ir.Stmt)
-	walk = func(body []ir.Stmt) {
-		for _, s := range body {
-			switch x := s.(type) {
-			case *ir.AllocSPM:
-				cur += x.Elems.Eval(env) * 4
-				if cur > w.peakSPMBytes {
-					w.peakSPMBytes = cur
-				}
-			case *ir.FreeSPM:
-				// Frees are ignored: cur stays monotone so nested buffer
-				// reuse still counts toward the peak, which is the feature.
-			case *ir.Assign:
-				env[x.Var] = x.Val.Eval(env)
-			case *ir.If:
-				if x.Cond.Eval(env) {
-					walk(x.Then)
-				} else {
-					walk(x.Else)
-				}
-			case *ir.For:
-				if x.Extent.Eval(env) <= 0 {
-					continue
-				}
-				saved, had := env[x.Iter]
-				env[x.Iter] = 0
-				walk(x.Body)
-				if had {
-					env[x.Iter] = saved
-				} else {
-					delete(env, x.Iter)
-				}
-			case *ir.Gemm:
-				if w.gemmM == 0 {
-					w.gemmM = x.M.Eval(env)
-					w.gemmN = x.N.Eval(env)
-				}
-			case *ir.DMAOp, *ir.RegionMove:
-				w.dmaOps++
-			}
-		}
+func (w *progWalk) Alloc(_ int, elems int64) error {
+	w.spmBytes += elems * 4
+	return nil
+}
+
+func (w *progWalk) Move(*ir.RegionMove, ir.Op) error {
+	w.dmaOps++
+	return nil
+}
+
+func (w *progWalk) Gemm(_ *ir.Gemm, op ir.Op) error {
+	if w.gemmM == 0 {
+		w.gemmM, w.gemmN = op.Arg(0), op.Arg(1)
 	}
-	walk(p.Body)
-	return w
+	return nil
 }
