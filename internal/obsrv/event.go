@@ -12,7 +12,7 @@
 //   - a JobTracker publishing each in-flight tuning or inference job's
 //     done/valid/failed/best-ms progress;
 //   - an embedded, optional HTTP server (Server) exposing /metrics
-//     (Prometheus text), /metrics.json, /healthz, /statusz, /events
+//     (Prometheus text), /healthz, /statusz, /events
 //     (server-sent events) and /debug/pprof — stdlib only.
 //
 // The cardinal rule, inherited from PR 4: attaching observability changes

@@ -22,7 +22,6 @@ import (
 //	/           index of endpoints (text)
 //	/healthz    liveness probe ("ok")
 //	/metrics    Prometheus text exposition of the attached registry
-//	/metrics.json  the same snapshot as JSON
 //	/statusz    build info, uptime, active jobs (done/valid/failed/best-ms)
 //	/events     server-sent events stream of the structured event log
 //	/flightz    the flight recorder's retained events as JSON
@@ -79,7 +78,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/flightz", s.handleFlightz)
@@ -141,7 +139,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	for _, ep := range []string{
 		"/healthz       liveness probe",
 		"/metrics       Prometheus text exposition",
-		"/metrics.json  metrics snapshot as JSON",
 		"/statusz       build info, uptime, active jobs",
 		"/events        server-sent events stream of the event log",
 		"/flightz       flight-recorder contents as JSON",
@@ -169,11 +166,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.Snapshot().WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.reg.Snapshot().WriteJSON(w)
 }
 
 // Status is the /statusz document.

@@ -66,18 +66,6 @@ func TestServerMetrics(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-
-	rec = get(t, h, "/metrics.json")
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("json content type %q", ct)
-	}
-	var snap metrics.Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["autotune_candidates_total"] != 3 {
-		t.Fatalf("snapshot: %+v", snap)
-	}
 }
 
 func TestServerStatusz(t *testing.T) {

@@ -150,7 +150,7 @@ func (s *Server) Status() ServerStatus {
 			P99TargetMs:  s.cfg.SLO.P99TargetMs,
 			Availability: s.cfg.SLO.Availability,
 			BurnRate:     s.SLOBurnRate(),
-			Threshold:    s.cfg.SLO.burnThreshold(),
+			Threshold:    burnThreshold,
 			Breaches:     s.SLOBreaches(),
 		}
 	}

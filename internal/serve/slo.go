@@ -41,19 +41,13 @@ type SLO struct {
 	// Availability is the fraction of finished requests that must receive
 	// an answer (e.g. 0.999). 0 disables the availability budget.
 	Availability float64
-	// BurnThreshold is the burn rate that counts as a breach (default 2 —
-	// burning budget at twice the sustainable rate).
-	BurnThreshold float64
 	// CheckInterval is the background check cadence (default 5s).
 	CheckInterval time.Duration
 }
 
-func (o *SLO) burnThreshold() float64 {
-	if o.BurnThreshold > 0 {
-		return o.BurnThreshold
-	}
-	return 2
-}
+// burnThreshold is the burn rate that counts as a breach: burning budget at
+// twice the sustainable rate.
+const burnThreshold = 2.0
 
 func (o *SLO) checkInterval() time.Duration {
 	if o.CheckInterval > 0 {
@@ -126,13 +120,12 @@ func (s *Server) CheckSLO() float64 {
 	s.slo.burn.Store(floatBits(burn))
 	s.reg.Gauge("serve_slo_burn_rate").Set(burn)
 
-	threshold := slo.burnThreshold()
 	s.slo.mu.Lock()
 	fire := false
-	if burn >= threshold && !s.slo.breached {
+	if burn >= burnThreshold && !s.slo.breached {
 		s.slo.breached = true
 		fire = true
-	} else if s.slo.breached && burn < threshold/2 {
+	} else if s.slo.breached && burn < burnThreshold/2 {
 		// Hysteresis: the episode ends only once the burn rate halves, so
 		// a rate hovering at the threshold dumps once, not every check.
 		s.slo.breached = false
@@ -143,7 +136,7 @@ func (s *Server) CheckSLO() float64 {
 		s.slo.breaches.Add(1)
 		s.reg.Counter("serve_slo_breaches_total").Inc()
 		s.obs.Emit(obsrv.LevelError, "slo.breach",
-			obsrv.F("burn_rate", burn), obsrv.F("threshold", threshold),
+			obsrv.F("burn_rate", burn), obsrv.F("threshold", burnThreshold),
 			obsrv.F("p99_target_ms", slo.P99TargetMs),
 			obsrv.F("availability", slo.Availability))
 		s.obs.AutoDump("slo-breach")
