@@ -160,7 +160,7 @@ type firstPass struct {
 	descs   int
 }
 
-func (f *firstPass) Move(_ *ir.RegionMove, mv ir.Op) error {
+func (f *firstPass) Move(_ *ir.RegionMove, mv *ir.Op) error {
 	descs, err := tensor.Region{Start: mv.Start, Extent: mv.Extent}.FlattenMulti(f.tensors[mv.A])
 	f.descs += len(descs)
 	return err
@@ -226,23 +226,25 @@ func TestEstimateAllocBudget(t *testing.T) {
 	if largeDescs < 10*smallDescs {
 		t.Fatalf("large tile streams %d descriptors per pass, small %d: want ≥10×", largeDescs, smallDescs)
 	}
-	// Allocation count and allocated bytes per call (a slice of descriptors
-	// is one allocation however long it is, so the count alone would not
-	// see one being built). Bytes are the minimum over several calls: a
-	// call that finds the walker pool empty binds on fresh arenas.
-	measure := func(p *ir.Program) (allocs float64, bytes uint64) {
+	// Allocation count and allocated bytes per call after a warm-up call (a
+	// slice of descriptors is one allocation however long it is, so the count
+	// alone would not see one being built), each the minimum over several
+	// calls: a call that finds the walker pool emptied by a collection binds
+	// on fresh arenas.
+	measure := func(p *ir.Program) (allocs, bytes uint64) {
 		run := func() {
 			if _, err := EstimateProgram(m, p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		allocs = testing.AllocsPerRun(20, run)
-		bytes = math.MaxUint64
+		run()
+		allocs, bytes = math.MaxUint64, math.MaxUint64
 		for i := 0; i < 8; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			run()
 			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
 			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
 		return allocs, bytes

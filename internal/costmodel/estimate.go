@@ -113,7 +113,7 @@ func (s *scorer) Branch(arm ir.Body) error {
 
 // Move scores one transfer: the region is validated and its descriptors are
 // streamed into the Eq. (1) tally without being materialised.
-func (s *scorer) Move(x *ir.RegionMove, mv ir.Op) error {
+func (s *scorer) Move(x *ir.RegionMove, mv *ir.Op) error {
 	t := s.tensors[mv.A]
 	// Also rejects a move whose rank does not match the tensor's.
 	if err := tensor.CheckRegion(t, mv.Start, mv.Extent); err != nil {
@@ -131,12 +131,12 @@ func (s *scorer) Move(x *ir.RegionMove, mv ir.Op) error {
 	return nil
 }
 
-func (s *scorer) Gemm(x *ir.Gemm, op ir.Op) error {
+func (s *scorer) Gemm(x *ir.Gemm, op *ir.Op) error {
 	s.acc.Compute += s.model.Predict(int(op.Arg(0)), int(op.Arg(1)), int(op.Arg(2)), x.ATrans, x.BTrans, x.Vec)
 	return nil
 }
 
-func (s *scorer) Transform(x *ir.Transform, op ir.Op) error {
+func (s *scorer) Transform(x *ir.Transform, op *ir.Op) error {
 	t, err := primitives.TransformTime(x, func(i int) int { return int(op.Arg(2 + i)) })
 	if err != nil {
 		return fmt.Errorf("estimator: %w", err)

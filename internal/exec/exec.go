@@ -146,15 +146,13 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 	base := st.m.Now()
 	for i, decl := range p.Tensors {
 		if decl.Scratch {
-			var t *tensor.Tensor
-			var err error
+			// Timed-only runs never touch data; keep big workspaces (im2col
+			// matrices, Winograd planes) virtual.
+			newScratch := tensor.NewVirtual
 			if opt.Functional {
-				t, err = tensor.NewWithLayout(decl.Name, decl.Dims, decl.Layout)
-			} else {
-				// Timed-only runs never touch data; keep big workspaces
-				// (im2col matrices, Winograd planes) virtual.
-				t, err = tensor.NewVirtual(decl.Name, decl.Dims, decl.Layout)
+				newScratch = tensor.NewWithLayout
 			}
+			t, err := newScratch(decl.Name, decl.Dims, decl.Layout)
 			if err != nil {
 				return Result{}, fmt.Errorf("exec: scratch %s: %w", decl.Name, err)
 			}
@@ -165,23 +163,14 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 		if !ok {
 			return Result{}, fmt.Errorf("exec: tensor %q not bound", decl.Name)
 		}
-		if len(t.Dims) != len(decl.Dims) {
-			return Result{}, fmt.Errorf("exec: tensor %q rank %d, declared %d", decl.Name, len(t.Dims), len(decl.Dims))
-		}
-		for d := range decl.Dims {
-			if t.Dims[d] != decl.Dims[d] {
-				return Result{}, fmt.Errorf("exec: tensor %q dims %v, declared %v", decl.Name, t.Dims, decl.Dims)
-			}
+		if !slices.Equal(t.Dims, decl.Dims) {
+			return Result{}, fmt.Errorf("exec: tensor %q dims %v, declared %v", decl.Name, t.Dims, decl.Dims)
 		}
 		if decl.Layout != nil && !hasLayout(t, decl.Dims, decl.Layout) {
 			// The schedule chose a storage layout; the bound tensor must
 			// actually have it, or the DMA timing would be fiction.
-			want, err := tensor.NewVirtual(decl.Name, decl.Dims, decl.Layout)
-			if err != nil {
-				return Result{}, fmt.Errorf("exec: tensor %q: %w", decl.Name, err)
-			}
-			return Result{}, fmt.Errorf("exec: tensor %q bound with strides %v, schedule chose layout %v (strides %v)",
-				decl.Name, t.Strides, decl.Layout, want.Strides)
+			return Result{}, fmt.Errorf("exec: tensor %q bound with strides %v, schedule chose layout %v",
+				decl.Name, t.Strides, decl.Layout)
 		}
 		if decl.Output && opt.Functional {
 			t.Zero()
@@ -330,7 +319,7 @@ func (st *state) buffer(slot int) (*sw26010.SPMBuffer, error) {
 // Move executes one DMA operation: the functional scatter/gather plus the
 // transaction-level timing derived from the geometry of the region's
 // flattened main-memory access pattern (the timed path allocates nothing).
-func (st *state) Move(x *ir.RegionMove, mv ir.Op) error {
+func (st *state) Move(x *ir.RegionMove, mv *ir.Op) error {
 	t := st.tensors[mv.A]
 	buf, err := st.buffer(mv.B)
 	if err != nil {
@@ -396,14 +385,15 @@ func dmaRequest(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
 
 // moveData performs the functional scatter/gather between a tensor region
 // and an SPM frame (packed to the region unless the move gives strides).
-func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv ir.Op) error {
+func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv *ir.Op) error {
 	nd := t.Rank()
 	// The move's expressions: start and extent per dimension, BufOff,
 	// FrameStride.
 	bufOff := int(mv.Arg(2 * nd))
-	frame := packedStrides(r.Extent)
-	if x.FrameStride != nil {
-		for d := range frame {
+	frame := make([]int, nd)
+	for d, packed := nd-1, 1; d >= 0; d-- {
+		frame[d], packed = packed, packed*r.Extent[d]
+		if x.FrameStride != nil {
 			frame[d] = int(mv.Arg(2*nd + 1 + d))
 		}
 	}
@@ -440,17 +430,7 @@ func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.R
 	return nil
 }
 
-func packedStrides(extent []int) []int {
-	out := make([]int, len(extent))
-	s := 1
-	for d := len(extent) - 1; d >= 0; d-- {
-		out[d] = s
-		s *= extent[d]
-	}
-	return out
-}
-
-func (st *state) Gemm(x *ir.Gemm, op ir.Op) error {
+func (st *state) Gemm(x *ir.Gemm, op *ir.Op) error {
 	spec := primitives.GemmSpec{
 		M:      int(op.Arg(0)),
 		N:      int(op.Arg(1)),
@@ -500,7 +480,7 @@ func (st *state) operand(what string, slot, off, span int) ([]float32, error) {
 	return buf.Data[off:], nil
 }
 
-func (st *state) Transform(x *ir.Transform, op ir.Op) error {
+func (st *state) Transform(x *ir.Transform, op *ir.Op) error {
 	st.m.Counters.TransformOps++
 	if st.opt.Trace != nil {
 		t0 := st.m.Now()

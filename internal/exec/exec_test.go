@@ -468,31 +468,30 @@ func TestTallyRequestMatchesReference(t *testing.T) {
 	}
 }
 
-// allocCost measures one call of run: allocation count and allocated bytes
-// (a descriptor slice is one allocation however long it is, so the count
-// alone would not see one being built). Bytes are the minimum over several
-// calls: the runtime's own goroutines occasionally allocate in between.
-func allocCost(run func()) (allocs float64, bytes uint64) {
-	allocs = testing.AllocsPerRun(5, run)
-	bytes = math.MaxUint64
+// allocsOf measures one timed run of p after a warm-up run: allocation count
+// and allocated bytes (a descriptor slice is one allocation however long it
+// is, so the count alone would not see one being built). Both are the
+// minimum over several runs: the runtime's own goroutines occasionally
+// allocate in between, and a run that finds the walker pool emptied by a
+// collection binds on fresh arenas.
+func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs, bytes uint64) {
+	t.Helper()
+	run := func() {
+		if _, err := RunVirtual(p, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for i := 0; i < 8; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	return allocs, bytes
-}
-
-// allocsOf is the allocCost of one timed run of p.
-func allocsOf(t *testing.T, p *ir.Program, opt Options) (allocs float64, bytes uint64) {
-	t.Helper()
-	return allocCost(func() {
-		if _, err := RunVirtual(p, opt); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 func TestTimedDMAAllocBudget(t *testing.T) {

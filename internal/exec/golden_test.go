@@ -71,7 +71,7 @@ type requestArms struct {
 	covered map[string]bool
 }
 
-func (r requestArms) Move(_ *ir.RegionMove, mv ir.Op) error {
+func (r requestArms) Move(_ *ir.RegionMove, mv *ir.Op) error {
 	descs, err := tensor.Region{Start: mv.Start, Extent: mv.Extent}.FlattenMulti(r.tensors[mv.A])
 	if err != nil || len(descs) == 0 {
 		return nil // the run's own error is pinned in the row

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The bound form of an expression: a Scope numbers a program's variables
 // once and an expression becomes a Code over those numbers, so evaluating
@@ -16,21 +19,17 @@ type Scope struct {
 	depth int // deepest evaluation stack a bound expression needs
 }
 
-// NewScope returns a scope with room for vars variables and ops postfix ops;
-// both grow when exceeded.
-func NewScope(vars, ops int) Scope {
-	return Scope{names: make([]string, 0, vars), ops: make([]op, 0, ops)}
-}
-
 // Slot returns the variable's number, assigning the next one on first use.
-func (s *Scope) Slot(name string) int {
-	for i, n := range s.names {
-		if n == name {
-			return i
-		}
+func (s *Scope) Slot(name string) int { return slot(&s.names, name) }
+
+// slot returns name's index in *names, appending it on first use.
+func slot(names *[]string, name string) int {
+	i := slices.Index(*names, name)
+	if i < 0 {
+		i = len(*names)
+		*names = append(*names, name)
 	}
-	s.names = append(s.names, name)
-	return len(s.names) - 1
+	return i
 }
 
 // op is one postfix instruction: a binOp over the two topmost stack values,
@@ -113,14 +112,13 @@ type Var struct {
 	Bound bool
 }
 
-// NewFrame returns an all-unbound frame for everything bound so far.
-func (s *Scope) NewFrame() Frame {
-	return Frame{scope: s, vars: make([]Var, len(s.names)), stack: make([]int64, s.depth)}
+// reset makes f an all-unbound frame for everything s has bound so far,
+// reusing f's slices.
+func (f *Frame) reset(s *Scope) {
+	f.scope = s
+	f.vars = append(f.vars[:0], make([]Var, len(s.names))...)
+	f.stack = append(f.stack[:0], make([]int64, s.depth)...)
 }
-
-// Var returns a variable to read or assign; a loop saves the whole Var its
-// iterator shadows and puts it back.
-func (f *Frame) Var(slot int) *Var { return &f.vars[slot] }
 
 func (f *Frame) load(slot int32) int64 {
 	v := f.vars[slot]
@@ -130,11 +128,17 @@ func (f *Frame) load(slot int32) int64 {
 	return v.Val
 }
 
-// Eval computes a bound expression: Expr.Eval's value, or its panic.
+// Eval computes a bound expression: Expr.Eval's value, or its panic. The
+// inline constant, the commonest Code, is read without a call.
 func (f *Frame) Eval(c Code) int64 {
-	switch c.n {
-	case codeConst:
+	if c.n == codeConst {
 		return int64(c.a)
+	}
+	return f.eval(c)
+}
+
+func (f *Frame) eval(c Code) int64 {
+	switch c.n {
 	case codeVar:
 		return f.load(c.a)
 	case codeNil:

@@ -58,14 +58,15 @@ func outcome(eval func() int64) (res string) {
 // or panic. It returns the outcome.
 func checkBound(t *testing.T, e Expr, env Env) string {
 	t.Helper()
-	s := NewScope(0, 0)
+	var s Scope
 	c := s.Bind(e)
 	for name := range env {
 		s.Slot(name)
 	}
-	f := s.NewFrame()
+	var f Frame
+	f.reset(&s)
 	for name, v := range env {
-		*f.Var(s.Slot(name)) = Var{v, true}
+		f.vars[s.Slot(name)] = Var{v, true}
 	}
 	want := outcome(func() int64 { return e.Eval(env) })
 	if got := outcome(func() int64 { return f.Eval(c) }); got != want {
@@ -96,7 +97,7 @@ func TestBoundEvalMatchesEval(t *testing.T) {
 			t.Fatalf("%s: unexpected %s", e, res)
 		default:
 			seen["value"]++
-			s := NewScope(0, 0)
+			var s Scope
 			if s.Bind(e); len(s.ops) > 8 {
 				seen["deep"]++
 			}
@@ -116,8 +117,9 @@ func TestBoundEvalMatchesEval(t *testing.T) {
 		checkBound(t, ConstExpr(v), nil)
 		checkBound(t, &BinExpr{opAdd, ConstExpr(v), VarExpr("i")}, Env{"i": 0})
 	}
-	s := NewScope(0, 0)
-	f := s.NewFrame()
+	var s Scope
+	var f Frame
+	f.reset(&s)
 	if res := outcome(func() int64 { return f.Eval(s.Bind(nil)) }); !strings.HasPrefix(res, "panic") {
 		t.Fatalf("evaluating a bound nil expression gave %s, want a panic", res)
 	}
@@ -137,24 +139,26 @@ func FuzzBoundEval(f *testing.F) {
 // TestFrameShadowing: a Var carries the (value, bound) pair a loop saves and
 // restores around its iterator.
 func TestFrameShadowing(t *testing.T) {
-	s := NewScope(1, 0)
+	var s Scope
 	i := s.Slot("i")
-	f := s.NewFrame()
-	if f.Var(i).Bound {
+	var f Frame
+	f.reset(&s)
+	v := &f.vars[i]
+	if v.Bound {
 		t.Fatal("fresh frame has i bound")
 	}
-	unbound := *f.Var(i)
-	*f.Var(i) = Var{7, true}
-	saved := *f.Var(i)
-	*f.Var(i) = Var{2, true}
+	unbound := *v
+	*v = Var{7, true}
+	saved := *v
+	*v = Var{2, true}
 	if got := f.Eval(s.Bind(V("i"))); got != 2 {
 		t.Fatalf("shadowed i = %d, want 2", got)
 	}
-	*f.Var(i) = saved
+	*v = saved
 	if got := f.Eval(s.Bind(V("i"))); got != 7 {
 		t.Fatalf("restored i = %d, want 7", got)
 	}
-	*f.Var(i) = unbound
+	*v = unbound
 	if res := outcome(func() int64 { return f.Eval(s.Bind(V("i"))) }); res != `panic: ir: unbound variable "i"` {
 		t.Fatalf("unbound i evaluates to %s", res)
 	}

@@ -240,11 +240,8 @@ type Cond struct {
 	L, R Expr
 }
 
-// Eval evaluates the condition.
-func (c Cond) Eval(env Env) bool { return c.Op.Holds(c.L.Eval(env), c.R.Eval(env)) }
-
-// Holds reports whether l op r: the one implementation of the comparison,
-// for Cond.Eval and for callers that evaluated both sides in bound form.
+// Holds reports whether l op r: an If's condition over its two evaluated
+// sides.
 func (op CmpOp) Holds(l, r int64) bool {
 	switch op {
 	case LT:

@@ -107,7 +107,7 @@ func TestCondEval(t *testing.T) {
 		{Cond{NE, V("i"), Const(4)}, false},
 	}
 	for i, c := range cases {
-		if got := c.c.Eval(env); got != c.want {
+		if got := c.c.Op.Holds(c.c.L.Eval(env), c.c.R.Eval(env)); got != c.want {
 			t.Errorf("case %d (%s): got %v", i, c.c, got)
 		}
 	}
@@ -177,18 +177,6 @@ func TestWalkAndCount(t *testing.T) {
 	}
 }
 
-func TestLoopNest(t *testing.T) {
-	p := buildSample()
-	nest := LoopNest(p.Body)
-	if len(nest) != 2 || nest[0].Iter != "i" || nest[1].Iter != "j" {
-		names := make([]string, len(nest))
-		for i, f := range nest {
-			names[i] = f.Iter
-		}
-		t.Fatalf("nest = %v", names)
-	}
-}
-
 func TestRewriteDeletesAndReplaces(t *testing.T) {
 	p := buildSample()
 	// Delete all RegionMoves.
@@ -217,8 +205,9 @@ func TestCloneIsDeep(t *testing.T) {
 	p := buildSample()
 	c := p.Clone()
 	// Mutate clone's nested loop extent.
-	LoopNest(c.Body)[1].Extent = Const(99)
-	if LoopNest(p.Body)[1].Extent.Eval(nil) != 2 {
+	inner := func(p *Program) *For { return p.Body[1].(*For).Body[0].(*For) }
+	inner(c).Extent = Const(99)
+	if inner(p).Extent.Eval(nil) != 2 {
 		t.Fatal("clone shares loop structure")
 	}
 	c.Tensors[0].Dims[0] = 1

@@ -50,26 +50,3 @@ func CountKind(body []Stmt, pred func(Stmt) bool) int {
 	})
 	return n
 }
-
-// LoopNest returns the chain of For statements from the root down while the
-// body stays a single nested loop (the canonical perfectly-nested prefix).
-func LoopNest(body []Stmt) []*For {
-	var nest []*For
-	cur := body
-	for {
-		var f *For
-		for _, s := range cur {
-			if ff, ok := s.(*For); ok {
-				if f != nil {
-					return nest // multiple loops at this level: stop
-				}
-				f = ff
-			}
-		}
-		if f == nil {
-			return nest
-		}
-		nest = append(nest, f)
-		cur = f.Body
-	}
-}

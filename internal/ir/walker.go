@@ -28,10 +28,10 @@ type Leaf interface {
 	Free(buf int) error
 	// Move is a transfer; an un-inferred RegionMove is a Move and then a
 	// Wait of 1 on a reply word of its own.
-	Move(x *RegionMove, op Op) error
+	Move(x *RegionMove, op *Op) error
 	Wait(reply int, times int64) error
-	Gemm(x *Gemm, op Op) error
-	Transform(x *Transform, op Op) error
+	Gemm(x *Gemm, op *Op) error
+	Transform(x *Transform, op *Op) error
 }
 
 // FirstPass is the leaf of an iteration-0 walk: each loop with trips runs
@@ -45,20 +45,20 @@ func (FirstPass) Loop(extent int64, body Body) error {
 	}
 	return body.Run(0)
 }
-func (FirstPass) Branch(arm Body) error          { return arm.Run(0) }
-func (FirstPass) Assign()                        {}
-func (FirstPass) Alloc(int, int64) error         { return nil }
-func (FirstPass) Free(int) error                 { return nil }
-func (FirstPass) Move(*RegionMove, Op) error     { return nil }
-func (FirstPass) Wait(int, int64) error          { return nil }
-func (FirstPass) Gemm(*Gemm, Op) error           { return nil }
-func (FirstPass) Transform(*Transform, Op) error { return nil }
+func (FirstPass) Branch(arm Body) error           { return arm.Run(0) }
+func (FirstPass) Assign()                         {}
+func (FirstPass) Alloc(int, int64) error          { return nil }
+func (FirstPass) Free(int) error                  { return nil }
+func (FirstPass) Move(*RegionMove, *Op) error     { return nil }
+func (FirstPass) Wait(int, int64) error           { return nil }
+func (FirstPass) Gemm(*Gemm, *Op) error           { return nil }
+func (FirstPass) Transform(*Transform, *Op) error { return nil }
 
-// Op is an effect statement as its leaf sees it: its position among the
-// bound statements (below Len), its name slots, a move's region evaluated
-// into the walker's scratch (valid during the call; the leaf checks it
-// against its tensor) and its expressions, each evaluated when the leaf
-// asks. Slots and expressions follow the statement's fields:
+// Op is an effect statement as its leaf sees it, valid during the call: its
+// position among the bound statements (below Len), its name slots, a move's
+// region evaluated into the walker's scratch (the leaf checks it against its
+// tensor) and its expressions, each evaluated when the leaf asks. Slots and
+// expressions follow the statement's fields:
 //
 //	moves      A tensor declaration, B buffer, C reply word;
 //	           Start..., Extent..., BufOff, FrameStride...
@@ -74,7 +74,7 @@ type Op struct {
 }
 
 // Arg evaluates the statement's k-th expression.
-func (o Op) Arg(k int) int64 { return o.w.frame.Eval(o.codes[k]) }
+func (o *Op) Arg(k int) int64 { return o.w.frame.Eval(o.codes[k]) }
 
 // Body is a loop's body or an If's arm.
 type Body struct {
@@ -105,7 +105,9 @@ type Walker struct {
 	// names are the SPM buffers and reply words (one name may be both),
 	// searched linearly, at bind time only.
 	names []string
-	// start/extent are the scratch a move's region is evaluated into.
+	// op is the effect being called; start/extent are the scratch a move's
+	// region is evaluated into.
+	op            Op
 	start, extent []int
 }
 
@@ -135,9 +137,7 @@ func (w *Walker) bind(p *Program) {
 	w.p, w.nodes, w.codes, w.names = p, w.nodes[:0], w.codes[:0], w.names[:0]
 	w.scope = Scope{names: w.scope.names[:0], ops: w.scope.ops[:0]}
 	w.fill(p.Body, w.take(len(p.Body)))
-	w.frame.scope = &w.scope
-	w.frame.vars = append(w.frame.vars[:0], make([]Var, len(w.scope.names))...)
-	w.frame.stack = append(w.frame.stack[:0], make([]int64, w.scope.depth)...)
+	w.frame.reset(&w.scope)
 }
 
 // Len is the number of bound statements.
@@ -161,82 +161,77 @@ func (w *Walker) Run(leaf Leaf) error {
 	return w.run(0, int32(len(w.p.Body)))
 }
 
-func (w *Walker) run(lo, hi int32) error {
-	for i := lo; i < hi; i++ {
-		if err := w.stmt(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // eval computes the i-th code of the bound program.
 func (w *Walker) eval(i int32) int64 { return w.frame.Eval(w.codes[i]) }
 
-func (w *Walker) stmt(i int32) error {
-	n := &w.nodes[i]
-	switch x := n.s.(type) {
-	case *Comment:
-		return nil
-	case *Assign:
-		w.frame.vars[n.c] = Var{Val: w.eval(n.code), Bound: true}
-		w.leaf.Assign()
-		return nil
-	case *For:
-		extent := w.eval(n.code)
-		if extent < 0 {
-			return fmt.Errorf("loop %s: negative extent %d", x.Iter, extent)
+// run walks nodes[lo:hi]; the statement switch is inside the loop, so a
+// statement costs no call of its own.
+func (w *Walker) run(lo, hi int32) (err error) {
+	for i := lo; i < hi && err == nil; i++ {
+		n := &w.nodes[i]
+		switch x := n.s.(type) {
+		case *Assign:
+			w.frame.vars[n.c] = Var{Val: w.eval(n.code), Bound: true}
+			w.leaf.Assign()
+		case *If:
+			arm := Body{w: w, lo: n.b, hi: n.c}
+			if x.Cond.Op.Holds(w.eval(n.code), w.eval(n.code+1)) {
+				arm.lo, arm.hi = n.a, n.b
+			}
+			err = w.leaf.Branch(arm)
+		case *For:
+			extent := w.eval(n.code)
+			if extent < 0 {
+				return fmt.Errorf("loop %s: negative extent %d", x.Iter, extent)
+			}
+			v := &w.frame.vars[n.c]
+			saved := *v // the loop shadows an outer variable of the same name
+			err = w.leaf.Loop(extent, Body{w, n.a, n.b, v})
+			*v = saved
+		case *DMAOp:
+			err = w.move(i, &x.Move)
+		case *DMAWait:
+			err = w.leaf.Wait(int(n.c), w.eval(n.code))
+		case *Gemm:
+			err = w.leaf.Gemm(x, w.effect(i, 9))
+		case *Transform:
+			err = w.leaf.Transform(x, w.effect(i, 2+len(x.Args)))
+		case *RegionMove:
+			if err = w.move(i, x); err == nil {
+				err = w.leaf.Wait(int(n.c), 1)
+			}
+		case *AllocSPM:
+			err = w.leaf.Alloc(int(n.a), w.eval(n.code))
+		case *FreeSPM:
+			err = w.leaf.Free(int(n.a))
+		case *Comment:
+		default:
+			err = fmt.Errorf("unknown statement %T", n.s)
 		}
-		v := &w.frame.vars[n.c]
-		saved := *v // the loop shadows an outer variable of the same name
-		if err := w.leaf.Loop(extent, Body{w, n.a, n.b, v}); err != nil {
-			return err
-		}
-		*v = saved
-		return nil
-	case *If:
-		arm := Body{w: w, lo: n.b, hi: n.c}
-		if x.Cond.Op.Holds(w.eval(n.code), w.eval(n.code+1)) {
-			arm.lo, arm.hi = n.a, n.b
-		}
-		return w.leaf.Branch(arm)
-	case *AllocSPM:
-		return w.leaf.Alloc(int(n.a), w.eval(n.code))
-	case *FreeSPM:
-		return w.leaf.Free(int(n.a))
-	case *RegionMove:
-		if err := w.move(i, x); err != nil {
-			return err
-		}
-		return w.leaf.Wait(int(n.c), 1)
-	case *DMAOp:
-		return w.move(i, &x.Move)
-	case *DMAWait:
-		return w.leaf.Wait(int(n.c), w.eval(n.code))
-	case *Gemm:
-		return w.leaf.Gemm(x, w.op(i, 9))
-	case *Transform:
-		return w.leaf.Transform(x, w.op(i, 2+len(x.Args)))
 	}
-	return fmt.Errorf("unknown statement %T", n.s)
+	return err
 }
 
-func (w *Walker) op(i int32, codes int) Op {
-	n := &w.nodes[i]
-	return Op{Index: int(i), A: int(n.a), B: int(n.b), C: int(n.c), w: w, codes: w.codes[n.code:][:codes]}
+// effect sets up op for the i-th statement, whose expressions are codes
+// many.
+func (w *Walker) effect(i int32, codes int) *Op {
+	n, op := &w.nodes[i], &w.op
+	op.Index, op.A, op.B, op.C = int(i), int(n.a), int(n.b), int(n.c)
+	op.Start, op.Extent, op.w, op.codes = nil, nil, w, w.codes[n.code:][:codes]
+	return op
 }
 
 func (w *Walker) move(i int32, x *RegionMove) error {
-	op := w.op(i, len(x.Start)+len(x.Extent)+1+len(x.FrameStride))
+	op := w.effect(i, len(x.Start)+len(x.Extent)+1+len(x.FrameStride))
 	if op.A < 0 {
 		return fmt.Errorf("dma: unknown tensor %q", x.Tensor)
 	}
 	w.start, w.extent = w.start[:0], w.extent[:0]
-	for k := range x.Start {
-		w.start = append(w.start, int(op.Arg(k)))
+	for _, c := range op.codes[:len(x.Start)] {
+		w.start = append(w.start, int(w.frame.Eval(c)))
 	}
-	for k := range x.Extent {
-		w.extent = append(w.extent, int(op.Arg(len(x.Start)+k)))
+	for _, c := range op.codes[len(x.Start):][:len(x.Extent)] {
+		w.extent = append(w.extent, int(w.frame.Eval(c)))
 	}
 	op.Start, op.Extent = w.start, w.extent
 	return w.leaf.Move(x, op)
@@ -311,11 +306,4 @@ func (w *Walker) exprs(es ...Expr) {
 	}
 }
 
-func (w *Walker) name(name string) int32 {
-	i := slices.Index(w.names, name)
-	if i < 0 {
-		i = len(w.names)
-		w.names = append(w.names, name)
-	}
-	return int32(i)
-}
+func (w *Walker) name(name string) int32 { return int32(slot(&w.names, name)) }

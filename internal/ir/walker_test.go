@@ -6,17 +6,19 @@ import (
 	"testing"
 )
 
-// allocCost measures one call of run: allocation count and allocated bytes.
-// Bytes are the minimum over several calls: the runtime's own goroutines
-// occasionally allocate in between.
-func allocCost(run func()) (allocs float64, bytes uint64) {
-	allocs = testing.AllocsPerRun(5, run)
-	bytes = math.MaxUint64
+// allocCost measures one call of run after a warm-up call: allocation count
+// and allocated bytes, each the minimum over several calls — the runtime's
+// own goroutines occasionally allocate in between, and a call that finds the
+// walker pool emptied by a collection binds on fresh arenas.
+func allocCost(run func()) (allocs, bytes uint64) {
+	run()
+	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for i := 0; i < 8; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	return allocs, bytes
@@ -75,7 +77,7 @@ func TestBindAllocBudget(t *testing.T) {
 	for copies := 1; copies <= 4; copies++ {
 		for _, trips := range []int64{12, 1200} {
 			p := prog(copies, trips)
-			if a := testing.AllocsPerRun(5, func() {
+			if a, _ := allocCost(func() {
 				if err := Bind(p).Run(everyIteration{}); err != nil {
 					t.Fatal(err)
 				}

@@ -156,7 +156,13 @@ func TestLowerHoistsInvariantMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nest := ir.LoopNest(prog.Body)
+	var nest []*ir.For
+	ir.Walk(prog.Body, func(s ir.Stmt) bool {
+		if f, ok := s.(*ir.For); ok {
+			nest = append(nest, f)
+		}
+		return true
+	})
 	if len(nest) != 3 {
 		t.Fatalf("want 3 loops, got %d\n%s", len(nest), ir.Print(prog))
 	}

@@ -120,12 +120,12 @@ func (w *progWalk) Alloc(_ int, elems int64) error {
 	return nil
 }
 
-func (w *progWalk) Move(*ir.RegionMove, ir.Op) error {
+func (w *progWalk) Move(*ir.RegionMove, *ir.Op) error {
 	w.dmaOps++
 	return nil
 }
 
-func (w *progWalk) Gemm(_ *ir.Gemm, op ir.Op) error {
+func (w *progWalk) Gemm(_ *ir.Gemm, op *ir.Op) error {
 	if w.gemmM == 0 {
 		w.gemmM, w.gemmN = op.Arg(0), op.Arg(1)
 	}
