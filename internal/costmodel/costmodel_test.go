@@ -161,7 +161,7 @@ type firstPass struct {
 }
 
 func (f *firstPass) Move(_ *ir.RegionMove, mv *ir.Op) error {
-	descs, err := tensor.Region{Start: mv.Start, Extent: mv.Extent}.FlattenMulti(f.tensors[mv.A])
+	descs, err := tensor.Region{Start: mv.Start(), Extent: mv.Extent()}.FlattenMulti(f.tensors[mv.A])
 	f.descs += len(descs)
 	return err
 }

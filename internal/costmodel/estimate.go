@@ -116,18 +116,16 @@ func (s *scorer) Branch(arm ir.Body) error {
 func (s *scorer) Move(x *ir.RegionMove, mv *ir.Op) error {
 	t := s.tensors[mv.A]
 	// Also rejects a move whose rank does not match the tensor's.
-	if err := tensor.CheckRegion(t, mv.Start, mv.Extent); err != nil {
+	if err := tensor.CheckRegion(t, mv.Start(), mv.Extent()); err != nil {
 		return fmt.Errorf("estimator: %s: %w", x.Tensor, err)
 	}
 	var tally dmaTally
-	if err := (tensor.Region{Start: mv.Start, Extent: mv.Extent}).FlattenEach(t, tally.add); err != nil {
+	if err := (tensor.Region{Start: mv.Start(), Extent: mv.Extent()}).FlattenEach(t, tally.add); err != nil {
 		return err
 	}
-	s.acc.add(Estimate{
-		DMA:             tally.seconds(),
-		DMABytes:        float64(tally.payload),
-		DMATransactions: float64(tally.transactions),
-	})
+	s.acc.DMA += tally.seconds()
+	s.acc.DMABytes += float64(tally.payload)
+	s.acc.DMATransactions += float64(tally.transactions)
 	return nil
 }
 

@@ -325,10 +325,10 @@ func (st *state) Move(x *ir.RegionMove, mv *ir.Op) error {
 	if err != nil {
 		return fmt.Errorf("dma: %w", err)
 	}
-	if err := tensor.CheckRegion(t, mv.Start, mv.Extent); err != nil {
+	if err := tensor.CheckRegion(t, mv.Start(), mv.Extent()); err != nil {
 		return fmt.Errorf("dma %s: %w", x.Tensor, err)
 	}
-	region := tensor.Region{Start: mv.Start, Extent: mv.Extent}
+	region := tensor.Region{Start: mv.Start(), Extent: mv.Extent()}
 	if st.opt.Functional {
 		if err := moveData(t, region, buf, x, mv); err != nil {
 			return err

@@ -72,7 +72,7 @@ type requestArms struct {
 }
 
 func (r requestArms) Move(_ *ir.RegionMove, mv *ir.Op) error {
-	descs, err := tensor.Region{Start: mv.Start, Extent: mv.Extent}.FlattenMulti(r.tensors[mv.A])
+	descs, err := tensor.Region{Start: mv.Start(), Extent: mv.Extent()}.FlattenMulti(r.tensors[mv.A])
 	if err != nil || len(descs) == 0 {
 		return nil // the run's own error is pinned in the row
 	}

@@ -56,9 +56,10 @@ func (FirstPass) Transform(*Transform, *Op) error { return nil }
 
 // Op is an effect statement as its leaf sees it, valid during the call: its
 // position among the bound statements (below Len), its name slots, a move's
-// region evaluated into the walker's scratch (the leaf checks it against its
-// tensor) and its expressions, each evaluated when the leaf asks. Slots and
-// expressions follow the statement's fields:
+// region (the leaf checks it against its tensor) and its expressions, each
+// evaluated when the leaf asks. The walker reuses one Op and sets only its
+// integers: an effect stores no pointer, so costs no GC write barrier.
+// Slots and expressions follow the statement's fields:
 //
 //	moves      A tensor declaration, B buffer, C reply word;
 //	           Start..., Extent..., BufOff, FrameStride...
@@ -68,13 +69,17 @@ func (FirstPass) Transform(*Transform, *Op) error { return nil }
 // Buffers and reply words are slots below Names.
 type Op struct {
 	Index, A, B, C int
-	Start, Extent  []int
 	w              *Walker
-	codes          []Code
+	code, end      int32 // the statement's codes are w.codes[code:end]
+	start, extent  int   // a move's rank of each, in w.region
 }
 
 // Arg evaluates the statement's k-th expression.
-func (o *Op) Arg(k int) int64 { return o.w.frame.Eval(o.codes[k]) }
+func (o *Op) Arg(k int) int64 { return o.w.frame.Eval(o.w.codes[o.code:o.end][k]) }
+
+// Start and Extent are a move's region.
+func (o *Op) Start() []int  { return o.w.region[:o.start:o.start] }
+func (o *Op) Extent() []int { return o.w.region[o.start : o.start+o.extent] }
 
 // Body is a loop's body or an If's arm.
 type Body struct {
@@ -105,10 +110,10 @@ type Walker struct {
 	// names are the SPM buffers and reply words (one name may be both),
 	// searched linearly, at bind time only.
 	names []string
-	// op is the effect being called; start/extent are the scratch a move's
-	// region is evaluated into.
-	op            Op
-	start, extent []int
+	// op is the effect being called; region is the scratch a move's start
+	// and extent are evaluated into.
+	op     Op
+	region []int
 }
 
 // node is one bound statement, its codes from code on; a..c are
@@ -138,6 +143,7 @@ func (w *Walker) bind(p *Program) {
 	w.scope = Scope{names: w.scope.names[:0], ops: w.scope.ops[:0]}
 	w.fill(p.Body, w.take(len(p.Body)))
 	w.frame.reset(&w.scope)
+	w.op.w = w
 }
 
 // Len is the number of bound statements.
@@ -217,7 +223,7 @@ func (w *Walker) run(lo, hi int32) (err error) {
 func (w *Walker) effect(i int32, codes int) *Op {
 	n, op := &w.nodes[i], &w.op
 	op.Index, op.A, op.B, op.C = int(i), int(n.a), int(n.b), int(n.c)
-	op.Start, op.Extent, op.w, op.codes = nil, nil, w, w.codes[n.code:][:codes]
+	op.code, op.end = n.code, n.code+int32(codes)
 	return op
 }
 
@@ -226,14 +232,14 @@ func (w *Walker) move(i int32, x *RegionMove) error {
 	if op.A < 0 {
 		return fmt.Errorf("dma: unknown tensor %q", x.Tensor)
 	}
-	w.start, w.extent = w.start[:0], w.extent[:0]
-	for _, c := range op.codes[:len(x.Start)] {
-		w.start = append(w.start, int(w.frame.Eval(c)))
+	// Start and extent are the move's first codes.
+	op.start, op.extent = len(x.Start), len(x.Extent)
+	if len(w.region) < op.start+op.extent {
+		w.region = make([]int, op.start+op.extent)
 	}
-	for _, c := range op.codes[len(x.Start):][:len(x.Extent)] {
-		w.extent = append(w.extent, int(w.frame.Eval(c)))
+	for k, c := range w.codes[op.code:][:op.start+op.extent] {
+		w.region[k] = int(w.frame.Eval(c))
 	}
-	op.Start, op.Extent = w.start, w.extent
 	return w.leaf.Move(x, op)
 }
 
