@@ -13,7 +13,7 @@ import (
 // T_overall = max(T_DMA, T_compute) (the paper's software-prefetching
 // overlap assumption). DMABytes and DMATransactions tally the predicted
 // traffic behind the DMA time — the schedule-candidate features the learned
-// search model (internal/search) regresses over.
+// search model (internal/search) regresses over, with the Path tallies.
 type Estimate struct {
 	DMA     float64
 	Compute float64
@@ -23,6 +23,20 @@ type Estimate struct {
 	// DMATransactions is the predicted count of memory transactions,
 	// including misalignment and rounding waste per block.
 	DMATransactions float64
+	Path
+}
+
+// Path tallies the iteration-0 path: the statements the scorer reaches while
+// every enclosing loop is on its first pass (and an If's taken arm). They are
+// counts along one path, outside the Eq. (1)/(2) sums, and no trip count
+// scales them.
+type Path struct {
+	// SPMBytes is the SPM bytes allocated; frees are ignored, so nested
+	// buffer reuse still counts.
+	SPMBytes int64
+	// GemmM and GemmN are the first GEMM call's M and N.
+	GemmM, GemmN int64
+	DMAOps       int64
 }
 
 // Total returns max(DMA, Compute).
@@ -60,6 +74,7 @@ func EstimateProgram(model *GemmModel, p *ir.Program) (Estimate, error) {
 	if err := ir.Bind(p).Run(&s); err != nil {
 		return Estimate{}, err
 	}
+	s.acc.Path = s.path
 	return s.acc, nil
 }
 
@@ -67,12 +82,15 @@ func EstimateProgram(model *GemmModel, p *ir.Program) (Estimate, error) {
 // statement list being walked; a loop pass and a branch arm each sum from
 // zero and are added to their list's sum as one term. Allocation and
 // assignment cost nothing, and waits are free under the perfect-overlap
-// assumption: FirstPass's.
+// assumption: FirstPass's. path is tallied while later is 0, that is while
+// no enclosing loop is on its last-iteration pass.
 type scorer struct {
 	ir.FirstPass
 	model   *GemmModel
 	tensors []*tensor.Tensor // virtual, by declaration: shapes and strides only
 	acc     Estimate
+	path    Path
+	later   int
 }
 
 // pass runs one loop iteration or branch arm and returns its own sum.
@@ -94,7 +112,9 @@ func (s *scorer) Loop(extent int64, body ir.Body) error {
 		s.acc.add(first)
 		return err
 	}
+	s.later++
 	last, err := s.pass(body, extent-1)
+	s.later--
 	interior := float64(extent - 1)
 	s.acc.add(Estimate{
 		DMA:             first.DMA*interior + last.DMA,
@@ -103,6 +123,13 @@ func (s *scorer) Loop(extent int64, body ir.Body) error {
 		DMATransactions: first.DMATransactions*interior + last.DMATransactions,
 	})
 	return err
+}
+
+func (s *scorer) Alloc(_ int, elems int64) error {
+	if s.later == 0 {
+		s.path.SPMBytes += elems * 4
+	}
+	return nil
 }
 
 func (s *scorer) Branch(arm ir.Body) error {
@@ -126,11 +153,18 @@ func (s *scorer) Move(x *ir.RegionMove, mv *ir.Op) error {
 	s.acc.DMA += tally.seconds()
 	s.acc.DMABytes += float64(tally.payload)
 	s.acc.DMATransactions += float64(tally.transactions)
+	if s.later == 0 {
+		s.path.DMAOps++
+	}
 	return nil
 }
 
 func (s *scorer) Gemm(x *ir.Gemm, op *ir.Op) error {
-	s.acc.Compute += s.model.Predict(int(op.Arg(0)), int(op.Arg(1)), int(op.Arg(2)), x.ATrans, x.BTrans, x.Vec)
+	m, n := op.Arg(0), op.Arg(1)
+	if s.later == 0 && s.path.GemmM == 0 {
+		s.path.GemmM, s.path.GemmN = m, n
+	}
+	s.acc.Compute += s.model.Predict(int(m), int(n), int(op.Arg(2)), x.ATrans, x.BTrans, x.Vec)
 	return nil
 }
 

@@ -8,11 +8,12 @@
 //
 // The package has three parts: feature extraction (this file) turns a
 // compiled schedule candidate into a fixed-length numeric vector without
-// running it; Model (model.go) is a dependency-free online ridge regressor
-// over those vectors; Evolutionary (evo.go) is the searcher driving the
-// loop. Everything is deterministic given a seed:
-// the same (seed, budget) always proposes, measures and selects the same
-// candidates, independent of the host worker count.
+// running it; Model (model.go) is the one predictor, the analytic estimate
+// corrected by a dependency-free online ridge regressor over those vectors;
+// Evolutionary (evo.go) is the searcher driving the loop. Everything is
+// deterministic given a seed: the same (seed, budget) always proposes,
+// measures and selects the same candidates, independent of the host worker
+// count.
 package search
 
 import (
@@ -28,10 +29,11 @@ import (
 const FeatureLen = 16
 
 // Features featurizes one compiled schedule candidate. The vector is
-// computed purely from the strategy, the seed's axis roles and a static
-// walk of the lowered program (plus the analytic cost estimate) — the
-// candidate is never executed. Magnitude-spanning features are log
-// compressed so the ridge regressor sees comparable scales.
+// computed purely from the strategy, the seed's axis roles and the analytic
+// cost estimate, including the iteration-0 path the scorer tallied on its
+// walk of the lowered program (prog is not walked again) — the candidate is
+// never executed. Magnitude-spanning features are log compressed so the
+// ridge regressor sees comparable scales. The vector is its one allocation.
 //
 // Layout (indices are stable; append-only by convention):
 //
@@ -53,14 +55,20 @@ const FeatureLen = 16
 //	15 log1p static DMA operation count
 func Features(seed *dsl.Seed, st dsl.Strategy, prog *ir.Program, est costmodel.Estimate) []float64 {
 	f := make([]float64, FeatureLen)
-	f[0] = log2RoleFactors(seed, st, dsl.RoleM)
-	f[1] = log2RoleFactors(seed, st, dsl.RoleN)
-	f[2] = log2RoleFactors(seed, st, dsl.RoleK)
-	f[3] = log2RoleFactors(seed, st, dsl.RoleSpatial) + log2RoleFactors(seed, st, dsl.RoleReduce)
+	// Tile-factor products per role, each in axis order, and the extent
+	// product, in one pass over the axes.
+	prod := [dsl.RoleReduce + 1]float64{1, 1, 1, 1, 1}
 	extent := 1.0
 	for _, ax := range seed.Axes {
+		if fct, ok := st.Factors[ax.Name]; ok && fct > 0 {
+			prod[ax.Role] *= float64(fct)
+		}
 		extent *= float64(ax.Extent)
 	}
+	f[0] = math.Log2(prod[dsl.RoleM])
+	f[1] = math.Log2(prod[dsl.RoleN])
+	f[2] = math.Log2(prod[dsl.RoleK])
+	f[3] = math.Log2(prod[dsl.RoleSpatial]) + math.Log2(prod[dsl.RoleReduce])
 	f[4] = math.Log2(extent)
 	if st.Vec == ir.VecN {
 		f[5] = 1
@@ -75,59 +83,14 @@ func Features(seed *dsl.Seed, st dsl.Strategy, prog *ir.Program, est costmodel.E
 	f[9] = est.Compute * 1e3
 	f[10] = math.Log1p(est.DMABytes)
 	f[11] = math.Log1p(est.DMATransactions)
-	var w progWalk
-	// Features is called on programs the estimator accepted; one it would
-	// reject ends the walk early and keeps the features reached so far.
-	_ = ir.Bind(prog).Run(&w)
-	f[12] = math.Log1p(float64(w.spmBytes))
-	f[13] = math.Log2(float64(max(w.gemmM, 1)))
-	f[14] = math.Log2(float64(max(w.gemmN, 1)))
-	f[15] = math.Log1p(float64(w.dmaOps))
+	f[12] = math.Log1p(float64(est.SPMBytes))
+	f[13] = math.Log2(float64(max(est.GemmM, 1)))
+	f[14] = math.Log2(float64(max(est.GemmN, 1)))
+	f[15] = math.Log1p(float64(est.DMAOps))
 	for i, v := range f {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			f[i] = 0
 		}
 	}
 	return f
-}
-
-func log2RoleFactors(seed *dsl.Seed, st dsl.Strategy, role dsl.Role) float64 {
-	prod := 1.0
-	for _, name := range seed.RoleAxes(role) {
-		if fct, ok := st.Factors[name]; ok && fct > 0 {
-			prod *= float64(fct)
-		}
-	}
-	return math.Log2(prod)
-}
-
-// progWalk is the featurizer's leaf of the ir walker: along the iteration-0
-// path (loops entered once, at iteration 0 — exact for swATOP's nests, whose
-// allocations and GEMM tile shapes are loop-invariant; only boundary tiles
-// shrink) it tallies the SPM bytes allocated, the tile/register blocking
-// shape of the first GEMM primitive call and the DMA operations.
-type progWalk struct {
-	ir.FirstPass
-	// spmBytes ignores frees on purpose, so nested buffer reuse still
-	// counts toward the feature.
-	spmBytes     int64
-	gemmM, gemmN int64
-	dmaOps       int64
-}
-
-func (w *progWalk) Alloc(_ int, elems int64) error {
-	w.spmBytes += elems * 4
-	return nil
-}
-
-func (w *progWalk) Move(*ir.RegionMove, *ir.Op) error {
-	w.dmaOps++
-	return nil
-}
-
-func (w *progWalk) Gemm(_ *ir.Gemm, op *ir.Op) error {
-	if w.gemmM == 0 {
-		w.gemmM, w.gemmN = op.Arg(0), op.Arg(1)
-	}
-	return nil
 }

@@ -10,15 +10,20 @@ import (
 )
 
 // FuzzFeatureVector drives Features with arbitrary schedule-space indices
-// and adversarial estimate values: the vector must always come back with
-// exactly FeatureLen finite entries — NaN or Inf leaking into the online
-// model would silently poison every later prediction.
+// and adversarial values in place of the estimate's four Eq. (1)/(2) sums
+// (its iteration-0 path is the scorer's): the vector must always come back
+// with exactly FeatureLen finite entries — NaN or Inf leaking into the
+// online model would silently poison every later prediction.
 func FuzzFeatureVector(f *testing.F) {
 	op, err := gemm.NewOp(gemm.Params{M: 256, N: 256, K: 256})
 	if err != nil {
 		f.Fatal(err)
 	}
 	dims, err := schedule.Describe(op.Seed(), op.Space())
+	if err != nil {
+		f.Fatal(err)
+	}
+	model, err := costmodel.FitGemmModel()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -32,7 +37,11 @@ func FuzzFeatureVector(f *testing.F) {
 		if cerr != nil {
 			return // infeasible point: nothing to featurize
 		}
-		est := costmodel.Estimate{DMA: dma, Compute: compute, DMABytes: bytes, DMATransactions: txns}
+		est, err := costmodel.EstimateProgram(model, prog)
+		if err != nil {
+			return
+		}
+		est.DMA, est.Compute, est.DMABytes, est.DMATransactions = dma, compute, bytes, txns
 		vec := Features(op.Seed(), st, prog, est)
 		if len(vec) != FeatureLen {
 			t.Fatalf("len = %d, want %d", len(vec), FeatureLen)

@@ -88,3 +88,31 @@ func TestFeaturesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFeaturesAllocBudget: a steady-state Features call allocates its vector
+// and nothing else, at every golden point — whatever the operator's axis
+// roles, and without walking the program again.
+func TestFeaturesAllocBudget(t *testing.T) {
+	model, err := costmodel.FitGemmModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := goldenpoints.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range points {
+		prog, err := pt.Op.Compile(pt.Strategy)
+		if err != nil {
+			continue
+		}
+		est, err := costmodel.EstimateProgram(model, prog)
+		if err != nil {
+			continue
+		}
+		seed := pt.Op.Seed()
+		if a := testing.AllocsPerRun(20, func() { Features(seed, pt.Strategy, prog, est) }); a != 1 {
+			t.Fatalf("%s[%d]: Features makes %v allocations, want 1 (its vector)", pt.Op.Name(), pt.Index, a)
+		}
+	}
+}
