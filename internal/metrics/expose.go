@@ -151,7 +151,7 @@ var defaultHelp = map[string]string{
 	"search_candidates_measured_total": "Proposed candidates actually measured on the simulated machine.",
 	"search_candidates_pruned_total":   "Proposed candidates pruned by the learned cost model without measurement.",
 	"search_rounds_total":              "Propose-predict-measure-learn rounds completed by searchers.",
-	"search_model_mae_seconds":         "Prequential mean absolute error of the online cost model, seconds.",
+	"search_model_mae_seconds":         "Prequential mean absolute error, seconds, of the searcher's prediction (analytic estimate x learned correction) after its warm-up.",
 	"search_budget_candidates":         "Measurement budget (candidate count) of the current search.",
 	"search_transfer_seeds_total":      "Population seeds donated by nearest-neighbor cached schedules.",
 	"cache_neighbor_lookups_total":     "Nearest-neighbor transfer lookups served by the schedule library.",

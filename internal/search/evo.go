@@ -4,64 +4,39 @@ import "sort"
 
 // Evolutionary is the genetic searcher: a population of schedule points
 // breeds offspring by digit-wise crossover and mutation over the
-// mixed-radix index space, the learned model (analytic estimate until the
-// model is warm) ranks the offspring, and only the top predictions — plus
-// an ε-greedy exploration share — are measured for real. Measured times
-// train the model, the fittest measured points form the next generation's
-// parents, and the loop converges when Patience rounds pass without
-// improvement or the budget runs out.
-type Evolutionary struct {
-	// Population is the parent-pool size. 0 defaults to 24.
-	Population int
-	// BatchSize is how many candidates each round measures. 0 defaults to
-	// 8 (one launch-overhead charge buys eight measurements).
-	BatchSize int
-	// OffspringPerRound is how many children are bred and predicted each
-	// round. 0 defaults to 4× BatchSize.
-	OffspringPerRound int
-	// Epsilon is the exploration fraction of each measured batch drawn
-	// uniformly instead of by predicted rank. 0 defaults to 0.15.
-	Epsilon float64
-	// MutationRate is the per-digit mutation probability applied to every
-	// child after crossover. 0 defaults to 0.25.
-	MutationRate float64
-	// Patience is how many consecutive rounds without a new best the
-	// searcher tolerates before declaring convergence. 0 defaults to 4.
-	Patience int
-}
+// mixed-radix index space, the model (each point's analytic estimate
+// corrected by what the measurements taught) ranks the offspring, and only
+// the top predictions — plus an ε-greedy exploration share — are measured
+// for real. Measured times train the model, the fittest measured points
+// form the next generation's parents, and the loop converges when patience
+// rounds pass without improvement or the budget runs out.
+type Evolutionary struct{}
+
+const (
+	population = 24 // the parent-pool size
+	// batchSize is how many candidates each round measures: one
+	// launch-overhead charge buys eight measurements.
+	batchSize         = 8
+	offspringPerRound = 4 * batchSize // children bred and predicted per round
+	// epsilon is the exploration share of each measured batch, drawn
+	// uniformly instead of by predicted rank.
+	epsilon = 0.15
+	// mutationRate is the per-digit mutation probability applied to every
+	// child after crossover.
+	mutationRate = 0.25
+	// patience is how many consecutive rounds without a new best the
+	// searcher tolerates before declaring convergence.
+	patience = 4
+)
 
 // Name implements Searcher.
 func (e *Evolutionary) Name() string { return "evo" }
-
-func (e *Evolutionary) defaults() Evolutionary {
-	d := *e
-	if d.Population <= 0 {
-		d.Population = 24
-	}
-	if d.BatchSize <= 0 {
-		d.BatchSize = 8
-	}
-	if d.OffspringPerRound <= 0 {
-		d.OffspringPerRound = 4 * d.BatchSize
-	}
-	if d.Epsilon <= 0 {
-		d.Epsilon = 0.15
-	}
-	if d.MutationRate <= 0 {
-		d.MutationRate = 0.25
-	}
-	if d.Patience <= 0 {
-		d.Patience = 4
-	}
-	return d
-}
 
 // Search implements Searcher.
 func (e *Evolutionary) Search(p *Problem) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	cfg := e.defaults()
 	r := newRNG(p.Seed)
 	t := newTracker(p)
 	radices := p.Radices
@@ -86,7 +61,7 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 			add(idx)
 		}
 	}
-	for tries := 0; len(pool) < cfg.Population && tries < 20*cfg.Population; tries++ {
+	for tries := 0; len(pool) < population && tries < 20*population; tries++ {
 		add(r.intn(p.Size))
 	}
 	if len(pool) == 0 {
@@ -96,24 +71,24 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 	// First batch: measure the best-estimated points of generation zero so
 	// the model has training data before any breeding happens.
 	rankCandidates(pool)
-	first := make([]int, 0, cfg.BatchSize)
-	for i := 0; i < len(pool) && i < cfg.BatchSize; i++ {
+	first := make([]int, 0, batchSize)
+	for i := 0; i < len(pool) && i < batchSize; i++ {
 		first = append(first, pool[i].pt.Index)
 	}
 	t.measure(first)
 	t.report(false)
 
 	stall := 0
-	for t.remaining() > 0 && stall < cfg.Patience {
-		parents := t.parents(cfg.Population)
+	for t.remaining() > 0 && stall < patience {
+		parents := t.parents(population)
 		if len(parents) == 0 {
 			parents = pool
 		}
 		// Breed. Parent choice is rank-biased (min of two uniform draws),
 		// crossover is uniform per digit, then per-digit mutation.
-		offspring := make([]candidate, 0, cfg.OffspringPerRound)
+		offspring := make([]candidate, 0, offspringPerRound)
 		offSeen := map[int]bool{}
-		for b := 0; b < 4*cfg.OffspringPerRound && len(offspring) < cfg.OffspringPerRound; b++ {
+		for b := 0; b < 4*offspringPerRound && len(offspring) < offspringPerRound; b++ {
 			pa := parents[min(r.intn(len(parents)), r.intn(len(parents)))]
 			pb := parents[min(r.intn(len(parents)), r.intn(len(parents)))]
 			da := digitsOf(pa.pt.Index, radices)
@@ -125,7 +100,7 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 				} else {
 					child[i] = db[i]
 				}
-				if r.float64() < cfg.MutationRate {
+				if r.float64() < mutationRate {
 					child[i] = r.intn(radices[i])
 				}
 			}
@@ -140,7 +115,7 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 		}
 		if len(offspring) == 0 {
 			// The population has inbred to a corner; reseed randomly.
-			for tries := 0; len(offspring) < cfg.BatchSize && tries < 10*cfg.BatchSize; tries++ {
+			for tries := 0; len(offspring) < batchSize && tries < 10*batchSize; tries++ {
 				idx := r.intn(p.Size)
 				if offSeen[idx] || t.alreadyMeasured(idx) {
 					continue
@@ -155,13 +130,13 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 			}
 		}
 		rankCandidates(offspring)
-		batch := selectBatch(offspring, cfg.BatchSize, cfg.Epsilon, r)
+		batch := selectBatch(offspring, batchSize, epsilon, r)
 		if t.measure(batch) {
 			stall = 0
 		} else {
 			stall++
 		}
-		converged := stall >= cfg.Patience
+		converged := stall >= patience
 		t.report(converged)
 		// Refresh pool predictions with the newly fitted model and fold in
 		// the offspring, so next round's parents reflect what was learned.
@@ -170,7 +145,7 @@ func (e *Evolutionary) Search(p *Problem) (Result, error) {
 			pool[i].pred = t.predict(pool[i].pt)
 		}
 	}
-	return t.result(stall >= cfg.Patience)
+	return t.result(stall >= patience)
 }
 
 // parents returns the measured elite, fastest first — the breeding pool.

@@ -2,16 +2,17 @@ package search
 
 import "math"
 
-// Model is an online ridge regressor over feature vectors: it accumulates
-// the normal equations XᵀX and Xᵀy incrementally and re-solves them on
-// demand, with online feature standardization (Welford mean/variance) so
-// magnitude-spanning features do not drown the small ones. It is
-// dependency-free and deterministic: the same Fit sequence always yields
-// the same predictions.
+// Model is the searcher's one predictor: a candidate's analytic estimate
+// (the prior) times a learned correction. The correction is an online ridge
+// regressor over feature vectors: it accumulates the normal equations XᵀX
+// and Xᵀy incrementally and re-solves them on demand, with online feature
+// standardization (Welford mean/variance) so magnitude-spanning features do
+// not drown the small ones. It is dependency-free and deterministic: the
+// same Fit sequence always yields the same predictions.
 //
-// Targets are log seconds — schedule run times span orders of magnitude and
-// the ranking (which candidate is faster) matters more than the absolute
-// error. Predict returns seconds.
+// Targets are log residuals, log(measured / prior) — schedule run times span
+// orders of magnitude and the ranking (which candidate is faster) matters
+// more than the absolute error. Predict returns seconds.
 type Model struct {
 	dim    int
 	lambda float64
@@ -50,20 +51,23 @@ func NewModel(dim int, lambda float64) *Model {
 // Count reports how many samples have been fitted.
 func (m *Model) Count() int { return int(m.n) }
 
-// Ready reports whether the model has seen enough samples to produce
-// predictions better than a constant (a modest multiple of the dimension).
-func (m *Model) Ready() bool { return m.n >= int64(m.dim/2+3) }
+// ready reports whether the ridge has seen enough samples to fit more than
+// its bias (a modest multiple of the dimension). Before, the correction is
+// one constant factor, so the prior's ranking stands.
+func (m *Model) ready() bool { return m.n >= int64(m.dim/2+3) }
 
-// Fit absorbs one (features, measured seconds) pair. Non-finite or
-// non-positive targets are ignored — a failed measurement teaches nothing.
-// The sample is first predicted (once the model is Ready) to update the
-// prequential MAE, then folded into the normal equations.
-func (m *Model) Fit(features []float64, seconds float64) {
-	if len(features) != m.dim || math.IsNaN(seconds) || math.IsInf(seconds, 0) || seconds <= 0 {
+// Fit absorbs one (features, prior, measured seconds) sample. A sample whose
+// residual is not finite — a failed measurement, a non-positive prior —
+// teaches nothing and is ignored. Once the ridge is past its warm-up the
+// sample is first predicted, to update the prequential MAE, then folded into
+// the normal equations.
+func (m *Model) Fit(features []float64, prior, seconds float64) {
+	y := math.Log(seconds / prior)
+	if len(features) != m.dim || !(prior > 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 		return
 	}
-	if m.Ready() {
-		m.absErrSum += math.Abs(m.Predict(features) - seconds)
+	if m.ready() {
+		m.absErrSum += math.Abs(m.Predict(features, prior) - seconds)
 		m.errCount++
 	}
 	m.coef = nil
@@ -78,7 +82,6 @@ func (m *Model) Fit(features []float64, seconds float64) {
 	}
 	z := m.standardize(features)
 	d := m.dim + 1
-	y := math.Log(seconds)
 	for r := 0; r < d; r++ {
 		for c := 0; c < d; c++ {
 			m.xtx[r*d+c] += z[r] * z[c]
@@ -87,36 +90,33 @@ func (m *Model) Fit(features []float64, seconds float64) {
 	}
 }
 
-// Predict estimates the run time in seconds of a feature vector. Before the
-// model is Ready it returns the geometric mean of the targets seen so far
-// (or 0 with no data) — callers fall back to the analytic estimate anyway.
-func (m *Model) Predict(features []float64) float64 {
+// Predict estimates the run time in seconds of a candidate: prior ×
+// exp(residual). With no samples (or a vector of the wrong length) the
+// residual is 0 and the prediction is the prior exactly; during the warm-up
+// it is the ridge's bias alone, the mean log residual.
+func (m *Model) Predict(features []float64, prior float64) float64 {
 	if len(features) != m.dim || m.n == 0 {
-		return 0
+		return prior
 	}
-	if !m.Ready() {
-		return math.Exp(m.xty[m.dim] / float64(m.n)) // bias column ⇒ Σ log y
+	if !m.ready() {
+		return prior * math.Exp(m.xty[m.dim]/float64(m.n)) // bias column ⇒ Σ y
 	}
 	if m.coef == nil {
 		m.coef = m.solve()
 	}
 	z := m.standardize(features)
-	var logY float64
+	var residual float64
 	for i, c := range m.coef {
-		logY += c * z[i]
+		residual += c * z[i]
 	}
 	// Clamp the exponent so one wild extrapolation cannot produce ±Inf.
-	if logY > 50 {
-		logY = 50
-	} else if logY < -50 {
-		logY = -50
-	}
-	return math.Exp(logY)
+	residual = min(max(residual, -50), 50)
+	return prior * math.Exp(residual)
 }
 
-// MAE returns the prequential mean absolute error in seconds — each
-// training sample scored before the model saw it. 0 until the model has
-// scored at least one sample.
+// MAE returns the prequential mean absolute error in seconds of the
+// combined prediction — each sample fitted after the warm-up, scored before
+// the model saw it. 0 until the model has scored at least one sample.
 func (m *Model) MAE() float64 {
 	if m.errCount == 0 {
 		return 0

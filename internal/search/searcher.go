@@ -15,8 +15,8 @@ var errNoFeasible = errors.New("search: no feasible candidate found in space")
 type Point struct {
 	Index    int
 	Features []float64
-	// Estimate is the analytic cost-model prediction in seconds — the
-	// searcher's ranking signal until the learned model is warm.
+	// Estimate is the analytic cost-model prediction in seconds — the prior
+	// the learned model corrects.
 	Estimate float64
 }
 
@@ -67,7 +67,7 @@ type RoundInfo struct {
 	MeasuredN   int     // candidates measured so far
 	BestIndex   int     // best index so far (-1 before first measurement)
 	BestSeconds float64 // best measured seconds so far
-	ModelMAE    float64 // prequential MAE of the learned model, seconds
+	ModelMAE    float64 // prequential MAE of the model's prediction, seconds
 	Converged   bool    // set on the final report when patience ran out
 }
 
@@ -88,8 +88,6 @@ type Result struct {
 	Proposed  int
 	Rounds    int
 	Converged bool
-	// ModelMAE is the final prequential MAE of the learned model.
-	ModelMAE float64
 }
 
 // Searcher explores a Problem under its budget.
@@ -146,7 +144,8 @@ func (p *Problem) validate() error {
 // of the space) into an absolute candidate count, clamped to [min(12,size),
 // size]. The fraction truncates — a 0.10 budget never exceeds 10% of the
 // space — and the floor of 12 keeps tiny spaces measuring enough points for
-// the online model to become Ready (it needs FeatureLen/2+3 = 11 samples).
+// the online model's ridge to pass its warm-up (FeatureLen/2+3 = 11
+// samples) and correct more than the prior's scale.
 func BudgetFor(frac float64, size int) int {
 	if size <= 0 {
 		return 0
@@ -209,13 +208,9 @@ func (t *tracker) eval(idx int) (Point, bool) {
 	return pt, true
 }
 
-// predict scores a point with the learned model once warm, the analytic
-// estimate before that.
+// predict scores a point: its analytic estimate, corrected by the model.
 func (t *tracker) predict(pt Point) float64 {
-	if t.model.Ready() {
-		return t.model.Predict(pt.Features)
-	}
-	return pt.Estimate
+	return t.model.Predict(pt.Features, pt.Estimate)
 }
 
 // remaining returns the unexhausted measurement budget.
@@ -247,7 +242,7 @@ func (t *tracker) measure(indices []int) bool {
 		t.measured[m.Index] = m.Seconds
 		t.ledger = append(t.ledger, m)
 		if pt, ok := t.points[m.Index]; ok {
-			t.model.Fit(pt.Features, m.Seconds)
+			t.model.Fit(pt.Features, pt.Estimate, m.Seconds)
 		}
 		if t.best.Index < 0 || m.Seconds < t.best.Seconds ||
 			(m.Seconds == t.best.Seconds && m.Index < t.best.Index) {
@@ -289,7 +284,6 @@ func (t *tracker) result(converged bool) (Result, error) {
 		Proposed:    t.proposed,
 		Rounds:      t.rounds,
 		Converged:   converged,
-		ModelMAE:    t.model.MAE(),
 	}, nil
 }
 
