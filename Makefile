@@ -42,7 +42,8 @@ race:
 # for any candidate — none may ever crash. The flattening visitor must
 # agree with its reference (descriptors, order, exact pre-sizing) on any
 # rank ≤ 5 tensor, layout and in-bounds region, and the bound evaluator with
-# Expr.Eval (value or panic) on any expression tree and environment.
+# the tree evaluator kept in ir's tests (value or panic) on any expression
+# tree and environment, wide constants, /0, %0 and unbound names included.
 fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzLibraryLoad -fuzztime 10s
 	$(GO) test ./internal/obsrv -run '^$$' -fuzz FuzzEventEncoder -fuzztime 10s
@@ -105,7 +106,8 @@ obs-check:
 # EstimateProgram's and a timed exec run's allocations (count and bytes) do
 # not grow with the DMA descriptor count, nor a run's with the transfers it
 # issues, and a steady-state EstimateProgram stays within the unbound
-# estimator's 26 allocations / 1 656 B; a bind on released arenas, and its
+# estimator's 26 allocations / 1 656 B; Features allocates its vector and
+# nothing else, at every golden point; a bind on released arenas, and its
 # walk, allocate nothing, and on fresh arenas a bind's bytes follow the
 # statement count and never the trip counts; issue+wait on a warmed reply word
 # allocates nothing; a second warm network run on one engine re-times no
@@ -115,6 +117,7 @@ alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
+	$(GO) test -run 'TestFeaturesAllocBudget' -count=1 ./internal/search
 	$(GO) test -run 'TestBindAllocBudget' -count=1 ./internal/ir
 	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
@@ -134,7 +137,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 22930
+LOC_MAX ?= 22874
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

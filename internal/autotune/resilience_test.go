@@ -46,10 +46,10 @@ func TestPanicSitesBecomeCandidateErrors(t *testing.T) {
 		boom func()
 	}{
 		{"ir division by zero", func() {
-			ir.Div(ir.Const(1), ir.Const(0)).Eval(ir.Env{})
+			_ = ir.Div(ir.Const(1), ir.Const(0)) // constant folding divides
 		}},
 		{"ir modulo by zero", func() {
-			ir.Mod(ir.Const(1), ir.Const(0)).Eval(ir.Env{})
+			_ = ir.Mod(ir.Const(1), ir.Const(0))
 		}},
 		{"tensor index out of range", func() {
 			_ = tensor.New("t", 2, 2).At(5, 0)

@@ -18,7 +18,9 @@ import (
 // EmitC renders a complete C translation unit for a program.
 func EmitC(p *ir.Program) (string, error) {
 	g := &gen{}
-	g.collectBuffers(p)
+	if err := g.collectBuffers(p); err != nil {
+		return "", err
+	}
 
 	g.pf("// Generated by swATOP — operator %s\n", p.Name)
 	g.pf("// Target: SW26010 CPE cluster (athread slave kernel)\n\n")
@@ -89,7 +91,7 @@ func sanitize(name string) string {
 // the program receives a fixed offset in one coalesced region (buffers are
 // not live simultaneously beyond their alloc/free span, but the static
 // region uses the peak concurrent footprint — matching the allocator).
-func (g *gen) collectBuffers(p *ir.Program) {
+func (g *gen) collectBuffers(p *ir.Program) (err error) {
 	g.bufOffset = map[string]int{}
 	g.declared = map[string]bool{}
 	cur := 0
@@ -98,10 +100,13 @@ func (g *gen) collectBuffers(p *ir.Program) {
 		switch x := s.(type) {
 		case *ir.AllocSPM:
 			if _, ok := g.bufOffset[x.Buf]; !ok {
-				elems := int(x.Elems.Eval(nil))
+				elems, ok := ir.IsConst(x.Elems)
+				if !ok {
+					err = fmt.Errorf("codegen: non-constant size %s for SPM buffer %q", x.Elems, x.Buf)
+				}
 				g.bufOffset[x.Buf] = cur
 				g.bufOrder = append(g.bufOrder, x.Buf)
-				cur += elems
+				cur += int(elems)
 			}
 		case *ir.DMAOp:
 			if !seenReply[x.Reply] {
@@ -112,6 +117,7 @@ func (g *gen) collectBuffers(p *ir.Program) {
 		return true
 	})
 	g.spmTotal = cur
+	return err
 }
 
 func (g *gen) stmts(body []ir.Stmt) error {

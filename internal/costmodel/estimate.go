@@ -26,18 +26,12 @@ type Estimate struct {
 	Path
 }
 
-// Path tallies the iteration-0 path: the statements the scorer reaches while
-// every enclosing loop is on its first pass (and an If's taken arm). They are
-// counts along one path, outside the Eq. (1)/(2) sums, and no trip count
-// scales them.
-type Path struct {
-	// SPMBytes is the SPM bytes allocated; frees are ignored, so nested
-	// buffer reuse still counts.
-	SPMBytes int64
-	// GemmM and GemmN are the first GEMM call's M and N.
-	GemmM, GemmN int64
-	DMAOps       int64
-}
+// Path tallies the iteration-0 path, what the scorer reaches while every
+// enclosing loop is on its first pass: counts along one path, outside the
+// Eq. (1)/(2) sums and never scaled by a trip count. SPMBytes ignores frees,
+// so nested buffer reuse still counts; GemmM and GemmN are the first GEMM
+// call's.
+type Path struct{ SPMBytes, GemmM, GemmN, DMAOps int64 }
 
 // Total returns max(DMA, Compute).
 func (e Estimate) Total() float64 {

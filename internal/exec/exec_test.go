@@ -535,8 +535,10 @@ func TestTimedDMAAllocBudget(t *testing.T) {
 			}
 			var r tensor.Region
 			for d := range op.Move.Start {
-				r.Start = append(r.Start, int(op.Move.Start[d].Eval(nil)))
-				r.Extent = append(r.Extent, int(op.Move.Extent[d].Eval(nil)))
+				start, _ := ir.IsConst(op.Move.Start[d])
+				extent, _ := ir.IsConst(op.Move.Extent[d])
+				r.Start = append(r.Start, int(start))
+				r.Extent = append(r.Extent, int(extent))
 			}
 			ds, err := r.FlattenMulti(binds[op.Move.Tensor])
 			if err != nil {

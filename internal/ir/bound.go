@@ -7,8 +7,8 @@ import (
 
 // The bound form of an expression: a Scope numbers a program's variables
 // once and an expression becomes a Code over those numbers, so evaluating
-// it hashes no name. Expr.Eval(Env) stays the reference; Frame.Eval gives
-// the same values and raises the same panics.
+// it hashes no name. It is the one evaluator of an expression with
+// variables; FuzzBoundEval holds it to the tree semantics kept in the tests.
 
 // Scope numbers the variables of one program densely and owns the arena its
 // bound expressions live in. Programs name about a dozen variables, so the
@@ -98,8 +98,8 @@ func (s *Scope) emit(e Expr) int {
 	panic(fmt.Sprintf("ir: Bind on unknown expr %T", e))
 }
 
-// Frame holds one run's variable values: what Env is to Eval. A frame is
-// private to its run; the scope it reads is not written after binding.
+// Frame holds one run's variable values. A frame is private to its run; the
+// scope it reads is not written after binding.
 type Frame struct {
 	scope *Scope
 	vars  []Var
@@ -128,8 +128,9 @@ func (f *Frame) load(slot int32) int64 {
 	return v.Val
 }
 
-// Eval computes a bound expression: Expr.Eval's value, or its panic. The
-// inline constant, the commonest Code, is read without a call.
+// Eval computes a bound expression. It panics on an unbound variable, a
+// division or modulo by zero and a nil expression — compiler bugs, not user
+// errors. The inline constant, the commonest Code, is read without a call.
 func (f *Frame) Eval(c Code) int64 {
 	if c.n == codeConst {
 		return int64(c.a)

@@ -7,11 +7,35 @@ import (
 	"testing"
 )
 
+// env maps variable names to values for the reference evaluator.
+type env map[string]int64
+
+// eval is the reference semantics of an expression: the tree evaluator the
+// bound form replaced, kept as the oracle of TestBoundEvalMatchesEval and
+// FuzzBoundEval. It panics on an unbound variable, as Frame.Eval does, and
+// shares binOp.apply's arithmetic (TestExprEval and
+// TestDivModConsistencyQuick pin that).
+func eval(e Expr, vars env) int64 {
+	switch x := e.(type) {
+	case ConstExpr:
+		return int64(x)
+	case VarExpr:
+		v, ok := vars[string(x)]
+		if !ok {
+			panic(fmt.Sprintf("ir: unbound variable %q", string(x)))
+		}
+		return v
+	case *BinExpr:
+		return x.Op.apply(eval(x.L, vars), eval(x.R, vars))
+	}
+	panic(fmt.Sprintf("ir: eval on unknown expr %T", e))
+}
+
 // boundCase decodes a byte string into an expression tree and an
 // environment. Trees are built as raw BinExprs (no folding, so x/0 survives
 // construction), over five names of which the environment binds a subset,
 // with constants on both sides of the int32 range an inline Code holds.
-func boundCase(raw []byte) (Expr, Env) {
+func boundCase(raw []byte) (Expr, env) {
 	next := func() byte {
 		if len(raw) == 0 {
 			return 0
@@ -22,10 +46,10 @@ func boundCase(raw []byte) (Expr, Env) {
 	}
 	names := []string{"i", "j", "k", "next_i", "n"}
 	mask := next()
-	env := Env{}
+	vars := env{}
 	for i, n := range names {
 		if mask&(1<<i) != 0 {
-			env[n] = int64(int8(next()))
+			vars[n] = int64(int8(next()))
 		}
 	}
 	var build func(depth int) Expr
@@ -41,7 +65,7 @@ func boundCase(raw []byte) (Expr, Env) {
 		}
 		return &BinExpr{binOp(next() % 6), build(depth + 1), build(depth + 1)}
 	}
-	return build(0), env
+	return build(0), vars
 }
 
 // outcome runs an evaluation and returns its value, or its panic as text.
@@ -54,38 +78,38 @@ func outcome(eval func() int64) (res string) {
 	return fmt.Sprint(eval())
 }
 
-// checkBound asserts the bound evaluator agrees with Eval on one case, value
-// or panic. It returns the outcome.
-func checkBound(t *testing.T, e Expr, env Env) string {
+// checkBound asserts the bound evaluator agrees with the reference on one
+// case, value or panic. It returns the outcome.
+func checkBound(t *testing.T, e Expr, vars env) string {
 	t.Helper()
 	var s Scope
 	c := s.Bind(e)
-	for name := range env {
+	for name := range vars {
 		s.Slot(name)
 	}
 	var f Frame
 	f.reset(&s)
-	for name, v := range env {
+	for name, v := range vars {
 		f.vars[s.Slot(name)] = Var{v, true}
 	}
-	want := outcome(func() int64 { return e.Eval(env) })
+	want := outcome(func() int64 { return eval(e, vars) })
 	if got := outcome(func() int64 { return f.Eval(c) }); got != want {
-		t.Fatalf("%s under %v: bound form gives %s, Eval %s", e, env, got, want)
+		t.Fatalf("%s under %v: bound form gives %s, the reference %s", e, vars, got, want)
 	}
 	return want
 }
 
 // TestBoundEvalMatchesEval: random trees and environments evaluate to equal
-// values and equal panics in both forms, reaching every panic and constants
-// that do not fit an inline code.
+// values and equal panics in the bound form and the reference, reaching
+// every panic and constants that do not fit an inline code.
 func TestBoundEvalMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(20190805))
 	seen := map[string]int{}
 	for i := 0; i < 20000; i++ {
 		raw := make([]byte, rng.Intn(96))
 		rng.Read(raw)
-		e, env := boundCase(raw)
-		res := checkBound(t, e, env)
+		e, vars := boundCase(raw)
+		res := checkBound(t, e, vars)
 		switch {
 		case strings.Contains(res, "unbound variable"):
 			seen["unbound"]++
@@ -115,7 +139,7 @@ func TestBoundEvalMatchesEval(t *testing.T) {
 	// bind (an unused statement field), a panic to evaluate in either form.
 	for _, v := range []int64{0, -1, 1<<31 - 1, -1 << 31, 1 << 31, -1<<31 - 1, 1<<63 - 1, -1 << 63} {
 		checkBound(t, ConstExpr(v), nil)
-		checkBound(t, &BinExpr{opAdd, ConstExpr(v), VarExpr("i")}, Env{"i": 0})
+		checkBound(t, &BinExpr{opAdd, ConstExpr(v), VarExpr("i")}, env{"i": 0})
 	}
 	var s Scope
 	var f Frame
@@ -125,14 +149,18 @@ func TestBoundEvalMatchesEval(t *testing.T) {
 	}
 }
 
+// FuzzBoundEval binds random expression trees — wide constants, /0, %0 and
+// unbound variables included — and evaluates them with Frame.Eval: the same
+// value as the reference, or a panic on both sides. Its corpus is the four
+// seeds below and testdata/fuzz/FuzzBoundEval.
 func FuzzBoundEval(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 7, 3, 4, 3, 2, 0, 0, 0})                   // (i / 0)
 	f.Add([]byte{0x01, 5, 4, 4, 2, 4, 0, 5, 3, 0x7f, 0xff, 0xff}) // i % (5 ...) with a wide constant
 	f.Add([]byte{0x00, 4, 0, 2, 1, 0, 9})                         // unbound j
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		e, env := boundCase(raw)
-		checkBound(t, e, env)
+		e, vars := boundCase(raw)
+		checkBound(t, e, vars)
 	})
 }
 

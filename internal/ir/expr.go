@@ -10,21 +10,18 @@ import (
 	"fmt"
 )
 
-// Env maps loop iterators and scalar locals to values during evaluation.
-type Env map[string]int64
-
 // Expr is an integer expression over loop variables. All loop bounds, DMA
 // attributes and buffer offsets in the IR are Exprs; the paper's observation
 // that data access of DL operators is a function of the enclosing loop
-// variables (§4.5.2) is what makes prefetch inference work.
+// variables (§4.5.2) is what makes prefetch inference work. An expression is
+// evaluated bound (Scope.Bind, Frame.Eval) or, when it is closed, folded
+// (IsConst).
 type Expr interface {
-	// Eval computes the expression under an environment. It panics on an
-	// unbound variable — that is a compiler bug, not a user error.
-	Eval(env Env) int64
 	// String renders the expression as C-like source.
 	String() string
-	// free accumulates free variables.
-	free(set map[string]bool)
+	// fold returns the value of a closed expression; ok is false when a
+	// variable occurs.
+	fold() (v int64, ok bool)
 }
 
 // ConstExpr is an integer literal.
@@ -33,10 +30,8 @@ type ConstExpr int64
 // Const builds a literal expression.
 func Const(v int64) Expr { return ConstExpr(v) }
 
-// Eval implements Expr.
-func (c ConstExpr) Eval(Env) int64       { return int64(c) }
-func (c ConstExpr) String() string       { return fmt.Sprintf("%d", int64(c)) }
-func (c ConstExpr) free(map[string]bool) {}
+func (c ConstExpr) String() string      { return fmt.Sprintf("%d", int64(c)) }
+func (c ConstExpr) fold() (int64, bool) { return int64(c), true }
 
 // VarExpr references a loop iterator or scalar local.
 type VarExpr string
@@ -44,16 +39,8 @@ type VarExpr string
 // V builds a variable reference.
 func V(name string) Expr { return VarExpr(name) }
 
-// Eval implements Expr.
-func (v VarExpr) Eval(env Env) int64 {
-	val, ok := env[string(v)]
-	if !ok {
-		panic(fmt.Sprintf("ir: unbound variable %q", string(v)))
-	}
-	return val
-}
-func (v VarExpr) String() string           { return string(v) }
-func (v VarExpr) free(set map[string]bool) { set[string(v)] = true }
+func (v VarExpr) String() string    { return string(v) }
+func (VarExpr) fold() (int64, bool) { return 0, false }
 
 type binOp int32
 
@@ -76,13 +63,8 @@ type BinExpr struct {
 	L, R Expr
 }
 
-// Eval implements Expr.
-func (b *BinExpr) Eval(env Env) int64 {
-	return b.Op.apply(b.L.Eval(env), b.R.Eval(env))
-}
-
-// apply is the one implementation of the arithmetic, shared by Eval and the
-// bound evaluator (Frame.Eval).
+// apply is the one implementation of the arithmetic, shared by constant
+// folding and the bound evaluator (Frame.Eval).
 func (op binOp) apply(l, r int64) int64 {
 	switch op {
 	case opAdd:
@@ -129,9 +111,16 @@ func (b *BinExpr) String() string {
 	}
 }
 
-func (b *BinExpr) free(set map[string]bool) {
-	b.L.free(set)
-	b.R.free(set)
+func (b *BinExpr) fold() (int64, bool) {
+	l, ok := b.L.fold()
+	if !ok {
+		return 0, false
+	}
+	r, ok := b.R.fold()
+	if !ok {
+		return 0, false
+	}
+	return b.Op.apply(l, r), true
 }
 
 func newBin(op binOp, l, r Expr) Expr {
@@ -139,7 +128,7 @@ func newBin(op binOp, l, r Expr) Expr {
 	lc, lok := l.(ConstExpr)
 	rc, rok := r.(ConstExpr)
 	if lok && rok {
-		return Const((&BinExpr{op, l, r}).Eval(nil))
+		return Const(op.apply(int64(lc), int64(rc)))
 	}
 	switch op {
 	case opAdd:
@@ -189,19 +178,10 @@ func Mod(l, r Expr) Expr { return newBin(opMod, l, r) }
 // Min returns min(l, r) — the boundary-extent idiom min(factor, N - i*factor).
 func Min(l, r Expr) Expr { return newBin(opMin, l, r) }
 
-// IsConst reports whether e evaluates without an environment, returning the
-// value when it does.
-func IsConst(e Expr) (int64, bool) {
-	if c, ok := e.(ConstExpr); ok {
-		return int64(c), true
-	}
-	set := make(map[string]bool)
-	e.free(set)
-	if len(set) == 0 {
-		return e.Eval(nil), true
-	}
-	return 0, false
-}
+// IsConst folds a closed expression in one pass: its value, and whether no
+// variable occurs. A closed subtree that divides by zero panics, as
+// evaluating it would; the constructors fold such a tree when it is built.
+func IsConst(e Expr) (int64, bool) { return e.fold() }
 
 // Subst replaces variable references by expressions, returning a new tree.
 func Subst(e Expr, repl map[string]Expr) Expr {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestExprEval(t *testing.T) {
-	env := Env{"i": 7, "j": 3}
+	vars := env{"i": 7, "j": 3}
 	cases := []struct {
 		e    Expr
 		want int64
@@ -24,7 +24,7 @@ func TestExprEval(t *testing.T) {
 		{Min(V("i"), V("j")), 3},
 	}
 	for i, c := range cases {
-		if got := c.e.Eval(env); got != c.want {
+		if got := eval(c.e, vars); got != c.want {
 			t.Errorf("case %d (%s): got %d, want %d", i, c.e, got, c.want)
 		}
 	}
@@ -54,18 +54,29 @@ func TestExprUnboundPanics(t *testing.T) {
 			t.Fatal("unbound variable should panic")
 		}
 	}()
-	V("ghost").Eval(Env{})
+	var s Scope
+	c := s.Bind(V("ghost"))
+	var f Frame
+	f.reset(&s)
+	f.Eval(c)
 }
 
+// TestDivModByZeroPanics: folding a constant division or modulo by zero
+// panics, in the constructors and in IsConst.
 func TestDivModByZeroPanics(t *testing.T) {
-	for _, e := range []Expr{&BinExpr{opDiv, Const(1), Const(0)}, &BinExpr{opMod, Const(1), Const(0)}} {
+	for _, fold := range []func(){
+		func() { Div(Const(1), Const(0)) },
+		func() { Mod(Const(1), Const(0)) },
+		func() { IsConst(&BinExpr{opDiv, Const(1), Const(0)}) },
+		func() { IsConst(&BinExpr{opMod, Const(1), Const(0)}) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Error("div/mod by zero should panic")
 				}
 			}()
-			e.Eval(nil)
+			fold()
 		}()
 	}
 }
@@ -78,23 +89,34 @@ func TestFreeVarsAndIsConst(t *testing.T) {
 	if v, ok := IsConst(Min(Const(3), Const(9))); !ok || v != 3 {
 		t.Fatalf("IsConst(min(3,9)) = %d, %v", v, ok)
 	}
+	// A closed tree built without the constructors' folding folds in one
+	// pass; an open one is not constant wherever its variable sits.
+	closed := &BinExpr{opSub, &BinExpr{opMul, Const(6), Const(7)}, &BinExpr{opMod, Const(-7), Const(3)}}
+	if v, ok := IsConst(closed); !ok || v != 40 {
+		t.Fatalf("IsConst(%s) = %d, %v, want 40", closed, v, ok)
+	}
+	for _, open := range []Expr{&BinExpr{opAdd, V("i"), Const(1)}, &BinExpr{opAdd, Const(1), V("i")}} {
+		if _, ok := IsConst(open); ok {
+			t.Fatalf("IsConst(%s) reports a constant", open)
+		}
+	}
 }
 
 func TestSubst(t *testing.T) {
 	e := Add(Mul(V("i"), Const(16)), V("j"))
 	s := Subst(e, map[string]Expr{"i": Add(V("i"), Const(1))})
-	env := Env{"i": 2, "j": 5}
-	if got := s.Eval(env); got != 3*16+5 {
+	vars := env{"i": 2, "j": 5}
+	if got := eval(s, vars); got != 3*16+5 {
 		t.Fatalf("subst eval = %d", got)
 	}
 	// Original unchanged.
-	if got := e.Eval(env); got != 2*16+5 {
+	if got := eval(e, vars); got != 2*16+5 {
 		t.Fatalf("original mutated: %d", got)
 	}
 }
 
 func TestCondEval(t *testing.T) {
-	env := Env{"i": 4}
+	vars := env{"i": 4}
 	cases := []struct {
 		c    Cond
 		want bool
@@ -107,7 +129,7 @@ func TestCondEval(t *testing.T) {
 		{Cond{NE, V("i"), Const(4)}, false},
 	}
 	for i, c := range cases {
-		if got := c.c.Op.Holds(c.c.L.Eval(env), c.c.R.Eval(env)); got != c.want {
+		if got := c.c.Op.Holds(eval(c.c.L, vars), eval(c.c.R, vars)); got != c.want {
 			t.Errorf("case %d (%s): got %v", i, c.c, got)
 		}
 	}
@@ -119,8 +141,8 @@ func TestDivModConsistencyQuick(t *testing.T) {
 		r := int64(r0%100) + 1
 		le := Const(int64(l))
 		re := Const(r)
-		d := (&BinExpr{opDiv, le, re}).Eval(nil)
-		m := (&BinExpr{opMod, le, re}).Eval(nil)
+		d, _ := IsConst(&BinExpr{opDiv, le, re})
+		m, _ := IsConst(&BinExpr{opMod, le, re})
 		return int64(l) == r*d+m && m >= 0 && m < r
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -207,7 +229,7 @@ func TestCloneIsDeep(t *testing.T) {
 	// Mutate clone's nested loop extent.
 	inner := func(p *Program) *For { return p.Body[1].(*For).Body[0].(*For) }
 	inner(c).Extent = Const(99)
-	if inner(p).Extent.Eval(nil) != 2 {
+	if v, _ := IsConst(inner(p).Extent); v != 2 {
 		t.Fatal("clone shares loop structure")
 	}
 	c.Tensors[0].Dims[0] = 1
@@ -274,7 +296,7 @@ func TestCloneAllKinds(t *testing.T) {
 	}
 	// Mutating a cloned RegionMove's Start must not affect the original.
 	cl[3].(*RegionMove).Start[0] = Const(9)
-	if body[3].(*RegionMove).Start[0].Eval(nil) != 0 {
+	if v, _ := IsConst(body[3].(*RegionMove).Start[0]); v != 0 {
 		t.Fatal("RegionMove clone shares Start slice")
 	}
 }

@@ -572,11 +572,8 @@ func (p *Plan) gemmStmt() (ir.Stmt, error) {
 	// Round the vectorized dimension up to the vector width; the padded
 	// rows/columns multiply zeros from the guarded frame clear.
 	round := func(e ir.Expr) ir.Expr {
-		if _, ok := ir.IsConst(e); ok {
-			v := e.Eval(nil)
-			if v%sw26010.VectorWidth == 0 {
-				return e
-			}
+		if v, ok := ir.IsConst(e); ok && v%sw26010.VectorWidth == 0 {
+			return e
 		}
 		w := ir.Const(sw26010.VectorWidth)
 		return ir.Mul(ir.Div(ir.Add(e, ir.Const(sw26010.VectorWidth-1)), w), w)
