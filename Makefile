@@ -121,7 +121,7 @@ alloc-check:
 	$(GO) test -run 'TestBindAllocBudget' -count=1 ./internal/ir
 	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
-	$(GO) test -run 'TestWarmRunRetimesNothing' -count=1 ./internal/infer
+	$(GO) test -run 'TestWarmRunRetimesNothing|TestTimelineRecordedOnce' -count=1 ./internal/infer
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check bench-check loc-check
@@ -137,7 +137,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 22874
+LOC_MAX ?= 22836
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -36,8 +36,11 @@ type Options struct {
 	// iteration differs through its min() boundary extents), so the
 	// extrapolation is near-exact.
 	FastLoops bool
-	// Trace, when non-nil, records the execution timeline (GEMM calls,
-	// transforms, DMA engine intervals) for schedule diagnosis.
+	// Trace, when non-nil, receives the execution timeline (GEMM calls,
+	// transforms, DMA engine intervals, stalls) for schedule diagnosis:
+	// events are appended on the machine clock, without Args. The
+	// inference runtime passes its run's own timeline, so every event is
+	// written once and stamped afterwards (trace.Log.Tag).
 	Trace *trace.Log
 	// Faults, when non-nil, is consulted at the measurement and machine
 	// injection points (faults.Measure before the run starts,

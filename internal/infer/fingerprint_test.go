@@ -125,11 +125,6 @@ func fingerprint(t *testing.T, res *Result, reg *metrics.Registry, spans *reqtra
 		}
 	})
 	section("chrome", func(f fpHash) { f.chrome(t, res.Timeline) })
-	section("layer-chrome", func(f fpHash) {
-		for _, l := range res.Layers {
-			f.chrome(t, l.Trace)
-		}
-	})
 	section("output", func(f fpHash) {
 		if res.Output == nil {
 			return

@@ -156,7 +156,9 @@ type Options struct {
 	job *obsrv.Job
 }
 
-// Layer is one executed node of the network.
+// Layer is one executed node of the network. Its machine events live in
+// Result.Timeline only, each carrying the Args {op, layer, strategy} with
+// layer its index in Result.Layers.
 type Layer struct {
 	Name string
 	Kind graph.Kind
@@ -178,8 +180,6 @@ type Layer struct {
 	// Checked/MaxAbsErr report the functional-mode oracle comparison.
 	Checked   bool
 	MaxAbsErr float64
-	// Trace is the node's timeline rebased to start at zero.
-	Trace *trace.Log
 }
 
 // GFLOPS is the layer's simulated throughput (0 for the glue stubs).
@@ -249,8 +249,9 @@ type Result struct {
 	BaselineSeconds float64
 	Speedup         float64
 	FLOPs           int64
-	// Timeline is the merged network timeline (per-layer logs shifted to
-	// their start times).
+	// Timeline is the network timeline: each machine event recorded once,
+	// on the machine clock, and the events of one layer sharing one Args
+	// map ({op, layer, strategy}).
 	Timeline *trace.Log
 	Counters sw26010.Counters
 	Plan     Plan
@@ -511,8 +512,9 @@ func (e *Engine) runTask(ctx context.Context, t task, env execEnv) (*taskResult,
 }
 
 // execNodes executes nodes (a topo-order slice of sp's graph) on env's
-// machine, appending per-layer results and resolution counts into res and
-// merging node timelines (machine-clock times) into timeline.
+// machine, appending per-layer results and resolution counts into res. The
+// machine writes each node's events straight into timeline on its own
+// clock; execNodes then stamps them with one {op, layer, strategy} map.
 func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.Node,
 	ts map[string]*tensor.Tensor, res *Result, timeline *trace.Log, env execEnv) error {
 	g, m := sp.g, env.m
@@ -520,8 +522,7 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		start := m.Now()
-		nodeLog := &trace.Log{}
+		start, n0 := m.Now(), len(timeline.Events)
 		layer := Layer{Name: n.Name, Kind: n.Kind, Start: start}
 
 		switch n.Kind {
@@ -534,7 +535,7 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 			runRes, err := exec.Run(r.prog, binds, exec.Options{
 				Functional: env.functional,
 				FastLoops:  !env.functional,
-				Trace:      nodeLog,
+				Trace:      timeline,
 				Machine:    m,
 				Metrics:    env.reg,
 				Observer:   env.obs,
@@ -587,29 +588,20 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 				}
 			}
 		default:
-			secs, err := runStub(m, g, n, ts, env.functional, nodeLog)
+			secs, err := runStub(m, g, n, ts, env.functional, timeline)
 			if err != nil {
 				return fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
 			}
 			layer.Seconds = secs
 		}
 
-		// Stamp span metadata before merging: operator name, layer index
-		// and (for operators) the selected strategy travel into the
-		// Chrome-trace export.
-		nodeLog.Annotate("op", n.Name)
-		nodeLog.Annotate("layer", strconv.Itoa(len(res.Layers)))
+		// Operator name, layer index and (for operators) the selected
+		// strategy travel into the Chrome-trace export.
+		args := map[string]string{"op": n.Name, "layer": strconv.Itoa(len(res.Layers))}
 		if layer.Strategy != "" {
-			nodeLog.Annotate("strategy", layer.Strategy)
+			args["strategy"] = layer.Strategy
 		}
-
-		// The machine stamps events in its own clock already; merge them
-		// straight onto the caller's timeline and keep a per-layer view
-		// rebased to zero.
-		timeline.Merge(0, nodeLog)
-		layerLog := &trace.Log{}
-		layerLog.Merge(-start, nodeLog)
-		layer.Trace = layerLog
+		timeline.Tag(n0, args)
 
 		if !env.skipBaseline {
 			layer.BaselineSeconds = e.baselineSeconds(n, layer.Seconds)

@@ -109,7 +109,7 @@ func TestInferTinyFunctional(t *testing.T) {
 		}
 		prev = l.Start
 	}
-	if res.Timeline.Len() == 0 {
+	if len(res.Timeline.Events) == 0 {
 		t.Fatal("empty network timeline")
 	}
 	if end := res.Timeline.End(); end > res.Seconds*(1+1e-9) {

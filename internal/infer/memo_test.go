@@ -3,6 +3,7 @@ package infer
 import (
 	"context"
 	"maps"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -187,5 +188,42 @@ func TestBaselineFallbackNotRemembered(t *testing.T) {
 	}
 	if memo := timingsOf(e); len(memo) != 3 {
 		t.Fatalf("memo holds %d baselines for 3 conv shapes: %v", len(memo), memo)
+	}
+}
+
+// TestTimelineRecordedOnce: the machine writes every event of a warm run
+// once, straight into Result.Timeline, and execNodes stamps each layer's
+// events with one shared {op, layer, strategy} map — no per-event maps, no
+// per-layer copies.
+func TestTimelineRecordedOnce(t *testing.T) {
+	g, err := tinyBuilder(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, lib := newEngine(t), cache.NewLibrary()
+	opts := Options{Workers: 2, Library: lib, SkipBaseline: true}
+	var res *Result
+	for range 2 { // the second run is warm: every operator is cached
+		if res, err = e.Run(context.Background(), g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.TunedOps != 0 || len(res.Timeline.Events) == 0 {
+		t.Fatalf("warm run tuned %d ops, recorded %d events", res.TunedOps, len(res.Timeline.Events))
+	}
+	owner := map[string]uintptr{} // layer index -> its one Args map
+	for i, ev := range res.Timeline.Events {
+		layer, op := ev.Args["layer"], ev.Args["op"]
+		if layer == "" || op == "" {
+			t.Fatalf("event %d (%s %q) lacks op/layer: %v", i, ev.Kind, ev.Label, ev.Args)
+		}
+		p := reflect.ValueOf(ev.Args).Pointer()
+		if q, ok := owner[layer]; ok && q != p {
+			t.Fatalf("layer %s (%s) stamps more than one Args map", layer, op)
+		}
+		owner[layer] = p
+	}
+	if len(owner) > len(res.Layers) {
+		t.Fatalf("%d distinct Args maps for %d layers", len(owner), len(res.Layers))
 	}
 }

@@ -103,20 +103,9 @@ func (tr *Trace) ChromeLog() *trace.Log {
 			Start: sp.StartMs / 1e3,
 			Dur:   sp.DurMs / 1e3,
 			Group: g,
-			Args:  copyArgs(sp.Args),
+			Args:  sp.Args,
 		})
 	}
-	l.Annotate("trace_id", tr.ID)
+	l.Tag(0, map[string]string{"trace_id": tr.ID})
 	return l
-}
-
-func copyArgs(args map[string]string) map[string]string {
-	if len(args) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(args))
-	for k, v := range args {
-		out[k] = v
-	}
-	return out
 }

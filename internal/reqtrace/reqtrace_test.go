@@ -318,6 +318,39 @@ func TestTracezHandler(t *testing.T) {
 	}
 }
 
+// TestChromeExportLeavesStoredTraceUnchanged: exporting a stored trace
+// stamps trace_id on copies of the span Args, never on the stored maps,
+// so a second export reads the same trace and writes the same bytes.
+func TestChromeExportLeavesStoredTraceUnchanged(t *testing.T) {
+	st := NewStore(StoreOptions{Capacity: 10, SlowMs: 50, SampleRate: 1})
+	rec := Start("")
+	t0 := rec.start
+	rec.Span(PhaseQueue, "queue wait", t0, time.Millisecond, map[string]string{"bucket": "8"})
+	rec.AddGroup(PhaseExec, "exec", 1, t0.Add(time.Millisecond), 2*time.Millisecond, nil)
+	tr := rec.Finish(200, false, t0.Add(60*time.Millisecond))
+	tr.LatencyMs = 60
+	st.Add(tr)
+	export := func() string {
+		var b strings.Builder
+		if err := st.Get(tr.ID).ChromeLog().WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first := export()
+	if !strings.Contains(first, tr.ID) || !strings.Contains(first, `"bucket"`) {
+		t.Fatalf("export lost the trace id or a span arg:\n%s", first)
+	}
+	if second := export(); second != first {
+		t.Fatalf("second export differs:\n%s\nvs\n%s", first, second)
+	}
+	for _, sp := range st.Get(tr.ID).Spans {
+		if _, ok := sp.Args["trace_id"]; ok {
+			t.Fatalf("export wrote trace_id into the stored span %q: %v", sp.Name, sp.Args)
+		}
+	}
+}
+
 func TestMsArg(t *testing.T) {
 	if MsArg(1.5) != "1.5" {
 		t.Fatalf("MsArg(1.5) = %q", MsArg(1.5))

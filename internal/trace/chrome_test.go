@@ -24,8 +24,7 @@ func goldenLog() *trace.Log {
 	l.Add(trace.KindWait, "rep", 0.0014, 0.0003)
 	l.Add(trace.Kind("experiment"), "table3", 0, 0.0017)
 	l.Add(trace.KindDMA, "", 0.0017, 0) // instant, unlabeled
-	l.Annotate("op", "conv1_1")
-	l.Annotate("layer", "0")
+	l.Tag(0, map[string]string{"op": "conv1_1", "layer": "0"})
 	return l
 }
 
@@ -100,8 +99,8 @@ func TestChromeTraceIsValidAndComplete(t *testing.T) {
 			t.Fatalf("unexpected phase %q", ev.Ph)
 		}
 	}
-	if spans != l.Len() {
-		t.Fatalf("%d spans exported, want %d", spans, l.Len())
+	if spans != len(l.Events) {
+		t.Fatalf("%d spans exported, want %d", spans, len(l.Events))
 	}
 	for _, name := range []string{"gemm", "dma", "transform", "wait", "experiment"} {
 		if !threadNames[name] {

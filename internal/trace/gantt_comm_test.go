@@ -40,9 +40,9 @@ func TestGanttCommLegend(t *testing.T) {
 // destination.
 func TestGanttCommLegendFallback(t *testing.T) {
 	l := &Log{}
-	l.AddGroup(0, KindGemm, "work", 0, 0.002)
-	l.AddGroup(1, KindGemm, "work", 0, 0.002)
-	l.AddGroup(1, KindComm, "xfer", 0.002, 0.001)
+	l.AddGroupArgs(0, KindGemm, "work", 0, 0.002, nil)
+	l.AddGroupArgs(1, KindGemm, "work", 0, 0.002, nil)
+	l.AddGroupArgs(1, KindComm, "xfer", 0.002, 0.001, nil)
 	got := l.Gantt(64)
 	if !strings.Contains(got, "group1 -> ?") {
 		t.Errorf("legend fallback missing group1 -> ?:\n%s", got)

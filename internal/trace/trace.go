@@ -33,12 +33,13 @@ type Event struct {
 	Dur   float64
 	// Group is the simulated core group the event executed on. Single-
 	// machine timelines leave it 0; fleet timelines stamp it via
-	// MergeGroup/AddGroup so parallel groups keep distinct rows in the
+	// MergeGroup/AddGroupArgs so parallel groups keep distinct rows in the
 	// Gantt and distinct process tracks in the Chrome export.
 	Group int
 	// Args is optional span metadata (operator name, layer index, selected
 	// strategy, ...) carried into the Chrome-trace export. Nil for plain
-	// events; shared, not copied, by Merge.
+	// events; read-only once recorded, since Tag and MergeGroup share one
+	// map between many events.
 	Args map[string]string
 }
 
@@ -52,11 +53,6 @@ func (l *Log) Add(kind Kind, label string, start, dur float64) {
 	l.Events = append(l.Events, Event{Kind: kind, Label: label, Start: start, Dur: dur})
 }
 
-// AddGroup appends an event on a specific core group.
-func (l *Log) AddGroup(group int, kind Kind, label string, start, dur float64) {
-	l.Events = append(l.Events, Event{Kind: kind, Label: label, Start: start, Dur: dur, Group: group})
-}
-
 // AddGroupArgs appends a group event carrying Args metadata. Comm events
 // use it to label their source and destination groups ("src"/"dst"), which
 // the fleet Gantt renders as a legend under the rows.
@@ -64,64 +60,47 @@ func (l *Log) AddGroupArgs(group int, kind Kind, label string, start, dur float6
 	l.Events = append(l.Events, Event{Kind: kind, Label: label, Start: start, Dur: dur, Group: group, Args: args})
 }
 
-// Len reports the event count.
-func (l *Log) Len() int { return len(l.Events) }
-
-// Annotate sets key=value in the Args of every event that does not already
-// carry that key. The inference runtime uses it to stamp a per-layer log
-// with the operator name, layer index and selected strategy before merging
-// it onto the network timeline; existing keys win so inner annotations
-// survive outer ones.
-func (l *Log) Annotate(key, value string) {
-	for i := range l.Events {
-		ev := &l.Events[i]
-		if _, ok := ev.Args[key]; ok {
+// Tag stamps args onto Events[from:]. An event without Args shares the
+// args map itself — the inference runtime stamps every event of one layer
+// (operator name, layer index, strategy) with one map. An event with its
+// own Args gets a fresh copy holding both, its existing keys winning, so
+// Tag never writes into a map it did not create.
+func (l *Log) Tag(from int, args map[string]string) {
+	for i := range l.Events[from:] {
+		ev := &l.Events[from+i]
+		if len(ev.Args) == 0 {
+			ev.Args = args
 			continue
 		}
-		if ev.Args == nil {
-			ev.Args = map[string]string{}
+		merged := make(map[string]string, len(ev.Args)+len(args))
+		for k, v := range args {
+			merged[k] = v
 		}
-		ev.Args[key] = value
+		for k, v := range ev.Args {
+			merged[k] = v
+		}
+		ev.Args = merged
 	}
 }
 
-// Merge appends shifted copies of the given logs' events into l: every
-// event is moved by offset on the time axis, kinds, labels and durations
-// untouched. Concatenating per-layer timelines into one network timeline is
-// a sequence of merges, each layer at its start time on the network clock;
-// a negative offset rebases an absolute timeline to its own origin. Because
-// events are shifted rigidly, intra-layer structure — in particular the
-// DMA/compute overlap double buffering creates — survives the merge.
-func (l *Log) Merge(offset float64, others ...*Log) {
-	for _, o := range others {
-		if o == nil {
-			continue
-		}
-		for _, ev := range o.Events {
-			shifted := ev
-			shifted.Start += offset
-			l.Events = append(l.Events, shifted)
-		}
-	}
-}
-
-// MergeGroup merges like Merge but stamps every merged event with the
-// given core-group index, overriding whatever group the source log
-// carried. A fleet timeline is built by MergeGroup-ing each group's
-// machine-local log at its fleet-clock offset: events from different
-// groups then keep distinct rows in the Gantt and distinct process tracks
-// in the Chrome export, while intra-group structure survives the rigid
-// shift exactly as in Merge.
+// MergeGroup appends copies of the given logs' events, each moved by
+// offset on the time axis and stamped with the given core-group index
+// (overriding whatever group the source carried); kinds, labels,
+// durations and Args are untouched. A fleet timeline is built by
+// MergeGroup-ing each group's machine-local log at its fleet-clock
+// offset: events from different groups keep distinct rows in the Gantt
+// and distinct process tracks in the Chrome export, and because the shift
+// is rigid, intra-group structure — in particular the DMA/compute overlap
+// double buffering creates — survives the merge.
 func (l *Log) MergeGroup(group int, offset float64, others ...*Log) {
 	for _, o := range others {
 		if o == nil {
 			continue
 		}
 		for _, ev := range o.Events {
-			shifted := ev
-			shifted.Start += offset
-			shifted.Group = group
-			l.Events = append(l.Events, shifted)
+			ev.Start += offset
+			ev.Group = group
+			l.Events = append(l.Events, ev)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,9 +66,9 @@ func TestEndAndSummary(t *testing.T) {
 
 // TestMergeTwoLayerGolden is the golden concatenation case: two per-layer
 // timelines, each recorded from its own time zero with DMA prefetching
-// partially hidden behind compute, merged back-to-back into one network
-// timeline. The merged log must preserve every intra-layer relation — busy
-// times, the DMA/compute overlap, and the layer boundaries.
+// partially hidden behind compute, merged back-to-back into one timeline.
+// The merged log must preserve every intra-layer relation — busy times,
+// the DMA/compute overlap, and the layer boundaries.
 func TestMergeTwoLayerGolden(t *testing.T) {
 	// Layer 1: compute [0,3], DMA [1,4] → 2 s of DMA hidden.
 	l1 := &trace.Log{}
@@ -79,9 +80,9 @@ func TestMergeTwoLayerGolden(t *testing.T) {
 	l2.Add(trace.KindDMA, "get in", 0.5, 1)
 
 	net := &trace.Log{}
-	net.Merge(0, l1)
-	net.Merge(l1.End(), l2) // layer 2 starts where layer 1 ended
-	if got := net.Len(); got != 4 {
+	net.MergeGroup(0, 0, l1)
+	net.MergeGroup(0, l1.End(), l2) // layer 2 starts where layer 1 ended
+	if got := len(net.Events); got != 4 {
 		t.Fatalf("merged %d events, want 4", got)
 	}
 	if got, want := net.End(), l1.End()+l2.End(); got != want {
@@ -104,7 +105,7 @@ func TestMergeTwoLayerGolden(t *testing.T) {
 
 	// Rebasing with a negative offset inverts the concatenation.
 	back := &trace.Log{}
-	back.Merge(-l1.End(), &trace.Log{Events: net.Events[2:]})
+	back.MergeGroup(0, -l1.End(), &trace.Log{Events: net.Events[2:]})
 	if got := back.Overlap(trace.KindGemm, trace.KindDMA); got != 1 {
 		t.Fatalf("rebased overlap = %g, want 1", got)
 	}
@@ -113,22 +114,23 @@ func TestMergeTwoLayerGolden(t *testing.T) {
 	}
 
 	// Merging a nil log is a no-op, not a panic.
-	net.Merge(0, nil)
-	if net.Len() != 4 {
+	net.MergeGroup(0, 0, nil)
+	if len(net.Events) != 4 {
 		t.Fatal("nil merge changed the log")
 	}
 }
 
 // TestMergeNegativeOffset: merging with a negative offset shifts events
-// left, and a chain of negative merges composes like vector addition.
+// left rigidly, keeps their Args, and a chain of negative merges composes
+// like vector addition.
 func TestMergeNegativeOffset(t *testing.T) {
 	abs := &trace.Log{}
 	abs.Add(trace.KindGemm, "g", 10, 2)
 	abs.Add(trace.KindDMA, "d", 11, 2)
-	abs.Annotate("op", "conv3_1")
+	abs.Tag(0, map[string]string{"op": "conv3_1"})
 
 	rel := &trace.Log{}
-	rel.Merge(-10, abs)
+	rel.MergeGroup(0, -10, abs)
 	if rel.Events[0].Start != 0 || rel.Events[1].Start != 1 {
 		t.Fatalf("rebase: starts %g, %g; want 0, 1", rel.Events[0].Start, rel.Events[1].Start)
 	}
@@ -141,7 +143,7 @@ func TestMergeNegativeOffset(t *testing.T) {
 
 	// Shifting further negative pushes starts below zero but keeps durations.
 	neg := &trace.Log{}
-	neg.Merge(-5, rel)
+	neg.MergeGroup(0, -5, rel)
 	if neg.Events[0].Start != -5 || neg.Events[0].Dur != 2 {
 		t.Fatalf("negative start = %g dur %g", neg.Events[0].Start, neg.Events[0].Dur)
 	}
@@ -200,20 +202,36 @@ func TestGanttZeroDurationAtEnd(t *testing.T) {
 	}
 }
 
-// TestAnnotate: existing keys win, nil maps are created lazily.
-func TestAnnotate(t *testing.T) {
+// TestTag: events without Args share the stamped map; an event with its
+// own Args gets a fresh copy in which its keys win, and neither the
+// caller's map nor the event's original map is written.
+func TestTag(t *testing.T) {
 	var l trace.Log
-	l.Add(trace.KindGemm, "", 0, 1)
-	l.Events[0].Args = map[string]string{"op": "inner"}
-	l.Add(trace.KindDMA, "", 0, 1)
-	l.Annotate("op", "outer")
-	l.Annotate("layer", "3")
-	if l.Events[0].Args["op"] != "inner" {
-		t.Fatal("Annotate must not overwrite existing keys")
+	l.Add(trace.KindGemm, "before", 0, 1)
+	l.Add(trace.KindGemm, "", 1, 1)
+	inner := map[string]string{"op": "inner"}
+	l.Events[1].Args = inner
+	l.Add(trace.KindDMA, "", 1, 1)
+	l.Add(trace.KindDMA, "", 2, 1)
+	outer := map[string]string{"op": "outer", "layer": "3"}
+	l.Tag(1, outer)
+	if l.Events[0].Args != nil {
+		t.Fatal("Tag stamped an event before from")
 	}
-	if l.Events[1].Args["op"] != "outer" || l.Events[0].Args["layer"] != "3" {
-		t.Fatalf("Annotate missed events: %+v", l.Events)
+	if got := l.Events[1].Args; got["op"] != "inner" || got["layer"] != "3" {
+		t.Fatalf("own-Args event = %v, want op=inner layer=3", got)
 	}
+	if len(inner) != 1 || len(outer) != 2 || outer["op"] != "outer" {
+		t.Fatalf("Tag wrote into a map it did not create: inner %v outer %v", inner, outer)
+	}
+	for _, ev := range l.Events[2:] {
+		if fmt.Sprintf("%p", ev.Args) != fmt.Sprintf("%p", outer) {
+			t.Fatalf("event without Args got a copy, not the shared map: %v", ev.Args)
+		}
+	}
+	// Nil-safe: an empty log, a from at the end and a nil map are no-ops.
+	(&trace.Log{}).Tag(0, outer)
+	l.Tag(len(l.Events), nil)
 }
 
 // fleetLog builds a two-group timeline with deliberately overlapping
@@ -223,18 +241,16 @@ func fleetLog() *trace.Log {
 	g0 := &trace.Log{}
 	g0.Add(trace.KindGemm, "conv1 shard0", 0, 3)
 	g0.Add(trace.KindDMA, "get in", 1, 1)
-	g0.Annotate("op", "conv1")
-	g0.Annotate("group", "0")
+	g0.Tag(0, map[string]string{"op": "conv1", "group": "0"})
 	g1 := &trace.Log{}
 	g1.Add(trace.KindGemm, "conv1 shard1", 0, 3)
 	g1.Add(trace.KindDMA, "get in", 0.5, 1)
-	g1.Annotate("op", "conv1")
-	g1.Annotate("group", "1")
+	g1.Tag(0, map[string]string{"op": "conv1", "group": "1"})
 
 	net := &trace.Log{}
 	net.MergeGroup(0, 0, g0)
 	net.MergeGroup(1, 0, g1)
-	net.AddGroup(0, trace.KindComm, "gather", 3, 0.5)
+	net.AddGroupArgs(0, trace.KindComm, "gather", 3, 0.5, nil)
 	return net
 }
 
@@ -246,7 +262,7 @@ func TestMergeGroupOverlappingTimelines(t *testing.T) {
 	if got := net.Groups(); got != 2 {
 		t.Fatalf("Groups = %d, want 2", got)
 	}
-	if got := net.Len(); got != 5 {
+	if got := len(net.Events); got != 5 {
 		t.Fatalf("merged %d events, want 5", got)
 	}
 	// Overlapping intervals stay distinct per group: both compute spans
@@ -268,14 +284,14 @@ func TestMergeGroupOverlappingTimelines(t *testing.T) {
 	}
 	// MergeGroup overrides whatever group the source carried.
 	src := &trace.Log{}
-	src.AddGroup(7, trace.KindGemm, "x", 0, 1)
+	src.AddGroupArgs(7, trace.KindGemm, "x", 0, 1, nil)
 	dst := &trace.Log{}
 	dst.MergeGroup(2, 1.5, src)
 	if dst.Events[0].Group != 2 || dst.Events[0].Start != 1.5 {
 		t.Fatalf("MergeGroup restamp wrong: %+v", dst.Events[0])
 	}
 	dst.MergeGroup(0, 0, nil) // nil is a no-op
-	if dst.Len() != 1 {
+	if len(dst.Events) != 1 {
 		t.Fatal("nil merge changed the log")
 	}
 
@@ -330,7 +346,7 @@ func TestTraceOfRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() == 0 {
+	if len(log.Events) == 0 {
 		t.Fatal("no events recorded")
 	}
 	gemmBusy := log.BusyTime(trace.KindGemm)

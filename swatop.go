@@ -390,8 +390,7 @@ func (t *Tuned) WriteChromeTrace(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	log.Annotate("op", t.program.Name)
-	log.Annotate("strategy", t.strategy)
+	log.Tag(0, map[string]string{"op": t.program.Name, "strategy": t.strategy})
 	return log.WriteChromeTrace(w)
 }
 
