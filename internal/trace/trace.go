@@ -215,7 +215,7 @@ func (l *Log) Summary() string {
 	return b.String()
 }
 
-// ganttKinds is the row/precedence order of the text Gantt: later kinds
+// ganttKinds is the row/precedence order of the fleet Gantt: later kinds
 // draw over earlier ones in per-group rows, so compute ends up on top.
 var ganttKinds = []Kind{KindWait, KindComm, KindDMA, KindTransform, KindGemm}
 
@@ -232,40 +232,24 @@ func (l *Log) Gantt(width int) string {
 	if end == 0 {
 		return "(empty timeline)\n"
 	}
-	if l.Groups() > 1 {
-		return l.ganttGroups(width, end)
-	}
 	var b strings.Builder
+	if groups := l.Groups(); groups > 1 {
+		// The fleet view: one row per core group on the shared fleet clock,
+		// so data-parallel overlap and pipeline fill/drain bubbles are
+		// visible at a glance.
+		for g := 0; g < groups; g++ {
+			row := []byte(strings.Repeat(".", width))
+			for _, k := range ganttKinds {
+				l.paint(row, g, k, end)
+			}
+			fmt.Fprintf(&b, "%-10s |%s|\n", fmt.Sprintf("group%d", g), row)
+		}
+		b.WriteString(l.commLegend())
+		return b.String()
+	}
 	for _, k := range []Kind{KindGemm, KindTransform, KindDMA, KindComm, KindWait} {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
-		}
-		mark := byte(strings.ToUpper(string(k))[0])
-		drew := false
-		for _, ev := range l.Events {
-			if ev.Kind != k || ev.Dur <= 0 {
-				// A zero-duration event at the timeline end would index one
-				// past the row; instants carry no width anyway.
-				continue
-			}
-			lo := int(ev.Start / end * float64(width))
-			hi := int((ev.Start + ev.Dur) / end * float64(width))
-			if lo >= width {
-				lo = width - 1
-			}
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= width {
-				hi = width - 1
-			}
-			for i := lo; i <= hi; i++ {
-				row[i] = mark
-			}
-			drew = true
-		}
-		if (k == KindWait || k == KindComm) && !drew {
+		row := []byte(strings.Repeat(".", width))
+		if !l.paint(row, 0, k, end) && (k == KindWait || k == KindComm) {
 			continue // most schedules never stall; keep the chart compact
 		}
 		fmt.Fprintf(&b, "%-10s |%s|\n", k, row)
@@ -273,42 +257,24 @@ func (l *Log) Gantt(width int) string {
 	return b.String()
 }
 
-// ganttGroups renders the fleet view: one row per core group on the shared
-// fleet clock, so data-parallel overlap and pipeline fill/drain bubbles are
-// visible at a glance.
-func (l *Log) ganttGroups(width int, end float64) string {
-	var b strings.Builder
-	for g := 0; g < l.Groups(); g++ {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
+// paint marks the cells of row that group's events of one kind cover, on
+// a timeline of length end, and reports whether it marked any.
+func (l *Log) paint(row []byte, group int, k Kind, end float64) bool {
+	mark, width, drew := byte(strings.ToUpper(string(k))[0]), len(row), false
+	for _, ev := range l.Events {
+		if ev.Group != group || ev.Kind != k || ev.Dur <= 0 {
+			// A zero-duration event at the timeline end would index one
+			// past the row; instants carry no width anyway.
+			continue
 		}
-		for _, k := range ganttKinds {
-			mark := byte(strings.ToUpper(string(k))[0])
-			for _, ev := range l.Events {
-				if ev.Group != g || ev.Kind != k || ev.Dur <= 0 {
-					continue
-				}
-				lo := int(ev.Start / end * float64(width))
-				hi := int((ev.Start + ev.Dur) / end * float64(width))
-				if lo >= width {
-					lo = width - 1
-				}
-				if lo < 0 {
-					lo = 0
-				}
-				if hi >= width {
-					hi = width - 1
-				}
-				for i := lo; i <= hi; i++ {
-					row[i] = mark
-				}
-			}
+		lo := min(max(int(ev.Start/end*float64(width)), 0), width-1)
+		hi := min(int((ev.Start+ev.Dur)/end*float64(width)), width-1)
+		for i := lo; i <= hi; i++ {
+			row[i] = mark
 		}
-		fmt.Fprintf(&b, "%-10s |%s|\n", fmt.Sprintf("group%d", g), row)
+		drew = true
 	}
-	b.WriteString(l.commLegend())
-	return b.String()
+	return drew
 }
 
 // commLegend lists the comm events under the fleet rows with their
