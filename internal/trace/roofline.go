@@ -20,8 +20,9 @@ type Roofline struct {
 	// DMAGBps is dmaBytes/Seconds; PeakDMAGBps the stream bandwidth.
 	DMAGBps     float64
 	PeakDMAGBps float64
-	// ComputeBusy / DMABusy are the unioned busy times of the two channels;
-	// HiddenDMA is their overlap (DMA time hidden behind compute).
+	// ComputeBusy / DMABusy are the busy times of the two channels and
+	// HiddenDMA their overlap (DMA time hidden behind compute), each per
+	// core group and summed over the groups (see Log.BusyTime).
 	ComputeBusy float64
 	DMABusy     float64
 	HiddenDMA   float64

@@ -117,68 +117,60 @@ func (l *Log) Groups() int {
 	return maxG + 1
 }
 
-// BusyTime returns the unioned busy time of one kind (overlapping events
-// counted once).
-func (l *Log) BusyTime(kind Kind) float64 {
-	type span struct{ s, e float64 }
-	var spans []span
+// spans returns the busy intervals of one kind on one core group, sorted
+// by start, with overlapping intervals merged into their union. Intervals
+// that only touch are joined when join is set; BusyTime joins them and
+// Overlap intersects each piece, the rules that keep both sums bit for
+// bit where they were on a single machine.
+func (l *Log) spans(group int, kind Kind, join bool) [][2]float64 {
+	var out [][2]float64
 	for _, ev := range l.Events {
-		if ev.Kind == kind && ev.Dur > 0 {
-			spans = append(spans, span{ev.Start, ev.Start + ev.Dur})
+		if ev.Group == group && ev.Kind == kind && ev.Dur > 0 {
+			out = append(out, [2]float64{ev.Start, ev.Start + ev.Dur})
 		}
 	}
-	if len(spans) == 0 {
-		return 0
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].s < spans[j].s })
-	total := 0.0
-	cur := spans[0]
-	for _, sp := range spans[1:] {
-		if sp.s <= cur.e {
-			if sp.e > cur.e {
-				cur.e = sp.e
-			}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	n := 0
+	for _, sp := range out {
+		if n > 0 && (sp[0] < out[n-1][1] || join && sp[0] == out[n-1][1]) {
+			out[n-1][1] = max(out[n-1][1], sp[1])
 			continue
 		}
-		total += cur.e - cur.s
-		cur = sp
+		out[n] = sp
+		n++
 	}
-	total += cur.e - cur.s
+	return out[:n]
+}
+
+// BusyTime returns the busy time of one kind: per core group the union of
+// its events (overlapping events counted once), summed over the groups.
+func (l *Log) BusyTime(kind Kind) float64 {
+	total := 0.0
+	for g := 0; g < l.Groups(); g++ {
+		for _, sp := range l.spans(g, kind, true) {
+			total += sp[1] - sp[0]
+		}
+	}
 	return total
 }
 
-// Overlap returns the time during which both kinds were busy — the measure
-// of how well prefetching hides memory latency.
+// Overlap returns the time during which both kinds were busy on the same
+// core group, summed over the groups — the measure of how well
+// prefetching hides memory latency. Work on one group never hides another
+// group's DMA.
 func (l *Log) Overlap(a, b Kind) float64 {
-	makeSpans := func(kind Kind) [][2]float64 {
-		var out [][2]float64
-		for _, ev := range l.Events {
-			if ev.Kind == kind && ev.Dur > 0 {
-				out = append(out, [2]float64{ev.Start, ev.Start + ev.Dur})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-		return out
-	}
-	sa, sb := makeSpans(a), makeSpans(b)
 	total := 0.0
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		lo := sa[i][0]
-		if sb[j][0] > lo {
-			lo = sb[j][0]
-		}
-		hi := sa[i][1]
-		if sb[j][1] < hi {
-			hi = sb[j][1]
-		}
-		if hi > lo {
-			total += hi - lo
-		}
-		if sa[i][1] < sb[j][1] {
-			i++
-		} else {
-			j++
+	for g := 0; g < l.Groups(); g++ {
+		sa, sb := l.spans(g, a, false), l.spans(g, b, false)
+		for i, j := 0, 0; i < len(sa) && j < len(sb); {
+			if hi, lo := min(sa[i][1], sb[j][1]), max(sa[i][0], sb[j][0]); hi > lo {
+				total += hi - lo
+			}
+			if sa[i][1] < sb[j][1] {
+				i++
+			} else {
+				j++
+			}
 		}
 	}
 	return total
@@ -196,16 +188,18 @@ func (l *Log) End() float64 {
 }
 
 // Summary renders per-kind busy times and the compute/DMA overlap ratio.
+// A busy percentage is of the timeline's length on every core group.
 func (l *Log) Summary() string {
 	var b strings.Builder
 	end := l.End()
+	span := end * float64(l.Groups())
 	fmt.Fprintf(&b, "timeline: %d events over %.4g ms\n", len(l.Events), end*1e3)
 	for _, k := range []Kind{KindGemm, KindTransform, KindDMA, KindWait} {
 		busy := l.BusyTime(k)
 		if busy == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  %-10s busy %.4g ms (%.0f%%)\n", k, busy*1e3, busy/end*100)
+		fmt.Fprintf(&b, "  %-10s busy %.4g ms (%.0f%%)\n", k, busy*1e3, busy/span*100)
 	}
 	dma := l.BusyTime(KindDMA)
 	if dma > 0 {

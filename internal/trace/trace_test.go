@@ -295,10 +295,13 @@ func TestMergeGroupOverlappingTimelines(t *testing.T) {
 		t.Fatal("nil merge changed the log")
 	}
 
-	// BusyTime unions across groups: both groups computing [0,3] is still
-	// 3 s of wall-clock compute on the fleet timeline.
-	if got := net.BusyTime(trace.KindGemm); got != 3 {
-		t.Fatalf("fleet gemm busy = %g, want 3", got)
+	// BusyTime is per core group: two groups computing [0,3] are 6 s of
+	// group compute time; each group's DMA hides behind its own compute.
+	if got := net.BusyTime(trace.KindGemm); got != 6 {
+		t.Fatalf("fleet gemm busy = %g, want 6", got)
+	}
+	if got := net.Overlap(trace.KindGemm, trace.KindDMA); got != 2 {
+		t.Fatalf("fleet overlap = %g, want 2", got)
 	}
 
 	// The Gantt renders one row per group, not per kind.
@@ -316,6 +319,27 @@ func TestMergeGroupOverlappingTimelines(t *testing.T) {
 	single.Add(trace.KindGemm, "", 0, 1)
 	if got := single.Gantt(40); !strings.Contains(got, "gemm") {
 		t.Fatalf("single-group gantt lost per-kind rows:\n%s", got)
+	}
+}
+
+// TestHiddenRatioPerGroup: compute on one core group never hides another
+// group's DMA. Two groups, each fully hiding its own DMA, hide exactly all
+// of the fleet's DMA time — the ratio is 1, not the 2 a cross-group sweep
+// gives.
+func TestHiddenRatioPerGroup(t *testing.T) {
+	var l trace.Log
+	for g := 0; g < 2; g++ {
+		l.AddGroupArgs(g, trace.KindGemm, "", 0, 1, nil)
+		l.AddGroupArgs(g, trace.KindDMA, "", 0, 1, nil)
+	}
+	if got := l.Overlap(trace.KindGemm, trace.KindDMA) / l.BusyTime(trace.KindDMA); got != 1 {
+		t.Fatalf("hidden ratio = %g, want exactly 1", got)
+	}
+	if got := l.Roofline(0, 0, 1, 1).HiddenDMAFraction(); got != 1 {
+		t.Fatalf("roofline hidden fraction = %g, want 1", got)
+	}
+	if sum := l.Summary(); !strings.Contains(sum, "busy 2000 ms (100%)") || !strings.Contains(sum, "hidden behind compute: 100%") {
+		t.Fatalf("summary of two fully busy groups:\n%s", sum)
 	}
 }
 
