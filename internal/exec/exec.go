@@ -37,10 +37,8 @@ type Options struct {
 	// extrapolation is near-exact.
 	FastLoops bool
 	// Trace, when non-nil, receives the execution timeline (GEMM calls,
-	// transforms, DMA engine intervals, stalls) for schedule diagnosis:
-	// events are appended on the machine clock, without Args. The
-	// inference runtime passes its run's own timeline, so every event is
-	// written once and stamped afterwards (trace.Log.Tag).
+	// transforms, DMA intervals, stalls) on the machine clock, without Args;
+	// the inference runtime passes its run's own log and stamps it after.
 	Trace *trace.Log
 	// Faults, when non-nil, is consulted at the measurement and machine
 	// injection points (faults.Measure before the run starts,

@@ -119,9 +119,9 @@ func (l *Log) Groups() int {
 
 // spans returns the busy intervals of one kind on one core group, sorted
 // by start, with overlapping intervals merged into their union. Intervals
-// that only touch are joined when join is set; BusyTime joins them and
-// Overlap intersects each piece, the rules that keep both sums bit for
-// bit where they were on a single machine.
+// that only touch are joined when join is set: BusyTime joins them and
+// Overlap intersects each piece. Both give the same sums up to rounding;
+// these are the rules the pinned single-machine ratios were recorded with.
 func (l *Log) spans(group int, kind Kind, join bool) [][2]float64 {
 	var out [][2]float64
 	for _, ev := range l.Events {
