@@ -183,18 +183,23 @@ func Min(l, r Expr) Expr { return newBin(opMin, l, r) }
 // evaluating it would; the constructors fold such a tree when it is built.
 func IsConst(e Expr) (int64, bool) { return e.fold() }
 
-// Subst replaces variable references by expressions, returning a new tree.
+// Subst replaces variable references by expressions. A subtree in which
+// nothing is replaced is returned as it is, not rebuilt.
 func Subst(e Expr, repl map[string]Expr) Expr {
 	switch x := e.(type) {
 	case ConstExpr:
-		return x
+		return e
 	case VarExpr:
 		if r, ok := repl[string(x)]; ok {
 			return r
 		}
-		return x
+		return e
 	case *BinExpr:
-		return newBin(x.Op, Subst(x.L, repl), Subst(x.R, repl))
+		l, r := Subst(x.L, repl), Subst(x.R, repl)
+		if l == x.L && r == x.R {
+			return e
+		}
+		return newBin(x.Op, l, r)
 	}
 	panic(fmt.Sprintf("ir: Subst on unknown expr %T", e))
 }

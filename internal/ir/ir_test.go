@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,13 @@ func TestSubst(t *testing.T) {
 	if got := eval(e, vars); got != 2*16+5 {
 		t.Fatalf("original mutated: %d", got)
 	}
+	// What has nothing to replace is returned as it is, not rebuilt.
+	if got := Subst(e, map[string]Expr{"k": Const(1)}); got != e {
+		t.Fatalf("subst without a match rebuilt %s", e)
+	}
+	if got := Subst(e, map[string]Expr{"j": Const(1)}).(*BinExpr).L; got != e.(*BinExpr).L {
+		t.Fatalf("subst rebuilt the unchanged subtree %s", got)
+	}
 }
 
 func TestCondEval(t *testing.T) {
@@ -199,30 +207,6 @@ func TestWalkAndCount(t *testing.T) {
 	}
 }
 
-func TestRewriteDeletesAndReplaces(t *testing.T) {
-	p := buildSample()
-	// Delete all RegionMoves.
-	p.Body = Rewrite(p.Body, func(s Stmt) []Stmt {
-		if _, ok := s.(*RegionMove); ok {
-			return []Stmt{}
-		}
-		return nil
-	})
-	if n := CountKind(p.Body, func(s Stmt) bool { _, ok := s.(*RegionMove); return ok }); n != 0 {
-		t.Fatal("rewrite did not delete RegionMoves")
-	}
-	// Replace gemm by two comments.
-	p.Body = Rewrite(p.Body, func(s Stmt) []Stmt {
-		if _, ok := s.(*Gemm); ok {
-			return []Stmt{&Comment{Text: "a"}, &Comment{Text: "b"}}
-		}
-		return nil
-	})
-	if n := CountKind(p.Body, func(s Stmt) bool { _, ok := s.(*Comment); return ok }); n != 2 {
-		t.Fatal("rewrite did not replace gemm")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	p := buildSample()
 	c := p.Clone()
@@ -291,12 +275,16 @@ func TestCloneAllKinds(t *testing.T) {
 		&If{Cond: Cond{LT, Const(0), Const(1)}, Then: []Stmt{&Comment{Text: "t"}}},
 	}
 	cl := CloneStmts(body)
-	if len(cl) != len(body) {
-		t.Fatalf("clone length %d vs %d", len(cl), len(body))
+	// A nil list stays nil (the If's Else), so a list deep-equals its clone.
+	if !reflect.DeepEqual(cl, body) {
+		t.Fatal("clone is not deep-equal to the original")
 	}
 	// Mutating a cloned RegionMove's Start must not affect the original.
 	cl[3].(*RegionMove).Start[0] = Const(9)
 	if v, _ := IsConst(body[3].(*RegionMove).Start[0]); v != 0 {
 		t.Fatal("RegionMove clone shares Start slice")
+	}
+	if CloneStmts(nil) != nil || CloneStmts([]Stmt{}) == nil {
+		t.Fatal("CloneStmts changed a list's nil-ness")
 	}
 }

@@ -296,8 +296,12 @@ func (*Transform) isStmt()  {}
 func (*Comment) isStmt()    {}
 
 // CloneStmts deep-copies a statement list. Expressions are immutable and
-// shared; statement structure is copied so passes can mutate freely.
+// shared; statement structure is copied so passes can mutate freely. A nil
+// list stays nil.
 func CloneStmts(body []Stmt) []Stmt {
+	if body == nil {
+		return nil
+	}
 	out := make([]Stmt, len(body))
 	for i, s := range body {
 		out[i] = CloneStmt(s)

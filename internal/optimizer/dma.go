@@ -22,15 +22,45 @@ import (
 // prefetch pass produces split pairs itself). The printed per-CPE
 // descriptor attributes are not stored: the code generator derives them
 // from the move (ir.RegionMove.Attrs) for the one program it prints.
+//
+// The program is rewritten in place: only a statement list that directly
+// holds a RegionMove is copied. Reply words are numbered in the order the
+// moves are met in pre-order.
 func InferDMA(p *ir.Program) {
 	n := 0
-	p.Body = ir.Rewrite(p.Body, func(s ir.Stmt) []ir.Stmt {
-		mv, ok := s.(*ir.RegionMove)
-		if !ok {
-			return nil
+	p.Body = inferDMA(p.Body, &n)
+}
+
+func inferDMA(body []ir.Stmt, n *int) []ir.Stmt {
+	var out []ir.Stmt // nil until the list's first move
+	for i, s := range body {
+		switch x := s.(type) {
+		case *ir.For:
+			x.Body = inferDMA(x.Body, n)
+		case *ir.If:
+			x.Then = inferDMA(x.Then, n)
+			x.Else = inferDMA(x.Else, n)
+		case *ir.RegionMove:
+			if out == nil {
+				moves := 0
+				for _, s := range body[i:] {
+					if _, ok := s.(*ir.RegionMove); ok {
+						moves++
+					}
+				}
+				out = append(make([]ir.Stmt, 0, len(body)+moves), body[:i]...)
+			}
+			reply := "rw" + strconv.Itoa(*n)
+			*n++
+			out = append(out, &ir.DMAOp{Move: *x, Reply: reply}, &ir.DMAWait{Reply: reply, Times: ir.Const(1)})
+			continue
 		}
-		reply := "rw" + strconv.Itoa(n)
-		n++
-		return []ir.Stmt{&ir.DMAOp{Move: *mv, Reply: reply}, &ir.DMAWait{Reply: reply, Times: ir.Const(1)}}
-	})
+		if out != nil {
+			out = append(out, s)
+		}
+	}
+	if out == nil {
+		return body
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 package optimizer_test
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"swatop/internal/core"
@@ -96,6 +98,81 @@ func TestInferDMAProducesPairs(t *testing.T) {
 		if !db && len(replies) != gotOps {
 			t.Fatalf("%d synchronous ops share %d reply words", gotOps, len(replies))
 		}
+	}
+}
+
+// TestInferDMAInPlace: DMA inference copies only the lists that directly
+// hold a move — each move becomes an op and its wait, in place of the move —
+// keeps every other list (a nil one nil) and numbers the reply words in
+// pre-order.
+func TestInferDMAInPlace(t *testing.T) {
+	move := func(tensor string, dir ir.MoveDir) *ir.RegionMove {
+		return &ir.RegionMove{Tensor: tensor, Dir: dir, Buf: "b", BufOff: ir.Const(0),
+			Start: []ir.Expr{ir.V("i")}, Extent: []ir.Expr{ir.Const(1)}}
+	}
+	gemm := &ir.Gemm{A: "b", B: "b", C: "b"}
+	guarded := &ir.If{Cond: ir.Cond{Op: ir.LT, L: ir.V("i"), R: ir.Const(2)}, Then: []ir.Stmt{move("A", ir.Get)}}
+	inner := &ir.For{Iter: "j", Extent: ir.Const(2), Body: []ir.Stmt{gemm}}
+	outer := &ir.For{Iter: "i", Extent: ir.Const(4), Body: []ir.Stmt{guarded, move("B", ir.Get), inner, move("C", ir.Put)}}
+	p := &ir.Program{Name: "in_place", Body: []ir.Stmt{&ir.Comment{Text: "c"}, outer}}
+	top, innerBody := p.Body, inner.Body
+
+	optimizer.InferDMA(p)
+	if &p.Body[0] != &top[0] || &inner.Body[0] != &innerBody[0] || guarded.Else != nil {
+		t.Fatal("a list without a move was copied, or a nil list made non-nil")
+	}
+	if len(guarded.Then) != 2 || len(outer.Body) != 6 || outer.Body[0] != guarded || outer.Body[3] != inner {
+		t.Fatalf("rewritten loop body wrong:\n%s", ir.Print(p))
+	}
+	// Numbered as met: the guarded get, the get, the put.
+	pairs := [][2]ir.Stmt{{guarded.Then[0], guarded.Then[1]}, {outer.Body[1], outer.Body[2]}, {outer.Body[4], outer.Body[5]}}
+	for i, tensor := range []string{"A", "B", "C"} {
+		op, isOp := pairs[i][0].(*ir.DMAOp)
+		w, isWait := pairs[i][1].(*ir.DMAWait)
+		reply := "rw" + strconv.Itoa(i)
+		if !isOp || !isWait || op.Move.Tensor != tensor || op.Reply != reply || w.Reply != reply {
+			t.Fatalf("move %d of %s: want the op and wait of %s on %s:\n%s", i, tensor, tensor, reply, ir.Print(p))
+		}
+	}
+}
+
+// TestPrefetchDeterministic: a loop that puts two buffers drains both reply
+// words after the nest, in the order the loop first puts them — the same
+// program on every run (the drains used to follow map order).
+func TestPrefetchDeterministic(t *testing.T) {
+	build := func() *ir.Program {
+		put := func(tensor, buf string) *ir.RegionMove {
+			return &ir.RegionMove{Tensor: tensor, Dir: ir.Put, Buf: buf, BufOff: ir.Const(0),
+				Start: []ir.Expr{ir.Mul(ir.V("i"), ir.Const(16))}, Extent: []ir.Expr{ir.Const(16)}}
+		}
+		return &ir.Program{
+			Name:    "two_puts",
+			Tensors: []ir.TensorDecl{{Name: "X", Dims: []int{64}, Output: true}, {Name: "Y", Dims: []int{64}, Output: true}},
+			Body: []ir.Stmt{
+				&ir.AllocSPM{Buf: "spm_x", Elems: ir.Const(16)},
+				&ir.AllocSPM{Buf: "spm_y", Elems: ir.Const(16)},
+				&ir.For{Iter: "i", Extent: ir.Const(4), Body: []ir.Stmt{put("X", "spm_x"), put("Y", "spm_y")}},
+			},
+		}
+	}
+	var want string
+	for run := range 100 {
+		p := build()
+		if err := optimizer.InjectPrefetch(p); err != nil {
+			t.Fatal(err)
+		}
+		got := ir.Print(p)
+		if run == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d printed a different program:\n%s\nrun 0:\n%s", run, got, want)
+		}
+	}
+	_, drains, _ := strings.Cut(want, "g_i = (g_i + 1)")
+	if i, j := strings.LastIndex(drains, "pfp1"), strings.Index(drains, "pfp2"); i < 0 || j < i {
+		t.Fatalf("drains not in put order:\n%s", want)
 	}
 }
 

@@ -2,6 +2,8 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"swatop/internal/ir"
 )
@@ -22,15 +24,23 @@ import (
 //
 // The pass must run before InferDMA (it consumes RegionMoves).
 func InjectPrefetch(p *ir.Program) error {
-	allocs := map[string]*ir.AllocSPM{}
+	pf := &prefetcher{}
+	// extra bounds what the preludes (a counter per loop, up to two
+	// statements per get) and the postludes (two drains per put) add.
+	extra := 0
 	ir.Walk(p.Body, func(s ir.Stmt) bool {
-		if a, ok := s.(*ir.AllocSPM); ok {
-			allocs[a.Buf] = a
+		switch x := s.(type) {
+		case *ir.AllocSPM:
+			pf.bufs = append(pf.bufs, spmBuf{alloc: x})
+		case *ir.For:
+			extra++
+		case *ir.RegionMove:
+			extra += 2
 		}
 		return true
 	})
-	pf := &prefetcher{allocs: allocs, doubled: map[string]bool{}}
-	body, err := pf.topLevel(p.Body)
+	pf.post = make([]ir.Stmt, 0, extra)
+	body, err := pf.topLevel(p.Body, extra)
 	if err != nil {
 		return err
 	}
@@ -38,21 +48,70 @@ func InjectPrefetch(p *ir.Program) error {
 	return nil
 }
 
+// prefetcher is one pass's state. Everything on it lives for one
+// InjectPrefetch call; the per-loop slices are scratch that each loop
+// refills in site order.
+type prefetcher struct {
+	bufs   []spmBuf
+	nreply int
+	chain  []loopCtx // the enclosing loops of the loop being rewritten
+	post   []ir.Stmt // the current phase root's postlude
+	gets   []getSite // per loop: direct gets, in body order
+	puts   []putSite // per loop: direct puts, in body order
+	frames []frame   // per loop: the buffers it moves, in body order
+	// Per loop: every chain iterator → its inferred next index, → 0.
+	nextSub, zeroSub map[string]ir.Expr
+}
+
+// spmBuf is an AllocSPM of the program and whether a loop doubled it.
+type spmBuf struct {
+	alloc   *ir.AllocSPM
+	doubled bool
+}
+
+// loopCtx is one loop of the chain. Its expressions are built the first time
+// a loop below it (or it) moves data, once per pass.
 type loopCtx struct {
 	iter   string
 	extent int64
+	nx     string  // "nx_"+iter: the inferred next index
+	v, nxV ir.Expr // V(iter), V(nx)
+	inc    ir.Expr // iter + 1
+	ext    ir.Expr // Const(extent)
 }
 
-type prefetcher struct {
-	allocs  map[string]*ir.AllocSPM
-	doubled map[string]bool
-	nreply  int
+// getSite is a direct get of a loop: its position, the optional zero-fill
+// guard before it, and snapshots of both taken before the parity offsets
+// (the prefetch issues are built from the un-offset originals; the offsets
+// only reassign BufOff/DstOff, so a shallow copy is a clean one).
+type getSite struct {
+	idx   int
+	move  ir.RegionMove
+	guard *ir.If
+	zero  ir.Transform
+	frame int // index into prefetcher.frames
+	reply string
+}
+
+type putSite struct {
+	idx   int
+	mv    *ir.RegionMove
+	frame int
+}
+
+// frame is a buffer a loop moves: its parity offsets for this iteration and
+// the next, and the reply word its puts share ("" if it has none).
+type frame struct {
+	buf       string
+	cur, next ir.Expr
+	put       string
 }
 
 // topLevel processes a statement list that is *outside* any loop: each For
-// found here roots an independent prefetch region (a phase).
-func (pf *prefetcher) topLevel(body []ir.Stmt) ([]ir.Stmt, error) {
-	var out []ir.Stmt
+// found here roots an independent prefetch region (a phase). Preludes go
+// straight into the output.
+func (pf *prefetcher) topLevel(body []ir.Stmt, extra int) ([]ir.Stmt, error) {
+	out := make([]ir.Stmt, 0, len(body)+extra)
 	for _, s := range body {
 		f, ok := s.(*ir.For)
 		if !ok {
@@ -64,286 +123,317 @@ func (pf *prefetcher) topLevel(body []ir.Stmt) ([]ir.Stmt, error) {
 			out = append(out, s)
 			continue
 		}
-		prelude, postlude, err := pf.loop(f, []loopCtx{{f.Iter, ext}})
-		if err != nil {
+		pf.chain = append(pf.chain[:0], loopCtx{iter: f.Iter, extent: ext})
+		pf.post = pf.post[:0]
+		var err error
+		if out, err = pf.loop(out, f); err != nil {
 			return nil, err
 		}
-		out = append(out, prelude...)
 		out = append(out, f)
-		out = append(out, postlude...)
+		out = append(out, pf.post...)
 	}
 	return out, nil
 }
 
-// loop transforms one loop (children first) and returns the prelude and
-// postlude statements to place around the phase root.
-func (pf *prefetcher) loop(f *ir.For, chain []loopCtx) (prelude, postlude []ir.Stmt, err error) {
+// loop transforms one loop (children first), the last of pf.chain. It
+// appends the loop's prelude to pre and returns it, and its postlude to
+// pf.post.
+func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
+	mark, depth := len(pre), len(pf.chain)
 	// Children first.
 	for _, s := range f.Body {
-		if inner, ok := s.(*ir.For); ok {
-			ext, cok := ir.IsConst(inner.Extent)
-			if !cok {
-				continue
-			}
-			pre, post, err := pf.loop(inner, append(append([]loopCtx(nil), chain...), loopCtx{inner.Iter, ext}))
-			if err != nil {
-				return nil, nil, err
-			}
-			prelude = append(prelude, pre...)
-			postlude = append(postlude, post...)
+		inner, ok := s.(*ir.For)
+		if !ok {
+			continue
+		}
+		ext, cok := ir.IsConst(inner.Extent)
+		if !cok {
+			continue
+		}
+		pf.chain = append(pf.chain[:depth], loopCtx{iter: inner.Iter, extent: ext})
+		var err error
+		if pre, err = pf.loop(pre, inner); err != nil {
+			return nil, err
 		}
 	}
 
-	// Collect direct moves (gets with optional guard, puts).
-	type getSite struct {
-		idx   int // index in f.Body
-		guard *ir.If
-		mv    *ir.RegionMove
+	guards := pf.collect(f.Body)
+	gets, puts := pf.gets, pf.puts
+	if len(gets) == 0 && len(puts) == 0 {
+		return pre, nil
 	}
-	type putSite struct {
-		idx int
-		mv  *ir.RegionMove
+	chain := pf.chain[:depth]
+	for i := range chain {
+		chain[i].build()
 	}
-	var gets []getSite
-	var puts []putSite
+
+	ctr := "g_" + f.Iter
+	ctrV := ir.V(ctr)
+	parity := func(delta int64) ir.Expr {
+		return ir.Mod(ir.Add(ctrV, ir.Const(delta)), ir.Const(2))
+	}
+	cur, next := parity(0), parity(1)
+	pre = slices.Insert(pre, mark, ir.Stmt(&ir.Assign{Var: ctr, Val: ir.Const(0)}))
+
+	// Double the frames and rewrite buffer references by parity.
+	for i := range pf.frames {
+		fr := &pf.frames[i]
+		b := pf.buf(fr.buf)
+		if b == nil {
+			return nil, fmt.Errorf("prefetch: no allocation found for buffer %q", fr.buf)
+		}
+		elems, cok := ir.IsConst(b.alloc.Elems)
+		if !cok {
+			return nil, fmt.Errorf("prefetch: non-constant frame size for %q", fr.buf)
+		}
+		if b.doubled {
+			return nil, fmt.Errorf("prefetch: buffer %q double-buffered twice", fr.buf)
+		}
+		b.alloc.Elems = ir.Const(elems * 2)
+		b.doubled = true
+		size := ir.Const(elems)
+		fr.cur, fr.next = ir.Mul(cur, size), ir.Mul(next, size)
+	}
+	pf.offsetRefs(f.Body)
+
+	// The new body: get waits, put waits, the chain (an assign per loop, the
+	// increment, the wrap), issues, what is left of the old body, the
+	// counter.
+	body := make([]ir.Stmt, 0, len(gets)+len(puts)+len(chain)+2+len(gets)+(len(f.Body)-len(gets)-guards)+1)
+	// 1. Waits for this iteration's gets.
+	for i := range gets {
+		gets[i].reply = pf.reply("pfg")
+		body = append(body, &ir.DMAWait{Reply: gets[i].reply, Times: ir.Const(1)})
+	}
+	// 2. Guarded waits for put halves about to be reused; the first put of a
+	// buffer names its reply word and queues its drain after the nest.
+	for _, p := range puts {
+		fr := &pf.frames[p.frame]
+		if fr.put == "" {
+			fr.put = pf.reply("pfp")
+			pf.post = append(pf.post, waitIf(ctrV, 1, fr.put), waitIf(ctrV, 2, fr.put))
+		}
+		body = append(body, waitIf(ctrV, 2, fr.put))
+	}
+	// 3. Next-index inference (Assign + nested If), shared by all gets, and
+	// the prefetch issues.
+	last := len(chain) - 1
+	for _, c := range chain {
+		body = append(body, &ir.Assign{Var: c.nx, Val: c.v})
+	}
+	body = append(body, &ir.Assign{Var: chain[last].nx, Val: chain[last].inc})
+	// Wrap handling: if the incremented iterator overflowed, reset it and
+	// carry into the next-outer one, recursively — the nested if-then-else
+	// structure of §4.5.2.
+	if last >= 1 {
+		body = append(body, wrap(chain, last))
+	}
+	if len(gets) > 0 {
+		pf.substitutions(chain)
+	}
+	valid := ir.Cond{Op: ir.LT, L: chain[0].nxV, R: chain[0].ext}
+	for i := range gets {
+		g := &gets[i]
+		n := 1
+		if g.guard != nil {
+			n = 2
+		}
+		then := issue(make([]ir.Stmt, 0, n), g, pf.nextSub, pf.frames[g.frame].next)
+		body = append(body, &ir.If{Cond: valid, Then: then})
+	}
+	// 4. Original body with gets (and their guards) removed and puts async.
+	gi, pi := 0, 0
 	for i, s := range f.Body {
+		switch {
+		case gi < len(gets) && i == gets[gi].idx:
+			gi++
+		case gi < len(gets) && i == gets[gi].idx-1 && gets[gi].guard != nil:
+		case pi < len(puts) && i == puts[pi].idx:
+			body = append(body, &ir.DMAOp{Move: *puts[pi].mv, Reply: pf.frames[puts[pi].frame].put})
+			pi++
+		default:
+			body = append(body, s)
+		}
+	}
+	// 5. Iteration counter.
+	body = append(body, &ir.Assign{Var: ctr, Val: ir.Add(ctrV, ir.Const(1))})
+	f.Body = body
+
+	// Prelude: initial issues with all chain iterators at zero.
+	for i := range gets {
+		pre = issue(pre, &gets[i], pf.zeroSub, ir.Const(0))
+	}
+	return pre, nil
+}
+
+// collect records the direct gets (with their zero-fill guards) and puts of a
+// loop body, and the buffers they move, in body order. It returns the number
+// of guards.
+func (pf *prefetcher) collect(body []ir.Stmt) (guards int) {
+	pf.gets, pf.puts, pf.frames = pf.gets[:0], pf.puts[:0], pf.frames[:0]
+	for i, s := range body {
 		mv, ok := s.(*ir.RegionMove)
 		if !ok {
 			continue
 		}
-		if mv.Dir == ir.Get {
-			g := getSite{idx: i, mv: mv}
-			if i > 0 {
-				if iff, ok := f.Body[i-1].(*ir.If); ok && len(iff.Then) == 1 && len(iff.Else) == 0 {
-					if zf, ok := iff.Then[0].(*ir.Transform); ok && zf.Kind == ir.ZeroFill && zf.Dst == mv.Buf {
-						g.guard = iff
-					}
-				}
-			}
-			gets = append(gets, g)
-		} else {
-			puts = append(puts, putSite{idx: i, mv: mv})
-		}
-	}
-	if len(gets) == 0 && len(puts) == 0 {
-		return prelude, postlude, nil
-	}
-
-	ctr := "g_" + f.Iter
-	parity := func(delta int64) ir.Expr {
-		return ir.Mod(ir.Add(ir.V(ctr), ir.Const(delta)), ir.Const(2))
-	}
-	prelude = append([]ir.Stmt{&ir.Assign{Var: ctr, Val: ir.Const(0)}}, prelude...)
-
-	// Snapshot the moves before parity rewriting: prefetch issues must be
-	// built from the un-offset originals.
-	cleanMove := map[*ir.RegionMove]*ir.RegionMove{}
-	cleanGuard := map[*ir.RegionMove]*ir.If{}
-	for _, g := range gets {
-		cleanMove[g.mv] = ir.CloneStmt(g.mv).(*ir.RegionMove)
-		if g.guard != nil {
-			cleanGuard[g.mv] = ir.CloneStmt(g.guard).(*ir.If)
-		}
-	}
-
-	// Double the frames and rewrite buffer references by parity.
-	touched := map[string]int64{}
-	for _, g := range gets {
-		touched[g.mv.Buf] = 0
-	}
-	for _, p := range puts {
-		touched[p.mv.Buf] = 0
-	}
-	for buf := range touched {
-		alloc, ok := pf.allocs[buf]
-		if !ok {
-			return nil, nil, fmt.Errorf("prefetch: no allocation found for buffer %q", buf)
-		}
-		elems, cok := ir.IsConst(alloc.Elems)
-		if !cok {
-			return nil, nil, fmt.Errorf("prefetch: non-constant frame size for %q", buf)
-		}
-		if !pf.doubled[buf] {
-			alloc.Elems = ir.Const(elems * 2)
-			pf.doubled[buf] = true
-		} else {
-			return nil, nil, fmt.Errorf("prefetch: buffer %q double-buffered twice", buf)
-		}
-		touched[buf] = elems
-		offsetBufRefs(f.Body, buf, ir.Mul(parity(0), ir.Const(elems)))
-	}
-
-	// Next-index inference chain (Assign + nested If), shared by all gets.
-	nx := func(iter string) string { return "nx_" + iter }
-	var chainStmts []ir.Stmt
-	for _, c := range chain {
-		chainStmts = append(chainStmts, &ir.Assign{Var: nx(c.iter), Val: ir.V(c.iter)})
-	}
-	last := len(chain) - 1
-	chainStmts = append(chainStmts, &ir.Assign{Var: nx(chain[last].iter), Val: ir.Add(ir.V(chain[last].iter), ir.Const(1))})
-	// Wrap handling: if the incremented iterator overflowed, reset it and
-	// carry into the next-outer one, recursively — the nested if-then-else
-	// structure of §4.5.2.
-	var buildWrap func(d int) []ir.Stmt
-	buildWrap = func(d int) []ir.Stmt {
-		body := []ir.Stmt{
-			&ir.Assign{Var: nx(chain[d].iter), Val: ir.Const(0)},
-			&ir.Assign{Var: nx(chain[d-1].iter), Val: ir.Add(ir.V(chain[d-1].iter), ir.Const(1))},
-		}
-		if d-1 >= 1 {
-			body = append(body, buildWrap(d-1)...)
-		}
-		return []ir.Stmt{&ir.If{
-			Cond: ir.Cond{Op: ir.EQ, L: ir.V(nx(chain[d].iter)), R: ir.Const(chain[d].extent)},
-			Then: body,
-		}}
-	}
-	if last >= 1 {
-		chainStmts = append(chainStmts, buildWrap(last)...)
-	}
-	valid := ir.Cond{Op: ir.LT, L: ir.V(nx(chain[0].iter)), R: ir.Const(chain[0].extent)}
-
-	// Substitution maps.
-	nextSub := map[string]ir.Expr{}
-	zeroSub := map[string]ir.Expr{}
-	for _, c := range chain {
-		nextSub[c.iter] = ir.V(nx(c.iter))
-		zeroSub[c.iter] = ir.Const(0)
-	}
-
-	// Assemble the new body.
-	var newBody []ir.Stmt
-	// 1. Waits for this iteration's gets.
-	getReply := map[*ir.RegionMove]string{}
-	for _, g := range gets {
-		r := pf.reply("pfg")
-		getReply[g.mv] = r
-		newBody = append(newBody, &ir.DMAWait{Reply: r, Times: ir.Const(1)})
-	}
-	// 2. Guarded waits for put halves about to be reused.
-	putReply := map[string]string{}
-	for _, p := range puts {
-		r, ok := putReply[p.mv.Buf]
-		if !ok {
-			r = pf.reply("pfp")
-			putReply[p.mv.Buf] = r
-		}
-		newBody = append(newBody, &ir.If{
-			Cond: ir.Cond{Op: ir.GE, L: ir.V(ctr), R: ir.Const(2)},
-			Then: []ir.Stmt{&ir.DMAWait{Reply: r, Times: ir.Const(1)}},
-		})
-	}
-	// 3. Next-index inference + prefetch issues.
-	newBody = append(newBody, chainStmts...)
-	for _, g := range gets {
-		issue := pf.issueFor(cleanMove[g.mv], cleanGuard[g.mv], nextSub, ir.Mul(parity(1), ir.Const(touched[g.mv.Buf])), getReply[g.mv])
-		newBody = append(newBody, &ir.If{Cond: valid, Then: issue})
-	}
-	// 4. Original body with gets (and their guards) removed and puts async.
-	skip := map[int]bool{}
-	for _, g := range gets {
-		skip[g.idx] = true
-		if g.guard != nil {
-			skip[g.idx-1] = true
-		}
-	}
-	for i, s := range f.Body {
-		if skip[i] {
+		fr := pf.touch(mv.Buf)
+		if mv.Dir != ir.Get {
+			pf.puts = append(pf.puts, putSite{idx: i, mv: mv, frame: fr})
 			continue
 		}
-		replaced := false
-		for _, p := range puts {
-			if p.idx == i {
-				newBody = append(newBody, &ir.DMAOp{Move: *p.mv, Reply: putReply[p.mv.Buf]})
-				replaced = true
-				break
+		g := getSite{idx: i, move: *mv, frame: fr}
+		if i > 0 {
+			if iff, ok := body[i-1].(*ir.If); ok && len(iff.Then) == 1 && len(iff.Else) == 0 {
+				if zf, ok := iff.Then[0].(*ir.Transform); ok && zf.Kind == ir.ZeroFill && zf.Dst == mv.Buf {
+					g.guard, g.zero = iff, *zf
+					guards++
+				}
 			}
 		}
-		if !replaced {
-			newBody = append(newBody, s)
-		}
+		pf.gets = append(pf.gets, g)
 	}
-	// 5. Iteration counter.
-	newBody = append(newBody, &ir.Assign{Var: ctr, Val: ir.Add(ir.V(ctr), ir.Const(1))})
-	f.Body = newBody
-
-	// Prelude: initial issues with all chain iterators at zero.
-	for _, g := range gets {
-		prelude = append(prelude, pf.issueFor(cleanMove[g.mv], cleanGuard[g.mv], zeroSub, ir.Const(0), getReply[g.mv])...)
-	}
-	// Postlude: drain outstanding puts.
-	for _, r := range putReply {
-		postlude = append(postlude,
-			&ir.If{Cond: ir.Cond{Op: ir.GE, L: ir.V(ctr), R: ir.Const(1)},
-				Then: []ir.Stmt{&ir.DMAWait{Reply: r, Times: ir.Const(1)}}},
-			&ir.If{Cond: ir.Cond{Op: ir.GE, L: ir.V(ctr), R: ir.Const(2)},
-				Then: []ir.Stmt{&ir.DMAWait{Reply: r, Times: ir.Const(1)}}},
-		)
-	}
-	return prelude, postlude, nil
+	return guards
 }
 
-// issueFor builds the (optionally pad-guarded) prefetch issue of a get with
-// substituted iterators and a parity buffer offset.
-func (pf *prefetcher) issueFor(mv *ir.RegionMove, guard *ir.If, sub map[string]ir.Expr, off ir.Expr, reply string) []ir.Stmt {
-	clone := ir.CloneStmt(mv).(*ir.RegionMove)
-	for d := range clone.Start {
-		clone.Start[d] = ir.Subst(clone.Start[d], sub)
-		clone.Extent[d] = ir.Subst(clone.Extent[d], sub)
+// touch returns the index of buf in pf.frames, adding it if it is new.
+func (pf *prefetcher) touch(buf string) int {
+	if i := pf.frame(buf); i >= 0 {
+		return i
 	}
-	for d := range clone.FrameStride {
-		clone.FrameStride[d] = ir.Subst(clone.FrameStride[d], sub)
+	pf.frames = append(pf.frames, frame{buf: buf})
+	return len(pf.frames) - 1
+}
+
+func (pf *prefetcher) frame(buf string) int {
+	for i := range pf.frames {
+		if pf.frames[i].buf == buf {
+			return i
+		}
 	}
-	clone.BufOff = ir.Add(ir.Subst(clone.BufOff, sub), off)
-	var out []ir.Stmt
-	if guard != nil {
-		zf := ir.CloneStmt(guard.Then[0]).(*ir.Transform)
+	return -1
+}
+
+// buf returns the program's (last) allocation of a buffer, or nil.
+func (pf *prefetcher) buf(name string) *spmBuf {
+	for i := len(pf.bufs) - 1; i >= 0; i-- {
+		if pf.bufs[i].alloc.Buf == name {
+			return &pf.bufs[i]
+		}
+	}
+	return nil
+}
+
+// build makes the loop's expressions the first time they are needed.
+func (c *loopCtx) build() {
+	if c.nx != "" {
+		return
+	}
+	c.nx = "nx_" + c.iter
+	c.v, c.nxV = ir.V(c.iter), ir.V(c.nx)
+	c.inc, c.ext = ir.Add(c.v, ir.Const(1)), ir.Const(c.extent)
+}
+
+// substitutions refills the two maps the issues substitute through; the
+// pass makes them once.
+func (pf *prefetcher) substitutions(chain []loopCtx) {
+	if pf.nextSub == nil {
+		pf.nextSub, pf.zeroSub = make(map[string]ir.Expr, len(chain)), make(map[string]ir.Expr, len(chain))
+	}
+	clear(pf.nextSub)
+	clear(pf.zeroSub)
+	for _, c := range chain {
+		pf.nextSub[c.iter] = c.nxV
+		pf.zeroSub[c.iter] = ir.Const(0)
+	}
+}
+
+// wrap builds the carry of chain[d] into chain[d-1], and recursively
+// outwards.
+func wrap(chain []loopCtx, d int) ir.Stmt {
+	then := make([]ir.Stmt, 2, 3)
+	then[0] = &ir.Assign{Var: chain[d].nx, Val: ir.Const(0)}
+	then[1] = &ir.Assign{Var: chain[d-1].nx, Val: chain[d-1].inc}
+	if d-1 >= 1 {
+		then = append(then, wrap(chain, d-1))
+	}
+	return &ir.If{Cond: ir.Cond{Op: ir.EQ, L: chain[d].nxV, R: chain[d].ext}, Then: then}
+}
+
+// waitIf is `if ctr >= n: dma_wait reply x1`.
+func waitIf(ctr ir.Expr, n int64, reply string) ir.Stmt {
+	return &ir.If{
+		Cond: ir.Cond{Op: ir.GE, L: ctr, R: ir.Const(n)},
+		Then: []ir.Stmt{&ir.DMAWait{Reply: reply, Times: ir.Const(1)}},
+	}
+}
+
+// issue appends the (optionally pad-guarded) prefetch issue of a get to dst,
+// with substituted iterators and a parity buffer offset. The issue's
+// start, extent and frame strides share one backing array.
+func issue(dst []ir.Stmt, g *getSite, sub map[string]ir.Expr, off ir.Expr) []ir.Stmt {
+	if g.guard != nil {
+		zf := g.zero
 		zf.DstOff = ir.Add(ir.Subst(zf.DstOff, sub), off)
-		cond := guard.Cond
+		cond := g.guard.Cond
 		cond.L = ir.Subst(cond.L, sub)
 		cond.R = ir.Subst(cond.R, sub)
-		out = append(out, &ir.If{Cond: cond, Then: []ir.Stmt{zf}})
+		dst = append(dst, &ir.If{Cond: cond, Then: []ir.Stmt{&zf}})
 	}
-	out = append(out, &ir.DMAOp{Move: *clone, Reply: reply})
-	return out
+	mv := g.move
+	n0, n1 := len(mv.Start), len(mv.Start)+len(mv.Extent)
+	exprs := make([]ir.Expr, n1+len(mv.FrameStride))
+	mv.Start = substAll(exprs[:n0:n0], mv.Start, sub)
+	mv.Extent = substAll(exprs[n0:n1:n1], mv.Extent, sub)
+	mv.FrameStride = substAll(exprs[n1:], mv.FrameStride, sub)
+	mv.BufOff = ir.Add(ir.Subst(mv.BufOff, sub), off)
+	return append(dst, &ir.DMAOp{Move: mv, Reply: g.reply})
+}
+
+// substAll writes the substituted src into dst (of the same length); an
+// empty src stays nil.
+func substAll(dst, src []ir.Expr, sub map[string]ir.Expr) []ir.Expr {
+	if len(src) == 0 {
+		return nil
+	}
+	for i, e := range src {
+		dst[i] = ir.Subst(e, sub)
+	}
+	return dst
 }
 
 func (pf *prefetcher) reply(prefix string) string {
 	pf.nreply++
-	return fmt.Sprintf("%s%d", prefix, pf.nreply)
+	return prefix + strconv.Itoa(pf.nreply)
 }
 
-// offsetBufRefs adds a parity offset to every reference to an SPM buffer in
-// a subtree (GEMM operands, transforms, region moves).
-func offsetBufRefs(body []ir.Stmt, buf string, off ir.Expr) {
-	ir.Walk(body, func(s ir.Stmt) bool {
+// offsetRefs adds each moved buffer's parity offset to every reference to
+// it in a subtree (GEMM operands, transforms, region moves).
+func (pf *prefetcher) offsetRefs(body []ir.Stmt) {
+	for _, s := range body {
 		switch x := s.(type) {
+		case *ir.For:
+			pf.offsetRefs(x.Body)
+		case *ir.If:
+			pf.offsetRefs(x.Then)
+			pf.offsetRefs(x.Else)
 		case *ir.Gemm:
-			if x.A == buf {
-				x.AOff = ir.Add(x.AOff, off)
-			}
-			if x.B == buf {
-				x.BOff = ir.Add(x.BOff, off)
-			}
-			if x.C == buf {
-				x.COff = ir.Add(x.COff, off)
-			}
+			x.AOff = pf.offset(x.A, x.AOff)
+			x.BOff = pf.offset(x.B, x.BOff)
+			x.COff = pf.offset(x.C, x.COff)
 		case *ir.Transform:
-			if x.Src == buf {
-				x.SrcOff = ir.Add(x.SrcOff, off)
-			}
-			if x.Dst == buf {
-				x.DstOff = ir.Add(x.DstOff, off)
-			}
+			x.SrcOff = pf.offset(x.Src, x.SrcOff)
+			x.DstOff = pf.offset(x.Dst, x.DstOff)
 		case *ir.RegionMove:
-			if x.Buf == buf {
-				x.BufOff = ir.Add(x.BufOff, off)
-			}
+			x.BufOff = pf.offset(x.Buf, x.BufOff)
 		case *ir.DMAOp:
-			if x.Move.Buf == buf {
-				x.Move.BufOff = ir.Add(x.Move.BufOff, off)
-			}
+			x.Move.BufOff = pf.offset(x.Move.Buf, x.Move.BufOff)
 		}
-		return true
-	})
+	}
+}
+
+func (pf *prefetcher) offset(buf string, e ir.Expr) ir.Expr {
+	if i := pf.frame(buf); i >= 0 {
+		return ir.Add(e, pf.frames[i].cur)
+	}
+	return e
 }
