@@ -41,9 +41,11 @@ type Engine struct {
 	model *costmodel.GemmModel
 
 	// timings remembers the engine's own fresh-machine measurements (see
-	// timed), one float per distinct schedule the process has resolved.
-	mu      sync.Mutex
-	timings map[string]float64
+	// timed), one float per distinct schedule the process has resolved;
+	// simulations counts the fresh-machine runs timed made.
+	mu          sync.Mutex
+	timings     map[string]float64
+	simulations int
 }
 
 // NewEngine fits the autotuner's cost model.
@@ -1061,11 +1063,14 @@ func (e *Engine) timed(key string, build func() (*ir.Program, error)) (float64, 
 		return 0, err
 	}
 	res, err := exec.RunVirtual(prog, exec.Options{FastLoops: true})
+	e.mu.Lock()
+	e.simulations++
+	if err == nil {
+		e.timings[key] = res.Seconds
+	}
+	e.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	e.timings[key] = res.Seconds
-	e.mu.Unlock()
 	return res.Seconds, nil
 }

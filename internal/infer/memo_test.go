@@ -4,7 +4,6 @@ import (
 	"context"
 	"maps"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -18,6 +17,13 @@ func timingsOf(e *Engine) map[string]float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return maps.Clone(e.timings)
+}
+
+// simulationsOf reads how many fresh-machine runs the engine has made.
+func simulationsOf(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.simulations
 }
 
 // sameResult fails unless two runs agree bit for bit on everything
@@ -36,7 +42,7 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 // TestWarmRunRetimesNothing: the first warm run on a fresh engine times
 // every (operator, strategy) of the method sweep once; the second compares
 // the remembered seconds — the same Result bit for bit, a memo that did not
-// grow, and none of the scratch-pad backing store the re-timings allocated.
+// grow, and not one fresh-machine simulation.
 func TestWarmRunRetimesNothing(t *testing.T) {
 	ctx := context.Background()
 	g, err := convOnlyBuilder(2)
@@ -63,20 +69,17 @@ func TestWarmRunRetimesNothing(t *testing.T) {
 
 	e := newEngine(t)
 	opts := Options{Library: lib, SkipBaseline: true, NoTune: true}
-	var ms runtime.MemStats
-	warm := func() (*Result, uint64) {
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
+	warm := func() (*Result, int) {
+		before := simulationsOf(e)
 		res, err := e.Run(ctx, g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&ms)
-		return res, ms.TotalAlloc - before
+		return res, simulationsOf(e) - before
 	}
-	run1, bytes1 := warm()
+	run1, sims1 := warm()
 	memo1 := timingsOf(e)
-	run2, bytes2 := warm()
+	run2, sims2 := warm()
 	sameResult(t, "warm run 2 vs 1", run2, run1)
 	if run1.CachedOps != 2 || run1.TunedOps != 0 {
 		t.Fatalf("warm run resolved %d cached / %d tuned, want 2 / 0", run1.CachedOps, run1.TunedOps)
@@ -87,11 +90,9 @@ func TestWarmRunRetimesNothing(t *testing.T) {
 	if memo2 := timingsOf(e); !maps.Equal(memo1, memo2) {
 		t.Fatalf("run 2 changed the memo:\n%v\n%v", memo1, memo2)
 	}
-	if float64(bytes2) > 0.65*float64(bytes1) {
-		t.Fatalf("warm run 2 allocated %d B, run 1 %d B (ratio %.2f, want <= 0.65): it re-timed something",
-			bytes2, bytes1, float64(bytes2)/float64(bytes1))
+	if sims1 != swept || sims2 != 0 {
+		t.Fatalf("warm runs 1 and 2 simulated %d and %d times on a fresh machine, want %d and 0", sims1, sims2, swept)
 	}
-	t.Logf("run 1 %d B, run 2 %d B (%.2f), %d timings remembered", bytes1, bytes2, float64(bytes2)/float64(bytes1), swept)
 }
 
 // TestEngineConcurrentRuns: the memo is the engine's only shared mutable
