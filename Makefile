@@ -112,9 +112,12 @@ obs-check:
 # statement count and never the trip counts; issue+wait on a warmed reply word
 # allocates nothing; a second warm network run on one engine re-times no
 # (operator, strategy) the first one timed — same Result bit for bit, the
-# engine's memo unchanged, at most 0.65 of the first run's bytes.
+# engine's memo unchanged, not one fresh-machine simulation; compiling a
+# candidate (lower, InjectPrefetch, InferDMA) stays within the allocations
+# measured at four double-buffered golden points.
 alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
+	$(GO) test -run 'TestCompileAllocBudget' -count=1 ./internal/core
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
 	$(GO) test -run 'TestFeaturesAllocBudget' -count=1 ./internal/search
