@@ -174,7 +174,7 @@ func ablate(b *testing.B, label string, restrict func(op *conv.ImplicitOp)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fres, err := autotune.ModelBased(full, r.Model)
+	fres, err := r.Tune(context.Background(), full, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func ablate(b *testing.B, label string, restrict func(op *conv.ImplicitOp)) {
 		b.Fatal(err)
 	}
 	restrict(cut)
-	cres, err := autotune.ModelBased(cut, r.Model)
+	cres, err := r.Tune(context.Background(), cut, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,8 +236,8 @@ func BenchmarkTuningWallClock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := autotune.ModelBasedCtx(context.Background(), op, r.Model,
-			autotune.Options{Workers: w})
+		wr := &experiments.Runner{Model: r.Model, Options: autotune.Options{Workers: w}}
+		res, err := wr.Tune(context.Background(), op, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -95,24 +95,21 @@ func main() {
 		os.Exit(1)
 	}
 	runner.Quick = !*full
-	runner.Workers = *workers
-	runner.Searcher = searcher
-	runner.SearchBudget = *budget
-	if *retries > 1 {
-		runner.Retry = autotune.Retry{Attempts: *retries}
-	}
 	reg := metrics.NewRegistry()
-	runner.Metrics = reg
+	runner.Options = autotune.Options{Workers: *workers, Metrics: reg, Searcher: searcher, SearchBudget: *budget}
+	if *retries > 1 {
+		runner.Options.Retry = autotune.Retry{Attempts: *retries}
+	}
 	sess, err := obsFlags.Start("swbench", reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "swbench:", err)
 		os.Exit(1)
 	}
 	defer sess.Close()
-	runner.Observer = sess.Observer
+	runner.Options.Observer = sess.Observer
 
 	if *searchCheck {
-		code := searchCheckCmd(sess, *workers)
+		code := searchCheckCmd(sess, runner)
 		if err := sess.WriteMetrics(true); err != nil {
 			fmt.Fprintln(os.Stderr, "swbench:", err)
 			code = 1

@@ -27,25 +27,15 @@ const searchCheckCoveragePct = 10.0
 // convolution shapes twice — the exhaustive walk and the evolutionary
 // searcher at a 0.10 budget — and fail if the searcher's schedule is >5%
 // slower on any layer or its aggregate coverage exceeds 10% of the space.
-// This is the CI gate that keeps sample-efficient search honest.
-func searchCheckCmd(sess *cliobs.Session, workers int) int {
-	exhaustive, err := experiments.NewRunner()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swbench:", err)
-		return 1
-	}
-	exhaustive.Workers = workers
-	exhaustive.Observer = sess.Observer
-
-	evo, err := experiments.NewRunner()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "swbench:", err)
-		return 1
-	}
-	evo.Workers = workers
-	evo.Observer = sess.Observer
-	evo.Searcher = swatop.NewEvoSearcher()
-	evo.SearchBudget = autotune.DefaultSearchBudget
+// This is the CI gate that keeps sample-efficient search honest. Both sides
+// take the session's fitted model and worker budget, and nothing else of
+// its options.
+func searchCheckCmd(sess *cliobs.Session, r *experiments.Runner) int {
+	exhaustive := &experiments.Runner{Model: r.Model,
+		Options: autotune.Options{Workers: r.Options.Workers, Observer: sess.Observer}}
+	evo := &experiments.Runner{Model: r.Model, Options: exhaustive.Options}
+	evo.Options.Searcher = swatop.NewEvoSearcher()
+	evo.Options.SearchBudget = autotune.DefaultSearchBudget
 
 	// Unique shapes only: VGG16 repeats conv3_2/3_3 etc.; tuning a
 	// duplicate shape proves nothing the first instance didn't.
@@ -77,12 +67,17 @@ func searchCheckCmd(sess *cliobs.Session, workers int) int {
 			fmt.Fprintln(os.Stderr, "swbench: draining, search-check aborted")
 			return 1
 		}
-		base, err := exhaustive.TuneConv(method, shape)
+		op, err := conv.NewOp(method, shape)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "swbench: %s: %v\n", l, err)
+			return 1
+		}
+		base, err := exhaustive.Tune(sess.Context(), op, false)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swbench: %s exhaustive: %v\n", l, err)
 			return 1
 		}
-		got, err := evo.TuneConv(method, shape)
+		got, err := evo.Tune(sess.Context(), op, false)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swbench: %s evo: %v\n", l, err)
 			return 1

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -76,22 +77,37 @@ func TestRunProgramAndTuners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.TuneGemm(gemm.Params{M: 64, N: 64, K: 64})
+	gop, err := gemm.NewOp(gemm.Params{M: 64, N: 64, K: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Tune(context.Background(), gop, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Best.Measured <= 0 {
 		t.Fatal("non-positive measured time")
 	}
+	// Tune hands back the tuner's own run of the winner: a fresh run of the
+	// winning program reads the same, bit for bit.
+	if secs, err := RunProgram(res.Best.Program); err != nil || secs != res.Best.Measured {
+		t.Fatalf("winner re-run %v (%v), tuner measured %v", secs, err, res.Best.Measured)
+	}
 	if _, err := conv.NewOp("bogus", conv.Shape{}); err == nil {
 		t.Fatal("unknown method must error")
 	}
-	cres, err := r.TuneConv("implicit", conv.Shape{B: 32, Ni: 32, No: 32, Ro: 8, Co: 8, Kr: 3, Kc: 3})
+	cop, err := conv.NewOp("implicit", conv.Shape{B: 32, Ni: 32, No: 32, Ro: 8, Co: 8, Kr: 3, Kc: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Best.Measured <= 0 {
-		t.Fatal("non-positive conv time")
+	for _, blackBox := range []bool{false, true} {
+		cres, err := r.Tune(context.Background(), cop, blackBox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cres.Best.Measured <= 0 {
+			t.Fatal("non-positive conv time")
+		}
 	}
 }
 

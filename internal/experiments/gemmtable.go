@@ -19,16 +19,13 @@ type GemmRow struct {
 
 // Table2Row aggregates one Table 2 quadrant.
 type Table2Row struct {
-	Aligned      bool
-	Faster       int
-	AvgFasterPct float64
-	Slower       int
-	AvgSlowerPct float64
+	Aligned bool
+	tally
 }
 
 // GemmSweep runs the Listing-2 comparison (cached). Shapes are tuned in
-// parallel across r.Workers goroutines; row order is the deterministic
-// listing order regardless of worker count.
+// parallel across r.Options.Workers goroutines; row order is the
+// deterministic listing order regardless of worker count.
 func (r *Runner) GemmSweep() ([]GemmRow, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -52,7 +49,11 @@ func (r *Runner) GemmSweep() ([]GemmRow, error) {
 	add(workloads.Listing2Aligned(), true, 14)
 	rows, err := collectRows(r, len(jobs), func(i int) (GemmRow, bool, error) {
 		j := jobs[i]
-		tuned, err := r.tuneGemm(context.Background(), j.p, 1)
+		op, err := gemm.NewOp(j.p)
+		if err != nil {
+			return GemmRow{}, false, err
+		}
+		tuned, err := r.sequential().Tune(context.Background(), op, false)
 		if err != nil {
 			return GemmRow{}, false, fmt.Errorf("gemm sweep %v: %w", j.p, err)
 		}
@@ -80,27 +81,16 @@ func (r *Runner) Table2() ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := map[bool]*Table2Row{
-		true:  {Aligned: true},
-		false: {Aligned: false},
-	}
+	out := []Table2Row{{Aligned: true}, {Aligned: false}}
 	for _, row := range rows {
-		a := agg[row.Aligned]
-		if row.SwATOP <= row.XMath {
-			a.Faster++
-			a.AvgFasterPct += row.XMath/row.SwATOP - 1
-		} else {
-			a.Slower++
-			a.AvgSlowerPct += 1 - row.XMath/row.SwATOP
+		a := &out[1]
+		if row.Aligned {
+			a = &out[0]
 		}
+		a.add(row.SwATOP, row.XMath)
 	}
-	for _, a := range agg {
-		if a.Faster > 0 {
-			a.AvgFasterPct = a.AvgFasterPct / float64(a.Faster) * 100
-		}
-		if a.Slower > 0 {
-			a.AvgSlowerPct = a.AvgSlowerPct / float64(a.Slower) * 100
-		}
+	for i := range out {
+		out[i].average()
 	}
-	return []Table2Row{*agg[true], *agg[false]}, nil
+	return out, nil
 }

@@ -91,7 +91,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Quick = true
-	r.Workers = 4
+	r.Options.Workers = 4
 
 	got := map[string][]string{}
 	sub, err := runSubstrate(r)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"swatop/internal/autotune"
 	"swatop/internal/conv"
 	"swatop/internal/dsl"
 	"swatop/internal/gemm"
@@ -37,6 +36,7 @@ func (r *Runner) Fig10() ([]Fig10Row, error) {
 		}
 		shapes = append(shapes, s)
 	}
+	x := r.exhaustive()
 	cands, err := collectRows(r, len(shapes), func(i int) (cand, bool, error) {
 		s := shapes[i]
 		op, err := conv.NewImplicitOp(s)
@@ -44,7 +44,7 @@ func (r *Runner) Fig10() ([]Fig10Row, error) {
 			return cand{}, false, err
 		}
 		op.Space().DoubleBuffer = []bool{false}
-		res, err := autotune.ModelBasedCtx(context.Background(), op, r.Model, autotune.Options{Metrics: r.Metrics})
+		res, err := x.Tune(context.Background(), op, false)
 		if err != nil {
 			return cand{}, false, fmt.Errorf("fig10 %v: %w", s, err)
 		}
@@ -114,13 +114,14 @@ func (r *Runner) Fig11() ([]Fig11Row, error) {
 		}
 		shapes = append(shapes, p)
 	}
+	x := r.exhaustive()
 	return collectRows(r, len(shapes), func(i int) (Fig11Row, bool, error) {
 		p := shapes[i]
 		op, err := gemm.NewOp(p)
 		if err != nil {
 			return Fig11Row{}, false, err
 		}
-		res, err := autotune.ModelBasedCtx(context.Background(), op, r.Model, autotune.Options{Metrics: r.Metrics})
+		res, err := x.Tune(context.Background(), op, false)
 		if err != nil {
 			return Fig11Row{}, false, fmt.Errorf("fig11 %v: %w", p, err)
 		}

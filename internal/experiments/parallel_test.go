@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"swatop/internal/autotune"
 )
 
 // TestSweepWorkerCountInvariance checks the sweep-level guarantee: every
@@ -15,8 +17,8 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.Quick = true
-	r1.Workers = 1
-	r2 := &Runner{Model: r1.Model, Quick: true, Workers: 8}
+	r1.Options.Workers = 1
+	r2 := &Runner{Model: r1.Model, Quick: true, Options: autotune.Options{Workers: 8}}
 
 	rows1, err := r1.GemmSweep()
 	if err != nil {
@@ -44,7 +46,7 @@ func TestRunnerConcurrentSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Quick = true
-	r.Workers = 4
+	r.Options.Workers = 4
 	var progressMax int
 	r.Progress = func(done, total int) {
 		if done > progressMax {

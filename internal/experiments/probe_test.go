@@ -1,12 +1,23 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"swatop/internal/baseline"
 	"swatop/internal/conv"
+	"swatop/internal/dsl"
 	"swatop/internal/gemm"
 )
+
+func mustConvOp(t *testing.T, method string, s conv.Shape) dsl.Operator {
+	t.Helper()
+	op, err := conv.NewOp(method, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
 
 // TestProbeHeadlineShapes is the calibration probe: on representative
 // shapes, the qualitative results of the paper must hold. Run with -v to
@@ -22,7 +33,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 
 	// --- Implicit conv vs swDNN, a mid VGG layer at batch 32.
 	s := conv.Shape{B: 32, Ni: 256, No: 256, Ro: 28, Co: 28, Kr: 3, Kc: 3}
-	tuned, err := r.TuneConv("implicit", s)
+	tuned, err := r.Tune(context.Background(), mustConvOp(t, "implicit", s), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +53,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	}
 
 	// --- Winograd vs manual winograd, same layer.
-	wt, err := r.TuneConv("winograd", s)
+	wt, err := r.Tune(context.Background(), mustConvOp(t, "winograd", s), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +73,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 	}
 
 	// --- Explicit conv vs manual explicit.
-	et, err := r.TuneConv("explicit", s)
+	et, err := r.Tune(context.Background(), mustConvOp(t, "explicit", s), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestProbeHeadlineShapes(t *testing.T) {
 
 	// --- Batch-1 implicit works while swDNN cannot.
 	s1 := conv.Shape{B: 1, Ni: 256, No: 256, Ro: 28, Co: 28, Kr: 3, Kc: 3}
-	t1, err := r.TuneConv("implicit", s1)
+	t1, err := r.Tune(context.Background(), mustConvOp(t, "implicit", s1), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +111,11 @@ func TestProbeHeadlineShapes(t *testing.T) {
 		{gemm.Params{M: 2000, N: 500, K: 200}, "unaligned"},
 		{gemm.Params{M: 8192, N: 256, K: 1024}, "aligned-skinny"},
 	} {
-		gt, err := r.TuneGemm(cfg.p)
+		gop, err := gemm.NewOp(cfg.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt, err := r.Tune(context.Background(), gop, false)
 		if err != nil {
 			t.Fatal(err)
 		}

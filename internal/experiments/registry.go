@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"swatop/internal/conv"
 	"swatop/internal/report"
 	"swatop/internal/sw26010"
 	"swatop/internal/workloads"
@@ -20,9 +21,12 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{"substrate", "Substrate validation vs Xu et al. [24]", runSubstrate},
-		{"fig5", "Fig. 5: Implicit CONV vs swDNN on three CNNs", runFig5},
-		{"fig6", "Fig. 6: Winograd CONV vs manual on applicable layers", runFig6},
-		{"fig7", "Fig. 7: Explicit CONV vs manual on three CNNs", runFig7},
+		{"fig5", "Fig. 5: Implicit CONV vs swDNN on three CNNs", runConvFig(conv.Implicit,
+			"Fig. 5 — Implicit CONV vs swDNN (batch 1 has no manual version)")},
+		{"fig6", "Fig. 6: Winograd CONV vs manual on applicable layers", runConvFig(conv.Winograd,
+			"Fig. 6 — Winograd CONV vs manual (xMath-based) implementation")},
+		{"fig7", "Fig. 7: Explicit CONV vs manual on three CNNs", runConvFig(conv.Explicit,
+			"Fig. 7 — Explicit CONV vs manual (im2col + xMath) implementation")},
 		{"table1", "Table 1: 75-configuration sweep, faster/slower counts", runTable1},
 		{"fig8", "Fig. 8: Throughput/efficiency of three CONV methods", runFig8},
 		{"table2", "Table 2: GEMM vs xMath on Listing-2 shapes", runTable2},
@@ -56,67 +60,42 @@ func runSubstrate(r *Runner) (*report.Table, error) {
 	return t, nil
 }
 
-func layerTable(title string, rows []LayerRow) *report.Table {
-	t := report.NewTable(title,
-		"layer", "batch", "swATOP", "manual", "speedup", "eff", "chip TFLOPS", "space")
-	for _, row := range rows {
-		manual, speed := "n/a", "∞"
-		if !row.ManualNA {
-			manual = report.Ms(row.Manual)
-			speed = fmt.Sprintf("%.2fx", row.Speedup)
+// runConvFig renders one of Figs. 5–7: a row per layer and batch, then the
+// average speedup per batch.
+func runConvFig(method, title string) func(r *Runner) (*report.Table, error) {
+	return func(r *Runner) (*report.Table, error) {
+		rows, err := r.convFig(method, workloads.Batches())
+		if err != nil {
+			return nil, err
 		}
-		// Budgeted (-searcher) runs show measured/space coverage instead of
-		// pretending the walk visited everything; exhaustive rows keep the
-		// valid-candidate count, byte-identical to earlier releases.
-		space := fmt.Sprint(row.SpaceSize)
-		if row.Measured > 0 && row.SpacePoints > 0 {
-			space = fmt.Sprintf("%d/%d (%.0f%%)", row.Measured, row.SpacePoints,
-				100*float64(row.Measured)/float64(row.SpacePoints))
+		t := report.NewTable(title,
+			"layer", "batch", "swATOP", "manual", "speedup", "eff", "chip TFLOPS", "space")
+		for _, row := range rows {
+			manual, speed := "n/a", "∞"
+			if !row.ManualNA {
+				manual = report.Ms(row.Manual)
+				speed = fmt.Sprintf("%.2fx", row.Speedup)
+			}
+			// Budgeted (-searcher) runs show measured/space coverage instead
+			// of pretending the walk visited everything; exhaustive rows keep
+			// the valid-candidate count, byte-identical to earlier releases.
+			space := fmt.Sprint(row.SpaceSize)
+			if row.Measured > 0 && row.SpacePoints > 0 {
+				space = fmt.Sprintf("%d/%d (%.0f%%)", row.Measured, row.SpacePoints,
+					100*float64(row.Measured)/float64(row.SpacePoints))
+			}
+			t.AddRow(fmt.Sprintf("%s/%s", row.Net, row.Layer), row.Batch,
+				report.Ms(row.SwATOP), manual, speed,
+				fmt.Sprintf("%.0f%%", row.Eff*100), fmt.Sprintf("%.2f", row.ChipTFlops), space)
 		}
-		t.AddRow(fmt.Sprintf("%s/%s", row.Net, row.Layer), row.Batch,
-			report.Ms(row.SwATOP), manual, speed,
-			fmt.Sprintf("%.0f%%", row.Eff*100), fmt.Sprintf("%.2f", row.ChipTFlops), space)
-	}
-	return t
-}
-
-func summarizeFig(t *report.Table, rows []LayerRow) {
-	for _, b := range workloads.Batches() {
-		if avg, n := AvgSpeedup(rows, b); n > 0 {
-			t.AddRow(fmt.Sprintf("— average (batch %d, %d layers)", b, n), b, "", "",
-				fmt.Sprintf("%.2fx", avg), "", "", "")
+		for _, b := range workloads.Batches() {
+			if avg, n := AvgSpeedup(rows, b); n > 0 {
+				t.AddRow(fmt.Sprintf("— average (batch %d, %d layers)", b, n), b, "", "",
+					fmt.Sprintf("%.2fx", avg), "", "", "")
+			}
 		}
+		return t, nil
 	}
-}
-
-func runFig5(r *Runner) (*report.Table, error) {
-	rows, err := r.Fig5(workloads.Batches())
-	if err != nil {
-		return nil, err
-	}
-	t := layerTable("Fig. 5 — Implicit CONV vs swDNN (batch 1 has no manual version)", rows)
-	summarizeFig(t, rows)
-	return t, nil
-}
-
-func runFig6(r *Runner) (*report.Table, error) {
-	rows, err := r.Fig6(workloads.Batches())
-	if err != nil {
-		return nil, err
-	}
-	t := layerTable("Fig. 6 — Winograd CONV vs manual (xMath-based) implementation", rows)
-	summarizeFig(t, rows)
-	return t, nil
-}
-
-func runFig7(r *Runner) (*report.Table, error) {
-	rows, err := r.Fig7(workloads.Batches())
-	if err != nil {
-		return nil, err
-	}
-	t := layerTable("Fig. 7 — Explicit CONV vs manual (im2col + xMath) implementation", rows)
-	summarizeFig(t, rows)
-	return t, nil
 }
 
 func runTable1(r *Runner) (*report.Table, error) {

@@ -29,7 +29,8 @@ type Table3Row struct {
 }
 
 // Table3 reproduces Table 3 at batch 32 (the training configuration).
-// Layers are tuned in parallel across r.Workers goroutines; the per-network
+// Layers are tuned in parallel across r.Options.Workers goroutines, with the
+// exhaustive walk whatever the searcher; the per-network
 // machine-time aggregation keeps the deterministic layer order, so every
 // reported number is identical for any worker count (host wall sums are the
 // total of per-layer wall times, not elapsed time).
@@ -55,17 +56,18 @@ func (r *Runner) Table3() ([]Table3Row, error) {
 		net    string
 		bb, mb autotune.Result
 	}
+	x := r.exhaustive()
 	results, err := collectRows(r, len(jobs), func(i int) (tuned, bool, error) {
 		j := jobs[i]
 		op, err := conv.NewImplicitOp(j.layer.Shape(32))
 		if err != nil {
 			return tuned{}, false, err
 		}
-		bb, err := autotune.BlackBoxCtx(context.Background(), op, autotune.Options{Metrics: r.Metrics})
+		bb, err := x.Tune(context.Background(), op, true)
 		if err != nil {
 			return tuned{}, false, fmt.Errorf("table3 %s blackbox: %w", j.layer, err)
 		}
-		mb, err := autotune.ModelBasedCtx(context.Background(), op, r.Model, autotune.Options{Metrics: r.Metrics})
+		mb, err := x.Tune(context.Background(), op, false)
 		if err != nil {
 			return tuned{}, false, fmt.Errorf("table3 %s swATOP: %w", j.layer, err)
 		}
@@ -110,7 +112,7 @@ type Fig9Row struct {
 
 // Fig9 reproduces Fig. 9 on the Listing-1 grid (batch 32; the paper pools
 // all 225 points — full mode covers one batch's 75, quick a stratified 15).
-// Configurations run in parallel across r.Workers goroutines.
+// Configurations run in parallel across r.Options.Workers goroutines.
 func (r *Runner) Fig9() ([]Fig9Row, error) {
 	var shapes []conv.Shape
 	for i, s := range workloads.Listing1(32) {
@@ -119,17 +121,18 @@ func (r *Runner) Fig9() ([]Fig9Row, error) {
 		}
 		shapes = append(shapes, s)
 	}
+	x := r.exhaustive()
 	return collectRows(r, len(shapes), func(i int) (Fig9Row, bool, error) {
 		s := shapes[i]
 		op, err := conv.NewImplicitOp(s)
 		if err != nil {
 			return Fig9Row{}, false, err
 		}
-		bb, err := autotune.BlackBoxCtx(context.Background(), op, autotune.Options{Metrics: r.Metrics})
+		bb, err := x.Tune(context.Background(), op, true)
 		if err != nil {
 			return Fig9Row{}, false, fmt.Errorf("fig9 %v blackbox: %w", s, err)
 		}
-		mb, err := autotune.ModelBasedCtx(context.Background(), op, r.Model, autotune.Options{Metrics: r.Metrics})
+		mb, err := x.Tune(context.Background(), op, false)
 		if err != nil {
 			return Fig9Row{}, false, fmt.Errorf("fig9 %v model: %w", s, err)
 		}
