@@ -517,16 +517,9 @@ func (st *state) Transform(x *ir.Transform, op *ir.Op) error {
 	case ir.WinoOutputSlab:
 		nslabs, tilesC, b := arg(0), arg(1), arg(2)
 		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, tilesC, b) }
-	default: // a Winograd tile kind: TransformTime knew it
+	default: // WinoFilterTile: the kinds TransformTime knows end here
 		cnt := arg(0)
-		tile := primitives.WinoOutputTransform
-		switch x.Kind {
-		case ir.WinoInputTile:
-			tile = primitives.WinoInputTransform
-		case ir.WinoFilterTile:
-			tile = primitives.WinoFilterTransform
-		}
-		kernel = func(src, dst []float32) error { return tile(src, dst, cnt) }
+		kernel = func(src, dst []float32) error { return primitives.WinoFilterTransform(src, dst, cnt) }
 	}
 	var src []float32
 	if x.Kind != ir.ZeroFill { // which has no source

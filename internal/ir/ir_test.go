@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,21 +206,6 @@ func TestWalkAndCount(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := buildSample()
-	c := p.Clone()
-	// Mutate clone's nested loop extent.
-	inner := func(p *Program) *For { return p.Body[1].(*For).Body[0].(*For) }
-	inner(c).Extent = Const(99)
-	if v, _ := IsConst(inner(p).Extent); v != 2 {
-		t.Fatal("clone shares loop structure")
-	}
-	c.Tensors[0].Dims[0] = 1
-	if p.Tensors[0].Dims[0] != 64 {
-		t.Fatal("clone shares tensor dims")
-	}
-}
-
 func TestPrintContainsStructure(t *testing.T) {
 	p := buildSample()
 	out := Print(p)
@@ -258,33 +242,5 @@ func TestPrintAllNodeKinds(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("printed fragment missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestCloneAllKinds(t *testing.T) {
-	body := []Stmt{
-		&Assign{Var: "x", Val: Const(1)},
-		&AllocSPM{Buf: "b", Elems: Const(4)},
-		&FreeSPM{Buf: "b"},
-		&RegionMove{Tensor: "T", Start: []Expr{Const(0)}, Extent: []Expr{Const(1)}, Buf: "b", BufOff: Const(0)},
-		&DMAOp{Move: RegionMove{Tensor: "T", Start: []Expr{Const(0)}, Extent: []Expr{Const(1)}, Buf: "b", BufOff: Const(0)}, Reply: "r"},
-		&DMAWait{Reply: "r", Times: Const(1)},
-		&Gemm{A: "a", B: "b", C: "c", AOff: Const(0), BOff: Const(0), COff: Const(0), M: Const(4), N: Const(4), K: Const(4), LDA: Const(4), LDB: Const(4), LDC: Const(4)},
-		&Transform{Kind: CopySPM, Src: "a", Dst: "b", SrcOff: Const(0), DstOff: Const(0), Args: []Expr{Const(4)}},
-		&Comment{Text: "hi"},
-		&If{Cond: Cond{LT, Const(0), Const(1)}, Then: []Stmt{&Comment{Text: "t"}}},
-	}
-	cl := CloneStmts(body)
-	// A nil list stays nil (the If's Else), so a list deep-equals its clone.
-	if !reflect.DeepEqual(cl, body) {
-		t.Fatal("clone is not deep-equal to the original")
-	}
-	// Mutating a cloned RegionMove's Start must not affect the original.
-	cl[3].(*RegionMove).Start[0] = Const(9)
-	if v, _ := IsConst(body[3].(*RegionMove).Start[0]); v != 0 {
-		t.Fatal("RegionMove clone shares Start slice")
-	}
-	if CloneStmts(nil) != nil || CloneStmts([]Stmt{}) == nil {
-		t.Fatal("CloneStmts changed a list's nil-ness")
 	}
 }

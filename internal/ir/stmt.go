@@ -208,13 +208,9 @@ const (
 	// CopySPM copies Elems elements between SPM buffers (strided copies of
 	// the lightweight-padding scheme).
 	CopySPM
-	// WinoInputTile transforms input tiles into Winograd domain (CPE
+	// WinoFilterTile transforms filter tiles into Winograd domain (CPE
 	// vector kernel; operates on SPM buffers).
-	WinoInputTile
-	// WinoFilterTile transforms a filter tile into Winograd domain.
 	WinoFilterTile
-	// WinoOutputTile inverse-transforms an output tile.
-	WinoOutputTile
 	// WinoInputSlab transforms a 4-row input slab into 16 GEMM planes
 	// (args: tilesC, ci, b).
 	WinoInputSlab
@@ -229,12 +225,8 @@ func (k TransformKind) String() string {
 		return "zerofill"
 	case CopySPM:
 		return "copy_spm"
-	case WinoInputTile:
-		return "wino_input"
 	case WinoFilterTile:
 		return "wino_filter"
-	case WinoOutputTile:
-		return "wino_output"
 	case WinoInputSlab:
 		return "wino_input_slab"
 	case WinoOutputSlab:
@@ -248,11 +240,11 @@ func (k TransformKind) String() string {
 // non-Winograd kinds.
 func (k TransformKind) Phase() string {
 	switch k {
-	case WinoInputTile, WinoInputSlab:
+	case WinoInputSlab:
 		return "input"
 	case WinoFilterTile:
 		return "filter"
-	case WinoOutputTile, WinoOutputSlab:
+	case WinoOutputSlab:
 		return "output"
 	}
 	return ""
@@ -294,73 +286,3 @@ func (*DMAWait) isStmt()    {}
 func (*Gemm) isStmt()       {}
 func (*Transform) isStmt()  {}
 func (*Comment) isStmt()    {}
-
-// CloneStmts deep-copies a statement list. Expressions are immutable and
-// shared; statement structure is copied so passes can mutate freely. A nil
-// list stays nil.
-func CloneStmts(body []Stmt) []Stmt {
-	if body == nil {
-		return nil
-	}
-	out := make([]Stmt, len(body))
-	for i, s := range body {
-		out[i] = CloneStmt(s)
-	}
-	return out
-}
-
-// CloneStmt deep-copies one statement.
-func CloneStmt(s Stmt) Stmt {
-	switch x := s.(type) {
-	case *For:
-		return &For{Iter: x.Iter, Extent: x.Extent, Body: CloneStmts(x.Body)}
-	case *If:
-		return &If{Cond: x.Cond, Then: CloneStmts(x.Then), Else: CloneStmts(x.Else)}
-	case *Assign:
-		c := *x
-		return &c
-	case *AllocSPM:
-		c := *x
-		return &c
-	case *FreeSPM:
-		c := *x
-		return &c
-	case *RegionMove:
-		c := *x
-		c.Start = append([]Expr(nil), x.Start...)
-		c.Extent = append([]Expr(nil), x.Extent...)
-		c.FrameStride = append([]Expr(nil), x.FrameStride...)
-		return &c
-	case *DMAOp:
-		c := *x
-		c.Move.Start = append([]Expr(nil), x.Move.Start...)
-		c.Move.Extent = append([]Expr(nil), x.Move.Extent...)
-		c.Move.FrameStride = append([]Expr(nil), x.Move.FrameStride...)
-		return &c
-	case *DMAWait:
-		c := *x
-		return &c
-	case *Gemm:
-		c := *x
-		return &c
-	case *Transform:
-		c := *x
-		c.Args = append([]Expr(nil), x.Args...)
-		return &c
-	case *Comment:
-		c := *x
-		return &c
-	}
-	panic(fmt.Sprintf("ir: CloneStmt on unknown stmt %T", s))
-}
-
-// Clone deep-copies a program.
-func (p *Program) Clone() *Program {
-	c := &Program{Name: p.Name, Body: CloneStmts(p.Body)}
-	c.Tensors = append([]TensorDecl(nil), p.Tensors...)
-	for i := range c.Tensors {
-		c.Tensors[i].Dims = append([]int(nil), p.Tensors[i].Dims...)
-		c.Tensors[i].Layout = append([]int(nil), p.Tensors[i].Layout...)
-	}
-	return c
-}

@@ -54,12 +54,13 @@ func TransformTime(x *ir.Transform, arg func(i int) int) (float64, error) {
 		return ZeroFillTime(arg(0)), nil
 	case ir.CopySPM:
 		return CopySPMTime(arg(0)), nil
-	case ir.WinoInputTile, ir.WinoFilterTile, ir.WinoOutputTile:
+	case ir.WinoFilterTile:
 		return WinoTransformTime(x.Kind.Phase(), arg(0))
+	// A slab kernel is charged as the transform of the tiles it covers.
 	case ir.WinoInputSlab: // nslabs, tilesC, ci, b
-		return WinoSlabTime(x.Kind.Phase(), arg(0)*arg(1)*arg(3))
+		return WinoTransformTime(x.Kind.Phase(), arg(0)*arg(1)*arg(3))
 	case ir.WinoOutputSlab: // nslabs, tilesC, b
-		return WinoSlabTime(x.Kind.Phase(), arg(0)*arg(1)*arg(2))
+		return WinoTransformTime(x.Kind.Phase(), arg(0)*arg(1)*arg(2))
 	}
 	return 0, fmt.Errorf("unknown transform %v", x.Kind)
 }

@@ -104,10 +104,3 @@ func WinoOutputSlab(src, dst []float32, nslabs, tilesC, b int) error {
 	}
 	return nil
 }
-
-// WinoSlabTime models the slab kernels: the per-tile transform arithmetic
-// plus the strided SPM gather/scatter, vectorized over the batch dimension
-// and spread across the cluster.
-func WinoSlabTime(phase string, tiles int) (float64, error) {
-	return WinoTransformTime(phase, tiles)
-}
