@@ -3,6 +3,7 @@ package autotune
 import (
 	"testing"
 
+	"swatop/internal/conv"
 	"swatop/internal/costmodel"
 	"swatop/internal/dsl"
 	"swatop/internal/exec"
@@ -131,7 +132,7 @@ func TestModelBasedBestIsRunnableAndCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := mb.Best.Program
-	binds, err := gemm.Bind(prog)
+	binds, err := conv.Bind(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestXMathGemmCorrectUnaligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binds, err := gemm.Bind(prog)
+	binds, err := conv.Bind(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

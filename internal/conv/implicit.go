@@ -117,8 +117,9 @@ func (o *ImplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	return core.Compile(o.seed, st)
 }
 
-// Bind allocates operand tensors with the layouts a compiled program chose,
-// inputs filled with a deterministic pattern.
+// Bind allocates the operand tensors a compiled program declares (any
+// operator's, GEMM included) with the layouts it chose, inputs filled with
+// a deterministic pattern; the returned map is ready for exec.Run.
 func Bind(prog *ir.Program) (map[string]*tensor.Tensor, error) {
 	binds := map[string]*tensor.Tensor{}
 	for _, decl := range prog.Tensors {

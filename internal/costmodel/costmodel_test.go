@@ -302,7 +302,7 @@ func TestEstimateVsSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binds, err := gemm.Bind(prog)
+		binds, err := conv.Bind(prog)
 		if err != nil {
 			t.Fatal(err)
 		}

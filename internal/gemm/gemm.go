@@ -8,7 +8,6 @@ import (
 
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
-	"swatop/internal/tensor"
 )
 
 // Params is a GEMM problem size: C[M×N] = A[M×K] × B[K×N].
@@ -62,25 +61,4 @@ func Space(p Params) *dsl.Space {
 	sp.Layout("B", 1, 0)
 	sp.Vecs = []ir.VecDim{ir.VecM, ir.VecN}
 	return sp
-}
-
-// Bind creates operand tensors with the layouts a lowered program chose,
-// filled with a deterministic pattern; the returned map is ready for
-// exec.Run.
-func Bind(prog *ir.Program) (map[string]*tensor.Tensor, error) {
-	binds := map[string]*tensor.Tensor{}
-	for _, decl := range prog.Tensors {
-		if decl.Scratch {
-			continue
-		}
-		t, err := tensor.NewWithLayout(decl.Name, decl.Dims, decl.Layout)
-		if err != nil {
-			return nil, err
-		}
-		if !decl.Output {
-			t.FillPattern()
-		}
-		binds[decl.Name] = t
-	}
-	return binds, nil
 }

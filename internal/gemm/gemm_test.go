@@ -3,6 +3,7 @@ package gemm
 import (
 	"testing"
 
+	"swatop/internal/conv"
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
 )
@@ -80,7 +81,7 @@ func TestOpInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binds, err := Bind(prog)
+	binds, err := conv.Bind(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

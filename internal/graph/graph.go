@@ -82,8 +82,6 @@ type Graph struct {
 	// producer maps a tensor to the node that writes it ("" = graph input
 	// or parameter).
 	producer map[string]string
-	// consumers counts readers per tensor, for the engine's reuse planner.
-	consumers map[string]int
 
 	Input  string
 	Output string
@@ -92,11 +90,10 @@ type Graph struct {
 // New creates an empty graph for one batch size.
 func New(name string, batch int) *Graph {
 	return &Graph{
-		Name:      name,
-		Batch:     batch,
-		tensors:   map[string]*Tensor{},
-		producer:  map[string]string{},
-		consumers: map[string]int{},
+		Name:     name,
+		Batch:    batch,
+		tensors:  map[string]*Tensor{},
+		producer: map[string]string{},
 	}
 }
 
@@ -150,9 +147,6 @@ func (g *Graph) AddNode(n *Node) error {
 	if n.Out == g.Input {
 		return fmt.Errorf("graph %s: node %s writes the graph input %q", g.Name, n.Name, n.Out)
 	}
-	for _, in := range n.In {
-		g.consumers[in]++
-	}
 	g.producer[n.Out] = n.Name
 	g.nodes = append(g.nodes, n)
 	return nil
@@ -187,9 +181,6 @@ func (g *Graph) Tensors() []*Tensor {
 	}
 	return out
 }
-
-// Consumers reports how many nodes read a tensor.
-func (g *Graph) Consumers(name string) int { return g.consumers[name] }
 
 // Producer returns the name of the node writing a tensor ("" for the graph
 // input and parameters).

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"swatop/internal/conv"
 	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/exec"
@@ -37,7 +38,7 @@ func compileAndRun(t *testing.T, p gemm.Params, st dsl.Strategy) exec.Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	binds, err := gemm.Bind(prog)
+	binds, err := conv.Bind(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +289,8 @@ func TestPrefetchTimedEqualsFunctionalClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := gemm.Bind(prog)
-	b2, _ := gemm.Bind(prog)
+	b1, _ := conv.Bind(prog)
+	b2, _ := conv.Bind(prog)
 	r1, err := exec.Run(prog, b1, exec.Options{Functional: true})
 	if err != nil {
 		t.Fatal(err)

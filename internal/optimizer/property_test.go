@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"swatop/internal/conv"
 	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/exec"
@@ -61,7 +62,7 @@ func TestFullPipelinePropertyQuick(t *testing.T) {
 		if err != nil {
 			return true // invalid point: pruned, not wrong
 		}
-		binds, err := gemm.Bind(prog)
+		binds, err := conv.Bind(prog)
 		if err != nil {
 			return false
 		}

@@ -217,9 +217,6 @@ type Server struct {
 	draining    bool
 	batcherDone chan struct{}
 
-	warmMu   sync.Mutex
-	warmSecs map[int]float64
-
 	slo sloState
 }
 
@@ -270,7 +267,6 @@ func New(cfg Config) (*Server, error) {
 		buckets:     buckets,
 		queue:       make(chan *pending, cfg.QueueDepth),
 		batcherDone: make(chan struct{}),
-		warmSecs:    map[int]float64{},
 	}
 	s.reg.Gauge("serve_queue_capacity").Set(float64(cfg.QueueDepth))
 	s.reg.Gauge("serve_breaker_state").Set(stateGauge(BreakerClosed))
@@ -353,11 +349,6 @@ func (s *Server) Warmup(ctx context.Context) (map[int]float64, error) {
 			obsrv.F("bucket", b), obsrv.Ms("machine_ms", res.Seconds),
 			obsrv.F("degraded_ops", res.DegradedOps))
 	}
-	s.warmMu.Lock()
-	for b, secs := range out {
-		s.warmSecs[b] = secs
-	}
-	s.warmMu.Unlock()
 	return out, nil
 }
 

@@ -410,7 +410,7 @@ func (t *Tuned) PrintIR() string { return ir.Print(t.program) }
 // checks the result against a reference implementation, returning the
 // maximum absolute error.
 func (t *Tuned) VerifyGemm() (float64, error) {
-	binds, err := gemm.Bind(t.program)
+	binds, err := conv.Bind(t.program)
 	if err != nil {
 		return 0, err
 	}
