@@ -151,11 +151,44 @@ func fingerprint(t *testing.T, res *Result, reg *metrics.Registry, spans *reqtra
 	return lines
 }
 
+// checkComm asserts that a run's comm events agree with its clock. In a
+// lockstep run every collective is stamped on group 0's row, so that row's
+// events sum to CommSeconds exactly; in a pipeline run all hand-offs sum to
+// it, in another order, so within a relative 1e-12. Every comm event names
+// its source and destination and lies within the run.
+func checkComm(t *testing.T, name string, res *Result) {
+	t.Helper()
+	var lead, all float64
+	for _, ev := range res.Timeline.Events {
+		if ev.Kind != trace.KindComm {
+			continue
+		}
+		if ev.Args["src"] == "" || ev.Args["dst"] == "" {
+			t.Errorf("%s: comm event %q lacks src/dst args: %v", name, ev.Label, ev.Args)
+		}
+		if ev.Start < 0 || ev.Start+ev.Dur > res.Seconds {
+			t.Errorf("%s: comm event %q [%g, %g] outside [0, %g]", name, ev.Label, ev.Start, ev.Start+ev.Dur, res.Seconds)
+		}
+		all += ev.Dur
+		if ev.Group == 0 {
+			lead += ev.Dur
+		}
+	}
+	if res.Mode == ModePipeline {
+		if math.Abs(all-res.CommSeconds) > 1e-12*res.CommSeconds {
+			t.Errorf("%s: comm events sum to %.17g, CommSeconds %.17g", name, all, res.CommSeconds)
+		}
+	} else if lead != res.CommSeconds {
+		t.Errorf("%s: group 0's comm events sum to %.17g, CommSeconds %.17g", name, lead, res.CommSeconds)
+	}
+}
+
 // TestFleetFingerprint is the characterisation test of the execution
 // paths: 13 warm, fully cached configurations covering the single machine,
 // hybrid and pure data parallelism (with empty shards, idle groups and
 // functional data) and pipelining, each run serially and concurrently, must
-// reproduce testdata/fleet_fingerprints.txt bit for bit. The golden file
+// reproduce testdata/fleet_fingerprints.txt bit for bit, and every observed
+// run's comm events must agree with its clock (checkComm). The golden file
 // records the behaviour before the four paths were folded into one task
 // runner; on a deliberate observable change, replace the lines the failure
 // prints.
@@ -197,6 +230,7 @@ func TestFleetFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			checkComm(t, name, res)
 			return fingerprint(t, res, opts.Metrics, opts.Spans)
 		}
 		run(true, false) // warm the library: every compared run is fully cached
