@@ -104,34 +104,19 @@ func ShardBatch(b, n int) ([]int, error) {
 	return shards, nil
 }
 
-// GatherSeconds models collecting `bytes` of results from n groups onto
-// the lead group through shared memory: the lead group's DMA engine is the
-// bottleneck, so the n-1 remote shards stream in serially at the
-// cross-group bandwidth, after a per-group synchronization step. Zero for
-// a single group — there is nothing to gather.
-func GatherSeconds(bytes int64, n int) float64 {
-	if n <= 1 || bytes <= 0 {
-		return float64(n-1) * GroupSyncSeconds
-	}
-	return float64(bytes)/InterGroupBandwidth + float64(n-1)*GroupSyncSeconds
-}
-
-// AllGatherSeconds models an all-gather of a buffer of totalBytes whose
-// shards are spread across n groups: every group writes its own shard to
-// shared memory and reads the n-1 remote shards back, so each group moves
-// the full buffer once at the cross-group bandwidth, plus one
-// synchronization step per remote peer. This is the collective between the
-// column-sharded fully-connected layers of the hybrid data-parallel mode
-// (each group computes a slice of the output features but needs the full
-// activation as the next layer's input).
-func AllGatherSeconds(totalBytes int64, n int) float64 {
+// CollectiveSeconds models a collective over a buffer of `bytes` whose
+// slices are spread across n groups: the full buffer crosses the
+// bottleneck DMA engine once at the cross-group bandwidth, plus one
+// synchronization step per remote peer. A gather onto the lead group and an
+// all-gather cost the same: in a gather the lead group pulls the n-1
+// remote slices serially; in an all-gather every group writes its slice to
+// shared memory and reads the others back, each moving the full buffer
+// once. Zero for a single group — there is nothing to collect.
+func CollectiveSeconds(bytes int64, n int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	if totalBytes <= 0 {
-		return float64(n-1) * GroupSyncSeconds
-	}
-	return float64(totalBytes)/InterGroupBandwidth + float64(n-1)*GroupSyncSeconds
+	return float64(bytes)/InterGroupBandwidth + float64(n-1)*GroupSyncSeconds
 }
 
 // StageTransferSeconds models handing one micro-batch's boundary

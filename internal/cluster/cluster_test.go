@@ -73,35 +73,19 @@ func TestShardBatch(t *testing.T) {
 }
 
 func TestCommCostModels(t *testing.T) {
-	if GatherSeconds(0, 1) != 0 {
-		t.Fatal("single group gather must be free")
+	if CollectiveSeconds(0, 1) != 0 || CollectiveSeconds(1<<20, 1) != 0 {
+		t.Fatal("single group collective must be free")
 	}
-	g2 := GatherSeconds(1<<20, 2)
-	g4 := GatherSeconds(1<<20, 4)
-	if g2 <= 0 || g4 <= g2 {
-		t.Fatalf("gather not monotone in groups: %g vs %g", g2, g4)
+	c2 := CollectiveSeconds(1<<20, 2)
+	c4 := CollectiveSeconds(1<<20, 4)
+	if c2 <= 0 || c4 <= c2 {
+		t.Fatalf("collective not monotone in groups: %g vs %g", c2, c4)
 	}
-	big := GatherSeconds(1<<24, 4)
-	if big <= g4 {
-		t.Fatalf("gather not monotone in bytes: %g vs %g", big, g4)
+	if big := CollectiveSeconds(1<<24, 4); big <= c4 {
+		t.Fatalf("collective not monotone in bytes: %g vs %g", big, c4)
 	}
-	if AllGatherSeconds(1<<20, 1) != 0 {
-		t.Fatal("single group all-gather must be free")
-	}
-	ag4 := AllGatherSeconds(1<<20, 4)
-	if ag4 <= 0 || ag4 <= AllGatherSeconds(1<<20, 2) {
-		t.Fatalf("all-gather not monotone in groups: %g", ag4)
-	}
-	if AllGatherSeconds(1<<24, 4) <= ag4 {
-		t.Fatal("all-gather not monotone in bytes")
-	}
-	// Moving the full buffer once per group vs the lead group pulling the
-	// remote shards: same bytes on the bottleneck path, same sync count.
-	if ag4 != GatherSeconds(1<<20, 4) {
-		t.Fatalf("all-gather %g != gather %g of the same buffer", ag4, GatherSeconds(1<<20, 4))
-	}
-	if AllGatherSeconds(0, 4) != 3*GroupSyncSeconds {
-		t.Fatal("empty all-gather must still synchronize")
+	if CollectiveSeconds(0, 4) != 3*GroupSyncSeconds {
+		t.Fatal("empty collective must still synchronize")
 	}
 	if StageTransferSeconds(0) != 0 {
 		t.Fatal("empty stage transfer must be free")

@@ -314,12 +314,12 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 	case !hybrid:
 		// The closing gather of a tail-less run is one event on the lead
 		// group's row, fed only by the groups that ran.
-		secs := cluster.GatherSeconds(headBytes, len(active))
+		secs := cluster.CollectiveSeconds(headBytes, len(active))
 		clk.timeline.AddGroupArgs(0, trace.KindComm, "gather outputs", clk.clock, secs,
 			map[string]string{"src": strings.Join(active, ","), "dst": "group0"})
 		clk.charge(secs)
 	case tailStart > 0:
-		clk.collective(G, "allgather "+headOut, "all groups", cluster.AllGatherSeconds(headBytes, G))
+		clk.collective(G, "allgather "+headOut, "all groups", cluster.CollectiveSeconds(headBytes, G))
 	}
 
 	// Tail steps: shard gemms (or the redundant full elementwise op),
@@ -358,9 +358,9 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 			layer.FLOPs = n.Gemm.FLOPs()
 			bytes := int64(elemCount(mustDims(g, n.Out))) * 4
 			if ti == len(tails)-1 {
-				clk.collective(G, "gather "+n.Name, "group0", cluster.GatherSeconds(bytes, G))
+				clk.collective(G, "gather "+n.Name, "group0", cluster.CollectiveSeconds(bytes, G))
 			} else {
-				clk.collective(G, "allgather "+n.Name, "all groups", cluster.AllGatherSeconds(bytes, G))
+				clk.collective(G, "allgather "+n.Name, "all groups", cluster.CollectiveSeconds(bytes, G))
 			}
 			if opts.Functional {
 				fullAct = tensor.New(n.Out, mustDims(g, n.Out)...)
