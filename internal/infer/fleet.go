@@ -3,7 +3,6 @@ package infer
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"swatop/internal/cluster"
@@ -183,19 +182,17 @@ func (c *lockstep) join(outs []*taskResult) float64 {
 }
 
 // collective charges one modeled cross-group transfer to the clock and
-// stamps it on every group's timeline row, each event labeled with its own
-// group as the source and the collective's destination ("all groups" for an
-// all-gather, a specific group for a gather) so overlapping collectives
-// stay distinguishable in the Gantt legend.
-func (c *lockstep) collective(groups int, name, dst string, secs float64) {
-	for i := 0; i < groups && secs > 0; i++ {
-		c.timeline.AddGroupArgs(i, trace.KindComm, name, c.clock, secs,
-			map[string]string{"src": fmt.Sprintf("group%d", i), "dst": dst})
+// stamps it on every sending group's timeline row, each event labeled with
+// its own group as the source and the collective's destination ("all
+// groups" for an all-gather, a specific group for a gather) so overlapping
+// collectives stay distinguishable in the Gantt legend.
+func (c *lockstep) collective(src []int, name, dst string, secs float64) {
+	for _, i := range src {
+		if secs > 0 {
+			c.timeline.AddGroupArgs(i, trace.KindComm, name, c.clock, secs,
+				map[string]string{"src": fmt.Sprintf("group%d", i), "dst": dst})
+		}
 	}
-	c.charge(secs)
-}
-
-func (c *lockstep) charge(secs float64) {
 	c.clock += secs
 	c.comm += secs
 }
@@ -280,7 +277,10 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 	// Head step. Every shard sees its true slice of the whole-batch input,
 	// so the gathered activations are the whole-batch answer.
 	tasks := make([]*task, G)
-	active := make([]string, 0, G)
+	active, all := make([]int, 0, G), make([]int, G)
+	for i := range all {
+		all[i] = i
+	}
 	for i, b := range shards {
 		if b == 0 {
 			continue
@@ -292,7 +292,7 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 				copyBatchSlice(ts[sp.g.Input], b, 0, fullIn, B, offs[i], b)
 			},
 		}
-		active = append(active, fmt.Sprintf("group%d", i))
+		active = append(active, i)
 	}
 	outs, err := e.runStep(ctx, opts, fleet, tasks)
 	if err != nil {
@@ -312,14 +312,10 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 	headBytes := int64(elemCount(mustDims(g, headOut))) * 4
 	switch {
 	case !hybrid:
-		// The closing gather of a tail-less run is one event on the lead
-		// group's row, fed only by the groups that ran.
-		secs := cluster.CollectiveSeconds(headBytes, len(active))
-		clk.timeline.AddGroupArgs(0, trace.KindComm, "gather outputs", clk.clock, secs,
-			map[string]string{"src": strings.Join(active, ","), "dst": "group0"})
-		clk.charge(secs)
+		// The closing gather collects only from the groups that ran.
+		clk.collective(active, "gather outputs", "group0", cluster.CollectiveSeconds(headBytes, len(active)))
 	case tailStart > 0:
-		clk.collective(G, "allgather "+headOut, "all groups", cluster.CollectiveSeconds(headBytes, G))
+		clk.collective(all, "allgather "+headOut, "all groups", cluster.CollectiveSeconds(headBytes, G))
 	}
 
 	// Tail steps: shard gemms (or the redundant full elementwise op),
@@ -358,9 +354,17 @@ func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Optio
 			layer.FLOPs = n.Gemm.FLOPs()
 			bytes := int64(elemCount(mustDims(g, n.Out))) * 4
 			if ti == len(tails)-1 {
-				clk.collective(G, "gather "+n.Name, "group0", cluster.CollectiveSeconds(bytes, G))
+				// The closing gather collects only from the groups holding
+				// columns.
+				var src []int
+				for i, w := range tp.widths {
+					if w > 0 {
+						src = append(src, i)
+					}
+				}
+				clk.collective(src, "gather "+n.Name, "group0", cluster.CollectiveSeconds(bytes, len(src)))
 			} else {
-				clk.collective(G, "allgather "+n.Name, "all groups", cluster.CollectiveSeconds(bytes, G))
+				clk.collective(all, "allgather "+n.Name, "all groups", cluster.CollectiveSeconds(bytes, G))
 			}
 			if opts.Functional {
 				fullAct = tensor.New(n.Out, mustDims(g, n.Out)...)
