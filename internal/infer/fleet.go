@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"swatop/internal/cluster"
-	"swatop/internal/gemm"
 	"swatop/internal/graph"
 	"swatop/internal/sw26010"
 	"swatop/internal/tensor"
@@ -21,7 +20,8 @@ import (
 // aggregation (counters, timelines, the fleet clock) happens after the
 // groups join, in fixed group order.
 
-// runFleet validates the fleet configuration and dispatches to the mode.
+// runFleet validates the fleet configuration, describes the run as a
+// placement — data-parallel or pipelined — and executes it.
 func (e *Engine) runFleet(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Groups > sw26010.NumCG {
 		return nil, fmt.Errorf("infer %s: %d groups, but one SW26010 node has %d core groups",
@@ -30,10 +30,15 @@ func (e *Engine) runFleet(ctx context.Context, g *graph.Graph, opts Options) (*R
 	if opts.Builder == nil {
 		return nil, fmt.Errorf("infer %s: fleet mode needs Options.Builder to rebuild the net at shard batch sizes", g.Name)
 	}
+	place := e.dataParallel
 	if opts.Pipeline {
-		return e.runPipeline(ctx, g, opts)
+		place = e.pipeline
 	}
-	return e.runDataParallel(ctx, g, opts)
+	p, err := place(ctx, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.runPlacement(ctx, g, opts, p)
 }
 
 // buildShard rebuilds and validates the network at a shard batch size.
@@ -48,16 +53,11 @@ func buildShard(g *graph.Graph, opts Options, batch int) (*graph.Graph, error) {
 	if sg.Batch != batch {
 		return nil, fmt.Errorf("infer %s: Builder(%d) built a batch-%d graph", g.Name, batch, sg.Batch)
 	}
-	return sg, nil
-}
-
-// checkBatchLast checks the repo-wide batch-last convention the fleet's
-// shard/merge copies rely on.
-func checkBatchLast(dims []int, batch int) error {
-	if len(dims) == 0 || dims[len(dims)-1] != batch {
-		return fmt.Errorf("tensor dims %v do not end in the batch extent %d", dims, batch)
+	if sg.NumNodes() != g.NumNodes() {
+		return nil, fmt.Errorf("infer %s: batch-%d shard has %d nodes, the full graph %d",
+			g.Name, batch, sg.NumNodes(), g.NumNodes())
 	}
-	return nil
+	return sg, nil
 }
 
 // copyBatchSlice copies src's batch columns [off, off+n) into dst's batch
@@ -81,54 +81,15 @@ func copyRows(dst *tensor.Tensor, dstRow int, src *tensor.Tensor, srcRow, n, col
 	copyBatchSlice(dst, dst.Len(), dstRow*cols, src, src.Len(), srcRow*cols, n*cols)
 }
 
-// offsets returns where each of the consecutive shards starts: the running
-// sum of the sizes before it.
-func offsets(sizes []int) []int {
-	offs := make([]int, len(sizes))
-	for i := 1; i < len(sizes); i++ {
-		offs[i] = offs[i-1] + sizes[i-1]
-	}
-	return offs
-}
-
-// fullInput builds the whole-batch input tensor a functional data-parallel
-// run shards from, filled exactly like fillInputs fills the single-machine
-// input.
-func fullInput(g *graph.Graph) *tensor.Tensor {
-	in := tensor.New(g.Input, mustDims(g, g.Input)...)
-	fillActivation(in)
-	return in
-}
-
-// runGroups executes fn(0..G-1), concurrently unless the serial
-// determinism reference is requested.
-func runGroups(G int, serial bool, fn func(int)) {
-	if serial {
-		for i := 0; i < G; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < G; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// runStep executes tasks[i] on core group i — nil tasks sit the step out,
-// their machine clocks untouched — and joins the groups. Every group runs
-// on its own machine with a scoped registry (cluster.GroupPrefix), so
-// concurrent groups touch disjoint metric names; the first error in group
-// order wins.
+// runStep executes tasks[i] on core group i — a nil task sits the step out,
+// its machine clock untouched — concurrently, or in order for the serial
+// determinism reference, and joins the groups. Each group runs on its own
+// machine with a scoped registry (cluster.GroupPrefix), so concurrent groups
+// touch disjoint metric names; the first error in group order wins.
 func (e *Engine) runStep(ctx context.Context, opts Options, fleet *cluster.Fleet, tasks []*task) ([]*taskResult, error) {
 	outs := make([]*taskResult, len(tasks))
 	errs := make([]error, len(tasks))
-	runGroups(len(tasks), opts.serialFleet, func(i int) {
+	run := func(i int) {
 		if tasks[i] == nil {
 			return
 		}
@@ -142,7 +103,20 @@ func (e *Engine) runStep(ctx context.Context, opts Options, fleet *cluster.Fleet
 			tolerance:    opts.Tolerance,
 			skipBaseline: true,
 		})
-	})
+	}
+	var wg sync.WaitGroup
+	for i := range tasks {
+		if opts.serialFleet {
+			run(i)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -151,268 +125,148 @@ func (e *Engine) runStep(ctx context.Context, opts Options, fleet *cluster.Fleet
 	return outs, nil
 }
 
-// lockstep is the fleet clock of a data-parallel run: every step starts at
-// a barrier and the clock advances by the slowest group, then by each
-// modeled collective. It is computed after the groups join, in fixed group
-// order, from per-machine simulated quantities — bit-identical across
-// worker counts and goroutine interleavings.
-type lockstep struct {
-	clock, comm float64
-	timeline    *trace.Log
-	res         *Result // accumulates resolution counts
+// placement is a fleet run described as data: its steps in topo order and
+// what each core group runs of each. dataParallel and pipeline build one;
+// runPlacement executes any.
+type placement struct {
+	mode   string // ModeDataParallel or ModePipeline
+	detail string // the live job's detail while it executes
+	batch  []int  // each group's GroupResult.Batch
+	steps  []*step
 }
 
-// join places a finished step at the barrier: each group's segment is
-// rebased from its machine clock to the step's start, the clock moves to
-// the slowest group's finish, and the step's start is returned.
-func (c *lockstep) join(outs []*taskResult) float64 {
-	start := c.clock
-	for i, o := range outs {
-		if o == nil {
-			continue
-		}
-		seg := o.segs[0]
-		c.clock = max(c.clock, start+seg.dur)
-		c.timeline.MergeGroup(i, start-seg.start, seg.log)
-		c.res.TunedOps += o.res.TunedOps
-		c.res.CachedOps += o.res.CachedOps
-		c.res.DegradedOps += o.res.DegradedOps
-	}
-	return start
+// cut is how the groups running a step divide its activation.
+type cut int
+
+const (
+	whole   cut = iota // every running group holds all of it
+	byBatch            // each group holds a slice of the batch columns
+	byRows             // each group holds a slice of a gemm's output features
+)
+
+// step is one topo-order node slice of a placement. tasks[i] is group i's
+// share — its shard plan, nodes and repetitions — or nil when the group sits
+// the step out; in a sliced step group i holds [offs[i], offs[i]+sizes[i]).
+// out names the tensor the step writes (every task's graph shares the full
+// graph's names), bytes what the step hands on.
+type step struct {
+	nodes       []*graph.Node
+	tasks       []*task
+	cut         cut
+	sizes, offs []int
+	out         string
+	name        string // the subject of the collective's label
+	bytes       int64
+	weight      *tensor.Tensor // a functional byRows step's full weight
 }
 
-// collective charges one modeled cross-group transfer to the clock and
-// stamps it on every sending group's timeline row, each event labeled with
-// its own group as the source and the collective's destination ("all
-// groups" for an all-gather, a specific group for a gather) so overlapping
-// collectives stay distinguishable in the Gantt legend.
-func (c *lockstep) collective(src []int, name, dst string, secs float64) {
-	for _, i := range src {
-		if secs > 0 {
-			c.timeline.AddGroupArgs(i, trace.KindComm, name, c.clock, secs,
-				map[string]string{"src": fmt.Sprintf("group%d", i), "dst": dst})
-		}
-	}
-	c.clock += secs
-	c.comm += secs
-}
-
-// runDataParallel shards the batch across the groups as a sequence of
-// lockstep steps. The head — everything before the fully-connected tail —
-// runs batch-sharded, each group on its slice of the batch. Networks whose
-// graph ends in an fc tail (hybridTail) then all-gather the activations and
-// run the tail column-sharded at the full batch, one step per layer, each
-// group loading only 1/G of the fc weights (swCaffe's split); everything
-// else is the same run with an empty tail, closed by the modeled gather of
-// the shard outputs.
-func (e *Engine) runDataParallel(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+// dataParallel places a run across the batch. The head of the net runs
+// batch-sharded, each group on its slice of the batch. A net ending in an fc
+// tail (hybridTail) then runs the tail one step per layer at the full batch:
+// a gemm column-sharded, each group loading only 1/G of its weights
+// (swCaffe's split), an elementwise op whole on every group.
+func (e *Engine) dataParallel(ctx context.Context, g *graph.Graph, opts Options) (*placement, error) {
 	G, B := opts.Groups, g.Batch
 	shards, err := cluster.ShardBatch(B, G)
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
-	fleet, err := cluster.New(G)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
 	topo := g.Topo()
-	tailStart := hybridTail(g, topo)
-	hybrid := tailStart < len(topo)
-	// headOut is what the head hands on: the graph output when there is no
-	// tail, else the activations feeding it.
-	headOut, spanFmt, detail := g.Output, "exec shard b%d", ""
-	if hybrid {
-		headOut, spanFmt, detail = g.Input, "exec conv head b%d", " (hybrid fc tail)"
-		if tailStart > 0 {
-			headOut = topo[tailStart-1].Out
+	tailStart := hybridTail(topo)
+	p := &placement{mode: ModeDataParallel, batch: shards, detail: fmt.Sprintf("executing on %d groups", G)}
+	head := &step{nodes: topo[:tailStart], cut: byBatch, sizes: shards, out: g.Output, name: "outputs"}
+	span := "exec shard b%d"
+	if tailStart < len(topo) {
+		p.detail += " (hybrid fc tail)"
+		span, head.out = "exec conv head b%d", topo[tailStart-1].Out
+		head.name = head.out
+	}
+	for _, name := range []string{g.Input, head.out} {
+		// The functional batch copies rely on the repo-wide batch-last
+		// convention.
+		if dims := mustDims(g, name); opts.Functional && (len(dims) == 0 || dims[len(dims)-1] != B) {
+			return nil, fmt.Errorf("infer %s: tensor %s: tensor dims %v do not end in the batch extent %d",
+				g.Name, name, dims, B)
 		}
 	}
-
-	// Resolve schedules once per distinct shard size, sequentially — the
-	// library and tuner are never touched while groups execute. Only the
-	// head resolves at shard batch; the tail executes as full-batch column
-	// shards planned separately. A zero shard (batch < groups) has no graph
-	// to build: that group sits the head out.
-	plans := map[int]*shardPlan{}
-	for _, b := range shards {
-		if b == 0 || plans[b] != nil {
-			continue
-		}
-		sg, err := buildShard(g, opts, b)
-		if err != nil {
-			return nil, err
-		}
-		st := sg.Topo()
-		if len(st) != len(topo) {
-			return nil, fmt.Errorf("infer %s: batch-%d shard has %d nodes, the full graph %d",
-				g.Name, b, len(st), len(topo))
-		}
-		if plans[b], err = e.planShard(ctx, sg, st[:tailStart], opts); err != nil {
-			return nil, err
-		}
-	}
-	tails, err := e.planTail(ctx, g, opts, topo[tailStart:])
-	if err != nil {
-		return nil, err
-	}
-	opts.job.SetDetail(fmt.Sprintf("executing on %d groups%s", G, detail))
-
-	var fullIn *tensor.Tensor
-	if opts.Functional {
-		for _, name := range []string{g.Input, headOut} {
-			if err := checkBatchLast(mustDims(g, name), B); err != nil {
-				return nil, fmt.Errorf("infer %s: tensor %s: %w", g.Name, name, err)
+	p.steps = append(p.steps, head)
+	for _, n := range topo[tailStart:] {
+		st := &step{nodes: []*graph.Node{n}, sizes: make([]int, G), out: n.Out, name: n.Name}
+		if n.Kind == graph.Gemm {
+			// Columns go out in whole vector blocks, extras to the leading
+			// groups: every shard stays vectorizable, and a trailing group
+			// may receive no columns of a tiny layer.
+			if st.sizes, err = cluster.ShardBatch(n.Gemm.M/sw26010.VectorWidth, G); err != nil {
+				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
+			}
+			for i := range st.sizes {
+				st.sizes[i] *= sw26010.VectorWidth
+			}
+			st.cut = byRows
+			if opts.Functional {
+				st.weight = tensor.New(n.In[1], mustDims(g, n.In[1])...)
+				fillWeight(st.weight, n.Gemm.K)
+			}
+		} else {
+			for i := range st.sizes {
+				st.sizes[i] = elemCount(mustDims(g, n.Out)) / B
 			}
 		}
-		fullIn = fullInput(g)
-	}
-	offs := offsets(shards)
-
-	res := &Result{
-		Net: g.Name, Batch: B, FLOPs: g.FLOPs(),
-		Plan: plans[shards[0]].plan, Mode: ModeDataParallel,
-	}
-	clk := &lockstep{timeline: &trace.Log{}, res: res}
-
-	// Head step. Every shard sees its true slice of the whole-batch input,
-	// so the gathered activations are the whole-batch answer.
-	tasks := make([]*task, G)
-	active, all := make([]int, 0, G), make([]int, G)
-	for i := range all {
-		all[i] = i
-	}
-	for i, b := range shards {
-		if b == 0 {
-			continue
-		}
-		sp := plans[b]
-		tasks[i] = &task{
-			sp: sp, nodes: sp.g.Topo()[:tailStart], reps: 1, span: fmt.Sprintf(spanFmt, b),
-			prep: func(ts map[string]*tensor.Tensor) {
-				copyBatchSlice(ts[sp.g.Input], b, 0, fullIn, B, offs[i], b)
-			},
-		}
-		active = append(active, i)
-	}
-	outs, err := e.runStep(ctx, opts, fleet, tasks)
-	if err != nil {
-		return nil, err
-	}
-	clk.join(outs)
-	res.Layers = outs[0].res.Layers
-	var fullAct *tensor.Tensor
-	if opts.Functional {
-		fullAct = tensor.New(headOut, mustDims(g, headOut)...)
-		for i, o := range outs {
-			if o != nil {
-				copyBatchSlice(fullAct, B, offs[i], o.ts[headOut], shards[i], 0, shards[i])
-			}
-		}
-	}
-	headBytes := int64(elemCount(mustDims(g, headOut))) * 4
-	switch {
-	case !hybrid:
-		// The closing gather collects only from the groups that ran.
-		clk.collective(active, "gather outputs", "group0", cluster.CollectiveSeconds(headBytes, len(active)))
-	case tailStart > 0:
-		clk.collective(all, "allgather "+headOut, "all groups", cluster.CollectiveSeconds(headBytes, G))
+		p.steps = append(p.steps, st)
 	}
 
-	// Tail steps: shard gemms (or the redundant full elementwise op),
-	// barrier, then the modeled collective — all-gather between layers, a
-	// plain gather onto the lead group for the final output.
-	for ti, tp := range tails {
-		n := tp.node
-		in := fullAct
-		for i := range tasks {
-			mp := tp.minis[tp.widths[i]]
-			if mp == nil {
-				tasks[i] = nil // a gemm shard with zero columns sits the step out
+	// Schedules resolve sequentially, once per distinct slice of a step — the
+	// library and tuner are never touched while groups execute. A group with
+	// an empty slice (a zero shard of a batch smaller than the fleet, a gemm
+	// shard without columns) sits the step out.
+	for _, st := range p.steps {
+		st.tasks, st.offs = make([]*task, G), make([]int, G)
+		st.bytes = int64(elemCount(mustDims(g, st.out))) * 4
+		plans, off := map[int]*shardPlan{}, 0
+		for i, size := range st.sizes {
+			st.offs[i], off = off, off+size
+			if size == 0 {
 				continue
 			}
-			tasks[i] = &task{
-				sp: mp, nodes: mp.g.Topo(), reps: 1, span: "exec fc " + n.Name,
-				prep: func(ts map[string]*tensor.Tensor) {
-					copyFlat(ts["input"], in)
-					if tp.fullW != nil {
-						copyRows(ts["weight"], 0, tp.fullW, tp.offs[i], tp.widths[i], n.Gemm.K)
-					}
-				},
-			}
-		}
-		if outs, err = e.runStep(ctx, opts, fleet, tasks); err != nil {
-			return nil, err
-		}
-		// One report line per net layer: the lead group's shard run,
-		// restamped onto the fleet clock, carrying the whole layer's FLOPs.
-		layer := outs[0].res.Layers[0]
-		layer.Start = clk.join(outs)
-		if opts.Functional {
-			fullAct = outs[0].ts["out"]
-		}
-		if n.Kind == graph.Gemm {
-			layer.FLOPs = n.Gemm.FLOPs()
-			bytes := int64(elemCount(mustDims(g, n.Out))) * 4
-			if ti == len(tails)-1 {
-				// The closing gather collects only from the groups holding
-				// columns.
-				var src []int
-				for i, w := range tp.widths {
-					if w > 0 {
-						src = append(src, i)
-					}
+			if plans[size] == nil {
+				var sg *graph.Graph
+				if st.cut == byBatch {
+					sg, err = buildShard(g, opts, size)
+				} else if sg, err = buildNodeShard(g.Name, st.nodes[0], size, B); err != nil {
+					err = fmt.Errorf("infer %s: node %s: %w", g.Name, st.nodes[0].Name, err)
 				}
-				clk.collective(src, "gather "+n.Name, "group0", cluster.CollectiveSeconds(bytes, len(src)))
-			} else {
-				clk.collective(all, "allgather "+n.Name, "all groups", cluster.CollectiveSeconds(bytes, G))
-			}
-			if opts.Functional {
-				fullAct = tensor.New(n.Out, mustDims(g, n.Out)...)
-				for i, o := range outs {
-					if o != nil {
-						copyRows(fullAct, tp.offs[i], o.ts["out"], 0, tp.widths[i], B)
-					}
+				if err != nil {
+					return nil, err
+				}
+				if plans[size], err = e.planShard(ctx, sg, sg.Topo()[:len(st.nodes)], opts); err != nil {
+					return nil, err
 				}
 			}
+			name := "exec fc " + st.nodes[0].Name
+			if st.cut == byBatch {
+				name = fmt.Sprintf(span, size)
+			}
+			st.tasks[i] = &task{sp: plans[size], nodes: plans[size].g.Topo()[:len(st.nodes)], reps: 1, span: name}
 		}
-		res.Layers = append(res.Layers, layer)
 	}
-
-	res.Seconds = clk.clock
-	res.CommSeconds = clk.comm
-	for i := 0; i < G; i++ {
-		// A group that never ran (zero shard, no tail) still appears, with
-		// zero batch and zero seconds, keeping the scale-out story honest.
-		c := fleet.Machine(i).Counters
-		res.Counters.Accumulate(c)
-		res.Groups = append(res.Groups, GroupResult{
-			Group: i, Batch: shards[i], Seconds: fleet.Machine(i).Elapsed(), Counters: c,
-		})
-	}
-	res.Timeline = clk.timeline
-	res.Output = fullAct
-	publishFleet(opts, fleet, res)
-	return res, nil
+	return p, nil
 }
 
 // hybridTail returns the topo index where the fully-connected tail of a
 // graph starts, or len(topo) — an empty tail — when the hybrid
 // data-parallel split does not apply. The tail is a suffix of the topo
-// order, starting at the first Gemm node, forming a single chain of Gemm
-// and ReLU nodes whose output features vectorize. This is swCaffe's hybrid
-// parallelism: convolutions are compute-bound and shard well by batch, but
-// fully-connected layers are weight-DMA-bound — running them whole on
-// every group would reload the full weight matrices G times and cap the
-// fleet speedup, so they shard by output columns instead.
-func hybridTail(g *graph.Graph, topo []*graph.Node) int {
-	start := 0
+// order, starting at the first Gemm node after the first node, forming a
+// single chain of Gemm and ReLU nodes whose output features vectorize. This
+// is swCaffe's hybrid parallelism: convolutions are compute-bound and shard
+// well by batch, but fully-connected layers are weight-DMA-bound — running
+// them whole on every group would reload the full weight matrices G times
+// and cap the fleet speedup, so they shard by output columns instead.
+func hybridTail(topo []*graph.Node) int {
+	start := 1 // the head holds at least the first node
 	for start < len(topo) && topo[start].Kind != graph.Gemm {
 		start++
 	}
-	cur := g.Input
-	if start > 0 {
-		cur = topo[start-1].Out
-	}
+	cur := topo[start-1].Out
 	for _, n := range topo[start:] {
 		switch n.Kind {
 		case graph.Gemm:
@@ -431,133 +285,43 @@ func hybridTail(g *graph.Graph, topo []*graph.Node) int {
 	return start
 }
 
-// shardCols splits m output features across G groups in whole vector
-// blocks, extras to the leading groups — every shard stays vectorizable
-// and a trailing group may legitimately receive zero columns of a tiny
-// layer (it just sits that phase out).
-func shardCols(m, G int) []int {
-	blocks := m / sw26010.VectorWidth
-	base, extra := blocks/G, blocks%G
-	w := make([]int, G)
-	for i := range w {
-		w[i] = base * sw26010.VectorWidth
-		if i < extra {
-			w[i] += sw26010.VectorWidth
+// buildNodeShard builds the single-node graph one group runs of an fc-tail
+// node, under the node's own tensor names, at the full batch: rows output
+// features of it — a gemm's column shard, out[rows×B] = weight[rows×K] ×
+// in[K×B], or all of an elementwise op, which every group runs redundantly
+// after the all-gather.
+func buildNodeShard(net string, n *graph.Node, rows, batch int) (*graph.Graph, error) {
+	sg := graph.New(fmt.Sprintf("%s_%s_w%d", net, n.Name, rows), batch)
+	node, in := *n, []int{rows, batch}
+	if n.Kind == graph.Gemm {
+		node.Gemm.M, in = rows, []int{n.Gemm.K, batch}
+		if _, err := sg.AddTensor(n.In[1], []int{rows, n.Gemm.K}, true); err != nil {
+			return nil, err
 		}
 	}
-	return w
-}
-
-// buildGemmShard builds the single-node graph of one group's column shard
-// of a fully-connected layer: out[width×B] = weight[width×K] × in[K×B].
-func buildGemmShard(net string, n *graph.Node, width, batch int) (*graph.Graph, error) {
-	sg := graph.New(fmt.Sprintf("%s_%s_w%d", net, n.Name, width), batch)
-	if _, err := sg.AddTensor("input", []int{n.Gemm.K, batch}, false); err != nil {
+	if _, err := sg.AddTensor(n.In[0], in, false); err != nil {
 		return nil, err
 	}
-	sg.Input = "input"
-	if _, err := sg.AddTensor("weight", []int{width, n.Gemm.K}, true); err != nil {
+	if _, err := sg.AddTensor(n.Out, []int{rows, batch}, false); err != nil {
 		return nil, err
 	}
-	if _, err := sg.AddTensor("out", []int{width, batch}, false); err != nil {
+	sg.Input, sg.Output = n.In[0], n.Out
+	if err := sg.AddNode(&node); err != nil {
 		return nil, err
 	}
-	if err := sg.AddNode(&graph.Node{
-		Name: n.Name, Kind: graph.Gemm, In: []string{"input", "weight"}, Out: "out",
-		Gemm: gemm.Params{M: width, N: batch, K: n.Gemm.K},
-	}); err != nil {
-		return nil, err
-	}
-	sg.Output = "out"
 	return sg, sg.Validate()
 }
 
-// buildEltwiseShard builds the single-node graph of a tail elementwise op
-// over the full activation (every group runs it redundantly after the
-// all-gather, like the duplicated activations of tensor parallelism).
-func buildEltwiseShard(net string, n *graph.Node, feats, batch int) (*graph.Graph, error) {
-	sg := graph.New(fmt.Sprintf("%s_%s_full", net, n.Name), batch)
-	if _, err := sg.AddTensor("input", []int{feats, batch}, false); err != nil {
-		return nil, err
-	}
-	sg.Input = "input"
-	if _, err := sg.AddTensor("out", []int{feats, batch}, false); err != nil {
-		return nil, err
-	}
-	if err := sg.AddNode(&graph.Node{
-		Name: n.Name, Kind: n.Kind, In: []string{"input"}, Out: "out",
-	}); err != nil {
-		return nil, err
-	}
-	sg.Output = "out"
-	return sg, sg.Validate()
-}
-
-// tailPlan is one fc-tail node's sharding: per-group column widths and row
-// offsets, and the planned single-node graph per distinct width. An
-// elementwise op has all-zero widths and its one full-activation graph
-// under key 0, so minis[widths[i]] is group i's work either way — nil when
-// a gemm shard has no columns. fullW carries the functional-mode full
-// weight values the gemm shards slice their rows from.
-type tailPlan struct {
-	node   *graph.Node
-	widths []int
-	offs   []int
-	minis  map[int]*shardPlan
-	fullW  *tensor.Tensor
-}
-
-// planTail shards every node of the fully-connected tail across the groups
-// and resolves the shard graphs — sequentially, like all schedule
-// resolution.
-func (e *Engine) planTail(ctx context.Context, g *graph.Graph, opts Options, tail []*graph.Node) ([]*tailPlan, error) {
-	G, B := opts.Groups, g.Batch
-	tails := make([]*tailPlan, 0, len(tail))
-	for _, n := range tail {
-		tp := &tailPlan{node: n, widths: make([]int, G), minis: map[int]*shardPlan{}}
-		tails = append(tails, tp)
-		if n.Kind != graph.Gemm {
-			mg, err := buildEltwiseShard(g.Name, n, elemCount(mustDims(g, n.Out))/B, B)
-			if err != nil {
-				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
-			}
-			tp.minis[0] = &shardPlan{g: mg, resolved: map[string]*resolvedOp{}, plan: planBuffers(mg)}
-			continue
-		}
-		tp.widths = shardCols(n.Gemm.M, G)
-		tp.offs = offsets(tp.widths)
-		for _, w := range tp.widths {
-			if w == 0 || tp.minis[w] != nil {
-				continue
-			}
-			mg, err := buildGemmShard(g.Name, n, w, B)
-			if err != nil {
-				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
-			}
-			if tp.minis[w], err = e.planShard(ctx, mg, mg.Topo(), opts); err != nil {
-				return nil, err
-			}
-		}
-		if opts.Functional {
-			tp.fullW = tensor.New(n.In[1], mustDims(g, n.In[1])...)
-			fillWeight(tp.fullW, n.Gemm.K)
-		}
-	}
-	return tails, nil
-}
-
-// runPipeline partitions the net into Groups balanced stages by per-layer
-// tuned cost and streams Batch micro-batches of size 1 through them: a
-// placement (probe, partition, one task per stage with reps = micro-batch
-// count) executed as a single step, then rebased from the stages' machine
-// clocks onto the pipeline schedule over measured per-stage micro-batch
-// durations and modeled stage hand-offs. Timed-only.
-func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+// pipeline places a run as Groups balanced stages streaming Batch
+// micro-batches of size 1: stage s runs its node range once per micro-batch
+// on group s. The cut comes from a probe — one micro-batch on a scratch
+// machine — whose per-layer tuned costs PartitionBalanced balances; they are
+// simulated quantities, so the partition is deterministic. Timed-only.
+func (e *Engine) pipeline(ctx context.Context, g *graph.Graph, opts Options) (*placement, error) {
 	if opts.Functional {
 		return nil, fmt.Errorf("infer %s: pipeline mode is timed-only (activations stream between groups; use data parallelism for functional runs)", g.Name)
 	}
-	G := opts.Groups
-	M := g.Batch // micro-batch size 1: one micro-batch per sample
+	G, M := opts.Groups, g.Batch
 	mg, err := buildShard(g, opts, 1)
 	if err != nil {
 		return nil, err
@@ -570,10 +334,6 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-
-	// Probe pass: one sequential micro-batch on a scratch machine yields
-	// the per-layer tuned costs the partitioner balances. Purely simulated
-	// quantities, so the partition is deterministic.
 	opts.job.SetDetail("partitioning pipeline stages")
 	probe, err := e.runTask(ctx, task{sp: sp, nodes: topo, reps: 1},
 		execEnv{m: sw26010.NewMachine(), group: -1, skipBaseline: true})
@@ -588,88 +348,227 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
-	xfer := make([]float64, G-1)
-	for s := 0; s < G-1; s++ {
-		xfer[s] = cluster.StageTransferSeconds(cutBytes(mg, topo, stages[s][1]))
+	p := &placement{mode: ModePipeline, batch: make([]int, G), detail: fmt.Sprintf("executing %d stages x %d micro-batches", G, M)}
+	for s, r := range stages {
+		st := &step{nodes: topo[r[0]:r[1]], tasks: make([]*task, G), bytes: cutBytes(mg, topo, r[1])}
+		st.tasks[s] = &task{sp: sp, nodes: st.nodes, reps: M, span: fmt.Sprintf("exec stage %d x%d", s, M)}
+		p.steps = append(p.steps, st)
+		p.batch[s] = 1
 	}
+	return p, nil
+}
 
-	// Execute: stage s runs its node range M times on group s's machine.
-	// Stages are independent machines, so they run concurrently; the
-	// schedule joins them afterwards in fixed order.
-	opts.job.SetDetail(fmt.Sprintf("executing %d stages x %d micro-batches", G, M))
-	fleet, err := cluster.New(G)
+// comm is a modeled cross-group transfer, stamped as one timeline event per
+// sending group.
+type comm struct {
+	label, dst string
+	src        []int
+	secs       float64
+}
+
+// commAfter is the one collective rule: a transfer is charged wherever step
+// i and what follows it are placed differently. A pipeline stage hands its
+// boundary activations to the next stage's group. A sliced step all-gathers
+// over the fleet when another step follows, since that one needs it whole,
+// and gathers onto group 0 from the groups holding a slice when it ends the
+// net. A step every group runs whole, and a last stage, hand nothing on.
+func (p *placement) commAfter(i int) comm {
+	st, last := p.steps[i], i == len(p.steps)-1
+	var src, all []int
+	for g, t := range st.tasks {
+		if t != nil {
+			src = append(src, g)
+		}
+		all = append(all, g)
+	}
+	switch {
+	case p.mode == ModePipeline && !last:
+		return comm{fmt.Sprintf("stage %d->%d", i, i+1), fmt.Sprintf("group%d", i+1), src,
+			cluster.StageTransferSeconds(st.bytes)}
+	case st.cut == whole:
+		return comm{}
+	case !last:
+		return comm{"allgather " + st.name, "all groups", all, cluster.CollectiveSeconds(st.bytes, len(all))}
+	}
+	return comm{"gather " + st.name, "group0", src, cluster.CollectiveSeconds(st.bytes, len(src))}
+}
+
+// runPlacement executes p on a fresh fleet and assembles the Result. A
+// step's groups run at once and the steps in order, but a pipeline's stages,
+// each on its own group, all at once. After the groups join, in group order,
+// a clock places every task repetition on the fleet timeline: lockstep, where
+// each step starts at a barrier and the clock advances by the slowest group,
+// then by the collective after the step; or cluster.SchedulePipeline.
+func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options, p *placement) (*Result, error) {
+	fleet, err := cluster.New(opts.Groups)
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
-	tasks := make([]*task, G)
-	for s := range tasks {
-		tasks[s] = &task{sp: sp, nodes: topo[stages[s][0]:stages[s][1]], reps: M,
-			span: fmt.Sprintf("exec stage %d x%d", s, M)}
-	}
-	outs, err := e.runStep(ctx, opts, fleet, tasks)
-	if err != nil {
-		return nil, err
-	}
-	d := make([][]float64, G)
-	for s, o := range outs {
-		for _, seg := range o.segs {
-			d[s] = append(d[s], seg.dur)
+	opts.job.SetDetail(p.detail)
+	// The buffer plan reported is group 0's for the first step.
+	res := &Result{Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: p.steps[0].tasks[0].sp.plan,
+		Mode: p.mode, Timeline: &trace.Log{}}
+	outs := make([][]*taskResult, len(p.steps))
+	var start, finish [][]float64 // per step and repetition, on the fleet clock
+	seconds := make([]float64, opts.Groups)
+	if p.mode == ModePipeline {
+		tasks := make([]*task, opts.Groups)
+		for s, st := range p.steps {
+			tasks[s] = st.tasks[s]
+		}
+		ran, err := e.runStep(ctx, opts, fleet, tasks)
+		if err != nil {
+			return nil, err
+		}
+		d, xfer := make([][]float64, len(p.steps)), make([]float64, len(p.steps))
+		res.Pipeline = &PipelineReport{MicroBatches: g.Batch}
+		for s, st := range p.steps {
+			outs[s] = make([]*taskResult, opts.Groups)
+			outs[s][s], xfer[s] = ran[s], p.commAfter(s).secs
+			for _, seg := range ran[s].segs {
+				d[s] = append(d[s], seg.dur)
+			}
+			stage := StageReport{Group: s, Seconds: d[s][0], TransferSeconds: xfer[s]}
+			for _, n := range st.nodes {
+				stage.Nodes = append(stage.Nodes, n.Name)
+			}
+			res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
+		}
+		// The last stage hands nothing on.
+		sched, err := cluster.SchedulePipeline(d, xfer[:len(xfer)-1])
+		if err != nil {
+			return nil, fmt.Errorf("infer %s: %w", g.Name, err)
+		}
+		start, finish, seconds = sched.Start, sched.Finish, sched.BusySeconds
+		res.Seconds, res.CommSeconds = sched.TotalSeconds, sched.CommSeconds
+		res.Pipeline.BubbleFraction = sched.BubbleFraction
+	} else {
+		var act *tensor.Tensor // the whole activation of a functional run
+		if opts.Functional {
+			act = tensor.New(g.Input, mustDims(g, g.Input)...)
+			fillActivation(act)
+		}
+		for i, st := range p.steps {
+			if opts.Functional {
+				st.scatter(act, g.Batch)
+			}
+			if outs[i], err = e.runStep(ctx, opts, fleet, st.tasks); err != nil {
+				return nil, err
+			}
+			if opts.Functional {
+				act = st.gather(g, outs[i])
+			}
+			at := res.Seconds
+			for _, o := range outs[i] {
+				if o != nil {
+					res.Seconds = max(res.Seconds, at+o.segs[0].dur)
+				}
+			}
+			start, finish = append(start, []float64{at}), append(finish, []float64{res.Seconds})
+			c := p.commAfter(i)
+			res.Seconds += c.secs
+			res.CommSeconds += c.secs
+		}
+		res.Output = act
+		for i := range seconds {
+			seconds[i] = fleet.Machine(i).Elapsed()
 		}
 	}
-	sched, err := cluster.SchedulePipeline(d, xfer)
-	if err != nil {
-		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-	}
 
-	// Resolution counts describe the net once, not once per micro-batch:
-	// they come from the probe pass.
-	res := &Result{
-		Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: sp.plan,
-		Mode:        ModePipeline,
-		Seconds:     sched.TotalSeconds,
-		CommSeconds: sched.CommSeconds,
-		TunedOps:    probe.res.TunedOps, CachedOps: probe.res.CachedOps, DegradedOps: probe.res.DegradedOps,
-		Timeline: &trace.Log{},
-		Pipeline: &PipelineReport{
-			MicroBatches:   M,
-			BubbleFraction: sched.BubbleFraction,
-		},
-	}
-	for s, o := range outs {
-		// Rebase each micro-run from its machine-local clock onto the
-		// fleet-schedule clock; intra-run structure shifts rigidly.
-		for mi, seg := range o.segs {
-			res.Timeline.MergeGroup(s, sched.Start[s][mi]-seg.start, seg.log)
-			if s < G-1 && xfer[s] > 0 {
-				res.Timeline.AddGroupArgs(s, trace.KindComm,
-					fmt.Sprintf("stage %d->%d", s, s+1), sched.Finish[s][mi], xfer[s],
-					map[string]string{
-						"src": fmt.Sprintf("group%d", s),
-						"dst": fmt.Sprintf("group%d", s+1),
-					})
+	for i, st := range p.steps {
+		lead := true
+		for _, o := range outs[i] {
+			if o == nil {
+				continue
+			}
+			if lead {
+				// One report line per layer: the first running group's first
+				// repetition on the fleet clock; a column-sharded gemm's line
+				// carries the whole layer's FLOPs.
+				for _, l := range o.res.Layers {
+					l.Start = start[i][0] + (l.Start - o.segs[0].start)
+					if st.cut == byRows {
+						l.FLOPs = st.nodes[0].Gemm.FLOPs()
+					}
+					res.Layers = append(res.Layers, l)
+				}
+				lead = false
+			}
+			res.TunedOps += o.res.TunedOps
+			res.CachedOps += o.res.CachedOps
+			res.DegradedOps += o.res.DegradedOps
+		}
+		// Each repetition shifts rigidly onto the fleet clock; its collective follows.
+		c := p.commAfter(i)
+		for m := range start[i] {
+			for gi, o := range outs[i] {
+				if o != nil {
+					res.Timeline.MergeGroup(gi, start[i][m]-o.segs[m].start, o.segs[m].log)
+				}
+			}
+			for _, src := range c.src {
+				if c.secs > 0 {
+					res.Timeline.AddGroupArgs(src, trace.KindComm, c.label, finish[i][m], c.secs,
+						map[string]string{"src": fmt.Sprintf("group%d", src), "dst": c.dst})
+				}
 			}
 		}
-		res.Counters.Accumulate(fleet.Machine(s).Counters)
-		stage := StageReport{Group: s, Seconds: d[s][0]}
-		for _, n := range tasks[s].nodes {
-			stage.Nodes = append(stage.Nodes, n.Name)
+	}
+	for i, b := range p.batch {
+		// A group that never ran (zero shard, no tail) still appears, with
+		// zero seconds, keeping the scale-out story honest.
+		c := fleet.Machine(i).Counters
+		res.Counters.Accumulate(c)
+		res.Groups = append(res.Groups, GroupResult{Group: i, Batch: b, Seconds: seconds[i], Counters: c})
+	}
+	if opts.Metrics != nil {
+		// Machine counters per group and in aggregate, the run gauges and
+		// the modeled communication time, written after the join.
+		fleet.Publish(opts.Metrics)
+		publishRun(opts.Metrics, res)
+		opts.Metrics.Gauge("infer_comm_seconds").Set(res.CommSeconds)
+	}
+	return res, nil
+}
+
+// scatter sets each running group's functional input fill from the whole
+// activation act: a batch shard's slice of it, or all of it — plus a column
+// shard's rows of the full weight.
+func (st *step) scatter(act *tensor.Tensor, batch int) {
+	for i, t := range st.tasks {
+		if t == nil {
+			continue
 		}
-		if s < G-1 {
-			stage.TransferSeconds = xfer[s]
-		}
-		res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
-		res.Groups = append(res.Groups, GroupResult{
-			Group: s, Batch: 1, Seconds: sched.BusySeconds[s],
-			Counters: fleet.Machine(s).Counters,
-		})
-		// Fleet-clock layer views for micro-batch 0.
-		for _, l := range o.res.Layers {
-			l.Start += sched.Start[s][0] - o.segs[0].start
-			res.Layers = append(res.Layers, l)
+		t.prep = func(ts map[string]*tensor.Tensor) {
+			switch st.cut {
+			case byBatch:
+				copyBatchSlice(ts[t.sp.g.Input], st.sizes[i], 0, act, batch, st.offs[i], st.sizes[i])
+				return
+			case byRows:
+				copyRows(ts[st.nodes[0].In[1]], 0, st.weight, st.offs[i], st.sizes[i], st.nodes[0].Gemm.K)
+			}
+			copyFlat(ts[t.sp.g.Input], act)
 		}
 	}
-	publishFleet(opts, fleet, res)
-	return res, nil
+}
+
+// gather merges the groups' functional outputs of a step into the whole
+// activation (after a whole step every group holds it).
+func (st *step) gather(g *graph.Graph, outs []*taskResult) *tensor.Tensor {
+	if st.cut == whole {
+		return outs[0].ts[st.out]
+	}
+	act := tensor.New(st.out, mustDims(g, st.out)...)
+	for i, o := range outs {
+		switch {
+		case o == nil:
+		case st.cut == byBatch:
+			copyBatchSlice(act, g.Batch, st.offs[i], o.ts[st.out], st.sizes[i], 0, st.sizes[i])
+		default:
+			copyRows(act, st.offs[i], o.ts[st.out], 0, st.sizes[i], g.Batch)
+		}
+	}
+	return act
 }
 
 // cutBytes sums the bytes of intermediate activations crossing the stage
@@ -677,20 +576,17 @@ func (e *Engine) runPipeline(ctx context.Context, g *graph.Graph, opts Options) 
 // and read by a node at or after it. Parameters and the graph input stay
 // resident on their stage's group and do not transfer.
 func cutBytes(g *graph.Graph, topo []*graph.Node, cut int) int64 {
-	producer := map[string]int{}
-	for i, n := range topo {
-		producer[n.Out] = i
+	crossing := map[string]bool{} // produced before the cut, not yet counted
+	for _, n := range topo[:cut] {
+		crossing[n.Out] = true
 	}
-	seen := map[string]bool{}
 	var bytes int64
-	for j := cut; j < len(topo); j++ {
-		for _, in := range topo[j].In {
-			p, ok := producer[in]
-			if !ok || p >= cut || seen[in] {
-				continue
+	for _, n := range topo[cut:] {
+		for _, in := range n.In {
+			if crossing[in] {
+				crossing[in] = false
+				bytes += int64(elemCount(mustDims(g, in))) * 4
 			}
-			seen[in] = true
-			bytes += int64(elemCount(mustDims(g, in))) * 4
 		}
 	}
 	return bytes
@@ -701,18 +597,4 @@ func cutBytes(g *graph.Graph, topo []*graph.Node, cut int) int64 {
 func mustDims(g *graph.Graph, name string) []int {
 	t, _ := g.Tensor(name)
 	return t.Dims
-}
-
-// publishFleet writes a fleet run's instrumentation: per-group and
-// aggregate machine counters (cluster.Fleet.Publish), the aggregate run
-// gauges and the modeled communication time. Called after the groups join,
-// sequentially — metric values are pure simulated-machine quantities, so
-// snapshots stay bit-identical across worker counts and interleavings.
-func publishFleet(opts Options, fleet *cluster.Fleet, res *Result) {
-	if opts.Metrics == nil {
-		return
-	}
-	fleet.Publish(opts.Metrics)
-	publishRun(opts.Metrics, res)
-	opts.Metrics.Gauge("infer_comm_seconds").Set(res.CommSeconds)
 }

@@ -63,8 +63,8 @@ func elemCount(dims []int) int {
 // logical-flat-order accessors so operator-chosen layouts never matter.
 func runStub(m *sw26010.Machine, g *graph.Graph, n *graph.Node, ts map[string]*tensor.Tensor,
 	functional bool, log *trace.Log) (float64, error) {
-	inDims := graphDims(g, n.In[0])
-	outDims := graphDims(g, n.Out)
+	inDims := mustDims(g, n.In[0])
+	outDims := mustDims(g, n.Out)
 	in, out := ts[n.In[0]], ts[n.Out]
 	inElems, outElems := elemCount(inDims), elemCount(outDims)
 
@@ -147,9 +147,4 @@ func runStub(m *sw26010.Machine, g *graph.Graph, n *graph.Node, ts map[string]*t
 		log.Add(trace.KindTransform, string(n.Kind)+" "+n.Name, start, secs)
 	}
 	return m.Now() - start, nil
-}
-
-func graphDims(g *graph.Graph, name string) []int {
-	t, _ := g.Tensor(name)
-	return t.Dims
 }
