@@ -242,9 +242,9 @@ type Result struct {
 	Layers []Layer
 	// Seconds is the total machine time of the network. On a single
 	// machine every node executes serially, so this is its final
-	// Elapsed(); on a fleet it is the aggregate timeline — max group time
-	// plus the gather in data-parallel mode, the pipeline makespan in
-	// pipeline mode.
+	// Elapsed(); on a fleet it is the aggregate timeline — each step's slowest
+	// group plus its collective in data-parallel mode, the pipeline makespan
+	// in pipeline mode.
 	Seconds float64
 	// BaselineSeconds sums the per-layer manual-library times; Speedup is
 	// their ratio (0 when the baseline was skipped).
@@ -261,14 +261,14 @@ type Result struct {
 	// data-parallel fleet run merges the groups' shard outputs back along
 	// the batch dimension.
 	Output *tensor.Tensor
-	// CachedOps / DegradedOps / TunedOps count schedule resolutions by
-	// kind across the operator nodes (summed over groups in a fleet run).
+	// CachedOps / DegradedOps / TunedOps count schedule resolutions by kind;
+	// a fleet run, in either mode, sums its groups' tasks' first repetitions.
 	TunedOps, CachedOps, DegradedOps int
 	// Mode reports how the run executed: ModeSingle, ModeDataParallel or
 	// ModePipeline.
 	Mode string
 	// CommSeconds is the modeled cross-group communication time of a fleet
-	// run (the output gather, or the summed pipeline stage hand-offs).
+	// run (its gathers and all-gathers, or the pipeline stage hand-offs).
 	CommSeconds float64
 	// Groups is the per-group breakdown of a fleet run (nil on the single
 	// path).
