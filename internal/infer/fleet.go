@@ -358,11 +358,11 @@ func (e *Engine) pipeline(ctx context.Context, g *graph.Graph, opts Options) (*p
 	return p, nil
 }
 
-// comm is a modeled cross-group transfer, stamped as one timeline event per
-// sending group.
+// comm is a modeled cross-group transfer, stamped as one timeline event on
+// each group that ran the step — or on every group, when all of them take part.
 type comm struct {
 	label, dst string
-	src        []int
+	every      bool
 	secs       float64
 }
 
@@ -371,26 +371,26 @@ type comm struct {
 // boundary activations to the next stage's group. A sliced step all-gathers
 // over the fleet when another step follows, since that one needs it whole,
 // and gathers onto group 0 from the groups holding a slice when it ends the
-// net. A step every group runs whole, and a last stage, hand nothing on.
+// net. An all-gather takes in every group, since each receives the whole; a
+// gather only the holders. A step every group runs whole, and a last stage,
+// hand nothing on.
 func (p *placement) commAfter(i int) comm {
-	st, last := p.steps[i], i == len(p.steps)-1
-	var src, all []int
-	for g, t := range st.tasks {
+	st, last, holders := p.steps[i], i == len(p.steps)-1, 0
+	for _, t := range st.tasks {
 		if t != nil {
-			src = append(src, g)
+			holders++
 		}
-		all = append(all, g)
 	}
 	switch {
 	case p.mode == ModePipeline && !last:
-		return comm{fmt.Sprintf("stage %d->%d", i, i+1), fmt.Sprintf("group%d", i+1), src,
+		return comm{fmt.Sprintf("stage %d->%d", i, i+1), fmt.Sprintf("group%d", i+1), false,
 			cluster.StageTransferSeconds(st.bytes)}
 	case st.cut == whole:
 		return comm{}
 	case !last:
-		return comm{"allgather " + st.name, "all groups", all, cluster.CollectiveSeconds(st.bytes, len(all))}
+		return comm{"allgather " + st.name, "all groups", true, cluster.CollectiveSeconds(st.bytes, len(st.tasks))}
 	}
-	return comm{"gather " + st.name, "group0", src, cluster.CollectiveSeconds(st.bytes, len(src))}
+	return comm{"gather " + st.name, "group0", false, cluster.CollectiveSeconds(st.bytes, holders)}
 }
 
 // runPlacement executes p on a fresh fleet and assembles the Result. A
@@ -410,7 +410,7 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 		Mode: p.mode, Timeline: &trace.Log{}}
 	outs := make([][]*taskResult, len(p.steps))
 	var start, finish [][]float64 // per step and repetition, on the fleet clock
-	seconds := make([]float64, opts.Groups)
+	seconds, comms := make([]float64, opts.Groups), make([]comm, len(p.steps))
 	if p.mode == ModePipeline {
 		tasks := make([]*task, opts.Groups)
 		for s, st := range p.steps {
@@ -423,8 +423,8 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 		d, xfer := make([][]float64, len(p.steps)), make([]float64, len(p.steps))
 		res.Pipeline = &PipelineReport{MicroBatches: g.Batch}
 		for s, st := range p.steps {
-			outs[s] = make([]*taskResult, opts.Groups)
-			outs[s][s], xfer[s] = ran[s], p.commAfter(s).secs
+			outs[s], comms[s] = make([]*taskResult, opts.Groups), p.commAfter(s)
+			outs[s][s], xfer[s] = ran[s], comms[s].secs
 			for _, seg := range ran[s].segs {
 				d[s] = append(d[s], seg.dur)
 			}
@@ -465,9 +465,9 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 				}
 			}
 			start, finish = append(start, []float64{at}), append(finish, []float64{res.Seconds})
-			c := p.commAfter(i)
-			res.Seconds += c.secs
-			res.CommSeconds += c.secs
+			comms[i] = p.commAfter(i)
+			res.Seconds += comms[i].secs
+			res.CommSeconds += comms[i].secs
 		}
 		res.Output = act
 		for i := range seconds {
@@ -499,17 +499,17 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 			res.DegradedOps += o.res.DegradedOps
 		}
 		// Each repetition shifts rigidly onto the fleet clock; its collective follows.
-		c := p.commAfter(i)
+		c := comms[i]
 		for m := range start[i] {
 			for gi, o := range outs[i] {
 				if o != nil {
 					res.Timeline.MergeGroup(gi, start[i][m]-o.segs[m].start, o.segs[m].log)
 				}
 			}
-			for _, src := range c.src {
-				if c.secs > 0 {
-					res.Timeline.AddGroupArgs(src, trace.KindComm, c.label, finish[i][m], c.secs,
-						map[string]string{"src": fmt.Sprintf("group%d", src), "dst": c.dst})
+			for gi, o := range outs[i] {
+				if c.secs > 0 && (o != nil || c.every) {
+					res.Timeline.AddGroupArgs(gi, trace.KindComm, c.label, finish[i][m], c.secs,
+						map[string]string{"src": fmt.Sprintf("group%d", gi), "dst": c.dst})
 				}
 			}
 		}
