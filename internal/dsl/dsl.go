@@ -9,6 +9,9 @@ package dsl
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"swatop/internal/ir"
 )
@@ -327,49 +330,65 @@ type Strategy struct {
 	Padding      PaddingMode
 }
 
-// String renders a compact, deterministic description of the strategy.
+// String renders a compact, deterministic description of the strategy:
+// factors and layouts sorted by name, the order and every permutation the
+// way fmt prints a slice.
 func (st Strategy) String() string {
-	s := "tiles{"
-	first := true
-	// Render in a stable order: factors sorted by axis name.
-	names := make([]string, 0, len(st.Factors))
-	for n := range st.Factors {
-		names = append(names, n)
-	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
+	var b strings.Builder
+	b.Grow(64 + 16*len(st.Factors) + 4*len(st.Order) + 24*len(st.Layouts))
+	var num [20]byte
+	b.WriteString("tiles{")
+	for i, n := range sortedKeys(st.Factors) {
+		if i > 0 {
+			b.WriteByte(',')
 		}
+		b.WriteString(n)
+		b.WriteByte('=')
+		b.Write(strconv.AppendInt(num[:0], int64(st.Factors[n]), 10))
 	}
-	for _, n := range names {
-		if !first {
-			s += ","
+	b.WriteString("} order[")
+	for i, o := range st.Order {
+		if i > 0 {
+			b.WriteByte(' ')
 		}
-		s += fmt.Sprintf("%s=%d", n, st.Factors[n])
-		first = false
+		b.WriteString(o)
 	}
-	s += "} order" + fmt.Sprint(st.Order)
+	b.WriteByte(']')
 	if len(st.Layouts) > 0 {
-		tnames := make([]string, 0, len(st.Layouts))
-		for n := range st.Layouts {
-			tnames = append(tnames, n)
-		}
-		for i := 1; i < len(tnames); i++ {
-			for j := i; j > 0 && tnames[j] < tnames[j-1]; j-- {
-				tnames[j], tnames[j-1] = tnames[j-1], tnames[j]
-			}
-		}
-		s += " lay{"
-		for i, n := range tnames {
+		b.WriteString(" lay{")
+		for i, n := range sortedKeys(st.Layouts) {
 			if i > 0 {
-				s += ","
+				b.WriteByte(',')
 			}
-			s += fmt.Sprintf("%s=%v", n, st.Layouts[n])
+			b.WriteString(n)
+			b.WriteString("=[")
+			for j, d := range st.Layouts[n] {
+				if j > 0 {
+					b.WriteByte(' ')
+				}
+				b.Write(strconv.AppendInt(num[:0], int64(d), 10))
+			}
+			b.WriteByte(']')
 		}
-		s += "}"
+		b.WriteByte('}')
 	}
-	s += fmt.Sprintf(" %s db=%v pad=%s", st.Vec, st.DoubleBuffer, st.Padding)
-	return s
+	b.WriteByte(' ')
+	b.WriteString(st.Vec.String())
+	b.WriteString(" db=")
+	b.WriteString(strconv.FormatBool(st.DoubleBuffer))
+	b.WriteString(" pad=")
+	b.WriteString(st.Padding.String())
+	return b.String()
+}
+
+// sortedKeys lists a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Operator is anything tunable: it exposes its schedule seed and space and
