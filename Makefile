@@ -112,9 +112,11 @@ obs-check:
 # statement count and never the trip counts; issue+wait on a warmed reply word
 # allocates nothing; a second warm network run on one engine re-times no
 # (operator, strategy) the first one timed — same Result bit for bit, the
-# engine's memo unchanged, not one fresh-machine simulation; compiling a
-# candidate (lower, InjectPrefetch, InferDMA) stays within the allocations
-# measured at four double-buffered golden points.
+# engine's memo unchanged, not one fresh-machine simulation — and, having
+# read each (shape, method) entry once (one cache hit each) and compiled
+# only each shape's winner, stays within its measured allocation count;
+# compiling a candidate (lower, InjectPrefetch, InferDMA) stays within the
+# allocations measured at four double-buffered golden points.
 alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestCompileAllocBudget' -count=1 ./internal/core
@@ -124,7 +126,7 @@ alloc-check:
 	$(GO) test -run 'TestBindAllocBudget' -count=1 ./internal/ir
 	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
-	$(GO) test -run 'TestWarmRunRetimesNothing|TestTimelineRecordedOnce' -count=1 ./internal/infer
+	$(GO) test -run 'TestWarmRunRetimesNothing|TestWarmRunAllocBudget|TestTimelineRecordedOnce' -count=1 ./internal/infer
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check bench-check loc-check
@@ -140,7 +142,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 22529
+LOC_MAX ?= 22599
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -14,33 +14,50 @@ import (
 var errNoTune = errors.New("tuning disabled (schedule not in library)")
 
 // Resolve puts a schedule library in front of the tuner — the one
-// cache-then-tune path the facade and the inference runtime share. A hit
-// recompiles the cached strategy and comes back as a Result carrying only
-// Best (strategy, program, cached seconds) and Valid, with cached set. An
-// entry that no longer compiles (stale schema, changed menus) is deleted so
-// it cannot shadow the fresh result. A miss tunes, with lib as the
-// searcher's transfer source, and records the winner — unless noTune, when
-// it is an error. A failed tune leaves the library untouched: what a caller
-// serves in its place (the degraded baseline) is never cached. lib may be
-// nil.
+// cache-then-tune path the facade and the inference runtime share: a hit
+// goes through ResolveHit, a miss or a stale entry through ResolveMiss. lib
+// may be nil.
 func Resolve(ctx context.Context, op Operator, model *costmodel.GemmModel, lib *cache.Library,
 	noTune bool, opts Options) (res Result, cached bool, err error) {
 	if lib != nil {
 		if e, ok := lib.Get(op.Name()); ok {
-			if prog, cerr := op.Compile(e.Strategy()); cerr == nil {
-				best := Candidate{Strategy: e.Strategy(), Program: prog, Measured: e.SimulatedSeconds}
-				return Result{Best: best, Valid: e.SpaceSize}, true, nil
+			if res, err := ResolveHit(op, lib, e); err == nil {
+				return res, true, nil
 			}
-			lib.Delete(op.Name())
 		}
 	}
+	res, err = ResolveMiss(ctx, op, model, lib, noTune, opts)
+	return res, false, err
+}
+
+// ResolveHit recompiles the strategy of e, op's library entry, into a
+// Result carrying only Best (strategy, program, cached seconds) and Valid.
+// An entry that no longer compiles (stale schema, changed menus) is deleted
+// so it cannot shadow the fresh result, and the compile error returned.
+func ResolveHit(op Operator, lib *cache.Library, e cache.Entry) (Result, error) {
+	st := e.Strategy()
+	prog, err := op.Compile(st)
+	if err != nil {
+		lib.Delete(op.Name())
+		return Result{}, err
+	}
+	return Result{Best: Candidate{Strategy: st, Program: prog, Measured: e.SimulatedSeconds}, Valid: e.SpaceSize}, nil
+}
+
+// ResolveMiss tunes an operator the library does not hold, with lib as the
+// searcher's transfer source, and records the winner — unless noTune, when
+// it is an error. A failed tune leaves the library untouched: what a caller
+// serves in its place (the degraded baseline) is never cached. lib may be
+// nil.
+func ResolveMiss(ctx context.Context, op Operator, model *costmodel.GemmModel, lib *cache.Library,
+	noTune bool, opts Options) (Result, error) {
 	if noTune {
-		return Result{}, false, fmt.Errorf("%s: %w", op.Name(), errNoTune)
+		return Result{}, fmt.Errorf("%s: %w", op.Name(), errNoTune)
 	}
 	opts.Transfer = lib
-	res, err = ModelBasedCtx(ctx, op, model, opts)
+	res, err := ModelBasedCtx(ctx, op, model, opts)
 	if err == nil && lib != nil {
 		lib.Put(cache.FromStrategy(op.Name(), res.Best.Strategy, res.Best.Measured, res.Valid))
 	}
-	return res, false, err
+	return res, err
 }

@@ -1,8 +1,6 @@
 package conv
 
 import (
-	"fmt"
-
 	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
@@ -31,7 +29,7 @@ func NewExplicitOp(s Shape) (*ExplicitOp, error) {
 	}
 	kk := s.Ni * s.Kr * s.Kc
 	nn := s.Ro * s.Co * s.B
-	seed := dsl.NewSeed(fmt.Sprintf("explicit_conv_%s", shapeTag(s)))
+	seed := dsl.NewSeed(OpName(Explicit, s))
 	seed.AddAxis("m", s.No, dsl.RoleM)
 	seed.AddAxis("n", nn, dsl.RoleN)
 	seed.AddAxis("k", kk, dsl.RoleK)

@@ -45,7 +45,7 @@ func NewImplicitOp(s Shape) (*ImplicitOp, error) {
 	if s.Ni < MinNiImplicit {
 		return nil, fmt.Errorf("implicit conv: Ni=%d below the method's minimum %d", s.Ni, MinNiImplicit)
 	}
-	seed := dsl.NewSeed(fmt.Sprintf("implicit_conv_%s", shapeTag(s)))
+	seed := dsl.NewSeed(OpName(Implicit, s))
 	seed.AddAxis("no", s.No, dsl.RoleM)
 	seed.AddAxis("co", s.Co, dsl.RoleN)
 	seed.AddAxis("b", s.B, dsl.RoleN)
@@ -97,10 +97,6 @@ func fusionMenu(co, b int) []int {
 		out = []int{1}
 	}
 	return out
-}
-
-func shapeTag(s Shape) string {
-	return fmt.Sprintf("b%d_ni%d_no%d_r%dx%d_k%dx%d", s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
 }
 
 // Name identifies the operator instance.

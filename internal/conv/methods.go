@@ -31,6 +31,13 @@ func NewOp(method string, s Shape) (dsl.Operator, error) {
 	return nil, fmt.Errorf("conv: unknown method %q", method)
 }
 
+// OpName is the name of a method's operator for a shape — the signature
+// the schedule library files its entry under — written without building
+// the operator.
+func OpName(method string, s Shape) string {
+	return fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d", method, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
+}
+
 // Applies reports whether a method handles a shape (the paper's
 // applicability rules): implicit needs enough input channels, Winograd a
 // 3×3 kernel on even output extents, explicit takes anything.

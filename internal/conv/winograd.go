@@ -43,7 +43,7 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 		return nil, fmt.Errorf("winograd conv: needs 3×3 kernel and even output extents, got %v", s)
 	}
 	p := (s.Ro / 2) * (s.Co / 2) * s.B
-	seed := dsl.NewSeed(fmt.Sprintf("winograd_conv_%s", shapeTag(s)))
+	seed := dsl.NewSeed(OpName(Winograd, s))
 	seed.AddAxis("xi", primitives.WinoPlanes, dsl.RoleSpatial)
 	seed.AddAxis("no", s.No, dsl.RoleM)
 	seed.AddAxis("p", p, dsl.RoleN)

@@ -696,13 +696,16 @@ func (e *Engine) resolveNodes(ctx context.Context, g *graph.Graph, nodes []*grap
 // every applicable lowering method (implicit GEMM when the input-channel
 // count sustains it, explicit im2col, Winograd F(2x2,3x3) when the shape
 // qualifies) is tuned — or fetched from the library — independently, each
-// winner is timed on a fresh machine (once per engine: see timed), and the
-// fastest method's program is kept. The method sweep is a fixed order with
-// strict improvement, so the choice is deterministic and identical between
-// cached and fresh runs.
+// method's schedule is timed on a fresh machine (once per engine: see
+// timed), and the fastest method's program is kept. A cached schedule the
+// engine has already timed competes with its remembered seconds and is
+// compiled only if it wins, so a warm run compiles one program per shape.
+// The method sweep is a fixed order with strict improvement, so the choice
+// is deterministic and identical between cached and fresh runs.
 func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*resolvedOp, error) {
 	var best *resolvedOp
 	var bestSecs float64
+	var bestEntry cache.Entry
 	var firstErr error
 	for _, m := range conv.Methods {
 		if !conv.Applies(m, s) {
@@ -711,14 +714,7 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		op, err := conv.NewOp(m, s)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		r, err := e.resolveOp(ctx, op, opts)
+		r, secs, entry, err := e.sweepMethod(ctx, m, s, opts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, err
@@ -728,17 +724,19 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 			}
 			continue
 		}
-		secs, err := e.timed(op.Name()+" "+r.strategy, func() (*ir.Program, error) { return r.prog, nil })
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		r.strategy = m + " " + r.strategy
-		r.method = m
 		if best == nil || secs < bestSecs {
-			best, bestSecs = r, secs
+			best, bestSecs, bestEntry = r, secs, entry
+		}
+	}
+	if best != nil && best.prog == nil {
+		op, err := conv.NewOp(best.method, s)
+		if err == nil {
+			var res autotune.Result
+			res, err = autotune.ResolveHit(op, opts.Library, bestEntry)
+			best.prog = res.Best.Program
+		}
+		if err != nil {
+			best, firstErr = nil, err
 		}
 	}
 	if best != nil {
@@ -755,6 +753,44 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 		return degrade(firstErr, func() (*ir.Program, error) { return baseline.FallbackConv(preferred, s) })
 	}
 	return nil, firstErr
+}
+
+// sweepMethod resolves one conv method's schedule for resolveConv's sweep,
+// reading the library once, and returns it with the engine's fresh-machine
+// seconds for it. A cached schedule the engine has already timed comes back
+// uncompiled (prog nil) with the entry it was read from, and no operator is
+// built for it; anything else is compiled or tuned, then timed.
+func (e *Engine) sweepMethod(ctx context.Context, m string, s conv.Shape, opts Options) (*resolvedOp, float64, cache.Entry, error) {
+	name := conv.OpName(m, s)
+	var entry cache.Entry
+	hit := false
+	if opts.Library != nil {
+		entry, hit = opts.Library.Get(name)
+	}
+	if hit {
+		st := entry.Strategy().String()
+		if secs, ok := e.remembered(name + " " + st); ok {
+			return &resolvedOp{strategy: m + " " + st, method: m, spaceSize: entry.SpaceSize, cached: true}, secs, entry, nil
+		}
+	}
+	op, err := conv.NewOp(m, s)
+	if err != nil {
+		return nil, 0, entry, err
+	}
+	var res autotune.Result
+	if hit {
+		res, err = autotune.ResolveHit(op, opts.Library, entry)
+		hit = err == nil
+	}
+	if !hit {
+		if res, err = autotune.ResolveMiss(ctx, op, e.model, opts.Library, opts.NoTune, tuneOptions(opts)); err != nil {
+			return nil, 0, entry, err
+		}
+	}
+	r := resolvedFrom(res, hit)
+	secs, err := e.timed(name+" "+r.strategy, func() (*ir.Program, error) { return r.prog, nil })
+	r.strategy, r.method = m+" "+r.strategy, m
+	return r, secs, entry, err
 }
 
 // resolveGemm resolves a fully-connected node through the tiled-GEMM
@@ -791,7 +827,26 @@ func degrade(tuneErr error, fallback func() (*ir.Program, error)) (*resolvedOp, 
 // resolveOp resolves one operator through the shared cache-then-tune path
 // (autotune.Resolve) and keeps what the runtime needs of the result.
 func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Options) (*resolvedOp, error) {
-	res, cached, err := autotune.Resolve(ctx, op, e.model, opts.Library, opts.NoTune, autotune.Options{
+	res, cached, err := autotune.Resolve(ctx, op, e.model, opts.Library, opts.NoTune, tuneOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	return resolvedFrom(res, cached), nil
+}
+
+// resolvedFrom keeps what the runtime needs of a resolved schedule.
+func resolvedFrom(res autotune.Result, cached bool) *resolvedOp {
+	return &resolvedOp{
+		prog:      res.Best.Program,
+		strategy:  res.Best.Strategy.String(),
+		spaceSize: res.Valid,
+		cached:    cached,
+	}
+}
+
+// tuneOptions are the tuner's options of a run.
+func tuneOptions(opts Options) autotune.Options {
+	return autotune.Options{
 		Workers:              opts.Workers,
 		Faults:               opts.Faults,
 		Retry:                opts.Retry,
@@ -801,16 +856,7 @@ func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Optio
 		Searcher:             opts.Searcher,
 		SearchBudget:         opts.SearchBudget,
 		SearchSeed:           opts.SearchSeed,
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &resolvedOp{
-		prog:      res.Best.Program,
-		strategy:  res.Best.Strategy.String(),
-		spaceSize: res.Valid,
-		cached:    cached,
-	}, nil
 }
 
 // graphTensorFor maps a program's operand declaration to the graph tensor
@@ -1044,18 +1090,16 @@ func (e *Engine) baselineSeconds(n *graph.Node, tuned float64) float64 {
 // timed returns the seconds the program build compiles takes on a fresh,
 // fault-free machine. The first call for a key simulates it and the engine
 // remembers that float; every later run — warm replay, each fleet shard
-// size, each serving batch — compares the remembered bits. key names what
-// determines the program (the operator name the library keys on plus the
-// strategy's rendering, or which baseline of which shape) and the simulator
-// is deterministic, so a hit is bit-identical to a re-run. Timing happens
-// outside the lock and only a successful timing is stored; as the package's
-// only fresh-machine timing it never sees a degraded schedule, a fault
-// injector or the library's SimulatedSeconds.
+// size, each serving batch — compares the remembered bits, and the conv
+// sweep reads them through remembered before it compiles anything. key
+// names what determines the program (the operator name the library keys on
+// plus the strategy's rendering, or which baseline of which shape) and the
+// simulator is deterministic, so a hit is bit-identical to a re-run. Timing
+// happens outside the lock and only a successful timing is stored; as the
+// package's only fresh-machine timing it never sees a degraded schedule, a
+// fault injector or the library's SimulatedSeconds.
 func (e *Engine) timed(key string, build func() (*ir.Program, error)) (float64, error) {
-	e.mu.Lock()
-	secs, ok := e.timings[key]
-	e.mu.Unlock()
-	if ok {
+	if secs, ok := e.remembered(key); ok {
 		return secs, nil
 	}
 	prog, err := build()
@@ -1073,4 +1117,12 @@ func (e *Engine) timed(key string, build func() (*ir.Program, error)) (float64, 
 		return 0, err
 	}
 	return res.Seconds, nil
+}
+
+// remembered returns timed's stored seconds for key, if any.
+func (e *Engine) remembered(key string) (float64, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	secs, ok := e.timings[key]
+	return secs, ok
 }

@@ -3,13 +3,21 @@ package infer
 import (
 	"context"
 	"maps"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"swatop/internal/cache"
 	"swatop/internal/conv"
+	"swatop/internal/dsl"
+	"swatop/internal/exec"
 	"swatop/internal/graph"
+	"swatop/internal/metrics"
+	"swatop/internal/schedule"
 )
 
 // timingsOf copies the engine's memo of fresh-machine timings.
@@ -92,6 +100,203 @@ func TestWarmRunRetimesNothing(t *testing.T) {
 	}
 	if sims1 != swept || sims2 != 0 {
 		t.Fatalf("warm runs 1 and 2 simulated %d and %d times on a fresh machine, want %d and 0", sims1, sims2, swept)
+	}
+}
+
+// allocCost counts the heap allocations of one call of run after a warm-up
+// call, the minimum over eight calls: the runtime's own goroutines
+// occasionally allocate in between.
+func allocCost(run func()) uint64 {
+	run()
+	allocs := uint64(math.MaxUint64)
+	for range 8 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	return allocs
+}
+
+// TestWarmRunAllocBudget: a warm run on an engine that has timed every
+// method's cached schedule reads each (shape, method) entry exactly once
+// and compiles only each shape's winner, so it stays within the measured
+// allocation count. Compiling and re-timing every swept schedule, as the
+// sweep did before it read the engine's remembered seconds first, made
+// 2 369 allocations a run.
+func TestWarmRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const budget = 1074
+	ctx := context.Background()
+	g, err := convOnlyBuilder(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := cache.NewLibrary()
+	if _, err := newEngine(t).Run(ctx, g, Options{Workers: 2, Library: lib, SkipBaseline: true}); err != nil {
+		t.Fatal(err)
+	}
+	swept := 0
+	for _, n := range g.Topo() {
+		for _, m := range conv.Methods {
+			if n.Kind == graph.Conv && conv.Applies(m, n.Conv) {
+				swept++
+			}
+		}
+	}
+
+	e, reg := newEngine(t), metrics.NewRegistry()
+	opts := Options{Library: lib, SkipBaseline: true, NoTune: true, Metrics: reg}
+	run := func() {
+		if _, err := e.Run(ctx, g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // times every method's cached schedule once
+	hits, misses := reg.Counter("cache_hits_total"), reg.Counter("cache_misses_total")
+	h0, m0, sims := hits.Value(), misses.Value(), simulationsOf(e)
+	run()
+	if dh, dm := hits.Value()-h0, misses.Value()-m0; dh != int64(swept) || dm != 0 {
+		t.Fatalf("a warm run made %d cache hits and %d misses, want one hit per swept (shape, method) = %d and 0",
+			dh, dm, swept)
+	}
+	if n := simulationsOf(e) - sims; n != 0 {
+		t.Fatalf("a warm run simulated %d times on a fresh machine, want 0", n)
+	}
+	if got := allocCost(run); got > budget {
+		t.Fatalf("a warm run allocates %d times, budget %d", got, budget)
+	}
+}
+
+// TestReplacedEntryTimedOnce: the memo key carries the strategy. When a
+// losing method's library entry is replaced between two warm runs by
+// another schedule of its space, with faster recorded seconds so that Put
+// keeps it, the next run compiles and times exactly that schedule — one
+// fresh-machine simulation — and the pick follows the engine's seconds for
+// it, not the library's.
+func TestReplacedEntryTimedOnce(t *testing.T) {
+	ctx := context.Background()
+	g, err := convOnlyBuilder(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := cache.NewLibrary()
+	if _, err := newEngine(t).Run(ctx, g, Options{Workers: 2, Library: lib, SkipBaseline: true}); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t)
+	opts := Options{Library: lib, SkipBaseline: true, NoTune: true}
+	warm := func() (*Result, int) {
+		before := simulationsOf(e)
+		res, err := e.Run(ctx, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, simulationsOf(e) - before
+	}
+	warm()
+	run1, _ := warm()
+
+	// c2 sweeps all three methods; replace the first one that lost.
+	var c2 graph.Node
+	for _, n := range g.Topo() {
+		if n.Name == "c2" {
+			c2 = *n
+		}
+	}
+	layer := run1.Layers[slices.IndexFunc(run1.Layers, func(l Layer) bool { return l.Name == "c2" })]
+	winner, _, _ := strings.Cut(layer.Strategy, " ")
+	loser := conv.Methods[slices.IndexFunc(conv.Methods, func(m string) bool { return m != winner })]
+	op, err := conv.NewOp(loser, c2.Conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, ok := lib.Get(op.Name())
+	if !ok {
+		t.Fatalf("%s is not cached", op.Name())
+	}
+
+	// The replacement: the fastest other schedule of the loser's space, by
+	// a fresh-machine timing of its own.
+	dims, err := schedule.Describe(op.Seed(), op.Space())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repl dsl.Strategy
+	replSecs := math.Inf(1)
+	for i := range dims.Size() {
+		st := dims.At(i)
+		if st.String() == old.Strategy().String() {
+			continue
+		}
+		prog, err := op.Compile(st)
+		if err != nil {
+			continue
+		}
+		res, err := exec.RunVirtual(prog, exec.Options{FastLoops: true})
+		if err == nil && res.Seconds < replSecs {
+			repl, replSecs = st, res.Seconds
+		}
+	}
+	if math.IsInf(replSecs, 1) {
+		t.Fatalf("%s has no other schedule that compiles", op.Name())
+	}
+	lib.Put(cache.FromStrategy(op.Name(), repl, old.SimulatedSeconds/2, old.SpaceSize))
+	if got, _ := lib.Get(op.Name()); got.Strategy().String() != repl.String() {
+		t.Fatalf("Put kept %s, want the replacement %s", got.Strategy(), repl)
+	}
+
+	// What the sweep must pick: the engine's seconds of every method's entry
+	// in the fixed order, strict improvement.
+	memo := timingsOf(e)
+	want, wantSecs := "", 0.0
+	for _, m := range conv.Methods {
+		if !conv.Applies(m, c2.Conv) {
+			continue
+		}
+		name := conv.OpName(m, c2.Conv)
+		entry, _ := lib.Get(name)
+		secs, ok := memo[name+" "+entry.Strategy().String()]
+		if m == loser {
+			secs, ok = replSecs, true
+		}
+		if !ok {
+			t.Fatalf("%s: no remembered timing for the cached schedule", name)
+		}
+		if want == "" || secs < wantSecs {
+			want, wantSecs = m+" "+entry.Strategy().String(), secs
+		}
+	}
+
+	run2, sims := warm()
+	if sims != 1 {
+		t.Fatalf("the run after the replacement simulated %d times on a fresh machine, want 1", sims)
+	}
+	key := op.Name() + " " + repl.String()
+	if got, ok := timingsOf(e)[key]; !ok || got != replSecs {
+		t.Fatalf("memo[%q] = %v (present %v), want the replacement's %v", key, got, ok, replSecs)
+	}
+	c2Strategy := func(res *Result) string {
+		return res.Layers[slices.IndexFunc(res.Layers, func(l Layer) bool { return l.Name == "c2" })].Strategy
+	}
+	if got := c2Strategy(run2); got != want {
+		t.Fatalf("c2 picked %s, want %s", got, want)
+	}
+
+	// No schedule of a losing method beats the winner on this net, so the
+	// pick above stays. The remembered seconds are all the sweep compares:
+	// with the replacement's made the fastest, the next run picks it, times
+	// nothing and executes the program it compiles for it.
+	e.mu.Lock()
+	e.timings[key] = wantSecs / 2
+	e.mu.Unlock()
+	run3, sims := warm()
+	if got := c2Strategy(run3); sims != 0 || got != loser+" "+repl.String() {
+		t.Fatalf("with the replacement remembered fastest, c2 picked %s after %d simulations, want %s after 0",
+			got, sims, loser+" "+repl.String())
 	}
 }
 
