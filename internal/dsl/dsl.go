@@ -56,6 +56,22 @@ type Axis struct {
 	Name   string
 	Extent int
 	Role   Role
+
+	// loopVar names the axis's outer tile loop in lowered IR and loopV is
+	// that variable; AddAxis makes both once, so lowering a strategy
+	// reuses them.
+	loopVar string
+	loopV   ir.Expr
+}
+
+// LoopVar returns the name of the axis's outer tile loop and the variable
+// as an expression.
+func (a *Axis) LoopVar() (string, ir.Expr) {
+	if a.loopV == nil {
+		name := "c" + a.Name
+		return name, ir.V(name)
+	}
+	return a.loopVar, a.loopV
 }
 
 // AccessTerm is one affine term of a tensor-dimension access function:
@@ -104,7 +120,8 @@ func NewSeed(name string) *Seed { return &Seed{Name: name} }
 
 // AddAxis declares an iteration axis.
 func (s *Seed) AddAxis(name string, extent int, role Role) *Axis {
-	a := &Axis{Name: name, Extent: extent, Role: role}
+	a := &Axis{Name: name, Extent: extent, Role: role, loopVar: "c" + name}
+	a.loopV = ir.V(a.loopVar)
 	s.Axes = append(s.Axes, a)
 	return a
 }
@@ -183,8 +200,8 @@ func (s *Seed) Validate() error {
 		}
 		seen[a.Name] = true
 	}
-	for _, need := range []Role{RoleM, RoleN, RoleK} {
-		if len(s.RoleAxes(need)) == 0 {
+	for _, need := range [...]Role{RoleM, RoleN, RoleK} {
+		if !slices.ContainsFunc(s.Axes, func(a *Axis) bool { return a.Role == need }) {
 			return fmt.Errorf("dsl: no axis with role %s", need)
 		}
 	}

@@ -19,6 +19,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
@@ -36,6 +37,7 @@ type axisPlan struct {
 }
 
 // operandPlan is the SPM-frame and matrix interpretation of one operand.
+// Its per-dimension slices are windows of the plan's shared backing arrays.
 type operandPlan struct {
 	spec        *dsl.TensorSpec
 	buf         string
@@ -45,6 +47,7 @@ type operandPlan struct {
 	frameElems  int
 	start       []ir.Expr // region start per dim
 	extent      []ir.Expr // region extent per dim
+	strideExpr  []ir.Expr // frameStride as constants
 	depth       int       // nest depth at which the region is invariant
 	// matrix view
 	trans    bool // stored transposed w.r.t. (rows × cols) column-major
@@ -61,10 +64,14 @@ type Plan struct {
 	Seed     *dsl.Seed
 	Strategy dsl.Strategy
 
-	axes  map[string]*axisPlan
-	order []string // loop nest order, outermost first (only axes with loops)
-	ops   map[dsl.OperandRole]*operandPlan
+	axes  []axisPlan     // per seed axis, in declaration order
+	order []*axisPlan    // loop nest order, outermost first (only axes with loops)
+	ops   [3]operandPlan // by dsl.OperandRole
 }
+
+// maxRank bounds the tensor rank whose per-dimension scratch stays on the
+// stack while an operand is planned; a higher rank spills to the heap.
+const maxRank = 8
 
 // Lower builds a complete single-nest program from a seed and strategy.
 func Lower(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
@@ -76,7 +83,7 @@ func Lower(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &ir.Program{Name: seed.Name, Body: body}
+	p := &ir.Program{Name: seed.Name, Body: body, Tensors: make([]ir.TensorDecl, 0, len(seed.Tensors))}
 	for _, t := range seed.Tensors {
 		p.Tensors = append(p.Tensors, ir.TensorDecl{
 			Name:   t.Name,
@@ -94,9 +101,9 @@ func NewPlan(seed *dsl.Seed, st dsl.Strategy) (*Plan, error) {
 	if err := seed.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{Seed: seed, Strategy: st, axes: map[string]*axisPlan{}, ops: map[dsl.OperandRole]*operandPlan{}}
+	p := &Plan{Seed: seed, Strategy: st, axes: make([]axisPlan, len(seed.Axes))}
 
-	for _, ax := range seed.Axes {
+	for i, ax := range seed.Axes {
 		f := st.Factors[ax.Name]
 		if f == 0 {
 			f = 1
@@ -107,10 +114,11 @@ func NewPlan(seed *dsl.Seed, st dsl.Strategy) (*Plan, error) {
 		if (ax.Role == dsl.RoleSpatial || ax.Role == dsl.RoleReduce) && f != 1 {
 			return nil, fmt.Errorf("lower: %s axis %s cannot be tiled into the GEMM primitive", ax.Role, ax.Name)
 		}
-		ap := &axisPlan{ax: ax, factor: f, outer: ceilDiv(ax.Extent, f)}
+		ap := &p.axes[i]
+		*ap = axisPlan{ax: ax, factor: f, outer: ceilDiv(ax.Extent, f)}
 		ap.loop = ap.outer > 1
-		v := ir.V(loopVar(ax.Name))
 		if ap.loop {
+			_, v := ax.LoopVar()
 			ap.start = ir.Mul(v, ir.Const(int64(f)))
 			if ax.Extent%f == 0 {
 				ap.tile = ir.Const(int64(f))
@@ -121,14 +129,22 @@ func NewPlan(seed *dsl.Seed, st dsl.Strategy) (*Plan, error) {
 			ap.start = ir.Const(0)
 			ap.tile = ir.Const(int64(f))
 		}
-		p.axes[ax.Name] = ap
 	}
 
 	if err := p.resolveOrder(); err != nil {
 		return nil, err
 	}
-	for _, role := range []dsl.OperandRole{dsl.OperandA, dsl.OperandB, dsl.OperandC} {
-		if err := p.planOperand(role); err != nil {
+	// Every operand's per-dimension state lives in one backing array per
+	// element type: ints hold perm, frame extents and frame strides, exprs
+	// the region start, extent and frame-stride constants, names the
+	// composite axis orders (a dimension holds at most one tiled axis).
+	rank := 0
+	for _, t := range seed.Tensors {
+		rank += len(t.Dims)
+	}
+	b := backing{ints: make([]int, 3*rank), exprs: make([]ir.Expr, 3*rank), names: make([]string, 0, rank)}
+	for _, role := range [...]dsl.OperandRole{dsl.OperandA, dsl.OperandB, dsl.OperandC} {
+		if err := p.planOperand(role, &b); err != nil {
 			return nil, err
 		}
 	}
@@ -141,30 +157,46 @@ func NewPlan(seed *dsl.Seed, st dsl.Strategy) (*Plan, error) {
 	return p, nil
 }
 
-func loopVar(axis string) string { return "c" + axis }
+// backing holds a plan's shared per-dimension arrays; each operand takes
+// its windows from the front.
+type backing struct {
+	ints  []int
+	exprs []ir.Expr
+	names []string
+}
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// axis returns the plan of a seed axis, or nil.
+func (p *Plan) axis(name string) *axisPlan {
+	for i := range p.axes {
+		if p.axes[i].ax.Name == name {
+			return &p.axes[i]
+		}
+	}
+	return nil
+}
 
 // resolveOrder expands the strategy's (possibly partial) order into the full
 // loop nest order.
 func (p *Plan) resolveOrder() error {
-	seen := map[string]bool{}
-	for _, name := range p.Strategy.Order {
-		ap, ok := p.axes[name]
-		if !ok {
+	order := p.Strategy.Order
+	p.order = make([]*axisPlan, 0, len(p.axes))
+	for j, name := range order {
+		ap := p.axis(name)
+		if ap == nil {
 			return fmt.Errorf("lower: order names unknown axis %q", name)
 		}
-		if seen[name] {
+		if slices.Contains(order[:j], name) {
 			return fmt.Errorf("lower: axis %q appears twice in order", name)
 		}
-		seen[name] = true
 		if ap.loop {
-			p.order = append(p.order, name)
+			p.order = append(p.order, ap)
 		}
 	}
-	for _, ax := range p.Seed.Axes {
-		if !seen[ax.Name] && p.axes[ax.Name].loop {
-			p.order = append(p.order, ax.Name)
+	for i := range p.axes {
+		if ap := &p.axes[i]; ap.loop && !slices.Contains(order, ap.ax.Name) {
+			p.order = append(p.order, ap)
 		}
 	}
 	return nil
@@ -173,16 +205,9 @@ func (p *Plan) resolveOrder() error {
 // Layout returns the storage permutation chosen for a tensor (identity when
 // the strategy does not override it).
 func (p *Plan) Layout(tensor string) []int {
-	if perm, ok := p.Strategy.Layouts[tensor]; ok {
-		return perm
-	}
-	for _, t := range p.Seed.Tensors {
-		if t.Name == tensor {
-			perm := make([]int, len(t.Dims))
-			for i := range perm {
-				perm[i] = i
-			}
-			return perm
+	for i := range p.ops {
+		if op := &p.ops[i]; op.spec != nil && op.spec.Name == tensor {
+			return op.perm
 		}
 	}
 	return nil
@@ -200,55 +225,63 @@ func operandGroups(role dsl.OperandRole) (rows, cols dsl.Role) {
 	}
 }
 
-func (p *Plan) planOperand(role dsl.OperandRole) error {
+func (p *Plan) planOperand(role dsl.OperandRole, b *backing) error {
 	spec, err := p.Seed.Operand(role)
 	if err != nil {
 		return err
 	}
-	op := &operandPlan{spec: spec, buf: "spm_" + spec.Name}
-	op.perm = p.Layout(spec.Name)
-	if len(op.perm) != len(spec.Dims) {
-		return fmt.Errorf("lower: tensor %s: layout %v does not match rank %d", spec.Name, op.perm, len(spec.Dims))
+	nd := len(spec.Dims)
+	op := &p.ops[role]
+	*op = operandPlan{spec: spec, buf: "spm_" + spec.Name}
+	ints, exprs := b.ints[:3*nd:3*nd], b.exprs[:3*nd:3*nd]
+	b.ints, b.exprs = b.ints[3*nd:], b.exprs[3*nd:]
+	if perm, ok := p.Strategy.Layouts[spec.Name]; ok {
+		op.perm = perm
+	} else {
+		op.perm = ints[:nd:nd]
+		for i := range op.perm {
+			op.perm[i] = i
+		}
 	}
-	seenDim := make([]bool, len(spec.Dims))
-	for _, d := range op.perm {
-		if d < 0 || d >= len(spec.Dims) || seenDim[d] {
+	if len(op.perm) != nd {
+		return fmt.Errorf("lower: tensor %s: layout %v does not match rank %d", spec.Name, op.perm, nd)
+	}
+	for i, d := range op.perm {
+		if d < 0 || d >= nd || slices.Index(op.perm, d) != i {
 			return fmt.Errorf("lower: tensor %s: invalid layout %v", spec.Name, op.perm)
 		}
-		seenDim[d] = true
 	}
 
-	nd := len(spec.Dims)
-	op.frameExt = make([]int, nd)
-	op.start = make([]ir.Expr, nd)
-	op.extent = make([]ir.Expr, nd)
-	// dimRole[d]: role of the active axes of dim d (or -1 when inactive).
-	dimRole := make([]dsl.Role, nd)
-	dimAxis := make([]string, nd) // the active axis of the dim (one allowed)
+	op.frameExt = ints[nd : 2*nd : 2*nd]
+	op.frameStride = ints[2*nd:]
+	op.start = exprs[:nd:nd]
+	op.extent = exprs[nd : 2*nd : 2*nd]
+	op.strideExpr = exprs[2*nd:]
+	// dimAxis[d]: the one tiled axis of dim d, or nil when it has none.
+	var dimBuf [maxRank]*axisPlan
+	dimAxis := dimBuf[:0]
 	for d := 0; d < nd; d++ {
 		frame := 1
 		start := ir.Expr(ir.Const(0))
 		extent := ir.Expr(ir.Const(1))
-		role := dsl.Role(-1)
-		axis := ""
+		var tiled *axisPlan
 		for _, term := range spec.Access[d] {
-			ap := p.axes[term.Axis]
+			ap := p.axis(term.Axis)
 			c := int64(term.Coeff)
 			start = ir.Add(start, ir.Mul(ir.Const(c), ap.start))
 			// extent 1 + Σ coeff*(tile-1)
 			extent = ir.Add(extent, ir.Mul(ir.Const(c), ir.Sub(ap.tile, ir.Const(1))))
 			frame += term.Coeff * (ap.factor - 1)
 			if ap.factor > 1 {
-				if role >= 0 {
+				if tiled != nil {
 					return fmt.Errorf("lower: tensor %s dim %d: two tiled axes (%s, %s) share one dimension",
-						spec.Name, d, axis, term.Axis)
+						spec.Name, d, tiled.ax.Name, term.Axis)
 				}
-				role = ap.ax.Role
-				axis = term.Axis
+				tiled = ap
 			}
 			// track the deepest loop var feeding the region
 			if ap.loop {
-				if depth := p.loopDepth(term.Axis); depth+1 > op.depth {
+				if depth := p.loopDepth(ap); depth+1 > op.depth {
 					op.depth = depth + 1
 				}
 			}
@@ -259,12 +292,10 @@ func (p *Plan) planOperand(role dsl.OperandRole) error {
 		op.frameExt[d] = frame
 		op.start[d] = start
 		op.extent[d] = extent
-		dimRole[d] = role
-		dimAxis[d] = axis
+		dimAxis = append(dimAxis, tiled)
 	}
 
 	// Frame strides follow the storage permutation.
-	op.frameStride = make([]int, nd)
 	s := 1
 	for i := nd - 1; i >= 0; i-- {
 		d := op.perm[i]
@@ -272,35 +303,35 @@ func (p *Plan) planOperand(role dsl.OperandRole) error {
 		s *= op.frameExt[d]
 	}
 	op.frameElems = s
+	for d, st := range op.frameStride {
+		op.strideExpr[d] = ir.Const(int64(st))
+	}
 
 	// Matrix interpretation: active dims in storage-fastest-first order
 	// must split into the two role groups contiguously.
 	rowsRole, colsRole := operandGroups(role)
-	var fastGroup []int // active dims, fastest first
+	var rowBuf, colBuf [maxRank]int
+	rowDims, colDims := rowBuf[:0], colBuf[:0]
+	second := false // reading the second group
+	var firstRole dsl.Role = -1
 	for i := nd - 1; i >= 0; i-- {
 		d := op.perm[i]
-		if op.frameExt[d] > 1 {
-			fastGroup = append(fastGroup, d)
+		if op.frameExt[d] <= 1 {
+			continue
 		}
-	}
-	var rowDims, colDims []int
-	state := 0 // 0: reading first group, 1: reading second group
-	var firstRole dsl.Role = -1
-	for _, d := range fastGroup {
-		r := dimRole[d]
+		// A frame extent above one needs a tiled axis.
+		r := dimAxis[d].ax.Role
 		if r != rowsRole && r != colsRole {
 			return fmt.Errorf("lower: tensor %s: dim %d tiled on %s axis %q, not a GEMM dimension of operand %s",
-				spec.Name, d, r, dimAxis[d], role)
+				spec.Name, d, r, dimAxis[d].ax.Name, role)
 		}
 		if firstRole == -1 {
 			firstRole = r
 		}
-		if r == firstRole && state == 0 {
-			// still in the fast group
-		} else if r != firstRole {
-			state = 1
-		} else if state == 1 {
-			return fmt.Errorf("lower: tensor %s: layout interleaves GEMM dimensions (%v)", spec.Name, fastGroup)
+		if r != firstRole {
+			second = true
+		} else if second {
+			return fmt.Errorf("lower: tensor %s: layout %v interleaves GEMM dimensions", spec.Name, op.perm)
 		}
 		if r == rowsRole {
 			rowDims = append(rowDims, d)
@@ -318,11 +349,10 @@ func (p *Plan) planOperand(role dsl.OperandRole) error {
 
 	// Leading dimension: product of frame extents of the fast group dims
 	// (and any interleaved extent-1 dims, which contribute 1).
-	fastRole := firstRole
 	ld := 1
 	for i := nd - 1; i >= 0; i-- {
 		d := op.perm[i]
-		if op.frameExt[d] > 1 && dimRole[d] != fastRole {
+		if op.frameExt[d] > 1 && dimAxis[d].ax.Role != firstRole {
 			break
 		}
 		ld *= op.frameExt[d]
@@ -331,74 +361,66 @@ func (p *Plan) planOperand(role dsl.OperandRole) error {
 
 	// Composite extents and axis orders; partial tiles only on the slowest
 	// axis of each group.
-	var err2 error
-	op.rowsExpr, op.rowAxes, err2 = p.groupProduct(spec, dimAxis, rowDims, op.perm)
-	if err2 != nil {
-		return err2
+	if op.rowsExpr, op.rowAxes, err = groupProduct(spec, dimAxis, rowDims, b); err != nil {
+		return err
 	}
-	op.colsExpr, op.colAxes, err2 = p.groupProduct(spec, dimAxis, colDims, op.perm)
-	if err2 != nil {
-		return err2
+	if op.colsExpr, op.colAxes, err = groupProduct(spec, dimAxis, colDims, b); err != nil {
+		return err
 	}
-
-	p.ops[role] = op
 	return nil
 }
 
 // groupProduct computes the actual composite extent of a dim group and its
-// storage-fastest-first axis order, enforcing the partial-tile rule.
-func (p *Plan) groupProduct(spec *dsl.TensorSpec, dimAxis []string, dims []int, perm []int) (ir.Expr, []string, error) {
+// storage-fastest-first axis order, enforcing the partial-tile rule. The
+// order is a window of the backing's names.
+func groupProduct(spec *dsl.TensorSpec, dimAxis []*axisPlan, dims []int, b *backing) (ir.Expr, []string, error) {
 	// dims are already fastest-first (built from reversed perm).
 	prod := ir.Expr(ir.Const(1))
-	var axes []string
+	n := len(b.names)
 	for i, d := range dims {
-		axis := dimAxis[d]
-		ap := p.axes[axis]
+		ap := dimAxis[d]
 		partial := ap.loop && ap.ax.Extent%ap.factor != 0
 		if partial && i != len(dims)-1 {
 			return nil, nil, fmt.Errorf("lower: tensor %s: partially tiled axis %q must be the slowest of its GEMM dimension",
-				spec.Name, axis)
+				spec.Name, ap.ax.Name)
 		}
 		prod = ir.Mul(prod, ap.tile)
-		axes = append(axes, axis)
+		b.names = append(b.names, ap.ax.Name)
 	}
-	return prod, axes, nil
+	return prod, b.names[n:len(b.names):len(b.names)], nil
 }
 
-func (p *Plan) loopDepth(axis string) int {
-	for i, name := range p.order {
-		if name == axis {
-			return i
-		}
-	}
-	return -1
+func (p *Plan) loopDepth(ap *axisPlan) int {
+	return slices.Index(p.order, ap)
 }
 
 // checkMatrixConsistency verifies that composite GEMM dimensions enumerate
 // identically in the operands sharing them, and that the vectorization rule
 // holds for full tiles.
 func (p *Plan) checkMatrixConsistency() error {
-	a, b, c := p.ops[dsl.OperandA], p.ops[dsl.OperandB], p.ops[dsl.OperandC]
-	if !sameAxes(a.rowAxes, c.rowAxes) {
+	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
+	if !slices.Equal(a.rowAxes, c.rowAxes) {
 		return fmt.Errorf("lower: M axis order differs between A %v and C %v", a.rowAxes, c.rowAxes)
 	}
-	if !sameAxes(a.colAxes, b.rowAxes) {
+	if !slices.Equal(a.colAxes, b.rowAxes) {
 		return fmt.Errorf("lower: K axis order differs between A %v and B %v", a.colAxes, b.rowAxes)
 	}
-	if !sameAxes(b.colAxes, c.colAxes) {
+	if !slices.Equal(b.colAxes, c.colAxes) {
 		return fmt.Errorf("lower: N axis order differs between B %v and C %v", b.colAxes, c.colAxes)
 	}
 
 	// Vector alignment on full tiles: the vec dimension's full-tile product
 	// must be a multiple of the vector width (boundary tiles are padded at
 	// run time).
-	vecProd := 1
-	axes := p.mAxes()
+	vecRole := dsl.RoleM
 	if p.Strategy.Vec == ir.VecN {
-		axes = p.nAxes()
+		vecRole = dsl.RoleN
 	}
-	for _, name := range axes {
-		vecProd *= p.axes[name].factor
+	vecProd := 1
+	for i := range p.axes {
+		if p.axes[i].ax.Role == vecRole {
+			vecProd *= p.axes[i].factor
+		}
 	}
 	if vecProd%sw26010.VectorWidth != 0 {
 		return fmt.Errorf("lower: vectorized dimension tile %d not a multiple of %d", vecProd, sw26010.VectorWidth)
@@ -406,34 +428,18 @@ func (p *Plan) checkMatrixConsistency() error {
 	return nil
 }
 
-func (p *Plan) mAxes() []string { return p.Seed.RoleAxes(dsl.RoleM) }
-func (p *Plan) nAxes() []string { return p.Seed.RoleAxes(dsl.RoleN) }
-
-func sameAxes(x, y []string) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // checkCapacity prunes schedules whose SPM frames do not fit. Under
 // prefetching, every frame whose moves sit inside a loop is doubled (input
 // gets are prefetched, output puts go asynchronous).
 func (p *Plan) checkCapacity() error {
-	var sizes []int
-	for _, op := range p.ops {
-		n := op.frameElems
+	var sizes [len(p.ops)]int
+	for i, op := range p.ops {
+		sizes[i] = op.frameElems
 		if p.Strategy.DoubleBuffer && op.depth >= 1 {
-			n *= 2
+			sizes[i] *= 2
 		}
-		sizes = append(sizes, n)
 	}
-	if !sw26010.FitsSPM(sizes...) {
+	if !sw26010.FitsSPM(sizes[:]...) {
 		return fmt.Errorf("lower: SPM frames exceed capacity: %v floats", sizes)
 	}
 	return nil
@@ -441,7 +447,7 @@ func (p *Plan) checkCapacity() error {
 
 // BuildNest emits the loop nest with RegionMoves and the GEMM call.
 func (p *Plan) BuildNest() ([]ir.Stmt, error) {
-	a, b, c := p.ops[dsl.OperandA], p.ops[dsl.OperandB], p.ops[dsl.OperandC]
+	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
 
 	// Can the initial C fetch be replaced by an SPM zero-fill? Only when no
 	// reduction loop is *outside* C's residency level: then each C region
@@ -455,47 +461,51 @@ func (p *Plan) BuildNest() ([]ir.Stmt, error) {
 		return nil, err
 	}
 
-	// Build from the innermost level outwards.
+	// Build from the innermost level outwards. A level holds at most two
+	// statements per input (guard and get), C's fetch and put, and core.
 	core := []ir.Stmt{gemm}
 	for depth := len(p.order); depth >= 0; depth-- {
-		var pre, post []ir.Stmt
-		for _, op := range []*operandPlan{a, b} {
+		body := make([]ir.Stmt, 0, 6+len(core))
+		for _, op := range [...]*operandPlan{a, b} {
 			if op.depth == depth {
-				pre = append(pre, p.inputMoves(op)...)
+				body = p.inputMoves(body, op)
 			}
 		}
 		if c.depth == depth {
 			if cZeroInit {
-				pre = append(pre, &ir.Transform{
+				body = append(body, &ir.Transform{
 					Kind: ir.ZeroFill, Dst: c.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
 					Args: []ir.Expr{ir.Const(int64(c.frameElems))},
 				})
 			} else {
-				pre = append(pre, p.moveStmt(c, ir.Get))
+				body = append(body, p.moveStmt(c, ir.Get))
 			}
-			post = append(post, p.moveStmt(c, ir.Put))
 		}
-		body := append(pre, core...)
-		body = append(body, post...)
+		body = append(body, core...)
+		if c.depth == depth {
+			body = append(body, p.moveStmt(c, ir.Put))
+		}
 		if depth == 0 {
 			core = body
 			break
 		}
-		name := p.order[depth-1]
+		ap := p.order[depth-1]
+		iter, _ := ap.ax.LoopVar()
 		core = []ir.Stmt{&ir.For{
-			Iter:   loopVar(name),
-			Extent: ir.Const(int64(p.axes[name].outer)),
+			Iter:   iter,
+			Extent: ir.Const(int64(ap.outer)),
 			Body:   body,
 		}}
 	}
 
-	var out []ir.Stmt
+	ops := [...]*operandPlan{a, b, c}
+	out := make([]ir.Stmt, 0, 1+2*len(ops)+len(core))
 	out = append(out, &ir.Comment{Text: "strategy: ", Note: p.Strategy})
-	for _, op := range []*operandPlan{a, b, c} {
+	for _, op := range ops {
 		out = append(out, &ir.AllocSPM{Buf: op.buf, Elems: ir.Const(int64(op.frameElems))})
 	}
 	out = append(out, core...)
-	for _, op := range []*operandPlan{a, b, c} {
+	for _, op := range ops {
 		out = append(out, &ir.FreeSPM{Buf: op.buf})
 	}
 	return out, nil
@@ -504,18 +514,17 @@ func (p *Plan) BuildNest() ([]ir.Stmt, error) {
 // reductionOutside reports whether any loop strictly outside the given
 // depth is a reduction (K or reduce-role) loop.
 func (p *Plan) reductionOutside(depth int) bool {
-	for i := 0; i < depth; i++ {
-		r := p.axes[p.order[i]].ax.Role
-		if r == dsl.RoleK || r == dsl.RoleReduce {
+	for _, ap := range p.order[:depth] {
+		if r := ap.ax.Role; r == dsl.RoleK || r == dsl.RoleReduce {
 			return true
 		}
 	}
 	return false
 }
 
-// inputMoves emits the (optionally pad-guarded) Get for an input operand.
-func (p *Plan) inputMoves(op *operandPlan) []ir.Stmt {
-	var out []ir.Stmt
+// inputMoves appends the (optionally pad-guarded) Get of an input operand
+// to dst.
+func (p *Plan) inputMoves(dst []ir.Stmt, op *operandPlan) []ir.Stmt {
 	if pad := p.vecPadOperand(); pad == op {
 		// Lightweight zero padding (§4.5.3): when the boundary tile's
 		// vectorized extent is not a multiple of the vector width, clear
@@ -525,7 +534,7 @@ func (p *Plan) inputMoves(op *operandPlan) []ir.Stmt {
 			vecExpr = op.colsExpr
 		}
 		if _, isConst := ir.IsConst(vecExpr); !isConst {
-			out = append(out, &ir.If{
+			dst = append(dst, &ir.If{
 				Cond: ir.Cond{Op: ir.NE, L: ir.Mod(vecExpr, ir.Const(sw26010.VectorWidth)), R: ir.Const(0)},
 				Then: []ir.Stmt{&ir.Transform{
 					Kind: ir.ZeroFill, Dst: op.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
@@ -534,37 +543,37 @@ func (p *Plan) inputMoves(op *operandPlan) []ir.Stmt {
 			})
 		}
 	}
-	out = append(out, p.moveStmt(op, ir.Get))
-	return out
+	return append(dst, p.moveStmt(op, ir.Get))
 }
 
 // vecPadOperand returns the input operand whose frame needs zero padding at
 // unaligned boundaries (A for vecM, B for vecN).
 func (p *Plan) vecPadOperand() *operandPlan {
 	if p.Strategy.Vec == ir.VecM {
-		return p.ops[dsl.OperandA]
+		return &p.ops[dsl.OperandA]
 	}
-	return p.ops[dsl.OperandB]
+	return &p.ops[dsl.OperandB]
 }
 
+// moveStmt builds a move of an operand's region; its start, extent and
+// frame strides share one backing array.
 func (p *Plan) moveStmt(op *operandPlan, dir ir.MoveDir) ir.Stmt {
-	fs := make([]ir.Expr, len(op.frameStride))
-	for i, s := range op.frameStride {
-		fs[i] = ir.Const(int64(s))
-	}
+	nd := len(op.start)
+	exprs := make([]ir.Expr, 0, 3*nd)
+	exprs = append(append(append(exprs, op.start...), op.extent...), op.strideExpr...)
 	return &ir.RegionMove{
 		Tensor:      op.spec.Name,
 		Dir:         dir,
-		Start:       append([]ir.Expr(nil), op.start...),
-		Extent:      append([]ir.Expr(nil), op.extent...),
+		Start:       exprs[:nd:nd],
+		Extent:      exprs[nd : 2*nd : 2*nd],
 		Buf:         op.buf,
 		BufOff:      ir.Const(0),
-		FrameStride: fs,
+		FrameStride: exprs[2*nd:],
 	}
 }
 
 func (p *Plan) gemmStmt() (ir.Stmt, error) {
-	a, b, c := p.ops[dsl.OperandA], p.ops[dsl.OperandB], p.ops[dsl.OperandC]
+	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
 
 	m := c.rowsExpr
 	n := c.colsExpr
