@@ -17,9 +17,10 @@ import (
 // The extra main-memory round trip is the method's intrinsic cost — it is
 // why its efficiency trails the other two methods in Fig. 8.
 type ExplicitOp struct {
-	S     Shape
-	seed  *dsl.Seed // the GEMM-phase seed; its axes name the tunables
-	space *dsl.Space
+	S      Shape
+	seed   *dsl.Seed // the GEMM-phase seed; its axes name the tunables
+	space  *dsl.Space
+	im2col core.Prefix // phase one, optimized once per prefetch setting
 }
 
 // NewExplicitOp builds the operator and its schedule space.
@@ -60,7 +61,9 @@ func (o *ExplicitOp) Seed() *dsl.Seed { return o.seed }
 // Space returns the schedule space.
 func (o *ExplicitOp) Space() *dsl.Space { return o.space }
 
-// Compile assembles the two-phase program for one strategy.
+// Compile assembles the two-phase program for one strategy. The im2col
+// phase is the operator's shared prefix: only the GEMM nest is compiled
+// per strategy, and the program is read-only.
 func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	s := o.S
 	plan, err := lower.NewPlan(o.seed, st)
@@ -74,27 +77,24 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 
 	kk := s.Ni * s.Kr * s.Kc
 	nn := s.Ro * s.Co * s.B
-	prog := &ir.Program{Name: o.Name()}
-	prog.Tensors = []ir.TensorDecl{
+	prog := &ir.Program{Name: o.Name(), Tensors: []ir.TensorDecl{
 		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
 		{Name: "weight2d", Dims: []int{s.No, kk}, Layout: plan.Layout("weight2d")},
 		{Name: "col", Dims: []int{kk, nn}, Scratch: true, Layout: plan.Layout("col")},
 		{Name: "out2d", Dims: []int{s.No, nn}, Output: true, Layout: plan.Layout("out2d")},
+	}}
+	if prog.Body, err = o.im2col.Join(st, o.im2colPhase, nest); err != nil {
+		return nil, err
 	}
+	return prog, nil
+}
 
-	// Phase 1: im2col. For every (ni, kr, kc) and a chunk of output rows,
-	// one Get from the (pre-padded) input and one Put into the column
-	// matrix — the shifted-window copy that defines im2col.
-	chunk := max(1, 128*1024/(s.Co*s.B))
-	if chunk > s.Ro {
-		chunk = s.Ro
-	}
-	nchunks := (s.Ro + chunk - 1) / chunk
-	rowExt := ir.Expr(ir.Const(int64(chunk)))
-	r0 := ir.Mul(ir.V("rch"), ir.Const(int64(chunk)))
-	if s.Ro%chunk != 0 {
-		rowExt = ir.Min(ir.Const(int64(chunk)), ir.Sub(ir.Const(int64(s.Ro)), r0))
-	}
+// im2colPhase is phase one: for every (ni, kr, kc) and a chunk of output
+// rows, one Get from the (pre-padded) input and one Put into the column
+// matrix — the shifted-window copy that defines im2col.
+func (o *ExplicitOp) im2colPhase() []ir.Stmt {
+	s := o.S
+	chunk, nchunks, r0, rowExt := chunks("rch", 128*1024/(s.Co*s.B), s.Ro)
 	bufElems := chunk * s.Co * s.B
 	get := &ir.RegionMove{
 		Tensor: "in", Dir: ir.Get,
@@ -109,7 +109,7 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 		Extent: []ir.Expr{ir.Const(1), ir.Mul(rowExt, ir.Const(int64(s.Co*s.B)))},
 		Buf:    "spm_im2col", BufOff: ir.Const(0),
 	}
-	im2col := []ir.Stmt{
+	return []ir.Stmt{
 		&ir.Comment{Text: "phase 1: im2col materialization"},
 		&ir.AllocSPM{Buf: "spm_im2col", Elems: ir.Const(int64(bufElems))},
 		&ir.For{Iter: "cni", Extent: ir.Const(int64(s.Ni)), Body: []ir.Stmt{
@@ -120,11 +120,8 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 			}},
 		}},
 		&ir.FreeSPM{Buf: "spm_im2col"},
+		&ir.Comment{Text: "phase 2: tiled GEMM"},
 	}
-
-	prog.Body = append(im2col, &ir.Comment{Text: "phase 2: tiled GEMM"})
-	prog.Body = append(prog.Body, nest...)
-	return core.Optimize(prog, st)
 }
 
 // ExplicitWeight2D flattens a 4-D filter into the (No, Ni·Kr·Kc) matrix

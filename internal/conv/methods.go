@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swatop/internal/dsl"
+	"swatop/internal/ir"
 )
 
 // The three convolution methods, by the names the CLIs, the schedule
@@ -49,4 +50,18 @@ func Applies(method string, s Shape) bool {
 		return WinogradApplies(s)
 	}
 	return true
+}
+
+// chunks splits a loop over total elements into chunks of ch, clamped to
+// [1, total]: the clamped chunk, the trip count, and, for iteration
+// variable iter, the chunk's start and extent (the last chunk may be
+// short).
+func chunks(iter string, ch, total int) (int, int, ir.Expr, ir.Expr) {
+	ch = min(max(ch, 1), total)
+	start := ir.Mul(ir.V(iter), ir.Const(int64(ch)))
+	ext := ir.Expr(ir.Const(int64(ch)))
+	if total%ch != 0 {
+		ext = ir.Min(ir.Const(int64(ch)), ir.Sub(ir.Const(int64(total)), start))
+	}
+	return ch, (total + ch - 1) / ch, start, ext
 }

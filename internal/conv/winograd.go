@@ -25,8 +25,10 @@ type WinogradOp struct {
 	// TransformChunkCap caps the channels-per-DMA chunking of the
 	// transform phases (0 = automatic SPM-budget sizing). The manual
 	// baseline sets 1, modelling an unfused implementation that moves one
-	// channel slab per transfer.
+	// channel slab per transfer. A capped operator compiles every phase per
+	// strategy.
 	TransformChunkCap int
+	transforms        core.Prefix // phases F and I at automatic sizing
 }
 
 // WinogradApplies reports whether the method handles a shape.
@@ -86,63 +88,55 @@ func (o *WinogradOp) capChunk(ch int) int {
 }
 
 // Compile assembles and optimizes the four-phase program for one strategy.
+// Phases F and I are the operator's shared prefix: only phases G and O are
+// compiled per strategy, and the program is read-only.
 func (o *WinogradOp) Compile(st dsl.Strategy) (*ir.Program, error) {
-	prog, err := o.CompileRaw(st)
+	if o.TransformChunkCap != 0 {
+		prog, err := o.CompileRaw(st)
+		if err != nil {
+			return nil, err
+		}
+		return core.Optimize(prog, st)
+	}
+	prog, err := o.gemmAndOutput(st)
 	if err != nil {
 		return nil, err
 	}
-	return core.Optimize(prog, st)
+	if prog.Body, err = o.transforms.Join(st, o.transformPhases, prog.Body); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
 
 // CompileRaw assembles the program without running the IR optimizer —
-// baseline builders mutate the raw structure first.
+// baseline builders mutate the raw structure first. Nothing in it is
+// shared.
 func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
-	s := o.S
-	plan, err := lower.NewPlan(o.seed, st)
+	prog, err := o.gemmAndOutput(st)
 	if err != nil {
 		return nil, err
 	}
-	nest, err := plan.BuildNest()
-	if err != nil {
-		return nil, err
-	}
+	prog.Body = append(o.transformPhases(), prog.Body...)
+	return prog, nil
+}
 
+// Phase chunk sizes: pick the largest channel chunk whose SPM buffers
+// (double-buffered by the prefetch pass) stay within ~40 KB per CPE.
+// CG-level element budget = 40 KB/CPE × 64 CPE ÷ 4 B ÷ 2 (double
+// buffering) = 320 K floats.
+const phaseBudgetElems = 320 * 1024
+
+// transformPhases builds phases F and I, which no strategy decision reaches.
+func (o *WinogradOp) transformPhases() []ir.Stmt {
+	s := o.S
 	tilesR, tilesC := s.Ro/2, s.Co/2
-	p := tilesR * tilesC * s.B
 	cnt := tilesC * s.B // transformed values per (row of tiles)
 	planes := primitives.WinoPlanes
-
-	prog := &ir.Program{Name: o.Name()}
-	prog.Tensors = []ir.TensorDecl{
-		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
-		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
-		{Name: "out", Dims: []int{s.No, s.Ro, s.Co, s.B}, Output: true},
-		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Scratch: true, Layout: plan.Layout("U")},
-		{Name: "V", Dims: []int{planes, s.Ni, p}, Scratch: true, Layout: plan.Layout("V")},
-		{Name: "M", Dims: []int{planes, s.No, p}, Scratch: true, Layout: plan.Layout("M")},
-	}
-
-	var body []ir.Stmt
-
-	// Phase chunk sizes: pick the largest channel chunk whose SPM buffers
-	// (double-buffered by the prefetch pass) stay within ~40 KB per CPE.
-	// CG-level element budget = 40 KB/CPE × 64 CPE ÷ 4 B ÷ 2 (double
-	// buffering) = 320 K floats.
-	const phaseBudgetElems = 320 * 1024
+	body := make([]ir.Stmt, 0, 14)
 
 	// Phase F: filter transform — 9 source + 16 destination floats per
 	// (no, ni) filter.
-	chF := max(1, phaseBudgetElems/(s.Ni*25))
-	if chF > s.No {
-		chF = s.No
-	}
-	chF = o.capChunk(chF)
-	nF := (s.No + chF - 1) / chF
-	f0 := ir.Mul(ir.V("wch"), ir.Const(int64(chF)))
-	fExt := ir.Expr(ir.Const(int64(chF)))
-	if s.No%chF != 0 {
-		fExt = ir.Min(ir.Const(int64(chF)), ir.Sub(ir.Const(int64(s.No)), f0))
-	}
+	chF, nF, f0, fExt := chunks("wch", o.capChunk(phaseBudgetElems/(s.Ni*25)), s.No)
 	cntF := ir.Mul(fExt, ir.Const(int64(s.Ni)))
 	body = append(body,
 		&ir.Comment{Text: "phase F: filter transform U = G·g·Gᵀ"},
@@ -169,17 +163,7 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 	// several 4-row slabs (amortizing start-up latency); one transform
 	// call produces the GEMM-ready planes for the whole chunk.
 	slabElems := 4 * s.Ci() * s.B
-	chI := max(1, phaseBudgetElems/(slabElems+planes*cnt))
-	if chI > s.Ni {
-		chI = s.Ni
-	}
-	chI = o.capChunk(chI)
-	nI := (s.Ni + chI - 1) / chI
-	i0 := ir.Mul(ir.V("ich"), ir.Const(int64(chI)))
-	iExt := ir.Expr(ir.Const(int64(chI)))
-	if s.Ni%chI != 0 {
-		iExt = ir.Min(ir.Const(int64(chI)), ir.Sub(ir.Const(int64(s.Ni)), i0))
-	}
+	chI, nI, i0, iExt := chunks("ich", o.capChunk(phaseBudgetElems/(slabElems+planes*cnt)), s.Ni)
 	body = append(body,
 		&ir.Comment{Text: "phase I: input transform V = Bᵀ·d·B"},
 		&ir.AllocSPM{Buf: "spm_slab", Elems: ir.Const(int64(chI * slabElems))},
@@ -204,23 +188,41 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 		&ir.FreeSPM{Buf: "spm_v"},
 	)
 
-	// Phase G: the 16 batched GEMMs.
+	return body
+}
+
+// gemmAndOutput declares the program's tensors and builds its body from
+// phase G, the strategy's nest of 16 batched GEMMs, on: phase O's reply
+// words follow G's.
+func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
+	s := o.S
+	plan, err := lower.NewPlan(o.seed, st)
+	if err != nil {
+		return nil, err
+	}
+	nest, err := plan.BuildNest()
+	if err != nil {
+		return nil, err
+	}
+	tilesR, tilesC := s.Ro/2, s.Co/2
+	p := tilesR * tilesC * s.B
+	cnt := tilesC * s.B
+	planes := primitives.WinoPlanes
+	prog := &ir.Program{Name: o.Name(), Tensors: []ir.TensorDecl{
+		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
+		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
+		{Name: "out", Dims: []int{s.No, s.Ro, s.Co, s.B}, Output: true},
+		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Scratch: true, Layout: plan.Layout("U")},
+		{Name: "V", Dims: []int{planes, s.Ni, p}, Scratch: true, Layout: plan.Layout("V")},
+		{Name: "M", Dims: []int{planes, s.No, p}, Scratch: true, Layout: plan.Layout("M")},
+	}}
+	body := make([]ir.Stmt, 0, 1+len(nest)+6)
 	body = append(body, &ir.Comment{Text: "phase G: 16 batched GEMMs M[xi] = U[xi]·V[xi]"})
 	body = append(body, nest...)
 
 	// Phase O: inverse transform, output channels chunked like phase I.
 	outSlab := 2 * s.Co * s.B
-	chO := max(1, phaseBudgetElems/(outSlab+planes*cnt))
-	if chO > s.No {
-		chO = s.No
-	}
-	chO = o.capChunk(chO)
-	nO := (s.No + chO - 1) / chO
-	o0 := ir.Mul(ir.V("och"), ir.Const(int64(chO)))
-	oExt := ir.Expr(ir.Const(int64(chO)))
-	if s.No%chO != 0 {
-		oExt = ir.Min(ir.Const(int64(chO)), ir.Sub(ir.Const(int64(s.No)), o0))
-	}
+	chO, nO, o0, oExt := chunks("och", o.capChunk(phaseBudgetElems/(outSlab+planes*cnt)), s.No)
 	body = append(body,
 		&ir.Comment{Text: "phase O: output transform Y = Aᵀ·m·A"},
 		&ir.AllocSPM{Buf: "spm_m", Elems: ir.Const(int64(planes * chO * cnt))},
@@ -244,7 +246,6 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 		&ir.FreeSPM{Buf: "spm_m"},
 		&ir.FreeSPM{Buf: "spm_y"},
 	)
-
 	prog.Body = body
 	return prog, nil
 }

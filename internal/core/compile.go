@@ -1,11 +1,13 @@
 // Package core is swATOP's compilation pipeline (Fig. 3): it takes a DSL
 // schedule seed and one schedule strategy, lowers them to IR, and applies
 // the IR optimizations (auto-prefetching, DMA inference) in order. The
-// scheduler/autotuner packages drive it over whole schedule spaces.
+// scheduler/autotuner packages drive it over whole schedule spaces. A
+// compiled program is read-only: programs may share statements (Prefix).
 package core
 
 import (
-	"fmt"
+	"errors"
+	"sync"
 
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
@@ -33,11 +35,48 @@ func Compile(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 // exposed separately so multi-phase operators (Winograd, explicit conv) can
 // compose nests before optimizing.
 func Optimize(prog *ir.Program, st dsl.Strategy) (*ir.Program, error) {
-	if st.DoubleBuffer {
-		if err := optimizer.InjectPrefetch(prog); err != nil {
-			return nil, fmt.Errorf("prefetch: %w", err)
-		}
+	body, err := optimizer.Optimize(prog.Body, st.DoubleBuffer, &optimizer.Replies{})
+	if err != nil {
+		return nil, err
 	}
-	optimizer.InferDMA(prog)
+	prog.Body = body
 	return prog, nil
+}
+
+// Prefix is the optimized head of a multi-phase program that no strategy
+// decision reaches (explicit convolution's im2col phase, Winograd's filter
+// and input transforms), built once per prefetch setting on first use. A
+// candidate optimizes only its own statements, numbering reply words on
+// from where the prefix stopped, so the joined program is the one
+// optimizing it whole gives. Every joined program shares the prefix.
+type Prefix struct {
+	once [2]sync.Once // by prefetch setting
+	body [2][]ir.Stmt
+	end  [2]optimizer.Replies
+	err  [2]error
+}
+
+var errPrefixPanicked = errors.New("core: building the shared prefix panicked")
+
+// Join returns a fresh program body: the prefix for st's prefetch setting,
+// built by build on first use, followed by own optimized as its
+// continuation.
+func (x *Prefix) Join(st dsl.Strategy, build func() []ir.Stmt, own []ir.Stmt) ([]ir.Stmt, error) {
+	i := 0
+	if st.DoubleBuffer {
+		i = 1
+	}
+	x.once[i].Do(func() {
+		x.err[i] = errPrefixPanicked // kept if build panics
+		x.body[i], x.err[i] = optimizer.Optimize(build(), st.DoubleBuffer, &x.end[i])
+	})
+	if x.err[i] != nil {
+		return nil, x.err[i]
+	}
+	r := x.end[i]
+	own, err := optimizer.Optimize(own, st.DoubleBuffer, &r)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(make([]ir.Stmt, 0, len(x.body[i])+len(own)), x.body[i]...), own...), nil
 }

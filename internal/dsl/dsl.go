@@ -57,19 +57,15 @@ type Axis struct {
 	Extent int
 	Role   Role
 
-	// loopVar names the axis's outer tile loop in lowered IR and loopV is
-	// that variable; AddAxis makes both once, so lowering a strategy
-	// reuses them.
-	loopVar string
-	loopV   ir.Expr
+	loopVar string  // the variable of the axis's outer tile loop
+	loopV   ir.Expr // loopVar as an expression
 }
 
-// LoopVar returns the name of the axis's outer tile loop and the variable
-// as an expression.
+// LoopVar returns the variable of the axis's outer tile loop, by name and
+// as an expression; AddAxis makes both once for every strategy lowered.
 func (a *Axis) LoopVar() (string, ir.Expr) {
-	if a.loopV == nil {
-		name := "c" + a.Name
-		return name, ir.V(name)
+	if a.loopV == nil { // not made by AddAxis
+		return "c" + a.Name, ir.V("c" + a.Name)
 	}
 	return a.loopVar, a.loopV
 }
@@ -171,18 +167,6 @@ func (s *Seed) Operand(role OperandRole) (*TensorSpec, error) {
 		}
 	}
 	return nil, fmt.Errorf("dsl: no tensor with role %s", role)
-}
-
-// RoleAxes returns the axes of a role in declaration order — the
-// significance order of composite GEMM dimensions.
-func (s *Seed) RoleAxes(role Role) []string {
-	var out []string
-	for _, a := range s.Axes {
-		if a.Role == role {
-			out = append(out, a.Name)
-		}
-	}
-	return out
 }
 
 // Validate checks internal consistency of the seed.

@@ -106,9 +106,6 @@ func TestSeedLookups(t *testing.T) {
 	if err != nil || op.Name != "B" {
 		t.Fatalf("Operand(B) = %v, %v", op, err)
 	}
-	if axes := s.RoleAxes(RoleK); len(axes) != 1 || axes[0] != "k" {
-		t.Fatalf("RoleAxes(K) = %v", axes)
-	}
 }
 
 func TestMultiTermAccess(t *testing.T) {

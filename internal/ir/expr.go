@@ -183,14 +183,15 @@ func Min(l, r Expr) Expr { return newBin(opMin, l, r) }
 // evaluating it would; the constructors fold such a tree when it is built.
 func IsConst(e Expr) (int64, bool) { return e.fold() }
 
-// Subst replaces variable references by expressions. A subtree in which
-// nothing is replaced is returned as it is, not rebuilt.
-func Subst(e Expr, repl map[string]Expr) Expr {
+// Subst replaces variable references by expressions: repl returns a
+// variable's replacement and whether it has one. A subtree in which nothing
+// is replaced is returned as it is, not rebuilt.
+func Subst(e Expr, repl func(name string) (Expr, bool)) Expr {
 	switch x := e.(type) {
 	case ConstExpr:
 		return e
 	case VarExpr:
-		if r, ok := repl[string(x)]; ok {
+		if r, ok := repl(string(x)); ok {
 			return r
 		}
 		return e

@@ -102,9 +102,17 @@ func TestFreeVarsAndIsConst(t *testing.T) {
 	}
 }
 
+// lookup is a substitution table as Subst reads it.
+func lookup(m map[string]Expr) func(string) (Expr, bool) {
+	return func(name string) (Expr, bool) {
+		e, ok := m[name]
+		return e, ok
+	}
+}
+
 func TestSubst(t *testing.T) {
 	e := Add(Mul(V("i"), Const(16)), V("j"))
-	s := Subst(e, map[string]Expr{"i": Add(V("i"), Const(1))})
+	s := Subst(e, lookup(map[string]Expr{"i": Add(V("i"), Const(1))}))
 	vars := env{"i": 2, "j": 5}
 	if got := eval(s, vars); got != 3*16+5 {
 		t.Fatalf("subst eval = %d", got)
@@ -114,10 +122,10 @@ func TestSubst(t *testing.T) {
 		t.Fatalf("original mutated: %d", got)
 	}
 	// What has nothing to replace is returned as it is, not rebuilt.
-	if got := Subst(e, map[string]Expr{"k": Const(1)}); got != e {
+	if got := Subst(e, lookup(map[string]Expr{"k": Const(1)})); got != e {
 		t.Fatalf("subst without a match rebuilt %s", e)
 	}
-	if got := Subst(e, map[string]Expr{"j": Const(1)}).(*BinExpr).L; got != e.(*BinExpr).L {
+	if got := Subst(e, lookup(map[string]Expr{"j": Const(1)})).(*BinExpr).L; got != e.(*BinExpr).L {
 		t.Fatalf("subst rebuilt the unchanged subtree %s", got)
 	}
 }

@@ -206,23 +206,18 @@ func (p *Plan) resolveOrder() error {
 // the strategy does not override it).
 func (p *Plan) Layout(tensor string) []int {
 	for i := range p.ops {
-		if op := &p.ops[i]; op.spec != nil && op.spec.Name == tensor {
+		if op := &p.ops[i]; op.spec.Name == tensor {
 			return op.perm
 		}
 	}
 	return nil
 }
 
-// operandGroups returns the (rows, cols) role pair of an operand.
-func operandGroups(role dsl.OperandRole) (rows, cols dsl.Role) {
-	switch role {
-	case dsl.OperandA:
-		return dsl.RoleM, dsl.RoleK
-	case dsl.OperandB:
-		return dsl.RoleK, dsl.RoleN
-	default:
-		return dsl.RoleM, dsl.RoleN
-	}
+// operandGroups holds the (rows, cols) role pair of each operand.
+var operandGroups = [...][2]dsl.Role{
+	dsl.OperandA: {dsl.RoleM, dsl.RoleK},
+	dsl.OperandB: {dsl.RoleK, dsl.RoleN},
+	dsl.OperandC: {dsl.RoleM, dsl.RoleN},
 }
 
 func (p *Plan) planOperand(role dsl.OperandRole, b *backing) error {
@@ -281,7 +276,7 @@ func (p *Plan) planOperand(role dsl.OperandRole, b *backing) error {
 			}
 			// track the deepest loop var feeding the region
 			if ap.loop {
-				if depth := p.loopDepth(ap); depth+1 > op.depth {
+				if depth := slices.Index(p.order, ap); depth+1 > op.depth {
 					op.depth = depth + 1
 				}
 			}
@@ -309,7 +304,7 @@ func (p *Plan) planOperand(role dsl.OperandRole, b *backing) error {
 
 	// Matrix interpretation: active dims in storage-fastest-first order
 	// must split into the two role groups contiguously.
-	rowsRole, colsRole := operandGroups(role)
+	rowsRole, colsRole := operandGroups[role][0], operandGroups[role][1]
 	var rowBuf, colBuf [maxRank]int
 	rowDims, colDims := rowBuf[:0], colBuf[:0]
 	second := false // reading the second group
@@ -349,15 +344,14 @@ func (p *Plan) planOperand(role dsl.OperandRole, b *backing) error {
 
 	// Leading dimension: product of frame extents of the fast group dims
 	// (and any interleaved extent-1 dims, which contribute 1).
-	ld := 1
+	op.ld = 1
 	for i := nd - 1; i >= 0; i-- {
 		d := op.perm[i]
 		if op.frameExt[d] > 1 && dimAxis[d].ax.Role != firstRole {
 			break
 		}
-		ld *= op.frameExt[d]
+		op.ld *= op.frameExt[d]
 	}
-	op.ld = ld
 
 	// Composite extents and axis orders; partial tiles only on the slowest
 	// axis of each group.
@@ -388,10 +382,6 @@ func groupProduct(spec *dsl.TensorSpec, dimAxis []*axisPlan, dims []int, b *back
 		b.names = append(b.names, ap.ax.Name)
 	}
 	return prod, b.names[n:len(b.names):len(b.names)], nil
-}
-
-func (p *Plan) loopDepth(ap *axisPlan) int {
-	return slices.Index(p.order, ap)
 }
 
 // checkMatrixConsistency verifies that composite GEMM dimensions enumerate

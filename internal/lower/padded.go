@@ -95,7 +95,7 @@ func LowerPadded(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 		if t.Role == dsl.OperandC {
 			continue
 		}
-		cp, err := emitTensorCopy(t.Name, padName(t.Name), t.Dims)
+		cp, err := EmitTensorCopy(t.Name, padName(t.Name), t.Dims)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func LowerPadded(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := emitTensorCopy(padName(out.Name), out.Name, out.Dims)
+	cp, err := EmitTensorCopy(padName(out.Name), out.Name, out.Dims)
 	if err != nil {
 		return nil, err
 	}
@@ -121,17 +121,10 @@ const copyChunkElems = 256 * 1024
 
 // EmitTensorCopy emits a chunked main-memory src→dst copy through SPM over
 // the given logical region (both tensors must cover dims; dst may be
-// larger). Baseline builders use it to model the repacking passes manual
-// libraries need.
+// larger). The chunking dimension is the slowest one whose inner row fits
+// the staging buffer; any dimension above it becomes a full loop. Baseline
+// builders use it to model the repacking passes manual libraries need.
 func EmitTensorCopy(src, dst string, dims []int) ([]ir.Stmt, error) {
-	return emitTensorCopy(src, dst, dims)
-}
-
-// emitTensorCopy emits a chunked src→dst copy over the given logical region
-// (both tensors must cover dims; dst may be larger). The chunking dimension
-// is the slowest one whose inner row fits the staging buffer; any dimension
-// above it becomes a full loop.
-func emitTensorCopy(src, dst string, dims []int) ([]ir.Stmt, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("copy %s->%s: scalar tensors unsupported", src, dst)
 	}

@@ -12,6 +12,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strconv"
 
 	"swatop/internal/ir"
@@ -29,6 +30,25 @@ import (
 func InferDMA(p *ir.Program) {
 	n := 0
 	p.Body = inferDMA(p.Body, &n)
+}
+
+// Replies is where a program's reply-word numbering stands after a part of
+// it has been optimized: the prefetch pass's counter and InferDMA's. A
+// program optimized in parts passes each part's end state on to the next,
+// and so names its reply words as optimizing it whole would.
+type Replies struct{ Prefetch, DMA int }
+
+// Optimize runs InjectPrefetch, if prefetch is set, and InferDMA over the
+// statements of a program that follow the part r ends, and advances r. The
+// statements are rewritten in place; the top-level list is returned new.
+func Optimize(body []ir.Stmt, prefetch bool, r *Replies) ([]ir.Stmt, error) {
+	if prefetch {
+		var err error
+		if body, err = prefetchBody(body, &r.Prefetch); err != nil {
+			return nil, fmt.Errorf("prefetch: %w", err)
+		}
+	}
+	return inferDMA(body, &r.DMA), nil
 }
 
 func inferDMA(body []ir.Stmt, n *int) []ir.Stmt {

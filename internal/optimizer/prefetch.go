@@ -24,28 +24,50 @@ import (
 //
 // The pass must run before InferDMA (it consumes RegionMoves).
 func InjectPrefetch(p *ir.Program) error {
-	pf := &prefetcher{}
-	// extra bounds what the preludes (a counter per loop, up to two
-	// statements per get) and the postludes (two drains per put) add.
-	extra := 0
-	ir.Walk(p.Body, func(s ir.Stmt) bool {
-		switch x := s.(type) {
-		case *ir.AllocSPM:
-			pf.bufs = append(pf.bufs, spmBuf{alloc: x})
-		case *ir.For:
-			extra++
-		case *ir.RegionMove:
-			extra += 2
-		}
-		return true
-	})
-	pf.post = make([]ir.Stmt, 0, extra)
-	body, err := pf.topLevel(p.Body, extra)
+	n := 0
+	body, err := prefetchBody(p.Body, &n)
 	if err != nil {
 		return err
 	}
 	p.Body = body
 	return nil
+}
+
+// prefetchBody is InjectPrefetch over a statement list, numbering reply
+// words on from *n and advancing it.
+func prefetchBody(body []ir.Stmt, n *int) ([]ir.Stmt, error) {
+	pf := &prefetcher{nreply: *n}
+	// A program allocates its buffers at top level; the chain is at most
+	// as deep as the program has loops. extra bounds what the preludes (a
+	// counter per loop, up to two statements per get) and the postludes
+	// (two drains per put) add.
+	allocs, loops, extra := 0, 0, 0
+	for _, s := range body {
+		if _, ok := s.(*ir.AllocSPM); ok {
+			allocs++
+		}
+	}
+	pf.bufs = make([]spmBuf, 0, allocs)
+	ir.Walk(body, func(s ir.Stmt) bool {
+		switch x := s.(type) {
+		case *ir.AllocSPM:
+			pf.bufs = append(pf.bufs, spmBuf{alloc: x})
+		case *ir.For:
+			loops++
+		case *ir.RegionMove:
+			extra += 2
+		}
+		return true
+	})
+	pf.chain = make([]loopCtx, 0, loops)
+	extra += loops
+	pf.post = make([]ir.Stmt, 0, extra)
+	out, err := pf.topLevel(body, extra)
+	if err != nil {
+		return nil, err
+	}
+	*n = pf.nreply
+	return out, nil
 }
 
 // prefetcher is one pass's state. Everything on it lives for one
@@ -59,8 +81,6 @@ type prefetcher struct {
 	gets   []getSite // per loop: direct gets, in body order
 	puts   []putSite // per loop: direct puts, in body order
 	frames []frame   // per loop: the buffers it moves, in body order
-	// Per loop: every chain iterator → its inferred next index, → 0.
-	nextSub, zeroSub map[string]ir.Expr
 }
 
 // spmBuf is an AllocSPM of the program and whether a loop doubled it.
@@ -228,9 +248,6 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 	if last >= 1 {
 		body = append(body, wrap(chain, last))
 	}
-	if len(gets) > 0 {
-		pf.substitutions(chain)
-	}
 	valid := ir.Cond{Op: ir.LT, L: chain[0].nxV, R: chain[0].ext}
 	for i := range gets {
 		g := &gets[i]
@@ -238,7 +255,7 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 		if g.guard != nil {
 			n = 2
 		}
-		then := issue(make([]ir.Stmt, 0, n), g, pf.nextSub, pf.frames[g.frame].next)
+		then := issue(make([]ir.Stmt, 0, n), g, subst{chain: chain}, pf.frames[g.frame].next)
 		body = append(body, &ir.If{Cond: valid, Then: then})
 	}
 	// 4. Original body with gets (and their guards) removed and puts async.
@@ -261,7 +278,7 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 
 	// Prelude: initial issues with all chain iterators at zero.
 	for i := range gets {
-		pre = issue(pre, &gets[i], pf.zeroSub, ir.Const(0))
+		pre = issue(pre, &gets[i], subst{chain: chain, zero: true}, ir.Const(0))
 	}
 	return pre, nil
 }
@@ -333,18 +350,23 @@ func (c *loopCtx) build() {
 	c.inc, c.ext = ir.Add(c.v, ir.Const(1)), ir.Const(c.extent)
 }
 
-// substitutions refills the two maps the issues substitute through; the
-// pass makes them once.
-func (pf *prefetcher) substitutions(chain []loopCtx) {
-	if pf.nextSub == nil {
-		pf.nextSub, pf.zeroSub = make(map[string]ir.Expr, len(chain)), make(map[string]ir.Expr, len(chain))
+// subst replaces the iterators of a loop chain by their inferred next
+// indices, or by zero.
+type subst struct {
+	chain []loopCtx
+	zero  bool
+}
+
+func (s subst) of(name string) (ir.Expr, bool) {
+	for i := range s.chain {
+		if s.chain[i].iter == name {
+			if s.zero {
+				return ir.Const(0), true
+			}
+			return s.chain[i].nxV, true
+		}
 	}
-	clear(pf.nextSub)
-	clear(pf.zeroSub)
-	for _, c := range chain {
-		pf.nextSub[c.iter] = c.nxV
-		pf.zeroSub[c.iter] = ir.Const(0)
-	}
+	return nil, false
 }
 
 // wrap builds the carry of chain[d] into chain[d-1], and recursively
@@ -370,7 +392,8 @@ func waitIf(ctr ir.Expr, n int64, reply string) ir.Stmt {
 // issue appends the (optionally pad-guarded) prefetch issue of a get to dst,
 // with substituted iterators and a parity buffer offset. The issue's
 // start, extent and frame strides share one backing array.
-func issue(dst []ir.Stmt, g *getSite, sub map[string]ir.Expr, off ir.Expr) []ir.Stmt {
+func issue(dst []ir.Stmt, g *getSite, s subst, off ir.Expr) []ir.Stmt {
+	sub := s.of
 	if g.guard != nil {
 		zf := g.zero
 		zf.DstOff = ir.Add(ir.Subst(zf.DstOff, sub), off)
@@ -391,7 +414,7 @@ func issue(dst []ir.Stmt, g *getSite, sub map[string]ir.Expr, off ir.Expr) []ir.
 
 // substAll writes the substituted src into dst (of the same length); an
 // empty src stays nil.
-func substAll(dst, src []ir.Expr, sub map[string]ir.Expr) []ir.Expr {
+func substAll(dst, src []ir.Expr, sub func(string) (ir.Expr, bool)) []ir.Expr {
 	if len(src) == 0 {
 		return nil
 	}
