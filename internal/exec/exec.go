@@ -330,10 +330,13 @@ func (st *state) Move(x *ir.RegionMove, mv *ir.Op) error {
 		return fmt.Errorf("dma %s: %w", x.Tensor, err)
 	}
 	region := tensor.Region{Start: mv.Start(), Extent: mv.Extent()}
+	// Timed and functional runs accept the same moves: the frame must fit
+	// the buffer whether or not data is copied.
+	if first, last := frameSpan(x, mv, region); first < 0 || last >= buf.Elems {
+		return fmt.Errorf("dma: frame [%d..%d] exceeds SPM buffer %s (%d elems)", first, last, buf.Name, buf.Elems)
+	}
 	if st.opt.Functional {
-		if err := moveData(t, region, buf, x, mv); err != nil {
-			return err
-		}
+		moveData(t, region, buf, x, mv)
 	}
 	// One engine request covers the region's blocks (uniform geometry).
 	first, descs, err := region.Geometry(t)
@@ -384,27 +387,37 @@ func dmaRequest(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
 	}
 }
 
+// frameStride is the SPM stride of dimension d of a move's frame: packed to
+// the region (packed is the product of the extents after d) unless the move
+// gives strides. The move's expressions are start and extent per
+// dimension, BufOff, FrameStride.
+func frameStride(x *ir.RegionMove, mv *ir.Op, nd, d, packed int) int {
+	if x.FrameStride != nil {
+		return int(mv.Arg(2*nd + 1 + d))
+	}
+	return packed
+}
+
+// frameSpan returns the SPM offsets of the first and the last element a
+// move's frame touches.
+func frameSpan(x *ir.RegionMove, mv *ir.Op, r tensor.Region) (first, last int) {
+	nd := len(r.Extent)
+	first = int(mv.Arg(2 * nd))
+	last = first
+	for d, packed := nd-1, 1; d >= 0; d-- {
+		last += (r.Extent[d] - 1) * frameStride(x, mv, nd, d, packed)
+		packed *= r.Extent[d]
+	}
+	return first, last
+}
+
 // moveData performs the functional scatter/gather between a tensor region
-// and an SPM frame (packed to the region unless the move gives strides).
-func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv *ir.Op) error {
+// and an SPM frame that Move has checked.
+func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv *ir.Op) {
 	nd := t.Rank()
-	// The move's expressions: start and extent per dimension, BufOff,
-	// FrameStride.
-	bufOff := int(mv.Arg(2 * nd))
 	frame := make([]int, nd)
 	for d, packed := nd-1, 1; d >= 0; d-- {
-		frame[d], packed = packed, packed*r.Extent[d]
-		if x.FrameStride != nil {
-			frame[d] = int(mv.Arg(2*nd + 1 + d))
-		}
-	}
-	// Bounds check the frame footprint.
-	maxOff := bufOff
-	for d := 0; d < nd; d++ {
-		maxOff += (r.Extent[d] - 1) * frame[d]
-	}
-	if maxOff >= len(buf.Data) || bufOff < 0 {
-		return fmt.Errorf("dma: frame [%d..%d] exceeds SPM buffer %s (%d elems)", bufOff, maxOff, buf.Name, len(buf.Data))
+		frame[d], packed = frameStride(x, mv, nd, d, packed), packed*r.Extent[d]
 	}
 	var rec func(d, memOff, spmOff int)
 	rec = func(d, memOff, spmOff int) {
@@ -427,8 +440,7 @@ func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.R
 			so += frame[d]
 		}
 	}
-	rec(0, 0, bufOff)
-	return nil
+	rec(0, 0, int(mv.Arg(2*nd)))
 }
 
 func (st *state) Gemm(x *ir.Gemm, op *ir.Op) error {

@@ -13,6 +13,7 @@ import (
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
 	"swatop/internal/metrics"
+	"swatop/internal/optimizer"
 	"swatop/internal/sw26010"
 	"swatop/internal/tensor"
 	"swatop/internal/trace"
@@ -163,6 +164,33 @@ func TestRunLeakedDMAFails(t *testing.T) {
 	}
 	if _, err := Run(p, map[string]*tensor.Tensor{"A": tensor.New("A", 4)}, Options{}); err == nil {
 		t.Fatal("un-waited DMA must be reported")
+	}
+}
+
+// TestFrameOverflowFailsInBothModes: a get whose strided frame reaches past
+// its SPM buffer is rejected by timed and functional runs alike, with the
+// same error, before any data moves.
+func TestFrameOverflowFailsInBothModes(t *testing.T) {
+	p := &ir.Program{
+		Name:    "overflow",
+		Tensors: []ir.TensorDecl{{Name: "A", Dims: []int{4, 4}}},
+		Body: []ir.Stmt{
+			&ir.AllocSPM{Buf: "a", Elems: ir.Const(16)},
+			// Row stride 5 puts the last element at 3·5+3 = 18 ≥ 16.
+			&ir.RegionMove{Tensor: "A", Dir: ir.Get,
+				Start: []ir.Expr{ir.Const(0), ir.Const(0)}, Extent: []ir.Expr{ir.Const(4), ir.Const(4)},
+				Buf: "a", BufOff: ir.Const(0), FrameStride: []ir.Expr{ir.Const(5), ir.Const(1)}},
+			&ir.FreeSPM{Buf: "a"},
+		},
+	}
+	optimizer.InferDMA(p)
+	const want = "dma: frame [0..18] exceeds SPM buffer a (16 elems)"
+	for _, functional := range []bool{false, true} {
+		binds := map[string]*tensor.Tensor{"A": tensor.New("A", 4, 4)}
+		_, err := Run(p, binds, Options{Functional: functional})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("functional=%v: err = %v, want %q", functional, err, want)
+		}
 	}
 }
 
