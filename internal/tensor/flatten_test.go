@@ -62,6 +62,14 @@ func referenceFlatten(r Region, t *Tensor) []Blocks {
 	return out
 }
 
+func identityPerm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
 // flattenCase decodes raw bytes into a tensor of rank 1..5 with a permuted
 // layout and an in-bounds region: byte 0 picks the rank, then per dimension
 // one byte each for extent-of-tensor, layout pick, region start and region

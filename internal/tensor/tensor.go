@@ -10,6 +10,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -47,44 +48,36 @@ func NewWithLayout(name string, dims []int, perm []int) (*Tensor, error) {
 	return t, nil
 }
 
+// newDesc builds a descriptor whose dims and strides share one backing
+// array; a nil perm is row-major.
 func newDesc(name string, dims []int, perm []int) (*Tensor, error) {
-	if perm == nil {
-		perm = identityPerm(len(dims))
+	n := len(dims)
+	if perm != nil && len(perm) != n {
+		return nil, fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), n)
 	}
-	if len(perm) != len(dims) {
-		return nil, fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), len(dims))
-	}
-	seen := make([]bool, len(dims))
-	for _, p := range perm {
-		if p < 0 || p >= len(dims) || seen[p] {
+	for i, p := range perm {
+		if p < 0 || p >= n || slices.Index(perm, p) != i {
 			return nil, fmt.Errorf("tensor %s: invalid layout permutation %v", name, perm)
 		}
-		seen[p] = true
 	}
 	for i, d := range dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("tensor %s: dimension %d has non-positive extent %d", name, i, d)
 		}
 	}
-	strides := make([]int, len(dims))
+	ints := make([]int, 2*n)
+	t := &Tensor{Name: name, Dims: ints[:n:n], Strides: ints[n:]}
+	copy(t.Dims, dims)
 	s := 1
-	for i := len(perm) - 1; i >= 0; i-- {
-		strides[perm[i]] = s
-		s *= dims[perm[i]]
+	for i := n - 1; i >= 0; i-- {
+		d := i
+		if perm != nil {
+			d = perm[i]
+		}
+		t.Strides[d] = s
+		s *= dims[d]
 	}
-	return &Tensor{
-		Name:    name,
-		Dims:    append([]int(nil), dims...),
-		Strides: strides,
-	}, nil
-}
-
-func identityPerm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
+	return t, nil
 }
 
 // NewVirtual creates a tensor descriptor with shape and layout but no
