@@ -115,8 +115,10 @@ obs-check:
 # engine's memo unchanged, not one fresh-machine simulation — and, having
 # read each (shape, method) entry once (one cache hit each) and compiled
 # only each shape's winner, stays within its measured allocation count;
-# compiling a candidate (lower, InjectPrefetch, InferDMA) stays within the
-# allocations measured at four double-buffered golden points.
+# compiling a candidate (lower, InjectPrefetch, InferDMA; an explicit or
+# Winograd candidate on a warm operator, which compiled its strategy-
+# independent phases once) stays within the allocations measured at four
+# double-buffered golden points.
 alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestCompileAllocBudget' -count=1 ./internal/core
@@ -142,7 +144,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 22693
+LOC_MAX ?= 22689
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -332,7 +332,7 @@ func (st *state) Move(x *ir.RegionMove, mv *ir.Op) error {
 	region := tensor.Region{Start: mv.Start(), Extent: mv.Extent()}
 	// Timed and functional runs accept the same moves: the frame must fit
 	// the buffer whether or not data is copied.
-	if first, last := frameSpan(x, mv, region); first < 0 || last >= buf.Elems {
+	if first, last := frameSpan(x, mv, region, nil); first < 0 || last >= buf.Elems {
 		return fmt.Errorf("dma: frame [%d..%d] exceeds SPM buffer %s (%d elems)", first, last, buf.Name, buf.Elems)
 	}
 	if st.opt.Functional {
@@ -387,25 +387,23 @@ func dmaRequest(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
 	}
 }
 
-// frameStride is the SPM stride of dimension d of a move's frame: packed to
-// the region (packed is the product of the extents after d) unless the move
-// gives strides. The move's expressions are start and extent per
-// dimension, BufOff, FrameStride.
-func frameStride(x *ir.RegionMove, mv *ir.Op, nd, d, packed int) int {
-	if x.FrameStride != nil {
-		return int(mv.Arg(2*nd + 1 + d))
-	}
-	return packed
-}
-
-// frameSpan returns the SPM offsets of the first and the last element a
-// move's frame touches.
-func frameSpan(x *ir.RegionMove, mv *ir.Op, r tensor.Region) (first, last int) {
+// frameSpan returns the SPM offsets of the first and the last element of a
+// move's frame, whose strides are packed to the region unless the move
+// gives them (its arguments: start and extent per dimension, BufOff,
+// FrameStride). It writes the strides to stride unless that is nil.
+func frameSpan(x *ir.RegionMove, mv *ir.Op, r tensor.Region, stride []int) (first, last int) {
 	nd := len(r.Extent)
 	first = int(mv.Arg(2 * nd))
 	last = first
 	for d, packed := nd-1, 1; d >= 0; d-- {
-		last += (r.Extent[d] - 1) * frameStride(x, mv, nd, d, packed)
+		s := packed
+		if x.FrameStride != nil {
+			s = int(mv.Arg(2*nd + 1 + d))
+		}
+		if stride != nil {
+			stride[d] = s
+		}
+		last += (r.Extent[d] - 1) * s
 		packed *= r.Extent[d]
 	}
 	return first, last
@@ -414,11 +412,9 @@ func frameSpan(x *ir.RegionMove, mv *ir.Op, r tensor.Region) (first, last int) {
 // moveData performs the functional scatter/gather between a tensor region
 // and an SPM frame that Move has checked.
 func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv *ir.Op) {
-	nd := t.Rank()
-	frame := make([]int, nd)
-	for d, packed := nd-1, 1; d >= 0; d-- {
-		frame[d], packed = frameStride(x, mv, nd, d, packed), packed*r.Extent[d]
-	}
+	frame := make([]int, t.Rank())
+	bufOff, _ := frameSpan(x, mv, r, frame)
+	nd := len(frame)
 	var rec func(d, memOff, spmOff int)
 	rec = func(d, memOff, spmOff int) {
 		if d == nd {
@@ -440,7 +436,7 @@ func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.R
 			so += frame[d]
 		}
 	}
-	rec(0, 0, int(mv.Arg(2*nd)))
+	rec(0, 0, bufOff)
 }
 
 func (st *state) Gemm(x *ir.Gemm, op *ir.Op) error {
