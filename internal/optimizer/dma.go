@@ -39,8 +39,8 @@ func InferDMA(p *ir.Program) {
 type Replies struct{ Prefetch, DMA int }
 
 // Optimize runs InjectPrefetch, if prefetch is set, and InferDMA over the
-// statements of a program that follow the part r ends, and advances r. The
-// statements are rewritten in place; the top-level list is returned new.
+// statements of a program that follow the part r ends, in place, and
+// advances r. The top-level list it returns may be a new one.
 func Optimize(body []ir.Stmt, prefetch bool, r *Replies) ([]ir.Stmt, error) {
 	if prefetch {
 		var err error
