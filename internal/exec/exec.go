@@ -332,7 +332,7 @@ func (st *state) Move(x *ir.RegionMove, mv *ir.Op) error {
 	region := tensor.Region{Start: mv.Start(), Extent: mv.Extent()}
 	// Timed and functional runs accept the same moves: the frame must fit
 	// the buffer whether or not data is copied.
-	if first, last := frameSpan(x, mv, region, nil); first < 0 || last >= buf.Elems {
+	if first, last := mv.Frame(nil); first < 0 || last >= buf.Elems {
 		return fmt.Errorf("dma: frame [%d..%d] exceeds SPM buffer %s (%d elems)", first, last, buf.Name, buf.Elems)
 	}
 	if st.opt.Functional {
@@ -387,33 +387,11 @@ func dmaRequest(first tensor.Blocks, total int, write bool) sw26010.DMARequest {
 	}
 }
 
-// frameSpan returns the SPM offsets of the first and the last element of a
-// move's frame, whose strides are packed to the region unless the move
-// gives them (its arguments: start and extent per dimension, BufOff,
-// FrameStride). It writes the strides to stride unless that is nil.
-func frameSpan(x *ir.RegionMove, mv *ir.Op, r tensor.Region, stride []int) (first, last int) {
-	nd := len(r.Extent)
-	first = int(mv.Arg(2 * nd))
-	last = first
-	for d, packed := nd-1, 1; d >= 0; d-- {
-		s := packed
-		if x.FrameStride != nil {
-			s = int(mv.Arg(2*nd + 1 + d))
-		}
-		if stride != nil {
-			stride[d] = s
-		}
-		last += (r.Extent[d] - 1) * s
-		packed *= r.Extent[d]
-	}
-	return first, last
-}
-
 // moveData performs the functional scatter/gather between a tensor region
 // and an SPM frame that Move has checked.
 func moveData(t *tensor.Tensor, r tensor.Region, buf *sw26010.SPMBuffer, x *ir.RegionMove, mv *ir.Op) {
 	frame := make([]int, t.Rank())
-	bufOff, _ := frameSpan(x, mv, r, frame)
+	bufOff, _ := mv.Frame(frame)
 	nd := len(frame)
 	var rec func(d, memOff, spmOff int)
 	rec = func(d, memOff, spmOff int) {

@@ -81,6 +81,28 @@ func (o *Op) Arg(k int) int64 { return o.w.frame.Eval(o.w.codes[o.code:o.end][k]
 func (o *Op) Start() []int  { return o.w.region[:o.start:o.start] }
 func (o *Op) Extent() []int { return o.w.region[o.start : o.start+o.extent] }
 
+// Frame returns the first and the last offset a move's frame touches in its
+// buffer: BufOff, and BufOff plus each extent less one times the frame
+// stride, which is packed to the region when the move gives none. It
+// writes the strides to stride unless that is nil.
+func (o *Op) Frame(stride []int) (first, last int) {
+	codes, ext := o.w.codes[o.code+int32(o.start+o.extent):o.end], o.Extent()
+	first = int(o.w.frame.Eval(codes[0]))
+	last = first
+	for d, packed := len(ext)-1, 1; d >= 0; d-- {
+		s := packed
+		if len(codes) > 1 {
+			s = int(o.w.frame.Eval(codes[1+d]))
+		}
+		if stride != nil {
+			stride[d] = s
+		}
+		last += (ext[d] - 1) * s
+		packed *= ext[d]
+	}
+	return first, last
+}
+
 // Body is a loop's body or an If's arm.
 type Body struct {
 	w      *Walker
