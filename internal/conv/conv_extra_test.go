@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/exec"
 	"swatop/internal/ir"
@@ -107,10 +108,22 @@ func TestWinogradChunkCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op.TransformChunkCap = 1
-	capped, err := op.Compile(st)
+	capOp, err := NewWinogradOp(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	capOp.TransformChunkCap = 1
+	capped, err := capOp.Compile(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The capped transforms are shared like the automatic ones.
+	raw, err := capOp.CompileRaw(st)
+	if err == nil {
+		raw, err = core.Optimize(raw, st)
+	}
+	if err != nil || ir.Print(capped) != ir.Print(raw) {
+		t.Fatalf("capped program differs from the raw one optimized whole (err %v)", err)
 	}
 	bf, _ := exec.BindVirtual(free)
 	rf, err := exec.Run(free, bf, exec.Options{})

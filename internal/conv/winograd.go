@@ -25,10 +25,10 @@ type WinogradOp struct {
 	// TransformChunkCap caps the channels-per-DMA chunking of the
 	// transform phases (0 = automatic SPM-budget sizing). The manual
 	// baseline sets 1, modelling an unfused implementation that moves one
-	// channel slab per transfer. A capped operator compiles every phase per
-	// strategy.
+	// channel slab per transfer. Set it before the first Compile: the
+	// transform phases are compiled once, at the cap in force then.
 	TransformChunkCap int
-	transforms        core.Prefix // phases F and I at automatic sizing
+	transforms        core.Prefix // phases F and I
 }
 
 // WinogradApplies reports whether the method handles a shape.
@@ -91,13 +91,6 @@ func (o *WinogradOp) capChunk(ch int) int {
 // Phases F and I are the operator's shared prefix: only phases G and O are
 // compiled per strategy, and the program is read-only.
 func (o *WinogradOp) Compile(st dsl.Strategy) (*ir.Program, error) {
-	if o.TransformChunkCap != 0 {
-		prog, err := o.CompileRaw(st)
-		if err != nil {
-			return nil, err
-		}
-		return core.Optimize(prog, st)
-	}
 	prog, err := o.gemmAndOutput(st)
 	if err != nil {
 		return nil, err

@@ -63,12 +63,7 @@ type Axis struct {
 
 // LoopVar returns the variable of the axis's outer tile loop, by name and
 // as an expression; AddAxis makes both once for every strategy lowered.
-func (a *Axis) LoopVar() (string, ir.Expr) {
-	if a.loopV == nil { // not made by AddAxis
-		return "c" + a.Name, ir.V("c" + a.Name)
-	}
-	return a.loopVar, a.loopV
-}
+func (a *Axis) LoopVar() (string, ir.Expr) { return a.loopVar, a.loopV }
 
 // AccessTerm is one affine term of a tensor-dimension access function:
 // Coeff × axis.
@@ -181,6 +176,9 @@ func (s *Seed) Validate() error {
 		}
 		if seen[a.Name] {
 			return fmt.Errorf("dsl: duplicate axis %q", a.Name)
+		}
+		if a.loopV == nil {
+			return fmt.Errorf("dsl: axis %q was not declared with AddAxis", a.Name)
 		}
 		seen[a.Name] = true
 	}
