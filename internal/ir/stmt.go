@@ -286,3 +286,27 @@ func (*DMAWait) isStmt()    {}
 func (*Gemm) isStmt()       {}
 func (*Transform) isStmt()  {}
 func (*Comment) isStmt()    {}
+
+// Slab is a backing array a pass sizes once for the nodes of one kind it
+// emits, so that they cost one allocation, not one each. A node lives as
+// long as its slab.
+type Slab[T any] []T
+
+// New stores v in the slab's next element and returns its address.
+func (s *Slab[T]) New(v T) *T {
+	l := s.List(1)[:1]
+	l[0] = v
+	return &l[0]
+}
+
+// List hands out the next n elements as an empty slice of capacity n, so
+// an append past them reallocates instead of overwriting a neighbour. A
+// spent slab hands out fresh elements.
+func (s *Slab[T]) List(n int) []T {
+	if len(*s) < n {
+		return make([]T, 0, n)
+	}
+	l := (*s)[:0:n]
+	*s = (*s)[n:]
+	return l
+}

@@ -53,6 +53,8 @@ func Optimize(body []ir.Stmt, prefetch bool, r *Replies) ([]ir.Stmt, error) {
 
 func inferDMA(body []ir.Stmt, n *int) []ir.Stmt {
 	var out []ir.Stmt // nil until the list's first move
+	var ops ir.Slab[ir.DMAOp]
+	var waits ir.Slab[ir.DMAWait]
 	for i, s := range body {
 		switch x := s.(type) {
 		case *ir.For:
@@ -69,10 +71,11 @@ func inferDMA(body []ir.Stmt, n *int) []ir.Stmt {
 					}
 				}
 				out = append(make([]ir.Stmt, 0, len(body)+moves), body[:i]...)
+				ops, waits = make(ir.Slab[ir.DMAOp], moves), make(ir.Slab[ir.DMAWait], moves)
 			}
 			reply := "rw" + strconv.Itoa(*n)
 			*n++
-			out = append(out, &ir.DMAOp{Move: *x, Reply: reply}, &ir.DMAWait{Reply: reply, Times: ir.Const(1)})
+			out = append(out, ops.New(ir.DMAOp{Move: *x, Reply: reply}), waits.New(ir.DMAWait{Reply: reply, Times: ir.Const(1)}))
 			continue
 		}
 		if out != nil {

@@ -37,37 +37,58 @@ func InjectPrefetch(p *ir.Program) error {
 // words on from *n and advancing it.
 func prefetchBody(body []ir.Stmt, n *int) ([]ir.Stmt, error) {
 	pf := &prefetcher{nreply: *n}
-	// A program allocates its buffers at top level; the chain is at most
-	// as deep as the program has loops. extra bounds what the preludes (a
-	// counter per loop, up to two statements per get) and the postludes
-	// (two drains per put) add.
-	allocs, loops, extra := 0, 0, 0
+	// A program allocates its buffers at top level.
+	allocs := 0
 	for _, s := range body {
 		if _, ok := s.(*ir.AllocSPM); ok {
 			allocs++
 		}
 	}
 	pf.bufs = make([]spmBuf, 0, allocs)
-	ir.Walk(body, func(s ir.Stmt) bool {
-		switch x := s.(type) {
-		case *ir.AllocSPM:
-			pf.bufs = append(pf.bufs, spmBuf{alloc: x})
-		case *ir.For:
-			loops++
-		case *ir.RegionMove:
-			extra += 2
-		}
-		return true
-	})
-	pf.chain = make([]loopCtx, 0, loops)
-	extra += loops
-	pf.post = make([]ir.Stmt, 0, extra)
-	out, err := pf.topLevel(body, extra)
+	var z passSize
+	pf.scan(body, 0, &z)
+	pf.chain, pf.frames = make([]loopCtx, 0, z.depth), make([]frame, 0, z.loopGets+z.loopPuts)
+	pf.gets, pf.puts = make([]getSite, 0, z.loopGets), make([]putSite, 0, z.loopPuts)
+	// Preludes add a counter per loop and up to two statements per get,
+	// postludes two drains per put.
+	pf.post = make([]ir.Stmt, 0, 2*z.puts)
+	out, err := pf.topLevel(body, z.loops+2*z.gets+cap(pf.post))
 	if err != nil {
 		return nil, err
 	}
 	*n = pf.nreply
 	return out, nil
+}
+
+// passSize is what a pass's input bounds: its loop depth, loops, gets and
+// puts, and the most gets and puts directly in one loop.
+type passSize struct{ depth, loops, gets, puts, loopGets, loopPuts int }
+
+// scan records the buffers a statement list allocates, in pre-order, and
+// adds its sizes to z.
+func (pf *prefetcher) scan(body []ir.Stmt, depth int, z *passSize) {
+	z.depth = max(z.depth, depth)
+	gets, puts := 0, 0
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.AllocSPM:
+			pf.bufs = append(pf.bufs, spmBuf{alloc: x})
+		case *ir.For:
+			z.loops++
+			pf.scan(x.Body, depth+1, z)
+		case *ir.If:
+			pf.scan(x.Then, depth, z)
+			pf.scan(x.Else, depth, z)
+		case *ir.RegionMove:
+			if x.Dir == ir.Get {
+				gets++
+			} else {
+				puts++
+			}
+		}
+	}
+	z.gets, z.puts = z.gets+gets, z.puts+puts
+	z.loopGets, z.loopPuts = max(z.loopGets, gets), max(z.loopPuts, puts)
 }
 
 // prefetcher is one pass's state. Everything on it lives for one
@@ -81,6 +102,16 @@ type prefetcher struct {
 	gets   []getSite // per loop: direct gets, in body order
 	puts   []putSite // per loop: direct puts, in body order
 	frames []frame   // per loop: the buffers it moves, in body order
+
+	// Per loop: the nodes it emits, a slab per kind (slabs); lists holds the
+	// new body and every Then, exprs the issues' start, extent and strides.
+	assigns ir.Slab[ir.Assign]
+	ifs     ir.Slab[ir.If]
+	waits   ir.Slab[ir.DMAWait]
+	ops     ir.Slab[ir.DMAOp]
+	zeros   ir.Slab[ir.Transform]
+	lists   ir.Slab[ir.Stmt]
+	exprs   ir.Slab[ir.Expr]
 }
 
 // spmBuf is an AllocSPM of the program and whether a loop doubled it.
@@ -89,15 +120,16 @@ type spmBuf struct {
 	doubled bool
 }
 
-// loopCtx is one loop of the chain. Its expressions are built the first time
-// a loop below it (or it) moves data, once per pass.
+// loopCtx is one loop of the chain. Its names and expressions are built the
+// first time a loop below it (or it) moves data, once per pass; its extent
+// is the loop's own.
 type loopCtx struct {
 	iter   string
-	extent int64
+	ext    ir.Expr // the loop's constant extent
 	nx     string  // "nx_"+iter: the inferred next index
+	ctr    string  // "g_"+iter: the loop's iteration counter
 	v, nxV ir.Expr // V(iter), V(nx)
 	inc    ir.Expr // iter + 1
-	ext    ir.Expr // Const(extent)
 }
 
 // getSite is a direct get of a loop: its position, the optional zero-fill
@@ -138,12 +170,11 @@ func (pf *prefetcher) topLevel(body []ir.Stmt, extra int) ([]ir.Stmt, error) {
 			out = append(out, s)
 			continue
 		}
-		ext, cok := ir.IsConst(f.Extent)
-		if !cok {
+		if _, cok := ir.IsConst(f.Extent); !cok {
 			out = append(out, s)
 			continue
 		}
-		pf.chain = append(pf.chain[:0], loopCtx{iter: f.Iter, extent: ext})
+		pf.chain = append(pf.chain[:0], loopCtx{iter: f.Iter, ext: f.Extent})
 		pf.post = pf.post[:0]
 		var err error
 		if out, err = pf.loop(out, f); err != nil {
@@ -166,18 +197,17 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 		if !ok {
 			continue
 		}
-		ext, cok := ir.IsConst(inner.Extent)
-		if !cok {
+		if _, cok := ir.IsConst(inner.Extent); !cok {
 			continue
 		}
-		pf.chain = append(pf.chain[:depth], loopCtx{iter: inner.Iter, extent: ext})
+		pf.chain = append(pf.chain[:depth], loopCtx{iter: inner.Iter, ext: inner.Extent})
 		var err error
 		if pre, err = pf.loop(pre, inner); err != nil {
 			return nil, err
 		}
 	}
 
-	guards := pf.collect(f.Body)
+	guards, putBufs := pf.collect(f.Body)
 	gets, puts := pf.gets, pf.puts
 	if len(gets) == 0 && len(puts) == 0 {
 		return pre, nil
@@ -186,14 +216,15 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 	for i := range chain {
 		chain[i].build()
 	}
+	n := pf.slabs(len(f.Body), depth, guards, putBufs)
 
-	ctr := "g_" + f.Iter
+	ctr := chain[depth-1].ctr
 	ctrV := ir.V(ctr)
 	parity := func(delta int64) ir.Expr {
 		return ir.Mod(ir.Add(ctrV, ir.Const(delta)), ir.Const(2))
 	}
 	cur, next := parity(0), parity(1)
-	pre = slices.Insert(pre, mark, ir.Stmt(&ir.Assign{Var: ctr, Val: ir.Const(0)}))
+	pre = slices.Insert(pre, mark, ir.Stmt(pf.assigns.New(ir.Assign{Var: ctr, Val: ir.Const(0)})))
 
 	// Double the frames and rewrite buffer references by parity.
 	for i := range pf.frames {
@@ -219,11 +250,11 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 	// The new body: get waits, put waits, the chain (an assign per loop, the
 	// increment, the wrap), issues, what is left of the old body, the
 	// counter.
-	body := make([]ir.Stmt, 0, len(gets)+len(puts)+len(chain)+2+len(gets)+(len(f.Body)-len(gets)-guards)+1)
+	body := pf.lists.List(n)
 	// 1. Waits for this iteration's gets.
 	for i := range gets {
 		gets[i].reply = pf.reply("pfg")
-		body = append(body, &ir.DMAWait{Reply: gets[i].reply, Times: ir.Const(1)})
+		body = append(body, pf.waits.New(ir.DMAWait{Reply: gets[i].reply, Times: ir.Const(1)}))
 	}
 	// 2. Guarded waits for put halves about to be reused; the first put of a
 	// buffer names its reply word and queues its drain after the nest.
@@ -231,22 +262,22 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 		fr := &pf.frames[p.frame]
 		if fr.put == "" {
 			fr.put = pf.reply("pfp")
-			pf.post = append(pf.post, waitIf(ctrV, 1, fr.put), waitIf(ctrV, 2, fr.put))
+			pf.post = append(pf.post, pf.waitIf(ctrV, 1, fr.put), pf.waitIf(ctrV, 2, fr.put))
 		}
-		body = append(body, waitIf(ctrV, 2, fr.put))
+		body = append(body, pf.waitIf(ctrV, 2, fr.put))
 	}
 	// 3. Next-index inference (Assign + nested If), shared by all gets, and
 	// the prefetch issues.
 	last := len(chain) - 1
 	for _, c := range chain {
-		body = append(body, &ir.Assign{Var: c.nx, Val: c.v})
+		body = append(body, pf.assigns.New(ir.Assign{Var: c.nx, Val: c.v}))
 	}
-	body = append(body, &ir.Assign{Var: chain[last].nx, Val: chain[last].inc})
+	body = append(body, pf.assigns.New(ir.Assign{Var: chain[last].nx, Val: chain[last].inc}))
 	// Wrap handling: if the incremented iterator overflowed, reset it and
 	// carry into the next-outer one, recursively — the nested if-then-else
 	// structure of §4.5.2.
 	if last >= 1 {
-		body = append(body, wrap(chain, last))
+		body = append(body, pf.wrap(chain, last))
 	}
 	valid := ir.Cond{Op: ir.LT, L: chain[0].nxV, R: chain[0].ext}
 	for i := range gets {
@@ -255,8 +286,8 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 		if g.guard != nil {
 			n = 2
 		}
-		then := issue(make([]ir.Stmt, 0, n), g, subst{chain: chain}, pf.frames[g.frame].next)
-		body = append(body, &ir.If{Cond: valid, Then: then})
+		then := pf.issue(pf.lists.List(n), g, subst{chain: chain}, pf.frames[g.frame].next)
+		body = append(body, pf.ifs.New(ir.If{Cond: valid, Then: then}))
 	}
 	// 4. Original body with gets (and their guards) removed and puts async.
 	gi, pi := 0, 0
@@ -266,27 +297,49 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 			gi++
 		case gi < len(gets) && i == gets[gi].idx-1 && gets[gi].guard != nil:
 		case pi < len(puts) && i == puts[pi].idx:
-			body = append(body, &ir.DMAOp{Move: *puts[pi].mv, Reply: pf.frames[puts[pi].frame].put})
+			body = append(body, pf.ops.New(ir.DMAOp{Move: *puts[pi].mv, Reply: pf.frames[puts[pi].frame].put}))
 			pi++
 		default:
 			body = append(body, s)
 		}
 	}
 	// 5. Iteration counter.
-	body = append(body, &ir.Assign{Var: ctr, Val: ir.Add(ctrV, ir.Const(1))})
+	body = append(body, pf.assigns.New(ir.Assign{Var: ctr, Val: ir.Add(ctrV, ir.Const(1))}))
 	f.Body = body
 
 	// Prelude: initial issues with all chain iterators at zero.
 	for i := range gets {
-		pre = issue(pre, &gets[i], subst{chain: chain, zero: true}, ir.Const(0))
+		pre = pf.issue(pre, &gets[i], subst{chain: chain, zero: true}, ir.Const(0))
 	}
 	return pre, nil
 }
 
+// slabs sizes the loop's node slabs from what collect found and returns
+// the new body's length: a wait per get and per put, an assign per chain
+// loop, the increment, the outermost wrap, an issue per get, the old body
+// without its gets and guards, and the counter. Each get is issued twice
+// with its guard, each put buffer drains twice, and a wrap's Then holds two
+// assigns and the next wrap.
+func (pf *prefetcher) slabs(old, depth, guards, putBufs int) int {
+	gets, puts := len(pf.gets), len(pf.puts)
+	waitIfs, wraps := puts+2*putBufs, depth-1
+	body := gets + puts + depth + min(wraps, 1) + old - guards + 2
+	exprs := 0
+	for i := range pf.gets {
+		mv := &pf.gets[i].move
+		exprs += 2 * (len(mv.Start) + len(mv.Extent) + len(mv.FrameStride))
+	}
+	pf.assigns, pf.waits = make(ir.Slab[ir.Assign], 3*depth+1), make(ir.Slab[ir.DMAWait], gets+waitIfs)
+	pf.ifs, pf.ops = make(ir.Slab[ir.If], waitIfs+wraps+gets+2*guards), make(ir.Slab[ir.DMAOp], 2*gets+puts)
+	pf.zeros, pf.exprs = make(ir.Slab[ir.Transform], 2*guards), make(ir.Slab[ir.Expr], exprs)
+	pf.lists = make(ir.Slab[ir.Stmt], body+waitIfs+gets+3*guards+max(3*wraps-1, 0))
+	return body
+}
+
 // collect records the direct gets (with their zero-fill guards) and puts of a
 // loop body, and the buffers they move, in body order. It returns the number
-// of guards.
-func (pf *prefetcher) collect(body []ir.Stmt) (guards int) {
+// of guards and of buffers the loop puts.
+func (pf *prefetcher) collect(body []ir.Stmt) (guards, putBufs int) {
 	pf.gets, pf.puts, pf.frames = pf.gets[:0], pf.puts[:0], pf.frames[:0]
 	for i, s := range body {
 		mv, ok := s.(*ir.RegionMove)
@@ -295,6 +348,9 @@ func (pf *prefetcher) collect(body []ir.Stmt) (guards int) {
 		}
 		fr := pf.touch(mv.Buf)
 		if mv.Dir != ir.Get {
+			if !slices.ContainsFunc(pf.puts, func(p putSite) bool { return p.frame == fr }) {
+				putBufs++
+			}
 			pf.puts = append(pf.puts, putSite{idx: i, mv: mv, frame: fr})
 			continue
 		}
@@ -309,7 +365,7 @@ func (pf *prefetcher) collect(body []ir.Stmt) (guards int) {
 		}
 		pf.gets = append(pf.gets, g)
 	}
-	return guards
+	return guards, putBufs
 }
 
 // touch returns the index of buf in pf.frames, adding it if it is new.
@@ -340,14 +396,17 @@ func (pf *prefetcher) buf(name string) *spmBuf {
 	return nil
 }
 
-// build makes the loop's expressions the first time they are needed.
+// build makes the loop's names and expressions the first time they are
+// needed. Both names are windows of one string.
 func (c *loopCtx) build() {
 	if c.nx != "" {
 		return
 	}
-	c.nx = "nx_" + c.iter
+	names := "nx_" + c.iter + "g_" + c.iter
+	k := len("nx_") + len(c.iter)
+	c.nx, c.ctr = names[:k], names[k:]
 	c.v, c.nxV = ir.V(c.iter), ir.V(c.nx)
-	c.inc, c.ext = ir.Add(c.v, ir.Const(1)), ir.Const(c.extent)
+	c.inc = ir.Add(c.v, ir.Const(1))
 }
 
 // subst replaces the iterators of a loop chain by their inferred next
@@ -371,45 +430,44 @@ func (s subst) of(name string) (ir.Expr, bool) {
 
 // wrap builds the carry of chain[d] into chain[d-1], and recursively
 // outwards.
-func wrap(chain []loopCtx, d int) ir.Stmt {
-	then := make([]ir.Stmt, 2, 3)
-	then[0] = &ir.Assign{Var: chain[d].nx, Val: ir.Const(0)}
-	then[1] = &ir.Assign{Var: chain[d-1].nx, Val: chain[d-1].inc}
+func (pf *prefetcher) wrap(chain []loopCtx, d int) ir.Stmt {
+	then := append(pf.lists.List(2+min(d-1, 1)),
+		pf.assigns.New(ir.Assign{Var: chain[d].nx, Val: ir.Const(0)}),
+		pf.assigns.New(ir.Assign{Var: chain[d-1].nx, Val: chain[d-1].inc}))
 	if d-1 >= 1 {
-		then = append(then, wrap(chain, d-1))
+		then = append(then, pf.wrap(chain, d-1))
 	}
-	return &ir.If{Cond: ir.Cond{Op: ir.EQ, L: chain[d].nxV, R: chain[d].ext}, Then: then}
+	return pf.ifs.New(ir.If{Cond: ir.Cond{Op: ir.EQ, L: chain[d].nxV, R: chain[d].ext}, Then: then})
 }
 
 // waitIf is `if ctr >= n: dma_wait reply x1`.
-func waitIf(ctr ir.Expr, n int64, reply string) ir.Stmt {
-	return &ir.If{
-		Cond: ir.Cond{Op: ir.GE, L: ctr, R: ir.Const(n)},
-		Then: []ir.Stmt{&ir.DMAWait{Reply: reply, Times: ir.Const(1)}},
-	}
+func (pf *prefetcher) waitIf(ctr ir.Expr, n int64, reply string) ir.Stmt {
+	then := append(pf.lists.List(1), pf.waits.New(ir.DMAWait{Reply: reply, Times: ir.Const(1)}))
+	return pf.ifs.New(ir.If{Cond: ir.Cond{Op: ir.GE, L: ctr, R: ir.Const(n)}, Then: then})
 }
 
 // issue appends the (optionally pad-guarded) prefetch issue of a get to dst,
 // with substituted iterators and a parity buffer offset. The issue's
-// start, extent and frame strides share one backing array.
-func issue(dst []ir.Stmt, g *getSite, s subst, off ir.Expr) []ir.Stmt {
+// start, extent and frame strides are one window of the expression slab.
+func (pf *prefetcher) issue(dst []ir.Stmt, g *getSite, s subst, off ir.Expr) []ir.Stmt {
 	sub := s.of
 	if g.guard != nil {
-		zf := g.zero
+		zf := pf.zeros.New(g.zero)
 		zf.DstOff = ir.Add(ir.Subst(zf.DstOff, sub), off)
 		cond := g.guard.Cond
 		cond.L = ir.Subst(cond.L, sub)
 		cond.R = ir.Subst(cond.R, sub)
-		dst = append(dst, &ir.If{Cond: cond, Then: []ir.Stmt{&zf}})
+		then := append(pf.lists.List(1), zf)
+		dst = append(dst, pf.ifs.New(ir.If{Cond: cond, Then: then}))
 	}
 	mv := g.move
 	n0, n1 := len(mv.Start), len(mv.Start)+len(mv.Extent)
-	exprs := make([]ir.Expr, n1+len(mv.FrameStride))
+	exprs := pf.exprs.List(n1 + len(mv.FrameStride))[:n1+len(mv.FrameStride)]
 	mv.Start = substAll(exprs[:n0:n0], mv.Start, sub)
 	mv.Extent = substAll(exprs[n0:n1:n1], mv.Extent, sub)
 	mv.FrameStride = substAll(exprs[n1:], mv.FrameStride, sub)
 	mv.BufOff = ir.Add(ir.Subst(mv.BufOff, sub), off)
-	return append(dst, &ir.DMAOp{Move: mv, Reply: g.reply})
+	return append(dst, pf.ops.New(ir.DMAOp{Move: mv, Reply: g.reply}))
 }
 
 // substAll writes the substituted src into dst (of the same length); an
