@@ -17,21 +17,22 @@ import (
 // objects for oversized backing arrays would lower the one and raise the
 // other. The byte caps are what the compile allocated once the explicit and
 // Winograd operators compiled their strategy-independent phases once; the
-// count caps are measured after the prefetch pass took every node it emits
-// from one exactly sized slab per kind and loop. The copying, map-keeping
-// passes allocated 685, 466, 595 and 850 times, the per-field plan 473,
-// 306, 386 and 539, the plan without per-field slices 396, 206, 305 and
-// 454, and the shared phases 387, 197, 194 and 298.
+// count caps are measured after the prefetch pass and the nest builder took
+// the nodes they emit from one exactly sized slab per kind, per loop and
+// per nest. The copying, map-keeping passes allocated 685, 466, 595 and 850
+// times, the per-field plan 473, 306, 386 and 539, the plan without
+// per-field slices 396, 206, 305 and 454, the shared phases 387, 197, 194
+// and 298, and the prefetch slabs 294, 135, 147 and 219.
 func TestCompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	type cost struct{ allocs, bytes uint64 }
 	budget := map[string]cost{
-		"gemm_200x200x200[13]":                           {294, 22992},
-		"implicit_conv_b1_ni128_no128_r56x56_k3x3[1020]": {135, 14712},
-		"explicit_conv_b8_ni64_no96_r14x14_k3x3[13]":     {147, 12784},
-		"winograd_conv_b8_ni64_no96_r14x14_k3x3[13]":     {219, 19632},
+		"gemm_200x200x200[13]":                           {273, 22992},
+		"implicit_conv_b1_ni128_no128_r56x56_k3x3[1020]": {105, 14712},
+		"explicit_conv_b8_ni64_no96_r14x14_k3x3[13]":     {123, 12784},
+		"winograd_conv_b8_ni64_no96_r14x14_k3x3[13]":     {192, 19632},
 	}
 	points, err := goldenpoints.All()
 	if err != nil {

@@ -435,9 +435,13 @@ func (p *Plan) checkCapacity() error {
 	return nil
 }
 
-// BuildNest emits the loop nest with RegionMoves and the GEMM call.
+// BuildNest emits the loop nest with RegionMoves and the GEMM call. It
+// allocates per nest, not per statement: the nodes a nest holds once are
+// one allocation, and its level loops, statement lists, moves, zero-fills
+// and their expressions come from one exactly sized slab each.
 func (p *Plan) BuildNest() ([]ir.Stmt, error) {
 	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
+	ops := [...]*operandPlan{a, b, c}
 
 	// Can the initial C fetch be replaced by an SPM zero-fill? Only when no
 	// reduction loop is *outside* C's residency level: then each C region
@@ -445,60 +449,90 @@ func (p *Plan) BuildNest() ([]ir.Stmt, error) {
 	// keep C resident in SPM and accumulate there; reduction loops outside
 	// force a re-fetch of partial sums from memory instead.
 	cZeroInit := !p.reductionOutside(c.depth)
+	guard, vecExpr := p.padGuard()
 
-	gemm, err := p.gemmStmt()
-	if err != nil {
-		return nil, err
+	// A nest gets A and B, gets or zero-fills C, puts C, and zero-fills the
+	// guarded input. Its lists hold the moves, the guard and its Then, an
+	// inner statement per level, and the comment, allocs and frees.
+	moves, zeros, stmts := 4, 0, 12+len(p.order)
+	if cZeroInit {
+		moves, zeros = 3, 1
+	}
+	if guard != nil {
+		zeros, stmts = zeros+1, stmts+2
+	}
+	n := &nest{
+		comment: ir.Comment{Text: "strategy: ", Note: p.Strategy},
+		gemm:    p.gemmStmt(),
+		fors:    make(ir.Slab[ir.For], len(p.order)),
+		stmts:   make(ir.Slab[ir.Stmt], stmts),
+		moves:   make(ir.Slab[ir.RegionMove], moves),
+		zeros:   make(ir.Slab[ir.Transform], zeros),
+		exprs:   make(ir.Slab[ir.Expr], 3*(len(a.start)+len(b.start)+(moves-2)*len(c.start))+zeros),
+	}
+	for i, op := range ops {
+		n.alloc[i] = ir.AllocSPM{Buf: op.buf, Elems: ir.Const(int64(op.frameElems))}
+		n.free[i] = ir.FreeSPM{Buf: op.buf}
 	}
 
-	// Build from the innermost level outwards. A level holds at most two
-	// statements per input (guard and get), C's fetch and put, and core.
-	core := []ir.Stmt{gemm}
-	for depth := len(p.order); depth >= 0; depth-- {
-		body := make([]ir.Stmt, 0, 6+len(core))
-		for _, op := range [...]*operandPlan{a, b} {
-			if op.depth == depth {
-				body = p.inputMoves(body, op)
+	// Build from the innermost level outwards, each level's list in a
+	// scratch array first; the outermost one is the program's list.
+	var scratch [16]ir.Stmt
+	inner := ir.Stmt(&n.gemm)
+	for depth := len(p.order); ; depth-- {
+		body := scratch[:0]
+		if depth == 0 {
+			body = append(body, &n.comment, &n.alloc[0], &n.alloc[1], &n.alloc[2])
+		}
+		for _, op := range ops[:2] {
+			if op.depth != depth {
+				continue
 			}
+			if op == guard {
+				// Lightweight zero padding (§4.5.3): when the boundary tile's
+				// vectorized extent is not a multiple of the vector width,
+				// clear the frame so the rounded-up GEMM call multiplies zeros.
+				body = append(body, &ir.If{
+					Cond: ir.Cond{Op: ir.NE, L: ir.Mod(vecExpr, ir.Const(sw26010.VectorWidth)), R: ir.Const(0)},
+					Then: append(n.stmts.List(1), n.zero(op)),
+				})
+			}
+			body = append(body, n.move(op, ir.Get))
 		}
 		if c.depth == depth {
 			if cZeroInit {
-				body = append(body, &ir.Transform{
-					Kind: ir.ZeroFill, Dst: c.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
-					Args: []ir.Expr{ir.Const(int64(c.frameElems))},
-				})
+				body = append(body, n.zero(c))
 			} else {
-				body = append(body, p.moveStmt(c, ir.Get))
+				body = append(body, n.move(c, ir.Get))
 			}
 		}
-		body = append(body, core...)
+		body = append(body, inner)
 		if c.depth == depth {
-			body = append(body, p.moveStmt(c, ir.Put))
+			body = append(body, n.move(c, ir.Put))
 		}
 		if depth == 0 {
-			core = body
-			break
+			body = append(body, &n.free[0], &n.free[1], &n.free[2])
+			return append(n.stmts.List(len(body)), body...), nil
 		}
 		ap := p.order[depth-1]
 		iter, _ := ap.ax.LoopVar()
-		core = []ir.Stmt{&ir.For{
-			Iter:   iter,
-			Extent: ir.Const(int64(ap.outer)),
-			Body:   body,
-		}}
+		list := append(n.stmts.List(len(body)), body...)
+		inner = n.fors.New(ir.For{Iter: iter, Extent: ir.Const(int64(ap.outer)), Body: list})
 	}
+}
 
-	ops := [...]*operandPlan{a, b, c}
-	out := make([]ir.Stmt, 0, 1+2*len(ops)+len(core))
-	out = append(out, &ir.Comment{Text: "strategy: ", Note: p.Strategy})
-	for _, op := range ops {
-		out = append(out, &ir.AllocSPM{Buf: op.buf, Elems: ir.Const(int64(op.frameElems))})
-	}
-	out = append(out, core...)
-	for _, op := range ops {
-		out = append(out, &ir.FreeSPM{Buf: op.buf})
-	}
-	return out, nil
+// nest is what one BuildNest allocates at once: the nodes a nest holds
+// once, or once per operand, and the slabs it takes its other nodes from.
+type nest struct {
+	comment ir.Comment
+	gemm    ir.Gemm
+	alloc   [3]ir.AllocSPM
+	free    [3]ir.FreeSPM
+	fors    ir.Slab[ir.For]
+	stmts   ir.Slab[ir.Stmt]
+	moves   ir.Slab[ir.RegionMove]
+	zeros   ir.Slab[ir.Transform]
+	exprs   ir.Slab[ir.Expr]
 }
 
 // reductionOutside reports whether any loop strictly outside the given
@@ -512,46 +546,26 @@ func (p *Plan) reductionOutside(depth int) bool {
 	return false
 }
 
-// inputMoves appends the (optionally pad-guarded) Get of an input operand
-// to dst.
-func (p *Plan) inputMoves(dst []ir.Stmt, op *operandPlan) []ir.Stmt {
-	if pad := p.vecPadOperand(); pad == op {
-		// Lightweight zero padding (§4.5.3): when the boundary tile's
-		// vectorized extent is not a multiple of the vector width, clear
-		// the frame so the rounded-up GEMM call multiplies zeros.
-		vecExpr := op.rowsExpr
-		if op.spec.Role == dsl.OperandB {
-			vecExpr = op.colsExpr
-		}
-		if _, isConst := ir.IsConst(vecExpr); !isConst {
-			dst = append(dst, &ir.If{
-				Cond: ir.Cond{Op: ir.NE, L: ir.Mod(vecExpr, ir.Const(sw26010.VectorWidth)), R: ir.Const(0)},
-				Then: []ir.Stmt{&ir.Transform{
-					Kind: ir.ZeroFill, Dst: op.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
-					Args: []ir.Expr{ir.Const(int64(op.frameElems))},
-				}},
-			})
-		}
+// padGuard returns the input operand whose frame needs zero padding at
+// unaligned boundaries (A for vecM, B for vecN) and its vectorized extent,
+// or nil when that extent is constant.
+func (p *Plan) padGuard() (*operandPlan, ir.Expr) {
+	op, vecExpr := &p.ops[dsl.OperandA], p.ops[dsl.OperandA].rowsExpr
+	if p.Strategy.Vec != ir.VecM {
+		op, vecExpr = &p.ops[dsl.OperandB], p.ops[dsl.OperandB].colsExpr
 	}
-	return append(dst, p.moveStmt(op, ir.Get))
+	if _, isConst := ir.IsConst(vecExpr); isConst {
+		return nil, nil
+	}
+	return op, vecExpr
 }
 
-// vecPadOperand returns the input operand whose frame needs zero padding at
-// unaligned boundaries (A for vecM, B for vecN).
-func (p *Plan) vecPadOperand() *operandPlan {
-	if p.Strategy.Vec == ir.VecM {
-		return &p.ops[dsl.OperandA]
-	}
-	return &p.ops[dsl.OperandB]
-}
-
-// moveStmt builds a move of an operand's region; its start, extent and
-// frame strides share one backing array.
-func (p *Plan) moveStmt(op *operandPlan, dir ir.MoveDir) ir.Stmt {
+// move builds a move of an operand's region; its start, extent and frame
+// strides are one window of the expression slab.
+func (n *nest) move(op *operandPlan, dir ir.MoveDir) ir.Stmt {
 	nd := len(op.start)
-	exprs := make([]ir.Expr, 0, 3*nd)
-	exprs = append(append(append(exprs, op.start...), op.extent...), op.strideExpr...)
-	return &ir.RegionMove{
+	exprs := append(append(append(n.exprs.List(3*nd), op.start...), op.extent...), op.strideExpr...)
+	return n.moves.New(ir.RegionMove{
 		Tensor:      op.spec.Name,
 		Dir:         dir,
 		Start:       exprs[:nd:nd],
@@ -559,10 +573,18 @@ func (p *Plan) moveStmt(op *operandPlan, dir ir.MoveDir) ir.Stmt {
 		Buf:         op.buf,
 		BufOff:      ir.Const(0),
 		FrameStride: exprs[2*nd:],
-	}
+	})
 }
 
-func (p *Plan) gemmStmt() (ir.Stmt, error) {
+// zero clears an operand's frame.
+func (n *nest) zero(op *operandPlan) ir.Stmt {
+	return n.zeros.New(ir.Transform{
+		Kind: ir.ZeroFill, Dst: op.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
+		Args: append(n.exprs.List(1), ir.Const(int64(op.frameElems))),
+	})
+}
+
+func (p *Plan) gemmStmt() ir.Gemm {
 	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
 
 	m := c.rowsExpr
@@ -584,7 +606,7 @@ func (p *Plan) gemmStmt() (ir.Stmt, error) {
 	}
 
 	if !c.trans {
-		return &ir.Gemm{
+		return ir.Gemm{
 			A: a.buf, B: b.buf, C: c.buf,
 			AOff: ir.Const(0), BOff: ir.Const(0), COff: ir.Const(0),
 			M: m, N: n, K: k,
@@ -592,7 +614,7 @@ func (p *Plan) gemmStmt() (ir.Stmt, error) {
 			ATrans: a.trans, BTrans: b.trans,
 			Vec:        p.Strategy.Vec,
 			Accumulate: true,
-		}, nil
+		}
 	}
 
 	// C is stored with its N group fastest: compute the transposed problem
@@ -605,7 +627,7 @@ func (p *Plan) gemmStmt() (ir.Stmt, error) {
 	if p.Strategy.Vec == ir.VecM {
 		vec = ir.VecN
 	}
-	return &ir.Gemm{
+	return ir.Gemm{
 		A: b.buf, B: a.buf, C: c.buf,
 		AOff: ir.Const(0), BOff: ir.Const(0), COff: ir.Const(0),
 		M: n, N: m, K: k,
@@ -613,5 +635,5 @@ func (p *Plan) gemmStmt() (ir.Stmt, error) {
 		ATrans: !b.trans, BTrans: !a.trans,
 		Vec:        vec,
 		Accumulate: true,
-	}, nil
+	}
 }
