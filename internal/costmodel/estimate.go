@@ -57,14 +57,11 @@ func (e *Estimate) add(o Estimate) {
 // instead of once per iteration, which is where the "days to minutes" tuning
 // speedup (Table 3) comes from.
 func EstimateProgram(model *GemmModel, p *ir.Program) (Estimate, error) {
-	s := scorer{model: model, tensors: make([]*tensor.Tensor, len(p.Tensors))}
-	for i, d := range p.Tensors {
-		t, err := tensor.NewVirtual(d.Name, d.Dims, d.Layout)
-		if err != nil {
-			return Estimate{}, err
-		}
-		s.tensors[i] = t
+	ts, err := tensor.NewVirtuals(len(p.Tensors), p.Decl)
+	if err != nil {
+		return Estimate{}, err
 	}
+	s := scorer{model: model, tensors: ts}
 	if err := ir.Bind(p).Run(&s); err != nil {
 		return Estimate{}, err
 	}
@@ -81,7 +78,7 @@ func EstimateProgram(model *GemmModel, p *ir.Program) (Estimate, error) {
 type scorer struct {
 	ir.FirstPass
 	model   *GemmModel
-	tensors []*tensor.Tensor // virtual, by declaration: shapes and strides only
+	tensors []tensor.Tensor // virtual, by declaration: shapes and strides only
 	acc     Estimate
 	path    Path
 	later   int
@@ -135,7 +132,7 @@ func (s *scorer) Branch(arm ir.Body) error {
 // Move scores one transfer: the region is validated and its descriptors are
 // streamed into the Eq. (1) tally without being materialised.
 func (s *scorer) Move(x *ir.RegionMove, mv *ir.Op) error {
-	t := s.tensors[mv.A]
+	t := &s.tensors[mv.A]
 	// Also rejects a move whose rank does not match the tensor's.
 	if err := tensor.CheckRegion(t, mv.Start(), mv.Extent()); err != nil {
 		return fmt.Errorf("estimator: %s: %w", x.Tensor, err)

@@ -229,16 +229,15 @@ func newMachine(opt Options) *sw26010.Machine {
 // declarations and chosen layouts. Timed-only runs (autotuning, large
 // benchmarks) never touch tensor data, so no storage is allocated.
 func BindVirtual(p *ir.Program) (map[string]*tensor.Tensor, error) {
+	ts, err := tensor.NewVirtuals(len(p.Tensors), p.Decl)
+	if err != nil {
+		return nil, err
+	}
 	binds := map[string]*tensor.Tensor{}
-	for _, decl := range p.Tensors {
-		if decl.Scratch {
-			continue
+	for i, decl := range p.Tensors {
+		if !decl.Scratch {
+			binds[decl.Name] = &ts[i]
 		}
-		t, err := tensor.NewVirtual(decl.Name, decl.Dims, decl.Layout)
-		if err != nil {
-			return nil, err
-		}
-		binds[decl.Name] = t
 	}
 	return binds, nil
 }

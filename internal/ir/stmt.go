@@ -21,6 +21,12 @@ type Program struct {
 	DispatchOverheadSeconds float64
 }
 
+// Decl returns tensor declaration i's name, dims and layout.
+func (p *Program) Decl(i int) (name string, dims, layout []int) {
+	d := &p.Tensors[i]
+	return d.Name, d.Dims, d.Layout
+}
+
 // TensorDecl declares a main-memory tensor operand.
 type TensorDecl struct {
 	Name string

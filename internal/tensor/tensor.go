@@ -40,7 +40,7 @@ func New(name string, dims ...int) *Tensor {
 // fastest-varying. perm = [0 1 ... n-1] is row-major, and so is a nil perm:
 // a program's tensor declaration leaves Layout nil for it.
 func NewWithLayout(name string, dims []int, perm []int) (*Tensor, error) {
-	t, err := newDesc(name, dims, perm)
+	t, err := NewVirtual(name, dims, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -48,25 +48,24 @@ func NewWithLayout(name string, dims []int, perm []int) (*Tensor, error) {
 	return t, nil
 }
 
-// newDesc builds a descriptor whose dims and strides share one backing
-// array; a nil perm is row-major.
-func newDesc(name string, dims []int, perm []int) (*Tensor, error) {
+// init makes t the descriptor of dims stored in perm order (nil is
+// row-major), its dims and strides sharing ints, twice the rank long.
+func (t *Tensor) init(ints []int, name string, dims []int, perm []int) error {
 	n := len(dims)
 	if perm != nil && len(perm) != n {
-		return nil, fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), n)
+		return fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), n)
 	}
 	for i, p := range perm {
 		if p < 0 || p >= n || slices.Index(perm, p) != i {
-			return nil, fmt.Errorf("tensor %s: invalid layout permutation %v", name, perm)
+			return fmt.Errorf("tensor %s: invalid layout permutation %v", name, perm)
 		}
 	}
 	for i, d := range dims {
 		if d <= 0 {
-			return nil, fmt.Errorf("tensor %s: dimension %d has non-positive extent %d", name, i, d)
+			return fmt.Errorf("tensor %s: dimension %d has non-positive extent %d", name, i, d)
 		}
 	}
-	ints := make([]int, 2*n)
-	t := &Tensor{Name: name, Dims: ints[:n:n], Strides: ints[n:]}
+	*t = Tensor{Name: name, Dims: ints[:n:n], Strides: ints[n:]}
 	copy(t.Dims, dims)
 	s := 1
 	for i := n - 1; i >= 0; i-- {
@@ -77,7 +76,7 @@ func newDesc(name string, dims []int, perm []int) (*Tensor, error) {
 		t.Strides[d] = s
 		s *= dims[d]
 	}
-	return t, nil
+	return nil
 }
 
 // NewVirtual creates a tensor descriptor with shape and layout but no
@@ -85,7 +84,32 @@ func newDesc(name string, dims []int, perm []int) (*Tensor, error) {
 // about DMA access patterns of arbitrarily large operands without
 // allocating them; calling At/Set on one panics.
 func NewVirtual(name string, dims []int, perm []int) (*Tensor, error) {
-	return newDesc(name, dims, perm)
+	t := new(Tensor)
+	if err := t.init(make([]int, 2*len(dims)), name, dims, perm); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// NewVirtuals builds the virtual descriptors of n tensors, the i-th named
+// and shaped by decl(i), from one array for the Tensors and one for all
+// their dims and strides.
+func NewVirtuals(n int, decl func(i int) (name string, dims, perm []int)) ([]Tensor, error) {
+	rank := 0
+	for i := 0; i < n; i++ {
+		_, dims, _ := decl(i)
+		rank += len(dims)
+	}
+	ts, ints := make([]Tensor, n), make([]int, 2*rank)
+	for i := range ts {
+		name, dims, perm := decl(i)
+		k := 2 * len(dims)
+		if err := ts[i].init(ints[:k:k], name, dims, perm); err != nil {
+			return nil, err
+		}
+		ints = ints[k:]
+	}
+	return ts, nil
 }
 
 // Rank returns the number of logical dimensions.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +40,39 @@ func TestNewWithLayoutRejectsBadPerm(t *testing.T) {
 	}
 	if _, err := NewWithLayout("x", []int{2, 0}, []int{0, 1}); err == nil {
 		t.Error("zero extent should be rejected")
+	}
+}
+
+// TestNewVirtualsMatchesNewVirtual: descriptors built in one set equal the
+// ones built one at a time, their dims and strides do not overlap, and a
+// bad declaration fails the set.
+func TestNewVirtualsMatchesNewVirtual(t *testing.T) {
+	type decl struct {
+		name       string
+		dims, perm []int
+	}
+	decls := []decl{{"a", []int{2, 3}, nil}, {"b", []int{4, 5, 6}, []int{2, 0, 1}}, {"c", []int{7}, []int{0}}}
+	ts, err := NewVirtuals(len(decls), func(i int) (string, []int, []int) {
+		return decls[i].name, decls[i].dims, decls[i].perm
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range decls {
+		want, _ := NewVirtual(d.name, d.dims, d.perm)
+		got := &ts[i]
+		if got.Name != want.Name || !slices.Equal(got.Dims, want.Dims) || !slices.Equal(got.Strides, want.Strides) || got.Data != nil {
+			t.Fatalf("tensor %d: %+v, want %+v", i, *got, *want)
+		}
+		if cap(got.Dims) != len(d.dims) || cap(got.Strides) != len(d.dims) {
+			t.Fatalf("tensor %d: dims/strides capacity %d/%d, want %d", i, cap(got.Dims), cap(got.Strides), len(d.dims))
+		}
+	}
+	decls[1].perm = []int{0, 0, 1}
+	if _, err := NewVirtuals(len(decls), func(i int) (string, []int, []int) {
+		return decls[i].name, decls[i].dims, decls[i].perm
+	}); err == nil {
+		t.Fatal("a bad permutation should fail the set")
 	}
 }
 
