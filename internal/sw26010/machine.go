@@ -2,7 +2,6 @@ package sw26010
 
 import (
 	"fmt"
-	"sort"
 
 	"swatop/internal/faults"
 )
@@ -280,7 +279,9 @@ func (m *Machine) IssueDMA(reply string, req DMARequest) error {
 
 // WaitDMA blocks the compute channel until `times` completions recorded
 // under the reply word have landed (the swDMAWait primitive). Completions
-// are consumed oldest-first.
+// are consumed oldest-first, in the order they were issued: the engine
+// serializes transfers and FastForward only moves it forward, so a reply
+// word's completions are already sorted.
 func (m *Machine) WaitDMA(reply string, times int) error {
 	if times <= 0 {
 		return fmt.Errorf("dma wait on %q for %d replies: count must be positive", reply, times)
@@ -293,7 +294,6 @@ func (m *Machine) WaitDMA(reply string, times int) error {
 		}
 		return fmt.Errorf("dma wait on %q for %d replies, only %d outstanding", reply, times, have)
 	}
-	sort.Float64s(rw.completions)
 	last := rw.completions[times-1]
 	// Compact in place: reslicing from the front would give up the consumed
 	// capacity and make nearly every later IssueDMA append reallocate.

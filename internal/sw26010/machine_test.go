@@ -3,6 +3,7 @@ package sw26010
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -323,5 +324,47 @@ func TestElapsedIncludesOutstandingDMA(t *testing.T) {
 	_ = m.IssueDMA("r", DMARequest{BlockBytes: 1 << 20, BlockCount: 1, StrideBytes: 1 << 20, CPEs: NumCPE})
 	if m.Elapsed() <= m.Now() {
 		t.Fatal("Elapsed must include in-flight DMA puts")
+	}
+}
+
+// TestReplyCompletionsInOrder: over random issue, wait, compute and
+// FastForward sequences on one machine, every reply word's pending
+// completions are nondecreasing whenever a wait reads them, which is why
+// WaitDMA consumes them oldest-first without sorting.
+func TestReplyCompletionsInOrder(t *testing.T) {
+	prop := func(ops []uint16) bool {
+		m := NewMachine()
+		snap := m.Snapshot()
+		for _, op := range ops {
+			reply := [...]string{"a", "b", "c"}[int(op>>2)%3]
+			switch op % 4 {
+			case 0, 1:
+				req := DMARequest{BlockBytes: 32 + int(op>>4)%512, BlockCount: 1 + int(op>>8)%8, StrideBytes: 1024, CPEs: NumCPE}
+				if err := m.IssueDMA(reply, req); err != nil {
+					t.Error(err)
+					return false
+				}
+			case 2:
+				rw := m.replies[reply]
+				if rw == nil || len(rw.completions) == 0 {
+					continue
+				}
+				if !slices.IsSorted(rw.completions) {
+					return false
+				}
+				if err := m.WaitDMA(reply, 1+int(op>>4)%len(rw.completions)); err != nil {
+					t.Error(err)
+					return false
+				}
+			case 3:
+				m.AdvanceCompute(float64(op>>4&0xff) * 1e-9)
+				m.FastForward(snap, int64(op>>12))
+				snap = m.Snapshot()
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
