@@ -23,8 +23,7 @@ type Program struct {
 
 // Decl returns tensor declaration i's name, dims and layout.
 func (p *Program) Decl(i int) (name string, dims, layout []int) {
-	d := &p.Tensors[i]
-	return d.Name, d.Dims, d.Layout
+	return p.Tensors[i].Name, p.Tensors[i].Dims, p.Tensors[i].Layout
 }
 
 // TensorDecl declares a main-memory tensor operand.
@@ -300,14 +299,12 @@ type Slab[T any] []T
 
 // New stores v in the slab's next element and returns its address.
 func (s *Slab[T]) New(v T) *T {
-	l := s.List(1)[:1]
-	l[0] = v
+	l := append(s.List(1), v)
 	return &l[0]
 }
 
-// List hands out the next n elements as an empty slice of capacity n, so
-// an append past them reallocates instead of overwriting a neighbour. A
-// spent slab hands out fresh elements.
+// List hands out the next n elements as an empty slice of capacity n (an
+// append past them reallocates); a spent slab hands out fresh ones.
 func (s *Slab[T]) List(n int) []T {
 	if len(*s) < n {
 		return make([]T, 0, n)

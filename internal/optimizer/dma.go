@@ -53,8 +53,7 @@ func Optimize(body []ir.Stmt, prefetch bool, r *Replies) ([]ir.Stmt, error) {
 
 func inferDMA(body []ir.Stmt, n *int) []ir.Stmt {
 	var out []ir.Stmt // nil until the list's first move
-	var ops ir.Slab[ir.DMAOp]
-	var waits ir.Slab[ir.DMAWait]
+	ops, waits := ir.Slab[ir.DMAOp](nil), ir.Slab[ir.DMAWait](nil)
 	for i, s := range body {
 		switch x := s.(type) {
 		case *ir.For:

@@ -60,15 +60,13 @@ func prefetchBody(body []ir.Stmt, n *int) ([]ir.Stmt, error) {
 	return out, nil
 }
 
-// passSize is what a pass's input bounds: its loop depth, loops, gets and
-// puts, and the most gets and puts directly in one loop.
+// passSize is a pass's loop depth, loops, gets, puts, and most gets and puts in one loop.
 type passSize struct{ depth, loops, gets, puts, loopGets, loopPuts int }
 
-// scan records the buffers a statement list allocates, in pre-order, and
-// adds its sizes to z.
+// scan records the buffers body allocates, in pre-order, and sizes it.
 func (pf *prefetcher) scan(body []ir.Stmt, depth int, z *passSize) {
 	z.depth = max(z.depth, depth)
-	gets, puts := 0, 0
+	var moves [3]int // by direction
 	for _, s := range body {
 		switch x := s.(type) {
 		case *ir.AllocSPM:
@@ -80,13 +78,10 @@ func (pf *prefetcher) scan(body []ir.Stmt, depth int, z *passSize) {
 			pf.scan(x.Then, depth, z)
 			pf.scan(x.Else, depth, z)
 		case *ir.RegionMove:
-			if x.Dir == ir.Get {
-				gets++
-			} else {
-				puts++
-			}
+			moves[x.Dir]++
 		}
 	}
+	gets, puts := moves[ir.Get], moves[ir.Put]+moves[ir.PutAcc]
 	z.gets, z.puts = z.gets+gets, z.puts+puts
 	z.loopGets, z.loopPuts = max(z.loopGets, gets), max(z.loopPuts, puts)
 }
@@ -143,6 +138,7 @@ type getSite struct {
 	zero  ir.Transform
 	frame int // index into prefetcher.frames
 	reply string
+	stmts int // an issue's statements: the move and any guard
 }
 
 type putSite struct {
@@ -166,11 +162,10 @@ func (pf *prefetcher) topLevel(body []ir.Stmt, extra int) ([]ir.Stmt, error) {
 	out := make([]ir.Stmt, 0, len(body)+extra)
 	for _, s := range body {
 		f, ok := s.(*ir.For)
-		if !ok {
-			out = append(out, s)
-			continue
+		if ok {
+			_, ok = ir.IsConst(f.Extent)
 		}
-		if _, cok := ir.IsConst(f.Extent); !cok {
+		if !ok {
 			out = append(out, s)
 			continue
 		}
@@ -282,11 +277,7 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 	valid := ir.Cond{Op: ir.LT, L: chain[0].nxV, R: chain[0].ext}
 	for i := range gets {
 		g := &gets[i]
-		n := 1
-		if g.guard != nil {
-			n = 2
-		}
-		then := pf.issue(pf.lists.List(n), g, subst{chain: chain}, pf.frames[g.frame].next)
+		then := pf.issue(pf.lists.List(g.stmts), g, subst{chain: chain}, pf.frames[g.frame].next)
 		body = append(body, pf.ifs.New(ir.If{Cond: valid, Then: then}))
 	}
 	// 4. Original body with gets (and their guards) removed and puts async.
@@ -314,12 +305,9 @@ func (pf *prefetcher) loop(pre []ir.Stmt, f *ir.For) ([]ir.Stmt, error) {
 	return pre, nil
 }
 
-// slabs sizes the loop's node slabs from what collect found and returns
-// the new body's length: a wait per get and per put, an assign per chain
-// loop, the increment, the outermost wrap, an issue per get, the old body
-// without its gets and guards, and the counter. Each get is issued twice
-// with its guard, each put buffer drains twice, and a wrap's Then holds two
-// assigns and the next wrap.
+// slabs sizes the loop's node slabs from what collect found, and returns
+// the new body's length (see loop). Each get is issued twice with its
+// guard, each put buffer drains twice, a wrap holds the next one.
 func (pf *prefetcher) slabs(old, depth, guards, putBufs int) int {
 	gets, puts := len(pf.gets), len(pf.puts)
 	waitIfs, wraps := puts+2*putBufs, depth-1
@@ -354,11 +342,11 @@ func (pf *prefetcher) collect(body []ir.Stmt) (guards, putBufs int) {
 			pf.puts = append(pf.puts, putSite{idx: i, mv: mv, frame: fr})
 			continue
 		}
-		g := getSite{idx: i, move: *mv, frame: fr}
+		g := getSite{idx: i, move: *mv, frame: fr, stmts: 1}
 		if i > 0 {
 			if iff, ok := body[i-1].(*ir.If); ok && len(iff.Then) == 1 && len(iff.Else) == 0 {
 				if zf, ok := iff.Then[0].(*ir.Transform); ok && zf.Kind == ir.ZeroFill && zf.Dst == mv.Buf {
-					g.guard, g.zero = iff, *zf
+					g.guard, g.zero, g.stmts = iff, *zf, 2
 					guards++
 				}
 			}
@@ -378,12 +366,7 @@ func (pf *prefetcher) touch(buf string) int {
 }
 
 func (pf *prefetcher) frame(buf string) int {
-	for i := range pf.frames {
-		if pf.frames[i].buf == buf {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(pf.frames, func(f frame) bool { return f.buf == buf })
 }
 
 // buf returns the program's (last) allocation of a buffer, or nil.

@@ -1,9 +1,6 @@
 package sw26010
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SPMAllocator manages the per-CPE scratch pad memory as one coalesced
 // region, the allocation strategy of the swATOP code generator (§4.7): all
@@ -102,15 +99,6 @@ func (a *SPMAllocator) UsedPerCPE() int {
 		used += a.allocs[n].BytesPerCPE()
 	}
 	return used
-}
-
-// Buffers returns live buffer names in allocation order.
-func (a *SPMAllocator) Buffers() []string {
-	out := append([]string(nil), a.order...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return a.allocs[out[i]].OffsetPerCPE < a.allocs[out[j]].OffsetPerCPE
-	})
-	return out
 }
 
 // FitsSPM reports whether a set of buffer sizes (core-group-level float32

@@ -175,73 +175,42 @@ func (r Region) Geometry(t *Tensor) (first Blocks, n int, err error) {
 // region's logical order (row-major over the region's own dims). dst must
 // have r.Len() capacity. Returns the number of elements copied.
 func CopyRegionOut(src *Tensor, r Region, dst []float32) (int, error) {
-	n := r.Len()
-	if len(dst) < n {
-		return 0, fmt.Errorf("dst too small: %d < %d", len(dst), n)
-	}
-	pos := 0
-	var rec func(d int, off int)
-	rec = func(d int, off int) {
-		if d == src.Rank() {
-			dst[pos] = src.Data[off]
-			pos++
-			return
-		}
-		o := off + r.Start[d]*src.Strides[d]
-		for i := 0; i < r.Extent[d]; i++ {
-			rec(d+1, o)
-			o += src.Strides[d]
-		}
-	}
-	rec(0, 0)
-	return n, nil
+	return eachInRegion(src, r, "dst", len(dst), func(off, pos int) { dst[pos] = src.Data[off] })
 }
 
 // CopyRegionIn scatters src (a flat buffer in the region's logical row-major
 // order) into a region of dst.
 func CopyRegionIn(dst *Tensor, r Region, src []float32) (int, error) {
-	n := r.Len()
-	if len(src) < n {
-		return 0, fmt.Errorf("src too small: %d < %d", len(src), n)
-	}
-	pos := 0
-	var rec func(d int, off int)
-	rec = func(d int, off int) {
-		if d == dst.Rank() {
-			dst.Data[off] = src[pos]
-			pos++
-			return
-		}
-		o := off + r.Start[d]*dst.Strides[d]
-		for i := 0; i < r.Extent[d]; i++ {
-			rec(d+1, o)
-			o += dst.Strides[d]
-		}
-	}
-	rec(0, 0)
-	return n, nil
+	return eachInRegion(dst, r, "src", len(src), func(off, pos int) { dst.Data[off] = src[pos] })
 }
 
 // AccumulateRegionIn adds src into a region of dst element-wise (used for
 // output tiles accumulated across reduction loops that were split across
 // DMA round trips).
 func AccumulateRegionIn(dst *Tensor, r Region, src []float32) (int, error) {
+	return eachInRegion(dst, r, "src", len(src), func(off, pos int) { dst.Data[off] += src[pos] })
+}
+
+// eachInRegion calls f with the flat offset in t of every element of the
+// region and its position in the region's row-major order, once a flat
+// buffer of bufLen elements has been checked to hold the region.
+func eachInRegion(t *Tensor, r Region, buf string, bufLen int, f func(off, pos int)) (int, error) {
 	n := r.Len()
-	if len(src) < n {
-		return 0, fmt.Errorf("src too small: %d < %d", len(src), n)
+	if bufLen < n {
+		return 0, fmt.Errorf("%s too small: %d < %d", buf, bufLen, n)
 	}
 	pos := 0
 	var rec func(d int, off int)
 	rec = func(d int, off int) {
-		if d == dst.Rank() {
-			dst.Data[off] += src[pos]
+		if d == t.Rank() {
+			f(off, pos)
 			pos++
 			return
 		}
-		o := off + r.Start[d]*dst.Strides[d]
+		o := off + r.Start[d]*t.Strides[d]
 		for i := 0; i < r.Extent[d]; i++ {
 			rec(d+1, o)
-			o += dst.Strides[d]
+			o += t.Strides[d]
 		}
 	}
 	rec(0, 0)

@@ -48,52 +48,21 @@ func NewWithLayout(name string, dims []int, perm []int) (*Tensor, error) {
 	return t, nil
 }
 
-// init makes t the descriptor of dims stored in perm order (nil is
-// row-major), its dims and strides sharing ints, twice the rank long.
-func (t *Tensor) init(ints []int, name string, dims []int, perm []int) error {
-	n := len(dims)
-	if perm != nil && len(perm) != n {
-		return fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), n)
-	}
-	for i, p := range perm {
-		if p < 0 || p >= n || slices.Index(perm, p) != i {
-			return fmt.Errorf("tensor %s: invalid layout permutation %v", name, perm)
-		}
-	}
-	for i, d := range dims {
-		if d <= 0 {
-			return fmt.Errorf("tensor %s: dimension %d has non-positive extent %d", name, i, d)
-		}
-	}
-	*t = Tensor{Name: name, Dims: ints[:n:n], Strides: ints[n:]}
-	copy(t.Dims, dims)
-	s := 1
-	for i := n - 1; i >= 0; i-- {
-		d := i
-		if perm != nil {
-			d = perm[i]
-		}
-		t.Strides[d] = s
-		s *= dims[d]
-	}
-	return nil
-}
-
 // NewVirtual creates a tensor descriptor with shape and layout but no
 // backing storage. The static cost estimator uses virtual tensors to reason
 // about DMA access patterns of arbitrarily large operands without
 // allocating them; calling At/Set on one panics.
 func NewVirtual(name string, dims []int, perm []int) (*Tensor, error) {
-	t := new(Tensor)
-	if err := t.init(make([]int, 2*len(dims)), name, dims, perm); err != nil {
+	ts, err := NewVirtuals(1, func(int) (string, []int, []int) { return name, dims, perm })
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &ts[0], nil
 }
 
 // NewVirtuals builds the virtual descriptors of n tensors, the i-th named
-// and shaped by decl(i), from one array for the Tensors and one for all
-// their dims and strides.
+// and shaped by decl(i) (a nil perm is row-major), from one array for the
+// Tensors and one for all their dims and strides.
 func NewVirtuals(n int, decl func(i int) (name string, dims, perm []int)) ([]Tensor, error) {
 	rank := 0
 	for i := 0; i < n; i++ {
@@ -103,11 +72,33 @@ func NewVirtuals(n int, decl func(i int) (name string, dims, perm []int)) ([]Ten
 	ts, ints := make([]Tensor, n), make([]int, 2*rank)
 	for i := range ts {
 		name, dims, perm := decl(i)
-		k := 2 * len(dims)
-		if err := ts[i].init(ints[:k:k], name, dims, perm); err != nil {
-			return nil, err
+		n := len(dims)
+		if perm != nil && len(perm) != n {
+			return nil, fmt.Errorf("tensor %s: perm has %d entries for %d dims", name, len(perm), n)
 		}
-		ints = ints[k:]
+		for i, p := range perm {
+			if p < 0 || p >= n || slices.Index(perm, p) != i {
+				return nil, fmt.Errorf("tensor %s: invalid layout permutation %v", name, perm)
+			}
+		}
+		for i, d := range dims {
+			if d <= 0 {
+				return nil, fmt.Errorf("tensor %s: dimension %d has non-positive extent %d", name, i, d)
+			}
+		}
+		t := &ts[i]
+		*t = Tensor{Name: name, Dims: ints[:n:n], Strides: ints[n : 2*n : 2*n]}
+		ints = ints[2*n:]
+		copy(t.Dims, dims)
+		s := 1
+		for i := n - 1; i >= 0; i-- {
+			d := i
+			if perm != nil {
+				d = perm[i]
+			}
+			t.Strides[d] = s
+			s *= dims[d]
+		}
 	}
 	return ts, nil
 }
