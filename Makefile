@@ -105,8 +105,9 @@ obs-check:
 # visitor nothing;
 # EstimateProgram's and a timed exec run's allocations (count and bytes) do
 # not grow with the DMA descriptor count, nor a run's with the transfers it
-# issues, and a steady-state EstimateProgram stays within the unbound
-# estimator's 26 allocations / 1 656 B; Features allocates its vector and
+# issues, and a steady-state EstimateProgram stays within the measured
+# 3 allocations / 624 B (the scorer and the program's descriptors in two
+# arrays); Features allocates its vector and
 # nothing else, at every golden point; a bind on released arenas, and its
 # walk, allocate nothing, and on fresh arenas a bind's bytes follow the
 # statement count and never the trip counts; issue+wait on a warmed reply word
@@ -117,8 +118,11 @@ obs-check:
 # only each shape's winner, stays within its measured allocation count;
 # compiling a candidate (lower, InjectPrefetch, InferDMA; an explicit or
 # Winograd candidate on a warm operator, which compiled its strategy-
-# independent phases once) stays within the allocations measured at four
-# double-buffered golden points.
+# independent phases once) stays within the allocation count measured at
+# four double-buffered golden points once the prefetch pass and the nest
+# builder took their nodes from exactly sized per-loop and per-nest
+# arrays, and within the bytes those compiles allocated before: a slab may
+# not trade allocation count for bytes.
 alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestCompileAllocBudget' -count=1 ./internal/core
@@ -144,7 +148,7 @@ loc:
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
 # removes lines lowers it.
-LOC_MAX ?= 22740
+LOC_MAX ?= 22727
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

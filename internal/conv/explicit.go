@@ -70,10 +70,7 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	nest, err := plan.BuildNest()
-	if err != nil {
-		return nil, err
-	}
+	nest := plan.BuildNest()
 
 	kk := s.Ni * s.Kr * s.Kc
 	nn := s.Ro * s.Co * s.B

@@ -193,10 +193,7 @@ func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	nest, err := plan.BuildNest()
-	if err != nil {
-		return nil, err
-	}
+	nest := plan.BuildNest()
 	tilesR, tilesC := s.Ro/2, s.Co/2
 	p := tilesR * tilesC * s.B
 	cnt := tilesC * s.B

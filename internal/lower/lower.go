@@ -79,11 +79,7 @@ func Lower(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := plan.BuildNest()
-	if err != nil {
-		return nil, err
-	}
-	p := &ir.Program{Name: seed.Name, Body: body, Tensors: make([]ir.TensorDecl, 0, len(seed.Tensors))}
+	p := &ir.Program{Name: seed.Name, Body: plan.BuildNest(), Tensors: make([]ir.TensorDecl, 0, len(seed.Tensors))}
 	for _, t := range seed.Tensors {
 		p.Tensors = append(p.Tensors, ir.TensorDecl{
 			Name:   t.Name,
@@ -439,7 +435,7 @@ func (p *Plan) checkCapacity() error {
 // allocates per nest, not per statement: the nodes a nest holds once are
 // one allocation, and its level loops, statement lists, moves, zero-fills
 // and their expressions come from one exactly sized slab each.
-func (p *Plan) BuildNest() ([]ir.Stmt, error) {
+func (p *Plan) BuildNest() []ir.Stmt {
 	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
 	ops := [...]*operandPlan{a, b, c}
 
@@ -512,7 +508,7 @@ func (p *Plan) BuildNest() ([]ir.Stmt, error) {
 		}
 		if depth == 0 {
 			body = append(body, &n.free[0], &n.free[1], &n.free[2])
-			return append(n.stmts.List(len(body)), body...), nil
+			return append(n.stmts.List(len(body)), body...)
 		}
 		ap := p.order[depth-1]
 		iter, _ := ap.ax.LoopVar()

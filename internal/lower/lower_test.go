@@ -238,10 +238,7 @@ func TestPlanExposesEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nest, err := plan.BuildNest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nest := plan.BuildNest()
 	est := map[string]int64{}
 	ir.Walk(nest, func(s ir.Stmt) bool {
 		if a, ok := s.(*ir.AllocSPM); ok {

@@ -68,10 +68,7 @@ func LowerPadded(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	nest, err := plan.BuildNest()
-	if err != nil {
-		return nil, err
-	}
+	nest := plan.BuildNest()
 
 	prog := &ir.Program{Name: seed.Name + "_tradpad"}
 	for _, t := range seed.Tensors {
