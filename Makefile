@@ -122,7 +122,10 @@ obs-check:
 # four double-buffered golden points once the prefetch pass and the nest
 # builder took their nodes from exactly sized per-loop and per-nest
 # arrays, and within the bytes those compiles allocated before: a slab may
-# not trade allocation count for bytes.
+# not trade allocation count for bytes; a warm run's bytes stay within the
+# measured cap now that a machine keeps its SPM storage across kernels, and
+# neither a tuning session nor a network run leaves 1 MiB or more on the
+# heap after two collections (no process-wide cache or pool of machines).
 alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
 	$(GO) test -run 'TestCompileAllocBudget' -count=1 ./internal/core
@@ -132,7 +135,8 @@ alloc-check:
 	$(GO) test -run 'TestBindAllocBudget' -count=1 ./internal/ir
 	$(GO) test -run 'TestTimedDMAAllocBudget' -count=1 ./internal/exec
 	$(GO) test -run 'TestIssueWaitSteadyStateNoAlloc' -count=1 ./internal/sw26010
-	$(GO) test -run 'TestWarmRunRetimesNothing|TestWarmRunAllocBudget|TestTimelineRecordedOnce' -count=1 ./internal/infer
+	$(GO) test -run 'TestSessionLeavesNoHeap' -count=1 ./internal/autotune
+	$(GO) test -run 'TestWarmRunRetimesNothing|TestWarmRunAllocBudget|TestTimelineRecordedOnce|TestRunLeavesNoHeap' -count=1 ./internal/infer
 
 # The tier-1 loop: what every change must keep green.
 ci: build vet unreachable fmt test race fuzz shuffle cover chaos search-check trace-check obs-check alloc-check bench-check loc-check
@@ -147,8 +151,10 @@ loc:
 # The tree may not grow by accident: `make loc`'s total must stay at or
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
-# removes lines lowers it.
-LOC_MAX ?= 22727
+# removes lines lowers it. 22 813: +86 for the SPM storage a machine keeps
+# across kernels and runs (spare stores in sw26010, Machine.Reset, an
+# autotune session's machines).
+LOC_MAX ?= 22813
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

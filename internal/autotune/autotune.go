@@ -39,6 +39,7 @@ import (
 	"swatop/internal/obsrv"
 	"swatop/internal/schedule"
 	"swatop/internal/search"
+	"swatop/internal/sw26010"
 )
 
 // CompileLaunchOverheadSeconds is the per-candidate cost of compiling,
@@ -179,14 +180,20 @@ type session struct {
 	// machine is the simulated-machine ledger, charged in index order (float
 	// addition is not associative).
 	machine float64
+	// machines holds the session's idle simulated core groups: a
+	// measurement takes one, or makes one when none is idle, and puts it
+	// back, so the session's runs share their SPM storage. There are never
+	// more machines than concurrent measurements, which its capacity bounds.
+	machines chan *sw26010.Machine
 }
 
 // begin opens a session and resolves the operator's schedule space. The
 // session is returned even with an error, for the caller to fail it.
 func begin(ctx context.Context, op Operator, opts Options, mode, detail string) (*session, error) {
 	s := &session{ctx: ctx, op: op, opts: opts, t0: time.Now(),
-		job:  opts.Observer.Jobs().Start("tune", op.Name()),
-		head: []obsrv.Field{obsrv.F("op", op.Name())}}
+		machines: make(chan *sw26010.Machine, max(1, opts.Workers)),
+		job:      opts.Observer.Jobs().Start("tune", op.Name()),
+		head:     []obsrv.Field{obsrv.F("op", op.Name())}}
 	if mode != "" {
 		s.job.SetDetail(detail)
 		s.head = append(s.head, obsrv.F("mode", mode))
@@ -231,11 +238,21 @@ func (s *session) finish(res Result, extra ...obsrv.Field) (Result, error) {
 	return res, nil
 }
 
-// measure runs a compiled candidate on the simulated machine.
+// measure runs a compiled candidate on one of the session's machines, reset
+// first. A run that panics does not put its machine back.
 func (s *session) measure(c *Candidate) error {
+	var m *sw26010.Machine
+	select {
+	case m = <-s.machines:
+		m.Reset()
+	default:
+		m = sw26010.NewMachine()
+	}
 	r, err := exec.RunVirtual(c.Program, exec.Options{
 		FastLoops: true, Faults: s.opts.Faults, Metrics: s.opts.Metrics, Observer: s.opts.Observer,
+		Machine: m,
 	})
+	s.machines <- m
 	c.Measured = r.Seconds
 	return err
 }

@@ -51,7 +51,9 @@ type Options struct {
 	// runtime executes many operators as one serialized timeline. The
 	// caller owns the machine's fault injector (Faults, if also set, is
 	// attached); Result.Seconds is this run's time, not the whole
-	// timeline's.
+	// timeline's. A machine may also be Reset between runs and reused: a
+	// run on it then reads exactly as one on a fresh machine, and its SPM
+	// buffers take the storage earlier runs left.
 	Machine *sw26010.Machine
 	// Metrics, when non-nil, receives run-level instrumentation
 	// (exec_runs_total, exec_run_failures_total, the exec_run_seconds
@@ -460,8 +462,8 @@ func (st *state) operand(what string, slot, off, span int) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || off > len(buf.Data) || off+span > len(buf.Data) {
-		return nil, fmt.Errorf("%s: [%d,%d) out of SPM buffer %s (%d elems)", what, off, off+span, buf.Name, len(buf.Data))
+	if off < 0 || off > buf.Elems || off+span > buf.Elems {
+		return nil, fmt.Errorf("%s: [%d,%d) out of SPM buffer %s (%d elems)", what, off, off+span, buf.Name, buf.Elems)
 	}
 	return buf.Data[off:], nil
 }

@@ -668,14 +668,15 @@ func TestLoopShadowingRestored(t *testing.T) {
 	loop := &ir.For{Iter: "i", Extent: ir.Const(3), Body: []ir.Stmt{
 		&ir.Assign{Var: "seen", Val: ir.V("i")},
 	}}
-	after := &ir.AllocSPM{Buf: "b", Elems: ir.Add(ir.Mul(ir.V("i"), ir.Const(10)), ir.V("seen"))}
+	// 256 elements are 16 B of each CPE's SPM: the footprint reads the size.
+	after := &ir.AllocSPM{Buf: "b", Elems: ir.Mul(ir.Add(ir.Mul(ir.V("i"), ir.Const(10)), ir.V("seen")), ir.Const(256))}
 	m := sw26010.NewMachine()
 	p := &ir.Program{Name: "shadow", Body: []ir.Stmt{&ir.Assign{Var: "i", Val: ir.Const(7)}, loop, after}}
 	if _, err := Run(p, nil, Options{Machine: m}); err != nil {
 		t.Fatal(err)
 	}
-	if buf, err := m.SPM().Get("b"); err != nil || buf.Elems != 7*10+2 {
-		t.Fatalf("after the loop i*10+seen sized the buffer %+v (%v), want 72 elements: outer i = 7 restored, last iteration saw 2", buf, err)
+	if used := m.SPM().UsedPerCPE(); used != (7*10+2)*16 {
+		t.Fatalf("after the loop i*10+seen sized the buffer at %d B/CPE, want 72×16: outer i = 7 restored, last iteration saw 2", used)
 	}
 	defer func() {
 		if r := recover(); r != `ir: unbound variable "i"` {

@@ -42,8 +42,8 @@ type goldenRow struct {
 
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-func goldenRunOf(p *ir.Program, fast bool) *goldenRun {
-	res, err := RunVirtual(p, Options{FastLoops: fast})
+func goldenRunOf(p *ir.Program, opt Options) *goldenRun {
+	res, err := RunVirtual(p, opt)
 	if err != nil {
 		return &goldenRun{Err: err.Error()}
 	}
@@ -126,7 +126,7 @@ func TestRunGolden(t *testing.T) {
 			continue
 		}
 		noteRequestArms(t, prog, covered)
-		row.Exact, row.Fast = goldenRunOf(prog, false), goldenRunOf(prog, true)
+		row.Exact, row.Fast = goldenRunOf(prog, Options{}), goldenRunOf(prog, Options{FastLoops: true})
 		for _, run := range []*goldenRun{row.Exact, row.Fast} {
 			if run.Err != "" {
 				covered["run=rejected"] = true
@@ -154,17 +154,7 @@ func TestRunGolden(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (generate with -update-golden)", err)
-	}
-	var want []goldenRow
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(rows) {
-		t.Fatalf("golden has %d rows, code produced %d", len(want), len(rows))
-	}
+	want := readGolden(t, len(rows))
 	for i := range rows {
 		if !reflect.DeepEqual(rows[i], want[i]) {
 			got, _ := json.Marshal(rows[i])
@@ -172,4 +162,21 @@ func TestRunGolden(t *testing.T) {
 			t.Errorf("row %d differs:\n got %s\nwant %s", i, got, exp)
 		}
 	}
+}
+
+// readGolden loads the pinned rows, which must number n.
+func readGolden(t *testing.T, n int) []goldenRow {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate with -update-golden)", err)
+	}
+	var rows []goldenRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != n {
+		t.Fatalf("golden has %d rows, code produced %d", len(rows), n)
+	}
+	return rows
 }

@@ -18,6 +18,7 @@ import (
 	"swatop/internal/graph"
 	"swatop/internal/metrics"
 	"swatop/internal/schedule"
+	"swatop/internal/workloads"
 )
 
 // timingsOf copies the engine's memo of fresh-machine timings.
@@ -103,33 +104,35 @@ func TestWarmRunRetimesNothing(t *testing.T) {
 	}
 }
 
-// allocCost counts the heap allocations of one call of run after a warm-up
-// call, the minimum over eight calls: the runtime's own goroutines
-// occasionally allocate in between.
-func allocCost(run func()) uint64 {
+// allocCost counts the heap allocations and bytes of one call of run after
+// a warm-up call, each the minimum over eight calls: the runtime's own
+// goroutines occasionally allocate in between.
+func allocCost(run func()) (allocs, bytes uint64) {
 	run()
-	allocs := uint64(math.MaxUint64)
+	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for range 8 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return allocs
+	return allocs, bytes
 }
 
 // TestWarmRunAllocBudget: a warm run on an engine that has timed every
 // method's cached schedule reads each (shape, method) entry exactly once
 // and compiles only each shape's winner, so it stays within the measured
-// allocation count. Compiling and re-timing every swept schedule, as the
-// sweep did before it read the engine's remembered seconds first, made
-// 2 369 allocations a run.
+// allocation count and bytes. Compiling and re-timing every swept schedule,
+// as the sweep did before it read the engine's remembered seconds first,
+// made 2 369 allocations a run; giving every kernel a new SPM store, before
+// the machine kept its storage across ResetSPM, made 241 304 B.
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	const budget = 1074
+	const budget, bytesBudget = 731, 183344
 	ctx := context.Background()
 	g, err := convOnlyBuilder(2)
 	if err != nil {
@@ -166,9 +169,42 @@ func TestWarmRunAllocBudget(t *testing.T) {
 	if n := simulationsOf(e) - sims; n != 0 {
 		t.Fatalf("a warm run simulated %d times on a fresh machine, want 0", n)
 	}
-	if got := allocCost(run); got > budget {
-		t.Fatalf("a warm run allocates %d times, budget %d", got, budget)
+	if got, bytes := allocCost(run); got > budget || bytes > bytesBudget {
+		t.Fatalf("a warm run allocates %d times and %d B, budget %d and %d B", got, bytes, budget, bytesBudget)
 	}
+}
+
+// heapAfterGC is the live heap once two collections have run: the second
+// frees what sync.Pools kept through the first.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestRunLeavesNoHeap: a run's machine and its SPM storage (up to 4 MiB)
+// live as long as the run, the tuning sessions' machines as long as their
+// session. Once a cold Engine.Run has returned, the heap holds less than
+// 1 MiB more than before it started, the engine's memo and the library's
+// new entries included: no engine field, process-wide cache or pool keeps
+// a machine.
+func TestRunLeavesNoHeap(t *testing.T) {
+	g, err := graph.Chain("wide", 1, []workloads.ConvLayer{{Net: "wide", Name: "c1", Ni: 128, No: 128, R: 28, K: 3}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, lib := newEngine(t), cache.NewLibrary()
+	before := heapAfterGC()
+	if _, err := e.Run(context.Background(), g, Options{Workers: 2, Library: lib, SkipBaseline: true}); err != nil {
+		t.Fatal(err)
+	}
+	if grew := heapAfterGC() - before; grew >= 1<<20 {
+		t.Fatalf("the heap grew by %d B across a network run, want under 1 MiB", grew)
+	}
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(lib)
 }
 
 // TestReplacedEntryTimedOnce: the memo key carries the strategy. When a

@@ -24,7 +24,7 @@ type Machine struct {
 	// dmaFree is the earliest time the DMA engine can start a new transfer.
 	dmaFree float64
 
-	spm *SPMAllocator
+	spm SPMAllocator
 
 	// faults, when non-nil, is consulted at the DMA-transfer and
 	// compute-advance injection points (faults.DMATransfer,
@@ -76,10 +76,17 @@ func (c Counters) AlignmentWasteBytes() int64 {
 
 // NewMachine creates a machine at time zero with an empty SPM.
 func NewMachine() *Machine {
-	return &Machine{
-		spm:     NewSPMAllocator(),
-		replies: make(map[string]*replyWord),
+	return &Machine{replies: make(map[string]*replyWord)}
+}
+
+// Reset returns the machine to time zero with an empty SPM, as NewMachine
+// would, but keeps its fault injector and its SPM and reply-word storage.
+func (m *Machine) Reset() {
+	for _, r := range m.replies {
+		r.completions = r.completions[:0]
 	}
+	m.spm.Reset()
+	*m = Machine{spm: m.spm, faults: m.faults, replies: m.replies}
 }
 
 // Now returns the current compute-channel time in seconds.
@@ -156,14 +163,15 @@ func (m *Machine) FastForward(since Snapshot, times int64) {
 }
 
 // SPM exposes the SPM allocator.
-func (m *Machine) SPM() *SPMAllocator { return m.spm }
+func (m *Machine) SPM() *SPMAllocator { return &m.spm }
 
-// ResetSPM replaces the SPM allocator with an empty one while leaving the
-// clock, counters and reply words untouched. A network runtime calls it
-// between operators: each generated kernel owns the whole scratch pad for
-// its invocation (the coalesced per-operator region of §4.7), so whatever a
-// kernel left allocated must not constrain its successor.
-func (m *Machine) ResetSPM() { m.spm = NewSPMAllocator() }
+// ResetSPM frees every SPM buffer, keeping their storage for the next
+// kernel's, while leaving the clock, counters and reply words untouched. A
+// network runtime calls it between operators: each generated kernel owns
+// the whole scratch pad for its invocation (the coalesced per-operator
+// region of §4.7), so whatever a kernel left allocated must not constrain
+// its successor.
+func (m *Machine) ResetSPM() { m.spm.Reset() }
 
 // NoteSPMUsage records the current per-CPE SPM footprint into the peak
 // counter.

@@ -223,10 +223,10 @@ func TestSPMCoalescedOffsets(t *testing.T) {
 	if b2.OffsetPerCPE != 0 {
 		t.Fatal("free should repack the region")
 	}
-	if _, err := a.Get("b1"); err == nil {
-		t.Fatal("Get after Free should fail")
+	if err := a.Free("b1"); err == nil {
+		t.Fatal("a second Free should fail")
 	}
-	if _, err := a.Get("b2"); err != nil {
+	if err := a.Free("b2"); err != nil {
 		t.Fatal(err)
 	}
 }
