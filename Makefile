@@ -151,10 +151,11 @@ loc:
 # The tree may not grow by accident: `make loc`'s total must stay at or
 # under LOC_MAX. A change that needs more lines raises LOC_MAX in the same
 # commit, one line a reviewer sees next to the reason; a change that
-# removes lines lowers it. 22 813: +86 for the SPM storage a machine keeps
+# removes lines lowers it. 22 845: +86 for the SPM storage a machine keeps
 # across kernels and runs (spare stores in sw26010, Machine.Reset, an
-# autotune session's machines).
-LOC_MAX ?= 22813
+# autotune session's machines), +32 for the walker a run keeps with its
+# machine instead of in ir's pool (Machine.Interp, (*ir.Walker).Bind).
+LOC_MAX ?= 22845
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

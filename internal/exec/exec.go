@@ -180,7 +180,7 @@ func runProgram(p *ir.Program, binds map[string]*tensor.Tensor, opt Options) (Re
 		}
 		st.tensors[i] = t
 	}
-	st.w = ir.Bind(p)
+	st.w = bind(p, opt.Machine)
 	st.bufs = make([]*sw26010.SPMBuffer, st.w.Names())
 	if opt.Trace != nil {
 		st.labels = make([]string, st.w.Len())
@@ -213,6 +213,20 @@ func hasLayout(t *tensor.Tensor, dims, perm []int) bool {
 		s *= dims[d]
 	}
 	return true
+}
+
+// bind returns p's bound form. On a caller's machine that is the walker
+// kept with the machine (Machine.Interp), whose arenas so live as long as
+// the machine rather than in ir's process-wide pool, where a collection
+// leaves them reachable as the pool's victims.
+func bind(p *ir.Program, m *sw26010.Machine) *ir.Walker {
+	if m == nil {
+		return ir.Bind(p)
+	}
+	if m.Interp == nil {
+		m.Interp = new(ir.Walker)
+	}
+	return m.Interp.(*ir.Walker).Bind(p)
 }
 
 func newMachine(opt Options) *sw26010.Machine {

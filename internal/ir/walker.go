@@ -121,7 +121,8 @@ func (b Body) Run(i int64) error {
 // Walker is a bound program: the statements laid out as nodes, each list's
 // own statements consecutive (a loop body or an arm is an index range), each
 // statement's expressions as consecutive Codes in field order, its names as
-// slots. Its arenas are pooled: Bind reuses those of a finished walk.
+// slots. Its arenas are pooled: Bind reuses those of a finished walk,
+// unless an owner keeps the walker ((*Walker).Bind).
 type Walker struct {
 	p     *Program
 	leaf  Leaf
@@ -136,6 +137,7 @@ type Walker struct {
 	// and extent are evaluated into.
 	op     Op
 	region []int
+	owned  bool // bound by (*Walker).Bind: kept by its owner, never pooled
 }
 
 // node is one bound statement, its codes from code on; a..c are
@@ -153,9 +155,17 @@ type node struct {
 
 var walkers = sync.Pool{New: func() any { return new(Walker) }}
 
-// Bind returns p's bound form.
+// Bind returns p's bound form, on a pooled walker's arenas.
 func Bind(p *Program) *Walker {
 	w := walkers.Get().(*Walker)
+	w.bind(p)
+	return w
+}
+
+// Bind binds p on w's own arenas, for an owner that keeps w across walks
+// (the zero Walker is empty); Run returns such a walker to no pool.
+func (w *Walker) Bind(p *Program) *Walker {
+	w.owned = true
 	w.bind(p)
 	return w
 }
@@ -177,13 +187,15 @@ func (w *Walker) Names() int { return len(w.names) }
 // Name returns a buffer's or reply word's name.
 func (w *Walker) Name(slot int) string { return w.names[slot] }
 
-// Run walks the program through leaf and returns the walker to the pool:
-// it must not be used afterwards.
+// Run walks the program through leaf and returns a walker from Bind to the
+// pool: it must not be used afterwards.
 func (w *Walker) Run(leaf Leaf) error {
 	defer func() {
-		clear(w.nodes) // a pooled walker keeps no program alive
+		clear(w.nodes) // a pooled or kept walker keeps no program alive
 		w.p, w.leaf = nil, nil
-		walkers.Put(w)
+		if !w.owned {
+			walkers.Put(w)
+		}
 	}()
 	w.leaf = leaf
 	return w.run(0, int32(len(w.p.Body)))

@@ -36,6 +36,11 @@ type Machine struct {
 	lastDMAStart, lastDMADone float64
 
 	Counters Counters
+
+	// Interp is the interpreter state an executor keeps with the machine
+	// across runs (internal/exec keeps its ir.Walker here), so that it lives
+	// as long as the machine. The machine never reads it; Reset keeps it.
+	Interp any
 }
 
 // LastDMA reports the engine interval of the most recent IssueDMA — the
@@ -80,13 +85,14 @@ func NewMachine() *Machine {
 }
 
 // Reset returns the machine to time zero with an empty SPM, as NewMachine
-// would, but keeps its fault injector and its SPM and reply-word storage.
+// would, but keeps its fault injector, its SPM and reply-word storage and
+// Interp.
 func (m *Machine) Reset() {
 	for _, r := range m.replies {
 		r.completions = r.completions[:0]
 	}
 	m.spm.Reset()
-	*m = Machine{spm: m.spm, faults: m.faults, replies: m.replies}
+	*m = Machine{spm: m.spm, faults: m.faults, replies: m.replies, Interp: m.Interp}
 }
 
 // Now returns the current compute-channel time in seconds.

@@ -155,7 +155,7 @@ func (a *SPMAllocator) release(b *SPMBuffer) {
 			a.spare[empty] = s
 			return
 		}
-		i := a.smallestSpare(1) // >= 0: the spares alone exceed a slot or the cap
+		i := a.smallestSpare(1) // >= 0: a full array or the cap exceeded holds some spare
 		if cap(a.spare[i]) >= cap(s) {
 			return
 		}
