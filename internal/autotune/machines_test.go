@@ -11,7 +11,8 @@ import (
 // TestSessionMachinesPerWorker: a black-box walk on four workers measures
 // its candidates on the session's own machines, at most one per worker and
 // every one put back, and ranks bit for bit as the sequential walk on its
-// single machine does. Under make race this checks the machines' locking.
+// single machine does. Under make race this checks the machines' hand-off
+// between workers.
 func TestSessionMachinesPerWorker(t *testing.T) {
 	op := smallOp(t, gemm.Params{M: 128, N: 128, K: 128})
 	walk := func(workers int) (*session, ranked) {

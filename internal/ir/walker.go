@@ -187,8 +187,8 @@ func (w *Walker) Names() int { return len(w.names) }
 // Name returns a buffer's or reply word's name.
 func (w *Walker) Name(slot int) string { return w.names[slot] }
 
-// Run walks the program through leaf and returns a walker from Bind to the
-// pool: it must not be used afterwards.
+// Run walks the program through leaf. A walker from the package's Bind goes
+// back to the pool, not to be used again; a kept one may be bound again.
 func (w *Walker) Run(leaf Leaf) error {
 	defer func() {
 		clear(w.nodes) // a pooled or kept walker keeps no program alive
