@@ -87,7 +87,11 @@ type PipelineSchedule struct {
 // SchedulePipeline computes the schedule from per-stage, per-micro-batch
 // execution durations d[s][m] and per-boundary transfer times xfer[s]
 // (stage s -> s+1; len(xfer) = len(d)-1). Purely arithmetic over
-// deterministic inputs, so the schedule is deterministic too.
+// deterministic inputs, so the schedule is deterministic too. It is the one
+// clock of every fleet run: a stage is any step of a placement, lasting as
+// long as its slowest group, and lockstep data parallelism is the case of
+// one micro-batch, where each step starts when the previous one has
+// finished and shipped its transfer.
 func SchedulePipeline(d [][]float64, xfer []float64) (*PipelineSchedule, error) {
 	s := len(d)
 	if s == 0 {

@@ -81,19 +81,21 @@ func copyRows(dst *tensor.Tensor, dstRow int, src *tensor.Tensor, srcRow, n, col
 	copyBatchSlice(dst, dst.Len(), dstRow*cols, src, src.Len(), srcRow*cols, n*cols)
 }
 
-// runStep executes tasks[i] on core group i — a nil task sits the step out,
-// its machine clock untouched — concurrently, or in order for the serial
-// determinism reference, and joins the groups. Each group runs on its own
-// machine with a scoped registry (cluster.GroupPrefix), so concurrent groups
-// touch disjoint metric names; the first error in group order wins.
-func (e *Engine) runStep(ctx context.Context, opts Options, fleet *cluster.Fleet, tasks []*task) ([]*taskResult, error) {
-	outs := make([]*taskResult, len(tasks))
-	errs := make([]error, len(tasks))
+// runSteps executes steps on the fleet in one pass: core group i runs its
+// task of each step in step order — a nil task sits the step out, its
+// machine clock untouched — on its own goroutine, or in group order for the
+// serial determinism reference, and the groups join once. Each group runs on
+// its own machine with a scoped registry (cluster.GroupPrefix), so
+// concurrent groups touch disjoint metric names. A group stops at its first
+// error; the first error in group order wins. outs[s][i] is group i's result
+// of steps[s].
+func (e *Engine) runSteps(ctx context.Context, opts Options, fleet *cluster.Fleet, steps []*step) ([][]*taskResult, error) {
+	outs, errs := make([][]*taskResult, len(steps)), make([]error, fleet.Size())
+	for s := range outs {
+		outs[s] = make([]*taskResult, fleet.Size())
+	}
 	run := func(i int) {
-		if tasks[i] == nil {
-			return
-		}
-		outs[i], errs[i] = e.runTask(ctx, *tasks[i], execEnv{
+		env := execEnv{
 			m:            fleet.Machine(i),
 			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
 			obs:          opts.Observer,
@@ -102,10 +104,15 @@ func (e *Engine) runStep(ctx context.Context, opts Options, fleet *cluster.Fleet
 			functional:   opts.Functional,
 			tolerance:    opts.Tolerance,
 			skipBaseline: true,
-		})
+		}
+		for s, st := range steps {
+			if t := st.tasks[i]; t != nil && errs[i] == nil {
+				outs[s][i], errs[i] = e.runTask(ctx, *t, env)
+			}
+		}
 	}
 	var wg sync.WaitGroup
-	for i := range tasks {
+	for i := range errs {
 		if opts.serialFleet {
 			run(i)
 			continue
@@ -359,46 +366,55 @@ func (e *Engine) pipeline(ctx context.Context, g *graph.Graph, opts Options) (*p
 }
 
 // comm is a modeled cross-group transfer, stamped as one timeline event on
-// each group that ran the step — or on every group, when all of them take part.
+// each group in from.
 type comm struct {
 	label, dst string
-	every      bool
+	from       []int
 	secs       float64
 }
 
-// commAfter is the one collective rule: a transfer is charged wherever step
-// i and what follows it are placed differently. A pipeline stage hands its
-// boundary activations to the next stage's group. A sliced step all-gathers
-// over the fleet when another step follows, since that one needs it whole,
-// and gathers onto group 0 from the groups holding a slice when it ends the
-// net. An all-gather takes in every group, since each receives the whole; a
-// gather only the holders. A step every group runs whole, and a last stage,
+// commAfter is the one transfer rule, read off the placement: a transfer is
+// charged wherever step i and what follows it are held differently. A
+// sliced step all-gathers when another step follows, since that one needs it
+// whole, and gathers onto group 0 from the groups holding a slice when it
+// ends the net. A step run whole hands its boundary to a group of the next
+// step that did not run it — a pipeline stage to the next stage's group. A
+// whole step whose successor runs only where it ran, and a last whole step,
 // hand nothing on.
 func (p *placement) commAfter(i int) comm {
-	st, last, holders := p.steps[i], i == len(p.steps)-1, 0
-	for _, t := range st.tasks {
+	st, last := p.steps[i], i == len(p.steps)-1
+	var holders, all []int
+	for gi, t := range st.tasks {
 		if t != nil {
-			holders++
+			holders = append(holders, gi)
 		}
+		all = append(all, gi)
 	}
 	switch {
-	case p.mode == ModePipeline && !last:
-		return comm{fmt.Sprintf("stage %d->%d", i, i+1), fmt.Sprintf("group%d", i+1), false,
-			cluster.StageTransferSeconds(st.bytes)}
-	case st.cut == whole:
-		return comm{}
+	case st.cut != whole && !last:
+		return comm{"allgather " + st.name, "all groups", all, cluster.CollectiveSeconds(st.bytes, len(all))}
+	case st.cut != whole:
+		return comm{"gather " + st.name, "group0", holders, cluster.CollectiveSeconds(st.bytes, len(holders))}
 	case !last:
-		return comm{"allgather " + st.name, "all groups", true, cluster.CollectiveSeconds(st.bytes, len(st.tasks))}
+		for gi, t := range p.steps[i+1].tasks {
+			if t != nil && st.tasks[gi] == nil {
+				return comm{fmt.Sprintf("stage %d->%d", i, i+1), fmt.Sprintf("group%d", gi), holders,
+					cluster.StageTransferSeconds(st.bytes)}
+			}
+		}
 	}
-	return comm{"gather " + st.name, "group0", false, cluster.CollectiveSeconds(st.bytes, holders)}
+	return comm{}
 }
 
-// runPlacement executes p on a fresh fleet and assembles the Result. A
-// step's groups run at once and the steps in order, but a pipeline's stages,
-// each on its own group, all at once. After the groups join, in group order,
-// a clock places every task repetition on the fleet timeline: lockstep, where
-// each step starts at a barrier and the clock advances by the slowest group,
-// then by the collective after the step; or cluster.SchedulePipeline.
+// runPlacement executes p on a fresh fleet and assembles the Result. Every
+// placement runs the same way: the groups run their tasks in step order
+// (runSteps), in one pass on a timed run, while a functional run joins after
+// each step to scatter and gather the activation. After the join, one clock
+// places every task repetition on the fleet timeline: cluster.SchedulePipeline
+// over the steps, each repetition lasting as long as its slowest group's and
+// each step's transfer (commAfter) between it and the next; the last step's
+// collective follows the schedule. Lockstep data parallelism is the
+// one-repetition case. Each group reports its machine's own Elapsed().
 func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options, p *placement) (*Result, error) {
 	fleet, err := cluster.New(opts.Groups)
 	if err != nil {
@@ -408,76 +424,52 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 	// The buffer plan reported is group 0's for the first step.
 	res := &Result{Net: g.Name, Batch: g.Batch, FLOPs: g.FLOPs(), Plan: p.steps[0].tasks[0].sp.plan,
 		Mode: p.mode, Timeline: &trace.Log{}}
-	outs := make([][]*taskResult, len(p.steps))
-	var start, finish [][]float64 // per step and repetition, on the fleet clock
-	seconds, comms := make([]float64, opts.Groups), make([]comm, len(p.steps))
-	if p.mode == ModePipeline {
-		tasks := make([]*task, opts.Groups)
-		for s, st := range p.steps {
-			tasks[s] = st.tasks[s]
-		}
-		ran, err := e.runStep(ctx, opts, fleet, tasks)
-		if err != nil {
-			return nil, err
-		}
-		d, xfer := make([][]float64, len(p.steps)), make([]float64, len(p.steps))
-		res.Pipeline = &PipelineReport{MicroBatches: g.Batch}
-		for s, st := range p.steps {
-			outs[s], comms[s] = make([]*taskResult, opts.Groups), p.commAfter(s)
-			outs[s][s], xfer[s] = ran[s], comms[s].secs
-			for _, seg := range ran[s].segs {
-				d[s] = append(d[s], seg.dur)
-			}
-			stage := StageReport{Group: s, Seconds: d[s][0], TransferSeconds: xfer[s]}
-			for _, n := range st.nodes {
-				stage.Nodes = append(stage.Nodes, n.Name)
-			}
-			res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
-		}
-		// The last stage hands nothing on.
-		sched, err := cluster.SchedulePipeline(d, xfer[:len(xfer)-1])
-		if err != nil {
-			return nil, fmt.Errorf("infer %s: %w", g.Name, err)
-		}
-		start, finish, seconds = sched.Start, sched.Finish, sched.BusySeconds
-		res.Seconds, res.CommSeconds = sched.TotalSeconds, sched.CommSeconds
-		res.Pipeline.BubbleFraction = sched.BubbleFraction
-	} else {
-		var act *tensor.Tensor // the whole activation of a functional run
-		if opts.Functional {
-			act = tensor.New(g.Input, mustDims(g, g.Input)...)
-			fillActivation(act)
-		}
-		for i, st := range p.steps {
-			if opts.Functional {
-				st.scatter(act, g.Batch)
-			}
-			if outs[i], err = e.runStep(ctx, opts, fleet, st.tasks); err != nil {
+	var outs [][]*taskResult
+	if opts.Functional {
+		act := tensor.New(g.Input, mustDims(g, g.Input)...)
+		fillActivation(act)
+		for _, st := range p.steps {
+			st.scatter(act, g.Batch)
+			ran, err := e.runSteps(ctx, opts, fleet, []*step{st})
+			if err != nil {
 				return nil, err
 			}
-			if opts.Functional {
-				act = st.gather(g, outs[i])
-			}
-			at := res.Seconds
-			for _, o := range outs[i] {
-				if o != nil {
-					res.Seconds = max(res.Seconds, at+o.segs[0].dur)
-				}
-			}
-			start, finish = append(start, []float64{at}), append(finish, []float64{res.Seconds})
-			comms[i] = p.commAfter(i)
-			res.Seconds += comms[i].secs
-			res.CommSeconds += comms[i].secs
+			outs, act = append(outs, ran[0]), st.gather(g, ran[0])
 		}
 		res.Output = act
-		for i := range seconds {
-			seconds[i] = fleet.Machine(i).Elapsed()
+	} else if outs, err = e.runSteps(ctx, opts, fleet, p.steps); err != nil {
+		return nil, err
+	}
+
+	last := len(p.steps) - 1
+	d, comms, xfer := make([][]float64, len(p.steps)), make([]comm, len(p.steps)), make([]float64, last)
+	for i := range p.steps {
+		comms[i] = p.commAfter(i)
+		if i < last {
+			xfer[i] = comms[i].secs
 		}
+		for _, o := range outs[i] {
+			for m := 0; o != nil && m < len(o.segs); m++ {
+				if d[i] == nil {
+					d[i] = make([]float64, len(o.segs))
+				}
+				d[i][m] = max(d[i][m], o.segs[m].dur)
+			}
+		}
+	}
+	sched, err := cluster.SchedulePipeline(d, xfer)
+	if err != nil {
+		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
+	}
+	res.Seconds = sched.TotalSeconds + comms[last].secs
+	res.CommSeconds = sched.CommSeconds + comms[last].secs
+	if p.mode == ModePipeline {
+		res.Pipeline = &PipelineReport{MicroBatches: g.Batch, BubbleFraction: sched.BubbleFraction}
 	}
 
 	for i, st := range p.steps {
 		lead := true
-		for _, o := range outs[i] {
+		for gi, o := range outs[i] {
 			if o == nil {
 				continue
 			}
@@ -486,11 +478,18 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 				// repetition on the fleet clock; a column-sharded gemm's line
 				// carries the whole layer's FLOPs.
 				for _, l := range o.res.Layers {
-					l.Start = start[i][0] + (l.Start - o.segs[0].start)
+					l.Start = sched.Start[i][0] + (l.Start - o.segs[0].start)
 					if st.cut == byRows {
 						l.FLOPs = st.nodes[0].Gemm.FLOPs()
 					}
 					res.Layers = append(res.Layers, l)
+				}
+				if res.Pipeline != nil {
+					stage := StageReport{Group: gi, Seconds: d[i][0], TransferSeconds: comms[i].secs}
+					for _, n := range st.nodes {
+						stage.Nodes = append(stage.Nodes, n.Name)
+					}
+					res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
 				}
 				lead = false
 			}
@@ -498,17 +497,17 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 			res.CachedOps += o.res.CachedOps
 			res.DegradedOps += o.res.DegradedOps
 		}
-		// Each repetition shifts rigidly onto the fleet clock; its collective follows.
+		// Each repetition shifts rigidly onto the fleet clock; its transfer follows.
 		c := comms[i]
-		for m := range start[i] {
+		for m, at := range sched.Start[i] {
 			for gi, o := range outs[i] {
 				if o != nil {
-					res.Timeline.MergeGroup(gi, start[i][m]-o.segs[m].start, o.segs[m].log)
+					res.Timeline.MergeGroup(gi, at-o.segs[m].start, o.segs[m].log)
 				}
 			}
-			for gi, o := range outs[i] {
-				if c.secs > 0 && (o != nil || c.every) {
-					res.Timeline.AddGroupArgs(gi, trace.KindComm, c.label, finish[i][m], c.secs,
+			for _, gi := range c.from {
+				if c.secs > 0 {
+					res.Timeline.AddGroupArgs(gi, trace.KindComm, c.label, sched.Finish[i][m], c.secs,
 						map[string]string{"src": fmt.Sprintf("group%d", gi), "dst": c.dst})
 				}
 			}
@@ -517,9 +516,9 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 	for i, b := range p.batch {
 		// A group that never ran (zero shard, no tail) still appears, with
 		// zero seconds, keeping the scale-out story honest.
-		c := fleet.Machine(i).Counters
-		res.Counters.Accumulate(c)
-		res.Groups = append(res.Groups, GroupResult{Group: i, Batch: b, Seconds: seconds[i], Counters: c})
+		m := fleet.Machine(i)
+		res.Counters.Accumulate(m.Counters)
+		res.Groups = append(res.Groups, GroupResult{Group: i, Batch: b, Seconds: m.Elapsed(), Counters: m.Counters})
 	}
 	if opts.Metrics != nil {
 		// Machine counters per group and in aggregate, the run gauges and

@@ -207,8 +207,10 @@ type GroupResult struct {
 	// Batch is the group's shard size in data-parallel mode, or the
 	// micro-batch size (1) in pipeline mode.
 	Batch int
-	// Seconds is the group's own machine time: its full Elapsed() in
-	// data-parallel mode, its summed stage-busy time in pipeline mode.
+	// Seconds is the group's machine Elapsed() in every placement: its
+	// tasks run back to back on its own clock, so this is its busy time (a
+	// pipeline group's stage over every micro-batch; zero for a group that
+	// never ran).
 	Seconds  float64
 	Counters sw26010.Counters
 }
@@ -242,9 +244,9 @@ type Result struct {
 	Layers []Layer
 	// Seconds is the total machine time of the network. On a single
 	// machine every node executes serially, so this is its final
-	// Elapsed(); on a fleet it is the aggregate timeline — each step's slowest
-	// group plus its collective in data-parallel mode, the pipeline makespan
-	// in pipeline mode.
+	// Elapsed(); on a fleet it is the makespan of the one fleet schedule
+	// (cluster.SchedulePipeline over the steps, each repetition as long as
+	// its slowest group's) plus the last step's collective.
 	Seconds float64
 	// BaselineSeconds sums the per-layer manual-library times; Speedup is
 	// their ratio (0 when the baseline was skipped).
