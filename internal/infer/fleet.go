@@ -376,23 +376,22 @@ type comm struct {
 // commAfter is the one transfer rule, read off the placement: a transfer is
 // charged wherever step i and what follows it are held differently. A
 // sliced step all-gathers when another step follows, since that one needs it
-// whole, and gathers onto group 0 from the groups holding a slice when it
-// ends the net. A step run whole hands its boundary to a group of the next
+// whole, and gathers onto group 0 when it ends the net; either collective
+// takes in the groups holding a slice (cluster.CollectiveSeconds' n). A step run whole hands its boundary to a group of the next
 // step that did not run it — a pipeline stage to the next stage's group. A
 // whole step whose successor runs only where it ran, and a last whole step,
 // hand nothing on.
 func (p *placement) commAfter(i int) comm {
 	st, last := p.steps[i], i == len(p.steps)-1
-	var holders, all []int
+	var holders []int
 	for gi, t := range st.tasks {
 		if t != nil {
 			holders = append(holders, gi)
 		}
-		all = append(all, gi)
 	}
 	switch {
 	case st.cut != whole && !last:
-		return comm{"allgather " + st.name, "all groups", all, cluster.CollectiveSeconds(st.bytes, len(all))}
+		return comm{"allgather " + st.name, "all groups", holders, cluster.CollectiveSeconds(st.bytes, len(holders))}
 	case st.cut != whole:
 		return comm{"gather " + st.name, "group0", holders, cluster.CollectiveSeconds(st.bytes, len(holders))}
 	case !last:
