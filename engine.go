@@ -135,27 +135,17 @@ type LayerReport struct {
 	Checked         bool    `json:"checked,omitempty"`
 }
 
-// GroupReport is one core group's share of a fleet run.
-type GroupReport struct {
-	Group   int     `json:"group"`
-	Batch   int     `json:"batch"`
-	Seconds float64 `json:"seconds"`
-}
+// GroupReport is one core group's share of a fleet run: its index, its
+// batch shard (or micro-batch size) and its machine seconds, plus its
+// machine counters, which the JSON form leaves out.
+type GroupReport = infer.GroupResult
 
-// StageReport is one pipeline stage of a pipelined fleet run.
-type StageReport struct {
-	Group           int      `json:"group"`
-	Layers          []string `json:"layers"`
-	Seconds         float64  `json:"seconds"`
-	TransferSeconds float64  `json:"transfer_seconds,omitempty"`
-}
+// StageReport is one pipeline stage of a pipelined fleet run: its group,
+// its layers, its seconds per micro-batch and its hand-off to the next stage.
+type StageReport = infer.StageReport
 
 // PipelineReport is the stage partition and schedule of a pipelined run.
-type PipelineReport struct {
-	MicroBatches   int           `json:"micro_batches"`
-	Stages         []StageReport `json:"stages"`
-	BubbleFraction float64       `json:"bubble_fraction"`
-}
+type PipelineReport = infer.PipelineReport
 
 // NetReport is a completed network inference run.
 type NetReport struct {
@@ -262,6 +252,8 @@ func (e *Engine) InferCtx(ctx context.Context, net string, batch int) (*NetRepor
 		DegradedLayers:       res.DegradedOps,
 		Mode:                 res.Mode,
 		CommSeconds:          res.CommSeconds,
+		Groups:               res.Groups,
+		Pipeline:             res.Pipeline,
 		PeakActivationBytes:  res.Plan.PeakActivationBytes() + res.Plan.IOBytes,
 		NaiveActivationBytes: res.Plan.NaiveBytes + res.Plan.IOBytes,
 		timeline:             res.Timeline,
@@ -271,26 +263,6 @@ func (e *Engine) InferCtx(ctx context.Context, net string, batch int) (*NetRepor
 	}
 	if res.Seconds > 0 {
 		rep.InferencesPerSec = float64(res.Batch) / res.Seconds
-	}
-	for _, gr := range res.Groups {
-		rep.Groups = append(rep.Groups, GroupReport{
-			Group: gr.Group, Batch: gr.Batch, Seconds: gr.Seconds,
-		})
-	}
-	if res.Pipeline != nil {
-		p := &PipelineReport{
-			MicroBatches:   res.Pipeline.MicroBatches,
-			BubbleFraction: res.Pipeline.BubbleFraction,
-		}
-		for _, st := range res.Pipeline.Stages {
-			p.Stages = append(p.Stages, StageReport{
-				Group:           st.Group,
-				Layers:          st.Nodes,
-				Seconds:         st.Seconds,
-				TransferSeconds: st.TransferSeconds,
-			})
-		}
-		rep.Pipeline = p
 	}
 	rep.Metrics = opts.Metrics.Snapshot()
 	for _, l := range res.Layers {

@@ -106,7 +106,7 @@ func fingerprint(t *testing.T, res *Result, reg *metrics.Registry, spans *reqtra
 		f.str("%d", res.Pipeline.MicroBatches)
 		f.f64(res.Pipeline.BubbleFraction)
 		for _, s := range res.Pipeline.Stages {
-			f.str("%d %v", s.Group, s.Nodes)
+			f.str("%d %v", s.Group, s.Layers)
 			f.f64(s.Seconds, s.TransferSeconds)
 		}
 	})

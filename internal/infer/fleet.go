@@ -486,7 +486,7 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 				if res.Pipeline != nil {
 					stage := StageReport{Group: gi, Seconds: d[i][0], TransferSeconds: comms[i].secs}
 					for _, n := range st.nodes {
-						stage.Nodes = append(stage.Nodes, n.Name)
+						stage.Layers = append(stage.Layers, n.Name)
 					}
 					res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
 				}

@@ -215,10 +215,10 @@ func TestFleetPipeline(t *testing.T) {
 	}
 	nodeCount := 0
 	for s, st := range a.Pipeline.Stages {
-		if st.Group != s || len(st.Nodes) == 0 || st.Seconds <= 0 {
+		if st.Group != s || len(st.Layers) == 0 || st.Seconds <= 0 {
 			t.Fatalf("stage %d wrong: %+v", s, st)
 		}
-		nodeCount += len(st.Nodes)
+		nodeCount += len(st.Layers)
 	}
 	topoLen := len(tinyChain(t, 1).Topo())
 	if nodeCount != topoLen {

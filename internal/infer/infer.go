@@ -199,42 +199,44 @@ const (
 	ModePipeline     = "pipeline"
 )
 
-// GroupResult is one core group's share of a fleet run.
+// GroupResult is one core group's share of a fleet run. It, StageReport
+// and PipelineReport are the fleet records the facade reports as they are,
+// hence the JSON tags.
 type GroupResult struct {
 	// Group is the core-group index (metrics for it carry the
 	// cluster.GroupPrefix namespace).
-	Group int
+	Group int `json:"group"`
 	// Batch is the group's shard size in data-parallel mode, or the
 	// micro-batch size (1) in pipeline mode.
-	Batch int
+	Batch int `json:"batch"`
 	// Seconds is the group's machine Elapsed() in every placement: its
 	// tasks run back to back on its own clock, so this is its busy time (a
 	// pipeline group's stage over every micro-batch; zero for a group that
 	// never ran).
-	Seconds  float64
-	Counters sw26010.Counters
+	Seconds  float64          `json:"seconds"`
+	Counters sw26010.Counters `json:"-"`
 }
 
 // StageReport is one pipeline stage of a pipelined fleet run.
 type StageReport struct {
 	// Group is the core group executing the stage.
-	Group int
-	// Nodes are the topo-order node names of the stage.
-	Nodes []string
+	Group int `json:"group"`
+	// Layers are the topo-order node names of the stage.
+	Layers []string `json:"layers"`
 	// Seconds is the stage's execution time for one micro-batch;
 	// TransferSeconds the modeled hand-off of its boundary activations to
 	// the next stage (0 for the last stage).
-	Seconds         float64
-	TransferSeconds float64
+	Seconds         float64 `json:"seconds"`
+	TransferSeconds float64 `json:"transfer_seconds,omitempty"`
 }
 
 // PipelineReport describes a pipelined fleet run's schedule.
 type PipelineReport struct {
-	MicroBatches int
-	Stages       []StageReport
+	MicroBatches int           `json:"micro_batches"`
+	Stages       []StageReport `json:"stages"`
 	// BubbleFraction is the fleet's idle share during the pipeline (fill
 	// and drain); see cluster.PipelineSchedule.
-	BubbleFraction float64
+	BubbleFraction float64 `json:"bubble_fraction"`
 }
 
 // Result is a completed network run.
