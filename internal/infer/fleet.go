@@ -1,8 +1,10 @@
 package infer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"swatop/internal/cluster"
@@ -13,8 +15,8 @@ import (
 )
 
 // This file is the core-group fleet runtime: the scale-out path of Run when
-// Options.Groups > 1. Both modes keep the repo's determinism invariant by
-// construction — schedules resolve sequentially up front, every group
+// Options.Groups > 1. Every placement keeps the repo's determinism invariant
+// by construction — schedules resolve sequentially up front, every group
 // executes on its own machine with its own tensor table, concurrent groups
 // write metrics only under disjoint cluster.GroupPrefix names, and all
 // aggregation (counters, timelines, the fleet clock) happens after the
@@ -95,16 +97,8 @@ func (e *Engine) runSteps(ctx context.Context, opts Options, fleet *cluster.Flee
 		outs[s] = make([]*taskResult, fleet.Size())
 	}
 	run := func(i int) {
-		env := execEnv{
-			m:            fleet.Machine(i),
-			reg:          opts.Metrics.Scope(cluster.GroupPrefix(i)),
-			obs:          opts.Observer,
-			spans:        opts.Spans,
-			group:        i,
-			functional:   opts.Functional,
-			tolerance:    opts.Tolerance,
-			skipBaseline: true,
-		}
+		env := execEnv{m: fleet.Machine(i), reg: opts.Metrics.Scope(cluster.GroupPrefix(i)), obs: opts.Observer,
+			spans: opts.Spans, group: i, functional: opts.Functional, tolerance: opts.Tolerance, skipBaseline: true}
 		for s, st := range steps {
 			if t := st.tasks[i]; t != nil && errs[i] == nil {
 				outs[s][i], errs[i] = e.runTask(ctx, *t, env)
@@ -124,12 +118,7 @@ func (e *Engine) runSteps(ctx context.Context, opts Options, fleet *cluster.Flee
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
+	return outs, cmp.Or(errs...)
 }
 
 // placement is a fleet run described as data: its steps in topo order and
@@ -139,6 +128,7 @@ type placement struct {
 	mode   string // ModeDataParallel or ModePipeline
 	detail string // the live job's detail while it executes
 	batch  []int  // each group's GroupResult.Batch
+	reps   int    // every task's repetitions: a pipeline's micro-batches, or 1
 	steps  []*step
 }
 
@@ -180,7 +170,7 @@ func (e *Engine) dataParallel(ctx context.Context, g *graph.Graph, opts Options)
 	}
 	topo := g.Topo()
 	tailStart := hybridTail(topo)
-	p := &placement{mode: ModeDataParallel, batch: shards, detail: fmt.Sprintf("executing on %d groups", G)}
+	p := &placement{mode: ModeDataParallel, batch: shards, reps: 1, detail: fmt.Sprintf("executing on %d groups", G)}
 	head := &step{nodes: topo[:tailStart], cut: byBatch, sizes: shards, out: g.Output, name: "outputs"}
 	span := "exec shard b%d"
 	if tailStart < len(topo) {
@@ -355,7 +345,7 @@ func (e *Engine) pipeline(ctx context.Context, g *graph.Graph, opts Options) (*p
 	if err != nil {
 		return nil, fmt.Errorf("infer %s: %w", g.Name, err)
 	}
-	p := &placement{mode: ModePipeline, batch: make([]int, G), detail: fmt.Sprintf("executing %d stages x %d micro-batches", G, M)}
+	p := &placement{mode: ModePipeline, batch: make([]int, G), reps: M, detail: fmt.Sprintf("executing %d stages x %d micro-batches", G, M)}
 	for s, r := range stages {
 		st := &step{nodes: topo[r[0]:r[1]], tasks: make([]*task, G), bytes: cutBytes(mg, topo, r[1])}
 		st.tasks[s] = &task{sp: sp, nodes: st.nodes, reps: M, span: fmt.Sprintf("exec stage %d x%d", s, M)}
@@ -374,13 +364,13 @@ type comm struct {
 }
 
 // commAfter is the one transfer rule, read off the placement: a transfer is
-// charged wherever step i and what follows it are held differently. A
-// sliced step all-gathers when another step follows, since that one needs it
-// whole, and gathers onto group 0 when it ends the net; either collective
-// takes in the groups holding a slice (cluster.CollectiveSeconds' n). A step run whole hands its boundary to a group of the next
-// step that did not run it — a pipeline stage to the next stage's group. A
-// whole step whose successor runs only where it ran, and a last whole step,
-// hand nothing on.
+// charged wherever step i and what follows it are held differently. A sliced
+// step all-gathers when another step follows, since that one needs it whole,
+// and gathers onto group 0 when it ends the net; either collective takes in
+// the groups holding a slice (cluster.CollectiveSeconds' n). A step run
+// whole hands its boundary to a group of the next step that did not run it —
+// a pipeline stage to the next stage's group. A whole step whose successor
+// runs only where it ran, and a last whole step, hand nothing on.
 func (p *placement) commAfter(i int) comm {
 	st, last := p.steps[i], i == len(p.steps)-1
 	var holders []int
@@ -443,15 +433,12 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 	last := len(p.steps) - 1
 	d, comms, xfer := make([][]float64, len(p.steps)), make([]comm, len(p.steps)), make([]float64, last)
 	for i := range p.steps {
-		comms[i] = p.commAfter(i)
+		comms[i], d[i] = p.commAfter(i), make([]float64, p.reps)
 		if i < last {
 			xfer[i] = comms[i].secs
 		}
 		for _, o := range outs[i] {
-			for m := 0; o != nil && m < len(o.segs); m++ {
-				if d[i] == nil {
-					d[i] = make([]float64, len(o.segs))
-				}
+			for m := 0; o != nil && m < p.reps; m++ {
 				d[i][m] = max(d[i][m], o.segs[m].dur)
 			}
 		}
@@ -463,45 +450,40 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 	res.Seconds = sched.TotalSeconds + comms[last].secs
 	res.CommSeconds = sched.CommSeconds + comms[last].secs
 	if p.mode == ModePipeline {
-		res.Pipeline = &PipelineReport{MicroBatches: g.Batch, BubbleFraction: sched.BubbleFraction}
+		res.Pipeline = &PipelineReport{MicroBatches: p.reps, BubbleFraction: sched.BubbleFraction}
 	}
 
 	for i, st := range p.steps {
-		lead := true
-		for gi, o := range outs[i] {
-			if o == nil {
-				continue
+		// One report line per layer: the first running group's first
+		// repetition on the fleet clock; a column-sharded gemm's line
+		// carries the whole layer's FLOPs.
+		lead := slices.IndexFunc(outs[i], func(o *taskResult) bool { return o != nil })
+		for _, l := range outs[i][lead].res.Layers {
+			l.Start = sched.Start[i][0] + (l.Start - outs[i][lead].segs[0].start)
+			if st.cut == byRows {
+				l.FLOPs = st.nodes[0].Gemm.FLOPs()
 			}
-			if lead {
-				// One report line per layer: the first running group's first
-				// repetition on the fleet clock; a column-sharded gemm's line
-				// carries the whole layer's FLOPs.
-				for _, l := range o.res.Layers {
-					l.Start = sched.Start[i][0] + (l.Start - o.segs[0].start)
-					if st.cut == byRows {
-						l.FLOPs = st.nodes[0].Gemm.FLOPs()
-					}
-					res.Layers = append(res.Layers, l)
-				}
-				if res.Pipeline != nil {
-					stage := StageReport{Group: gi, Seconds: d[i][0], TransferSeconds: comms[i].secs}
-					for _, n := range st.nodes {
-						stage.Layers = append(stage.Layers, n.Name)
-					}
-					res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
-				}
-				lead = false
-			}
-			res.TunedOps += o.res.TunedOps
-			res.CachedOps += o.res.CachedOps
-			res.DegradedOps += o.res.DegradedOps
+			res.Layers = append(res.Layers, l)
 		}
-		// Each repetition shifts rigidly onto the fleet clock; its transfer follows.
+		if res.Pipeline != nil {
+			stage := StageReport{Group: lead, Seconds: d[i][0], TransferSeconds: comms[i].secs}
+			for _, n := range st.nodes {
+				stage.Layers = append(stage.Layers, n.Name)
+			}
+			res.Pipeline.Stages = append(res.Pipeline.Stages, stage)
+		}
+		// Each repetition shifts rigidly onto the fleet clock; its transfer
+		// follows. Resolutions count once per task.
 		c := comms[i]
 		for m, at := range sched.Start[i] {
 			for gi, o := range outs[i] {
 				if o != nil {
 					res.Timeline.MergeGroup(gi, at-o.segs[m].start, o.segs[m].log)
+				}
+				if o != nil && m == 0 {
+					res.TunedOps += o.res.TunedOps
+					res.CachedOps += o.res.CachedOps
+					res.DegradedOps += o.res.DegradedOps
 				}
 			}
 			for _, gi := range c.from {
