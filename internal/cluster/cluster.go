@@ -73,7 +73,7 @@ func (f *Fleet) Publish(reg *metrics.Registry) {
 	}
 	var agg sw26010.Counters
 	for i, m := range f.machines {
-		m.Counters.PublishPrefixed(reg, GroupPrefix(i))
+		m.Counters.Publish(reg.Scope(GroupPrefix(i)))
 		agg.Accumulate(m.Counters)
 	}
 	agg.Publish(reg)

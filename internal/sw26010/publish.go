@@ -10,8 +10,8 @@ import "swatop/internal/metrics"
 //
 // When several machines publish into one registry — the multi-core-group
 // fleet — each must use its own namespace or the gauges overwrite each
-// other: pass a scoped registry (reg.Scope("group0_")) or use
-// PublishPrefixed.
+// other: pass a scoped registry (reg.Scope("group0_")), which publishes
+// group0_machine_dma_ops_total and so on.
 func (c Counters) Publish(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -28,13 +28,6 @@ func (c Counters) Publish(reg *metrics.Registry) {
 	reg.Gauge("machine_spm_peak_bytes").Max(float64(c.SPMPeakBytes))
 	reg.Gauge("machine_compute_seconds").Set(c.ComputeSeconds)
 	reg.Gauge("machine_stall_seconds").Set(c.StallSeconds)
-}
-
-// PublishPrefixed publishes into <prefix>machine_* gauges, giving each
-// machine of a multi-group fleet a disjoint namespace in one shared
-// registry ("group0_machine_dma_ops_total", ...).
-func (c Counters) PublishPrefixed(reg *metrics.Registry, prefix string) {
-	c.Publish(reg.Scope(prefix))
 }
 
 // Accumulate adds another machine's counters into c — the deterministic

@@ -44,8 +44,8 @@ func TestCountersPublish(t *testing.T) {
 }
 
 // TestPublishPrefixedDisjoint: two machines publishing into one registry
-// through different prefixes must land on disjoint gauges carrying each
-// machine's own counter values — the fleet invariant that N core groups
+// through differently prefixed scopes must land on disjoint gauges carrying
+// each machine's own counter values — the fleet invariant that N core groups
 // never overwrite each other's machine_* namespace.
 func TestPublishPrefixedDisjoint(t *testing.T) {
 	run := func(m *Machine, blocks int) {
@@ -62,8 +62,8 @@ func TestPublishPrefixedDisjoint(t *testing.T) {
 	run(m1, 7) // different workload: different counters
 
 	reg := metrics.NewRegistry()
-	m0.Counters.PublishPrefixed(reg, "group0_")
-	m1.Counters.PublishPrefixed(reg, "group1_")
+	m0.Counters.Publish(reg.Scope("group0_"))
+	m1.Counters.Publish(reg.Scope("group1_"))
 
 	s := reg.Snapshot()
 	if got, want := s.Gauges["group0_machine_dma_blocks_total"], float64(m0.Counters.DMABlocks); got != want {
@@ -80,12 +80,13 @@ func TestPublishPrefixedDisjoint(t *testing.T) {
 		t.Fatal("prefixed publish leaked into the flat machine_* namespace")
 	}
 	// Republishing stays idempotent per scope.
-	m0.Counters.PublishPrefixed(reg, "group0_")
+	m0.Counters.Publish(reg.Scope("group0_"))
 	if got := reg.Snapshot().Gauges["group0_machine_dma_blocks_total"]; got != float64(m0.Counters.DMABlocks) {
 		t.Fatalf("republish changed the gauge: %g", got)
 	}
 	// Nil registry stays a no-op.
-	m0.Counters.PublishPrefixed(nil, "group0_")
+	var none *metrics.Registry
+	m0.Counters.Publish(none.Scope("group0_"))
 }
 
 // TestCountersAccumulate: the fleet's deterministic counter merge sums
