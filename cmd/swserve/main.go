@@ -98,6 +98,9 @@ func main() {
 	if *groups < 2 && *pipeline {
 		fail(fmt.Errorf("-pipeline needs -groups N with N >= 2"))
 	}
+	if err := checkTraceFlags(*traceSample, *traceSlow); err != nil {
+		fail(err)
+	}
 	buckets, err := parseBuckets(*bucketsFlag)
 	if err != nil {
 		fail(err)
@@ -218,6 +221,19 @@ func main() {
 	if err := sess.WriteMetrics(false); err != nil {
 		fail(err)
 	}
+}
+
+// checkTraceFlags rejects the trace flags reqtrace.NewStore would otherwise
+// rewrite: a sample rate of 0 becomes its 0.1 default and one outside [0, 1]
+// is clamped, a slow threshold of 0 ms or less becomes 100 ms.
+func checkTraceFlags(sample, slowMs float64) error {
+	if !(sample > 0 && sample <= 1) {
+		return fmt.Errorf("-trace-sample %g: want a fraction in (0, 1]", sample)
+	}
+	if !(slowMs > 0) {
+		return fmt.Errorf("-trace-slow %g: want a latency in ms above 0", slowMs)
+	}
+	return nil
 }
 
 func parseBuckets(s string) ([]int, error) {
