@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -155,10 +156,13 @@ func fingerprint(t *testing.T, res *Result, reg *metrics.Registry, spans *reqtra
 // lockstep run every collective is stamped on group 0's row, so that row's
 // events sum to CommSeconds exactly; in a pipeline run all hand-offs sum to
 // it, in another order, so within a relative 1e-12. Every comm event names
-// its source and destination and lies within the run.
+// its source and destination, lies within the run, and sits on a group that
+// ran its step: the group has a machine event after its previous comm event
+// (or the run's start) and before this one.
 func checkComm(t *testing.T, name string, res *Result) {
 	t.Helper()
 	var lead, all float64
+	prev := map[int]float64{} // each group's latest comm event start
 	for _, ev := range res.Timeline.Events {
 		if ev.Kind != trace.KindComm {
 			continue
@@ -169,6 +173,17 @@ func checkComm(t *testing.T, name string, res *Result) {
 		if ev.Start < 0 || ev.Start+ev.Dur > res.Seconds {
 			t.Errorf("%s: comm event %q [%g, %g] outside [0, %g]", name, ev.Label, ev.Start, ev.Start+ev.Dur, res.Seconds)
 		}
+		after, ok := prev[ev.Group]
+		if !ok {
+			after = math.Inf(-1)
+		}
+		ran := slices.ContainsFunc(res.Timeline.Events, func(m trace.Event) bool {
+			return m.Kind != trace.KindComm && m.Group == ev.Group && m.Start < ev.Start && m.Start+m.Dur > after
+		})
+		if !ran {
+			t.Errorf("%s: comm event %q at %g on group %d, which did not run its step", name, ev.Label, ev.Start, ev.Group)
+		}
+		prev[ev.Group] = ev.Start
 		all += ev.Dur
 		if ev.Group == 0 {
 			lead += ev.Dur

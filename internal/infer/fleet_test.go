@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"swatop/internal/cache"
+	"swatop/internal/cluster"
 	"swatop/internal/graph"
 	"swatop/internal/metrics"
 	"swatop/internal/sw26010"
@@ -369,6 +371,44 @@ func TestFleetValidation(t *testing.T) {
 		_, err := e.Run(ctx, tinyChain(t, c.batch), opts)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: err = %v, want substring %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestCommAfterRule pins the one transfer rule case by case on hand-built
+// placements of four groups: commAfter reads who holds what, never the mode.
+func TestCommAfterRule(t *testing.T) {
+	const bytes = 1 << 20
+	on := func(groups ...int) []*task {
+		tasks := make([]*task, 4)
+		for _, g := range groups {
+			tasks[g] = &task{}
+		}
+		return tasks
+	}
+	cases := []struct {
+		name  string
+		steps []*step
+		i     int
+		want  comm
+	}{
+		{"sliced on 2 of 4, another step follows",
+			[]*step{{tasks: on(0, 1), cut: byBatch, name: "x", bytes: bytes}, {tasks: on(0, 1, 2, 3), cut: byRows}}, 0,
+			comm{"allgather x", "all groups", []int{0, 1}, cluster.CollectiveSeconds(bytes, 2)}},
+		{"whole on one group, the next step on another",
+			[]*step{{tasks: on(0), bytes: bytes}, {tasks: on(1)}}, 0,
+			comm{"stage 0->1", "group1", []int{0}, cluster.StageTransferSeconds(bytes)}},
+		{"whole on every group",
+			[]*step{{tasks: on(0, 1, 2, 3), bytes: bytes}, {tasks: on(0, 1, 2), cut: byRows}}, 0,
+			comm{}},
+		{"last step sliced",
+			[]*step{{tasks: on(0, 1, 2, 3), bytes: bytes}, {tasks: on(0, 1, 2), cut: byRows, name: "fc", bytes: bytes}}, 1,
+			comm{"gather fc", "group0", []int{0, 1, 2}, cluster.CollectiveSeconds(bytes, 3)}},
+	}
+	for _, c := range cases {
+		p := &placement{mode: ModeDataParallel, steps: c.steps}
+		if got := p.commAfter(c.i); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: commAfter(%d) = %+v, want %+v", c.name, c.i, got, c.want)
 		}
 	}
 }
