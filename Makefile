@@ -115,7 +115,9 @@ obs-check:
 # (operator, strategy) the first one timed — same Result bit for bit, the
 # engine's memo unchanged, not one fresh-machine simulation — and, having
 # read each (shape, method) entry once (one cache hit each) and compiled
-# only each shape's winner, stays within its measured allocation count;
+# only each shape's winner, stays within its measured allocation count, on
+# one machine and as a warm 4-group data-parallel run of the same net
+# (TestWarmRunAllocBudget's dp-b8-g4 case);
 # compiling a candidate (lower, InjectPrefetch, InferDMA; an explicit or
 # Winograd candidate on a warm operator, which compiled its strategy-
 # independent phases once) stays within the allocation count measured at

@@ -124,28 +124,29 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // TestWarmRunAllocBudget: a warm run on an engine that has timed every
 // method's cached schedule reads each (shape, method) entry exactly once
 // and compiles only each shape's winner, so it stays within the measured
-// allocation count and bytes. Compiling and re-timing every swept schedule,
-// as the sweep did before it read the engine's remembered seconds first,
-// made 2 369 allocations a run; giving every kernel a new SPM store, before
-// the machine kept its storage across ResetSPM, made 241 304 B (and 749
-// allocations: the walker a run's machine now keeps costs a few more than
-// ir's pooled one did).
+// allocation count and bytes — on one machine at batch 2, and as a 4-group
+// data-parallel run at batch 8, whose groups each run that batch-2 shard.
+// Compiling and re-timing every swept schedule, as the sweep did before it
+// read the engine's remembered seconds first, made 2 369 allocations a
+// single run; giving every kernel a new SPM store, before the machine kept
+// its storage across ResetSPM, made 241 304 B (and 749 allocations: the
+// walker a run's machine now keeps costs a few more than ir's pooled one
+// did).
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	const budget, bytesBudget = 768, 200672
 	ctx := context.Background()
-	g, err := convOnlyBuilder(2)
+	shard, err := convOnlyBuilder(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lib := cache.NewLibrary()
-	if _, err := newEngine(t).Run(ctx, g, Options{Workers: 2, Library: lib, SkipBaseline: true}); err != nil {
+	if _, err := newEngine(t).Run(ctx, shard, Options{Workers: 2, Library: lib, SkipBaseline: true}); err != nil {
 		t.Fatal(err)
 	}
 	swept := 0
-	for _, n := range g.Topo() {
+	for _, n := range shard.Topo() {
 		for _, m := range conv.Methods {
 			if n.Kind == graph.Conv && conv.Applies(m, n.Conv) {
 				swept++
@@ -153,26 +154,41 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		}
 	}
 
-	e, reg := newEngine(t), metrics.NewRegistry()
-	opts := Options{Library: lib, SkipBaseline: true, NoTune: true, Metrics: reg}
-	run := func() {
-		if _, err := e.Run(ctx, g, opts); err != nil {
+	cases := []struct {
+		name          string
+		batch, groups int
+		budget        uint64
+		bytesBudget   uint64
+	}{
+		{"single-b2", 2, 1, 768, 200672},
+		{"dp-b8-g4", 8, 4, 1709, 827784},
+	}
+	for _, c := range cases {
+		g, err := convOnlyBuilder(c.batch)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	run() // times every method's cached schedule once
-	hits, misses := reg.Counter("cache_hits_total"), reg.Counter("cache_misses_total")
-	h0, m0, sims := hits.Value(), misses.Value(), simulationsOf(e)
-	run()
-	if dh, dm := hits.Value()-h0, misses.Value()-m0; dh != int64(swept) || dm != 0 {
-		t.Fatalf("a warm run made %d cache hits and %d misses, want one hit per swept (shape, method) = %d and 0",
-			dh, dm, swept)
-	}
-	if n := simulationsOf(e) - sims; n != 0 {
-		t.Fatalf("a warm run simulated %d times on a fresh machine, want 0", n)
-	}
-	if got, bytes := allocCost(run); got > budget || bytes > bytesBudget {
-		t.Fatalf("a warm run allocates %d times and %d B, budget %d and %d B", got, bytes, budget, bytesBudget)
+		e, reg := newEngine(t), metrics.NewRegistry()
+		opts := Options{Library: lib, SkipBaseline: true, NoTune: true, Metrics: reg, Groups: c.groups, Builder: convOnlyBuilder}
+		run := func() {
+			if _, err := e.Run(ctx, g, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // times every method's cached schedule once
+		hits, misses := reg.Counter("cache_hits_total"), reg.Counter("cache_misses_total")
+		h0, m0, sims := hits.Value(), misses.Value(), simulationsOf(e)
+		run()
+		if dh, dm := hits.Value()-h0, misses.Value()-m0; dh != int64(swept) || dm != 0 {
+			t.Fatalf("%s: a warm run made %d cache hits and %d misses, want one hit per swept (shape, method) = %d and 0",
+				c.name, dh, dm, swept)
+		}
+		if n := simulationsOf(e) - sims; n != 0 {
+			t.Fatalf("%s: a warm run simulated %d times on a fresh machine, want 0", c.name, n)
+		}
+		if got, bytes := allocCost(run); got > c.budget || bytes > c.bytesBudget {
+			t.Fatalf("%s: a warm run allocates %d times and %d B, budget %d and %d B", c.name, got, bytes, c.budget, c.bytesBudget)
+		}
 	}
 }
 
