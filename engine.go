@@ -135,13 +135,11 @@ type LayerReport struct {
 	Checked         bool    `json:"checked,omitempty"`
 }
 
-// GroupReport is one core group's share of a fleet run: its index, its
-// batch shard (or micro-batch size) and its machine seconds, plus its
-// machine counters, which the JSON form leaves out.
+// GroupReport is one core group's share of a fleet run; its machine
+// Counters stay out of the JSON form.
 type GroupReport = infer.GroupResult
 
-// StageReport is one pipeline stage of a pipelined fleet run: its group,
-// its layers, its seconds per micro-batch and its hand-off to the next stage.
+// StageReport is one pipeline stage of a pipelined fleet run.
 type StageReport = infer.StageReport
 
 // PipelineReport is the stage partition and schedule of a pipelined run.

@@ -74,12 +74,11 @@ type PipelineSchedule struct {
 	// TotalSeconds is when the last stage finishes the last micro-batch —
 	// the fleet's aggregate machine time for the whole batch.
 	TotalSeconds float64
-	// BusySeconds[s] sums stage s's execution time over all micro-batches.
-	BusySeconds []float64
 	// CommSeconds sums every modeled stage-boundary transfer.
 	CommSeconds float64
 	// BubbleFraction is the idle share of the fleet during the pipeline:
-	// 1 - sum(BusySeconds) / (S * TotalSeconds). Fill and drain make it
+	// 1 - busy / (S * TotalSeconds), busy summing every stage's execution
+	// time over all micro-batches. Fill and drain make it
 	// nonzero for any M < infinity; more micro-batches amortize it away.
 	BubbleFraction float64
 }
@@ -110,15 +109,12 @@ func SchedulePipeline(d [][]float64, xfer []float64) (*PipelineSchedule, error) 
 		return nil, fmt.Errorf("cluster: %d stage boundaries, got %d transfer costs", s-1, len(xfer))
 	}
 
-	sched := &PipelineSchedule{
-		Start:       make([][]float64, s),
-		Finish:      make([][]float64, s),
-		BusySeconds: make([]float64, s),
-	}
+	sched := &PipelineSchedule{Start: make([][]float64, s), Finish: make([][]float64, s)}
 	for si := 0; si < s; si++ {
 		sched.Start[si] = make([]float64, m)
 		sched.Finish[si] = make([]float64, m)
 	}
+	stageBusy := make([]float64, s) // each stage's execution over all micro-batches
 	for mi := 0; mi < m; mi++ {
 		for si := 0; si < s; si++ {
 			start := 0.0
@@ -133,13 +129,13 @@ func SchedulePipeline(d [][]float64, xfer []float64) (*PipelineSchedule, error) 
 			}
 			sched.Start[si][mi] = start
 			sched.Finish[si][mi] = start + d[si][mi]
-			sched.BusySeconds[si] += d[si][mi]
+			stageBusy[si] += d[si][mi]
 		}
 	}
 	sched.TotalSeconds = sched.Finish[s-1][m-1]
 	if sched.TotalSeconds > 0 {
 		busy := 0.0
-		for _, b := range sched.BusySeconds {
+		for _, b := range stageBusy {
 			busy += b
 		}
 		sched.BubbleFraction = 1 - busy/(float64(s)*sched.TotalSeconds)

@@ -199,9 +199,8 @@ const (
 	ModePipeline     = "pipeline"
 )
 
-// GroupResult is one core group's share of a fleet run. It, StageReport
-// and PipelineReport are the fleet records the facade reports as they are,
-// hence the JSON tags.
+// GroupResult is one core group's share of a fleet run. The facade reports
+// it, StageReport and PipelineReport as they are, hence the JSON tags.
 type GroupResult struct {
 	// Group is the core-group index (metrics for it carry the
 	// cluster.GroupPrefix namespace).
@@ -209,10 +208,8 @@ type GroupResult struct {
 	// Batch is the group's shard size in data-parallel mode, or the
 	// micro-batch size (1) in pipeline mode.
 	Batch int `json:"batch"`
-	// Seconds is the group's machine Elapsed() in every placement: its
-	// tasks run back to back on its own clock, so this is its busy time (a
-	// pipeline group's stage over every micro-batch; zero for a group that
-	// never ran).
+	// Seconds is the group machine's Elapsed() in every placement: its busy
+	// time, since its tasks run back to back (0 for a group that never ran).
 	Seconds  float64          `json:"seconds"`
 	Counters sw26010.Counters `json:"-"`
 }
