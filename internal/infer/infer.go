@@ -483,9 +483,8 @@ type taskResult struct {
 }
 
 // runTask is the only place a network is bound to a machine: the single
-// path, every data-parallel phase, the pipeline probe and every pipeline
-// stage allocate their tensor table, execute and record their exec span
-// here.
+// path, the pipeline probe and every task of a fleet placement allocate
+// their tensor table, execute and record their exec span here.
 func (e *Engine) runTask(ctx context.Context, t task, env execEnv) (*taskResult, error) {
 	ts, err := allocTensors(t.sp, env.functional)
 	if err != nil {
