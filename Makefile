@@ -162,7 +162,11 @@ loc:
 # records as aliases instead of copies, Counters.PublishPrefixed and the
 # unread PipelineSchedule.BusySeconds went, and swserve checked its trace
 # flags (+13).
-LOC_MAX ?= 22804
+# 22 893: +89 for the packed Winograd form a network runs, its filters
+# transformed once per weight (the per-call switch, the host-side
+# transform, the per-node U the runtime binds, the packed library name and
+# NewPerCallOp for the callers that time one call).
+LOC_MAX ?= 22893
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

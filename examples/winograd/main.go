@@ -51,6 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	op.PerCall = true // the filter transform runs in the program, as in the tuned call above
 	st := dsl.Strategy{
 		Factors:      map[string]int{"no": 8, "ni": 8, "p": 32},
 		Order:        []string{"xi", "no", "p", "ni"},

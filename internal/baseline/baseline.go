@@ -201,6 +201,7 @@ func ManualWinograd(s conv.Shape) (*ir.Program, error) {
 		return nil, err
 	}
 	op.TransformChunkCap = 1
+	op.PerCall = true
 	p := (s.Ro / 2) * (s.Co / 2) * s.B
 	st := dsl.Strategy{
 		Factors: map[string]int{

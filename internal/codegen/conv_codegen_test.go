@@ -18,6 +18,7 @@ func TestEmitCWinogradProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	op.PerCall = true
 	prog, err := op.Compile(dsl.Strategy{
 		Factors:      map[string]int{"no": 32, "ni": 32, "p": 256},
 		Order:        []string{"xi", "no", "p", "ni"},

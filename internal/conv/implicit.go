@@ -115,7 +115,9 @@ func (o *ImplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 
 // Bind allocates the operand tensors a compiled program declares (any
 // operator's, GEMM included) with the layouts it chose, inputs filled with
-// a deterministic pattern; the returned map is ready for exec.Run.
+// a deterministic pattern — a packed Winograd program's U with the
+// transformed filters of its weight; the returned map is ready for
+// exec.Run.
 func Bind(prog *ir.Program) (map[string]*tensor.Tensor, error) {
 	binds := map[string]*tensor.Tensor{}
 	for _, decl := range prog.Tensors {
@@ -130,6 +132,11 @@ func Bind(prog *ir.Program) (map[string]*tensor.Tensor, error) {
 			t.FillPattern()
 		}
 		binds[decl.Name] = t
+	}
+	if u, ok := binds["U"]; ok {
+		if err := WinogradFilters(binds["weight"], u); err != nil {
+			return nil, err
+		}
 	}
 	return binds, nil
 }

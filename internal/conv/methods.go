@@ -32,11 +32,30 @@ func NewOp(method string, s Shape) (dsl.Operator, error) {
 	return nil, fmt.Errorf("conv: unknown method %q", method)
 }
 
+// NewPerCallOp is NewOp with a Winograd operator in its per-call form
+// (WinogradOp.PerCall): for callers that time one convolution call, filter
+// transform included, rather than a network holding its weights fixed.
+func NewPerCallOp(method string, s Shape) (dsl.Operator, error) {
+	op, err := NewOp(method, s)
+	if w, ok := op.(*WinogradOp); ok {
+		w.PerCall = true
+	}
+	return op, err
+}
+
 // OpName is the name of a method's operator for a shape — the signature
 // the schedule library files its entry under — written without building
-// the operator.
+// the operator. A Winograd operator's is its packed form's, which files
+// under its own family so the two forms never share an entry.
 func OpName(method string, s Shape) string {
-	return fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d", method, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
+	if method == Winograd {
+		method = "winograd_packed"
+	}
+	return opName(method, s)
+}
+
+func opName(family string, s Shape) string {
+	return fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d", family, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
 }
 
 // Applies reports whether a method handles a shape (the paper's

@@ -66,21 +66,27 @@ func same(t *testing.T, what string, i int, got *ir.Program, gotErr error, want 
 
 // TestWinogradSharedPrefixMatchesRaw: at every point, a Winograd program
 // joined from the operator's shared transform phases prints as the raw
-// program optimized whole.
+// program optimized whole, in the per-call form and in the packed one.
 func TestWinogradSharedPrefixMatchesRaw(t *testing.T) {
 	ops, points := goldenOps(t)
 	for k, op := range ops {
-		wino, ok := op.(*conv.WinogradOp)
+		perCall, ok := op.(*conv.WinogradOp)
 		if !ok {
 			continue
 		}
-		for i, st := range points[k] {
-			got, err := wino.Compile(st)
-			raw, rawErr := wino.CompileRaw(st)
-			if rawErr == nil {
-				raw, rawErr = core.Optimize(raw, st)
+		packed, err := conv.NewWinogradOp(perCall.S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wino := range []*conv.WinogradOp{perCall, packed} {
+			for i, st := range points[k] {
+				got, err := wino.Compile(st)
+				raw, rawErr := wino.CompileRaw(st)
+				if rawErr == nil {
+					raw, rawErr = core.Optimize(raw, st)
+				}
+				same(t, wino.Name(), i, got, err, raw, rawErr)
 			}
-			same(t, wino.Name(), i, got, err, raw, rawErr)
 		}
 	}
 }
@@ -96,16 +102,20 @@ func TestWarmOperatorCompilesLikeFresh(t *testing.T) {
 			method = conv.Winograd
 		}
 		shape := conv.Shape{B: 8, Ni: 64, No: 96, Ro: 14, Co: 14, Kr: 3, Kc: 3}
-		if op.Name() != conv.OpName(method, shape) {
-			t.Fatalf("golden operator %s is not the %s shape %v", op.Name(), method, shape)
+		newOp := func() dsl.Operator {
+			fresh, err := conv.NewPerCallOp(method, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fresh
+		}
+		if op.Name() != newOp().Name() {
+			t.Fatalf("golden operator %s is not the per-call %s shape %v", op.Name(), method, shape)
 		}
 		for _, i := range rand.New(rand.NewSource(int64(k))).Perm(len(points[k])) {
 			st := points[k][i]
 			got, err := op.Compile(st)
-			fresh, ferr := conv.NewOp(method, shape)
-			if ferr != nil {
-				t.Fatal(ferr)
-			}
+			fresh := newOp()
 			want, wantErr := fresh.Compile(st)
 			same(t, op.Name(), i, got, err, want, wantErr)
 		}
@@ -156,6 +166,7 @@ func TestConcurrentCompilesShareOnePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh.PerCall = wino.PerCall
 	prog, err := fresh.Compile(sts[first])
 	if err != nil {
 		t.Fatal(err)

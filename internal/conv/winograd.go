@@ -2,12 +2,14 @@ package conv
 
 import (
 	"fmt"
+	"slices"
 
 	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
 	"swatop/internal/lower"
 	"swatop/internal/primitives"
+	"swatop/internal/tensor"
 )
 
 // WinogradOp is the Winograd F(2×2,3×3) convolution (Fig. 2 middle): the
@@ -17,7 +19,9 @@ import (
 //	M[xi][No × P] = U[xi][No × Ni] × V[xi][Ni × P],   P = (Ro/2)(Co/2)B
 //
 // and the result planes are inverse-transformed into 2×2 output tiles. The
-// method applies to 3×3 stride-1 kernels with even output extents.
+// method applies to 3×3 stride-1 kernels with even output extents. U
+// depends on the weights alone: the default, packed form starts at phase I
+// and reads U transformed once per weight (WinogradFilters).
 type WinogradOp struct {
 	S     Shape
 	seed  *dsl.Seed
@@ -28,7 +32,12 @@ type WinogradOp struct {
 	// channel slab per transfer. Set it before the first Compile: the
 	// transform phases are compiled once, at the cap in force then.
 	TransformChunkCap int
-	transforms        core.Prefix // phases F and I
+	// PerCall keeps phase F, the filter transform, in the program: the form
+	// that times one call. It files under its own library name. Set it
+	// before the first Compile, like TransformChunkCap.
+	PerCall     bool
+	perCallName string      // the per-call form's library name
+	transforms  core.Prefix // phase I, after phase F in the per-call form
 }
 
 // WinogradApplies reports whether the method handles a shape.
@@ -68,11 +77,17 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	sp.Layout("V", 0, 1, 2)
 	sp.Layout("M", 0, 1, 2)
 	sp.Layout("M", 0, 2, 1)
-	return &WinogradOp{S: s, seed: seed, space: sp}, nil
+	return &WinogradOp{S: s, seed: seed, space: sp, perCallName: opName(Winograd, s)}, nil
 }
 
-// Name identifies the operator instance.
-func (o *WinogradOp) Name() string { return o.seed.Name }
+// Name identifies the operator instance: OpName(Winograd, S) for the
+// packed form, the per-call form's own name otherwise.
+func (o *WinogradOp) Name() string {
+	if o.PerCall {
+		return o.perCallName
+	}
+	return o.seed.Name
+}
 
 // Seed returns the GEMM-phase schedule seed.
 func (o *WinogradOp) Seed() *dsl.Seed { return o.seed }
@@ -87,9 +102,10 @@ func (o *WinogradOp) capChunk(ch int) int {
 	return ch
 }
 
-// Compile assembles and optimizes the four-phase program for one strategy.
-// Phases F and I are the operator's shared prefix: only phases G and O are
-// compiled per strategy, and the program is read-only.
+// Compile assembles and optimizes the program for one strategy: phases I,
+// G and O, after phase F in the per-call form. The transform phases are
+// the operator's shared prefix: only phases G and O are compiled per
+// strategy, and the program is read-only.
 func (o *WinogradOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	prog, err := o.gemmAndOutput(st)
 	if err != nil {
@@ -113,13 +129,35 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 	return prog, nil
 }
 
+// WinogradFilters writes U = G·g·Gᵀ of every 3×3 filter of weight
+// (No, Ni, 3, 3) into u (16, No, Ni), in u's layout: phase F done once on
+// the host, with the kernel phase F calls, for packed programs to read.
+func WinogradFilters(weight, u *tensor.Tensor) error {
+	if weight == nil || len(u.Dims) != 3 || !slices.Equal(weight.Dims, []int{u.Dims[1], u.Dims[2], 3, 3}) {
+		return fmt.Errorf("winograd filters: weight %v does not transform into U %v", weight, u.Dims)
+	}
+	ni, cnt := u.Dims[2], u.Dims[1]*u.Dims[2]
+	src, dst := make([]float32, 9*cnt), make([]float32, u.Len())
+	for f := range src {
+		src[f] = weight.At(f/(9*ni), f/9%ni, f%9/3, f%3)
+	}
+	if err := primitives.WinoFilterTransform(src, dst, cnt); err != nil {
+		return err
+	}
+	for x, v := range dst {
+		u.Set(v, x/cnt, x%cnt/ni, x%ni)
+	}
+	return nil
+}
+
 // Phase chunk sizes: pick the largest channel chunk whose SPM buffers
 // (double-buffered by the prefetch pass) stay within ~40 KB per CPE.
 // CG-level element budget = 40 KB/CPE × 64 CPE ÷ 4 B ÷ 2 (double
 // buffering) = 320 K floats.
 const phaseBudgetElems = 320 * 1024
 
-// transformPhases builds phases F and I, which no strategy decision reaches.
+// transformPhases builds phase I, after phase F in the per-call form: the
+// phases no strategy decision reaches.
 func (o *WinogradOp) transformPhases() []ir.Stmt {
 	s := o.S
 	tilesR, tilesC := s.Ro/2, s.Co/2
@@ -127,30 +165,32 @@ func (o *WinogradOp) transformPhases() []ir.Stmt {
 	planes := primitives.WinoPlanes
 	body := make([]ir.Stmt, 0, 14)
 
-	// Phase F: filter transform — 9 source + 16 destination floats per
-	// (no, ni) filter.
-	chF, nF, f0, fExt := chunks("wch", o.capChunk(phaseBudgetElems/(s.Ni*25)), s.No)
-	cntF := ir.Mul(fExt, ir.Const(int64(s.Ni)))
-	body = append(body,
-		&ir.Comment{Text: "phase F: filter transform U = G·g·Gᵀ"},
-		&ir.AllocSPM{Buf: "spm_wf", Elems: ir.Const(int64(chF * s.Ni * 9))},
-		&ir.AllocSPM{Buf: "spm_uf", Elems: ir.Const(int64(chF * s.Ni * planes))},
-		&ir.For{Iter: "wch", Extent: ir.Const(int64(nF)), Body: []ir.Stmt{
-			&ir.RegionMove{Tensor: "weight", Dir: ir.Get,
-				Start:  []ir.Expr{f0, ir.Const(0), ir.Const(0), ir.Const(0)},
-				Extent: []ir.Expr{fExt, ir.Const(int64(s.Ni)), ir.Const(3), ir.Const(3)},
-				Buf:    "spm_wf", BufOff: ir.Const(0)},
-			&ir.Transform{Kind: ir.WinoFilterTile, Src: "spm_wf", Dst: "spm_uf",
-				SrcOff: ir.Const(0), DstOff: ir.Const(0), Args: []ir.Expr{cntF}},
-			&ir.RegionMove{Tensor: "U", Dir: ir.Put,
-				Start:  []ir.Expr{ir.Const(0), f0, ir.Const(0)},
-				Extent: []ir.Expr{ir.Const(int64(planes)), fExt, ir.Const(int64(s.Ni))},
-				Buf:    "spm_uf", BufOff: ir.Const(0),
-				FrameStride: []ir.Expr{cntF, ir.Const(int64(s.Ni)), ir.Const(1)}},
-		}},
-		&ir.FreeSPM{Buf: "spm_wf"},
-		&ir.FreeSPM{Buf: "spm_uf"},
-	)
+	// Phase F (per-call form): filter transform — 9 source + 16
+	// destination floats per (no, ni) filter.
+	if o.PerCall {
+		chF, nF, f0, fExt := chunks("wch", o.capChunk(phaseBudgetElems/(s.Ni*25)), s.No)
+		cntF := ir.Mul(fExt, ir.Const(int64(s.Ni)))
+		body = append(body,
+			&ir.Comment{Text: "phase F: filter transform U = G·g·Gᵀ"},
+			&ir.AllocSPM{Buf: "spm_wf", Elems: ir.Const(int64(chF * s.Ni * 9))},
+			&ir.AllocSPM{Buf: "spm_uf", Elems: ir.Const(int64(chF * s.Ni * planes))},
+			&ir.For{Iter: "wch", Extent: ir.Const(int64(nF)), Body: []ir.Stmt{
+				&ir.RegionMove{Tensor: "weight", Dir: ir.Get,
+					Start:  []ir.Expr{f0, ir.Const(0), ir.Const(0), ir.Const(0)},
+					Extent: []ir.Expr{fExt, ir.Const(int64(s.Ni)), ir.Const(3), ir.Const(3)},
+					Buf:    "spm_wf", BufOff: ir.Const(0)},
+				&ir.Transform{Kind: ir.WinoFilterTile, Src: "spm_wf", Dst: "spm_uf",
+					SrcOff: ir.Const(0), DstOff: ir.Const(0), Args: []ir.Expr{cntF}},
+				&ir.RegionMove{Tensor: "U", Dir: ir.Put,
+					Start:  []ir.Expr{ir.Const(0), f0, ir.Const(0)},
+					Extent: []ir.Expr{ir.Const(int64(planes)), fExt, ir.Const(int64(s.Ni))},
+					Buf:    "spm_uf", BufOff: ir.Const(0),
+					FrameStride: []ir.Expr{cntF, ir.Const(int64(s.Ni)), ir.Const(1)}},
+			}},
+			&ir.FreeSPM{Buf: "spm_wf"},
+			&ir.FreeSPM{Buf: "spm_uf"},
+		)
+	}
 
 	// Phase I: input transform. Channels are chunked so one DMA moves
 	// several 4-row slabs (amortizing start-up latency); one transform
@@ -202,7 +242,7 @@ func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
 		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
 		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
 		{Name: "out", Dims: []int{s.No, s.Ro, s.Co, s.B}, Output: true},
-		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Scratch: true, Layout: plan.Layout("U")},
+		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Scratch: o.PerCall, Layout: plan.Layout("U")},
 		{Name: "V", Dims: []int{planes, s.Ni, p}, Scratch: true, Layout: plan.Layout("V")},
 		{Name: "M", Dims: []int{planes, s.No, p}, Scratch: true, Layout: plan.Layout("M")},
 	}}

@@ -37,7 +37,7 @@ type ConvRow struct {
 // the sweep is the parallel part) and time the best manual implementation,
 // if there is one (swDNN has no implicit convolution at batch 1).
 func (r *Runner) convCell(method string, s conv.Shape) (ConvRow, error) {
-	op, err := conv.NewOp(method, s)
+	op, err := conv.NewPerCallOp(method, s)
 	if err != nil {
 		return ConvRow{}, err
 	}

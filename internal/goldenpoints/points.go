@@ -32,7 +32,8 @@ type Point struct {
 const perOp = 24
 
 // All returns the point list: GEMM and implicit/explicit/Winograd
-// convolution, perOp points each.
+// convolution (the per-call Winograd form, filter transform included),
+// perOp points each.
 func All() ([]Point, error) {
 	vgg := conv.Shape{B: 1, Ni: 128, No: 128, Ro: 56, Co: 56, Kr: 3, Kc: 3}
 	batched := conv.Shape{B: 8, Ni: 64, No: 96, Ro: 14, Co: 14, Kr: 3, Kc: 3}
@@ -44,7 +45,7 @@ func All() ([]Point, error) {
 	add(conv.NewImplicitOp(vgg))
 	add(conv.NewImplicitOp(batched))
 	add(conv.NewExplicitOp(batched))
-	add(conv.NewWinogradOp(batched))
+	add(conv.NewPerCallOp(conv.Winograd, batched))
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

@@ -862,7 +862,8 @@ func tuneOptions(opts Options) autotune.Options {
 // graphTensorFor maps a program's operand declaration to the graph tensor
 // it binds. The repo's three operator families agree on their declaration
 // names: data input "in"/"B", weight "weight"/"weight2d"/"A", output
-// "out"/"out2d"/"C".
+// "out"/"out2d"/"C". A packed Winograd program's "U" binds the node's own
+// transformed filters (packedFilters), which are no graph tensor.
 func graphTensorFor(n *graph.Node, decl string) (string, error) {
 	switch decl {
 	case "in", "B":
@@ -871,9 +872,15 @@ func graphTensorFor(n *graph.Node, decl string) (string, error) {
 		return n.In[1], nil
 	case "out", "out2d", "C":
 		return n.Out, nil
+	case "U":
+		return packedFilters(n), nil
 	}
 	return "", fmt.Errorf("program declares unknown operand %q", decl)
 }
+
+// packedFilters is the tensor-table name of a Winograd node's filters
+// transformed once (conv.WinogradFilters), which its packed program reads.
+func packedFilters(n *graph.Node) string { return n.Name + "/U" }
 
 // opBinds builds the exec.Run binding map for one operator node from the
 // engine's tensor table.
@@ -900,9 +907,10 @@ func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor) (map
 // adjacent to an operator node takes the concrete dims and layout that
 // operator's program declares (the explicit conv's 2-D out2d stands in for
 // the logical 4-D feature map — a flat-order-preserving reshape), all
-// others stay identity. In functional mode, arena-assigned activations
-// share the two ping-pong buffers; everything else gets dedicated storage.
-// Timed-only runs allocate no data at all.
+// others stay identity; a packed Winograd node adds its own transformed
+// filters. In functional mode, arena-assigned activations share the two
+// ping-pong buffers; everything else gets dedicated storage. Timed-only
+// runs allocate no data at all.
 func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, error) {
 	g, resolved, plan := sp.g, sp.resolved, sp.plan
 	type spec struct {
@@ -910,8 +918,10 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 		layout []int
 	}
 	specs := map[string]spec{}
+	names := make([]string, 0, len(g.Tensors())+len(resolved))
 	for _, t := range g.Tensors() {
 		specs[t.Name] = spec{dims: t.Dims}
+		names = append(names, t.Name)
 	}
 	for _, n := range g.Topo() {
 		r := resolved[n.Name]
@@ -926,8 +936,10 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 			if err != nil {
 				return nil, fmt.Errorf("node %s: %w", n.Name, err)
 			}
-			gt, _ := g.Tensor(gname)
-			if elemCount(decl.Dims) != elemCount(gt.Dims) {
+			gt, ok := g.Tensor(gname)
+			if !ok { // the node's own transformed filters
+				names = append(names, gname)
+			} else if elemCount(decl.Dims) != elemCount(gt.Dims) {
 				return nil, fmt.Errorf("node %s: operand %s has %v elements, graph tensor %s has %v",
 					n.Name, decl.Name, decl.Dims, gname, gt.Dims)
 			}
@@ -941,30 +953,30 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 		arenas[1] = make([]float32, plan.ArenaElems[1])
 	}
 	ts := map[string]*tensor.Tensor{}
-	for _, gt := range g.Tensors() {
-		sp := specs[gt.Name]
-		slot, inArena := plan.Slot[gt.Name]
+	for _, name := range names {
+		sp := specs[name]
+		slot, inArena := plan.Slot[name]
 		var t *tensor.Tensor
 		var err error
 		switch {
 		case !functional:
-			t, err = tensor.NewVirtual(gt.Name, sp.dims, sp.layout)
+			t, err = tensor.NewVirtual(name, sp.dims, sp.layout)
 		case inArena && slot >= 0:
-			t, err = tensor.NewVirtual(gt.Name, sp.dims, sp.layout)
+			t, err = tensor.NewVirtual(name, sp.dims, sp.layout)
 			if err == nil {
 				t.Data = arenas[slot][:t.Len()]
 			}
 		default:
-			t, err = tensor.NewWithLayout(gt.Name, sp.dims, sp.layout)
+			t, err = tensor.NewWithLayout(name, sp.dims, sp.layout)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("tensor %s: %w", gt.Name, err)
+			return nil, fmt.Errorf("tensor %s: %w", name, err)
 		}
-		ts[gt.Name] = t
+		ts[name] = t
 	}
 
 	if functional {
-		fillInputs(g, ts)
+		return ts, fillInputs(g, ts)
 	}
 	return ts, nil
 }
@@ -972,8 +984,9 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 // fillInputs seeds the graph input with activations in [0,1) and every
 // parameter with a deterministic pattern scaled by its fan-in, so
 // activation magnitudes stay bounded through arbitrarily deep networks and
-// per-layer oracle comparisons keep meaningful absolute tolerances.
-func fillInputs(g *graph.Graph, ts map[string]*tensor.Tensor) {
+// per-layer oracle comparisons keep meaningful absolute tolerances; a
+// packed Winograd node's U is its weight transformed.
+func fillInputs(g *graph.Graph, ts map[string]*tensor.Tensor) error {
 	fillActivation(ts[g.Input])
 	for _, n := range g.Topo() {
 		var fanIn int
@@ -986,7 +999,13 @@ func fillInputs(g *graph.Graph, ts map[string]*tensor.Tensor) {
 			continue
 		}
 		fillWeight(ts[n.In[1]], fanIn)
+		if u, ok := ts[packedFilters(n)]; ok {
+			if err := conv.WinogradFilters(ts[n.In[1]], u); err != nil {
+				return fmt.Errorf("node %s: %w", n.Name, err)
+			}
+		}
 	}
+	return nil
 }
 
 // fillActivation is the input fill rule: the pattern mapped into [0,1).

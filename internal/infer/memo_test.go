@@ -131,7 +131,8 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // single run; giving every kernel a new SPM store, before the machine kept
 // its storage across ResetSPM, made 241 304 B (and 749 allocations: the
 // walker a run's machine now keeps costs a few more than ir's pooled one
-// did).
+// did); running the per-call Winograd form, phase F included, made 768
+// allocations and 200 672 B (1 709 and 827 768 B at dp-b8-g4).
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -160,8 +161,8 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		budget        uint64
 		bytesBudget   uint64
 	}{
-		{"single-b2", 2, 1, 768, 200672},
-		{"dp-b8-g4", 8, 4, 1709, 827784},
+		{"single-b2", 2, 1, 718, 161944},
+		{"dp-b8-g4", 8, 4, 1643, 617544},
 	}
 	for _, c := range cases {
 		g, err := convOnlyBuilder(c.batch)

@@ -257,7 +257,8 @@ func (t *Tuner) TuneGemmCtx(ctx context.Context, p GemmParams) (*Tuned, error) {
 	})
 }
 
-// TuneConv searches the schedule space of one convolution method.
+// TuneConv searches the schedule space of one convolution method, timing
+// one call: a Winograd call transforms its filters (the per-call form).
 func (t *Tuner) TuneConv(method string, s ConvShape) (*Tuned, error) {
 	return t.TuneConvCtx(context.Background(), method, s)
 }
@@ -265,7 +266,7 @@ func (t *Tuner) TuneConv(method string, s ConvShape) (*Tuned, error) {
 // TuneConvCtx is TuneConv with cancellation: the candidate search stops
 // promptly when ctx is canceled and returns ctx's error.
 func (t *Tuner) TuneConvCtx(ctx context.Context, method string, s ConvShape) (*Tuned, error) {
-	op, err := conv.NewOp(method, s)
+	op, err := conv.NewPerCallOp(method, s)
 	if err != nil {
 		return nil, err
 	}
