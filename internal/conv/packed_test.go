@@ -14,7 +14,8 @@ import (
 // form), the packed form of the same strategy compiles alike; run on
 // conv.Bind's operands — the packed program reading U transformed on the
 // host from the weight the per-call program transforms itself — it writes
-// a bit-identical output, and timed it takes less time, by phase F.
+// a bit-identical output, and timed it takes less time, by phase F. Under
+// -race only the first point that compiles runs functionally.
 func TestPackedMatchesPerCall(t *testing.T) {
 	points, err := goldenpoints.All()
 	if err != nil {
@@ -46,8 +47,9 @@ func TestPackedMatchesPerCall(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		wantOut, wantSecs := runBound(t, want)
-		gotOut, gotSecs := runBound(t, got)
+		functional := !raceEnabled || checked == 0
+		wantOut, wantSecs := runBound(t, want, functional)
+		gotOut, gotSecs := runBound(t, got, functional)
 		for i := range wantOut {
 			if math.Float32bits(gotOut[i]) != math.Float32bits(wantOut[i]) {
 				t.Fatalf("point %d: packed output[%d] = %v, per-call %v", pt.Index, i, gotOut[i], wantOut[i])
@@ -63,20 +65,24 @@ func TestPackedMatchesPerCall(t *testing.T) {
 	}
 }
 
-// runBound runs prog functionally on conv.Bind's operands and returns its
-// output and its timed-only seconds.
-func runBound(t *testing.T, prog *ir.Program) ([]float32, float64) {
+// runBound returns prog's timed-only seconds and, if functional, the output
+// it writes from conv.Bind's operands.
+func runBound(t *testing.T, prog *ir.Program, functional bool) ([]float32, float64) {
 	t.Helper()
-	binds, err := conv.Bind(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exec.Run(prog, binds, exec.Options{Functional: true}); err != nil {
-		t.Fatal(err)
+	var out []float32
+	if functional {
+		binds, err := conv.Bind(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Run(prog, binds, exec.Options{Functional: true}); err != nil {
+			t.Fatal(err)
+		}
+		out = binds["out"].Data
 	}
 	res, err := exec.RunVirtual(prog, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return binds["out"].Data, res.Seconds
+	return out, res.Seconds
 }
