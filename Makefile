@@ -180,6 +180,22 @@ bench:
 # workloads' machine seconds at the last accepted baseline.
 # bench-snapshot refreshes it (commit the diff deliberately);
 # bench-check fails when the current tree tunes worse than the baseline.
+#
+# Moving a gated number on purpose (ROADMAP items 8, 9, 13 and 17 reuse
+# this; item 19 (a) set it):
+#   1. The code change is one commit, with its tests and any lowered
+#      allocation caps.
+#   2. Each golden or fingerprint file it moves is regenerated in a commit
+#      of its own that changes nothing else: through the test's
+#      -update-golden / -update-fingerprint flag where it has one,
+#      otherwise by replacing exactly the lines the failing test prints. A
+#      file with a header names the moved entries there and why they moved.
+#      Every golden the change does not explain stays bit-identical.
+#   3. `make bench-snapshot` on the final code, committed alone. Compare
+#      each row's machine_seconds with the previous file: only the rows the
+#      change explains may move. `make bench-check` then reads +0.00 %.
+#   4. CHANGES.md lists each moved row old -> new and each layer's delta
+#      with its cause; the claim is also run as `make bench-ab` pairs.
 bench-snapshot:
 	$(GO) run ./cmd/swbench -bench-out BENCH_baseline.json
 
