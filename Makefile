@@ -166,7 +166,9 @@ loc:
 # transformed once per weight (the per-call switch, the host-side
 # transform, the per-node U the runtime binds, the packed library name and
 # NewPerCallOp for the callers that time one call).
-LOC_MAX ?= 22893
+# 22 896: +3 for the resnet-b1 and yolo-b1 rows of the snapshot (one loop
+# over the three networks at batch 1).
+LOC_MAX ?= 22896
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

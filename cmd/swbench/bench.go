@@ -108,8 +108,8 @@ func layerCosts(rep *swatop.NetReport) []bench.LayerCost {
 }
 
 // collectSnapshot tunes the canonical workloads: the paper's headline
-// 2048^3 GEMM point, VGG16 batch-1 end-to-end inference, and the VGG16
-// batch-8 throughput points at one core group and at the full 4-group
+// 2048^3 GEMM point, batch-1 end-to-end inference of VGG16, ResNet and
+// YOLO, and the VGG16 batch-8 throughput points at one core group and at the full 4-group
 // fleet. Machine seconds are worker-count independent, so `workers` only
 // affects the recorded wall seconds.
 func collectSnapshot(sess *cliobs.Session, workers int) (*bench.Snapshot, error) {
@@ -149,29 +149,32 @@ func collectSnapshot(sess *cliobs.Session, workers int) (*bench.Snapshot, error)
 		}},
 	})
 
-	reg = swatop.NewMetricsRegistry()
-	eng, err := swatop.NewEngine()
-	if err != nil {
-		return nil, err
+	// Batch-1 inference of each network on one core group.
+	var eng *swatop.Engine
+	var rep *swatop.NetReport
+	for _, net := range []string{"vgg16", "resnet", "yolo"} {
+		reg = swatop.NewMetricsRegistry()
+		if eng, err = swatop.NewEngine(); err != nil {
+			return nil, err
+		}
+		eng.SetWorkers(workers)
+		eng.SetMetrics(reg)
+		eng.SetObserver(sess.Observer)
+		start = time.Now()
+		if rep, err = eng.Infer(net, 1); err != nil {
+			return nil, fmt.Errorf("bench %s-b1: %w", net, err)
+		}
+		snap.Workloads = append(snap.Workloads, bench.Workload{
+			Name:           net + "-b1",
+			MachineSeconds: rep.Seconds,
+			WallSeconds:    time.Since(start).Seconds(),
+			Candidates:     reg.Counter("autotune_candidates_total").Value(),
+			GFLOPS:         rep.GFLOPS,
+			ExecSeconds:    rep.Seconds - rep.CommSeconds,
+			CommSeconds:    rep.CommSeconds,
+			Layers:         layerCosts(rep),
+		})
 	}
-	eng.SetWorkers(workers)
-	eng.SetMetrics(reg)
-	eng.SetObserver(sess.Observer)
-	start = time.Now()
-	rep, err := eng.Infer("vgg16", 1)
-	if err != nil {
-		return nil, fmt.Errorf("bench vgg16-b1: %w", err)
-	}
-	snap.Workloads = append(snap.Workloads, bench.Workload{
-		Name:           "vgg16-b1",
-		MachineSeconds: rep.Seconds,
-		WallSeconds:    time.Since(start).Seconds(),
-		Candidates:     reg.Counter("autotune_candidates_total").Value(),
-		GFLOPS:         rep.GFLOPS,
-		ExecSeconds:    rep.Seconds - rep.CommSeconds,
-		CommSeconds:    rep.CommSeconds,
-		Layers:         layerCosts(rep),
-	})
 
 	// The sample-efficient-search row: the same batch-1 inference tuned by
 	// the evolutionary searcher at the default 10% measurement budget.
