@@ -168,7 +168,8 @@ loc:
 # NewPerCallOp for the callers that time one call).
 # 22 896: +3 for the resnet-b1 and yolo-b1 rows of the snapshot (one loop
 # over the three networks at batch 1).
-LOC_MAX ?= 22896
+# 22 893: -3 once the unread Plan.ParamBytes went.
+LOC_MAX ?= 22893
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

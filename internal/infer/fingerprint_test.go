@@ -116,8 +116,8 @@ func fingerprint(t *testing.T, res *Result, reg *metrics.Registry, spans *reqtra
 		for k, v := range res.Plan.Slot {
 			slots[k] = fmt.Sprint(v)
 		}
-		f.str("%s %v %d %d %d %d", sortedArgs(slots), res.Plan.ArenaElems, res.Plan.DedicatedBytes,
-			res.Plan.IOBytes, res.Plan.ParamBytes, res.Plan.NaiveBytes)
+		f.str("%s %v %d %d %d", sortedArgs(slots), res.Plan.ArenaElems, res.Plan.DedicatedBytes,
+			res.Plan.IOBytes, res.Plan.NaiveBytes)
 	})
 	section("timeline", func(f fpHash) {
 		for _, ev := range res.Timeline.Events {

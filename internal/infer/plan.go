@@ -30,8 +30,6 @@ type Plan struct {
 	DedicatedBytes int64
 	// IOBytes is the graph input + output storage.
 	IOBytes int64
-	// ParamBytes is the model-parameter storage.
-	ParamBytes int64
 	// NaiveBytes is what the activations would occupy without reuse (every
 	// tensor dedicated) — the denominator of the reuse win.
 	NaiveBytes int64
@@ -62,8 +60,7 @@ func planBuffers(g *graph.Graph) Plan {
 	p := Plan{Slot: map[string]int{}}
 	for _, t := range g.Tensors() {
 		switch {
-		case t.Param:
-			p.ParamBytes += t.Bytes()
+		case t.Param: // parameters are not activations
 		case t.Name == g.Input || t.Name == g.Output:
 			p.IOBytes += t.Bytes()
 		default:
