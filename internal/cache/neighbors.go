@@ -21,7 +21,7 @@ type sigShape struct {
 }
 
 // parseSignature understands the operator naming schemes of this repo:
-// gemm_MxNxK and {implicit,explicit,winograd,winograd_packed}_conv_b*_ni*_no*_r*x*_k*x*.
+// gemm_MxNxK and {implicit,explicit,winograd,winograd_fused}_conv_b*_ni*_no*_r*x*_k*x*.
 // Unknown signatures return ok=false and never participate in transfer.
 func parseSignature(sig string) (sigShape, bool) {
 	if rest, found := strings.CutPrefix(sig, "gemm_"); found {
@@ -31,7 +31,7 @@ func parseSignature(sig string) (sigShape, bool) {
 		}
 		return sigShape{family: "gemm", dims: []float64{float64(m), float64(n), float64(k)}}, true
 	}
-	for _, fam := range []string{"implicit_conv", "explicit_conv", "winograd_conv", "winograd_packed_conv"} {
+	for _, fam := range []string{"implicit_conv", "explicit_conv", "winograd_conv", "winograd_fused_conv"} {
 		rest, found := strings.CutPrefix(sig, fam+"_")
 		if !found {
 			continue

@@ -124,7 +124,7 @@ func TestParseSignature(t *testing.T) {
 		{"implicit_conv_b1_ni3_no64_r224x224_k3x3", "implicit_conv", true},
 		{"explicit_conv_b4_ni64_no64_r56x56_k1x1", "explicit_conv", true},
 		{"winograd_conv_b1_ni64_no64_r56x56_k3x3", "winograd_conv", true},
-		{"winograd_packed_conv_b1_ni64_no64_r56x56_k3x3", "winograd_packed_conv", true},
+		{"winograd_fused_conv_b1_ni64_no64_r56x56_k3x3", "winograd_fused_conv", true},
 		{"gemm_512x512", "", false},
 		{"attention_b8_h12", "", false},
 		{"", "", false},

@@ -99,7 +99,7 @@ func TestImplicitSpaceSizesPaperBand(t *testing.T) {
 
 func TestWinogradChunkCap(t *testing.T) {
 	s := Shape{B: 2, Ni: 16, No: 16, Ro: 8, Co: 8, Kr: 3, Kc: 3}
-	op, err := NewWinogradOp(s)
+	op, err := NewPerCallOp(Winograd, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +112,7 @@ func TestWinogradChunkCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	capOp.PerCall = true
 	capOp.TransformChunkCap = 1
 	capped, err := capOp.Compile(st)
 	if err != nil {

@@ -49,7 +49,7 @@ func NewPerCallOp(method string, s Shape) (dsl.Operator, error) {
 // under its own family so the two forms never share an entry.
 func OpName(method string, s Shape) string {
 	if method == Winograd {
-		method = "winograd_packed"
+		method = "winograd_fused"
 	}
 	return opName(method, s)
 }

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"slices"
 	"testing"
 
 	"swatop/internal/dsl"
@@ -94,32 +95,39 @@ func winogradStrategy(fno, fni, fp int, vec ir.VecDim) dsl.Strategy {
 	}
 }
 
-func runWinograd(t *testing.T, s Shape, st dsl.Strategy) exec.Result {
+// runWinograd runs st in the per-call form and, where the strategy keeps M
+// in the planes' layout, in the packed form too; each must write the direct
+// convolution.
+func runWinograd(t *testing.T, s Shape, st dsl.Strategy) {
 	t.Helper()
-	op, err := NewWinogradOp(s)
-	if err != nil {
-		t.Fatal(err)
+	for _, perCall := range []bool{true, false} {
+		op, err := NewWinogradOp(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.PerCall = perCall
+		if !perCall && !slices.IsSorted(st.Layouts["M"]) {
+			continue
+		}
+		prog, err := op.Compile(st)
+		if err != nil {
+			t.Fatalf("compile %s: %v", op.Name(), err)
+		}
+		binds, err := Bind(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Run(prog, binds, exec.Options{Functional: true}); err != nil {
+			t.Fatalf("exec: %v\n%s", err, ir.Print(prog))
+		}
+		want, err := tensor.ReferenceConv(binds["in"], binds["weight"], s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := tensor.MaxAbsDiff(want, binds["out"]); d > 5e-2 {
+			t.Fatalf("%s differs from direct conv by %g", op.Name(), d)
+		}
 	}
-	prog, err := op.Compile(st)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	binds, err := Bind(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exec.Run(prog, binds, exec.Options{Functional: true})
-	if err != nil {
-		t.Fatalf("exec: %v\n%s", err, ir.Print(prog))
-	}
-	want, err := tensor.ReferenceConv(binds["in"], binds["weight"], s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := tensor.MaxAbsDiff(want, binds["out"]); d > 5e-2 {
-		t.Fatalf("winograd conv differs from direct conv by %g", d)
-	}
-	return res
 }
 
 func TestWinogradConvBasic(t *testing.T) {

@@ -2,20 +2,26 @@ package conv_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"swatop/internal/conv"
+	"swatop/internal/dsl"
 	"swatop/internal/exec"
 	"swatop/internal/goldenpoints"
 	"swatop/internal/ir"
 )
 
 // TestPackedMatchesPerCall: at every Winograd golden point (the per-call
-// form), the packed form of the same strategy compiles alike; run on
-// conv.Bind's operands — the packed program reading U transformed on the
-// host from the weight the per-call program transforms itself — it writes
-// a bit-identical output, and timed it takes less time, by phase F. Under
-// -race only the first point that compiles runs functionally.
+// form), the packed form at the point's fused twin — the same no and ni
+// tiles, loop order, U layout, vectorization and prefetching, P tiled in
+// whole rows of tiles, as many as the point's p tile holds and SPM fits —
+// runs on conv.Bind's
+// operands (the packed program reading U transformed on the host from the
+// weight the per-call program transforms itself) and writes a bit-identical
+// output: each plane accumulates over the same Ni tiles in the same order.
+// Timed, it takes less time. The packed program moves nothing but in, U and
+// out. Under -race only the first point runs functionally.
 func TestPackedMatchesPerCall(t *testing.T) {
 	points, err := goldenpoints.All()
 	if err != nil {
@@ -39,13 +45,21 @@ func TestPackedMatchesPerCall(t *testing.T) {
 				t.Fatalf("packed form named %s, per-call %s", packed.Name(), perCall.Name())
 			}
 		}
-		want, wantErr := perCall.Compile(pt.Strategy)
-		got, err := packed.Compile(pt.Strategy)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("point %d: packed compile err %v, per-call %v", pt.Index, err, wantErr)
-		}
+		want, err := perCall.Compile(pt.Strategy)
 		if err != nil {
 			continue
+		}
+		twin := fusedTwin(pt.Strategy, packed.S)
+		got, err := packed.Compile(twin)
+		for cnt := packed.S.Co / 2 * packed.S.B; err != nil && twin.Factors["p"] > cnt; {
+			twin.Factors["p"] -= cnt
+			got, err = packed.Compile(twin)
+		}
+		if err != nil {
+			t.Fatalf("point %d: no fused twin compiles: %v", pt.Index, err)
+		}
+		if moved := movedTensors(got); !slices.Equal(moved, []string{"U", "in", "out"}) {
+			t.Fatalf("point %d: packed program moves %v", pt.Index, moved)
 		}
 		functional := !raceEnabled || checked == 0
 		wantOut, wantSecs := runBound(t, want, functional)
@@ -62,6 +76,19 @@ func TestPackedMatchesPerCall(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no Winograd golden point compiles")
+	}
+}
+
+// fusedTwin maps a per-call strategy into the packed form's space.
+func fusedTwin(st dsl.Strategy, s conv.Shape) dsl.Strategy {
+	cnt := s.Co / 2 * s.B
+	order := slices.DeleteFunc(slices.Clone(st.Order), func(a string) bool { return a == "xi" })
+	return dsl.Strategy{
+		Factors:      map[string]int{"no": st.Factors["no"], "ni": st.Factors["ni"], "p": max(st.Factors["p"]/cnt, 1) * cnt},
+		Order:        order,
+		Layouts:      map[string][]int{"U": st.Layouts["U"]},
+		Vec:          st.Vec,
+		DoubleBuffer: st.DoubleBuffer,
 	}
 }
 
@@ -85,4 +112,17 @@ func runBound(t *testing.T, prog *ir.Program, functional bool) ([]float32, float
 		t.Fatal(err)
 	}
 	return out, res.Seconds
+}
+
+// movedTensors lists the tensors a compiled program's DMA moves, sorted.
+func movedTensors(prog *ir.Program) []string {
+	var moved []string
+	ir.Walk(prog.Body, func(s ir.Stmt) bool {
+		if op, ok := s.(*ir.DMAOp); ok && !slices.Contains(moved, op.Move.Tensor) {
+			moved = append(moved, op.Move.Tensor)
+		}
+		return true
+	})
+	slices.Sort(moved)
+	return moved
 }

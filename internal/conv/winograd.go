@@ -20,24 +20,30 @@ import (
 //
 // and the result planes are inverse-transformed into 2×2 output tiles. The
 // method applies to 3×3 stride-1 kernels with even output extents. U
-// depends on the weights alone: the default, packed form starts at phase I
-// and reads U transformed once per weight (WinogradFilters).
+// depends on the weights alone: the default, packed form reads U
+// transformed once per weight (WinogradFilters) and is one fused nest in
+// which V and M never leave SPM (fused); the per-call form keeps the
+// paper's four phases through main memory.
 type WinogradOp struct {
 	S     Shape
 	seed  *dsl.Seed
-	space *dsl.Space
+	space *dsl.Space // the per-call form's
+	fused *dsl.Space // the packed form's
 	// TransformChunkCap caps the channels-per-DMA chunking of the
 	// transform phases (0 = automatic SPM-budget sizing). The manual
 	// baseline sets 1, modelling an unfused implementation that moves one
 	// channel slab per transfer. Set it before the first Compile: the
 	// transform phases are compiled once, at the cap in force then.
 	TransformChunkCap int
-	// PerCall keeps phase F, the filter transform, in the program: the form
-	// that times one call. It files under its own library name. Set it
-	// before the first Compile, like TransformChunkCap.
+	// PerCall selects the per-call form: phases F, I, G and O, the form that
+	// times one call. It files under its own library name and has its own
+	// space. Set it before the first Compile, like TransformChunkCap.
 	PerCall     bool
 	perCallName string      // the per-call form's library name
-	transforms  core.Prefix // phase I, after phase F in the per-call form
+	transforms  core.Prefix // the per-call form's phases F and I
+	// region is the packed form's SPM region, in floats: what its largest
+	// point needs, at most regionElems.
+	region int
 }
 
 // WinogradApplies reports whether the method handles a shape.
@@ -77,7 +83,41 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	sp.Layout("V", 0, 1, 2)
 	sp.Layout("M", 0, 1, 2)
 	sp.Layout("M", 0, 2, 1)
-	return &WinogradOp{S: s, seed: seed, space: sp, perCallName: opName(Winograd, s)}, nil
+
+	// The packed form tiles P in whole rows of 2×2 tiles, and V and M keep
+	// the planes' layout that the slab kernels write and read. Its channel
+	// tiles go down to 8, so that one row of tiles fits the SPM region at
+	// batch 8.
+	cnt := (s.Co / 2) * s.B
+	fused := dsl.NewSpace()
+	fused.Factors["no"] = dsl.TileMenu(s.No, []int{8, 32, 64, 128})
+	fused.Factors["ni"] = dsl.TileMenu(s.Ni, []int{8, 32, 64, 128})
+	for _, rows := range dsl.TileMenu(s.Ro/2, []int{1, 2, 4, 8}) {
+		fused.Factors["p"] = append(fused.Factors["p"], rows*cnt)
+	}
+	fused.Reorder("no", "p", "ni")
+	fused.Reorder("p", "no", "ni")
+	fused.Layouts["U"] = sp.Layouts["U"]
+	o := &WinogradOp{S: s, seed: seed, space: sp, fused: fused, perCallName: opName(Winograd, s)}
+	for _, fno := range fused.Factors["no"] {
+		for _, fni := range fused.Factors["ni"] {
+			for _, fp := range fused.Factors["p"] {
+				u, slab, vm, y := o.frames(fno, fni, fp/cnt)
+				o.region = max(o.region, min(2*(u+slab+y)+vm, regionElems))
+			}
+		}
+	}
+	return o, nil
+}
+
+// frames are the SPM frames of the fused nest at no and ni tiles fno and
+// fni and a p tile of rows rows of tiles, in floats, single-buffered: the 16
+// planes' U tile, the input slab, the 16 planes' V and M tiles, and the
+// output slab.
+func (o *WinogradOp) frames(fno, fni, rows int) (u, slab, vm, y int) {
+	s, planes := o.S, primitives.WinoPlanes
+	fp := rows * s.Co / 2 * s.B
+	return planes * fno * fni, fni * (2*rows + 2) * s.Ci() * s.B, planes * (fni + fno) * fp, fno * 2 * rows * s.Co * s.B
 }
 
 // Name identifies the operator instance: OpName(Winograd, S) for the
@@ -92,8 +132,13 @@ func (o *WinogradOp) Name() string {
 // Seed returns the GEMM-phase schedule seed.
 func (o *WinogradOp) Seed() *dsl.Seed { return o.seed }
 
-// Space returns the schedule space.
-func (o *WinogradOp) Space() *dsl.Space { return o.space }
+// Space returns the schedule space of the operator's form.
+func (o *WinogradOp) Space() *dsl.Space {
+	if o.PerCall {
+		return o.space
+	}
+	return o.fused
+}
 
 func (o *WinogradOp) capChunk(ch int) int {
 	if o.TransformChunkCap > 0 && ch > o.TransformChunkCap {
@@ -102,11 +147,22 @@ func (o *WinogradOp) capChunk(ch int) int {
 	return ch
 }
 
-// Compile assembles and optimizes the program for one strategy: phases I,
-// G and O, after phase F in the per-call form. The transform phases are
-// the operator's shared prefix: only phases G and O are compiled per
-// strategy, and the program is read-only.
+// Compile assembles and optimizes the program for one strategy: the fused
+// nest of the packed form, or the per-call form's phases F, I, G and O. The
+// per-call form's transform phases are the operator's shared prefix: only
+// phases G and O are compiled per strategy, and the program is read-only.
 func (o *WinogradOp) Compile(st dsl.Strategy) (*ir.Program, error) {
+	if !o.PerCall {
+		prog, err := o.fusedNest(st)
+		if err == nil {
+			prog, err = core.Optimize(prog, st)
+		}
+		if err != nil {
+			return nil, err
+		}
+		prog.Body = coalesce(prog.Body, o.region)
+		return prog, nil
+	}
 	prog, err := o.gemmAndOutput(st)
 	if err != nil {
 		return nil, err
@@ -121,12 +177,236 @@ func (o *WinogradOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 // baseline builders mutate the raw structure first. Nothing in it is
 // shared.
 func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
+	if !o.PerCall {
+		return o.fusedNest(st)
+	}
 	prog, err := o.gemmAndOutput(st)
 	if err != nil {
 		return nil, err
 	}
 	prog.Body = append(o.transformPhases(), prog.Body...)
 	return prog, nil
+}
+
+// fusedNest builds the packed form as one nest, the fused Winograd of Lavin
+// and Gray: for each tile of No and of P (rows rows of 2×2 tiles), phase I
+// transforms each Ni tile's input slab into the 16 planes' V tiles in SPM,
+// the 16 GEMMs accumulate the planes' M tiles there, and phase O
+// inverse-transforms them into one output put. Only in, U and out touch main
+// memory. The Ni loop is innermost; each move sits in the innermost loop its
+// region depends on. The transforms always cover whole frames: on a boundary
+// tile the rows and channels past the region hold stale values that no GEMM
+// or put reads.
+func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
+	s := o.S
+	tilesR, tilesC := s.Ro/2, s.Co/2
+	cnt := tilesC * s.B
+	planes := primitives.WinoPlanes
+	fno, fni, fp := max(st.Factors["no"], 1), max(st.Factors["ni"], 1), st.Factors["p"]
+	if fp <= 0 || fp%cnt != 0 {
+		return nil, fmt.Errorf("winograd conv: p tile %d is not whole rows of %d tiles", fp, cnt)
+	}
+	for _, t := range [...]string{"V", "M"} {
+		if l, ok := st.Layouts[t]; ok && !slices.IsSorted(l) {
+			return nil, fmt.Errorf("winograd conv: %s stays in SPM in the planes' layout, not %v", t, l)
+		}
+	}
+	rows := fp / cnt
+	nNo, no0, noExt := tileLoop("cno", fno, s.No)
+	nNi, ni0, niExt := tileLoop("cni", fni, s.Ni)
+	nP, r0, rExt := tileLoop("cp", rows, tilesR)
+	uPlane, vPlane, mPlane := fno*fni, fni*fp, fno*fp
+	slab, ySlab := (2*rows+2)*s.Ci()*s.B, 2*rows*s.Co*s.B
+	u, slabs, vm, y := o.frames(fno, fni, rows)
+
+	// The loops, outermost first: no and p in the strategy's order, then ni.
+	// A dimension one tile covers has none.
+	type loop struct {
+		iter  string
+		trips int
+	}
+	nest := []loop{{"cno", nNo}, {"cp", nP}, {"cni", nNi}}
+	if p := slices.Index(st.Order, "p"); p >= 0 && p < slices.Index(st.Order, "no") {
+		nest[0], nest[1] = nest[1], nest[0]
+	}
+	nest = slices.DeleteFunc(nest, func(l loop) bool { return l.trips == 1 })
+	depth := func(iters ...string) int {
+		d := 0
+		for i, l := range nest {
+			if slices.Contains(iters, l.iter) {
+				d = i + 1
+			}
+		}
+		return d
+	}
+	dM, dU, dI := depth("cno", "cp"), depth("cno", "cni"), depth("cp", "cni")
+
+	// The frames must fit the region together, each one a loop moves
+	// doubled by the prefetch pass.
+	frame := func(elems, d int) int {
+		if st.DoubleBuffer && d > 0 {
+			return 2 * elems
+		}
+		return elems
+	}
+	if frame(u, dU)+frame(slabs, dI)+vm+frame(y, dM) > o.region {
+		return nil, fmt.Errorf("winograd conv: fused frames exceed the SPM region (no %d, ni %d, %d rows)", fno, fni, rows)
+	}
+	plan, err := lower.NewPlan(o.seed, st)
+	if err != nil {
+		return nil, err
+	}
+
+	uStride := make([]ir.Expr, 3)
+	uExt := [3]int{planes, fno, fni}
+	perm := plan.Layout("U")
+	for i, n := 2, 1; i >= 0; i-- {
+		uStride[perm[i]] = ir.Const(int64(n))
+		n *= uExt[perm[i]]
+	}
+	xi := ir.V("xi")
+	gemm := plan.Gemm()
+	planeOff := func(buf string) ir.Expr {
+		n := mPlane
+		switch buf {
+		case "spm_U":
+			n = uPlane
+		case "spm_V":
+			n = vPlane
+		}
+		return ir.Mul(xi, ir.Const(int64(n)))
+	}
+	gemm.AOff, gemm.BOff, gemm.COff = planeOff(gemm.A), planeOff(gemm.B), planeOff(gemm.C)
+
+	getU := &ir.RegionMove{Tensor: "U", Dir: ir.Get,
+		Start:  []ir.Expr{ir.Const(0), no0, ni0},
+		Extent: []ir.Expr{ir.Const(int64(planes)), noExt, niExt},
+		Buf:    "spm_U", BufOff: ir.Const(0), FrameStride: uStride}
+	getIn := &ir.RegionMove{Tensor: "in", Dir: ir.Get,
+		Start:  []ir.Expr{ni0, ir.Mul(r0, ir.Const(2)), ir.Const(0), ir.Const(0)},
+		Extent: []ir.Expr{niExt, ir.Add(ir.Mul(rExt, ir.Const(2)), ir.Const(2)), ir.Const(int64(s.Ci())), ir.Const(int64(s.B))},
+		Buf:    "spm_slab", BufOff: ir.Const(0),
+		FrameStride: []ir.Expr{ir.Const(int64(slab)), ir.Const(int64(s.Ci() * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
+	phaseI := &ir.Transform{Kind: ir.WinoInputSlab, Src: "spm_slab", Dst: "spm_V",
+		SrcOff: ir.Const(0), DstOff: ir.Const(0),
+		Args: []ir.Expr{ir.Const(int64(fni)), ir.Const(int64(tilesC)), ir.Const(int64(s.Ci())), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
+	zeroM := &ir.Transform{Kind: ir.ZeroFill, Dst: "spm_M", SrcOff: ir.Const(0), DstOff: ir.Const(0),
+		Args: []ir.Expr{ir.Const(int64(planes * mPlane))}}
+	phaseO := &ir.Transform{Kind: ir.WinoOutputSlab, Src: "spm_M", Dst: "spm_y",
+		SrcOff: ir.Const(0), DstOff: ir.Const(0),
+		Args: []ir.Expr{ir.Const(int64(fno)), ir.Const(int64(tilesC)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
+	putOut := &ir.RegionMove{Tensor: "out", Dir: ir.Put,
+		Start:  []ir.Expr{no0, ir.Mul(r0, ir.Const(2)), ir.Const(0), ir.Const(0)},
+		Extent: []ir.Expr{noExt, ir.Mul(rExt, ir.Const(2)), ir.Const(int64(s.Co)), ir.Const(int64(s.B))},
+		Buf:    "spm_y", BufOff: ir.Const(0),
+		FrameStride: []ir.Expr{ir.Const(int64(ySlab)), ir.Const(int64(s.Co * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
+
+	// Build from the innermost level outwards: the 16 planes' GEMMs, then
+	// each level's moves and transforms around the level below.
+	var body []ir.Stmt
+	inner := ir.Stmt(&ir.For{Iter: "xi", Extent: ir.Const(int64(planes)), Body: []ir.Stmt{&gemm}})
+	for d := len(nest); d >= 0; d-- {
+		body = make([]ir.Stmt, 0, 6)
+		if d == dM {
+			body = append(body, zeroM)
+		}
+		if d == dU {
+			body = append(body, getU)
+		}
+		if d == dI {
+			body = append(body, getIn, phaseI)
+		}
+		body = append(body, inner)
+		if d == dM {
+			body = append(body, phaseO, putOut)
+		}
+		if d > 0 {
+			inner = &ir.For{Iter: nest[d-1].iter, Extent: ir.Const(int64(nest[d-1].trips)), Body: body}
+		}
+	}
+	bufs := [...]struct {
+		name  string
+		elems int
+	}{{"spm_U", planes * uPlane}, {"spm_slab", fni * slab}, {"spm_V", planes * vPlane}, {"spm_M", planes * mPlane}, {"spm_y", fno * ySlab}}
+	prog := &ir.Program{Name: o.Name(), Tensors: []ir.TensorDecl{
+		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
+		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
+		{Name: "out", Dims: []int{s.No, s.Ro, s.Co, s.B}, Output: true},
+		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Layout: perm},
+	}}
+	prog.Body = make([]ir.Stmt, 0, 2*len(bufs)+len(body)+1)
+	prog.Body = append(prog.Body, &ir.Comment{Text: "fused Winograd: V and M stay in SPM; strategy: ", Note: st})
+	for _, b := range bufs {
+		prog.Body = append(prog.Body, &ir.AllocSPM{Buf: b.name, Elems: ir.Const(int64(b.elems))})
+	}
+	prog.Body = append(prog.Body, body...)
+	for _, b := range bufs {
+		prog.Body = append(prog.Body, &ir.FreeSPM{Buf: b.name})
+	}
+	return prog, nil
+}
+
+// The region is the one SPM buffer of an optimized fused program: at most
+// the 40 KB per CPE that the per-call form's transform phases take,
+// double-buffered, so that a fused kernel holds no more SPM than they do.
+const (
+	region      = "spm"
+	regionElems = 2 * phaseBudgetElems
+)
+
+// coalesce places the frames of an optimized fused program at fixed offsets
+// of one region of elems floats (§4.7's coalesced allocation): each frame's
+// allocation goes, and each reference to it becomes the region at the
+// frame's base. Every program of an operator, and of every operator whose
+// space reaches the cap, so asks a machine for the same store, which one
+// kernel after another reuses.
+func coalesce(body []ir.Stmt, elems int) []ir.Stmt {
+	base := map[string]ir.Expr{}
+	out := make([]ir.Stmt, 1, len(body))
+	end := int64(0)
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.AllocSPM:
+			base[x.Buf] = ir.Const(end)
+			n, _ := ir.IsConst(x.Elems)
+			end += n
+		case *ir.FreeSPM:
+		default:
+			out = append(out, s)
+		}
+	}
+	out[0] = &ir.AllocSPM{Buf: region, Elems: ir.Const(int64(elems))}
+	at := func(buf *string, off *ir.Expr) {
+		if b, ok := base[*buf]; ok {
+			*buf, *off = region, ir.Add(*off, b)
+		}
+	}
+	ir.Walk(out, func(s ir.Stmt) bool {
+		switch x := s.(type) {
+		case *ir.Gemm:
+			at(&x.A, &x.AOff)
+			at(&x.B, &x.BOff)
+			at(&x.C, &x.COff)
+		case *ir.Transform:
+			at(&x.Src, &x.SrcOff)
+			at(&x.Dst, &x.DstOff)
+		case *ir.DMAOp:
+			at(&x.Move.Buf, &x.Move.BufOff)
+		}
+		return true
+	})
+	return append(out, &ir.FreeSPM{Buf: region})
+}
+
+// tileLoop is a loop of the fused nest over total elements in tiles of f:
+// its trip count and, for iteration variable iter, the tile's start and
+// extent. A dimension one tile covers has no loop and starts at zero.
+func tileLoop(iter string, f, total int) (int, ir.Expr, ir.Expr) {
+	_, trips, start, ext := chunks(iter, f, total)
+	if trips == 1 {
+		start = ir.Const(0)
+	}
+	return trips, start, ext
 }
 
 // WinogradFilters writes U = G·g·Gᵀ of every 3×3 filter of weight
@@ -156,8 +436,8 @@ func WinogradFilters(weight, u *tensor.Tensor) error {
 // buffering) = 320 K floats.
 const phaseBudgetElems = 320 * 1024
 
-// transformPhases builds phase I, after phase F in the per-call form: the
-// phases no strategy decision reaches.
+// transformPhases builds the per-call form's phases F and I: the phases no
+// strategy decision reaches.
 func (o *WinogradOp) transformPhases() []ir.Stmt {
 	s := o.S
 	tilesR, tilesC := s.Ro/2, s.Co/2
@@ -165,9 +445,9 @@ func (o *WinogradOp) transformPhases() []ir.Stmt {
 	planes := primitives.WinoPlanes
 	body := make([]ir.Stmt, 0, 14)
 
-	// Phase F (per-call form): filter transform — 9 source + 16
-	// destination floats per (no, ni) filter.
-	if o.PerCall {
+	// Phase F: filter transform — 9 source + 16 destination floats per
+	// (no, ni) filter.
+	{
 		chF, nF, f0, fExt := chunks("wch", o.capChunk(phaseBudgetElems/(s.Ni*25)), s.No)
 		cntF := ir.Mul(fExt, ir.Const(int64(s.Ni)))
 		body = append(body,
@@ -224,9 +504,9 @@ func (o *WinogradOp) transformPhases() []ir.Stmt {
 	return body
 }
 
-// gemmAndOutput declares the program's tensors and builds its body from
-// phase G, the strategy's nest of 16 batched GEMMs, on: phase O's reply
-// words follow G's.
+// gemmAndOutput declares the per-call program's tensors and builds its body
+// from phase G, the strategy's nest of 16 batched GEMMs, on: phase O's
+// reply words follow G's.
 func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
 	s := o.S
 	plan, err := lower.NewPlan(o.seed, st)
@@ -242,7 +522,7 @@ func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
 		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
 		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
 		{Name: "out", Dims: []int{s.No, s.Ro, s.Co, s.B}, Output: true},
-		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Scratch: o.PerCall, Layout: plan.Layout("U")},
+		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Scratch: true, Layout: plan.Layout("U")},
 		{Name: "V", Dims: []int{planes, s.Ni, p}, Scratch: true, Layout: plan.Layout("V")},
 		{Name: "M", Dims: []int{planes, s.No, p}, Scratch: true, Layout: plan.Layout("M")},
 	}}

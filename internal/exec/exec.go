@@ -106,6 +106,12 @@ type state struct {
 	tensors []*tensor.Tensor
 	bufs    []*sw26010.SPMBuffer
 	labels  []string // when tracing: the DMA statements' labels, by statement
+	// gemm is the last traced GEMM's M, N, K and label, which the calls of a
+	// loop repeat.
+	gemm struct {
+		mnk   [3]int
+		label string
+	}
 }
 
 // Run executes a program. binds maps non-scratch tensor names to concrete
@@ -448,8 +454,10 @@ func (st *state) Gemm(x *ir.Gemm, op *ir.Op) error {
 		return fmt.Errorf("gemm: %w", err)
 	}
 	if st.opt.Trace != nil {
-		st.opt.Trace.Add(trace.KindGemm,
-			fmt.Sprintf("%dx%dx%d", spec.M, spec.N, spec.K), st.m.Now(), secs)
+		if mnk := [3]int{spec.M, spec.N, spec.K}; mnk != st.gemm.mnk || st.gemm.label == "" {
+			st.gemm.mnk, st.gemm.label = mnk, fmt.Sprintf("%dx%dx%d", spec.M, spec.N, spec.K)
+		}
+		st.opt.Trace.Add(trace.KindGemm, st.gemm.label, st.m.Now(), secs)
 	}
 	st.m.AdvanceCompute(secs)
 	st.m.Counters.GemmCalls++
@@ -513,11 +521,11 @@ func (st *state) Transform(x *ir.Transform, op *ir.Op) error {
 		span = arg(0)
 		kernel = func(src, dst []float32) error { return primitives.CopySPM(src, dst, span) }
 	case ir.WinoInputSlab:
-		nslabs, tilesC, ci, b := arg(0), arg(1), arg(2), arg(3)
-		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, tilesC, ci, b) }
+		nslabs, rows, tilesC, ci, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2), arg(3)
+		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, rows, tilesC, ci, b) }
 	case ir.WinoOutputSlab:
-		nslabs, tilesC, b := arg(0), arg(1), arg(2)
-		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, tilesC, b) }
+		nslabs, rows, tilesC, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2)
+		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, rows, tilesC, b) }
 	default: // WinoFilterTile: the kinds TransformTime knows end here
 		cnt := arg(0)
 		kernel = func(src, dst []float32) error { return primitives.WinoFilterTransform(src, dst, cnt) }

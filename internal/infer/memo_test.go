@@ -132,7 +132,11 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // its storage across ResetSPM, made 241 304 B (and 749 allocations: the
 // walker a run's machine now keeps costs a few more than ir's pooled one
 // did); running the per-call Winograd form, phase F included, made 768
-// allocations and 200 672 B (1 709 and 827 768 B at dp-b8-g4).
+// allocations and 200 672 B (1 709 and 827 768 B at dp-b8-g4); the packed
+// form through main memory made 718 and 161 944 B (1 643 and 617 544 B).
+// The fused form allocates fewer times but more bytes: its SPM region,
+// which a run's machine materialises once, holds V and M tiles that the
+// phases kept in main memory.
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -161,8 +165,8 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		budget        uint64
 		bytesBudget   uint64
 	}{
-		{"single-b2", 2, 1, 718, 161944},
-		{"dp-b8-g4", 8, 4, 1643, 617544},
+		{"single-b2", 2, 1, 595, 271840},
+		{"dp-b8-g4", 8, 4, 1302, 1027920},
 	}
 	for _, c := range cases {
 		g, err := convOnlyBuilder(c.batch)

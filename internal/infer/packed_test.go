@@ -96,8 +96,9 @@ func runOn(t *testing.T, m *sw26010.Machine, prog *ir.Program) float64 {
 }
 
 // TestNetworkTransformsNoFilters: a timed network run simulates no filter
-// transform — its Winograd layers start at phase I — and a functional run
-// of the same net, its U computed on the host, still matches the reference
+// transform and moves no V or M — its Winograd layers are the fused nest,
+// which transforms in SPM from phase I on — and a functional run of the
+// same net, its U computed on the host, still matches the reference
 // convolution of the original weights at every operator node.
 func TestNetworkTransformsNoFilters(t *testing.T) {
 	ctx := context.Background()
@@ -109,6 +110,9 @@ func TestNetworkTransformsNoFilters(t *testing.T) {
 	}
 	inputs := 0
 	for _, ev := range timed.Timeline.Events {
+		if _, tensor, _ := strings.Cut(ev.Label, " "); ev.Kind == trace.KindDMA && (tensor == "V" || tensor == "M") {
+			t.Fatalf("a timed network run moves %s at %g s", ev.Label, ev.Start)
+		}
 		switch ev.Label {
 		case ir.WinoFilterTile.String():
 			t.Fatalf("a timed network run simulates a filter transform at %g s", ev.Start)

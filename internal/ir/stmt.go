@@ -216,11 +216,12 @@ const (
 	// WinoFilterTile transforms filter tiles into Winograd domain (CPE
 	// vector kernel; operates on SPM buffers).
 	WinoFilterTile
-	// WinoInputSlab transforms a 4-row input slab into 16 GEMM planes
-	// (args: tilesC, ci, b).
+	// WinoInputSlab transforms input slabs, one row of tiles each unless
+	// rows says more, into 16 GEMM planes (args: nslabs, tilesC, ci, b,
+	// optionally rows).
 	WinoInputSlab
-	// WinoOutputSlab inverse-transforms 16 result planes into a 2-row
-	// output slab (args: tilesC, b).
+	// WinoOutputSlab inverse-transforms 16 result planes into output slabs
+	// of 2·rows rows (args: nslabs, tilesC, b, optionally rows).
 	WinoOutputSlab
 )
 

@@ -580,6 +580,10 @@ func (n *nest) zero(op *operandPlan) ir.Stmt {
 	})
 }
 
+// Gemm returns the nest's GEMM call on the operands' frames at offset
+// zero, for a builder that composes its own nest around it.
+func (p *Plan) Gemm() ir.Gemm { return p.gemmStmt() }
+
 func (p *Plan) gemmStmt() ir.Gemm {
 	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
 

@@ -2,60 +2,81 @@ package primitives
 
 import (
 	"fmt"
+
+	"swatop/internal/ir"
 )
 
-// Slab-oriented Winograd kernels. The conv lowering DMAs a 4-row input slab
-// (4 × Ci × B floats, row-major) into SPM and transforms a whole row of
-// tiles at once; the transformed values land in 16 planes of cnt = tilesC·B
-// values, the exact operand layout of the batched-GEMM phase. The inverse
-// kernel turns 16 result planes into a 2-row output slab (2 × 2·tilesC × B)
-// ready for one DMA put. The strided tile gather happens inside the kernel
-// (SPM access is cheap); its cost is part of the transform cycle model.
+// Slab-oriented Winograd kernels. The conv lowering DMAs an input slab of
+// rows rows of tiles (2·rows + 2 rows × Ci × B floats per channel,
+// row-major) into SPM and transforms it at once; the transformed values
+// land in 16 planes of rows·cnt values per channel (cnt = tilesC·B), the
+// exact operand layout of the batched-GEMM phase. The inverse kernel turns
+// 16 result planes into an output slab of 2·rows rows (2·rows × 2·tilesC ×
+// B per channel) ready for one DMA put. The strided tile gather happens
+// inside the kernel (SPM access is cheap); its cost is part of the
+// transform cycle model.
 
-// WinoInputSlab transforms nslabs consecutive 4-row slabs (one per input
-// channel of the chunk): for every slab j, tile column tc and batch element
-// bb, gather the 4×4 tile d at columns [2tc, 2tc+4), compute V = Bᵀ·d·B and
-// scatter to dst[(xi·nslabs + j)·cnt + tc·b + bb] — the 16-plane layout the
-// batched GEMM phase consumes directly.
-func WinoInputSlab(src, dst []float32, nslabs, tilesC, ci, b int) error {
-	if nslabs <= 0 || tilesC <= 0 || ci < 2*tilesC+2 || b <= 0 {
-		return fmt.Errorf("wino input slab: bad geometry nslabs=%d tilesC=%d ci=%d b=%d", nslabs, tilesC, ci, b)
+// SlabRows is the rows of tiles a slab kernel covers: its optional last
+// argument (Args[4] of an input slab, Args[3] of an output slab), one when
+// absent. arg evaluates Args[i].
+func SlabRows(x *ir.Transform, arg func(i int) int) int {
+	i := 4
+	if x.Kind == ir.WinoOutputSlab {
+		i = 3
 	}
-	cnt := tilesC * b
-	slab := 4 * ci * b
+	if len(x.Args) > i {
+		return arg(i)
+	}
+	return 1
+}
+
+// WinoInputSlab transforms nslabs consecutive input slabs (one per input
+// channel of the chunk): for every slab j, tile row tr, tile column tc and
+// batch element bb, gather the 4×4 tile d at rows [2tr, 2tr+4) and columns
+// [2tc, 2tc+4), compute V = Bᵀ·d·B and scatter to
+// dst[(xi·nslabs + j)·rows·cnt + tr·cnt + tc·b + bb] — the 16-plane layout
+// the batched GEMM phase consumes directly.
+func WinoInputSlab(src, dst []float32, nslabs, rows, tilesC, ci, b int) error {
+	if nslabs <= 0 || rows <= 0 || tilesC <= 0 || ci < 2*tilesC+2 || b <= 0 {
+		return fmt.Errorf("wino input slab: bad geometry nslabs=%d rows=%d tilesC=%d ci=%d b=%d", nslabs, rows, tilesC, ci, b)
+	}
+	cnt := rows * tilesC * b
+	slab := (2*rows + 2) * ci * b
 	if len(src) < nslabs*slab || len(dst) < WinoPlanes*nslabs*cnt {
 		return fmt.Errorf("wino input slab: short buffers (src %d/%d, dst %d/%d)",
 			len(src), nslabs*slab, len(dst), WinoPlanes*nslabs*cnt)
 	}
 	var d, tmp, v [16]float32
 	for j := 0; j < nslabs; j++ {
-		s := src[j*slab:]
-		for tc := 0; tc < tilesC; tc++ {
-			for bb := 0; bb < b; bb++ {
-				for r := 0; r < 4; r++ {
-					base := r*ci*b + (tc*2)*b + bb
-					d[r*4+0] = s[base]
-					d[r*4+1] = s[base+b]
-					d[r*4+2] = s[base+2*b]
-					d[r*4+3] = s[base+3*b]
-				}
-				for c := 0; c < 4; c++ {
-					d0, d1, d2, d3 := d[0*4+c], d[1*4+c], d[2*4+c], d[3*4+c]
-					tmp[0*4+c] = d0 - d2
-					tmp[1*4+c] = d1 + d2
-					tmp[2*4+c] = d2 - d1
-					tmp[3*4+c] = d1 - d3
-				}
-				for r := 0; r < 4; r++ {
-					t0, t1, t2, t3 := tmp[r*4+0], tmp[r*4+1], tmp[r*4+2], tmp[r*4+3]
-					v[r*4+0] = t0 - t2
-					v[r*4+1] = t1 + t2
-					v[r*4+2] = t2 - t1
-					v[r*4+3] = t1 - t3
-				}
-				t := tc*b + bb
-				for xi := 0; xi < WinoPlanes; xi++ {
-					dst[(xi*nslabs+j)*cnt+t] = v[xi]
+		for tr := 0; tr < rows; tr++ {
+			s := src[j*slab+2*tr*ci*b:]
+			for tc := 0; tc < tilesC; tc++ {
+				for bb := 0; bb < b; bb++ {
+					for r := 0; r < 4; r++ {
+						base := r*ci*b + (tc*2)*b + bb
+						d[r*4+0] = s[base]
+						d[r*4+1] = s[base+b]
+						d[r*4+2] = s[base+2*b]
+						d[r*4+3] = s[base+3*b]
+					}
+					for c := 0; c < 4; c++ {
+						d0, d1, d2, d3 := d[0*4+c], d[1*4+c], d[2*4+c], d[3*4+c]
+						tmp[0*4+c] = d0 - d2
+						tmp[1*4+c] = d1 + d2
+						tmp[2*4+c] = d2 - d1
+						tmp[3*4+c] = d1 - d3
+					}
+					for r := 0; r < 4; r++ {
+						t0, t1, t2, t3 := tmp[r*4+0], tmp[r*4+1], tmp[r*4+2], tmp[r*4+3]
+						v[r*4+0] = t0 - t2
+						v[r*4+1] = t1 + t2
+						v[r*4+2] = t2 - t1
+						v[r*4+3] = t1 - t3
+					}
+					t := (tr*tilesC+tc)*b + bb
+					for xi := 0; xi < WinoPlanes; xi++ {
+						dst[(xi*nslabs+j)*cnt+t] = v[xi]
+					}
 				}
 			}
 		}
@@ -63,16 +84,17 @@ func WinoInputSlab(src, dst []float32, nslabs, tilesC, ci, b int) error {
 	return nil
 }
 
-// WinoOutputSlab inverse-transforms 16 planes of nslabs·cnt values
+// WinoOutputSlab inverse-transforms 16 planes of nslabs·rows·cnt values
 // (cnt = tilesC·B, one slab per output channel of the chunk) into nslabs
-// 2-row output slabs (2 × 2·tilesC × B each): Y = Aᵀ·m·A per tile.
-func WinoOutputSlab(src, dst []float32, nslabs, tilesC, b int) error {
-	if nslabs <= 0 || tilesC <= 0 || b <= 0 {
-		return fmt.Errorf("wino output slab: bad geometry nslabs=%d tilesC=%d b=%d", nslabs, tilesC, b)
+// output slabs of 2·rows rows (2·rows × 2·tilesC × B each): Y = Aᵀ·m·A per
+// tile.
+func WinoOutputSlab(src, dst []float32, nslabs, rows, tilesC, b int) error {
+	if nslabs <= 0 || rows <= 0 || tilesC <= 0 || b <= 0 {
+		return fmt.Errorf("wino output slab: bad geometry nslabs=%d rows=%d tilesC=%d b=%d", nslabs, rows, tilesC, b)
 	}
-	cnt := tilesC * b
+	cnt := rows * tilesC * b
 	co := 2 * tilesC
-	slab := 2 * co * b
+	slab := 2 * rows * co * b
 	if len(src) < WinoPlanes*nslabs*cnt || len(dst) < nslabs*slab {
 		return fmt.Errorf("wino output slab: short buffers (src %d/%d, dst %d/%d)",
 			len(src), WinoPlanes*nslabs*cnt, len(dst), nslabs*slab)
@@ -80,24 +102,26 @@ func WinoOutputSlab(src, dst []float32, nslabs, tilesC, b int) error {
 	var m [16]float32
 	var tmp [8]float32
 	for j := 0; j < nslabs; j++ {
-		out := dst[j*slab:]
-		for tc := 0; tc < tilesC; tc++ {
-			for bb := 0; bb < b; bb++ {
-				t := tc*b + bb
-				for xi := 0; xi < WinoPlanes; xi++ {
-					m[xi] = src[(xi*nslabs+j)*cnt+t]
-				}
-				for c := 0; c < 4; c++ {
-					m0, m1, m2, m3 := m[0*4+c], m[1*4+c], m[2*4+c], m[3*4+c]
-					tmp[0*4+c] = m0 + m1 + m2
-					tmp[1*4+c] = m1 - m2 - m3
-				}
-				for r := 0; r < 2; r++ {
-					t0, t1, t2, t3 := tmp[r*4+0], tmp[r*4+1], tmp[r*4+2], tmp[r*4+3]
-					y0 := t0 + t1 + t2
-					y1 := t1 - t2 - t3
-					out[r*co*b+(tc*2)*b+bb] = y0
-					out[r*co*b+(tc*2+1)*b+bb] = y1
+		for tr := 0; tr < rows; tr++ {
+			out := dst[j*slab+2*tr*co*b:]
+			for tc := 0; tc < tilesC; tc++ {
+				for bb := 0; bb < b; bb++ {
+					t := (tr*tilesC+tc)*b + bb
+					for xi := 0; xi < WinoPlanes; xi++ {
+						m[xi] = src[(xi*nslabs+j)*cnt+t]
+					}
+					for c := 0; c < 4; c++ {
+						m0, m1, m2, m3 := m[0*4+c], m[1*4+c], m[2*4+c], m[3*4+c]
+						tmp[0*4+c] = m0 + m1 + m2
+						tmp[1*4+c] = m1 - m2 - m3
+					}
+					for r := 0; r < 2; r++ {
+						t0, t1, t2, t3 := tmp[r*4+0], tmp[r*4+1], tmp[r*4+2], tmp[r*4+3]
+						y0 := t0 + t1 + t2
+						y1 := t1 - t2 - t3
+						out[r*co*b+(tc*2)*b+bb] = y0
+						out[r*co*b+(tc*2+1)*b+bb] = y1
+					}
 				}
 			}
 		}
