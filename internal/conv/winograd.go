@@ -327,7 +327,7 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	bufs := [...]struct {
 		name  string
 		elems int
-	}{{"spm_U", planes * uPlane}, {"spm_slab", fni * slab}, {"spm_V", planes * vPlane}, {"spm_M", planes * mPlane}, {"spm_y", fno * ySlab}}
+	}{{"spm_U", u}, {"spm_slab", slabs}, {"spm_V", planes * vPlane}, {"spm_M", planes * mPlane}, {"spm_y", y}}
 	prog := &ir.Program{Name: o.Name(), Tensors: []ir.TensorDecl{
 		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
 		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
