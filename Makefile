@@ -169,11 +169,11 @@ loc:
 # 22 896: +3 for the resnet-b1 and yolo-b1 rows of the snapshot (one loop
 # over the three networks at batch 1).
 # 22 893: -3 once the unread Plan.ParamBytes went.
-# 23 210: +317 for the fused Winograd nest a network runs (the nest builder
+# 23 215: +322 for the fused Winograd nest a network runs (the nest builder
 # with its region coalescing and its own space, the slab kernels over
 # several rows of tiles, lower's Plan.Gemm for the per-plane GEMM, exec's
 # reused GEMM trace label).
-LOC_MAX ?= 23210
+LOC_MAX ?= 23215
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -85,20 +85,25 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	sp.Layout("M", 0, 2, 1)
 
 	// The packed form tiles P in whole rows of 2×2 tiles, and V and M keep
-	// the planes' layout that the slab kernels write and read. Its channel
-	// tiles go down to 8, so that one row of tiles fits the SPM region at
-	// batch 8.
+	// the planes' layout that the slab kernels write and read. Where one
+	// row of tiles at 32 channels overflows the SPM region (high resolution
+	// at large batches), its channel tiles go down to 8.
+	o := &WinogradOp{S: s, seed: seed, space: sp, perCallName: opName(Winograd, s)}
+	chans := []int{32, 64, 128}
+	if u, slab, vm, y := o.frames(min(32, s.No), min(32, s.Ni), 1); 2*(u+slab+y)+vm > regionElems {
+		chans = []int{8, 32, 64, 128}
+	}
 	cnt := (s.Co / 2) * s.B
 	fused := dsl.NewSpace()
-	fused.Factors["no"] = dsl.TileMenu(s.No, []int{8, 32, 64, 128})
-	fused.Factors["ni"] = dsl.TileMenu(s.Ni, []int{8, 32, 64, 128})
+	fused.Factors["no"] = dsl.TileMenu(s.No, chans)
+	fused.Factors["ni"] = dsl.TileMenu(s.Ni, chans)
 	for _, rows := range dsl.TileMenu(s.Ro/2, []int{1, 2, 4, 8}) {
 		fused.Factors["p"] = append(fused.Factors["p"], rows*cnt)
 	}
 	fused.Reorder("no", "p", "ni")
 	fused.Reorder("p", "no", "ni")
 	fused.Layouts["U"] = sp.Layouts["U"]
-	o := &WinogradOp{S: s, seed: seed, space: sp, fused: fused, perCallName: opName(Winograd, s)}
+	o.fused = fused
 	for _, fno := range fused.Factors["no"] {
 		for _, fni := range fused.Factors["ni"] {
 			for _, fp := range fused.Factors["p"] {

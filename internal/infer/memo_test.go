@@ -165,8 +165,8 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		budget        uint64
 		bytesBudget   uint64
 	}{
-		{"single-b2", 2, 1, 595, 271840},
-		{"dp-b8-g4", 8, 4, 1302, 1027920},
+		{"single-b2", 2, 1, 592, 271792},
+		{"dp-b8-g4", 8, 4, 1299, 1027872},
 	}
 	for _, c := range cases {
 		g, err := convOnlyBuilder(c.batch)
