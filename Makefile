@@ -173,7 +173,9 @@ loc:
 # with its region coalescing and its own space, the slab kernels over
 # several rows of tiles, lower's Plan.Gemm for the per-plane GEMM, exec's
 # reused GEMM trace label).
-LOC_MAX ?= 23215
+# 23 212: -3 once the fused region was sized at the largest tiles without
+# a loop.
+LOC_MAX ?= 23212
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -42,7 +42,8 @@ type WinogradOp struct {
 	perCallName string      // the per-call form's library name
 	transforms  core.Prefix // the per-call form's phases F and I
 	// region is the packed form's SPM region, in floats: what its largest
-	// point needs, at most regionElems.
+	// point needs, at most regionElems. A small shape's kernels so ask a
+	// machine for a small store rather than the whole cap.
 	region int
 }
 
@@ -104,14 +105,10 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	fused.Reorder("p", "no", "ni")
 	fused.Layouts["U"] = sp.Layouts["U"]
 	o.fused = fused
-	for _, fno := range fused.Factors["no"] {
-		for _, fni := range fused.Factors["ni"] {
-			for _, fp := range fused.Factors["p"] {
-				u, slab, vm, y := o.frames(fno, fni, fp/cnt)
-				o.region = max(o.region, min(2*(u+slab+y)+vm, regionElems))
-			}
-		}
-	}
+	// The frames grow with every tile, so the largest point has the largest
+	// tiles.
+	u, slab, vm, y := o.frames(slices.Max(fused.Factors["no"]), slices.Max(fused.Factors["ni"]), slices.Max(fused.Factors["p"])/cnt)
+	o.region = min(2*(u+slab+y)+vm, regionElems)
 	return o, nil
 }
 
