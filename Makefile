@@ -175,7 +175,8 @@ loc:
 # reused GEMM trace label).
 # 23 212: -3 once the fused region was sized at the largest tiles without
 # a loop.
-LOC_MAX ?= 23212
+# 23 214: +2 for the reason beside exec's reused GEMM trace label.
+LOC_MAX ?= 23214
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -107,7 +107,9 @@ type state struct {
 	bufs    []*sw26010.SPMBuffer
 	labels  []string // when tracing: the DMA statements' labels, by statement
 	// gemm is the last traced GEMM's M, N, K and label, which the calls of a
-	// loop repeat.
+	// loop repeat: a fused Winograd nest makes 16 calls per tile, and
+	// formatting each label cost a warm VGG16 batch-1 run about 2 450 more
+	// allocations.
 	gemm struct {
 		mnk   [3]int
 		label string

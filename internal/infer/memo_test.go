@@ -136,7 +136,10 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // form through main memory made 718 and 161 944 B (1 643 and 617 544 B).
 // The fused form allocates fewer times but more bytes: its SPM region,
 // which a run's machine materialises once, holds V and M tiles that the
-// phases kept in main memory.
+// phases kept in main memory (a timed run keeps main-memory scratch
+// virtual, but not SPM stores). Its SPM stores alone take 206 528 B of a
+// single-b2 run; with no store materialised in a timed run, the fused form
+// made 49 624 B (135 392 B at dp-b8-g4).
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
