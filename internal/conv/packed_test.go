@@ -1,6 +1,7 @@
 package conv_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -13,12 +14,12 @@ import (
 )
 
 // TestPackedMatchesPerCall: at every Winograd golden point (the per-call
-// form), the packed form at the point's fused twin — the same no and ni
-// tiles, loop order, U layout, vectorization and prefetching, P tiled in
-// whole rows of tiles, as many as the point's p tile holds and SPM fits —
-// runs on conv.Bind's
-// operands (the packed program reading U transformed on the host from the
-// weight the per-call program transforms itself) and writes a bit-identical
+// form) that compiles, the packed form compiles at the point's fused twin —
+// the same no and ni tiles, loop order, U layout, vectorization and
+// prefetching, and the largest p tile of the packed space's rows menu that
+// the point's p tile holds and that compiles. Run on conv.Bind's operands
+// (the packed program reading U transformed on the host from the weight
+// the per-call program transforms itself), the twin writes a bit-identical
 // output: each plane accumulates over the same Ni tiles in the same order.
 // Timed, it takes less time. The packed program moves nothing but in, U and
 // out. Under -race only the first point runs functionally.
@@ -49,14 +50,9 @@ func TestPackedMatchesPerCall(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		twin := fusedTwin(pt.Strategy, packed.S)
-		got, err := packed.Compile(twin)
-		for cnt := packed.S.Co / 2 * packed.S.B; err != nil && twin.Factors["p"] > cnt; {
-			twin.Factors["p"] -= cnt
-			got, err = packed.Compile(twin)
-		}
+		got, err := fusedTwin(packed, pt.Strategy)
 		if err != nil {
-			t.Fatalf("point %d: no fused twin compiles: %v", pt.Index, err)
+			t.Fatalf("point %d: %v", pt.Index, err)
 		}
 		if moved := movedTensors(got); !slices.Equal(moved, []string{"U", "in", "out"}) {
 			t.Fatalf("point %d: packed program moves %v", pt.Index, moved)
@@ -79,17 +75,32 @@ func TestPackedMatchesPerCall(t *testing.T) {
 	}
 }
 
-// fusedTwin maps a per-call strategy into the packed form's space.
-func fusedTwin(st dsl.Strategy, s conv.Shape) dsl.Strategy {
-	cnt := s.Co / 2 * s.B
-	order := slices.DeleteFunc(slices.Clone(st.Order), func(a string) bool { return a == "xi" })
-	return dsl.Strategy{
-		Factors:      map[string]int{"no": st.Factors["no"], "ni": st.Factors["ni"], "p": max(st.Factors["p"]/cnt, 1) * cnt},
-		Order:        order,
+// fusedTwin compiles a per-call strategy's twin in the packed form's
+// space: the largest p tile of the space's menu, whole rows of tiles, that
+// the strategy's p tile holds and that compiles; the smallest if the
+// strategy's tile holds none.
+func fusedTwin(packed *conv.WinogradOp, st dsl.Strategy) (*ir.Program, error) {
+	twin := dsl.Strategy{
+		Factors:      map[string]int{"no": st.Factors["no"], "ni": st.Factors["ni"]},
+		Order:        slices.DeleteFunc(slices.Clone(st.Order), func(a string) bool { return a == "xi" }),
 		Layouts:      map[string][]int{"U": st.Layouts["U"]},
 		Vec:          st.Vec,
 		DoubleBuffer: st.DoubleBuffer,
 	}
+	menu := slices.Clone(packed.Space().Factors["p"])
+	slices.Sort(menu)
+	var err error
+	for i := len(menu) - 1; i >= 0; i-- {
+		if menu[i] > st.Factors["p"] && i > 0 {
+			continue
+		}
+		twin.Factors["p"] = menu[i]
+		var prog *ir.Program
+		if prog, err = packed.Compile(twin); err == nil {
+			return prog, nil
+		}
+	}
+	return nil, fmt.Errorf("no fused twin in the p menu %v compiles: %w", menu, err)
 }
 
 // runBound returns prog's timed-only seconds and, if functional, the output
