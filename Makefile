@@ -176,7 +176,14 @@ loc:
 # 23 212: -3 once the fused region was sized at the largest tiles without
 # a loop.
 # 23 214: +2 for the reason beside exec's reused GEMM trace label.
-LOC_MAX ?= 23214
+# 23 430: +216 for the ReLU epilogue every conv and fc runs in place of the
+# relu node (the flag in ConvShape, gemm.Params and the seed, ir.ReLU and
+# its kernel, the clamp in BuildNest and the fused Winograd nest, the
+# baseline's unfused stub) net of the stub and its fleet paths; the views
+# through which an operator reads another's output now that no stub sits
+# between them, with the relayout that copies a view whose form differs;
+# and the engine's memo of conv methods with no valid schedule.
+LOC_MAX ?= 23430
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -265,12 +265,17 @@ func TestEngineFleetVGG16(t *testing.T) {
 	if p.Pipeline.MicroBatches != 8 || len(p.Pipeline.Stages) != 4 {
 		t.Fatalf("pipeline: %d micro-batches, %d stages", p.Pipeline.MicroBatches, len(p.Pipeline.Stages))
 	}
-	covered := 0
+	covered, nodes := 0, 0
 	for _, st := range p.Pipeline.Stages {
 		covered += len(st.Layers)
 	}
-	if covered != len(base.Layers) {
-		t.Fatalf("stages cover %d layers, net has %d", covered, len(base.Layers))
+	for _, l := range base.Layers {
+		if l.Kind != "relayout" { // a copy the batch-8 run makes, no graph node
+			nodes++
+		}
+	}
+	if covered != nodes {
+		t.Fatalf("stages cover %d layers, net has %d", covered, nodes)
 	}
 	if bf := p.Pipeline.BubbleFraction; bf <= 0 || bf >= 1 {
 		t.Fatalf("bubble fraction = %g", bf)

@@ -350,8 +350,12 @@ func ModelBasedCtx(ctx context.Context, op Operator, model *costmodel.GemmModel,
 		return s.fail(err)
 	}
 	if len(top) == 0 {
-		return s.fail(fmt.Errorf("autotune %s: no valid schedule in space of %d (%d candidates failed)",
-			op.Name(), s.space, s.failed))
+		cause := ErrNoSchedule
+		if s.failed > 0 { // a failed candidate may have been a valid one
+			cause = errors.New(ErrNoSchedule.Error())
+		}
+		return s.fail(fmt.Errorf("autotune %s: %w in space of %d (%d candidates failed)",
+			op.Name(), cause, s.space, s.failed))
 	}
 	s.tFinal = time.Now()
 	s.job.SetDetail("finalists")

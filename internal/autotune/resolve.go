@@ -13,6 +13,12 @@ import (
 // either degrades to the baseline or surfaces the miss.
 var errNoTune = errors.New("tuning disabled (schedule not in library)")
 
+// ErrNoSchedule marks a model-based walk that found no valid point in an
+// operator's space and had no candidate fail: an outcome of the space
+// alone, the same on every run, which a caller may remember per operator
+// name instead of walking the space again.
+var ErrNoSchedule = errors.New("no valid schedule")
+
 // Resolve puts a schedule library in front of the tuner — the one
 // cache-then-tune path the facade and the inference runtime share: a hit
 // goes through ResolveHit, a miss or a stale entry through ResolveMiss. lib

@@ -21,8 +21,10 @@ type sigShape struct {
 }
 
 // parseSignature understands the operator naming schemes of this repo:
-// gemm_MxNxK and {implicit,explicit,winograd,winograd_fused}_conv_b*_ni*_no*_r*x*_k*x*.
-// Unknown signatures return ok=false and never participate in transfer.
+// gemm_MxNxK and {implicit,explicit,winograd,winograd_fused}_conv_b*_ni*_no*_r*x*_k*x*,
+// either with the suffix _relu of the ReLU epilogue, which leaves the
+// family and the space as they are. Unknown signatures return ok=false and
+// never participate in transfer.
 func parseSignature(sig string) (sigShape, bool) {
 	if rest, found := strings.CutPrefix(sig, "gemm_"); found {
 		var m, n, k int

@@ -125,6 +125,8 @@ func TestParseSignature(t *testing.T) {
 		{"explicit_conv_b4_ni64_no64_r56x56_k1x1", "explicit_conv", true},
 		{"winograd_conv_b1_ni64_no64_r56x56_k3x3", "winograd_conv", true},
 		{"winograd_fused_conv_b1_ni64_no64_r56x56_k3x3", "winograd_fused_conv", true},
+		{"winograd_fused_conv_b1_ni64_no64_r56x56_k3x3_relu", "winograd_fused_conv", true},
+		{"gemm_4096x8x25088_relu", "gemm", true},
 		{"gemm_512x512", "", false},
 		{"attention_b8_h12", "", false},
 		{"", "", false},

@@ -258,6 +258,8 @@ func (g *gen) transform(x *ir.Transform) {
 		g.pf("spm_zerofill(%s + %s, %s);\n", x.Dst, x.DstOff, args[0])
 	case ir.CopySPM:
 		g.pf("spm_copy(%s + %s, %s + %s, %s);\n", x.Src, x.SrcOff, x.Dst, x.DstOff, args[0])
+	case ir.ReLU:
+		g.pf("spm_relu(%s + %s, %s);\n", x.Dst, x.DstOff, args[0])
 	default:
 		g.pf("sw_%s(%s + %s, %s + %s, %s);\n", x.Kind, x.Src, x.SrcOff, x.Dst, x.DstOff, strings.Join(args, ", "))
 	}

@@ -93,6 +93,24 @@ func TestEmitCBoundaryMin(t *testing.T) {
 	}
 }
 
+// TestEmitCReLUEpilogue: a GEMM with the ReLU epilogue clamps its C frame
+// in place, in SPM, before the C put; its plain twin has no clamp.
+func TestEmitCReLUEpilogue(t *testing.T) {
+	p := gemm.Params{M: 64, N: 64, K: 64, ReLU: true}
+	src, err := EmitC(compileGemm(t, p, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relu, put := strings.Index(src, "spm_relu(spm_C + "), strings.Index(src, "spm_C + 0, (1024)/64, 32, stride(C), SPM_TO_MEM")
+	if relu < 0 || put <= relu {
+		t.Errorf("no in-place spm_relu of spm_C before its put:\n%s", src)
+	}
+	p.ReLU = false
+	if plain, err := EmitC(compileGemm(t, p, false)); err != nil || strings.Contains(plain, "spm_relu(") {
+		t.Errorf("a GEMM without the epilogue emits spm_relu (%v)", err)
+	}
+}
+
 func TestEmitCRejectsUninferredMoves(t *testing.T) {
 	seed, _ := gemm.Seed(gemm.Params{M: 32, N: 32, K: 32})
 	st := dsl.Strategy{

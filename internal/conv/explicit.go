@@ -31,6 +31,7 @@ func NewExplicitOp(s Shape) (*ExplicitOp, error) {
 	kk := s.Ni * s.Kr * s.Kc
 	nn := s.Ro * s.Co * s.B
 	seed := dsl.NewSeed(OpName(Explicit, s))
+	seed.ReLU = s.ReLU
 	seed.AddAxis("m", s.No, dsl.RoleM)
 	seed.AddAxis("n", nn, dsl.RoleN)
 	seed.AddAxis("k", kk, dsl.RoleK)

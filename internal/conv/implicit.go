@@ -46,6 +46,7 @@ func NewImplicitOp(s Shape) (*ImplicitOp, error) {
 		return nil, fmt.Errorf("implicit conv: Ni=%d below the method's minimum %d", s.Ni, MinNiImplicit)
 	}
 	seed := dsl.NewSeed(OpName(Implicit, s))
+	seed.ReLU = s.ReLU
 	seed.AddAxis("no", s.No, dsl.RoleM)
 	seed.AddAxis("co", s.Co, dsl.RoleN)
 	seed.AddAxis("b", s.B, dsl.RoleN)

@@ -46,7 +46,8 @@ func NewPerCallOp(method string, s Shape) (dsl.Operator, error) {
 // OpName is the name of a method's operator for a shape — the signature
 // the schedule library files its entry under — written without building
 // the operator. A Winograd operator's is its packed form's, which files
-// under its own family so the two forms never share an entry.
+// under its own family so the two forms never share an entry. A shape with
+// the ReLU epilogue files under the suffix _relu.
 func OpName(method string, s Shape) string {
 	if method == Winograd {
 		method = "winograd_fused"
@@ -55,7 +56,11 @@ func OpName(method string, s Shape) string {
 }
 
 func opName(family string, s Shape) string {
-	return fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d", family, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
+	name := fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d", family, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
+	if s.ReLU {
+		name += "_relu"
+	}
+	return name
 }
 
 // Applies reports whether a method handles a shape (the paper's

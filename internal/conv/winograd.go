@@ -194,7 +194,8 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 // and Gray: for each tile of No and of P (rows rows of 2×2 tiles), phase I
 // transforms each Ni tile's input slab into the 16 planes' V tiles in SPM,
 // the 16 GEMMs accumulate the planes' M tiles there, and phase O
-// inverse-transforms them into one output put. Only in, U and out touch main
+// inverse-transforms them into one output put, clamped at zero first when
+// the shape carries the ReLU epilogue. Only in, U and out touch main
 // memory. The Ni loop is innermost; each move sits in the innermost loop its
 // region depends on. The transforms always cover whole frames: on a boundary
 // tile the rows and channels past the region hold stale values that no GEMM
@@ -297,6 +298,8 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	phaseO := &ir.Transform{Kind: ir.WinoOutputSlab, Src: "spm_M", Dst: "spm_y",
 		SrcOff: ir.Const(0), DstOff: ir.Const(0),
 		Args: []ir.Expr{ir.Const(int64(fno)), ir.Const(int64(tilesC)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
+	relu := &ir.Transform{Kind: ir.ReLU, Dst: "spm_y", SrcOff: ir.Const(0), DstOff: ir.Const(0),
+		Args: []ir.Expr{ir.Const(int64(y))}}
 	putOut := &ir.RegionMove{Tensor: "out", Dir: ir.Put,
 		Start:  []ir.Expr{no0, ir.Mul(r0, ir.Const(2)), ir.Const(0), ir.Const(0)},
 		Extent: []ir.Expr{noExt, ir.Mul(rExt, ir.Const(2)), ir.Const(int64(s.Co)), ir.Const(int64(s.B))},
@@ -308,7 +311,7 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	var body []ir.Stmt
 	inner := ir.Stmt(&ir.For{Iter: "xi", Extent: ir.Const(int64(planes)), Body: []ir.Stmt{&gemm}})
 	for d := len(nest); d >= 0; d-- {
-		body = make([]ir.Stmt, 0, 6)
+		body = make([]ir.Stmt, 0, 8)
 		if d == dM {
 			body = append(body, zeroM)
 		}
@@ -320,7 +323,11 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 		}
 		body = append(body, inner)
 		if d == dM {
-			body = append(body, phaseO, putOut)
+			body = append(body, phaseO)
+			if s.ReLU {
+				body = append(body, relu)
+			}
+			body = append(body, putOut)
 		}
 		if d > 0 {
 			inner = &ir.For{Iter: nest[d-1].iter, Extent: ir.Const(int64(nest[d-1].trips)), Body: body}
@@ -511,6 +518,9 @@ func (o *WinogradOp) transformPhases() []ir.Stmt {
 // reply words follow G's.
 func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
 	s := o.S
+	if s.ReLU {
+		return nil, fmt.Errorf("winograd conv: the per-call form has no ReLU epilogue (%v)", s)
+	}
 	plan, err := lower.NewPlan(o.seed, st)
 	if err != nil {
 		return nil, err

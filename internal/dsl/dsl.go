@@ -104,6 +104,9 @@ type Seed struct {
 	Name    string
 	Axes    []*Axis
 	Tensors []*TensorSpec
+	// ReLU is the output epilogue: max(0, x) applied to the C frame in SPM
+	// before each put, once its reduction is complete.
+	ReLU bool
 }
 
 // NewSeed creates an empty seed.

@@ -522,6 +522,9 @@ func (st *state) Transform(x *ir.Transform, op *ir.Op) error {
 	case ir.CopySPM:
 		span = arg(0)
 		kernel = func(src, dst []float32) error { return primitives.CopySPM(src, dst, span) }
+	case ir.ReLU:
+		span = arg(0)
+		kernel = func(_, dst []float32) error { return primitives.ReLU(dst, span) }
 	case ir.WinoInputSlab:
 		nslabs, rows, tilesC, ci, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2), arg(3)
 		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, rows, tilesC, ci, b) }
@@ -533,7 +536,7 @@ func (st *state) Transform(x *ir.Transform, op *ir.Op) error {
 		kernel = func(src, dst []float32) error { return primitives.WinoFilterTransform(src, dst, cnt) }
 	}
 	var src []float32
-	if x.Kind != ir.ZeroFill { // which has no source
+	if x.Kind != ir.ZeroFill && x.Kind != ir.ReLU { // which read no source
 		if src, err = st.operand(x.Kind.String(), op.A, int(op.Arg(0)), span); err != nil {
 			return err
 		}

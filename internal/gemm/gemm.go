@@ -10,12 +10,19 @@ import (
 	"swatop/internal/ir"
 )
 
-// Params is a GEMM problem size: C[M×N] = A[M×K] × B[K×N].
+// Params is a GEMM problem size: C[M×N] = A[M×K] × B[K×N]. ReLU makes the
+// operator apply max(0, x) to C as an epilogue, in SPM before each put.
 type Params struct {
 	M, N, K int
+	ReLU    bool
 }
 
-func (p Params) String() string { return fmt.Sprintf("gemm(M=%d,N=%d,K=%d)", p.M, p.N, p.K) }
+func (p Params) String() string {
+	if p.ReLU {
+		return fmt.Sprintf("gemm(M=%d,N=%d,K=%d,relu)", p.M, p.N, p.K)
+	}
+	return fmt.Sprintf("gemm(M=%d,N=%d,K=%d)", p.M, p.N, p.K)
+}
 
 // FLOPs is the floating-point operation count.
 func (p Params) FLOPs() int64 { return 2 * int64(p.M) * int64(p.N) * int64(p.K) }
@@ -33,7 +40,12 @@ func Seed(p Params) (*dsl.Seed, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := dsl.NewSeed(fmt.Sprintf("gemm_%dx%dx%d", p.M, p.N, p.K))
+	name := fmt.Sprintf("gemm_%dx%dx%d", p.M, p.N, p.K)
+	if p.ReLU {
+		name += "_relu"
+	}
+	s := dsl.NewSeed(name)
+	s.ReLU = p.ReLU
 	s.AddAxis("m", p.M, dsl.RoleM)
 	s.AddAxis("n", p.N, dsl.RoleN)
 	s.AddAxis("k", p.K, dsl.RoleK)

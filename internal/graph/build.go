@@ -9,12 +9,15 @@ import (
 // Chain builds a sequential network from a convolution backbone plus an
 // optional fully-connected tail — the structure of all three evaluation
 // networks once their per-layer shapes are read off workloads tables.
-// Between consecutive convolutions it infers the glue real networks carry:
-// a ReLU after every conv, a 2×2 max-pool whenever the spatial resolution
-// halves, and a zero-pad re-materialization before every conv with a
-// kernel wider than 1×1 (the operators consume pre-padded inputs). A
-// fully-connected tail gets a final pool (when the feature counts imply
-// one), a flatten, and ReLUs between — but not after — the GEMM layers.
+// Every conv, and every GEMM layer but the last, carries the ReLU the
+// network applies to its output as an epilogue (ConvShape.ReLU,
+// gemm.Params.ReLU): the operator clamps its output in SPM before the put,
+// so no ReLU node exists. Between consecutive convolutions Chain infers
+// the glue real networks carry: a 2×2 max-pool whenever the spatial
+// resolution halves, and a zero-pad re-materialization before every conv
+// with a kernel wider than 1×1 (the operators consume pre-padded inputs).
+// A fully-connected tail gets a final pool (when the feature counts imply
+// one) and a flatten.
 func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.FCLayer) (*Graph, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("graph %s: non-positive batch %d", name, batch)
@@ -36,6 +39,7 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 
 	for i, l := range convs {
 		s := l.Shape(batch)
+		s.ReLU = true
 		if i > 0 {
 			if s.Ni != curC {
 				return nil, fmt.Errorf("graph %s: %s wants %d input channels, %s provides %d",
@@ -86,16 +90,7 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 		}); err != nil {
 			return nil, err
 		}
-		act := fmt.Sprintf("%s_relu", l.Name)
-		if _, err := g.AddTensor(act, []int{s.No, s.Ro, s.Co, batch}, false); err != nil {
-			return nil, err
-		}
-		if err := g.AddNode(&Node{
-			Name: "relu_" + l.Name, Kind: ReLU, In: []string{out}, Out: act,
-		}); err != nil {
-			return nil, err
-		}
-		cur, curC, curR = act, s.No, s.Ro
+		cur, curC, curR = out, s.No, s.Ro
 	}
 	g.Output = cur
 	if len(fcs) == 0 {
@@ -135,6 +130,7 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 				name, fc.Name, fc.In, fcs[i-1].Name, fcs[i-1].Out)
 		}
 		p := fc.Params(batch)
+		p.ReLU = i < len(fcs)-1
 		weight := fmt.Sprintf("w_%s", fc.Name)
 		if _, err := g.AddTensor(weight, []int{p.M, p.K}, true); err != nil {
 			return nil, err
@@ -149,16 +145,6 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 			return nil, err
 		}
 		cur = out
-		if i < len(fcs)-1 {
-			act := fmt.Sprintf("%s_relu", fc.Name)
-			if _, err := g.AddTensor(act, []int{p.M, p.N}, false); err != nil {
-				return nil, err
-			}
-			if err := g.AddNode(&Node{Name: "relu_" + fc.Name, Kind: ReLU, In: []string{cur}, Out: act}); err != nil {
-				return nil, err
-			}
-			cur = act
-		}
 	}
 	g.Output = cur
 	return g, g.Validate()

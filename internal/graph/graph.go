@@ -1,7 +1,7 @@
 // Package graph defines the network intermediate representation of the
 // inference runtime: a dataflow graph of typed operator nodes (convolution,
-// GEMM/fully-connected, and the elementwise/data-movement stubs between
-// them) over named tensors. It is deliberately small — just enough to
+// GEMM/fully-connected with their ReLU epilogues, and the data-movement
+// stubs between them) over named tensors. It is deliberately small — just enough to
 // compose the repo's tuned operators into the whole networks the paper
 // integrates into swCaffe (VGG16, ResNet, YOLO) — but shape-checked and
 // deterministically ordered, so the inference engine can plan memory and
@@ -18,15 +18,14 @@ import (
 // Kind is the operator type of a node.
 type Kind string
 
-// Node kinds. Conv and Gemm are the tuned operators; the rest are the thin
-// glue layers real networks interleave between them. Pad re-materializes a
-// feature map with the zero border the stride-1 pre-padded convolutions
-// expect; Flatten reshapes the last feature map into the fully-connected
-// input matrix.
+// Node kinds. Conv and Gemm are the tuned operators, a ReLU their epilogue;
+// the rest are the thin glue layers real networks interleave between them.
+// Pad re-materializes a feature map with the zero border the stride-1
+// pre-padded convolutions expect; Flatten reshapes the last feature map
+// into the fully-connected input matrix.
 const (
 	Conv    Kind = "conv"
 	Gemm    Kind = "gemm"
-	ReLU    Kind = "relu"
 	MaxPool Kind = "maxpool" // 2×2, stride 2
 	Pad     Kind = "pad"
 	Flatten Kind = "flatten"
@@ -224,9 +223,9 @@ func (g *Graph) FLOPs() int64 {
 
 // Validate shape-checks every node against its tensors: conv geometry
 // against the pre-padded input layout, gemm against the [K×N] input and
-// [M×N] output matrices, and the stubs against their elementwise or
-// resampling contracts. It also checks the designated input/output exist
-// and the output is produced.
+// [M×N] output matrices, and the stubs against their resampling
+// contracts. It also checks the designated input/output exist and the
+// output is produced.
 func (g *Graph) Validate() error {
 	if g.Input == "" || g.tensors[g.Input] == nil {
 		return fmt.Errorf("graph %s: no input tensor", g.Name)
@@ -292,13 +291,6 @@ func (g *Graph) checkNode(n *Node) error {
 		}
 		if got := dims(n.Out); !eq(got, p.M, p.N) {
 			return fmt.Errorf("output %s dims %v, want (%d,%d)", n.Out, got, p.M, p.N)
-		}
-	case ReLU:
-		if len(n.In) != 1 {
-			return fmt.Errorf("relu wants 1 input, has %d", len(n.In))
-		}
-		if !eq(dims(n.In[0]), dims(n.Out)...) {
-			return fmt.Errorf("relu %v -> %v is not elementwise", dims(n.In[0]), dims(n.Out))
 		}
 	case MaxPool:
 		if len(n.In) != 1 {

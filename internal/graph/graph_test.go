@@ -25,9 +25,15 @@ func TestVGG16GraphStructure(t *testing.T) {
 	if got := g.CountKind(Pad); got != 12 {
 		t.Fatalf("%d pad nodes, want 12", got)
 	}
-	// ReLU after all 13 convs and after fc6/fc7 (not fc8).
-	if got := g.CountKind(ReLU); got != 15 {
-		t.Fatalf("%d relu nodes, want 15", got)
+	// ReLU is the epilogue of all 13 convs and of fc6/fc7 (not fc8).
+	relus := 0
+	for _, n := range g.Topo() {
+		if n.Conv.ReLU || n.Gemm.ReLU {
+			relus++
+		}
+	}
+	if relus != 15 {
+		t.Fatalf("%d nodes carry the ReLU epilogue, want 15", relus)
 	}
 	if g.CountKind(Flatten) != 1 {
 		t.Fatal("want exactly one flatten")
@@ -137,32 +143,32 @@ func TestChainRejectsBrokenBackbones(t *testing.T) {
 
 func TestAddNodeRejectsMalformedGraphs(t *testing.T) {
 	g := New("t", 1)
-	if _, err := g.AddTensor("x", []int{4, 4}, false); err != nil {
+	if _, err := g.AddTensor("x", []int{1, 4, 4, 1}, false); err != nil {
 		t.Fatal(err)
 	}
 	g.Input = "x"
-	if _, err := g.AddTensor("x", []int{4, 4}, false); err == nil {
+	if _, err := g.AddTensor("x", []int{1, 4, 4, 1}, false); err == nil {
 		t.Fatal("duplicate tensor must error")
 	}
 	if _, err := g.AddTensor("neg", []int{0}, false); err == nil {
 		t.Fatal("non-positive dim must error")
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: ReLU, In: []string{"ghost"}, Out: "x"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"ghost"}, Out: "x"}); err == nil {
 		t.Fatal("undeclared input must error")
 	}
-	if _, err := g.AddTensor("y", []int{4, 4}, false); err != nil {
+	if _, err := g.AddTensor("y", []int{1, 4, 4, 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: ReLU, In: []string{"y"}, Out: "x"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"y"}, Out: "x"}); err == nil {
 		t.Fatal("reading an unproduced activation must error (cycle guard)")
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: ReLU, In: []string{"x"}, Out: "y"}); err != nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"x"}, Out: "y"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddNode(&Node{Name: "r2", Kind: ReLU, In: []string{"x"}, Out: "y"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r2", Kind: Pad, In: []string{"x"}, Out: "y"}); err == nil {
 		t.Fatal("double-producing a tensor must error")
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: ReLU, In: []string{"y"}, Out: "y"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"y"}, Out: "y"}); err == nil {
 		t.Fatal("duplicate node name must error")
 	}
 	g.Output = "y"

@@ -160,8 +160,8 @@ type step struct {
 // dataParallel places a run across the batch. The head of the net runs
 // batch-sharded, each group on its slice of the batch. A net ending in an fc
 // tail (hybridTail) then runs the tail one step per layer at the full batch:
-// a gemm column-sharded, each group loading only 1/G of its weights
-// (swCaffe's split), an elementwise op whole on every group.
+// each gemm column-sharded, each group loading only 1/G of its weights
+// (swCaffe's split) and clamping its own columns when it carries the ReLU.
 func (e *Engine) dataParallel(ctx context.Context, g *graph.Graph, opts Options) (*placement, error) {
 	G, B := opts.Groups, g.Batch
 	shards, err := cluster.ShardBatch(B, G)
@@ -188,26 +188,19 @@ func (e *Engine) dataParallel(ctx context.Context, g *graph.Graph, opts Options)
 	}
 	p.steps = append(p.steps, head)
 	for _, n := range topo[tailStart:] {
-		st := &step{nodes: []*graph.Node{n}, sizes: make([]int, G), out: n.Out, name: n.Name}
-		if n.Kind == graph.Gemm {
-			// Columns go out in whole vector blocks, extras to the leading
-			// groups: every shard stays vectorizable, and a trailing group
-			// may receive no columns of a tiny layer.
-			if st.sizes, err = cluster.ShardBatch(n.Gemm.M/sw26010.VectorWidth, G); err != nil {
-				return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
-			}
-			for i := range st.sizes {
-				st.sizes[i] *= sw26010.VectorWidth
-			}
-			st.cut = byRows
-			if opts.Functional {
-				st.weight = tensor.New(n.In[1], mustDims(g, n.In[1])...)
-				fillWeight(st.weight, n.Gemm.K)
-			}
-		} else {
-			for i := range st.sizes {
-				st.sizes[i] = elemCount(mustDims(g, n.Out)) / B
-			}
+		st := &step{nodes: []*graph.Node{n}, cut: byRows, out: n.Out, name: n.Name}
+		// Columns go out in whole vector blocks, extras to the leading
+		// groups: every shard stays vectorizable, and a trailing group may
+		// receive no columns of a tiny layer.
+		if st.sizes, err = cluster.ShardBatch(n.Gemm.M/sw26010.VectorWidth, G); err != nil {
+			return nil, fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
+		}
+		for i := range st.sizes {
+			st.sizes[i] *= sw26010.VectorWidth
+		}
+		if opts.Functional {
+			st.weight = tensor.New(n.In[1], mustDims(g, n.In[1])...)
+			fillWeight(st.weight, n.Gemm.K)
 		}
 		p.steps = append(p.steps, st)
 	}
@@ -253,7 +246,7 @@ func (e *Engine) dataParallel(ctx context.Context, g *graph.Graph, opts Options)
 // graph starts, or len(topo) — an empty tail — when the hybrid
 // data-parallel split does not apply. The tail is a suffix of the topo
 // order, starting at the first Gemm node after the first node, forming a
-// single chain of Gemm and ReLU nodes whose output features vectorize. This
+// single chain of Gemm nodes whose output features vectorize. This
 // is swCaffe's hybrid parallelism: convolutions are compute-bound and shard
 // well by batch, but fully-connected layers are weight-DMA-bound — running
 // them whole on every group would reload the full weight matrices G times
@@ -265,16 +258,7 @@ func hybridTail(topo []*graph.Node) int {
 	}
 	cur := topo[start-1].Out
 	for _, n := range topo[start:] {
-		switch n.Kind {
-		case graph.Gemm:
-			if len(n.In) != 2 || n.In[0] != cur || n.Gemm.M%sw26010.VectorWidth != 0 {
-				return len(topo)
-			}
-		case graph.ReLU:
-			if len(n.In) != 1 || n.In[0] != cur {
-				return len(topo)
-			}
-		default:
+		if n.Kind != graph.Gemm || len(n.In) != 2 || n.In[0] != cur || n.Gemm.M%sw26010.VectorWidth != 0 {
 			return len(topo)
 		}
 		cur = n.Out
@@ -283,20 +267,17 @@ func hybridTail(topo []*graph.Node) int {
 }
 
 // buildNodeShard builds the single-node graph one group runs of an fc-tail
-// node, under the node's own tensor names, at the full batch: rows output
-// features of it — a gemm's column shard, out[rows×B] = weight[rows×K] ×
-// in[K×B], or all of an elementwise op, which every group runs redundantly
-// after the all-gather.
+// gemm, under the node's own tensor names, at the full batch: its column
+// shard of rows output features, out[rows×B] = weight[rows×K] × in[K×B],
+// ReLU epilogue included, so each group clamps its own rows.
 func buildNodeShard(net string, n *graph.Node, rows, batch int) (*graph.Graph, error) {
 	sg := graph.New(fmt.Sprintf("%s_%s_w%d", net, n.Name, rows), batch)
-	node, in := *n, []int{rows, batch}
-	if n.Kind == graph.Gemm {
-		node.Gemm.M, in = rows, []int{n.Gemm.K, batch}
-		if _, err := sg.AddTensor(n.In[1], []int{rows, n.Gemm.K}, true); err != nil {
-			return nil, err
-		}
+	node := *n
+	node.Gemm.M = rows
+	if _, err := sg.AddTensor(n.In[1], []int{rows, n.Gemm.K}, true); err != nil {
+		return nil, err
 	}
-	if _, err := sg.AddTensor(n.In[0], in, false); err != nil {
+	if _, err := sg.AddTensor(n.In[0], []int{n.Gemm.K, batch}, false); err != nil {
 		return nil, err
 	}
 	if _, err := sg.AddTensor(n.Out, []int{rows, batch}, false); err != nil {
@@ -337,9 +318,15 @@ func (e *Engine) pipeline(ctx context.Context, g *graph.Graph, opts Options) (*p
 	if err != nil {
 		return nil, err
 	}
-	costs := make([]float64, len(probe.res.Layers))
-	for i, l := range probe.res.Layers {
-		costs[i] = l.Seconds
+	// One cost per node: a relayout runs with, and is charged to, its reader.
+	costs := make([]float64, 0, len(topo))
+	relayouts := 0.0
+	for _, l := range probe.res.Layers {
+		if l.Kind == KindRelayout {
+			relayouts += l.Seconds
+			continue
+		}
+		costs, relayouts = append(costs, l.Seconds+relayouts), 0
 	}
 	stages, err := cluster.PartitionBalanced(costs, G)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -42,10 +43,14 @@ type Engine struct {
 
 	// timings remembers the engine's own fresh-machine measurements (see
 	// timed), one float per distinct schedule the process has resolved;
-	// simulations counts the fresh-machine runs timed made.
-	mu          sync.Mutex
-	timings     map[string]float64
-	simulations int
+	// simulations counts the fresh-machine runs timed made. unschedulable
+	// remembers, per operator name, a conv method whose space the tuner
+	// found no valid schedule in (autotune.ErrNoSchedule), so that no later
+	// run walks that space again.
+	mu            sync.Mutex
+	timings       map[string]float64
+	simulations   int
+	unschedulable map[string]error
 }
 
 // NewEngine fits the autotuner's cost model.
@@ -54,7 +59,7 @@ func NewEngine() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{model: m, timings: map[string]float64{}}, nil
+	return &Engine{model: m, timings: map[string]float64{}, unschedulable: map[string]error{}}, nil
 }
 
 // Options configures one network run.
@@ -440,16 +445,93 @@ type shardPlan struct {
 	g        *graph.Graph
 	resolved map[string]*resolvedOp
 	plan     Plan
+	views    map[viewKey]*view
 }
 
 // planShard resolves schedules for nodes (a topo-order slice of g) and
-// plans g's buffers.
+// plans g's buffers and boundary views.
 func (e *Engine) planShard(ctx context.Context, g *graph.Graph, nodes []*graph.Node, opts Options) (*shardPlan, error) {
 	resolved, err := e.resolveNodes(ctx, g, nodes, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &shardPlan{g: g, resolved: resolved, plan: planBuffers(g)}, nil
+	views, err := boundaryViews(g, nodes, resolved)
+	if err != nil {
+		return nil, err
+	}
+	return &shardPlan{g: g, resolved: resolved, plan: planBuffers(g), views: views}, nil
+}
+
+// A view is how an operator reads a graph tensor that another operator
+// wrote in another concrete form: the explicit conv's 2-D out2d read as a
+// 4-D feature map, or a GEMM's column-major C read as a row-major B. No
+// glue layer sits between the two since the ReLU became its producer's
+// epilogue. Where both forms put every element of the logical flat order
+// at the same offset, the view shares the producer's storage; otherwise
+// (copy) the engine copies the tensor into the reader's form before the
+// reader runs, charged as a streaming glue kernel (relayout), since a
+// boundary whose two sides disagree costs a pass over the tensor.
+type view struct {
+	name, src    string // the view's tensor-table name and the graph tensor
+	dims, layout []int
+	copy         bool
+}
+
+// viewKey names a view by its reader node and the graph tensor it reads.
+type viewKey struct{ node, tensor string }
+
+// boundaryViews finds every operator input, among nodes, that another
+// operator produced in a form other than the one the input's program
+// declares.
+func boundaryViews(g *graph.Graph, nodes []*graph.Node, resolved map[string]*resolvedOp) (map[viewKey]*view, error) {
+	var views map[viewKey]*view
+	for _, n := range nodes {
+		r, p := resolved[n.Name], resolved[g.Producer(n.In[0])]
+		if r == nil || p == nil {
+			continue
+		}
+		w := p.prog.Tensors[slices.IndexFunc(p.prog.Tensors, func(d ir.TensorDecl) bool { return d.Output })]
+		for _, decl := range r.prog.Tensors {
+			if gname, err := graphTensorFor(n, decl.Name); decl.Scratch || err != nil || gname != n.In[0] ||
+				slices.Equal(w.Dims, decl.Dims) && slices.Equal(w.Layout, decl.Layout) {
+				continue
+			}
+			have, err := tensor.NewVirtual(n.In[0], w.Dims, w.Layout)
+			if err != nil {
+				return nil, err
+			}
+			want, err := tensor.NewVirtual(n.In[0], decl.Dims, decl.Layout)
+			if err != nil {
+				return nil, err
+			}
+			if views == nil {
+				views = map[viewKey]*view{}
+			}
+			views[viewKey{n.Name, n.In[0]}] = &view{name: n.Name + "/" + n.In[0], src: n.In[0],
+				dims: decl.Dims, layout: decl.Layout, copy: !slices.Equal(elementRuns(have), elementRuns(want))}
+		}
+	}
+	return views, nil
+}
+
+// elementRuns is where a tensor puts the elements of its logical flat order:
+// (extent, stride) runs, innermost first, with extent-1 dimensions dropped
+// and each dimension that continues the run inside it merged into it. Two
+// forms of one tensor place every element alike exactly when their
+// placements are equal.
+func elementRuns(t *tensor.Tensor) [][2]int {
+	var runs [][2]int
+	for d := len(t.Dims) - 1; d >= 0; d-- {
+		if t.Dims[d] == 1 {
+			continue
+		}
+		if n := len(runs); n > 0 && t.Strides[d] == runs[n-1][0]*runs[n-1][1] {
+			runs[n-1][0] *= t.Dims[d]
+			continue
+		}
+		runs = append(runs, [2]int{t.Dims[d], t.Strides[d]})
+	}
+	return runs
 }
 
 // task is one unit of execution: a topo-order node slice of a planned
@@ -524,13 +606,19 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if v := sp.views[viewKey{n.Name, n.In[0]}]; v != nil && v.copy {
+			n0 := len(timeline.Events)
+			l := relayout(m, v, ts, env.functional, timeline)
+			timeline.Tag(n0, map[string]string{"op": l.Name, "layer": strconv.Itoa(len(res.Layers))})
+			res.Layers = append(res.Layers, l)
+		}
 		start, n0 := m.Now(), len(timeline.Events)
 		layer := Layer{Name: n.Name, Kind: n.Kind, Start: start}
 
 		switch n.Kind {
 		case graph.Conv, graph.Gemm:
 			r := sp.resolved[n.Name]
-			binds, err := opBinds(n, r.prog, ts)
+			binds, err := opBinds(n, r.prog, ts, sp.views)
 			if err != nil {
 				return fmt.Errorf("infer %s: node %s: %w", g.Name, n.Name, err)
 			}
@@ -759,7 +847,9 @@ func (e *Engine) resolveConv(ctx context.Context, s conv.Shape, opts Options) (*
 // reading the library once, and returns it with the engine's fresh-machine
 // seconds for it. A cached schedule the engine has already timed comes back
 // uncompiled (prog nil) with the entry it was read from, and no operator is
-// built for it; anything else is compiled or tuned, then timed.
+// built for it; a miss on a method whose space the engine found empty
+// before comes back with that error; anything else is compiled or tuned,
+// then timed.
 func (e *Engine) sweepMethod(ctx context.Context, m string, s conv.Shape, opts Options) (*resolvedOp, float64, cache.Entry, error) {
 	name := conv.OpName(m, s)
 	var entry cache.Entry
@@ -767,11 +857,16 @@ func (e *Engine) sweepMethod(ctx context.Context, m string, s conv.Shape, opts O
 	if opts.Library != nil {
 		entry, hit = opts.Library.Get(name)
 	}
+	e.mu.Lock()
+	empty := e.unschedulable[name]
+	e.mu.Unlock()
 	if hit {
 		st := entry.Strategy().String()
 		if secs, ok := e.remembered(name + " " + st); ok {
 			return &resolvedOp{strategy: m + " " + st, method: m, spaceSize: entry.SpaceSize, cached: true}, secs, entry, nil
 		}
+	} else if empty != nil {
+		return nil, 0, entry, empty
 	}
 	op, err := conv.NewOp(m, s)
 	if err != nil {
@@ -784,6 +879,11 @@ func (e *Engine) sweepMethod(ctx context.Context, m string, s conv.Shape, opts O
 	}
 	if !hit {
 		if res, err = autotune.ResolveMiss(ctx, op, e.model, opts.Library, opts.NoTune, tuneOptions(opts)); err != nil {
+			if errors.Is(err, autotune.ErrNoSchedule) {
+				e.mu.Lock()
+				e.unschedulable[name] = err
+				e.mu.Unlock()
+			}
 			return nil, 0, entry, err
 		}
 	}
@@ -883,8 +983,9 @@ func graphTensorFor(n *graph.Node, decl string) (string, error) {
 func packedFilters(n *graph.Node) string { return n.Name + "/U" }
 
 // opBinds builds the exec.Run binding map for one operator node from the
-// engine's tensor table.
-func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+// engine's tensor table, reading an input through its view where it has
+// one.
+func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor, views map[viewKey]*view) (map[string]*tensor.Tensor, error) {
 	binds := map[string]*tensor.Tensor{}
 	for _, decl := range prog.Tensors {
 		if decl.Scratch {
@@ -893,6 +994,9 @@ func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor) (map
 		gname, err := graphTensorFor(n, decl.Name)
 		if err != nil {
 			return nil, err
+		}
+		if v := views[viewKey{n.Name, gname}]; v != nil {
+			gname = v.name
 		}
 		t, ok := ts[gname]
 		if !ok {
@@ -906,11 +1010,13 @@ func opBinds(n *graph.Node, prog *ir.Program, ts map[string]*tensor.Tensor) (map
 // allocTensors materializes the engine's tensor table. Each graph tensor
 // adjacent to an operator node takes the concrete dims and layout that
 // operator's program declares (the explicit conv's 2-D out2d stands in for
-// the logical 4-D feature map — a flat-order-preserving reshape), all
+// the logical 4-D feature map — a flat-order-preserving reshape), its
+// producer's where another operator reads it through a view, and all
 // others stay identity; a packed Winograd node adds its own transformed
-// filters. In functional mode, arena-assigned activations share the two
-// ping-pong buffers; everything else gets dedicated storage. Timed-only
-// runs allocate no data at all.
+// filters, and each view its own tensor. In functional mode, arena-assigned
+// activations share the two ping-pong buffers, a view that needs no copy
+// shares its graph tensor's data, and everything else gets dedicated
+// storage. Timed-only runs allocate no data at all.
 func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, error) {
 	g, resolved, plan := sp.g, sp.resolved, sp.plan
 	type spec struct {
@@ -935,6 +1041,9 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 			gname, err := graphTensorFor(n, decl.Name)
 			if err != nil {
 				return nil, fmt.Errorf("node %s: %w", n.Name, err)
+			}
+			if sp.views[viewKey{n.Name, gname}] != nil {
+				continue
 			}
 			gt, ok := g.Tensor(gname)
 			if !ok { // the node's own transformed filters
@@ -973,6 +1082,20 @@ func allocTensors(sp *shardPlan, functional bool) (map[string]*tensor.Tensor, er
 			return nil, fmt.Errorf("tensor %s: %w", name, err)
 		}
 		ts[name] = t
+	}
+	for _, v := range sp.views {
+		newView := tensor.NewVirtual
+		if functional && v.copy {
+			newView = tensor.NewWithLayout
+		}
+		t, err := newView(v.name, v.dims, v.layout)
+		if err != nil {
+			return nil, fmt.Errorf("tensor %s: %w", v.name, err)
+		}
+		if functional && !v.copy {
+			t.Data = ts[v.src].Data
+		}
+		ts[v.name] = t
 	}
 
 	if functional {
@@ -1026,16 +1149,18 @@ func fillWeight(t *tensor.Tensor, fanIn int) {
 }
 
 // verifyNode compares an operator node's output against the reference
-// oracle, reading concrete tensors through the logical flat order so
-// operator-chosen layouts and reshapes fall away.
+// oracle, clamped at zero where the node carries the ReLU epilogue, reading
+// concrete tensors through the logical flat order so operator-chosen
+// layouts and reshapes fall away.
 func verifyNode(n *graph.Node, ts map[string]*tensor.Tensor) (float64, error) {
 	switch n.Kind {
 	case graph.Conv:
 		s := n.Conv
-		in := ts[n.In[0]] // always the rank-4 pre-padded feature map
+		in4 := tensor.New("inref", s.Ni, s.Ri(), s.Ci(), s.B) // its producer may have written out2d
+		copyFlat(in4, ts[n.In[0]])
 		w4 := tensor.New("wref", s.No, s.Ni, s.Kr, s.Kc)
 		copyFlat(w4, ts[n.In[1]])
-		want, err := tensor.ReferenceConv(in, w4, s)
+		want, err := tensor.ReferenceConv(in4, w4, s)
 		if err != nil {
 			return 0, err
 		}
@@ -1044,6 +1169,11 @@ func verifyNode(n *graph.Node, ts map[string]*tensor.Tensor) (float64, error) {
 		want, err := tensor.ReferenceGemm(ts[n.In[1]], ts[n.In[0]], 1, 0)
 		if err != nil {
 			return 0, err
+		}
+		if n.Gemm.ReLU {
+			for i, v := range want.Data {
+				want.Data[i] = max(v, 0)
+			}
 		}
 		return maxAbsErrFlat(want, ts[n.Out])
 	}
@@ -1077,29 +1207,38 @@ func maxAbsErrFlat(want, got *tensor.Tensor) (float64, error) {
 // baselineSeconds measures the manual-library implementation of a node on
 // a fresh machine (swDNN implicit where its batch restriction allows,
 // manual explicit-GEMM otherwise; xMath for the fully-connected layers).
-// Glue stubs cost the same in both runtimes; an operator with no usable
-// baseline conservatively reports its own tuned time, which is returned and
-// never remembered.
+// The manual library runs a ReLU as a layer of its own, so an operator
+// carrying the epilogue is timed without it and charged the unfused ReLU
+// stub besides. Glue stubs cost the same in both runtimes; an operator with
+// no usable baseline conservatively reports its own tuned time, which is
+// returned and never remembered.
 func (e *Engine) baselineSeconds(n *graph.Node, tuned float64) float64 {
 	var key string
 	var progs []func() (*ir.Program, error)
+	var relu bool
+	var elems int64
 	switch n.Kind {
 	case graph.Conv:
 		s := n.Conv
-		key = "conv:" + s.String()
+		relu, s.ReLU = s.ReLU, false
+		key, elems = "conv:"+s.String(), int64(s.No)*int64(s.Ro)*int64(s.Co)*int64(s.B)
 		progs = []func() (*ir.Program, error){
 			func() (*ir.Program, error) { return baseline.SwDNNImplicit(s) },
 			func() (*ir.Program, error) { return baseline.ManualExplicit(s) },
 		}
 	case graph.Gemm:
 		p := n.Gemm
-		key = "gemm:" + p.String()
+		relu, p.ReLU = p.ReLU, false
+		key, elems = "gemm:"+p.String(), int64(p.M)*int64(p.N)
 		progs = []func() (*ir.Program, error){
 			func() (*ir.Program, error) { return baseline.XMathGemm(p) },
 		}
 	}
 	for i, mk := range progs {
 		if v, err := e.timed(fmt.Sprintf("baseline %d %s", i, key), mk); err == nil {
+			if relu {
+				v += stubSeconds(8*elems, elems, 1)
+			}
 			return v
 		}
 	}

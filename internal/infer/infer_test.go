@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"slices"
 	"testing"
 
 	"swatop/internal/cache"
 	"swatop/internal/faults"
 	"swatop/internal/graph"
 	"swatop/internal/obsrv"
+	"swatop/internal/tensor"
 	"swatop/internal/workloads"
 )
 
@@ -67,8 +69,14 @@ func TestInferTinyFunctional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Layers) != g.NumNodes() {
-		t.Fatalf("%d layers, want %d", len(res.Layers), g.NumNodes())
+	relayouts := 0
+	for _, l := range res.Layers {
+		if l.Kind == KindRelayout {
+			relayouts++
+		}
+	}
+	if len(res.Layers) != g.NumNodes()+relayouts {
+		t.Fatalf("%d layers, want %d nodes and %d relayouts", len(res.Layers), g.NumNodes(), relayouts)
 	}
 	ops := 0
 	for _, l := range res.Layers {
@@ -164,6 +172,68 @@ func TestInferDeterministic(t *testing.T) {
 	}
 	if cached.Seconds != res1.Seconds {
 		t.Fatalf("cached run %g differs from fresh run %g", cached.Seconds, res1.Seconds)
+	}
+}
+
+// TestDegradedReLUNodeIsCorrect: a node degraded to its baseline fallback
+// still carries its ReLU epilogue. With every tuning measurement failing, a
+// functional tiny net serves every operator from the manual schedules, and
+// each one's output still matches max(0, reference); no layer is a ReLU.
+func TestDegradedReLUNodeIsCorrect(t *testing.T) {
+	g := tinyChain(t, 2)
+	in := faults.New(1)
+	in.FailEveryNth(faults.Measure, 1, errors.New("injected measurement failure"))
+	res, err := newEngine(t).Run(context.Background(), g, Options{
+		Faults: in, Fallback: true, MaxCandidateFailures: 3, Functional: true, SkipBaseline: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relus := 0
+	for i, l := range res.Layers {
+		if l.Kind == "relu" {
+			t.Fatalf("layer %s is a ReLU stub", l.Name)
+		}
+		if n := g.Topo()[i]; n.Conv.ReLU || n.Gemm.ReLU {
+			relus++
+			if !l.Degraded || !l.Checked || l.MaxAbsErr > 1e-3 {
+				t.Fatalf("ReLU node %s: degraded %v, checked %v, max abs error %g",
+					l.Name, l.Degraded, l.Checked, l.MaxAbsErr)
+			}
+		}
+	}
+	if relus != 4 || len(res.Layers) != g.NumNodes() {
+		t.Fatalf("%d ReLU nodes of %d layers, want 4 of %d", relus, len(res.Layers), g.NumNodes())
+	}
+}
+
+// TestElementRuns: two concrete forms of one tensor share storage exactly
+// when they place the logical flat order alike: a batch-1 GEMM output read
+// row-major or column-major, or the explicit conv's row-major out2d read as
+// the 4-D feature map; not its column-major out2d, nor a batch-2 C read as a
+// row-major B.
+func TestElementRuns(t *testing.T) {
+	cases := []struct {
+		aDims, aLayout, bDims, bLayout []int
+		same                           bool
+	}{
+		{[]int{4096, 1}, []int{1, 0}, []int{4096, 1}, []int{0, 1}, true},
+		{[]int{8, 12}, []int{0, 1}, []int{8, 3, 2, 2}, nil, true},
+		{[]int{8, 12}, []int{1, 0}, []int{8, 3, 2, 2}, nil, false},
+		{[]int{32, 2}, []int{1, 0}, []int{32, 2}, []int{0, 1}, false},
+	}
+	for _, c := range cases {
+		a, err := tensor.NewVirtual("a", c.aDims, c.aLayout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tensor.NewVirtual("b", c.bDims, c.bLayout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Equal(elementRuns(a), elementRuns(b)); got != c.same {
+			t.Errorf("%v %v vs %v %v: same placement %v, want %v", c.aDims, c.aLayout, c.bDims, c.bLayout, got, c.same)
+		}
 	}
 }
 
@@ -311,8 +381,8 @@ func TestPlanPingPong(t *testing.T) {
 		t.Fatalf("arenas (%d B) do not beat naive allocation (%d B)", p.ArenaBytes(), p.NaiveBytes)
 	}
 	// VGG16's two largest adjacent feature maps are conv1-sized; the naive
-	// sum is over 5× larger.
-	if p.NaiveBytes < 4*p.ArenaBytes() {
+	// sum is over 3.5× larger.
+	if 2*p.NaiveBytes < 7*p.ArenaBytes() {
 		t.Fatalf("expected a big reuse win, got arenas %d B vs naive %d B", p.ArenaBytes(), p.NaiveBytes)
 	}
 }

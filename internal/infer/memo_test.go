@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"math"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"swatop/internal/autotune"
 	"swatop/internal/cache"
 	"swatop/internal/conv"
 	"swatop/internal/dsl"
@@ -139,7 +141,9 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // phases kept in main memory (a timed run keeps main-memory scratch
 // virtual, but not SPM stores). Its SPM stores alone take 206 528 B of a
 // single-b2 run; with no store materialised in a timed run, the fused form
-// made 49 624 B (135 392 B at dp-b8-g4).
+// made 49 624 B (135 392 B at dp-b8-g4). With the ReLU stubs, before the
+// ReLU became each operator's epilogue, a run made 592 allocations and
+// 271 792 B (1 299 and 1 027 856 B at dp-b8-g4).
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -168,8 +172,8 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		budget        uint64
 		bytesBudget   uint64
 	}{
-		{"single-b2", 2, 1, 592, 271792},
-		{"dp-b8-g4", 8, 4, 1299, 1027872},
+		{"single-b2", 2, 1, 592, 268760},
+		{"dp-b8-g4", 8, 4, 1230, 1012352},
 	}
 	for _, c := range cases {
 		g, err := convOnlyBuilder(c.batch)
@@ -197,6 +201,50 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		if got, bytes := allocCost(run); got > c.budget || bytes > c.bytesBudget {
 			t.Fatalf("%s: a warm run allocates %d times and %d B, budget %d and %d B", c.name, got, bytes, c.budget, c.bytesBudget)
 		}
+	}
+}
+
+// TestEmptySpaceTunedOnce: a conv method whose space holds no valid point
+// (a packed Winograd form none of whose frames fit the SPM region) is tuned
+// once: the engine remembers the tuner's autotune.ErrNoSchedule under the
+// operator's name, and two warm runs walk no space at all.
+func TestEmptySpaceTunedOnce(t *testing.T) {
+	s := conv.Shape{B: 2, Ni: 8, No: 8, Ro: 2, Co: 2048, Kr: 3, Kc: 3, ReLU: true}
+	g := graph.New("wide", s.B)
+	for _, tn := range []struct {
+		name  string
+		dims  []int
+		param bool
+	}{{"in", []int{s.Ni, s.Ri(), s.Ci(), s.B}, false}, {"w", []int{s.No, s.Ni, 3, 3}, true}, {"out", []int{s.No, s.Ro, s.Co, s.B}, false}} {
+		if _, err := g.AddTensor(tn.name, tn.dims, tn.param); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Input, g.Output = "in", "out"
+	if err := g.AddNode(&graph.Node{Name: "c", Kind: graph.Conv, In: []string{"in", "w"}, Out: "out", Conv: s}); err != nil {
+		t.Fatal(err)
+	}
+	e, reg := newEngine(t), metrics.NewRegistry()
+	opts := Options{Library: cache.NewLibrary(), Metrics: reg, SkipBaseline: true}
+	points := reg.Counter("autotune_space_points_total")
+	for run := 0; run < 3; run++ {
+		p0 := points.Value()
+		res, err := e.Run(context.Background(), g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(res.Layers[0].Strategy, conv.Explicit) {
+			t.Fatalf("run %d resolved %q, want the explicit method", run, res.Layers[0].Strategy)
+		}
+		if walked := points.Value() - p0; (run == 0) != (walked > 0) {
+			t.Fatalf("run %d walked %d schedule points", run, walked)
+		}
+	}
+	e.mu.Lock()
+	err := e.unschedulable[conv.OpName(conv.Winograd, s)]
+	e.mu.Unlock()
+	if !errors.Is(err, autotune.ErrNoSchedule) {
+		t.Fatalf("the engine remembers %v for the Winograd form, want autotune.ErrNoSchedule", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"swatop/internal/trace"
 )
 
-// The glue layers between tuned operators (ReLU, 2×2 max-pooling, zero-pad
+// The glue layers between tuned operators (2×2 max-pooling, zero-pad
 // re-materialization, flatten) are memory-bound streaming kernels: every
 // CPE pulls a tile of the feature map into SPM, applies a trivial per-
 // element function and puts the result back. Their time model is the
@@ -70,17 +70,6 @@ func runStub(m *sw26010.Machine, g *graph.Graph, n *graph.Node, ts map[string]*t
 
 	var secs float64
 	switch n.Kind {
-	case graph.ReLU:
-		secs = stubSeconds(int64(8*outElems), int64(outElems), 1)
-		if functional {
-			for f := 0; f < outElems; f++ {
-				v := atFlat(in, f)
-				if v < 0 {
-					v = 0
-				}
-				setFlat(out, v, f)
-			}
-		}
 	case graph.Flatten:
 		// The (C,H,W,B) -> (C·H·W, B) reshape preserves the logical flat
 		// order exactly, so the "kernel" is a straight streaming copy.
@@ -140,11 +129,38 @@ func runStub(m *sw26010.Machine, g *graph.Graph, n *graph.Node, ts map[string]*t
 		return 0, fmt.Errorf("node %s: kind %q is not a glue stub", n.Name, n.Kind)
 	}
 
+	return chargeStub(m, string(n.Kind)+" "+n.Name, secs, log), nil
+}
+
+// chargeStub advances the machine by a glue kernel's modelled seconds and
+// records it on the timeline under label.
+func chargeStub(m *sw26010.Machine, label string, secs float64, log *trace.Log) float64 {
 	start := m.Now()
 	m.AdvanceCompute(secs)
 	m.Counters.TransformOps++
 	if log != nil {
-		log.Add(trace.KindTransform, string(n.Kind)+" "+n.Name, start, secs)
+		log.Add(trace.KindTransform, label, start, secs)
 	}
-	return m.Now() - start, nil
+	return m.Now() - start
+}
+
+// KindRelayout is the kind of the layer a view that needs a copy adds
+// before its reader: no graph node, but glue all the same.
+const KindRelayout graph.Kind = "relayout"
+
+// relayout copies a view's graph tensor into the view's form, a streaming
+// copy in the logical flat order charged as flatten's is, and returns its
+// layer. Its baseline is zero: the manual library's ReLU stub, which the
+// producer's baseline counts, writes the form its reader wants.
+func relayout(m *sw26010.Machine, v *view, ts map[string]*tensor.Tensor, functional bool, log *trace.Log) Layer {
+	src, dst := ts[v.src], ts[v.name]
+	elems := elemCount(v.dims)
+	if functional {
+		for f := 0; f < elems; f++ {
+			setFlat(dst, atFlat(src, f), f)
+		}
+	}
+	l := Layer{Name: v.name, Kind: KindRelayout, Start: m.Now()}
+	l.Seconds = chargeStub(m, "relayout "+v.name, stubSeconds(int64(8*elems), int64(elems), 0.5), log)
+	return l
 }

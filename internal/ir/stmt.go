@@ -223,6 +223,9 @@ const (
 	// WinoOutputSlab inverse-transforms 16 result planes into output slabs
 	// of 2·rows rows (args: nslabs, tilesC, b, optionally rows).
 	WinoOutputSlab
+	// ReLU clamps Elems elements of an SPM buffer at DstOff to max(0, x) in
+	// place: an operator's output epilogue.
+	ReLU
 )
 
 func (k TransformKind) String() string {
@@ -237,6 +240,8 @@ func (k TransformKind) String() string {
 		return "wino_input_slab"
 	case WinoOutputSlab:
 		return "wino_output_slab"
+	case ReLU:
+		return "relu"
 	}
 	return "?"
 }

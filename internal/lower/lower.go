@@ -150,6 +150,11 @@ func NewPlan(seed *dsl.Seed, st dsl.Strategy) (*Plan, error) {
 	if err := p.checkCapacity(); err != nil {
 		return nil, err
 	}
+	// The ReLU epilogue clamps a finished output: a C region that a
+	// reduction outside its residency puts partial sums of has none.
+	if seed.ReLU && p.reductionOutside(p.ops[dsl.OperandC].depth) {
+		return nil, fmt.Errorf("lower: ReLU epilogue under a reduction loop outside %s's residency", p.ops[dsl.OperandC].spec.Name)
+	}
 	return p, nil
 }
 
@@ -431,10 +436,12 @@ func (p *Plan) checkCapacity() error {
 	return nil
 }
 
-// BuildNest emits the loop nest with RegionMoves and the GEMM call. It
-// allocates per nest, not per statement: the nodes a nest holds once are
-// one allocation, and its level loops, statement lists, moves, zero-fills
-// and their expressions come from one exactly sized slab each.
+// BuildNest emits the loop nest with RegionMoves and the GEMM call, and,
+// when the seed carries the ReLU epilogue, the clamp of C's frame before its
+// put. It allocates per nest, not per statement: the nodes a nest holds
+// once are one allocation, and its level loops, statement lists, moves,
+// zero-fills, the clamp and their expressions come from one exactly sized
+// slab each.
 func (p *Plan) BuildNest() []ir.Stmt {
 	a, b, c := &p.ops[dsl.OperandA], &p.ops[dsl.OperandB], &p.ops[dsl.OperandC]
 	ops := [...]*operandPlan{a, b, c}
@@ -447,15 +454,19 @@ func (p *Plan) BuildNest() []ir.Stmt {
 	cZeroInit := !p.reductionOutside(c.depth)
 	guard, vecExpr := p.padGuard()
 
-	// A nest gets A and B, gets or zero-fills C, puts C, and zero-fills the
-	// guarded input. Its lists hold the moves, the guard and its Then, an
-	// inner statement per level, and the comment, allocs and frees.
+	// A nest gets A and B, gets or zero-fills C, clamps and puts C, and
+	// zero-fills the guarded input. Its lists hold the moves, the clamp, the
+	// guard and its Then, an inner statement per level, and the comment,
+	// allocs and frees.
 	moves, zeros, stmts := 4, 0, 12+len(p.order)
 	if cZeroInit {
 		moves, zeros = 3, 1
 	}
 	if guard != nil {
 		zeros, stmts = zeros+1, stmts+2
+	}
+	if p.Seed.ReLU {
+		zeros, stmts = zeros+1, stmts+1
 	}
 	n := &nest{
 		comment: ir.Comment{Text: "strategy: ", Note: p.Strategy},
@@ -490,20 +501,23 @@ func (p *Plan) BuildNest() []ir.Stmt {
 				// clear the frame so the rounded-up GEMM call multiplies zeros.
 				body = append(body, &ir.If{
 					Cond: ir.Cond{Op: ir.NE, L: ir.Mod(vecExpr, ir.Const(sw26010.VectorWidth)), R: ir.Const(0)},
-					Then: append(n.stmts.List(1), n.zero(op)),
+					Then: append(n.stmts.List(1), n.onFrame(ir.ZeroFill, op)),
 				})
 			}
 			body = append(body, n.move(op, ir.Get))
 		}
 		if c.depth == depth {
 			if cZeroInit {
-				body = append(body, n.zero(c))
+				body = append(body, n.onFrame(ir.ZeroFill, c))
 			} else {
 				body = append(body, n.move(c, ir.Get))
 			}
 		}
 		body = append(body, inner)
 		if c.depth == depth {
+			if p.Seed.ReLU {
+				body = append(body, n.onFrame(ir.ReLU, c))
+			}
 			body = append(body, n.move(c, ir.Put))
 		}
 		if depth == 0 {
@@ -527,7 +541,7 @@ type nest struct {
 	fors    ir.Slab[ir.For]
 	stmts   ir.Slab[ir.Stmt]
 	moves   ir.Slab[ir.RegionMove]
-	zeros   ir.Slab[ir.Transform]
+	zeros   ir.Slab[ir.Transform] // the zero-fills and the clamp
 	exprs   ir.Slab[ir.Expr]
 }
 
@@ -572,10 +586,11 @@ func (n *nest) move(op *operandPlan, dir ir.MoveDir) ir.Stmt {
 	})
 }
 
-// zero clears an operand's frame.
-func (n *nest) zero(op *operandPlan) ir.Stmt {
+// onFrame runs an in-place kernel over an operand's whole frame: a
+// zero-fill, or the ReLU clamp.
+func (n *nest) onFrame(kind ir.TransformKind, op *operandPlan) ir.Stmt {
 	return n.zeros.New(ir.Transform{
-		Kind: ir.ZeroFill, Dst: op.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
+		Kind: kind, Dst: op.buf, DstOff: ir.Const(0), SrcOff: ir.Const(0),
 		Args: append(n.exprs.List(1), ir.Const(int64(op.frameElems))),
 	})
 }

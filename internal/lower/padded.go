@@ -39,6 +39,7 @@ func LowerPadded(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 
 	// Build the padded seed over scratch tensors.
 	ps := dsl.NewSeed(seed.Name + "_padded")
+	ps.ReLU = seed.ReLU
 	for _, ax := range seed.Axes {
 		ps.AddAxis(ax.Name, padExt[ax.Name], ax.Role)
 	}

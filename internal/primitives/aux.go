@@ -8,7 +8,8 @@ import (
 )
 
 // Auxiliary SPM kernels used by boundary processing (§4.5.3): zero-fill for
-// lightweight padding and strided SPM-to-SPM copies into auxiliary buffers.
+// lightweight padding and strided SPM-to-SPM copies into auxiliary buffers;
+// and the ReLU epilogue an operator applies to its output frame.
 
 // ZeroFill clears n elements of an SPM slice.
 func ZeroFill(dst []float32, n int) error {
@@ -27,6 +28,17 @@ func CopySPM(src, dst []float32, n int) error {
 		return fmt.Errorf("copy_spm: %d elements (src %d, dst %d)", n, len(src), len(dst))
 	}
 	copy(dst[:n], src[:n])
+	return nil
+}
+
+// ReLU clamps n elements of an SPM slice to max(0, x) in place.
+func ReLU(dst []float32, n int) error {
+	if n < 0 || n > len(dst) {
+		return fmt.Errorf("relu: %d elements in buffer of %d", n, len(dst))
+	}
+	for i, v := range dst[:n] {
+		dst[i] = max(v, 0)
+	}
 	return nil
 }
 
@@ -52,7 +64,7 @@ func TransformTime(x *ir.Transform, arg func(i int) int) (float64, error) {
 	switch x.Kind {
 	case ir.ZeroFill:
 		return ZeroFillTime(arg(0)), nil
-	case ir.CopySPM:
+	case ir.CopySPM, ir.ReLU: // ReLU: a vector load and store per 4 floats
 		return CopySPMTime(arg(0)), nil
 	case ir.WinoFilterTile:
 		return WinoTransformTime(x.Kind.Phase(), arg(0))

@@ -6,11 +6,13 @@ import "fmt"
 // paper's notation (§3, Alg. 1): batch B, input channels Ni, output channels
 // No, output spatial extents Ro×Co, kernel extents Kr×Kc. Inputs are
 // spatially pre-padded, so the input extents are Ri = Ro+Kr-1, Ci = Co+Kc-1
-// (stride 1, the case the paper evaluates).
+// (stride 1, the case the paper evaluates). ReLU makes the operator apply
+// max(0, x) to its output as an epilogue, in SPM before the output put.
 type ConvShape struct {
 	B, Ni, No int
 	Ro, Co    int
 	Kr, Kc    int
+	ReLU      bool
 }
 
 // Ri returns the (pre-padded) input row extent.
@@ -35,7 +37,11 @@ func (s ConvShape) Validate() error {
 }
 
 func (s ConvShape) String() string {
-	return fmt.Sprintf("conv(B=%d,Ni=%d,No=%d,Ro=%d,Co=%d,K=%dx%d)", s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
+	relu := ""
+	if s.ReLU {
+		relu = ",relu"
+	}
+	return fmt.Sprintf("conv(B=%d,Ni=%d,No=%d,Ro=%d,Co=%d,K=%dx%d%s)", s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc, relu)
 }
 
 // NewConvInput allocates the input tensor in (Ni, Ri, Ci, B) order — the
@@ -129,8 +135,9 @@ func OutputFromMatrix(m *Tensor, s ConvShape) (*Tensor, error) {
 	return out, nil
 }
 
-// ReferenceConv computes the direct convolution (Alg. 1) naively. It is the
-// correctness oracle for all three tensorized methods.
+// ReferenceConv computes the direct convolution (Alg. 1) naively, clamped
+// at zero when s.ReLU is set. It is the correctness oracle for all three
+// tensorized methods.
 func ReferenceConv(in, weight *Tensor, s ConvShape) (*Tensor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -147,6 +154,9 @@ func ReferenceConv(in, weight *Tensor, s ConvShape) (*Tensor, error) {
 								acc += in.At(ni, ro+kr, co+kc, b) * weight.At(no, ni, kr, kc)
 							}
 						}
+					}
+					if s.ReLU && acc < 0 {
+						acc = 0
 					}
 					out.Set(acc, no, ro, co, b)
 				}
