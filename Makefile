@@ -183,7 +183,9 @@ loc:
 # through which an operator reads another's output now that no stub sits
 # between them, with the relayout that copies a view whose form differs;
 # and the engine's memo of conv methods with no valid schedule.
-LOC_MAX ?= 23430
+# 23 438: +8 for sizing a fleet run's merged timeline once: the epilogue's
+# events took every group's conv-head log past an append-growth step.
+LOC_MAX ?= 23438
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -440,6 +440,18 @@ func (e *Engine) runPlacement(ctx context.Context, g *graph.Graph, opts Options,
 		res.Pipeline = &PipelineReport{MicroBatches: p.reps, BubbleFraction: sched.BubbleFraction}
 	}
 
+	// The merged timeline holds every repetition's events and one comm
+	// event per holder: sized once, it is not regrown event by event.
+	events := 0
+	for i := range p.steps {
+		for _, o := range outs[i] {
+			for j := 0; o != nil && j < len(o.segs); j++ {
+				events += len(o.segs[j].log.Events)
+			}
+		}
+		events += p.reps * len(comms[i].from)
+	}
+	res.Timeline.Events = make([]trace.Event, 0, events)
 	for i, st := range p.steps {
 		// One report line per layer: the first running group's first
 		// repetition on the fleet clock; a column-sharded gemm's line
