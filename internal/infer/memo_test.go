@@ -145,6 +145,9 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // ReLU became each operator's epilogue, a run made 592 allocations and
 // 271 792 B (1 299 and 1 027 856 B at dp-b8-g4); with the fleet timeline
 // regrown event by event as it merged, 1 230 and 1 012 352 B at dp-b8-g4.
+// The dp-b8-g4 caps are the largest count and bytes measured, 1 225 and
+// 1 001 584 B under make ci against 1 223 and 1 001 536 B alone: its
+// groups run on goroutines, which the runtime may have to allocate.
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -174,7 +177,7 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		bytesBudget   uint64
 	}{
 		{"single-b2", 2, 1, 592, 268760},
-		{"dp-b8-g4", 8, 4, 1223, 1001536},
+		{"dp-b8-g4", 8, 4, 1225, 1001584},
 	}
 	for _, c := range cases {
 		g, err := convOnlyBuilder(c.batch)

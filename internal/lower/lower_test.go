@@ -260,3 +260,20 @@ func TestLowerTimingSensibleToTileSize(t *testing.T) {
 		t.Fatalf("128³ tiles (%.3g s) should beat 8×8×16 tiles (%.3g s)", big.Seconds, small.Seconds)
 	}
 }
+
+// TestReLURejectedUnderOuterReduction: the ReLU epilogue clamps a finished
+// output, so a nest whose reduction loop sits outside C's residency, which
+// puts partial sums, has none; its plain twin lowers.
+func TestReLURejectedUnderOuterReduction(t *testing.T) {
+	st := gemmStrategy(32, 32, 32, ir.VecM)
+	st.Order = []string{"k", "m", "n"}
+	for _, relu := range []bool{false, true} {
+		seed, err := gemm.Seed(gemm.Params{M: 64, N: 64, K: 64, ReLU: relu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lower.Lower(seed, st); (err != nil) != relu {
+			t.Fatalf("ReLU %v: lowering with k outermost returned %v", relu, err)
+		}
+	}
+}
