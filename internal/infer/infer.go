@@ -464,9 +464,9 @@ func (e *Engine) planShard(ctx context.Context, g *graph.Graph, nodes []*graph.N
 
 // A view is how an operator reads a graph tensor that another operator
 // wrote in another concrete form: the explicit conv's 2-D out2d read as a
-// 4-D feature map, or a GEMM's column-major C read as a row-major B. No
-// glue layer sits between the two since the ReLU became its producer's
-// epilogue. Where both forms put every element of the logical flat order
+// 4-D feature map, or a GEMM's column-major C read as a row-major B, with
+// no glue layer between the two to absorb the change (a ReLU is its
+// producer's epilogue). Where both forms put every element of the flat order
 // at the same offset, the view shares the producer's storage; otherwise
 // (copy) the engine copies the tensor into the reader's form before the
 // reader runs, charged as a streaming glue kernel (relayout), since a
