@@ -44,12 +44,16 @@ race:
 # rank ≤ 5 tensor, layout and in-bounds region, and the bound evaluator with
 # the tree evaluator kept in ir's tests (value or panic) on any expression
 # tree and environment, wide constants, /0, %0 and unbound names included.
+# A halo's clipped move, after the zero-fill it asks for, must leave its
+# frame holding the zero-padded tensor's region, or be a legal stand-in
+# where the region lies wholly outside (lower.Span.Clip).
 fuzz:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzLibraryLoad -fuzztime 10s
 	$(GO) test ./internal/obsrv -run '^$$' -fuzz FuzzEventEncoder -fuzztime 10s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzFeatureVector -fuzztime 10s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzFlattenEach -fuzztime 10s
 	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzBoundEval -fuzztime 10s
+	$(GO) test ./internal/lower -run '^$$' -fuzz FuzzClip -fuzztime 10s
 
 # Order-independence: tests must pass in any execution order (catches
 # hidden coupling through shared caches, libraries or package state).
@@ -124,13 +128,15 @@ obs-check:
 # four double-buffered golden points once the prefetch pass and the nest
 # builder took their nodes from exactly sized per-loop and per-nest
 # arrays, and within the bytes those compiles allocated before: a slab may
-# not trade allocation count for bytes; a warm run's bytes stay within the
+# not trade allocation count for bytes; so do the padded twins of the
+# implicit and Winograd points, which read their input through a halo; a
+# warm run's timeline is sized once (cap == len) and its bytes stay within the
 # measured cap now that a machine keeps its SPM storage across kernels, and
 # neither a tuning session nor a network run leaves 1 MiB or more on the
 # heap after two collections (no process-wide cache or pool of machines).
 alloc-check:
 	$(GO) test -run 'TestStreamAllocsPerPoint' -count=1 ./internal/schedule
-	$(GO) test -run 'TestCompileAllocBudget' -count=1 ./internal/core
+	$(GO) test -run 'TestCompileAllocBudget|TestPaddedCompileAllocBudget' -count=1 ./internal/core
 	$(GO) test -run 'TestFlattenMultiOneAlloc' -count=1 ./internal/tensor
 	$(GO) test -run 'TestEstimateAllocBudget' -count=1 ./internal/costmodel
 	$(GO) test -run 'TestFeaturesAllocBudget' -count=1 ./internal/search
@@ -185,7 +191,15 @@ loc:
 # and the engine's memo of conv methods with no valid schedule.
 # 23 438: +8 for sizing a fleet run's merged timeline once: the epilogue's
 # events took every group's conv-head log past an append-growth step.
-LOC_MAX ?= 23438
+# 23 857: +419 for the halo through which a padded conv reads its unpadded
+# input (lower's clip rule and the plan's spans; the clipped moves, zero-
+# fills and GEMM guards of the implicit nest, the explicit im2col and the
+# fused Winograd slab; the per-seed and per-operator caches of the clipped
+# regions and ir.Memo, which keep a candidate's compile within tune-cold's
+# allocation bound; Pad in ConvShape, its names and references) and for
+# sizing each task's timeline from the event counts the engine remembers,
+# net of the pad node, its stub and its graph check.
+LOC_MAX ?= 23857
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

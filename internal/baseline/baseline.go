@@ -352,10 +352,12 @@ func ManualConv(method string, s conv.Shape) (*ir.Program, error) {
 // FallbackConv returns the manual-library convolution for a method — the
 // degraded-mode answer when autotuning cannot complete. Where the
 // method-matched manual code has a hard restriction (swDNN's batch
-// multiple), it degrades one step further to the manual explicit-GEMM
-// path, which accepts any shape, rather than failing.
+// multiple; a padded input, which neither swDNN's traditional padding nor
+// the per-call Winograd reads through a halo), it degrades one step further
+// to the manual explicit-GEMM path, which accepts any shape, rather than
+// failing.
 func FallbackConv(method string, s conv.Shape) (*ir.Program, error) {
-	if method == conv.Implicit && s.B%SwDNNBatchMultiple != 0 {
+	if method == conv.Implicit && s.B%SwDNNBatchMultiple != 0 || method != conv.Explicit && s.Pad > 0 {
 		method = conv.Explicit
 	}
 	return ManualConv(method, s)

@@ -22,9 +22,10 @@ type sigShape struct {
 
 // parseSignature understands the operator naming schemes of this repo:
 // gemm_MxNxK and {implicit,explicit,winograd,winograd_fused}_conv_b*_ni*_no*_r*x*_k*x*,
-// either with the suffix _relu of the ReLU epilogue, which leaves the
-// family and the space as they are. Unknown signatures return ok=false and
-// never participate in transfer.
+// either with the suffix _relu of the ReLU epilogue, and a conv with the
+// suffix _pad<n> of its halo besides: neither changes the family or the
+// space, so a padded shape and its unpadded twin seed each other. Unknown
+// signatures return ok=false and never participate in transfer.
 func parseSignature(sig string) (sigShape, bool) {
 	if rest, found := strings.CutPrefix(sig, "gemm_"); found {
 		var m, n, k int

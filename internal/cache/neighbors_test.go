@@ -127,6 +127,8 @@ func TestParseSignature(t *testing.T) {
 		{"winograd_fused_conv_b1_ni64_no64_r56x56_k3x3", "winograd_fused_conv", true},
 		{"winograd_fused_conv_b1_ni64_no64_r56x56_k3x3_relu", "winograd_fused_conv", true},
 		{"gemm_4096x8x25088_relu", "gemm", true},
+		{"implicit_conv_b1_ni64_no64_r56x56_k3x3_pad1", "implicit_conv", true},
+		{"winograd_fused_conv_b1_ni64_no64_r56x56_k3x3_relu_pad1", "winograd_fused_conv", true},
 		{"gemm_512x512", "", false},
 		{"attention_b8_h12", "", false},
 		{"", "", false},

@@ -1,6 +1,8 @@
 package conv
 
 import (
+	"fmt"
+
 	"swatop/internal/core"
 	"swatop/internal/dsl"
 	"swatop/internal/ir"
@@ -50,7 +52,11 @@ func NewExplicitOp(s Shape) (*ExplicitOp, error) {
 	sp.Layout("col", 0, 1)
 	sp.Layout("out2d", 0, 1)
 	sp.Layout("out2d", 1, 0)
-	return &ExplicitOp{S: s, seed: seed, space: sp}, nil
+	o := &ExplicitOp{S: s, seed: seed, space: sp}
+	if rows, cols := o.spans(); !rows.Meets() || !cols.Meets() {
+		return nil, fmt.Errorf("explicit conv: an im2col row chunk of %v can lie wholly in its pad", s)
+	}
+	return o, nil
 }
 
 // Name identifies the operator instance.
@@ -87,18 +93,58 @@ func (o *ExplicitOp) Compile(st dsl.Strategy) (*ir.Program, error) {
 	return prog, nil
 }
 
+// rowChunk is the im2col phase's chunk of output rows: as many as a
+// 128 K-float buffer holds. A padded shape's chunks are at least Pad+1 rows,
+// the last one too, so that every chunk's input rows meet the input.
+func (o *ExplicitOp) rowChunk() int {
+	s := o.S
+	ch := min(max(128*1024/(s.Co*s.B), 1), s.Ro)
+	if s.Pad > 0 {
+		ch = min(max(ch, s.Pad+1), s.Ro)
+		for ch < s.Ro && s.Ro%ch != 0 && s.Ro%ch <= s.Pad {
+			ch++
+		}
+	}
+	return ch
+}
+
+// spans are what the im2col phase's input gets cover of the input's rows
+// and columns over all (kr, kc) and row chunks.
+func (o *ExplicitOp) spans() (rows, cols lower.Span) {
+	s, ch := o.S, o.rowChunk()
+	last := s.Ro - (s.Ro-1)/ch*ch
+	rows = lower.Span{Dim: s.Ri(), Frame: ch, Halo: s.Pad, Reach: s.Ro + s.Kr - 1, MinExtent: min(ch, last)}
+	cols = lower.Span{Dim: s.Ci(), Frame: s.Co, Halo: s.Pad, Reach: s.Co + s.Kc - 1, MinExtent: s.Co}
+	return rows, cols
+}
+
 // im2colPhase is phase one: for every (ni, kr, kc) and a chunk of output
-// rows, one Get from the (pre-padded) input and one Put into the column
-// matrix — the shifted-window copy that defines im2col.
+// rows, one Get from the input and one Put into the column matrix — the
+// shifted-window copy that defines im2col. A padded shape's get clips its
+// rows and columns to the input, into the chunk through its frame strides,
+// after zero-filling the chunk where the clip applies.
 func (o *ExplicitOp) im2colPhase() []ir.Stmt {
 	s := o.S
-	chunk, nchunks, r0, rowExt := chunks("rch", 128*1024/(s.Co*s.B), s.Ro)
+	chunk, nchunks, r0, rowExt := chunks("rch", o.rowChunk(), s.Ro)
 	bufElems := chunk * s.Co * s.B
 	get := &ir.RegionMove{
 		Tensor: "in", Dir: ir.Get,
 		Start:  []ir.Expr{ir.V("cni"), ir.Add(r0, ir.V("ckr")), ir.V("ckc"), ir.Const(0)},
 		Extent: []ir.Expr{ir.Const(1), rowExt, ir.Const(int64(s.Co)), ir.Const(int64(s.B))},
 		Buf:    "spm_im2col", BufOff: ir.Const(0),
+	}
+	loop := []ir.Stmt{get}
+	if s.Pad > 0 {
+		rows, cols := o.spans()
+		rc := rows.Clip(get.Start[1], rowExt)
+		cc := cols.Clip(get.Start[2], get.Extent[2])
+		get.Start[1], get.Extent[1], get.Start[2], get.Extent[2] = rc.Start, rc.Extent, cc.Start, cc.Extent
+		get.BufOff = ir.Add(ir.Mul(rc.Off, ir.Const(int64(s.Co*s.B))), ir.Mul(cc.Off, ir.Const(int64(s.B))))
+		get.FrameStride = []ir.Expr{ir.Const(int64(bufElems)), ir.Const(int64(s.Co * s.B)), ir.Const(int64(s.B)), ir.Const(1)}
+		zero := &ir.Transform{Kind: ir.ZeroFill, Dst: "spm_im2col", SrcOff: ir.Const(0), DstOff: ir.Const(0),
+			Args: []ir.Expr{ir.Const(int64(bufElems))}}
+		cond := lower.Clipped([]ir.Expr{rowExt, ir.Const(int64(s.Co))}, []lower.Clip{rc, cc})
+		loop = []ir.Stmt{&ir.If{Cond: cond, Then: []ir.Stmt{zero}}, get}
 	}
 	colRow := ir.Add(ir.Mul(ir.Add(ir.Mul(ir.V("cni"), ir.Const(int64(s.Kr))), ir.V("ckr")), ir.Const(int64(s.Kc))), ir.V("ckc"))
 	put := &ir.RegionMove{
@@ -113,7 +159,7 @@ func (o *ExplicitOp) im2colPhase() []ir.Stmt {
 		&ir.For{Iter: "cni", Extent: ir.Const(int64(s.Ni)), Body: []ir.Stmt{
 			&ir.For{Iter: "ckr", Extent: ir.Const(int64(s.Kr)), Body: []ir.Stmt{
 				&ir.For{Iter: "ckc", Extent: ir.Const(int64(s.Kc)), Body: []ir.Stmt{
-					&ir.For{Iter: "rch", Extent: ir.Const(int64(nchunks)), Body: []ir.Stmt{get, put}},
+					&ir.For{Iter: "rch", Extent: ir.Const(int64(nchunks)), Body: append(loop, put)},
 				}},
 			}},
 		}},

@@ -5,8 +5,13 @@
 // transforms + 16 batched GEMMs). All three are tunable operators; all
 // three are verified against the direct-convolution oracle.
 //
-// Convolutions are stride-1 with spatially pre-padded inputs
-// (Ri = Ro+Kr−1), the configuration the paper's evaluation uses.
+// Convolutions are stride-1, the configuration the paper's evaluation
+// uses. A shape with Pad > 0 reads its unpadded input through a halo
+// (§4.5's boundary processing, lower.Span): each method's input moves clip
+// their regions to the input, zero-fill what the pad covers in SPM, and
+// skip the GEMM of a region wholly in the pad, so no padded copy of a
+// feature map exists. A shape with Pad 0 reads a pre-padded input
+// (Ri = Ro+Kr−1), as the single-operator experiments do.
 package conv
 
 import (
@@ -56,9 +61,12 @@ func NewImplicitOp(s Shape) (*ImplicitOp, error) {
 	seed.AddAxis("kc", s.Kc, dsl.RoleReduce)
 	seed.AddTensor("weight", []int{s.No, s.Ni, s.Kr, s.Kc}, dsl.OperandA,
 		dsl.Dim("no"), dsl.Dim("ni"), dsl.Dim("kr"), dsl.Dim("kc"))
-	seed.AddTensor("in", []int{s.Ni, s.Ri(), s.Ci(), s.B}, dsl.OperandB,
+	in := seed.AddTensor("in", []int{s.Ni, s.Ri(), s.Ci(), s.B}, dsl.OperandB,
 		dsl.Dim("ni"), dsl.Dims(dsl.T("ro", 1), dsl.T("kr", 1)),
 		dsl.Dims(dsl.T("co", 1), dsl.T("kc", 1)), dsl.Dim("b"))
+	if s.Pad > 0 {
+		in.Halo = []int{0, s.Pad, s.Pad, 0}
+	}
 	seed.AddTensor("out", []int{s.No, s.Ro, s.Co, s.B}, dsl.OperandC,
 		dsl.Dim("no"), dsl.Dim("ro"), dsl.Dim("co"), dsl.Dim("b"))
 

@@ -47,7 +47,8 @@ func NewPerCallOp(method string, s Shape) (dsl.Operator, error) {
 // the schedule library files its entry under — written without building
 // the operator. A Winograd operator's is its packed form's, which files
 // under its own family so the two forms never share an entry. A shape with
-// the ReLU epilogue files under the suffix _relu.
+// the ReLU epilogue files under the suffix _relu, a padded one under
+// _pad<Pad> after it.
 func OpName(method string, s Shape) string {
 	if method == Winograd {
 		method = "winograd_fused"
@@ -56,11 +57,14 @@ func OpName(method string, s Shape) string {
 }
 
 func opName(family string, s Shape) string {
-	name := fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d", family, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc)
+	relu := ""
 	if s.ReLU {
-		name += "_relu"
+		relu = "_relu"
 	}
-	return name
+	if s.Pad > 0 {
+		return fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d%s_pad%d", family, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc, relu, s.Pad)
+	}
+	return fmt.Sprintf("%s_conv_b%d_ni%d_no%d_r%dx%d_k%dx%d%s", family, s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc, relu)
 }
 
 // Applies reports whether a method handles a shape (the paper's

@@ -3,6 +3,7 @@ package conv
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"swatop/internal/core"
 	"swatop/internal/dsl"
@@ -45,6 +46,22 @@ type WinogradOp struct {
 	// point needs, at most regionElems. A small shape's kernels so ask a
 	// machine for a small store rather than the whole cap.
 	region int
+	// halo holds a padded shape's clipped slab gets by the index of their p
+	// tile in the packed space (at most one per entry of its menu of four),
+	// made on first use and shared by every program: expressions are
+	// immutable. It is no map, so that building an operator to compile one
+	// strategy, as a warm network run does, costs none.
+	haloMu sync.Mutex
+	halo   [4]*slabHalo
+}
+
+// slabHalo is how the packed form's slab get reads a padded input for one p
+// tile: its rows and columns clipped to the input (lower.Span), the frame
+// offset they land at, and the condition under which the rows clip.
+type slabHalo struct {
+	rows, cols lower.Clip
+	off        ir.Expr
+	zero       ir.Cond
 }
 
 // WinogradApplies reports whether the method handles a shape.
@@ -119,8 +136,43 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 func (o *WinogradOp) frames(fno, fni, rows int) (u, slab, vm, y int) {
 	s, planes := o.S, primitives.WinoPlanes
 	fp := rows * s.Co / 2 * s.B
-	return planes * fno * fni, fni * (2*rows + 2) * s.Ci() * s.B, planes * (fni + fno) * fp, fno * 2 * rows * s.Co * s.B
+	return planes * fno * fni, fni * (2*rows + 2) * o.slabWidth() * s.B, planes * (fni + fno) * fp, fno * 2 * rows * s.Co * s.B
 }
+
+// slabHalo returns how the slab get in of a p tile (rows rows of 2×2
+// tiles, nP tiles in all) reads a padded input through its halo, or nil for
+// an unpadded shape: the first and last tiles clip a row, every slab a
+// column on either side.
+func (o *WinogradOp) slabHalo(rows, nP int, in *ir.RegionMove) *slabHalo {
+	if o.S.Pad == 0 {
+		return nil
+	}
+	i := slices.Index(o.fused.Factors["p"], rows*(o.S.Co/2)*o.S.B)
+	if i < 0 || i >= len(o.halo) { // a tile outside the space
+		return o.clipSlab(rows, nP, in)
+	}
+	o.haloMu.Lock()
+	defer o.haloMu.Unlock()
+	if o.halo[i] == nil {
+		o.halo[i] = o.clipSlab(rows, nP, in)
+	}
+	return o.halo[i]
+}
+
+func (o *WinogradOp) clipSlab(rows, nP int, in *ir.RegionMove) *slabHalo {
+	s, ci := o.S, o.slabWidth()
+	rowSpan := lower.Span{Dim: s.Ri(), Frame: 2*rows + 2, Halo: s.Pad, Reach: s.Ro + 2, MinExtent: 2*(s.Ro/2-(nP-1)*rows) + 2}
+	colSpan := lower.Span{Dim: s.Ci(), Frame: ci, Halo: s.Pad, Reach: ci, MinExtent: ci}
+	h := &slabHalo{rows: rowSpan.Clip(in.Start[1], in.Extent[1]), cols: colSpan.Clip(in.Start[2], in.Extent[2])}
+	h.off = ir.Add(ir.Mul(h.rows.Off, in.FrameStride[1]), ir.Mul(h.cols.Off, in.FrameStride[2]))
+	h.zero = lower.Clipped(in.Extent[1:2], []lower.Clip{h.rows})
+	return h
+}
+
+// slabWidth is the columns of an input slab: the input's, and its halo on
+// either side where it has one, so that a padded shape's frames are its
+// unpadded twin's.
+func (o *WinogradOp) slabWidth() int { return o.S.Ci() + 2*o.S.Pad }
 
 // Name identifies the operator instance: OpName(Winograd, S) for the
 // packed form, the per-call form's own name otherwise.
@@ -219,7 +271,8 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	nNi, ni0, niExt := tileLoop("cni", fni, s.Ni)
 	nP, r0, rExt := tileLoop("cp", rows, tilesR)
 	uPlane, vPlane, mPlane := fno*fni, fni*fp, fno*fp
-	slab, ySlab := (2*rows+2)*s.Ci()*s.B, 2*rows*s.Co*s.B
+	ci := o.slabWidth()
+	slab, ySlab := (2*rows+2)*ci*s.B, 2*rows*s.Co*s.B
 	u, slabs, vm, y := o.frames(fno, fni, rows)
 
 	// The loops, outermost first: no and p in the strategy's order, then ni.
@@ -287,12 +340,31 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 		Buf:    "spm_U", BufOff: ir.Const(0), FrameStride: uStride}
 	getIn := &ir.RegionMove{Tensor: "in", Dir: ir.Get,
 		Start:  []ir.Expr{ni0, ir.Mul(r0, ir.Const(2)), ir.Const(0), ir.Const(0)},
-		Extent: []ir.Expr{niExt, ir.Add(ir.Mul(rExt, ir.Const(2)), ir.Const(2)), ir.Const(int64(s.Ci())), ir.Const(int64(s.B))},
+		Extent: []ir.Expr{niExt, ir.Add(ir.Mul(rExt, ir.Const(2)), ir.Const(2)), ir.Const(int64(ci)), ir.Const(int64(s.B))},
 		Buf:    "spm_slab", BufOff: ir.Const(0),
-		FrameStride: []ir.Expr{ir.Const(int64(slab)), ir.Const(int64(s.Ci() * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
+		FrameStride: []ir.Expr{ir.Const(int64(slab)), ir.Const(int64(ci * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
+	// A padded shape's slabs read the input through its halo: the first and
+	// last P tiles clip a row, zero-filled first, and every slab clips a
+	// column on either side, which no get writes and one zero-fill of the
+	// whole frame before the nest clears.
+	var zeros *slabZeros
+	slabsE := ir.Const(int64(slabs))
+	if h := o.slabHalo(rows, nP, getIn); h != nil {
+		getIn.Start[1], getIn.Extent[1], getIn.Start[2], getIn.Extent[2] = h.rows.Start, h.rows.Extent, h.cols.Start, h.cols.Extent
+		getIn.BufOff = h.off
+		zeros = &slabZeros{args: [2]ir.Expr{slabsE, slabsE}}
+		if f := frame(slabs, dI); f != slabs {
+			zeros.args[1] = ir.Const(int64(f))
+		}
+		for i := range zeros.fill {
+			zeros.fill[i] = ir.Transform{Kind: ir.ZeroFill, Dst: "spm_slab", SrcOff: ir.Const(0), DstOff: ir.Const(0), Args: zeros.args[i : i+1 : i+1]}
+		}
+		zeros.then[0] = &zeros.fill[0]
+		zeros.guard = ir.If{Cond: h.zero, Then: zeros.then[:]}
+	}
 	phaseI := &ir.Transform{Kind: ir.WinoInputSlab, Src: "spm_slab", Dst: "spm_V",
 		SrcOff: ir.Const(0), DstOff: ir.Const(0),
-		Args: []ir.Expr{ir.Const(int64(fni)), ir.Const(int64(tilesC)), ir.Const(int64(s.Ci())), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
+		Args: []ir.Expr{ir.Const(int64(fni)), ir.Const(int64(tilesC)), ir.Const(int64(ci)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
 	zeroM := &ir.Transform{Kind: ir.ZeroFill, Dst: "spm_M", SrcOff: ir.Const(0), DstOff: ir.Const(0),
 		Args: []ir.Expr{ir.Const(int64(planes * mPlane))}}
 	phaseO := &ir.Transform{Kind: ir.WinoOutputSlab, Src: "spm_M", Dst: "spm_y",
@@ -319,6 +391,9 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 			body = append(body, getU)
 		}
 		if d == dI {
+			if zeros != nil {
+				body = append(body, &zeros.guard)
+			}
 			body = append(body, getIn, phaseI)
 		}
 		body = append(body, inner)
@@ -335,24 +410,38 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	}
 	bufs := [...]struct {
 		name  string
-		elems int
-	}{{"spm_U", u}, {"spm_slab", slabs}, {"spm_V", planes * vPlane}, {"spm_M", planes * mPlane}, {"spm_y", y}}
+		elems ir.Expr
+	}{{"spm_U", ir.Const(int64(u))}, {"spm_slab", slabsE}, {"spm_V", ir.Const(int64(planes * vPlane))},
+		{"spm_M", ir.Const(int64(planes * mPlane))}, {"spm_y", ir.Const(int64(y))}}
 	prog := &ir.Program{Name: o.Name(), Tensors: []ir.TensorDecl{
 		{Name: "in", Dims: []int{s.Ni, s.Ri(), s.Ci(), s.B}},
 		{Name: "weight", Dims: []int{s.No, s.Ni, s.Kr, s.Kc}},
 		{Name: "out", Dims: []int{s.No, s.Ro, s.Co, s.B}, Output: true},
 		{Name: "U", Dims: []int{planes, s.No, s.Ni}, Layout: perm},
 	}}
-	prog.Body = make([]ir.Stmt, 0, 2*len(bufs)+len(body)+1)
+	prog.Body = make([]ir.Stmt, 0, 2*len(bufs)+len(body)+2)
 	prog.Body = append(prog.Body, &ir.Comment{Text: "fused Winograd: V and M stay in SPM; strategy: ", Note: st})
 	for _, b := range bufs {
-		prog.Body = append(prog.Body, &ir.AllocSPM{Buf: b.name, Elems: ir.Const(int64(b.elems))})
+		prog.Body = append(prog.Body, &ir.AllocSPM{Buf: b.name, Elems: b.elems})
+	}
+	if zeros != nil {
+		prog.Body = append(prog.Body, &zeros.fill[1])
 	}
 	prog.Body = append(prog.Body, body...)
 	for _, b := range bufs {
 		prog.Body = append(prog.Body, &ir.FreeSPM{Buf: b.name})
 	}
 	return prog, nil
+}
+
+// slabZeros are a padded program's zero-fills of its slab frame, in one
+// allocation: the guarded one before a get whose rows clip, and the one of
+// the whole (doubled) frame before the nest.
+type slabZeros struct {
+	guard ir.If
+	then  [1]ir.Stmt
+	fill  [2]ir.Transform
+	args  [2]ir.Expr
 }
 
 // The region is the one SPM buffer of an optimized fused program: at most
@@ -518,8 +607,8 @@ func (o *WinogradOp) transformPhases() []ir.Stmt {
 // reply words follow G's.
 func (o *WinogradOp) gemmAndOutput(st dsl.Strategy) (*ir.Program, error) {
 	s := o.S
-	if s.ReLU {
-		return nil, fmt.Errorf("winograd conv: the per-call form has no ReLU epilogue (%v)", s)
+	if s.ReLU || s.Pad > 0 {
+		return nil, fmt.Errorf("winograd conv: the per-call form has no ReLU epilogue and no halo (%v)", s)
 	}
 	plan, err := lower.NewPlan(o.seed, st)
 	if err != nil {

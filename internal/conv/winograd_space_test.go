@@ -65,24 +65,45 @@ func checkSpace(t *testing.T, op dsl.Operator, relu bool, tol float64,
 	return compiled
 }
 
-// checkTwins runs checkSpace on a shape's operator without and with the
-// ReLU epilogue: the two spaces must have exactly as many valid points.
-func checkTwins(t *testing.T, build func(relu bool) (dsl.Operator, error), tol float64,
-	ref func(map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error)) {
+// twin is a variant of an operator's shape: the ReLU epilogue, or the halo
+// of a padded input.
+type twin struct {
+	relu bool
+	pad  int
+}
+
+// epilogueTwins are the plain shape and its ReLU twin; convTwins add the
+// padded one.
+var (
+	epilogueTwins = []twin{{}, {relu: true}}
+	convTwins     = []twin{{}, {relu: true}, {pad: 1}}
+)
+
+// checkTwins runs checkSpace on the operator of each twin of a shape, the
+// plain one first, against the reference of that twin: every twin's space
+// must have exactly as many valid points as the plain one's.
+func checkTwins(t *testing.T, twins []twin, build func(tw twin) (dsl.Operator, error), tol float64,
+	ref func(tw twin) func(map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error)) {
 	t.Helper()
-	var valid [2]int
-	for i, relu := range []bool{false, true} {
-		op, err := build(relu)
+	valid := make([]int, len(twins))
+	for i, tw := range twins {
+		op, err := build(tw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if valid[i] = checkSpace(t, op, relu, tol, ref); valid[i] == 0 {
+		if valid[i] = checkSpace(t, op, tw.relu, tol, ref(tw)); valid[i] == 0 {
 			t.Fatalf("%s: no point compiles", op.Name())
 		}
+		if valid[i] != valid[0] {
+			t.Fatalf("%s: the space has %d valid points, its plain twin %d", op.Name(), valid[i], valid[0])
+		}
 	}
-	if valid[0] != valid[1] {
-		t.Fatalf("the ReLU space has %d valid points, its plain twin %d", valid[1], valid[0])
-	}
+}
+
+// twinShape is s as the twin tw.
+func twinShape(s conv.Shape, tw twin) conv.Shape {
+	s.ReLU, s.Pad = tw.relu, tw.pad
+	return s
 }
 
 // convRef is the direct convolution of a program's in and weight, read
@@ -111,49 +132,49 @@ func convRef(s conv.Shape) func(map[string]*tensor.Tensor) (*tensor.Tensor, *ten
 // Winograd schedule space of small shapes: in both forms, every point that
 // compiles writes the direct convolution (tensor.ReferenceConv) within the
 // reference tests' tolerance, and the packed form, the one a network runs,
-// max(0, that) with the ReLU epilogue, which the per-call form rejects. The
-// shapes take B = 2, Ni ≠ No, partial no and ni tiles, and a P that no p
-// tile divides.
+// max(0, that) with the ReLU epilogue and the zero-padded convolution with a
+// pad, which the per-call form rejects. The shapes take B = 2, Ni ≠ No,
+// Ro ≠ Co, partial no and ni tiles, and a P that no p tile divides.
 func TestWinogradSpaceMatchesReference(t *testing.T) {
 	shapes := []conv.Shape{
 		{B: 2, Ni: 4, No: 8, Ro: 24, Co: 24, Kr: 3, Kc: 3},
 		{B: 1, Ni: 36, No: 40, Ro: 10, Co: 8, Kr: 3, Kc: 3},
+		{B: 2, Ni: 12, No: 8, Ro: 6, Co: 10, Kr: 3, Kc: 3},
 	}
 	for _, s := range shapes {
 		for _, perCall := range []bool{false, true} {
-			build := func(relu bool) (*conv.WinogradOp, error) {
-				s.ReLU = relu
-				op, err := conv.NewWinogradOp(s)
+			build := func(tw twin) (dsl.Operator, error) {
+				op, err := conv.NewWinogradOp(twinShape(s, tw))
 				if err == nil {
 					op.PerCall = perCall
 				}
 				return op, err
 			}
-			if perCall {
-				op, err := build(true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := checkSpace(t, op, true, 5e-2, convRef(s)); n != 0 {
-					t.Fatalf("%s: %d per-call points compile with the ReLU epilogue", op.Name(), n)
-				}
-				op, err = build(false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if checkSpace(t, op, false, 5e-2, convRef(s)) == 0 {
-					t.Fatalf("%s: no point compiles", op.Name())
-				}
+			ref := func(tw twin) func(map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
+				return convRef(twinShape(s, tw))
+			}
+			if !perCall {
+				checkTwins(t, convTwins, build, 5e-2, ref)
 				continue
 			}
-			checkTwins(t, func(relu bool) (dsl.Operator, error) { return build(relu) }, 5e-2, convRef(s))
+			for _, tw := range convTwins {
+				op, err := build(tw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := checkSpace(t, op, tw.relu, 5e-2, ref(tw))
+				if plain := tw == (twin{}); (n == 0) == plain {
+					t.Fatalf("%s: %d per-call points compile", op.Name(), n)
+				}
+			}
 		}
 	}
 }
 
 // TestEpilogueSpacesMatchReference is the same check over the implicit,
-// explicit and GEMM spaces, each with and without the ReLU epilogue, on
-// two small shapes each: B (or N) = 2, Ni ≠ No (M ≠ K) and odd extents.
+// explicit and GEMM spaces, each with and without the ReLU epilogue and a
+// convolution also with a pad, on small shapes: B (or N) = 2, Ni ≠ No
+// (M ≠ K), Ro ≠ Co and odd extents.
 func TestEpilogueSpacesMatchReference(t *testing.T) {
 	convs := []struct {
 		method string
@@ -165,19 +186,25 @@ func TestEpilogueSpacesMatchReference(t *testing.T) {
 		{conv.Explicit, conv.Shape{B: 2, Ni: 6, No: 4, Ro: 3, Co: 3, Kr: 1, Kc: 1}},
 	}
 	for _, c := range convs {
-		checkTwins(t, func(relu bool) (dsl.Operator, error) {
-			s := c.s
-			s.ReLU = relu
-			return conv.NewOp(c.method, s)
-		}, 5e-2, convRef(c.s))
+		twins := convTwins
+		if c.s.Kr == 1 {
+			twins = epilogueTwins
+		}
+		checkTwins(t, twins, func(tw twin) (dsl.Operator, error) {
+			return conv.NewOp(c.method, twinShape(c.s, tw))
+		}, 5e-2, func(tw twin) func(map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
+			return convRef(twinShape(c.s, tw))
+		})
 	}
 	for _, p := range []gemm.Params{{M: 20, N: 2, K: 36}, {M: 12, N: 5, K: 30}} {
-		checkTwins(t, func(relu bool) (dsl.Operator, error) {
-			p.ReLU = relu
+		checkTwins(t, epilogueTwins, func(tw twin) (dsl.Operator, error) {
+			p.ReLU = tw.relu
 			return gemm.NewOp(p)
-		}, 1e-3, func(binds map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
-			want, err := tensor.ReferenceGemm(binds["A"], binds["B"], 1, 0)
-			return want, binds["C"], err
+		}, 1e-3, func(twin) func(map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
+			return func(binds map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
+				want, err := tensor.ReferenceGemm(binds["A"], binds["B"], 1, 0)
+				return want, binds["C"], err
+			}
 		})
 	}
 }

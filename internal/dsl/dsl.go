@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"swatop/internal/ir"
 )
@@ -90,12 +91,17 @@ func (o OperandRole) String() string {
 }
 
 // TensorSpec declares a main-memory tensor and how the computation indexes
-// it: Access[d] is the affine sum of axis terms addressing dimension d.
+// it: Access[d] is the affine sum of axis terms addressing dimension d,
+// less Halo[d] where the tensor has a halo (nil: none) — the zero border of
+// that many elements on each side of the dimension, which no memory holds:
+// a convolution's input read at −Pad. Lowering clips each region to the
+// tensor and zero-fills what the halo covers (lower.Span).
 type TensorSpec struct {
 	Name   string
 	Dims   []int
 	Access [][]AccessTerm
 	Role   OperandRole
+	Halo   []int
 }
 
 // Seed is the schedule seed: the pure computation description (Fig. 4,
@@ -107,6 +113,35 @@ type Seed struct {
 	// ReLU is the output epilogue: max(0, x) applied to the C frame in SPM
 	// before each put, once its reduction is complete.
 	ReLU bool
+
+	mu      sync.Mutex
+	derived map[[8]int]any
+}
+
+// Derived returns what Derive recorded for key, if anything: what lowering
+// derives from the seed and the tiles of its axes (a halo's clipped
+// regions) is the same for every strategy with those tiles, so it is made
+// once per seed and key.
+func (s *Seed) Derived(key [8]int) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.derived[key]
+	return v, ok
+}
+
+// Derive records v for key unless a value is recorded already, and returns
+// the recorded one.
+func (s *Seed) Derive(key [8]int, v any) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.derived[key]; ok {
+		return old
+	}
+	if s.derived == nil {
+		s.derived = map[[8]int]any{}
+	}
+	s.derived[key] = v
+	return v
 }
 
 // NewSeed creates an empty seed.
@@ -196,7 +231,7 @@ func (s *Seed) Validate() error {
 			return fmt.Errorf("dsl: duplicate operand role %s", t.Role)
 		}
 		roles[t.Role] = true
-		if len(t.Access) != len(t.Dims) {
+		if len(t.Access) != len(t.Dims) || t.Halo != nil && len(t.Halo) != len(t.Dims) {
 			return fmt.Errorf("dsl: tensor %q has %d access functions for %d dims",
 				t.Name, len(t.Access), len(t.Dims))
 		}
@@ -212,9 +247,13 @@ func (s *Seed) Validate() error {
 				}
 				reach += term.Coeff * (ax.Extent - 1)
 			}
-			if reach >= t.Dims[d] {
-				return fmt.Errorf("dsl: tensor %q dim %d: access reaches %d, extent %d",
-					t.Name, d, reach, t.Dims[d])
+			halo := 0
+			if t.Halo != nil {
+				halo = t.Halo[d]
+			}
+			if halo < 0 || reach >= t.Dims[d]+2*halo {
+				return fmt.Errorf("dsl: tensor %q dim %d: access reaches %d, extent %d with halo %d",
+					t.Name, d, reach, t.Dims[d], halo)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 
+	"swatop/internal/tensor"
 	"swatop/internal/workloads"
 )
 
@@ -12,12 +13,13 @@ import (
 // Every conv, and every GEMM layer but the last, carries the ReLU the
 // network applies to its output as an epilogue (ConvShape.ReLU,
 // gemm.Params.ReLU): the operator clamps its output in SPM before the put,
-// so no ReLU node exists. Between consecutive convolutions Chain infers
-// the glue real networks carry: a 2×2 max-pool whenever the spatial
-// resolution halves, and a zero-pad re-materialization before every conv
-// with a kernel wider than 1×1 (the operators consume pre-padded inputs).
-// A fully-connected tail gets a final pool (when the feature counts imply
-// one) and a flatten.
+// so no ReLU node exists. Every conv with a kernel wider than 1×1, the
+// first included, pads its input by (K−1)/2 (ConvShape.Pad) and reads it
+// unpadded through its halo, so no pad node exists either and the network
+// input is the unpadded image. Between consecutive convolutions Chain
+// infers the one glue layer real networks carry: a 2×2 max-pool whenever
+// the spatial resolution halves. A fully-connected tail gets a final pool
+// (when the feature counts imply one) and a flatten.
 func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.FCLayer) (*Graph, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("graph %s: non-positive batch %d", name, batch)
@@ -26,20 +28,24 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 		return nil, fmt.Errorf("graph %s: no convolution layers", name)
 	}
 	g := New(name, batch)
+	shape := func(l workloads.ConvLayer) tensor.ConvShape {
+		s := l.Shape(batch)
+		s.ReLU, s.Pad = true, (s.Kr-1)/2
+		return s
+	}
 
-	first := convs[0].Shape(batch)
+	first := shape(convs[0])
 	if _, err := g.AddTensor("input", []int{first.Ni, first.Ri(), first.Ci(), first.B}, false); err != nil {
 		return nil, err
 	}
 	g.Input = "input"
 
-	cur := "input"   // current tensor, already padded for the upcoming conv
-	curC := first.Ni // channels of the live (unpadded) feature map
+	cur := "input"   // current tensor, the feature map the next conv reads
+	curC := first.Ni // channels of the live feature map
 	curR := 0        // spatial extent of the live feature map (0 before conv1)
 
 	for i, l := range convs {
-		s := l.Shape(batch)
-		s.ReLU = true
+		s := shape(l)
 		if i > 0 {
 			if s.Ni != curC {
 				return nil, fmt.Errorf("graph %s: %s wants %d input channels, %s provides %d",
@@ -47,7 +53,6 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 			}
 			switch {
 			case s.Ro == curR:
-				// same resolution: pad below handles the border
 			case s.Ro*2 == curR:
 				pooled := fmt.Sprintf("%s_pool", l.Name)
 				if _, err := g.AddTensor(pooled, []int{curC, s.Ro, s.Ro, batch}, false); err != nil {
@@ -62,19 +67,6 @@ func Chain(name string, batch int, convs []workloads.ConvLayer, fcs []workloads.
 			default:
 				return nil, fmt.Errorf("graph %s: cannot chain %s (R=%d) after R=%d: only same-resolution and 2×2-pool transitions exist",
 					name, l.Name, s.Ro, curR)
-			}
-			if s.Kr > 1 || s.Kc > 1 {
-				padded := fmt.Sprintf("%s_in", l.Name)
-				if _, err := g.AddTensor(padded, []int{s.Ni, s.Ri(), s.Ci(), batch}, false); err != nil {
-					return nil, err
-				}
-				if err := g.AddNode(&Node{
-					Name: "pad_" + l.Name, Kind: Pad, In: []string{cur}, Out: padded,
-					KR: (s.Kr - 1) / 2, KC: (s.Kc - 1) / 2,
-				}); err != nil {
-					return nil, err
-				}
-				cur = padded
 			}
 		}
 		weight := fmt.Sprintf("w_%s", l.Name)

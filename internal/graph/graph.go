@@ -18,16 +18,14 @@ import (
 // Kind is the operator type of a node.
 type Kind string
 
-// Node kinds. Conv and Gemm are the tuned operators, a ReLU their epilogue;
-// the rest are the thin glue layers real networks interleave between them.
-// Pad re-materializes a feature map with the zero border the stride-1
-// pre-padded convolutions expect; Flatten reshapes the last feature map
-// into the fully-connected input matrix.
+// Node kinds. Conv and Gemm are the tuned operators, a ReLU their epilogue
+// and a conv's zero padding its halo; the rest are the thin glue layers
+// real networks interleave between them. Flatten reshapes the last feature
+// map into the fully-connected input matrix.
 const (
 	Conv    Kind = "conv"
 	Gemm    Kind = "gemm"
 	MaxPool Kind = "maxpool" // 2×2, stride 2
-	Pad     Kind = "pad"
 	Flatten Kind = "flatten"
 )
 
@@ -63,9 +61,6 @@ type Node struct {
 	Conv tensor.ConvShape
 	// Gemm is the problem size of a Gemm node.
 	Gemm gemm.Params
-	// KR/KC are the pad widths of a Pad node per side: (K-1)/2 rows and
-	// columns of zeros around the feature map.
-	KR, KC int
 }
 
 // Graph is a network: nodes over named tensors, one designated input and
@@ -222,7 +217,7 @@ func (g *Graph) FLOPs() int64 {
 }
 
 // Validate shape-checks every node against its tensors: conv geometry
-// against the pre-padded input layout, gemm against the [K×N] input and
+// against its input (unpadded where the conv has a halo), gemm against the [K×N] input and
 // [M×N] output matrices, and the stubs against their resampling
 // contracts. It also checks the designated input/output exist and the
 // output is produced.
@@ -267,7 +262,7 @@ func (g *Graph) checkNode(n *Node) error {
 			return fmt.Errorf("conv wants 2 inputs (data, filter), has %d", len(n.In))
 		}
 		if got := dims(n.In[0]); !eq(got, s.Ni, s.Ri(), s.Ci(), s.B) {
-			return fmt.Errorf("input %s dims %v, want pre-padded (%d,%d,%d,%d)", n.In[0], got, s.Ni, s.Ri(), s.Ci(), s.B)
+			return fmt.Errorf("input %s dims %v, want (%d,%d,%d,%d)", n.In[0], got, s.Ni, s.Ri(), s.Ci(), s.B)
 		}
 		if got := dims(n.In[1]); !eq(got, s.No, s.Ni, s.Kr, s.Kc) {
 			return fmt.Errorf("filter %s dims %v, want (%d,%d,%d,%d)", n.In[1], got, s.No, s.Ni, s.Kr, s.Kc)
@@ -301,19 +296,6 @@ func (g *Graph) checkNode(n *Node) error {
 			in[0] != out[0] || in[3] != out[3] ||
 			out[1]*2 != in[1] || out[2]*2 != in[2] {
 			return fmt.Errorf("maxpool %v -> %v is not a 2×2/2 downsample", in, out)
-		}
-	case Pad:
-		if len(n.In) != 1 {
-			return fmt.Errorf("pad wants 1 input, has %d", len(n.In))
-		}
-		if n.KR < 0 || n.KC < 0 {
-			return fmt.Errorf("negative pad (%d,%d)", n.KR, n.KC)
-		}
-		in, out := dims(n.In[0]), dims(n.Out)
-		if len(in) != 4 || len(out) != 4 ||
-			in[0] != out[0] || in[3] != out[3] ||
-			out[1] != in[1]+2*n.KR || out[2] != in[2]+2*n.KC {
-			return fmt.Errorf("pad(%d,%d) %v -> %v inconsistent", n.KR, n.KC, in, out)
 		}
 	case Flatten:
 		if len(n.In) != 1 {

@@ -21,9 +21,16 @@ func TestVGG16GraphStructure(t *testing.T) {
 	if got := g.CountKind(MaxPool); got != 5 {
 		t.Fatalf("%d pool stages, want 5", got)
 	}
-	// Every conv except conv1_1 consumes a freshly padded tensor.
-	if got := g.CountKind(Pad); got != 12 {
-		t.Fatalf("%d pad nodes, want 12", got)
+	// Every conv, conv1_1 included, pads its input by one through its halo
+	// and reads the previous layer's output (or the image) as it is: the
+	// nodes are the 13 convs, 5 pools, the flatten and the 3 fcs.
+	for _, n := range g.Topo() {
+		if n.Kind == Conv && n.Conv.Pad != 1 {
+			t.Fatalf("%s pads by %d, want 1", n.Name, n.Conv.Pad)
+		}
+	}
+	if got := g.NumNodes(); got != 22 {
+		t.Fatalf("%d nodes, want 22", got)
 	}
 	// ReLU is the epilogue of all 13 convs and of fc6/fc7 (not fc8).
 	relus := 0
@@ -43,8 +50,8 @@ func TestVGG16GraphStructure(t *testing.T) {
 		t.Fatalf("output tensor %v, want the (1000, batch) logits", out)
 	}
 	in, _ := g.Tensor(g.Input)
-	if !reflect.DeepEqual(in.Dims, []int{3, 226, 226, 4}) {
-		t.Fatalf("input tensor %v, want pre-padded (3,226,226,4)", in.Dims)
+	if !reflect.DeepEqual(in.Dims, []int{3, 224, 224, 4}) {
+		t.Fatalf("input tensor %v, want the unpadded image (3,224,224,4)", in.Dims)
 	}
 	// FLOPs must cover conv and fc work.
 	var want int64
@@ -153,22 +160,22 @@ func TestAddNodeRejectsMalformedGraphs(t *testing.T) {
 	if _, err := g.AddTensor("neg", []int{0}, false); err == nil {
 		t.Fatal("non-positive dim must error")
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"ghost"}, Out: "x"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: MaxPool, In: []string{"ghost"}, Out: "x"}); err == nil {
 		t.Fatal("undeclared input must error")
 	}
-	if _, err := g.AddTensor("y", []int{1, 4, 4, 1}, false); err != nil {
+	if _, err := g.AddTensor("y", []int{1, 2, 2, 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"y"}, Out: "x"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: MaxPool, In: []string{"y"}, Out: "x"}); err == nil {
 		t.Fatal("reading an unproduced activation must error (cycle guard)")
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"x"}, Out: "y"}); err != nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: MaxPool, In: []string{"x"}, Out: "y"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddNode(&Node{Name: "r2", Kind: Pad, In: []string{"x"}, Out: "y"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r2", Kind: MaxPool, In: []string{"x"}, Out: "y"}); err == nil {
 		t.Fatal("double-producing a tensor must error")
 	}
-	if err := g.AddNode(&Node{Name: "r", Kind: Pad, In: []string{"y"}, Out: "y"}); err == nil {
+	if err := g.AddNode(&Node{Name: "r", Kind: MaxPool, In: []string{"y"}, Out: "y"}); err == nil {
 		t.Fatal("duplicate node name must error")
 	}
 	g.Output = "y"

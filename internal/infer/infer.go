@@ -51,6 +51,10 @@ type Engine struct {
 	timings       map[string]float64
 	simulations   int
 	unschedulable map[string]error
+	// events remembers, by timed's key, how many timeline events a run of
+	// that program records: a capacity hint for the next task's timeline,
+	// whose contents never depend on it.
+	events map[string]int
 }
 
 // NewEngine fits the autotuner's cost model.
@@ -59,7 +63,7 @@ func NewEngine() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{model: m, timings: map[string]float64{}, unschedulable: map[string]error{}}, nil
+	return &Engine{model: m, timings: map[string]float64{}, unschedulable: map[string]error{}, events: map[string]int{}}, nil
 }
 
 // Options configures one network run.
@@ -295,6 +299,7 @@ func (r *Result) GFLOPS() float64 {
 // resolvedOp is one operator node's schedule resolution.
 type resolvedOp struct {
 	prog      *ir.Program
+	key       string // the program's key in the engine's memos ("" when degraded)
 	strategy  string
 	method    string // winning conv lowering method ("" for gemm/degraded)
 	spaceSize int
@@ -576,9 +581,10 @@ func (e *Engine) runTask(ctx context.Context, t task, env execEnv) (*taskResult,
 		t.prep(ts)
 	}
 	out := &taskResult{ts: ts, segs: make([]segment, 0, t.reps)}
+	events := e.eventHint(t)
 	execT0 := time.Now()
 	for rep := 0; rep < t.reps; rep++ {
-		res, log := &Result{}, &trace.Log{}
+		res, log := &Result{}, &trace.Log{Events: make([]trace.Event, 0, events)}
 		start := env.m.Now()
 		if err := e.execNodes(ctx, t.sp, t.nodes, ts, res, log, env); err != nil {
 			return nil, err
@@ -593,6 +599,25 @@ func (e *Engine) runTask(ctx context.Context, t task, env execEnv) (*taskResult,
 			map[string]string{"machine_ms": reqtrace.MsArg((env.m.Elapsed() - out.segs[0].start) * 1e3)})
 	}
 	return out, nil
+}
+
+// eventHint is how many events a task's timeline records, as far as the
+// engine has seen its programs run: a glue layer or relayout records one.
+func (e *Engine) eventHint(t task) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, node := range t.nodes {
+		if v := t.sp.views[viewKey{node.Name, node.In[0]}]; v != nil && v.copy {
+			n++
+		}
+		if r := t.sp.resolved[node.Name]; r == nil {
+			n++
+		} else {
+			n += e.events[r.key]
+		}
+	}
+	return n
 }
 
 // execNodes executes nodes (a topo-order slice of sp's graph) on env's
@@ -637,6 +662,11 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 			// Each generated kernel owns the whole scratch pad for its
 			// invocation; release it before the successor plans its tiles.
 			m.ResetSPM()
+			if r.key != "" {
+				e.mu.Lock()
+				e.events[r.key] = len(timeline.Events) - n0
+				e.mu.Unlock()
+			}
 			layer.Seconds = runRes.Seconds
 			layer.Strategy = r.strategy
 			layer.Cached = r.cached
@@ -694,7 +724,7 @@ func (e *Engine) execNodes(ctx context.Context, sp *shardPlan, nodes []*graph.No
 		timeline.Tag(n0, args)
 
 		if !env.skipBaseline {
-			layer.BaselineSeconds = e.baselineSeconds(n, layer.Seconds)
+			layer.BaselineSeconds = e.baselineSeconds(n, g.Producer(n.In[0]) != "", layer.Seconds)
 			res.BaselineSeconds += layer.BaselineSeconds
 		}
 		if env.obs.Enabled() {
@@ -862,8 +892,9 @@ func (e *Engine) sweepMethod(ctx context.Context, m string, s conv.Shape, opts O
 	e.mu.Unlock()
 	if hit {
 		st := entry.Strategy().String()
-		if secs, ok := e.remembered(name + " " + st); ok {
-			return &resolvedOp{strategy: m + " " + st, method: m, spaceSize: entry.SpaceSize, cached: true}, secs, entry, nil
+		key := name + " " + st
+		if secs, ok := e.remembered(key); ok {
+			return &resolvedOp{key: key, strategy: m + " " + st, method: m, spaceSize: entry.SpaceSize, cached: true}, secs, entry, nil
 		}
 	} else if empty != nil {
 		return nil, 0, entry, empty
@@ -887,8 +918,8 @@ func (e *Engine) sweepMethod(ctx context.Context, m string, s conv.Shape, opts O
 			return nil, 0, entry, err
 		}
 	}
-	r := resolvedFrom(res, hit)
-	secs, err := e.timed(name+" "+r.strategy, func() (*ir.Program, error) { return r.prog, nil })
+	r := resolvedFrom(op, res, hit)
+	secs, err := e.timed(r.key, func() (*ir.Program, error) { return r.prog, nil })
 	r.strategy, r.method = m+" "+r.strategy, m
 	return r, secs, entry, err
 }
@@ -931,14 +962,16 @@ func (e *Engine) resolveOp(ctx context.Context, op autotune.Operator, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	return resolvedFrom(res, cached), nil
+	return resolvedFrom(op, res, cached), nil
 }
 
 // resolvedFrom keeps what the runtime needs of a resolved schedule.
-func resolvedFrom(res autotune.Result, cached bool) *resolvedOp {
+func resolvedFrom(op autotune.Operator, res autotune.Result, cached bool) *resolvedOp {
+	st := res.Best.Strategy.String()
 	return &resolvedOp{
 		prog:      res.Best.Program,
-		strategy:  res.Best.Strategy.String(),
+		key:       op.Name() + " " + st,
+		strategy:  st,
 		spaceSize: res.Valid,
 		cached:    cached,
 	}
@@ -1209,18 +1242,26 @@ func maxAbsErrFlat(want, got *tensor.Tensor) (float64, error) {
 // manual explicit-GEMM otherwise; xMath for the fully-connected layers).
 // The manual library runs a ReLU as a layer of its own, so an operator
 // carrying the epilogue is timed without it and charged the unfused ReLU
-// stub besides. Glue stubs cost the same in both runtimes; an operator with
-// no usable baseline conservatively reports its own tuned time, which is
-// returned and never remembered.
-func (e *Engine) baselineSeconds(n *graph.Node, tuned float64) float64 {
+// stub besides. It also reads a pre-padded input: a padded conv is timed on
+// its pre-padded twin and, where another layer produced its input (produced),
+// charged the stub that pads it. Glue stubs cost the same in both runtimes;
+// an operator with no usable baseline conservatively reports its own tuned
+// time, which is returned and never remembered.
+func (e *Engine) baselineSeconds(n *graph.Node, produced bool, tuned float64) float64 {
 	var key string
 	var progs []func() (*ir.Program, error)
 	var relu bool
 	var elems int64
+	var pad float64
 	switch n.Kind {
 	case graph.Conv:
 		s := n.Conv
-		relu, s.ReLU = s.ReLU, false
+		if s.Pad > 0 && produced {
+			in := int64(s.Ni) * int64(s.Ri()) * int64(s.Ci()) * int64(s.B)
+			out := int64(s.Ni) * int64(s.Ro+s.Kr-1) * int64(s.Co+s.Kc-1) * int64(s.B)
+			pad = stubSeconds(4*(in+out), out, 1)
+		}
+		relu, s.ReLU, s.Pad = s.ReLU, false, 0
 		key, elems = "conv:"+s.String(), int64(s.No)*int64(s.Ro)*int64(s.Co)*int64(s.B)
 		progs = []func() (*ir.Program, error){
 			func() (*ir.Program, error) { return baseline.SwDNNImplicit(s) },
@@ -1239,7 +1280,7 @@ func (e *Engine) baselineSeconds(n *graph.Node, tuned float64) float64 {
 			if relu {
 				v += stubSeconds(8*elems, elems, 1)
 			}
-			return v
+			return v + pad
 		}
 	}
 	return tuned

@@ -9,13 +9,12 @@ import (
 	"swatop/internal/trace"
 )
 
-// The glue layers between tuned operators (2×2 max-pooling, zero-pad
-// re-materialization, flatten) are memory-bound streaming kernels: every
-// CPE pulls a tile of the feature map into SPM, applies a trivial per-
-// element function and puts the result back. Their time model is the
-// longer of the two channels that overlap in such a kernel — the DMA time
-// of the bytes moved at effective bandwidth, and the per-element compute
-// spread over the 64 CPEs.
+// The glue layers between tuned operators (2×2 max-pooling, flatten) are
+// memory-bound streaming kernels: every CPE pulls a tile of the feature map
+// into SPM, applies a trivial per-element function and puts the result
+// back. Their time model is the longer of the two channels that overlap in
+// such a kernel — the DMA time of the bytes moved at effective bandwidth,
+// and the per-element compute spread over the 64 CPEs.
 func stubSeconds(bytes int64, elems int64, cyclesPerElem float64) float64 {
 	dma := float64(bytes)/sw26010.DMAEffBandwidth + sw26010.DMAStartupSeconds
 	cpu := sw26010.Seconds(cyclesPerElem * float64(elems) / sw26010.NumCPE)
@@ -77,26 +76,6 @@ func runStub(m *sw26010.Machine, g *graph.Graph, n *graph.Node, ts map[string]*t
 		if functional {
 			for f := 0; f < outElems; f++ {
 				setFlat(out, atFlat(in, f), f)
-			}
-		}
-	case graph.Pad:
-		secs = stubSeconds(int64(4*(inElems+outElems)), int64(outElems), 1)
-		if functional {
-			c, h, w, b := inDims[0], inDims[1], inDims[2], inDims[3]
-			oh, ow := outDims[1], outDims[2]
-			for f := 0; f < outElems; f++ {
-				setFlat(out, 0, f)
-			}
-			for ci := 0; ci < c; ci++ {
-				for hi := 0; hi < h; hi++ {
-					for wi := 0; wi < w; wi++ {
-						for bi := 0; bi < b; bi++ {
-							src := ((ci*h+hi)*w+wi)*b + bi
-							dst := ((ci*oh+hi+n.KR)*ow+(wi+n.KC))*b + bi
-							setFlat(out, atFlat(in, src), dst)
-						}
-					}
-				}
 			}
 		}
 	case graph.MaxPool:

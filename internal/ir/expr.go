@@ -183,10 +183,21 @@ func Min(l, r Expr) Expr { return newBin(opMin, l, r) }
 // evaluating it would; the constructors fold such a tree when it is built.
 func IsConst(e Expr) (int64, bool) { return e.fold() }
 
+// Memo substitutes into a set of expressions that share subtrees, such as
+// a clipped move's start, extent and offset, rebuilding each shared node
+// once rather than once per path to it. It remembers a fixed number of
+// nodes and rebuilds the rest every time; the zero Memo is empty.
+type Memo struct {
+	n    int
+	from [24]*BinExpr
+	to   [24]Expr
+}
+
 // Subst replaces variable references by expressions: repl returns a
 // variable's replacement and whether it has one. A subtree in which nothing
-// is replaced is returned as it is, not rebuilt.
-func Subst(e Expr, repl func(name string) (Expr, bool)) Expr {
+// is replaced is returned as it is, not rebuilt, and one the memo rebuilt
+// before is reused.
+func (m *Memo) Subst(e Expr, repl func(name string) (Expr, bool)) Expr {
 	switch x := e.(type) {
 	case ConstExpr:
 		return e
@@ -196,11 +207,20 @@ func Subst(e Expr, repl func(name string) (Expr, bool)) Expr {
 		}
 		return e
 	case *BinExpr:
-		l, r := Subst(x.L, repl), Subst(x.R, repl)
-		if l == x.L && r == x.R {
-			return e
+		for i := 0; i < m.n; i++ {
+			if m.from[i] == x {
+				return m.to[i]
+			}
 		}
-		return newBin(x.Op, l, r)
+		out := e
+		if l, r := m.Subst(x.L, repl), m.Subst(x.R, repl); l != x.L || r != x.R {
+			out = newBin(x.Op, l, r)
+		}
+		if m.n < len(m.from) {
+			m.from[m.n], m.to[m.n] = x, out
+			m.n++
+		}
+		return out
 	}
 	panic(fmt.Sprintf("ir: Subst on unknown expr %T", e))
 }

@@ -102,7 +102,7 @@ func TestFreeVarsAndIsConst(t *testing.T) {
 	}
 }
 
-// lookup is a substitution table as Subst reads it.
+// lookup is a substitution table as Memo.Subst reads it.
 func lookup(m map[string]Expr) func(string) (Expr, bool) {
 	return func(name string) (Expr, bool) {
 		e, ok := m[name]
@@ -110,9 +110,15 @@ func lookup(m map[string]Expr) func(string) (Expr, bool) {
 	}
 }
 
+// subst is a one-expression Memo.Subst.
+func subst(e Expr, repl func(string) (Expr, bool)) Expr {
+	var m Memo
+	return m.Subst(e, repl)
+}
+
 func TestSubst(t *testing.T) {
 	e := Add(Mul(V("i"), Const(16)), V("j"))
-	s := Subst(e, lookup(map[string]Expr{"i": Add(V("i"), Const(1))}))
+	s := subst(e, lookup(map[string]Expr{"i": Add(V("i"), Const(1))}))
 	vars := env{"i": 2, "j": 5}
 	if got := eval(s, vars); got != 3*16+5 {
 		t.Fatalf("subst eval = %d", got)
@@ -122,11 +128,19 @@ func TestSubst(t *testing.T) {
 		t.Fatalf("original mutated: %d", got)
 	}
 	// What has nothing to replace is returned as it is, not rebuilt.
-	if got := Subst(e, lookup(map[string]Expr{"k": Const(1)})); got != e {
+	if got := subst(e, lookup(map[string]Expr{"k": Const(1)})); got != e {
 		t.Fatalf("subst without a match rebuilt %s", e)
 	}
-	if got := Subst(e, lookup(map[string]Expr{"j": Const(1)})).(*BinExpr).L; got != e.(*BinExpr).L {
+	if got := subst(e, lookup(map[string]Expr{"j": Const(1)})).(*BinExpr).L; got != e.(*BinExpr).L {
 		t.Fatalf("subst rebuilt the unchanged subtree %s", got)
+	}
+	// A subtree two expressions share is rebuilt once for both.
+	var m Memo
+	repl := lookup(map[string]Expr{"i": V("n")})
+	shared := Mul(V("i"), Const(16))
+	a, b := m.Subst(Add(shared, V("j")), repl), m.Subst(Sub(shared, Const(1)), repl)
+	if a.(*BinExpr).L != b.(*BinExpr).L || eval(a, env{"n": 1, "j": 2}) != 18 {
+		t.Fatalf("memo rebuilt the shared subtree twice: %s, %s", a, b)
 	}
 }
 

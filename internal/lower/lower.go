@@ -365,6 +365,20 @@ func (p *Plan) planOperand(role dsl.OperandRole, b *backing) error {
 	return nil
 }
 
+// span is what the plan knows of the regions of a haloed tensor dimension,
+// whose start (the operand's) addresses the padded tensor: they reach as
+// far as the access does, and the narrowest is the access over every
+// axis's narrowest tile.
+func (p *Plan) span(spec *dsl.TensorSpec, d, frame int) Span {
+	sp := Span{Dim: spec.Dims[d], Frame: frame, Halo: spec.Halo[d], Reach: 1, MinExtent: 1}
+	for _, term := range spec.Access[d] {
+		ap := p.axis(term.Axis)
+		sp.Reach += term.Coeff * (ap.ax.Extent - 1)
+		sp.MinExtent += term.Coeff * (min(ap.factor, ap.ax.Extent-(ap.outer-1)*ap.factor) - 1)
+	}
+	return sp
+}
+
 // groupProduct computes the actual composite extent of a dim group and its
 // storage-fastest-first axis order, enforcing the partial-tile rule. The
 // order is a window of the backing's names.
@@ -453,17 +467,51 @@ func (p *Plan) BuildNest() []ir.Stmt {
 	// force a re-fetch of partial sums from memory instead.
 	cZeroInit := !p.reductionOutside(c.depth)
 	guard, vecExpr := p.padGuard()
+	// An input with a halo moves its clipped regions (halo.go); where a
+	// region can lie wholly outside the tensor, the GEMM runs only inside.
+	var zero [2]ir.Cond
+	var halo [2]*haloGet
+	var off [2]ir.Expr
+	var insides [2 * maxRank]ir.Cond
+	inside := insides[:0]
+	for i, op := range ops[:2] {
+		off[i] = ir.Const(0)
+		if op == guard {
+			// Lightweight zero padding (§4.5.3): when the boundary tile's
+			// vectorized extent is not a multiple of the vector width, clear
+			// the frame so the rounded-up GEMM call multiplies zeros.
+			zero[i] = ir.Cond{Op: ir.NE, L: ir.Mod(vecExpr, ir.Const(sw26010.VectorWidth)), R: ir.Const(0)}
+		}
+		if op.spec.Halo == nil {
+			continue
+		}
+		h := p.halo(op)
+		halo[i], inside = h, append(inside, h.inside...)
+		for d := range op.start {
+			off[i] = ir.Add(off[i], ir.Mul(h.clips[d].Off, op.strideExpr[d]))
+		}
+		switch {
+		case h.zero.L == nil:
+		case zero[i].L == nil:
+			zero[i] = h.zero
+		default: // both the vector guard and the clip: either leaves a remainder
+			zero[i].L = ir.Add(zero[i].L, ir.Sub(h.zero.R, h.zero.L))
+		}
+	}
 
 	// A nest gets A and B, gets or zero-fills C, clamps and puts C, and
-	// zero-fills the guarded input. Its lists hold the moves, the clamp, the
-	// guard and its Then, an inner statement per level, and the comment,
-	// allocs and frees.
-	moves, zeros, stmts := 4, 0, 12+len(p.order)
+	// zero-fills each guarded input. Its lists hold the moves, the clamp,
+	// each guard and its Then, the Then of each GEMM condition, an inner
+	// statement per level, and the comment, allocs and frees.
+	moves, zeros, stmts := 4, 0, 12+len(p.order)+len(inside)
 	if cZeroInit {
 		moves, zeros = 3, 1
 	}
-	if guard != nil {
-		zeros, stmts = zeros+1, stmts+2
+	nifs := len(inside)
+	for i := range zero {
+		if zero[i].L != nil {
+			zeros, stmts, nifs = zeros+1, stmts+2, nifs+1
+		}
 	}
 	if p.Seed.ReLU {
 		zeros, stmts = zeros+1, stmts+1
@@ -481,36 +529,34 @@ func (p *Plan) BuildNest() []ir.Stmt {
 		n.alloc[i] = ir.AllocSPM{Buf: op.buf, Elems: ir.Const(int64(op.frameElems))}
 		n.free[i] = ir.FreeSPM{Buf: op.buf}
 	}
+	ifs := make(ir.Slab[ir.If], nifs)
 
 	// Build from the innermost level outwards, each level's list in a
 	// scratch array first; the outermost one is the program's list.
 	var scratch [16]ir.Stmt
 	inner := ir.Stmt(&n.gemm)
+	for _, cond := range inside {
+		inner = ifs.New(ir.If{Cond: cond, Then: append(n.stmts.List(1), inner)})
+	}
 	for depth := len(p.order); ; depth-- {
 		body := scratch[:0]
 		if depth == 0 {
 			body = append(body, &n.comment, &n.alloc[0], &n.alloc[1], &n.alloc[2])
 		}
-		for _, op := range ops[:2] {
+		for i, op := range ops[:2] {
 			if op.depth != depth {
 				continue
 			}
-			if op == guard {
-				// Lightweight zero padding (§4.5.3): when the boundary tile's
-				// vectorized extent is not a multiple of the vector width,
-				// clear the frame so the rounded-up GEMM call multiplies zeros.
-				body = append(body, &ir.If{
-					Cond: ir.Cond{Op: ir.NE, L: ir.Mod(vecExpr, ir.Const(sw26010.VectorWidth)), R: ir.Const(0)},
-					Then: append(n.stmts.List(1), n.onFrame(ir.ZeroFill, op)),
-				})
+			if zero[i].L != nil {
+				body = append(body, ifs.New(ir.If{Cond: zero[i], Then: append(n.stmts.List(1), n.onFrame(ir.ZeroFill, op))}))
 			}
-			body = append(body, n.move(op, ir.Get))
+			body = append(body, n.move(op, ir.Get, halo[i], off[i]))
 		}
 		if c.depth == depth {
 			if cZeroInit {
 				body = append(body, n.onFrame(ir.ZeroFill, c))
 			} else {
-				body = append(body, n.move(c, ir.Get))
+				body = append(body, n.move(c, ir.Get, nil, ir.Const(0)))
 			}
 		}
 		body = append(body, inner)
@@ -518,7 +564,7 @@ func (p *Plan) BuildNest() []ir.Stmt {
 			if p.Seed.ReLU {
 				body = append(body, n.onFrame(ir.ReLU, c))
 			}
-			body = append(body, n.move(c, ir.Put))
+			body = append(body, n.move(c, ir.Put, nil, ir.Const(0)))
 		}
 		if depth == 0 {
 			body = append(body, &n.free[0], &n.free[1], &n.free[2])
@@ -570,18 +616,69 @@ func (p *Plan) padGuard() (*operandPlan, ir.Expr) {
 	return op, vecExpr
 }
 
+// haloGet is how a nest moves a haloed operand for one shape of tiles: its
+// regions clipped to the tensor, the condition under which they leave part
+// of the frame unwritten, and those under which they meet the tensor at
+// all. It depends on the tiles of the axes the tensor's access names and
+// nothing else of a strategy, so it is made once per operator and tiles.
+type haloGet struct {
+	clips  [maxRank]Clip
+	zero   ir.Cond
+	inside []ir.Cond
+}
+
+// halo returns the haloed operand's haloGet for the plan's tiles.
+func (p *Plan) halo(op *operandPlan) *haloGet {
+	key := [8]int{int(op.spec.Role)}
+	k := 1
+	for _, terms := range op.spec.Access {
+		for _, term := range terms {
+			if k < len(key) {
+				key[k] = p.axis(term.Axis).factor
+			}
+			k++
+		}
+	}
+	if k <= len(key) {
+		if h, ok := p.Seed.Derived(key); ok {
+			return h.(*haloGet)
+		}
+	}
+	h := &haloGet{}
+	for d := range op.start {
+		if op.spec.Halo[d] == 0 {
+			h.clips[d] = Clip{Start: op.start[d], Extent: op.extent[d], Off: ir.Const(0)}
+			continue
+		}
+		h.clips[d] = p.span(op.spec, d, op.frameExt[d]).Clip(op.start[d], op.extent[d])
+		if c := h.clips[d].Inside; c.L != nil {
+			h.inside = append(h.inside, c)
+		}
+	}
+	h.zero = Clipped(op.extent, h.clips[:len(op.start)])
+	if k <= len(key) {
+		return p.Seed.Derive(key, h).(*haloGet)
+	}
+	return h
+}
+
 // move builds a move of an operand's region; its start, extent and frame
 // strides are one window of the expression slab.
-func (n *nest) move(op *operandPlan, dir ir.MoveDir) ir.Stmt {
+func (n *nest) move(op *operandPlan, dir ir.MoveDir, h *haloGet, off ir.Expr) ir.Stmt {
 	nd := len(op.start)
 	exprs := append(append(append(n.exprs.List(3*nd), op.start...), op.extent...), op.strideExpr...)
+	if h != nil {
+		for d, c := range h.clips[:nd] {
+			exprs[d], exprs[nd+d] = c.Start, c.Extent
+		}
+	}
 	return n.moves.New(ir.RegionMove{
 		Tensor:      op.spec.Name,
 		Dir:         dir,
 		Start:       exprs[:nd:nd],
 		Extent:      exprs[nd : 2*nd : 2*nd],
 		Buf:         op.buf,
-		BufOff:      ir.Const(0),
+		BufOff:      off,
 		FrameStride: exprs[2*nd:],
 	})
 }

@@ -18,6 +18,11 @@ func LowerPadded(seed *dsl.Seed, st dsl.Strategy) (*ir.Program, error) {
 	if err := seed.Validate(); err != nil {
 		return nil, err
 	}
+	for _, t := range seed.Tensors {
+		if t.Halo != nil {
+			return nil, fmt.Errorf("lower: traditional padding of %s's halo is not modelled", t.Name)
+		}
+	}
 	// Padded axis extents.
 	padExt := map[string]int{}
 	anyPad := false

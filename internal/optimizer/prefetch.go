@@ -432,35 +432,38 @@ func (pf *prefetcher) waitIf(ctr ir.Expr, n int64, reply string) ir.Stmt {
 // issue appends the (optionally pad-guarded) prefetch issue of a get to dst,
 // with substituted iterators and a parity buffer offset. The issue's
 // start, extent and frame strides are one window of the expression slab.
+// The guard and the move share one memo: a clipped move's start, extent,
+// offset and zero-fill condition share their subtrees (lower.Span).
 func (pf *prefetcher) issue(dst []ir.Stmt, g *getSite, s subst, off ir.Expr) []ir.Stmt {
 	sub := s.of
+	var m ir.Memo
 	if g.guard != nil {
 		zf := pf.zeros.New(g.zero)
-		zf.DstOff = ir.Add(ir.Subst(zf.DstOff, sub), off)
+		zf.DstOff = ir.Add(m.Subst(zf.DstOff, sub), off)
 		cond := g.guard.Cond
-		cond.L = ir.Subst(cond.L, sub)
-		cond.R = ir.Subst(cond.R, sub)
+		cond.L = m.Subst(cond.L, sub)
+		cond.R = m.Subst(cond.R, sub)
 		then := append(pf.lists.List(1), zf)
 		dst = append(dst, pf.ifs.New(ir.If{Cond: cond, Then: then}))
 	}
 	mv := g.move
 	n0, n1 := len(mv.Start), len(mv.Start)+len(mv.Extent)
 	exprs := pf.exprs.List(n1 + len(mv.FrameStride))[:n1+len(mv.FrameStride)]
-	mv.Start = substAll(exprs[:n0:n0], mv.Start, sub)
-	mv.Extent = substAll(exprs[n0:n1:n1], mv.Extent, sub)
-	mv.FrameStride = substAll(exprs[n1:], mv.FrameStride, sub)
-	mv.BufOff = ir.Add(ir.Subst(mv.BufOff, sub), off)
+	mv.Start = substAll(exprs[:n0:n0], mv.Start, sub, &m)
+	mv.Extent = substAll(exprs[n0:n1:n1], mv.Extent, sub, &m)
+	mv.FrameStride = substAll(exprs[n1:], mv.FrameStride, sub, &m)
+	mv.BufOff = ir.Add(m.Subst(mv.BufOff, sub), off)
 	return append(dst, pf.ops.New(ir.DMAOp{Move: mv, Reply: g.reply}))
 }
 
 // substAll writes the substituted src into dst (of the same length); an
 // empty src stays nil.
-func substAll(dst, src []ir.Expr, sub func(string) (ir.Expr, bool)) []ir.Expr {
+func substAll(dst, src []ir.Expr, sub func(string) (ir.Expr, bool), m *ir.Memo) []ir.Expr {
 	if len(src) == 0 {
 		return nil
 	}
 	for i, e := range src {
-		dst[i] = ir.Subst(e, sub)
+		dst[i] = m.Subst(e, sub)
 	}
 	return dst
 }

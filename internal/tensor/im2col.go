@@ -4,22 +4,26 @@ import "fmt"
 
 // ConvShape captures the geometry of a 2-D multi-channel convolution in the
 // paper's notation (§3, Alg. 1): batch B, input channels Ni, output channels
-// No, output spatial extents Ro×Co, kernel extents Kr×Kc. Inputs are
-// spatially pre-padded, so the input extents are Ri = Ro+Kr-1, Ci = Co+Kc-1
-// (stride 1, the case the paper evaluates). ReLU makes the operator apply
-// max(0, x) to its output as an epilogue, in SPM before the output put.
+// No, output spatial extents Ro×Co, kernel extents Kr×Kc, stride 1 (the case
+// the paper evaluates). Pad is the zero border on each side of the input's
+// rows and columns, which the operator reads through its halo (boundary
+// processing) rather than from memory: the input extents are
+// Ri = Ro+Kr-1-2·Pad, Ci = Co+Kc-1-2·Pad, and a shape with Pad 0 reads a
+// pre-padded input. ReLU makes the operator apply max(0, x) to its output as
+// an epilogue, in SPM before the output put.
 type ConvShape struct {
 	B, Ni, No int
 	Ro, Co    int
 	Kr, Kc    int
 	ReLU      bool
+	Pad       int
 }
 
-// Ri returns the (pre-padded) input row extent.
-func (s ConvShape) Ri() int { return s.Ro + s.Kr - 1 }
+// Ri returns the input row extent.
+func (s ConvShape) Ri() int { return s.Ro + s.Kr - 1 - 2*s.Pad }
 
-// Ci returns the (pre-padded) input column extent.
-func (s ConvShape) Ci() int { return s.Co + s.Kc - 1 }
+// Ci returns the input column extent.
+func (s ConvShape) Ci() int { return s.Co + s.Kc - 1 - 2*s.Pad }
 
 // FLOPs returns the multiply-add count of the direct convolution, counted
 // as 2 flops per MAC — the denominator the paper uses for all efficiency
@@ -33,6 +37,9 @@ func (s ConvShape) Validate() error {
 	if s.B <= 0 || s.Ni <= 0 || s.No <= 0 || s.Ro <= 0 || s.Co <= 0 || s.Kr <= 0 || s.Kc <= 0 {
 		return fmt.Errorf("conv shape has non-positive extent: %+v", s)
 	}
+	if s.Pad < 0 || s.Ri() <= 0 || s.Ci() <= 0 {
+		return fmt.Errorf("conv shape's pad %d leaves no input: %+v", s.Pad, s)
+	}
 	return nil
 }
 
@@ -40,6 +47,9 @@ func (s ConvShape) String() string {
 	relu := ""
 	if s.ReLU {
 		relu = ",relu"
+	}
+	if s.Pad > 0 {
+		return fmt.Sprintf("conv(B=%d,Ni=%d,No=%d,Ro=%d,Co=%d,K=%dx%d%s,pad=%d)", s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc, relu, s.Pad)
 	}
 	return fmt.Sprintf("conv(B=%d,Ni=%d,No=%d,Ro=%d,Co=%d,K=%dx%d%s)", s.B, s.Ni, s.No, s.Ro, s.Co, s.Kr, s.Kc, relu)
 }
@@ -64,7 +74,8 @@ func NewConvOutput(s ConvShape) *Tensor {
 // Im2col expands the input tensor of shape (Ni, Ri, Ci, B) into the column
 // matrix of the explicit-GEMM method (Fig. 2 left): a (Ni*Kr*Kc) ×
 // (Ro*Co*B) matrix such that output = filterMatrix × columnMatrix, where
-// filterMatrix is the (No) × (Ni*Kr*Kc) reshaped filter.
+// filterMatrix is the (No) × (Ni*Kr*Kc) reshaped filter. It reads zero
+// outside the input (the pad).
 func Im2col(in *Tensor, s ConvShape) (*Tensor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -87,7 +98,7 @@ func Im2col(in *Tensor, s ConvShape) (*Tensor, error) {
 					for co := 0; co < s.Co; co++ {
 						for b := 0; b < s.B; b++ {
 							colIdx := (ro*s.Co+co)*s.B + b
-							col.Set(in.At(ni, ro+kr, co+kc, b), row, colIdx)
+							col.Set(padded(in, s, ni, ro+kr, co+kc, b), row, colIdx)
 						}
 					}
 				}
@@ -135,9 +146,18 @@ func OutputFromMatrix(m *Tensor, s ConvShape) (*Tensor, error) {
 	return out, nil
 }
 
-// ReferenceConv computes the direct convolution (Alg. 1) naively, clamped
-// at zero when s.ReLU is set. It is the correctness oracle for all three
-// tensorized methods.
+// padded reads the input at row r and column c of its zero-padded form.
+func padded(in *Tensor, s ConvShape, ni, r, c, b int) float32 {
+	r, c = r-s.Pad, c-s.Pad
+	if r < 0 || r >= s.Ri() || c < 0 || c >= s.Ci() {
+		return 0
+	}
+	return in.At(ni, r, c, b)
+}
+
+// ReferenceConv computes the direct convolution (Alg. 1) naively, reading
+// zero outside the input and clamped at zero when s.ReLU is set. It is the
+// correctness oracle for all three tensorized methods.
 func ReferenceConv(in, weight *Tensor, s ConvShape) (*Tensor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -151,7 +171,7 @@ func ReferenceConv(in, weight *Tensor, s ConvShape) (*Tensor, error) {
 					for ni := 0; ni < s.Ni; ni++ {
 						for kr := 0; kr < s.Kr; kr++ {
 							for kc := 0; kc < s.Kc; kc++ {
-								acc += in.At(ni, ro+kr, co+kc, b) * weight.At(no, ni, kr, kc)
+								acc += padded(in, s, ni, ro+kr, co+kc, b) * weight.At(no, ni, kr, kc)
 							}
 						}
 					}

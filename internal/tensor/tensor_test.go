@@ -335,6 +335,52 @@ func TestIm2colAgainstDirectConv(t *testing.T) {
 	}
 }
 
+// TestPadReadsZeroBorder: a padded shape's reference convolution and
+// im2col read the unpadded input as its zero-bordered copy reads under the
+// pre-padded twin shape, value for value, and count the same FLOPs.
+func TestPadReadsZeroBorder(t *testing.T) {
+	s := ConvShape{B: 2, Ni: 3, No: 4, Ro: 5, Co: 6, Kr: 3, Kc: 3, Pad: 1}
+	twin := s
+	twin.Pad = 0
+	in, w, padded := NewConvInput(s), NewConvFilter(s), NewConvInput(twin)
+	in.FillPattern()
+	w.FillPattern()
+	for ni := 0; ni < s.Ni; ni++ {
+		for r := 0; r < s.Ri(); r++ {
+			for c := 0; c < s.Ci(); c++ {
+				for b := 0; b < s.B; b++ {
+					padded.Set(in.At(ni, r, c, b), ni, r+1, c+1, b)
+				}
+			}
+		}
+	}
+	if s.Ri() != 5 || s.Ci() != 6 || s.FLOPs() != twin.FLOPs() {
+		t.Fatalf("padded input %dx%d, FLOPs %d vs %d", s.Ri(), s.Ci(), s.FLOPs(), twin.FLOPs())
+	}
+	got, err := ReferenceConv(in, w, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReferenceConv(padded, w, twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := MaxAbsDiff(got, want); d != 0 {
+		t.Fatalf("padded reference differs from the zero-bordered input's by %g", d)
+	}
+	gotCol, err := Im2col(in, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCol, err := Im2col(padded, twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := MaxAbsDiff(gotCol, wantCol); d != 0 {
+		t.Fatalf("padded im2col differs from the zero-bordered input's by %g", d)
+	}
+}
+
 func TestIm2colValidation(t *testing.T) {
 	s := ConvShape{B: 1, Ni: 2, No: 2, Ro: 4, Co: 4, Kr: 3, Kc: 3}
 	bad := New("in", 2, 4, 4, 1) // not pre-padded
