@@ -199,7 +199,10 @@ loc:
 # allocation bound; Pad in ConvShape, its names and references) and for
 # sizing each task's timeline from the event counts the engine remembers,
 # net of the pad node, its stub and its graph check.
-LOC_MAX ?= 23857
+# 23 876: +19 for applying +, −, × and min, and reading a bound variable, in
+# line in the bound evaluator: the halo's clipped moves, evaluated at every
+# scored and simulated iteration, had made search-evo's wall time +24.8 %.
+LOC_MAX ?= 23876
 loc-check:
 	@total="$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }')"; \
 	echo "non-test lines: $$total (LOC_MAX $(LOC_MAX))"; \

@@ -145,6 +145,9 @@ func (f *Frame) eval(c Code) int64 {
 	case codeNil:
 		panic("ir: evaluating a nil expression")
 	}
+	// The commonest operations are applied in line (a halo's clipped moves
+	// are mostly min, + and −); the rest, and an unbound variable's panic,
+	// go through apply and load.
 	st, sp := f.stack, 0
 	for _, o := range f.scope.ops[c.a : c.a+c.n] {
 		switch o.kind {
@@ -154,8 +157,24 @@ func (f *Frame) eval(c Code) int64 {
 		case opPushWide:
 			st[sp-1] = st[sp-1]<<32 | int64(uint32(o.arg))
 		case opPushVar:
-			st[sp] = f.load(o.arg)
+			if v := f.vars[o.arg]; v.Bound {
+				st[sp] = v.Val
+			} else {
+				st[sp] = f.load(o.arg)
+			}
 			sp++
+		case opAdd:
+			sp--
+			st[sp-1] += st[sp]
+		case opSub:
+			sp--
+			st[sp-1] -= st[sp]
+		case opMul:
+			sp--
+			st[sp-1] *= st[sp]
+		case opMin:
+			sp--
+			st[sp-1] = min(st[sp-1], st[sp])
 		default:
 			sp--
 			st[sp-1] = o.kind.apply(st[sp-1], st[sp])
