@@ -149,9 +149,10 @@ func allocCost(run func()) (allocs, bytes uint64) {
 // and each task's timeline grown by append, a run made 592 allocations and
 // 268 760 B (1 225 and 1 001 584 B at dp-b8-g4); the halo's statements
 // cost the two compiles as many allocations as the sized timelines save
-// (592 and 268 032 B now; 1 180 and 992 752 B at dp-b8-g4 alone). The dp-b8-g4 caps keep the
-// margin measured under make ci before, 2 allocations and 48 B: its groups
-// run on goroutines, which the runtime may have to allocate.
+// (592 and 268 032 B now; 1 180 and 992 752 B at dp-b8-g4 alone). The
+// dp-b8-g4 caps sit a little above the largest count and bytes measured
+// with other tests running, 1 182 and 993 016 B: its groups run on
+// goroutines, which the runtime may have to allocate.
 func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -181,7 +182,7 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		bytesBudget   uint64
 	}{
 		{"single-b2", 2, 1, 592, 268032},
-		{"dp-b8-g4", 8, 4, 1182, 992800},
+		{"dp-b8-g4", 8, 4, 1185, 993400},
 	}
 	for _, c := range cases {
 		g, err := convOnlyBuilder(c.batch)
