@@ -26,8 +26,8 @@ type Span struct {
 type Clip struct {
 	Start, Extent, Off ir.Expr
 	// Inside, when its L is set, holds exactly where the region meets the
-	// tensor; the move then reads a stand-in the caller must not use. It is
-	// unset when every region of the span meets the tensor.
+	// tensor; where it does not, the move reads a stand-in the caller must
+	// not use. It is unset when every region of the span meets the tensor.
 	Inside ir.Cond
 }
 
