@@ -22,14 +22,18 @@ import (
 // the per-call program transforms itself), the twin writes a bit-identical
 // output: each plane accumulates over the same Ni tiles in the same order.
 // Timed, it takes less time. The packed program moves nothing but in, U and
-// out. Under -race only the first point runs functionally.
+// out. So does each strip twin, the same point with a p tile of one row's
+// columns (every divisor of the row's tiles below it, times B), whether or
+// not the packed space offers it: a strip changes which tiles a GEMM
+// covers, never an output's accumulation order. Under -race only the first
+// point runs functionally.
 func TestPackedMatchesPerCall(t *testing.T) {
 	points, err := goldenpoints.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var packed *conv.WinogradOp
-	checked := 0
+	checked, strip := 0, 0
 	for _, pt := range points {
 		perCall, ok := pt.Op.(*conv.WinogradOp)
 		if !ok {
@@ -68,11 +72,35 @@ func TestPackedMatchesPerCall(t *testing.T) {
 		if gotSecs >= wantSecs {
 			t.Fatalf("point %d: packed program takes %g s, per-call %g s", pt.Index, gotSecs, wantSecs)
 		}
+		for _, fp := range strips(packed.S) {
+			got, err := packed.Compile(packedTwin(pt.Strategy, fp))
+			if err != nil {
+				t.Fatalf("point %d, p tile %d: %v", pt.Index, fp, err)
+			}
+			if gotOut, _ = runBound(t, got, functional); !slices.EqualFunc(gotOut, wantOut, func(a, b float32) bool {
+				return math.Float32bits(a) == math.Float32bits(b)
+			}) {
+				t.Fatalf("point %d: the strip twin at p tile %d writes another output than per-call", pt.Index, fp)
+			}
+			strip++
+		}
 		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no Winograd golden point compiles")
+	if checked == 0 || strip == 0 {
+		t.Fatalf("%d Winograd golden points and %d strip twins compile", checked, strip)
 	}
+}
+
+// strips are the p tiles of one row's strips of a shape: every divisor of
+// its tiles across below their count, times B.
+func strips(s conv.Shape) []int {
+	var fps []int
+	for cols := 1; cols < s.Co/2; cols++ {
+		if s.Co/2%cols == 0 {
+			fps = append(fps, cols*s.B)
+		}
+	}
+	return fps
 }
 
 // fusedTwin compiles a per-call strategy's twin in the packed form's
@@ -80,13 +108,6 @@ func TestPackedMatchesPerCall(t *testing.T) {
 // the strategy's p tile holds and that compiles; the smallest if the
 // strategy's tile holds none.
 func fusedTwin(packed *conv.WinogradOp, st dsl.Strategy) (*ir.Program, error) {
-	twin := dsl.Strategy{
-		Factors:      map[string]int{"no": st.Factors["no"], "ni": st.Factors["ni"]},
-		Order:        slices.DeleteFunc(slices.Clone(st.Order), func(a string) bool { return a == "xi" }),
-		Layouts:      map[string][]int{"U": st.Layouts["U"]},
-		Vec:          st.Vec,
-		DoubleBuffer: st.DoubleBuffer,
-	}
 	menu := slices.Clone(packed.Space().Factors["p"])
 	slices.Sort(menu)
 	var err error
@@ -94,13 +115,25 @@ func fusedTwin(packed *conv.WinogradOp, st dsl.Strategy) (*ir.Program, error) {
 		if menu[i] > st.Factors["p"] && i > 0 {
 			continue
 		}
-		twin.Factors["p"] = menu[i]
 		var prog *ir.Program
-		if prog, err = packed.Compile(twin); err == nil {
+		if prog, err = packed.Compile(packedTwin(st, menu[i])); err == nil {
 			return prog, nil
 		}
 	}
 	return nil, fmt.Errorf("no fused twin in the p menu %v compiles: %w", menu, err)
+}
+
+// packedTwin is a per-call strategy's twin in the packed form at p tile
+// fp: the same no and ni tiles, loop order, U layout, vectorization and
+// prefetching.
+func packedTwin(st dsl.Strategy, fp int) dsl.Strategy {
+	return dsl.Strategy{
+		Factors:      map[string]int{"no": st.Factors["no"], "ni": st.Factors["ni"], "p": fp},
+		Order:        slices.DeleteFunc(slices.Clone(st.Order), func(a string) bool { return a == "xi" }),
+		Layouts:      map[string][]int{"U": st.Layouts["U"]},
+		Vec:          st.Vec,
+		DoubleBuffer: st.DoubleBuffer,
+	}
 }
 
 // runBound returns prog's timed-only seconds and, if functional, the output

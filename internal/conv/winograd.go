@@ -46,19 +46,21 @@ type WinogradOp struct {
 	// point needs, at most regionElems. A small shape's kernels so ask a
 	// machine for a small store rather than the whole cap.
 	region int
-	// halo holds a padded shape's clipped slab gets by the index of their p
-	// tile in the packed space (at most one per entry of its menu of four),
-	// made on first use and shared by every program: expressions are
-	// immutable. It is no map, so that building an operator to compile one
-	// strategy, as a warm network run does, costs none.
+	// halo holds a padded shape's clipped slab gets of the first four p
+	// tiles that compile, made on first use and shared by every program:
+	// expressions are immutable. A later tile's are made afresh. It is no
+	// map, so that building an operator to compile one strategy, as a warm
+	// network run does, costs none.
 	haloMu sync.Mutex
 	halo   [4]*slabHalo
 }
 
 // slabHalo is how the packed form's slab get reads a padded input for one p
-// tile: its rows and columns clipped to the input (lower.Span), the frame
-// offset they land at, and the condition under which the rows clip.
+// tile fp: its rows and columns clipped to the input (lower.Span), the
+// frame offset they land at, and the condition under which the frame must
+// be zero-filled first.
 type slabHalo struct {
+	fp         int
 	rows, cols lower.Clip
 	off        ir.Expr
 	zero       ir.Cond
@@ -105,14 +107,26 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	// The packed form tiles P in whole rows of 2×2 tiles, and V and M keep
 	// the planes' layout that the slab kernels write and read. Where one
 	// row of tiles at 32 channels overflows the SPM region (high resolution
-	// at large batches), its channel tiles go down to 8.
+	// at large batches), the channel tiles go down to 8, and a p tile may
+	// also be a strip of one row: a half, a quarter or an eighth of the
+	// row's tiles, where that divides them, times B images. A strip keeps
+	// the GEMMs' reduction (ni) tile at 32 channels; a shape of at most 8
+	// input channels reads them whole in any tile, and there whole rows of
+	// 8-channel output tiles, with their longer transfers, run faster
+	// (VGG16's conv1_1 at batch 8: 5.14 ms, its best strip 5.51 ms).
 	o := &WinogradOp{S: s, seed: seed, space: sp, perCallName: opName(Winograd, s)}
+	tilesC := s.Co / 2
+	cnt := tilesC * s.B
 	chans := []int{32, 64, 128}
-	if u, slab, vm, y := o.frames(min(32, s.No), min(32, s.Ni), 1); 2*(u+slab+y)+vm > regionElems {
-		chans = []int{8, 32, 64, 128}
-	}
-	cnt := (s.Co / 2) * s.B
 	fused := dsl.NewSpace()
+	if u, slab, vm, y := o.frames(min(32, s.No), min(32, s.Ni), cnt); 2*(u+slab+y)+vm > regionElems {
+		chans = []int{8, 32, 64, 128}
+		for _, k := range [...]int{8, 4, 2} {
+			if s.Ni > 8 && tilesC%k == 0 {
+				fused.Factors["p"] = append(fused.Factors["p"], tilesC/k*s.B)
+			}
+		}
+	}
 	fused.Factors["no"] = dsl.TileMenu(s.No, chans)
 	fused.Factors["ni"] = dsl.TileMenu(s.Ni, chans)
 	for _, rows := range dsl.TileMenu(s.Ro/2, []int{1, 2, 4, 8}) {
@@ -124,55 +138,79 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	o.fused = fused
 	// The frames grow with every tile, so the largest point has the largest
 	// tiles.
-	u, slab, vm, y := o.frames(slices.Max(fused.Factors["no"]), slices.Max(fused.Factors["ni"]), slices.Max(fused.Factors["p"])/cnt)
+	u, slab, vm, y := o.frames(slices.Max(fused.Factors["no"]), slices.Max(fused.Factors["ni"]), slices.Max(fused.Factors["p"]))
 	o.region = min(2*(u+slab+y)+vm, regionElems)
 	return o, nil
 }
 
-// frames are the SPM frames of the fused nest at no and ni tiles fno and
-// fni and a p tile of rows rows of tiles, in floats, single-buffered: the 16
-// planes' U tile, the input slab, the 16 planes' V and M tiles, and the
-// output slab.
-func (o *WinogradOp) frames(fno, fni, rows int) (u, slab, vm, y int) {
-	s, planes := o.S, primitives.WinoPlanes
-	fp := rows * s.Co / 2 * s.B
-	return planes * fno * fni, fni * (2*rows + 2) * o.slabWidth() * s.B, planes * (fni + fno) * fp, fno * 2 * rows * s.Co * s.B
+// pTile decodes a p tile of the packed form: rows rows of 2×2 tiles, each
+// of the shape's tilesC columns, when fp is whole rows; one row of cols
+// columns when it is a strip (cols·B, cols dividing tilesC). ok is false
+// for a tile that is neither.
+func (o *WinogradOp) pTile(fp int) (rows, cols int, ok bool) {
+	tilesC, b := o.S.Co/2, o.S.B
+	switch {
+	case fp <= 0:
+	case fp%(tilesC*b) == 0:
+		return fp / (tilesC * b), tilesC, true
+	case fp < tilesC*b && fp%b == 0 && tilesC%(fp/b) == 0:
+		return 1, fp / b, true
+	}
+	return 0, 0, false
 }
 
-// slabHalo returns how the slab get in of a p tile (rows rows of 2×2
-// tiles, nP tiles in all) reads a padded input through its halo, or nil for
-// an unpadded shape: the first and last tiles clip a row, every slab a
-// column on either side.
-func (o *WinogradOp) slabHalo(rows, nP int, in *ir.RegionMove) *slabHalo {
+// frames are the SPM frames of the fused nest at no and ni tiles fno and
+// fni and a p tile fp (whole rows or a strip, pTile), in floats,
+// single-buffered: the 16 planes' U tile, the input slab (2·rows + 2 rows
+// of 2·cols + 2 columns), the 16 planes' V and M tiles, and the output
+// slab (2·rows rows of 2·cols columns).
+func (o *WinogradOp) frames(fno, fni, fp int) (u, slab, vm, y int) {
+	s, planes := o.S, primitives.WinoPlanes
+	rows, cols, _ := o.pTile(fp)
+	return planes * fno * fni, fni * (2*rows + 2) * (2*cols + 2) * s.B, planes * (fni + fno) * fp, fno * 2 * rows * 2 * cols * s.B
+}
+
+// slabHalo returns how the slab get in of a p tile fp (pTile; nR tiles of
+// rows down the image) reads a padded input through its halo, or nil for
+// an unpadded shape: the first and last rows of tiles clip a row, the first
+// and last strips of a row a column, and a tile of whole rows a column on
+// either side.
+func (o *WinogradOp) slabHalo(fp, nR int, in *ir.RegionMove) *slabHalo {
 	if o.S.Pad == 0 {
 		return nil
 	}
-	i := slices.Index(o.fused.Factors["p"], rows*(o.S.Co/2)*o.S.B)
-	if i < 0 || i >= len(o.halo) { // a tile outside the space
-		return o.clipSlab(rows, nP, in)
-	}
 	o.haloMu.Lock()
 	defer o.haloMu.Unlock()
-	if o.halo[i] == nil {
-		o.halo[i] = o.clipSlab(rows, nP, in)
+	for i, h := range o.halo {
+		if h == nil {
+			o.halo[i] = o.clipSlab(fp, nR, in)
+			return o.halo[i]
+		}
+		if h.fp == fp {
+			return h
+		}
 	}
-	return o.halo[i]
+	return o.clipSlab(fp, nR, in)
 }
 
-func (o *WinogradOp) clipSlab(rows, nP int, in *ir.RegionMove) *slabHalo {
-	s, ci := o.S, o.slabWidth()
-	rowSpan := lower.Span{Dim: s.Ri(), Frame: 2*rows + 2, Halo: s.Pad, Reach: s.Ro + 2, MinExtent: 2*(s.Ro/2-(nP-1)*rows) + 2}
-	colSpan := lower.Span{Dim: s.Ci(), Frame: ci, Halo: s.Pad, Reach: ci, MinExtent: ci}
-	h := &slabHalo{rows: rowSpan.Clip(in.Start[1], in.Extent[1]), cols: colSpan.Clip(in.Start[2], in.Extent[2])}
+func (o *WinogradOp) clipSlab(fp, nR int, in *ir.RegionMove) *slabHalo {
+	s := o.S
+	rows, cols, _ := o.pTile(fp)
+	w := 2*cols + 2
+	rowSpan := lower.Span{Dim: s.Ri(), Frame: 2*rows + 2, Halo: s.Pad, Reach: s.Ro + 2, MinExtent: 2*(s.Ro/2-(nR-1)*rows) + 2}
+	colSpan := lower.Span{Dim: s.Ci(), Frame: w, Halo: s.Pad, Reach: s.Co + 2, MinExtent: w}
+	h := &slabHalo{fp: fp, rows: rowSpan.Clip(in.Start[1], in.Extent[1]), cols: colSpan.Clip(in.Start[2], in.Extent[2])}
 	h.off = ir.Add(ir.Mul(h.rows.Off, in.FrameStride[1]), ir.Mul(h.cols.Off, in.FrameStride[2]))
-	h.zero = lower.Clipped(in.Extent[1:2], []lower.Clip{h.rows})
+	// A tile of whole rows clips the same columns of every slab, which the
+	// zero-fill before the nest clears once; a strip clips them at the
+	// row's edges only.
+	clips := []lower.Clip{h.rows, h.cols}
+	if cols == s.Co/2 {
+		clips = clips[:1]
+	}
+	h.zero = lower.Clipped(in.Extent[1:1+len(clips)], clips)
 	return h
 }
-
-// slabWidth is the columns of an input slab: the input's, and its halo on
-// either side where it has one, so that a padded shape's frames are its
-// unpadded twin's.
-func (o *WinogradOp) slabWidth() int { return o.S.Ci() + 2*o.S.Pad }
 
 // Name identifies the operator instance: OpName(Winograd, S) for the
 // packed form, the per-call form's own name otherwise.
@@ -243,37 +281,44 @@ func (o *WinogradOp) CompileRaw(st dsl.Strategy) (*ir.Program, error) {
 }
 
 // fusedNest builds the packed form as one nest, the fused Winograd of Lavin
-// and Gray: for each tile of No and of P (rows rows of 2×2 tiles), phase I
-// transforms each Ni tile's input slab into the 16 planes' V tiles in SPM,
-// the 16 GEMMs accumulate the planes' M tiles there, and phase O
-// inverse-transforms them into one output put, clamped at zero first when
-// the shape carries the ReLU epilogue. Only in, U and out touch main
-// memory. The Ni loop is innermost; each move sits in the innermost loop its
-// region depends on. The transforms always cover whole frames: on a boundary
-// tile the rows and channels past the region hold stale values that no GEMM
-// or put reads.
+// and Gray: for each tile of No and of P (rows rows of 2×2 tiles, or a
+// strip of one row: pTile), phase I transforms each Ni tile's input slab
+// into the 16 planes' V tiles in SPM, the 16 GEMMs accumulate the planes'
+// M tiles there, and phase O inverse-transforms them into one output put,
+// clamped at zero first when the shape carries the ReLU epilogue. Only in,
+// U and out touch main memory. The Ni loop is innermost; each move sits in
+// the innermost loop its region depends on. The transforms always cover
+// whole frames: on a boundary tile the rows and channels past the region
+// hold stale values that no GEMM or put reads.
 func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	s := o.S
 	tilesR, tilesC := s.Ro/2, s.Co/2
 	cnt := tilesC * s.B
 	planes := primitives.WinoPlanes
 	fno, fni, fp := max(st.Factors["no"], 1), max(st.Factors["ni"], 1), st.Factors["p"]
-	if fp <= 0 || fp%cnt != 0 {
-		return nil, fmt.Errorf("winograd conv: p tile %d is not whole rows of %d tiles", fp, cnt)
+	rows, cols, ok := o.pTile(fp)
+	if !ok {
+		return nil, fmt.Errorf("winograd conv: p tile %d is neither whole rows of %d tiles nor a strip dividing one", fp, cnt)
 	}
 	for _, t := range [...]string{"V", "M"} {
 		if l, ok := st.Layouts[t]; ok && !slices.IsSorted(l) {
 			return nil, fmt.Errorf("winograd conv: %s stays in SPM in the planes' layout, not %v", t, l)
 		}
 	}
-	rows := fp / cnt
 	nNo, no0, noExt := tileLoop("cno", fno, s.No)
 	nNi, ni0, niExt := tileLoop("cni", fni, s.Ni)
-	nP, r0, rExt := tileLoop("cp", rows, tilesR)
+	nR, r0, rExt := tileLoop("cp", rows, tilesR)
+	// The p loop over strips walks each row's nS strips in turn: tile cp is
+	// strip cp mod nS of row cp / nS, and starts at column c0.
+	nP, c0 := nR, ir.Expr(ir.Const(0))
+	if nS := tilesC / cols; nS > 1 {
+		cp, n := ir.V("cp"), ir.Const(int64(nS))
+		nP, r0, c0 = nR*nS, ir.Div(cp, n), ir.Mul(ir.Mod(cp, n), ir.Const(int64(2*cols)))
+	}
 	uPlane, vPlane, mPlane := fno*fni, fni*fp, fno*fp
-	ci := o.slabWidth()
-	slab, ySlab := (2*rows+2)*ci*s.B, 2*rows*s.Co*s.B
-	u, slabs, vm, y := o.frames(fno, fni, rows)
+	ci, co := 2*cols+2, 2*cols
+	slab, ySlab := (2*rows+2)*ci*s.B, 2*rows*co*s.B
+	u, slabs, vm, y := o.frames(fno, fni, fp)
 
 	// The loops, outermost first: no and p in the strategy's order, then ni.
 	// A dimension one tile covers has none.
@@ -339,17 +384,18 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 		Extent: []ir.Expr{ir.Const(int64(planes)), noExt, niExt},
 		Buf:    "spm_U", BufOff: ir.Const(0), FrameStride: uStride}
 	getIn := &ir.RegionMove{Tensor: "in", Dir: ir.Get,
-		Start:  []ir.Expr{ni0, ir.Mul(r0, ir.Const(2)), ir.Const(0), ir.Const(0)},
+		Start:  []ir.Expr{ni0, ir.Mul(r0, ir.Const(2)), c0, ir.Const(0)},
 		Extent: []ir.Expr{niExt, ir.Add(ir.Mul(rExt, ir.Const(2)), ir.Const(2)), ir.Const(int64(ci)), ir.Const(int64(s.B))},
 		Buf:    "spm_slab", BufOff: ir.Const(0),
 		FrameStride: []ir.Expr{ir.Const(int64(slab)), ir.Const(int64(ci * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
 	// A padded shape's slabs read the input through its halo: the first and
-	// last P tiles clip a row, zero-filled first, and every slab clips a
-	// column on either side, which no get writes and one zero-fill of the
-	// whole frame before the nest clears.
+	// last rows of tiles clip a row, zero-filled first. A slab of whole rows
+	// clips a column on either side, which no get writes and one zero-fill
+	// of the whole frame before the nest clears; a strip clips one at the
+	// row's edges, zero-filled first like a row.
 	var zeros *slabZeros
 	slabsE := ir.Const(int64(slabs))
-	if h := o.slabHalo(rows, nP, getIn); h != nil {
+	if h := o.slabHalo(fp, nR, getIn); h != nil {
 		getIn.Start[1], getIn.Extent[1], getIn.Start[2], getIn.Extent[2] = h.rows.Start, h.rows.Extent, h.cols.Start, h.cols.Extent
 		getIn.BufOff = h.off
 		zeros = &slabZeros{args: [2]ir.Expr{slabsE, slabsE}}
@@ -364,19 +410,19 @@ func (o *WinogradOp) fusedNest(st dsl.Strategy) (*ir.Program, error) {
 	}
 	phaseI := &ir.Transform{Kind: ir.WinoInputSlab, Src: "spm_slab", Dst: "spm_V",
 		SrcOff: ir.Const(0), DstOff: ir.Const(0),
-		Args: []ir.Expr{ir.Const(int64(fni)), ir.Const(int64(tilesC)), ir.Const(int64(ci)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
+		Args: []ir.Expr{ir.Const(int64(fni)), ir.Const(int64(cols)), ir.Const(int64(ci)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
 	zeroM := &ir.Transform{Kind: ir.ZeroFill, Dst: "spm_M", SrcOff: ir.Const(0), DstOff: ir.Const(0),
 		Args: []ir.Expr{ir.Const(int64(planes * mPlane))}}
 	phaseO := &ir.Transform{Kind: ir.WinoOutputSlab, Src: "spm_M", Dst: "spm_y",
 		SrcOff: ir.Const(0), DstOff: ir.Const(0),
-		Args: []ir.Expr{ir.Const(int64(fno)), ir.Const(int64(tilesC)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
+		Args: []ir.Expr{ir.Const(int64(fno)), ir.Const(int64(cols)), ir.Const(int64(s.B)), ir.Const(int64(rows))}}
 	relu := &ir.Transform{Kind: ir.ReLU, Dst: "spm_y", SrcOff: ir.Const(0), DstOff: ir.Const(0),
 		Args: []ir.Expr{ir.Const(int64(y))}}
 	putOut := &ir.RegionMove{Tensor: "out", Dir: ir.Put,
-		Start:  []ir.Expr{no0, ir.Mul(r0, ir.Const(2)), ir.Const(0), ir.Const(0)},
-		Extent: []ir.Expr{noExt, ir.Mul(rExt, ir.Const(2)), ir.Const(int64(s.Co)), ir.Const(int64(s.B))},
+		Start:  []ir.Expr{no0, ir.Mul(r0, ir.Const(2)), c0, ir.Const(0)},
+		Extent: []ir.Expr{noExt, ir.Mul(rExt, ir.Const(2)), ir.Const(int64(co)), ir.Const(int64(s.B))},
 		Buf:    "spm_y", BufOff: ir.Const(0),
-		FrameStride: []ir.Expr{ir.Const(int64(ySlab)), ir.Const(int64(s.Co * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
+		FrameStride: []ir.Expr{ir.Const(int64(ySlab)), ir.Const(int64(co * s.B)), ir.Const(int64(s.B)), ir.Const(1)}}
 
 	// Build from the innermost level outwards: the 16 planes' GEMMs, then
 	// each level's moves and transforms around the level below.

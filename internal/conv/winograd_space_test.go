@@ -1,12 +1,14 @@
 package conv_test
 
 import (
+	"slices"
 	"testing"
 
 	"swatop/internal/conv"
 	"swatop/internal/dsl"
 	"swatop/internal/exec"
 	"swatop/internal/gemm"
+	"swatop/internal/graph"
 	"swatop/internal/schedule"
 	"swatop/internal/tensor"
 )
@@ -109,22 +111,38 @@ func twinShape(s conv.Shape, tw twin) conv.Shape {
 // convRef is the direct convolution of a program's in and weight, read
 // through the 4-D weight that weight2d flattens where the program has one,
 // against its out, read through the 4-D output of out2d where it has one.
+// A point that binds the same in and weight as the one before it reuses
+// its reference.
 func convRef(s conv.Shape) func(map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
+	s.ReLU = false
+	var in, w, want *tensor.Tensor
+	same := func(a, b *tensor.Tensor) bool {
+		if a == nil {
+			return false
+		}
+		d, err := tensor.MaxAbsDiff(a, b)
+		return err == nil && d == 0
+	}
 	return func(binds map[string]*tensor.Tensor) (*tensor.Tensor, *tensor.Tensor, error) {
-		w, got := binds["weight"], binds["out"]
+		wt, got := binds["weight"], binds["out"]
 		if w2 := binds["weight2d"]; w2 != nil {
-			w = tensor.NewConvFilter(s)
-			for f := range w.Data {
-				w.Data[f] = w2.At(f/(s.Ni*s.Kr*s.Kc), f%(s.Ni*s.Kr*s.Kc))
+			wt = tensor.NewConvFilter(s)
+			for f := range wt.Data {
+				wt.Data[f] = w2.At(f/(s.Ni*s.Kr*s.Kc), f%(s.Ni*s.Kr*s.Kc))
 			}
 			var err error
 			if got, err = conv.ExplicitOutput4D(binds["out2d"], s); err != nil {
 				return nil, nil, err
 			}
 		}
-		s.ReLU = false
-		want, err := tensor.ReferenceConv(binds["in"], w, s)
-		return want, got, err
+		if !same(in, binds["in"]) || !same(w, wt) {
+			var err error
+			if want, err = tensor.ReferenceConv(binds["in"], wt, s); err != nil {
+				return nil, nil, err
+			}
+			in, w = binds["in"], wt
+		}
+		return want.Clone(), got, nil
 	}
 }
 
@@ -134,12 +152,17 @@ func convRef(s conv.Shape) func(map[string]*tensor.Tensor) (*tensor.Tensor, *ten
 // reference tests' tolerance, and the packed form, the one a network runs,
 // max(0, that) with the ReLU epilogue and the zero-padded convolution with a
 // pad, which the per-call form rejects. The shapes take B = 2, Ni ≠ No,
-// Ro ≠ Co, partial no and ni tiles, and a P that no p tile divides.
+// Ro ≠ Co, partial no and ni tiles, and a P that no p tile divides. In the
+// last one, B = 8 images 96 columns wide, one row of tiles at 32 channels
+// overflows the region, so that its packed space also tiles P in strips
+// of 6, 12 and 24 tile columns; its middle row of tiles clips no row, so
+// that its strips clip a column only at the image's edges.
 func TestWinogradSpaceMatchesReference(t *testing.T) {
 	shapes := []conv.Shape{
 		{B: 2, Ni: 4, No: 8, Ro: 24, Co: 24, Kr: 3, Kc: 3},
 		{B: 1, Ni: 36, No: 40, Ro: 10, Co: 8, Kr: 3, Kc: 3},
 		{B: 2, Ni: 12, No: 8, Ro: 6, Co: 10, Kr: 3, Kc: 3},
+		{B: 8, Ni: 32, No: 32, Ro: 6, Co: 96, Kr: 3, Kc: 3},
 	}
 	for _, s := range shapes {
 		for _, perCall := range []bool{false, true} {
@@ -206,5 +229,71 @@ func TestEpilogueSpacesMatchReference(t *testing.T) {
 				return want, binds["C"], err
 			}
 		})
+	}
+}
+
+// TestWinogradStripGuard pins the packed space of every VGG16 3×3 layer, as
+// the network builds it (ReLU and Pad = 1), at batches 1, 2, 4 and 8, by
+// compiling alone. A space tiles P below one row only where one row of
+// tiles at 32 channels overflows the SPM region, which no layer does at
+// B ≤ 2: there its tiles are exactly the whole-row space's (32-, 64- and
+// 128-channel tiles, 1, 2, 4 or 8 rows of tiles). Every layer with more
+// than 8 input channels keeps a valid point whose no and ni tiles are at
+// least 32 (all its channels where it has fewer), at every batch; conv1_1,
+// with 3, keeps whole rows and its 8-channel output tiles at batch 8.
+func TestWinogradStripGuard(t *testing.T) {
+	layers := 0
+	for _, b := range []int{1, 2, 4, 8} {
+		g, err := graph.VGG16(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.Topo() {
+			s := n.Conv
+			if n.Kind != graph.Conv || !conv.WinogradApplies(s) {
+				continue
+			}
+			op, err := conv.NewWinogradOp(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers++
+			sp := op.Space()
+			if b <= 2 {
+				var rows []int
+				for _, r := range dsl.TileMenu(s.Ro/2, []int{1, 2, 4, 8}) {
+					rows = append(rows, r*s.Co/2*b)
+				}
+				if !slices.Equal(sp.Factors["p"], rows) || !slices.Equal(sp.Factors["no"], dsl.TileMenu(s.No, []int{32, 64, 128})) ||
+					!slices.Equal(sp.Factors["ni"], dsl.TileMenu(s.Ni, []int{32, 64, 128})) {
+					t.Fatalf("%s at batch %d: the packed space's tiles are %v, not whole rows at 32 channels and up", n.Name, b, sp.Factors)
+				}
+			}
+			if s.Ni <= 8 {
+				if slices.ContainsFunc(sp.Factors["p"], func(fp int) bool { return fp%(s.Co/2*b) != 0 }) {
+					t.Fatalf("%s at batch %d: p tiles %v cut a row", n.Name, b, sp.Factors["p"])
+				}
+				continue
+			}
+			dims, err := schedule.Describe(op.Seed(), sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for i := 0; i < dims.Size() && !found; i++ {
+				st := dims.At(i)
+				if st.Factors["no"] < min(32, s.No) || st.Factors["ni"] < min(32, s.Ni) {
+					continue
+				}
+				_, err := op.Compile(st)
+				found = err == nil
+			}
+			if !found {
+				t.Fatalf("%s at batch %d: no valid point of %v has 32-channel tiles", n.Name, b, sp.Factors)
+			}
+		}
+	}
+	if layers != 4*13 {
+		t.Fatalf("%d VGG16 layers checked, want 13 at each of 4 batches", layers)
 	}
 }
