@@ -107,24 +107,26 @@ func NewWinogradOp(s Shape) (*WinogradOp, error) {
 	// The packed form tiles P in whole rows of 2×2 tiles, and V and M keep
 	// the planes' layout that the slab kernels write and read. Where one
 	// row of tiles at 32 channels overflows the SPM region (high resolution
-	// at large batches), the channel tiles go down to 8, and a p tile may
-	// also be a strip of one row: a half, a quarter or an eighth of the
-	// row's tiles, where that divides them, times B images. A strip keeps
-	// the GEMMs' reduction (ni) tile at 32 channels; a shape of at most 8
-	// input channels reads them whole in any tile, and there whole rows of
-	// 8-channel output tiles, with their longer transfers, run faster
-	// (VGG16's conv1_1 at batch 8: 5.14 ms, its best strip 5.51 ms).
+	// at large batches), a p tile may be a strip of one row instead: a half,
+	// a quarter or an eighth of the row's tiles, where that divides them,
+	// times B images, keeping the GEMMs' reduction (ni) tile at 32 channels.
+	// A shape of at most 8 input channels reads them whole in any tile; it,
+	// and a row no strip divides, takes 8-channel tiles instead, whose whole
+	// rows' longer transfers run faster (VGG16's conv1_1, which overflows
+	// only at batch 8: 5.14 ms, its best strip 5.51 ms).
 	o := &WinogradOp{S: s, seed: seed, space: sp, perCallName: opName(Winograd, s)}
 	tilesC := s.Co / 2
 	cnt := tilesC * s.B
 	chans := []int{32, 64, 128}
 	fused := dsl.NewSpace()
 	if u, slab, vm, y := o.frames(min(32, s.No), min(32, s.Ni), cnt); 2*(u+slab+y)+vm > regionElems {
-		chans = []int{8, 32, 64, 128}
 		for _, k := range [...]int{8, 4, 2} {
 			if s.Ni > 8 && tilesC%k == 0 {
 				fused.Factors["p"] = append(fused.Factors["p"], tilesC/k*s.B)
 			}
+		}
+		if len(fused.Factors["p"]) == 0 {
+			chans = []int{8, 32, 64, 128}
 		}
 	}
 	fused.Factors["no"] = dsl.TileMenu(s.No, chans)

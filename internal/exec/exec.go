@@ -526,11 +526,11 @@ func (st *state) Transform(x *ir.Transform, op *ir.Op) error {
 		span = arg(0)
 		kernel = func(_, dst []float32) error { return primitives.ReLU(dst, span) }
 	case ir.WinoInputSlab:
-		nslabs, rows, tilesC, ci, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2), arg(3)
-		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, rows, tilesC, ci, b) }
+		nslabs, rows, cols, ci, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2), arg(3)
+		kernel = func(src, dst []float32) error { return primitives.WinoInputSlab(src, dst, nslabs, rows, cols, ci, b) }
 	case ir.WinoOutputSlab:
-		nslabs, rows, tilesC, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2)
-		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, rows, tilesC, b) }
+		nslabs, rows, cols, b := arg(0), primitives.SlabRows(x, arg), arg(1), arg(2)
+		kernel = func(src, dst []float32) error { return primitives.WinoOutputSlab(src, dst, nslabs, rows, cols, b) }
 	default: // WinoFilterTile: the kinds TransformTime knows end here
 		cnt := arg(0)
 		kernel = func(src, dst []float32) error { return primitives.WinoFilterTransform(src, dst, cnt) }

@@ -216,12 +216,12 @@ const (
 	// WinoFilterTile transforms filter tiles into Winograd domain (CPE
 	// vector kernel; operates on SPM buffers).
 	WinoFilterTile
-	// WinoInputSlab transforms input slabs, one row of tiles each unless
-	// rows says more, into 16 GEMM planes (args: nslabs, tilesC, ci, b,
-	// optionally rows).
+	// WinoInputSlab transforms input slabs of cols tile columns (a whole
+	// row's or a strip's), one row of tiles each unless rows says more,
+	// into 16 GEMM planes (args: nslabs, cols, ci, b, optionally rows).
 	WinoInputSlab
 	// WinoOutputSlab inverse-transforms 16 result planes into output slabs
-	// of 2·rows rows (args: nslabs, tilesC, b, optionally rows).
+	// of 2·rows × 2·cols (args: nslabs, cols, b, optionally rows).
 	WinoOutputSlab
 	// ReLU clamps Elems elements of an SPM buffer at DstOff to max(0, x) in
 	// place: an operator's output epilogue.

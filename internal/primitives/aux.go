@@ -69,9 +69,9 @@ func TransformTime(x *ir.Transform, arg func(i int) int) (float64, error) {
 	case ir.WinoFilterTile:
 		return WinoTransformTime(x.Kind.Phase(), arg(0))
 	// A slab kernel is charged as the transform of the tiles it covers.
-	case ir.WinoInputSlab: // nslabs, tilesC, ci, b[, rows]
+	case ir.WinoInputSlab: // nslabs, cols, ci, b[, rows]
 		return WinoTransformTime(x.Kind.Phase(), arg(0)*SlabRows(x, arg)*arg(1)*arg(3))
-	case ir.WinoOutputSlab: // nslabs, tilesC, b[, rows]
+	case ir.WinoOutputSlab: // nslabs, cols, b[, rows]
 		return WinoTransformTime(x.Kind.Phase(), arg(0)*SlabRows(x, arg)*arg(1)*arg(2))
 	}
 	return 0, fmt.Errorf("unknown transform %v", x.Kind)

@@ -7,12 +7,13 @@ import (
 )
 
 // Slab-oriented Winograd kernels. The conv lowering DMAs an input slab of
-// rows rows of tiles (2·rows + 2 rows × Ci × B floats per channel,
-// row-major) into SPM and transforms it at once; the transformed values
-// land in 16 planes of rows·cnt values per channel (cnt = tilesC·B), the
-// exact operand layout of the batched-GEMM phase. The inverse kernel turns
-// 16 result planes into an output slab of 2·rows rows (2·rows × 2·tilesC ×
-// B per channel) ready for one DMA put. The strided tile gather happens
+// rows rows of cols tiles (2·rows + 2 rows × ci ≥ 2·cols + 2 columns × B
+// floats per channel, row-major; cols is a whole row's tiles or a
+// strip's) into SPM and transforms it at once; the transformed values land
+// in 16 planes of rows·cnt values per channel (cnt = cols·B), the exact
+// operand layout of the batched-GEMM phase. The inverse kernel turns 16
+// result planes into an output slab of 2·rows rows (2·rows × 2·cols × B
+// per channel) ready for one DMA put. The strided tile gather happens
 // inside the kernel (SPM access is cheap); its cost is part of the
 // transform cycle model.
 
@@ -36,11 +37,11 @@ func SlabRows(x *ir.Transform, arg func(i int) int) int {
 // [2tc, 2tc+4), compute V = Bᵀ·d·B and scatter to
 // dst[(xi·nslabs + j)·rows·cnt + tr·cnt + tc·b + bb] — the 16-plane layout
 // the batched GEMM phase consumes directly.
-func WinoInputSlab(src, dst []float32, nslabs, rows, tilesC, ci, b int) error {
-	if nslabs <= 0 || rows <= 0 || tilesC <= 0 || ci < 2*tilesC+2 || b <= 0 {
-		return fmt.Errorf("wino input slab: bad geometry nslabs=%d rows=%d tilesC=%d ci=%d b=%d", nslabs, rows, tilesC, ci, b)
+func WinoInputSlab(src, dst []float32, nslabs, rows, cols, ci, b int) error {
+	if nslabs <= 0 || rows <= 0 || cols <= 0 || ci < 2*cols+2 || b <= 0 {
+		return fmt.Errorf("wino input slab: bad geometry nslabs=%d rows=%d cols=%d ci=%d b=%d", nslabs, rows, cols, ci, b)
 	}
-	cnt := rows * tilesC * b
+	cnt := rows * cols * b
 	slab := (2*rows + 2) * ci * b
 	if len(src) < nslabs*slab || len(dst) < WinoPlanes*nslabs*cnt {
 		return fmt.Errorf("wino input slab: short buffers (src %d/%d, dst %d/%d)",
@@ -50,7 +51,7 @@ func WinoInputSlab(src, dst []float32, nslabs, rows, tilesC, ci, b int) error {
 	for j := 0; j < nslabs; j++ {
 		for tr := 0; tr < rows; tr++ {
 			s := src[j*slab+2*tr*ci*b:]
-			for tc := 0; tc < tilesC; tc++ {
+			for tc := 0; tc < cols; tc++ {
 				for bb := 0; bb < b; bb++ {
 					for r := 0; r < 4; r++ {
 						base := r*ci*b + (tc*2)*b + bb
@@ -73,7 +74,7 @@ func WinoInputSlab(src, dst []float32, nslabs, rows, tilesC, ci, b int) error {
 						v[r*4+2] = t2 - t1
 						v[r*4+3] = t1 - t3
 					}
-					t := (tr*tilesC+tc)*b + bb
+					t := (tr*cols+tc)*b + bb
 					for xi := 0; xi < WinoPlanes; xi++ {
 						dst[(xi*nslabs+j)*cnt+t] = v[xi]
 					}
@@ -85,15 +86,15 @@ func WinoInputSlab(src, dst []float32, nslabs, rows, tilesC, ci, b int) error {
 }
 
 // WinoOutputSlab inverse-transforms 16 planes of nslabs·rows·cnt values
-// (cnt = tilesC·B, one slab per output channel of the chunk) into nslabs
-// output slabs of 2·rows rows (2·rows × 2·tilesC × B each): Y = Aᵀ·m·A per
+// (cnt = cols·B, one slab per output channel of the chunk) into nslabs
+// output slabs of 2·rows rows (2·rows × 2·cols × B each): Y = Aᵀ·m·A per
 // tile.
-func WinoOutputSlab(src, dst []float32, nslabs, rows, tilesC, b int) error {
-	if nslabs <= 0 || rows <= 0 || tilesC <= 0 || b <= 0 {
-		return fmt.Errorf("wino output slab: bad geometry nslabs=%d rows=%d tilesC=%d b=%d", nslabs, rows, tilesC, b)
+func WinoOutputSlab(src, dst []float32, nslabs, rows, cols, b int) error {
+	if nslabs <= 0 || rows <= 0 || cols <= 0 || b <= 0 {
+		return fmt.Errorf("wino output slab: bad geometry nslabs=%d rows=%d cols=%d b=%d", nslabs, rows, cols, b)
 	}
-	cnt := rows * tilesC * b
-	co := 2 * tilesC
+	cnt := rows * cols * b
+	co := 2 * cols
 	slab := 2 * rows * co * b
 	if len(src) < WinoPlanes*nslabs*cnt || len(dst) < nslabs*slab {
 		return fmt.Errorf("wino output slab: short buffers (src %d/%d, dst %d/%d)",
@@ -104,9 +105,9 @@ func WinoOutputSlab(src, dst []float32, nslabs, rows, tilesC, b int) error {
 	for j := 0; j < nslabs; j++ {
 		for tr := 0; tr < rows; tr++ {
 			out := dst[j*slab+2*tr*co*b:]
-			for tc := 0; tc < tilesC; tc++ {
+			for tc := 0; tc < cols; tc++ {
 				for bb := 0; bb < b; bb++ {
-					t := (tr*tilesC+tc)*b + bb
+					t := (tr*cols+tc)*b + bb
 					for xi := 0; xi < WinoPlanes; xi++ {
 						m[xi] = src[(xi*nslabs+j)*cnt+t]
 					}
