@@ -242,7 +242,8 @@ func TestEpilogueSpacesMatchReference(t *testing.T) {
 // least 32 (all its channels where it has fewer), at every batch; conv1_1,
 // with 3, keeps whole rows and its 8-channel output tiles at batch 8. A
 // space that cuts a row into strips offers no 8-channel tile: an
-// overflowing shape takes one of the two.
+// overflowing shape takes one of the two, and a row that no strip divides
+// takes the 8-channel tiles whatever its channels.
 func TestWinogradStripGuard(t *testing.T) {
 	layers := 0
 	for _, b := range []int{1, 2, 4, 8} {
@@ -301,5 +302,25 @@ func TestWinogradStripGuard(t *testing.T) {
 	}
 	if layers != 4*13 {
 		t.Fatalf("%d VGG16 layers checked, want 13 at each of 4 batches", layers)
+	}
+	// VGG16's conv5 at batch 64: a row of 7 tiles overflows and no strip
+	// divides it, so its space keeps the 8-channel tiles, and a point compiles.
+	s := conv.Shape{B: 64, Ni: 512, No: 512, Ro: 14, Co: 14, Kr: 3, Kc: 3, Pad: 1, ReLU: true}
+	op, err := conv.NewWinogradOp(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims, err := schedule.Describe(op.Seed(), op.Space())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := 0
+	for i := 0; i < dims.Size(); i++ {
+		if _, err := op.Compile(dims.At(i)); err == nil {
+			valid++
+		}
+	}
+	if f := op.Space().Factors; !slices.Contains(f["no"], 8) || !slices.Contains(f["ni"], 8) || valid == 0 {
+		t.Fatalf("%v: %d of %d points of %v compile, want 8-channel tiles and one at least", s, valid, dims.Size(), f)
 	}
 }
